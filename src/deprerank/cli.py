@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 
@@ -59,6 +60,11 @@ def _setting(args, config: dict[str, str], key: str, attr: str, convert):
 
 
 def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
+    """Hyperparameters and training settings from flags, config file and defaults.
+
+    Flags are range-checked by argparse, so a value rejected here came from
+    the config file.
+    """
     config = read_config(args.config) if args.config else {}
     hyper_defaults = P.Hyperparams()
     train_defaults = trainer.TrainConfig()
@@ -67,23 +73,26 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
         value = _setting(args, config, key, attr, convert)
         return default if value is None else value
 
-    hyper = P.Hyperparams(
-        m=pick("m", "m", int, hyper_defaults.m),
-        m_d=pick("m_d", "m_d", int, hyper_defaults.m_d),
-        rho=pick("rho", "rho", float, hyper_defaults.rho),
-        kappa=pick("kappa", "kappa", float, hyper_defaults.kappa),
-        lam=pick("lambda", "lam", float, hyper_defaults.lam),
-        k=pick("k", "k", int, hyper_defaults.k),
-        dist_clip=pick("dist_clip", "dist_clip", int, hyper_defaults.dist_clip),
-    )
-    punct = pick("punct_set", "punct_set", str, "ptb")
-    cfg = trainer.TrainConfig(
-        max_epochs=pick("max_epochs", "max_epochs", int, train_defaults.max_epochs),
-        patience=pick("patience", "patience", int, train_defaults.patience),
-        seed=pick("seed", "seed", int, train_defaults.seed),
-        punct_tags=treebank.resolve_punct_set(punct),
-        adagrad_eps=args.adagrad_eps,
-    )
+    try:
+        hyper = P.Hyperparams(
+            m=pick("m", "m", int, hyper_defaults.m),
+            m_d=pick("m_d", "m_d", int, hyper_defaults.m_d),
+            rho=pick("rho", "rho", float, hyper_defaults.rho),
+            kappa=pick("kappa", "kappa", float, hyper_defaults.kappa),
+            lam=pick("lambda", "lam", float, hyper_defaults.lam),
+            k=pick("k", "k", int, hyper_defaults.k),
+            dist_clip=pick("dist_clip", "dist_clip", int, hyper_defaults.dist_clip),
+        )
+        punct = pick("punct_set", "punct_set", str, "ptb")
+        cfg = trainer.TrainConfig(
+            max_epochs=pick("max_epochs", "max_epochs", int, train_defaults.max_epochs),
+            patience=pick("patience", "patience", int, train_defaults.patience),
+            seed=pick("seed", "seed", int, train_defaults.seed),
+            punct_tags=treebank.resolve_punct_set(punct),
+            adagrad_eps=args.adagrad_eps,
+        )
+    except ValueError as err:
+        raise ConfigError(f"{args.config}: {err}") from None
     return hyper, cfg
 
 
@@ -121,7 +130,7 @@ def cmd_rerank(args) -> int:
     kernels.warmup()
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     punct = treebank.resolve_punct_set(args.punct_set)
-    scores = reranker.corpus_model_scores(model, kbs, args.with_oracle, jobs=args.jobs)
+    scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
     if args.search_alpha:
         alpha, dev = reranker.search_alpha(
             model, kbs, args.alpha_step, punct, include_oracle=args.with_oracle,
@@ -178,7 +187,7 @@ def cmd_curve(args) -> int:
     kernels.warmup()
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     punct = treebank.resolve_punct_set(args.punct_set)
-    rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, punct, jobs=args.jobs)
+    rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, punct)
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         sink.write("k\toracle_best\toracle_worst\tmodel\treranker\tbest_alpha\tshort_sentences\n")
@@ -228,6 +237,30 @@ def _unit_interval(text: str) -> float:
     return value
 
 
+def _alpha_step(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise argparse.ArgumentTypeError(f"alpha step must lie in (0, 1], got {text}")
+    return value
+
+
+def _number(convert, low, allow_low: bool = True):
+    """argparse type: a finite number >= low (> low unless allow_low)."""
+    def parse(text: str):
+        value = convert(text)
+        if not math.isfinite(value) or value < low or (value == low and not allow_low):
+            bound = ">=" if allow_low else ">"
+            raise argparse.ArgumentTypeError(f"must be a finite number {bound} {low}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names the type in "invalid int value"
+    return parse
+
+
+_POSITIVE_INT = _number(int, 1)
+_POSITIVE = _number(float, 0, allow_low=False)
+_NON_NEGATIVE = _number(float, 0)
+
+
 def _add_common(sub, model=False):
     sub.add_argument("--punct-set", default="ptb",
                      help="ptb, ctb, none, or a comma-separated tag list")
@@ -235,8 +268,6 @@ def _add_common(sub, model=False):
                      help="accept sentences with several tokens attached to root")
     if model:
         sub.add_argument("--model", required=True, help="trained model file")
-        sub.add_argument("--jobs", type=int, default=1,
-                         help="parallel sentence scoring threads (default 1)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -253,15 +284,15 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model-out", required=True)
     t.add_argument("--pretrained", help="word2vec text-format vectors")
     t.add_argument("--config", help="flat key = value settings file")
-    t.add_argument("--m", type=int)
-    t.add_argument("--m-d", dest="m_d", type=int)
-    t.add_argument("--rho", type=float)
-    t.add_argument("--kappa", type=float)
-    t.add_argument("--lambda", dest="lam", type=float)
-    t.add_argument("--k", type=int)
-    t.add_argument("--dist-clip", dest="dist_clip", type=int)
+    t.add_argument("--m", type=_POSITIVE_INT)
+    t.add_argument("--m-d", dest="m_d", type=_POSITIVE_INT)
+    t.add_argument("--rho", type=_POSITIVE)
+    t.add_argument("--kappa", type=_POSITIVE)
+    t.add_argument("--lambda", dest="lam", type=_NON_NEGATIVE)
+    t.add_argument("--k", type=_POSITIVE_INT)
+    t.add_argument("--dist-clip", dest="dist_clip", type=_POSITIVE_INT)
     t.add_argument("--seed", type=int)
-    t.add_argument("--max-epochs", dest="max_epochs", type=int)
+    t.add_argument("--max-epochs", dest="max_epochs", type=_POSITIVE_INT)
     t.add_argument("--patience", type=int)
     t.add_argument("--punct-set", dest="punct_set")
     t.add_argument("--min-freq", type=int, default=2,
@@ -277,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--alpha", type=_unit_interval)
     which.add_argument("--search-alpha", action="store_true",
                        help="grid-search the mixture weight on this input")
-    r.add_argument("--alpha-step", type=float, default=0.005)
+    r.add_argument("--alpha-step", type=_alpha_step, default=0.005)
     r.add_argument("--with-oracle", action="store_true",
                    help="add the gold tree to every candidate list")
     r.add_argument("--normalize", action="store_true",
@@ -312,20 +343,20 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kbest", required=True)
     c.add_argument("--ks", type=_ks_list, required=True,
                    help="comma-separated list, e.g. 1,2,4,8,16,32,64")
-    c.add_argument("--alpha-step", type=float, default=0.005)
+    c.add_argument("--alpha-step", type=_alpha_step, default=0.005)
     c.add_argument("--output", help="write the TSV here instead of stdout")
     _add_common(c, model=True)
     c.set_defaults(func=cmd_curve)
 
     g = subs.add_parser("gradcheck", help="finite-difference check of the subgradients")
     g.add_argument("--seed", type=int, default=2024)
-    g.add_argument("--instances", type=int, default=50)
-    g.add_argument("--max-len", dest="max_len", type=int, default=6)
-    g.add_argument("--m", type=int, default=3)
-    g.add_argument("--m-d", dest="m_d", type=int, default=3)
-    g.add_argument("--k", type=int, default=3)
-    g.add_argument("--epsilon", type=float, default=1e-5)
-    g.add_argument("--tolerance", type=float, default=1e-4)
+    g.add_argument("--instances", type=_POSITIVE_INT, default=50)
+    g.add_argument("--max-len", dest="max_len", type=_number(int, 2), default=6)
+    g.add_argument("--m", type=_POSITIVE_INT, default=3)
+    g.add_argument("--m-d", dest="m_d", type=_POSITIVE_INT, default=3)
+    g.add_argument("--k", type=_POSITIVE_INT, default=3)
+    g.add_argument("--epsilon", type=_POSITIVE, default=1e-5)
+    g.add_argument("--tolerance", type=_POSITIVE, default=1e-4)
     g.set_defaults(func=cmd_gradcheck)
 
     return parser

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -10,7 +9,9 @@ import numpy as np
 
 from .errors import AlignmentError
 from .params import ParamSet
-from .rcnn import score_tree
+from .rcnn import build_list_plan, score_list
+# no longer used here; perfbench's tracer self-test still checks this binding
+from .rcnn import score_tree  # noqa: F401
 from .treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
 
 
@@ -26,8 +27,8 @@ class RerankConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if self.alpha_step <= 0:
-            raise ValueError("alpha_step must be positive")
+        if not 0.0 < self.alpha_step <= 1.0:
+            raise ValueError(f"alpha_step must lie in (0, 1], got {self.alpha_step}")
 
 
 def mixture_score(alpha: float, model_score: float, base_score: float) -> float:
@@ -48,8 +49,11 @@ def augmented_candidates(kb: KBestList,
 
 def candidate_model_scores(params: ParamSet, kb: KBestList,
                            include_oracle: bool = False) -> list[float]:
-    return [score_tree(params, tree).total_score
-            for tree, _ in augmented_candidates(kb, include_oracle)]
+    """Model score per candidate (oracle last), from one forward pass over the list."""
+    trees = [tree for tree, _ in augmented_candidates(kb, include_oracle)]
+    if not trees:
+        return []
+    return score_list(params, build_list_plan(params, trees)).tolist()
 
 
 def _znorm(scores: np.ndarray) -> np.ndarray:
@@ -95,23 +99,16 @@ class RerankResult:
 
 
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
-                        include_oracle: bool = False, jobs: int = 1) -> list[list[float]]:
-    """Model score per candidate per sentence; sentences scored in parallel if jobs > 1."""
-    def one(kb: KBestList) -> list[float]:
-        return candidate_model_scores(params, kb, include_oracle)
-
-    if jobs <= 1:
-        return [one(kb) for kb in kbests]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(one, kbests))
+                        include_oracle: bool = False) -> list[list[float]]:
+    """Model score per candidate per sentence."""
+    return [candidate_model_scores(params, kb, include_oracle) for kb in kbests]
 
 
 def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankConfig,
                   punct_tags: frozenset[str] | set[str] = frozenset(),
-                  model_scores: Sequence[Sequence[float]] | None = None,
-                  jobs: int = 1) -> RerankResult:
+                  model_scores: Sequence[Sequence[float]] | None = None) -> RerankResult:
     if model_scores is None:
-        model_scores = corpus_model_scores(params, kbests, config.include_oracle, jobs)
+        model_scores = corpus_model_scores(params, kbests, config.include_oracle)
     chosen, trees, rows = [], [], []
     total = EvalResult(0, 0)
     for i, kb in enumerate(kbests):
@@ -128,8 +125,8 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
 
 def alpha_grid(alpha_step: float) -> np.ndarray:
     """The grid {0, step, 2 step, ..., 1}; step 0.005 gives 201 points."""
-    if alpha_step <= 0:
-        raise ValueError("alpha_step must be positive")
+    if not 0.0 < alpha_step <= 1.0:
+        raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")
     steps = int(round(1.0 / alpha_step))
     return np.linspace(0.0, 1.0, steps + 1)
 
@@ -138,14 +135,14 @@ def search_alpha(params: ParamSet, dev_kbest: Sequence[KBestList],
                  alpha_step: float = 0.005,
                  punct_tags: frozenset[str] | set[str] = frozenset(),
                  include_oracle: bool = False, normalize: bool = False,
-                 model_scores: Sequence[Sequence[float]] | None = None,
-                 jobs: int = 1) -> tuple[float, EvalResult]:
+                 model_scores: Sequence[Sequence[float]] | None = None
+                 ) -> tuple[float, EvalResult]:
     """Best mixture weight by corpus UAS on dev (ties -> smallest alpha).
 
     Candidate model scores are computed once and reused across the whole grid.
     """
     if model_scores is None:
-        model_scores = corpus_model_scores(params, dev_kbest, include_oracle, jobs)
+        model_scores = corpus_model_scores(params, dev_kbest, include_oracle)
     grid = alpha_grid(alpha_step)
     probe = RerankConfig(alpha=0.0, alpha_step=alpha_step,
                          include_oracle=include_oracle, normalize=normalize)
@@ -216,13 +213,12 @@ class CurveRow:
 
 def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
               alpha_step: float = 0.005,
-              punct_tags: frozenset[str] | set[str] = frozenset(),
-              jobs: int = 1) -> list[CurveRow]:
+              punct_tags: frozenset[str] | set[str] = frozenset()) -> list[CurveRow]:
     """Oracle/model/re-ranker UAS as the candidate lists are truncated to each k.
 
     Model scores are computed once on the full lists; truncation reuses prefixes.
     """
-    full_scores = corpus_model_scores(params, kbests, include_oracle=False, jobs=jobs)
+    full_scores = corpus_model_scores(params, kbests, include_oracle=False)
     rows = []
     for k in ks:
         if k < 1:

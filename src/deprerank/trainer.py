@@ -17,7 +17,10 @@ import numpy as np
 from . import synth
 from .errors import AlignmentError
 from .params import Hyperparams, ParamSet, init_random
-from .rcnn import Gradients, TreePlan, backward_tree, build_plan, score_plan
+from .rcnn import (
+    Gradients, ListPlan, TreeForwardTrace, backward_tree, build_list_plan, build_plan,
+    score_list, score_plan,
+)
 from .reranker import RerankConfig, rerank_corpus
 from .treebank import DependencyTree, KBestList
 
@@ -31,46 +34,48 @@ def margin_delta(gold: DependencyTree, cand: DependencyTree, kappa: float) -> fl
 
 @dataclass
 class _SentenceItem:
-    """Per-sentence training state: cached plans and margin terms."""
+    """Per-sentence training state: one list plan (gold, then the candidates)
+    and the margin terms."""
 
     kb: KBestList
-    gold_plan: TreePlan
-    cand_plans: list[TreePlan]
-    deltas: list[float]
+    plan: ListPlan
+    deltas: np.ndarray
 
     @classmethod
     def build(cls, params: ParamSet, kb: KBestList, kappa: float) -> "_SentenceItem":
         if not kb.candidates:
             raise ValueError("candidate list must be non-empty")
-        gold_plan = build_plan(params, kb.gold, create_pairs=True)
-        cand_plans = [build_plan(params, t, create_pairs=True) for t, _ in kb.candidates]
-        deltas = [margin_delta(kb.gold, t, kappa) for t, _ in kb.candidates]
-        return cls(kb, gold_plan, cand_plans, deltas)
+        trees = [kb.gold] + [t for t, _ in kb.candidates]
+        plan = build_list_plan(params, trees, create_pairs=True)
+        deltas = np.array([margin_delta(kb.gold, t, kappa) for t in trees[1:]])
+        return cls(kb, plan, deltas)
 
 
-def _pick(params: ParamSet, item: _SentenceItem):
-    """Loss-augmented selection; returns (index, hinge, picked trace, gold trace)."""
-    gold_trace = score_plan(params, item.gold_plan)
-    best_idx, best_aug, best_trace = 0, -np.inf, None
-    for i, plan in enumerate(item.cand_plans):
-        trace = score_plan(params, plan)
-        aug = trace.total_score + item.deltas[i]
-        if aug > best_aug:
-            best_idx, best_aug, best_trace = i, aug, trace
-    hinge = max(0.0, best_aug - gold_trace.total_score)
-    return best_idx, hinge, best_trace, gold_trace
+def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float]:
+    """Loss-augmented selection: (candidate index, hinge), ties to the lowest index."""
+    scores = score_list(params, item.plan)
+    aug = scores[1:] + item.deltas
+    idx = int(np.argmax(aug))
+    return idx, max(0.0, float(aug[idx] - scores[0]))
+
+
+def _traces(params: ParamSet, item: _SentenceItem,
+            idx: int) -> tuple[TreeForwardTrace, TreeForwardTrace]:
+    """Per-tree forward traces of candidate idx and of gold, for a backward pass."""
+    return (score_plan(params, build_plan(params, item.kb.candidates[idx][0])),
+            score_plan(params, build_plan(params, item.kb.gold)))
 
 
 def loss_augmented_pick(params: ParamSet, kb: KBestList, kappa: float) -> tuple[int, float]:
     """Candidate maximizing score + margin, and the resulting hinge value."""
-    idx, hinge, _, _ = _pick(params, _SentenceItem.build(params, kb, kappa))
-    return idx, hinge
+    return _pick(params, _SentenceItem.build(params, kb, kappa))
 
 
 def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, float]:
-    idx, hinge, picked, gold = _pick(params, item)
+    idx, hinge = _pick(params, item)
     if hinge <= 0.0:
         return Gradients(), hinge
+    picked, gold = _traces(params, item, idx)
     grads = backward_tree(params, picked, upstream=1.0)
     grads.accumulate(backward_tree(params, gold, upstream=-1.0))
     return grads, hinge
@@ -157,6 +162,10 @@ class TrainConfig:
     punct_tags: frozenset[str] = frozenset()
     adagrad_eps: float = 0.0
 
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+
 
 @dataclass
 class TrainReport:
@@ -186,6 +195,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
     items = [_SentenceItem.build(params, kb, hyper.kappa) for kb in ordered]
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
+    dev_plans = [build_list_plan(params, [t for t, _ in kb.candidates]) for kb in dev]
     state = AdaGradState.from_params(params, eps=config.adagrad_eps)
     best = params.copy()
     best_uas = -1.0
@@ -200,7 +210,9 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
             if hinge > 0.0:
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
-        dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags)
+        dev_scores = [score_list(params, plan).tolist() for plan in dev_plans]
+        dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
+                                model_scores=dev_scores)
         report = TrainReport(epoch, total_hinge / len(items), violations,
                              dev_res.score.uas)
         reports.append(report)
@@ -261,16 +273,18 @@ def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5,
     """
     kappa = params.hyper.kappa if kappa is None else kappa
     item = _SentenceItem.build(params, kb, kappa)
-    idx0, hinge0, picked0, gold0 = _pick(params, item)
+    idx0, hinge0 = _pick(params, item)
     if hinge0 <= 0.0:
         return GradCheckReport(active=False)
+    picked0, gold0 = _traces(params, item, idx0)
     sig0 = (picked0.pool_argmax.copy(), gold0.pool_argmax.copy())
     grads = backward_tree(params, picked0, upstream=1.0)
     grads.accumulate(backward_tree(params, gold0, upstream=-1.0))
     report = GradCheckReport(active=True)
 
     def probe():
-        idx, hinge, picked, gold = _pick(params, item)
+        idx, hinge = _pick(params, item)
+        picked, gold = _traces(params, item, idx0)
         same = (idx == idx0 and hinge > 0.0
                 and np.array_equal(picked.pool_argmax, sig0[0])
                 and np.array_equal(gold.pool_argmax, sig0[1]))

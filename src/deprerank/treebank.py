@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -275,6 +276,8 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
                 score = float(fields[2])
             except ValueError:
                 raise ParseError(f"bad base score {fields[2]!r}", lineno) from None
+            if not math.isfinite(score):
+                raise ParseError(f"non-finite base score {fields[2]!r}", lineno)
             item = next_line()
             if item is None or not item[1].startswith("HEAD"):
                 raise ParseError(f"sentence {sent_idx}: missing HEAD line for rank {rank}",

@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from deprerank.params import Hyperparams, init_random
-from deprerank.treebank import DependencyTree, KBestList, Token
+from deprerank.rcnn import build_plan, score_plan
+from deprerank.trainer import margin_delta
+from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -36,6 +40,19 @@ def random_tree(rng, n, vocab=VOCAB, tags=TAGS):
     return make_tree(random_heads(rng, n), forms, tg)
 
 
+def all_trees_up_to(max_len):
+    """Every single-rooted tree over fixed forms and tags, 1 to max_len tokens."""
+    forms = ["alpha", "beta", "gamma", "delta"]
+    tags = ["DT", "NN", "VB", "JJ"]
+    for n in range(1, max_len + 1):
+        for heads in itertools.product(range(n + 1), repeat=n):
+            if any(h == i + 1 for i, h in enumerate(heads)):
+                continue
+            if is_rooted_tree(heads):
+                yield DependencyTree(tuple(
+                    Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
+
+
 def kbest_of(gold, cand_heads_scores):
     return KBestList(gold, tuple(
         (gold.with_heads(h), float(s)) for h, s in cand_heads_scores))
@@ -44,6 +61,21 @@ def kbest_of(gold, cand_heads_scores):
 def tiny_params(m=3, m_d=3, vocab=VOCAB, tags=TAGS, seed=0, **kw):
     hyper = Hyperparams(m=m, m_d=m_d, **kw)
     return init_random(hyper, list(vocab), list(tags), seed)
+
+
+def per_tree_pick(params, kb, kappa):
+    """Loss-augmented pick scored one tree at a time: (index, hinge).
+
+    Pairs are created gold first, then candidate by candidate, as training does.
+    """
+    gold = score_plan(params, build_plan(params, kb.gold, create_pairs=True)).total_score
+    best_idx, best_aug = 0, -np.inf
+    for i, (tree, _) in enumerate(kb.candidates):
+        score = score_plan(params, build_plan(params, tree, create_pairs=True)).total_score
+        aug = score + margin_delta(kb.gold, tree, kappa)
+        if aug > best_aug:
+            best_idx, best_aug = i, aug
+    return best_idx, max(0.0, best_aug - gold)
 
 
 def fd_entries(params, analytic, f, eps=1e-5):

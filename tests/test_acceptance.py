@@ -4,7 +4,6 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
 import io
-import itertools
 import time
 
 import numpy as np
@@ -20,8 +19,10 @@ from deprerank.reranker import RerankConfig, alpha_grid, rerank_corpus
 from deprerank.synth import random_tree, synth_corpus
 from deprerank.trainer import TrainConfig, run_grad_check_suite, train
 from deprerank.treebank import (
-    DependencyTree, Token, corpus_oracle, is_rooted_tree, write_conll, write_kbest,
+    DependencyTree, Token, corpus_oracle, write_conll, write_kbest,
 )
+
+from helpers import all_trees_up_to
 
 
 def _report(number, name, conditions):
@@ -51,24 +52,12 @@ def test_criterion_1_gradient_correctness():
     ])
 
 
-def _all_trees_up_to(max_len):
-    forms = ["alpha", "beta", "gamma", "delta"]
-    tags = ["DT", "NN", "VB", "JJ"]
-    for n in range(1, max_len + 1):
-        for heads in itertools.product(range(n + 1), repeat=n):
-            if any(h == i + 1 for i, h in enumerate(heads)):
-                continue
-            if is_rooted_tree(heads):
-                yield DependencyTree(tuple(
-                    Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
-
-
 def test_criterion_2_leaf_and_structural_identities():
     params = init_random(Hyperparams(m=3, m_d=3), ["alpha", "beta", "gamma", "delta"],
                          ["DT", "NN", "VB", "JJ", "ROOT"], seed=3)
     checked = 0
     bad = []
-    for tree in _all_trees_up_to(4):
+    for tree in all_trees_up_to(4):
         trace = score_tree(params, tree, create_pairs=True)
         plan = trace.plan
         for node in trace.nodes:

@@ -106,6 +106,45 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--m", "0"), ("--m-d", "-2"), ("--rho", "-1"), ("--rho", "nan"), ("--kappa", "0"),
+    ("--lambda", "-1e-4"), ("--k", "0"), ("--dist-clip", "0"), ("--max-epochs", "0"),
+])
+def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, flag, value):
+    paths, _ = corpus_files
+    with pytest.raises(SystemExit) as exc:
+        main(_train_args(paths, tmp_path / "m.bin", f"{flag}={value}"))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}: must be a finite number" in err.splitlines()[-1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("max_epochs = 0\n", encoding="utf-8")
+    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
+    code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
+                 "--dev-gold", str(dg), "--dev-kbest", str(dk),
+                 "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "max_epochs must be >= 1" in err
+
+
+@pytest.mark.parametrize("step", ["3", "1.5", "0", "-0.1"])
+def test_alpha_step_out_of_range_exits_1(capsys, step):
+    for command in (["rerank", "--search-alpha"], ["curve", "--ks", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--gold", "g", "--kbest", "k", "--model", "m",
+                            "--alpha-step", step])
+        assert exc.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert f"argument --alpha-step: alpha step must lie in (0, 1], got {step}" in last
+
+
 def _trained_model(tmp_path, paths):
     model_path = tmp_path / "model.bin"
     assert main(_train_args(paths, model_path)) == 0
@@ -211,17 +250,3 @@ def test_gradcheck_command(capsys):
     fields = dict(part.split("=", 1) for part in out.split())
     assert float(fields["max_rel_error"]) < 1e-4
     assert int(fields["checked"]) > 0
-
-
-def test_jobs_flag_gives_same_answer(tmp_path, corpus_files, capsys):
-    paths, _ = corpus_files
-    model_path = _trained_model(tmp_path, paths)
-    dg, dk = paths["dev"]
-    outs = []
-    for jobs in ("1", "4"):
-        capsys.readouterr()
-        assert main(["rerank", "--model", str(model_path), "--gold", str(dg),
-                     "--kbest", str(dk), "--alpha", "0.5", "--punct-set", "none",
-                     "--jobs", jobs]) == 0
-        outs.append(capsys.readouterr().out.splitlines()[-1])
-    assert outs[0] == outs[1]

@@ -3,12 +3,17 @@
 import numpy as np
 import pytest
 
+from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_tree, build_plan, compose_pair, forward_unit, score_plan, score_tree,
+    backward_tree, build_list_plan, build_plan, compose_pair, forward_unit, score_list,
+    score_plan, score_tree,
 )
 
-from helpers import fd_entries, make_tree, max_rel_error, random_tree, tiny_params
+from helpers import (
+    TAGS, all_trees_up_to, fd_entries, make_tree, max_rel_error, random_heads, random_tree,
+    tiny_params,
+)
 
 
 def test_compose_zero_matrix_gives_zero_hidden():
@@ -244,3 +249,91 @@ def test_backward_scales_with_upstream():
         assert np.allclose(g3.pair_W[key], -3.0 * arr)
     for key, arr in g1.words.items():
         assert np.allclose(g3.words[key], -3.0 * arr)
+
+
+def _assert_list_matches_trees(p, trees):
+    scores = score_list(p, build_list_plan(p, trees))
+    assert scores.shape == (len(trees),)
+    for tree, score in zip(trees, scores):
+        expected = score_tree(p, tree).total_score
+        assert abs(score - expected) <= 1e-12 * max(1.0, abs(expected)), tree.heads
+    return scores
+
+
+def test_score_list_matches_score_tree_on_all_small_trees():
+    p = tiny_params(m=3, m_d=3, vocab=("alpha", "beta", "gamma", "delta"), seed=3)
+    by_length: dict[int, list] = {}
+    for tree in all_trees_up_to(4):
+        by_length.setdefault(len(tree), []).append(tree)
+    for trees in by_length.values():
+        build_list_plan(p, trees, create_pairs=True)
+        _assert_list_matches_trees(p, trees)
+
+
+def _random_multi_root_heads(rng, n):
+    """Tokens attach, in random order, to the root or to an attached token."""
+    heads = [0] * n
+    attached = [0]
+    for idx in rng.permutation(n) + 1:
+        heads[idx - 1] = int(attached[rng.integers(len(attached))])
+        attached.append(int(idx))
+    return heads
+
+
+def test_score_list_matches_score_tree_on_random_lists():
+    rng = np.random.default_rng(31)
+    # dist_clip 2 clips most distances; tag "XX" and forms "oov*" are unknown to
+    # the parameters, so their arcs use the fallback slot and <unk>
+    p = tiny_params(m=4, m_d=3, seed=5, dist_clip=2)
+    for case in range(12):
+        n = 1 if case == 0 else int(rng.integers(2, 16))
+        gold = random_tree(rng, n, vocab=("w1", "w2", "w3", "oov1", "oov2"),
+                           tags=TAGS + ("XX",))
+        if case % 2:
+            build_plan(p, gold, create_pairs=True)  # some pairs seen, others not
+        heads = [random_heads(rng, n) for _ in range(5)]
+        heads += [_random_multi_root_heads(rng, n) for _ in range(3)]
+        trees = [gold.with_heads(h, allow_multiple_roots=True) for h in heads]
+        trees += [trees[0], gold, trees[3]]  # duplicates
+        scores = _assert_list_matches_trees(p, trees)
+        assert scores[-3] == scores[0] and scores[-1] == scores[3]
+        assert np.array_equal(scores, score_list(p, build_list_plan(p, trees)))
+
+
+def test_list_plan_shares_repeated_subtrees():
+    p = tiny_params()
+    gold = make_tree([2, 0, 2, 3])
+    plan = build_list_plan(p, [gold, gold.with_heads([2, 0, 2, 2]), gold])
+    # gold has arcs 2->1, 0->2, 2->3, 3->4; the second tree adds 2->4, and its
+    # 2->3 and 0->2 arcs see other subtrees below them
+    assert plan.num_arcs == 7
+    assert plan.num_trees == 3
+
+
+def test_list_plan_creates_pairs_in_build_plan_order():
+    trees = [random_tree(np.random.default_rng(4), 9)]
+    rng = np.random.default_rng(8)
+    trees += [trees[0].with_heads(random_heads(rng, 9)) for _ in range(6)]
+    one_by_one, listed = tiny_params(seed=1), tiny_params(seed=1)
+    for tree in trees:
+        build_plan(one_by_one, tree, create_pairs=True)
+    build_list_plan(listed, trees, create_pairs=True)
+    assert listed.pos_pairs.index == one_by_one.pos_pairs.index
+    assert np.array_equal(listed.pos_pairs.W, one_by_one.pos_pairs.W)
+
+
+def test_list_plan_rejects_bad_input():
+    p = tiny_params()
+    gold = make_tree([0, 1, 1])
+    with pytest.raises(AlignmentError):
+        build_list_plan(p, [gold, make_tree([0, 1, 1], forms=["w1", "w2", "w9"])])
+    with pytest.raises(AlignmentError):
+        build_list_plan(p, [gold, make_tree([0, 1, 1], tags=["NN", "NN", "NN"])])
+    with pytest.raises(AlignmentError):
+        build_list_plan(p, [gold, make_tree([0, 1])])
+    with pytest.raises(StructureError):
+        build_list_plan(p, [gold, make_tree([0, 1, 4])])
+    with pytest.raises(ValueError, match="empty sentence"):
+        build_list_plan(p, [make_tree([])])
+    with pytest.raises(ValueError):
+        build_list_plan(p, [])

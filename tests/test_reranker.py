@@ -128,15 +128,6 @@ def test_oracle_sandwich_at_all_alphas():
         assert worst.uas <= res.score.uas <= best.uas
 
 
-def test_rerank_jobs_thread_pool_matches_serial():
-    corpus = synth_corpus(seed=8, sentences=6, k=3)
-    p = tiny_params(m=3, m_d=3, seed=2)
-    serial = rerank_corpus(p, corpus, RerankConfig(alpha=0.6), jobs=1)
-    threaded = rerank_corpus(p, corpus, RerankConfig(alpha=0.6), jobs=4)
-    assert serial.chosen == threaded.chosen
-    assert serial.score == threaded.score
-
-
 def test_per_pos_accuracy_counts():
     gold = make_tree([2, 0, 2, 2], tags=["DT", "VB", "NN", "."])
     exact = [gold]

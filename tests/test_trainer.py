@@ -13,7 +13,7 @@ from deprerank.trainer import (
 )
 from deprerank.treebank import KBestList
 
-from helpers import kbest_of, make_tree, tiny_params
+from helpers import kbest_of, make_tree, per_tree_pick, random_tree, tiny_params
 
 
 def test_margin_delta_examples():
@@ -61,6 +61,27 @@ def test_loss_augmented_pick_gold_only():
     idx, hinge = loss_augmented_pick(p, kb, kappa=2.0)
     assert idx == 0
     assert hinge == 0.0
+
+
+def test_loss_augmented_pick_matches_per_tree_pick():
+    corpus = synth_corpus(seed=12, sentences=10, k=6, length_range=(2, 9))
+    vocab = [f"word{i:02d}" for i in range(0, 30, 2)]  # the odd words are OOV
+    for i, kb in enumerate(corpus):
+        listed, per_tree = (tiny_params(m=4, m_d=3, vocab=vocab, seed=i) for _ in range(2))
+        idx, hinge = loss_augmented_pick(listed, kb, kappa=1.5)
+        ref_idx, ref_hinge = per_tree_pick(per_tree, kb, kappa=1.5)
+        assert idx == ref_idx
+        assert hinge == pytest.approx(ref_hinge, rel=1e-12, abs=1e-12)
+
+
+def test_candidate_equal_to_gold_gives_zero_hinge():
+    rng = np.random.default_rng(3)
+    for n in (1, 5, 12):
+        gold = random_tree(rng, n)
+        kb = kbest_of(gold, [(gold.heads, -1.0)] * 3)
+        idx, hinge = loss_augmented_pick(tiny_params(seed=n), kb, kappa=2.0)
+        assert idx == 0
+        assert hinge == 0.0
 
 
 def test_hinge_never_negative():

@@ -119,6 +119,13 @@ def test_kbest_token_mismatch_names_sentence():
         read_kbest(BIKE_BLOCK, cands)
 
 
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_kbest_rejects_non_finite_base_scores(score):
+    cands = f"SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0\nCAND 2 {score}\nHEAD 2 3 0\n"
+    with pytest.raises(ParseError, match="line 4: non-finite base score"):
+        read_kbest(BIKE_BLOCK, cands)
+
+
 def test_kbest_count_mismatch():
     cands = ("SENT 0 1\nCAND 1 -1.0\nHEAD 3 3 0\n"
              "SENT 1 1\nCAND 1 -1.0\nHEAD 0\n")
