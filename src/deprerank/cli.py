@@ -173,8 +173,7 @@ def cmd_oracle(args) -> int:
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     punct = treebank.resolve_punct_set(args.punct_set)
     if args.with_oracle:
-        kbs = [treebank.KBestList(kb.gold, tuple(
-            reranker.augmented_candidates(kb, include_oracle=True))) for kb in kbs]
+        kbs = [reranker.augmented(kb, include_oracle=True) for kb in kbs]
     res = treebank.corpus_oracle(kbs, punct, worst=args.worst)
     which = "worst" if args.worst else "best"
     print(f"oracle={which} uas={res.uas:.6f} correct={res.correct_heads} "

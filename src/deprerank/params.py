@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ ROOT_POS = "ROOT"
 _INIT_SCALE = 0.01
 _MODEL_MAGIC = b"DPRK"
 _MODEL_VERSION = 1
+_READ_CHUNK = 1 << 20
 
 
 @dataclass
@@ -37,6 +39,8 @@ class Hyperparams:
     dist_clip: int = 10  # max |relative distance| kept distinct
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.rho, self.kappa, self.lam, self.alpha)):
+            raise ValueError("rho, kappa, lambda and alpha must be finite")
         if min(self.m, self.m_d, self.k, self.dist_clip) <= 0:
             raise ValueError("m, m_d, k and dist_clip must be positive")
         if self.rho <= 0 or self.kappa <= 0 or self.lam < 0:
@@ -344,10 +348,68 @@ def load(source) -> ParamSet:
 
 
 def _read_exact(f: IO[bytes], nbytes: int, what: str) -> bytes:
-    data = f.read(nbytes)
-    if len(data) != nbytes:
-        raise ModelIOError(f"truncated model file while reading {what}")
-    return data
+    """Exactly nbytes, read in bounded chunks: a length field larger than the
+    file fails as a truncated file, without allocating that length first."""
+    chunks = []
+    while nbytes > 0:
+        chunk = f.read(min(nbytes, _READ_CHUNK))
+        if not chunk:
+            raise ModelIOError(f"truncated model file while reading {what}")
+        chunks.append(chunk)
+        nbytes -= len(chunk)
+    return b"".join(chunks)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_strings(value) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
+
+
+def _field(section: dict, key: str, check, what: str):
+    if key not in section:
+        raise ModelIOError(f"model header: missing key {key!r}")
+    if not check(section[key]):
+        raise ModelIOError(f"model header: {key!r} must be {what}")
+    return section[key]
+
+
+def _parse_header(raw: bytes) -> tuple[Hyperparams, int, list[str], list[tuple[str, str]],
+                                       list[str]]:
+    """Hyperparameters, seed, word forms, POS pairs and POS vocabulary, checked."""
+    try:
+        meta = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise ModelIOError("corrupt model header: not UTF-8") from None
+    except (ValueError, RecursionError) as e:
+        raise ModelIOError(f"corrupt model header: {e}") from None
+    if not isinstance(meta, dict):
+        raise ModelIOError("model header: not a JSON object")
+    hy = _field(meta, "hyper", lambda v: isinstance(v, dict), "an object")
+    number = lambda v: _is_int(v) or isinstance(v, float)
+    sizes = {key: _field(hy, key, _is_int, "an integer") for key in ("m", "m_d", "k", "dist_clip")}
+    rates = {key: _field(hy, key, number, "a number")
+             for key in ("rho", "kappa", "lambda", "alpha")}
+    try:
+        hyper = Hyperparams(**sizes, rho=rates["rho"], kappa=rates["kappa"],
+                            lam=rates["lambda"], alpha=rates["alpha"])
+    except ValueError as e:
+        raise ModelIOError(f"model header: invalid hyperparameters: {e}") from None
+    seed = _field(meta, "seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer")
+    forms = _field(meta, "words", _is_strings, "a list of strings")
+    if len(set(forms)) != len(forms):
+        raise ModelIOError("model header: duplicate words")
+    if UNK_FORM not in forms:
+        raise ModelIOError(f"model header: no {UNK_FORM} word")
+    pairs = _field(meta, "pairs", lambda v: isinstance(v, list) and all(
+        _is_strings(p) and len(p) == 2 for p in v), "a list of [head POS, child POS] pairs")
+    pairs = [tuple(p) for p in pairs]
+    if len(set(pairs)) != len(pairs):
+        raise ModelIOError("model header: duplicate POS pairs")
+    pos_vocab = _field(meta, "pos_vocab", _is_strings, "a list of strings")
+    return hyper, seed, forms, pairs, pos_vocab
 
 
 def _read_model(f: IO[bytes]) -> ParamSet:
@@ -357,31 +419,22 @@ def _read_model(f: IO[bytes]) -> ParamSet:
     if version != _MODEL_VERSION:
         raise ModelIOError(f"unsupported model version {version} (expected {_MODEL_VERSION})")
     (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
-    try:
-        meta = json.loads(_read_exact(f, hlen, "header"))
-    except json.JSONDecodeError as e:
-        raise ModelIOError(f"corrupt model header: {e}") from None
-    hy = meta["hyper"]
-    hyper = Hyperparams(m=hy["m"], m_d=hy["m_d"], rho=hy["rho"], kappa=hy["kappa"],
-                        lam=hy["lambda"], k=hy["k"], alpha=hy["alpha"],
-                        dist_clip=hy["dist_clip"])
+    hyper, seed, forms, pair_keys, pos_vocab = _parse_header(_read_exact(f, hlen, "header"))
 
     def read_array(shape, what):
-        nbytes = int(np.prod(shape)) * 8
+        nbytes = math.prod(shape) * 8
         return np.frombuffer(_read_exact(f, nbytes, what), dtype=np.float64).reshape(shape).copy()
 
-    forms = meta["words"]
     words = EmbeddingTable(hyper.m, forms, read_array((len(forms), hyper.m), "word vectors"))
-    deltas = list(range(-hyper.dist_clip, hyper.dist_clip + 1))
-    distances = EmbeddingTable(
-        hyper.m_d, deltas, read_array((len(deltas), hyper.m_d), "distance vectors"))
-    pair_keys = [tuple(p) for p in meta["pairs"]]
+    clip = hyper.dist_clip
+    dist_vectors = read_array((2 * clip + 1, hyper.m_d), "distance vectors")
+    distances = EmbeddingTable(hyper.m_d, range(-clip, clip + 1), dist_vectors)
     count = len(pair_keys) + 1
     W = read_array((count, hyper.m, hyper.n), "composition matrices")
     v = read_array((count, hyper.m), "score vectors")
     if f.read(1):
         raise ModelIOError("trailing bytes after model payload")
-    pairs = PosPairStore(hyper.m, hyper.n, meta["seed"], W[0], v[0])
+    pairs = PosPairStore(hyper.m, hyper.n, seed, W[0], v[0])
     for slot, key in enumerate(pair_keys, start=1):
         pairs.index[key] = slot
         if pairs.count == len(pairs._W):
@@ -389,5 +442,4 @@ def _read_model(f: IO[bytes]) -> ParamSet:
             pairs._v = np.concatenate([pairs._v, np.zeros_like(pairs._v)])
         pairs._store(slot, W[slot], v[slot])
         pairs.count += 1
-    return ParamSet(words, distances, pairs, hyper, meta["seed"],
-                    tuple(meta["pos_vocab"]))
+    return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))

@@ -15,7 +15,7 @@ unique arc of the list is computed once. The per-tree plans and kernels
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -149,30 +149,30 @@ class ListPlan:
         return self.levels[-1][4]
 
 
-def build_list_plan(params: ParamSet, trees: Sequence[DependencyTree],
-                    create_pairs: bool = False) -> ListPlan:
+def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
+                    heads, create_pairs: bool = False) -> ListPlan:
     """Hash-cons the trees of one sentence into unique subtrees and arcs.
 
-    Every tree must have the forms and POS tags of the first. Lookups follow
-    `build_plan`: OOV words use `<unk>`, distances are clipped, and unseen POS
-    pairs map to the fallback slot or, with create_pairs, get fresh
-    parameters, created in the order `build_plan` would meet them tree by tree.
+    `heads` is a (k, n) matrix, one row of 1-based heads (0 = root) per tree
+    over the sentence's n forms and POS tags. Lookups follow `build_plan`:
+    OOV words use `<unk>`, distances are clipped, and unseen POS pairs map to
+    the fallback slot or, with create_pairs, get fresh parameters, created in
+    the order `build_plan` would meet them tree by tree.
     """
-    if not trees:
+    heads = np.asarray(heads, dtype=np.int64)
+    n = len(forms)
+    if heads.ndim != 2:
+        raise ValueError("heads must be a (trees, tokens) matrix")
+    if not len(heads):
         raise ValueError("no trees to score")
-    tokens = trees[0].tokens
-    n = len(tokens)
+    if len(tags) != n or heads.shape[1] != n:
+        raise AlignmentError(
+            f"{heads.shape[1]} heads per tree for {n} forms and {len(tags)} POS tags")
     if not n:
         raise ValueError("cannot score an empty sentence")
-    forms = [t.form for t in tokens]
-    tags = [t.pos for t in tokens]
-    for i, tree in enumerate(trees):
-        if tree.forms != forms or tree.pos_tags != tags:
-            raise AlignmentError(f"tree {i} does not have the forms and POS tags of tree 0")
-    heads = np.array([tree.heads for tree in trees], dtype=np.int64)
-    if heads.max() > n:
-        raise StructureError(f"head index {heads.max()} beyond the {n} tokens")
-    k, width = len(trees), n + 1
+    if heads.min() < 0 or heads.max() > n:
+        raise StructureError(f"head indices must lie in [0, {n}]")
+    k, width = len(heads), n + 1
 
     # node u of tree t is t * width + u; `end` pads rows of `kids`
     end = k * width
@@ -213,7 +213,7 @@ def build_list_plan(params: ParamSet, trees: Sequence[DependencyTree],
     sig_node = np.concatenate([np.arange(width)] + [node[r] for r in reps])
 
     tag_ids: dict[str, int] = {}
-    tag_of = np.array([tag_ids.setdefault(t, len(tag_ids)) for t in [ROOT_POS] + tags])
+    tag_of = np.array([tag_ids.setdefault(t, len(tag_ids)) for t in [ROOT_POS, *tags]])
     names, ntags = list(tag_ids), len(tag_ids)
     codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
     _, seen = np.unique(codes, return_index=True)
@@ -251,7 +251,7 @@ def build_list_plan(params: ParamSet, trees: Sequence[DependencyTree],
 
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
-    node_word = np.array([params.word_row(f) for f in [ROOT_FORM] + forms])
+    node_word = np.array([params.word_row(f) for f in [ROOT_FORM, *forms]])
     return ListPlan(node_word, arc_child, arc_head,
                     dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip],
                     arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
@@ -286,24 +286,6 @@ def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
 
 
 @dataclass
-class NodeTrace:
-    """Cached activations of one unit; leaves carry only their phrase vector."""
-
-    node: int
-    children: tuple[int, ...]
-    p: np.ndarray            # (L, n) concatenated inputs
-    a: np.ndarray            # (L, m) pre-activations W p
-    z: np.ndarray            # (L, m) tanh(a)
-    pool_argmax: np.ndarray  # (m,) local child attaining each row max
-    x: np.ndarray            # (m,) pooled phrase vector (word embedding for leaves)
-    unit_score: float
-
-    @property
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass
 class TreeForwardTrace:
     """Everything the backward pass needs, plus the total score."""
 
@@ -315,22 +297,6 @@ class TreeForwardTrace:
     pool_argmax: np.ndarray  # (num_nodes, m) global arc ids, -1 on leaf rows
     unit_scores: np.ndarray  # (num_nodes,)
     total_score: float
-
-    def node_trace(self, node: int) -> NodeTrace:
-        s0, s1 = self.plan.arc_start[node], self.plan.arc_start[node + 1]
-        kids = tuple(int(c) for c in self.plan.arc_child[s0:s1])
-        if s0 == s1:
-            empty = np.empty((0, 0))
-            return NodeTrace(node, kids, empty, empty, empty,
-                             np.empty(0, dtype=np.int64), self.x[node], 0.0)
-        return NodeTrace(node, kids, self.p[s0:s1], self.a[s0:s1], self.z[s0:s1],
-                         self.pool_argmax[node] - s0, self.x[node],
-                         float(self.unit_scores[node]))
-
-    @property
-    def nodes(self) -> list[NodeTrace]:
-        """Node traces in post-order."""
-        return [self.node_trace(int(i)) for i in self.plan.order]
 
 
 @dataclass
@@ -354,69 +320,6 @@ class Gradients:
                 else:
                     mine[key] = scale * grad
         return self
-
-    def max_abs(self) -> float:
-        out = 0.0
-        for group in (self.words, self.dists, self.pair_W, self.pair_v):
-            for grad in group.values():
-                if grad.size:
-                    out = max(out, float(np.abs(grad).max()))
-        return out
-
-
-def compose_pair(params: ParamSet, head_word_vec: np.ndarray, child_phrase_vec: np.ndarray,
-                 delta: int, pair: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """One head-child convolution: concatenated input p and hidden vector tanh(W p)."""
-    hyper = params.hyper
-    W, _ = pair
-    if head_word_vec.shape != (hyper.m,) or child_phrase_vec.shape != (hyper.m,):
-        raise ValueError("head/child vectors do not match the word embedding size")
-    if W.shape != (hyper.m, hyper.n):
-        raise ValueError(f"composition matrix shape {W.shape} != ({hyper.m}, {hyper.n})")
-    p = np.concatenate([head_word_vec, child_phrase_vec, params.lookup_distance(delta)])
-    return p, np.tanh(W @ p)
-
-
-def forward_unit(params: ParamSet, tree: DependencyTree, node: int,
-                 child_phrase_vecs: Mapping[int, np.ndarray],
-                 order: Sequence[int] | None = None) -> NodeTrace:
-    """Run one unit. `node` is a 1-based token index or 0 for the artificial root.
-
-    `order` overrides the child enumeration order (pooling and the score are
-    order-invariant; only pool_argmax depends on it).
-    """
-    kids = tree.children(node)
-    if order is not None:
-        if sorted(order) != sorted(kids):
-            raise ValueError(f"order {order!r} is not a permutation of children {kids!r}")
-        kids = list(order)
-    if node == ROOT_NODE:
-        head_form, head_pos = ROOT_FORM, ROOT_POS
-    else:
-        tok = tree.tokens[node - 1]
-        head_form, head_pos = tok.form, tok.pos
-    head_vec = params.lookup_word(head_form)
-    if not kids:
-        return NodeTrace(node, (), np.empty((0, params.hyper.n)),
-                         np.empty((0, params.hyper.m)), np.empty((0, params.hyper.m)),
-                         np.empty(0, dtype=np.int64), head_vec, 0.0)
-    hyper = params.hyper
-    p = np.zeros((len(kids), hyper.n))
-    a = np.zeros((len(kids), hyper.m))
-    z = np.zeros((len(kids), hyper.m))
-    score = 0.0
-    for j, child in enumerate(kids):
-        try:
-            child_vec = child_phrase_vecs[child]
-        except KeyError:
-            raise ValueError(f"missing phrase vector for child {child}") from None
-        pair = params.get_pair(head_pos, tree.tokens[child - 1].pos)
-        p[j], z[j] = compose_pair(params, head_vec, child_vec, child - node, pair)
-        a[j] = pair[0] @ p[j]
-        score += float(np.dot(pair[1], z[j]))
-    pool_argmax = z.argmax(axis=0)
-    x = z[pool_argmax, np.arange(hyper.m)]
-    return NodeTrace(node, tuple(kids), p, a, z, pool_argmax, x, score)
 
 
 def score_plan(params: ParamSet, plan: TreePlan) -> TreeForwardTrace:

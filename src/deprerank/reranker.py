@@ -12,7 +12,7 @@ from .params import ParamSet
 from .rcnn import build_list_plan, score_list
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import score_tree  # noqa: F401
-from .treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
+from .treebank import DependencyTree, EvalResult, KBestList, uas
 
 
 @dataclass
@@ -35,25 +35,25 @@ def mixture_score(alpha: float, model_score: float, base_score: float) -> float:
     return alpha * model_score + (1.0 - alpha) * base_score
 
 
-def augmented_candidates(kb: KBestList,
-                         include_oracle: bool) -> list[tuple[DependencyTree, float]]:
-    """Candidate list, with the gold tree appended (at the best base score) if asked.
+def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
+    """The list, with the gold tree appended (at the best base score) if asked.
 
     Giving the oracle the maximum base score keeps alpha < 1 from burying it.
     """
-    cands = list(kb.candidates)
-    if include_oracle:
-        cands.append((kb.gold, max(s for _, s in kb.candidates)))
-    return cands
+    if not include_oracle:
+        return kb
+    return KBestList.from_arrays(kb.gold, np.vstack([kb.heads, [kb.gold.heads]]),
+                                 np.append(kb.scores, kb.scores.max()))
 
 
 def candidate_model_scores(params: ParamSet, kb: KBestList,
                            include_oracle: bool = False) -> list[float]:
     """Model score per candidate (oracle last), from one forward pass over the list."""
-    trees = [tree for tree, _ in augmented_candidates(kb, include_oracle)]
-    if not trees:
+    kb = augmented(kb, include_oracle)
+    if not len(kb):
         return []
-    return score_list(params, build_list_plan(params, trees)).tolist()
+    plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, kb.heads)
+    return score_list(params, plan).tolist()
 
 
 def _znorm(scores: np.ndarray) -> np.ndarray:
@@ -63,14 +63,14 @@ def _znorm(scores: np.ndarray) -> np.ndarray:
     return (scores - scores.mean()) / std
 
 
-def _mixture_columns(kb: KBestList, config: RerankConfig,
+def _mixture_columns(cands: KBestList, normalize: bool,
                      model_scores: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    cands = augmented_candidates(kb, config.include_oracle)
+    """Model and base score columns of an augmented list."""
     if len(model_scores) != len(cands):
         raise ValueError(f"expected {len(cands)} model scores, got {len(model_scores)}")
     model = np.asarray(model_scores, dtype=np.float64)
-    base = np.asarray([s for _, s in cands], dtype=np.float64)
-    if config.normalize:
+    base = cands.scores
+    if normalize:
         model, base = _znorm(model), _znorm(base)
     return model, base
 
@@ -79,12 +79,13 @@ def rerank_sentence(params: ParamSet, kb: KBestList, config: RerankConfig,
                     model_scores: Sequence[float] | None = None) -> int:
     """Index of the mixture-score argmax (ties -> lowest index).
 
-    With include_oracle the appended gold tree is index len(kb.candidates).
+    With include_oracle the appended gold tree is index len(kb).
     Precomputed model_scores (one per candidate, oracle last) skip rescoring.
     """
     if model_scores is None:
         model_scores = candidate_model_scores(params, kb, config.include_oracle)
-    model, base = _mixture_columns(kb, config, model_scores)
+    model, base = _mixture_columns(augmented(kb, config.include_oracle), config.normalize,
+                                   model_scores)
     mix = config.alpha * model + (1.0 - config.alpha) * base
     return int(np.argmax(mix))
 
@@ -113,8 +114,7 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
     total = EvalResult(0, 0)
     for i, kb in enumerate(kbests):
         idx = rerank_sentence(params, kb, config, model_scores[i])
-        cands = augmented_candidates(kb, config.include_oracle)
-        tree, base = cands[idx]
+        tree, base = augmented(kb, config.include_oracle).candidates[idx]
         model = float(model_scores[i][idx])
         chosen.append(idx)
         trees.append(tree)
@@ -131,6 +131,30 @@ def alpha_grid(alpha_step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps + 1)
 
 
+def _alpha_sweep(grid: np.ndarray,
+                 columns: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, int]]
+                 ) -> tuple[np.ndarray, int]:
+    """Corpus correct heads at every alpha of the grid, and tokens scored.
+
+    One (model, base, correct, scored) column set per sentence: the two score
+    columns and the correct heads of each candidate, and the sentence's
+    scored tokens. The mixture argmax picks the lowest index on ties.
+    """
+    correct = np.zeros(len(grid), dtype=np.int64)
+    scored = 0
+    for model, base, right, tokens in columns:
+        mix = np.outer(grid, model) + np.outer(1.0 - grid, base)
+        correct += right[mix.argmax(axis=1)]
+        scored += tokens
+    return correct, scored
+
+
+def _best_alpha(grid: np.ndarray, correct: np.ndarray, scored: int) -> tuple[float, EvalResult]:
+    """The alpha with the highest corpus UAS (ties -> smallest alpha)."""
+    best = int(np.argmax(correct / scored)) if scored else 0
+    return float(grid[best]), EvalResult(int(correct[best]), scored)
+
+
 def search_alpha(params: ParamSet, dev_kbest: Sequence[KBestList],
                  alpha_step: float = 0.005,
                  punct_tags: frozenset[str] | set[str] = frozenset(),
@@ -139,30 +163,18 @@ def search_alpha(params: ParamSet, dev_kbest: Sequence[KBestList],
                  ) -> tuple[float, EvalResult]:
     """Best mixture weight by corpus UAS on dev (ties -> smallest alpha).
 
-    Candidate model scores are computed once and reused across the whole grid.
+    Candidate model scores and attachment counts are computed once and
+    reused across the whole grid.
     """
     if model_scores is None:
         model_scores = corpus_model_scores(params, dev_kbest, include_oracle)
     grid = alpha_grid(alpha_step)
-    probe = RerankConfig(alpha=0.0, alpha_step=alpha_step,
-                         include_oracle=include_oracle, normalize=normalize)
-    per_sentence = []
+    columns = []
     for kb, scores in zip(dev_kbest, model_scores):
-        model, base = _mixture_columns(kb, probe, scores)
-        cands = augmented_candidates(kb, include_oracle)
-        evals = [uas(tree, kb.gold, punct_tags) for tree, _ in cands]
-        correct = np.asarray([e.correct_heads for e in evals])
-        scored = np.asarray([e.scored_tokens for e in evals])
-        # (grid, k) mixture matrix; argmax picks the lowest index on ties
-        mix = np.outer(grid, model) + np.outer(1.0 - grid, base)
-        pick = mix.argmax(axis=1)
-        per_sentence.append((correct[pick], scored[pick]))
-    correct_by_alpha = np.sum([c for c, _ in per_sentence], axis=0)
-    scored_by_alpha = np.sum([s for _, s in per_sentence], axis=0)
-    ratio = np.divide(correct_by_alpha, scored_by_alpha,
-                      out=np.zeros(len(grid)), where=scored_by_alpha > 0)
-    best = int(np.argmax(ratio))
-    return float(grid[best]), EvalResult(int(correct_by_alpha[best]), int(scored_by_alpha[best]))
+        cands = augmented(kb, include_oracle)
+        columns.append(_mixture_columns(cands, normalize, scores)
+                       + cands.attachment_counts(punct_tags))
+    return _best_alpha(grid, *_alpha_sweep(grid, columns))
 
 
 def per_pos_accuracy(pred_trees: Sequence[DependencyTree],
@@ -216,22 +228,24 @@ def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
               punct_tags: frozenset[str] | set[str] = frozenset()) -> list[CurveRow]:
     """Oracle/model/re-ranker UAS as the candidate lists are truncated to each k.
 
-    Model scores are computed once on the full lists; truncation reuses prefixes.
+    Model scores and attachment counts are computed once on the full lists;
+    truncation reuses their prefixes. The model-only pick is the sweep's
+    alpha = 1 point.
     """
-    full_scores = corpus_model_scores(params, kbests, include_oracle=False)
+    grid = alpha_grid(alpha_step)
+    full = [(np.asarray(scores), kb.scores) + kb.attachment_counts(punct_tags)
+            for kb, scores in zip(kbests, corpus_model_scores(params, kbests))]
     rows = []
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        cut = [kb.truncated(k) for kb in kbests]
-        scores = [s[:k] for s in full_scores]
-        best = corpus_oracle(cut, punct_tags)
-        worst = corpus_oracle(cut, punct_tags, worst=True)
-        model_only = rerank_corpus(params, cut, RerankConfig(alpha=1.0),
-                                   punct_tags, model_scores=scores)
-        alpha, reranked = search_alpha(params, cut, alpha_step, punct_tags,
-                                       model_scores=scores)
-        rows.append(CurveRow(k, best.uas, worst.uas, model_only.score.uas,
-                             reranked.uas, alpha,
-                             sum(1 for kb in kbests if len(kb.candidates) < k)))
+        cut = [(model[:k], base[:k], correct[:k], scored)
+               for model, base, correct, scored in full]
+        by_alpha, scored = _alpha_sweep(grid, cut)
+        best = EvalResult(sum(int(c.max()) for _, _, c, _ in cut), scored)
+        worst = EvalResult(sum(int(c.min()) for _, _, c, _ in cut), scored)
+        alpha, reranked = _best_alpha(grid, by_alpha, scored)
+        rows.append(CurveRow(k, best.uas, worst.uas,
+                             EvalResult(int(by_alpha[-1]), scored).uas, reranked.uas, alpha,
+                             sum(1 for kb in kbests if len(kb) < k)))
     return rows

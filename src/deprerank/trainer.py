@@ -15,27 +15,20 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import synth
-from .errors import AlignmentError
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
     Gradients, ListPlan, TreeForwardTrace, backward_tree, build_list_plan, build_plan,
     score_list, score_plan,
 )
 from .reranker import RerankConfig, rerank_corpus
-from .treebank import DependencyTree, KBestList
-
-
-def margin_delta(gold: DependencyTree, cand: DependencyTree, kappa: float) -> float:
-    """kappa times the number of wrongly attached tokens (punctuation included)."""
-    if len(gold) != len(cand) or gold.forms != cand.forms:
-        raise AlignmentError("margin over mismatched sentences")
-    return kappa * sum(1 for g, c in zip(gold.tokens, cand.tokens) if g.head != c.head)
+from .treebank import KBestList
 
 
 @dataclass
 class _SentenceItem:
     """Per-sentence training state: one list plan (gold, then the candidates)
-    and the margin terms."""
+    and the margin terms, kappa times each candidate's number of wrong heads
+    (punctuation included)."""
 
     kb: KBestList
     plan: ListPlan
@@ -43,12 +36,12 @@ class _SentenceItem:
 
     @classmethod
     def build(cls, params: ParamSet, kb: KBestList, kappa: float) -> "_SentenceItem":
-        if not kb.candidates:
+        if not len(kb):
             raise ValueError("candidate list must be non-empty")
-        trees = [kb.gold] + [t for t, _ in kb.candidates]
-        plan = build_list_plan(params, trees, create_pairs=True)
-        deltas = np.array([margin_delta(kb.gold, t, kappa) for t in trees[1:]])
-        return cls(kb, plan, deltas)
+        gold = np.array([kb.gold.heads], dtype=np.int64)
+        plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags,
+                               np.concatenate([gold, kb.heads]), create_pairs=True)
+        return cls(kb, plan, kappa * (kb.heads != gold).sum(axis=1))
 
 
 def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float]:
@@ -66,12 +59,8 @@ def _traces(params: ParamSet, item: _SentenceItem,
             score_plan(params, build_plan(params, item.kb.gold)))
 
 
-def loss_augmented_pick(params: ParamSet, kb: KBestList, kappa: float) -> tuple[int, float]:
-    """Candidate maximizing score + margin, and the resulting hinge value."""
-    return _pick(params, _SentenceItem.build(params, kb, kappa))
-
-
 def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, float]:
+    """Subgradient of the sentence hinge; empty when the hinge is inactive."""
     idx, hinge = _pick(params, item)
     if hinge <= 0.0:
         return Gradients(), hinge
@@ -79,12 +68,6 @@ def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, floa
     grads = backward_tree(params, picked, upstream=1.0)
     grads.accumulate(backward_tree(params, gold, upstream=-1.0))
     return grads, hinge
-
-
-def sentence_subgradient(params: ParamSet, kb: KBestList,
-                         kappa: float) -> tuple[Gradients, float]:
-    """Subgradient of the sentence hinge; empty when the hinge is inactive."""
-    return _subgradient(params, _SentenceItem.build(params, kb, kappa))
 
 
 @dataclass
@@ -149,8 +132,8 @@ def _kbest_digest(kb: KBestList) -> bytes:
     h = hashlib.blake2b(digest_size=16)
     for tok in kb.gold.tokens:
         h.update(f"{tok.form}\t{tok.pos}\t{tok.head}\n".encode("utf-8"))
-    for tree, score in kb.candidates:
-        h.update(("C " + " ".join(map(str, tree.heads)) + f" {score!r}\n").encode("utf-8"))
+    for heads, score in zip(kb.heads.tolist(), kb.scores.tolist()):
+        h.update(("C " + " ".join(map(str, heads)) + f" {score!r}\n").encode("utf-8"))
     return h.digest()
 
 
@@ -195,7 +178,8 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
     items = [_SentenceItem.build(params, kb, hyper.kappa) for kb in ordered]
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
-    dev_plans = [build_list_plan(params, [t for t, _ in kb.candidates]) for kb in dev]
+    dev_plans = [build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, kb.heads)
+                 for kb in dev]
     state = AdaGradState.from_params(params, eps=config.adagrad_eps)
     best = params.copy()
     best_uas = -1.0

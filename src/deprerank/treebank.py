@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import re
 from collections import deque
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
 
-from .errors import AlignmentError, ParseError, StructureError
+import numpy as np
+
+from .errors import AlignmentError, DataError, ParseError, StructureError
 
 # POS tags treated as punctuation when scoring, keyed by config name.
 PUNCT_SETS = {
@@ -111,19 +115,81 @@ class DependencyTree:
         return tree
 
 
-@dataclass(frozen=True)
 class KBestList:
-    """Gold tree plus base-parser candidates for one sentence, in rank order."""
+    """Gold tree plus base-parser candidates for one sentence, in rank order.
 
-    gold: DependencyTree
-    candidates: tuple[tuple[DependencyTree, float], ...]
+    The candidates share the gold tree's tokens and differ only in their
+    heads, so they are held as a read-only (k, n) int64 head matrix `heads`
+    and a (k,) float64 vector `scores` of base scores. `candidates` shows
+    them as (tree, score) pairs; a tree is built only when its item is read.
+    """
+
+    __slots__ = ("gold", "heads", "scores")
+
+    def __init__(self, gold: DependencyTree,
+                 candidates: Iterable[tuple[DependencyTree, float]] = ()):
+        pairs = tuple(candidates)
+        for rank, (tree, _) in enumerate(pairs, start=1):
+            if tree.forms != gold.forms or tree.pos_tags != gold.pos_tags:
+                raise AlignmentError(
+                    f"candidate {rank} does not have the forms and POS tags of the gold tree")
+        heads = np.array([tree.heads for tree, _ in pairs], dtype=np.int64)
+        self._set(gold, heads.reshape(len(pairs), len(gold)),
+                  np.array([score for _, score in pairs], dtype=np.float64))
+
+    @classmethod
+    def from_arrays(cls, gold: DependencyTree, heads: np.ndarray,
+                    scores: np.ndarray) -> "KBestList":
+        """A list over given arrays, taken as they are: no copy, no checks."""
+        kb = cls.__new__(cls)
+        kb._set(gold, heads, scores)
+        return kb
+
+    def _set(self, gold, heads, scores) -> None:
+        heads.setflags(write=False)
+        scores.setflags(write=False)
+        self.gold, self.heads, self.scores = gold, heads, scores
 
     def __len__(self) -> int:
-        return len(self.candidates)
+        return len(self.scores)
+
+    @property
+    def candidates(self) -> "Candidates":
+        return Candidates(self)
 
     def truncated(self, k: int) -> "KBestList":
         """Keep only the top-ranked k candidates."""
-        return KBestList(self.gold, self.candidates[:k])
+        return KBestList.from_arrays(self.gold, self.heads[:k], self.scores[:k])
+
+    def attachment_counts(self, punct_tags: frozenset[str] | set[str] = frozenset()
+                          ) -> tuple[np.ndarray, int]:
+        """Per candidate, the tokens attached as in gold; and the tokens scored.
+
+        Punctuation tokens are never counted, so `uas(tree, gold)` of candidate
+        i is EvalResult(correct[i], scored).
+        """
+        scored = np.array([t.pos not in punct_tags for t in self.gold.tokens], dtype=bool)
+        correct = ((self.heads == np.array(self.gold.heads)) & scored).sum(axis=1)
+        return correct, int(scored.sum())
+
+
+class Candidates(Sequence):
+    """The candidates of a `KBestList` as (tree, base score) pairs."""
+
+    __slots__ = ("_kb",)
+
+    def __init__(self, kb: KBestList):
+        self._kb = kb
+
+    def __len__(self) -> int:
+        return len(self._kb)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        kb = self._kb
+        return (kb.gold.with_heads(kb.heads[index].tolist(), validate=False),
+                float(kb.scores[index]))
 
 
 @dataclass(frozen=True)
@@ -229,24 +295,125 @@ def dump_conll(trees: Iterable[DependencyTree], path) -> None:
 #   HEAD <h1> <h2> ... <hn>
 # with 0 denoting the root. Sentence order must match the gold file.
 
+def rooted_rows(heads: np.ndarray, allow_multiple_roots: bool = False) -> np.ndarray:
+    """`is_rooted_tree` of every row of a (k, n) head matrix, as a (k,) bool array.
+
+    Acyclicity by pointer jumping: after j rounds each node points 2^j steps
+    up its head chain, so after n.bit_length() rounds every node of a tree
+    points at the root 0, and a node on or below a cycle never does.
+    """
+    k, n = heads.shape
+    ok = ((heads >= 0) & (heads <= n) & (heads != np.arange(1, n + 1))).all(axis=1)
+    roots = (heads == 0).sum(axis=1)
+    ok &= (roots >= 1) if allow_multiple_roots else (roots == 1)
+    # node u of row r is r * (n + 1) + u; each root points at itself
+    base = np.arange(k)[:, None] * (n + 1)
+    up = np.zeros((k, n + 1), dtype=np.int64)
+    up[:, 1:] = np.where(ok[:, None], heads, 0)
+    up = (up + base).ravel()
+    for _ in range(n.bit_length()):
+        up = up[up]
+    return ok & (up.reshape(k, n + 1) == base).all(axis=1)
+
+
+@functools.lru_cache(maxsize=1024)
+def _canonical_heads(k: int, n: int) -> re.Pattern:
+    """k HEAD lines as `write_kbest` writes them, each ending in a newline:
+    n heads of 1-18 ASCII digits (so within int64), one space before each."""
+    return re.compile(rf"(?:HEAD(?: [0-9]{{1,18}}){{{n}}}\n){{{k}}}")
+
+
+def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_idx: int,
+                  allow_multiple_roots: bool) -> list[list[int]]:
+    """Parse and validate HEAD lines one candidate at a time, token by token.
+
+    The exact path: it raises the error of the first bad line or tree,
+    naming its line or candidate, and returns the head rows if there is none.
+    """
+    rows = []
+    for rank, (lineno, line) in enumerate(head_lines, start=1):
+        fields = line.split()
+        if fields[0] != "HEAD":
+            raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {line!r}", lineno)
+        try:
+            heads = [int(h) for h in fields[1:]]
+        except ValueError:
+            raise ParseError(f"non-integer head in {line!r}", lineno) from None
+        if len(heads) != len(gold):
+            raise AlignmentError(
+                f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
+                f"gold has {len(gold)} tokens")
+        try:
+            gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
+        except StructureError as e:
+            raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
+        rows.append(heads)
+    return rows
+
+
+def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sent_idx: int,
+                     k: int, lineno: int, allow_multiple_roots: bool) -> KBestList:
+    """The k CAND/HEAD blocks after a SENT header on line `lineno`.
+
+    CAND lines are checked as they are read. When all k HEAD lines are
+    canonical, they are parsed in one call and validated as one matrix.
+    Otherwise, or when a check fails, `_replay_heads` goes through them
+    candidate by candidate, so the first error in file order is raised.
+    """
+    head_lines: list[tuple[int, str]] = []
+    scores: list[float] = []
+    try:
+        for rank in range(1, k + 1):
+            item = next(lines, None)
+            if item is None or not item[1].startswith("CAND"):
+                raise ParseError(f"sentence {sent_idx}: missing CAND line for rank {rank}",
+                                 item[0] if item else lineno)
+            lineno, line = item
+            fields = line.split()
+            if len(fields) != 3 or fields[0] != "CAND":
+                raise ParseError(f"expected 'CAND <rank> <score>', got {line!r}", lineno)
+            try:
+                score = float(fields[2])
+            except ValueError:
+                raise ParseError(f"bad base score {fields[2]!r}", lineno) from None
+            if not math.isfinite(score):
+                raise ParseError(f"non-finite base score {fields[2]!r}", lineno)
+            if fields[1] != str(rank):
+                raise ParseError(f"sentence {sent_idx}: expected CAND rank {rank}, "
+                                 f"got {fields[1]!r}", lineno)
+            item = next(lines, None)
+            if item is None or not item[1].startswith("HEAD"):
+                raise ParseError(f"sentence {sent_idx}: missing HEAD line for rank {rank}",
+                                 item[0] if item else lineno)
+            lineno = item[0]
+            head_lines.append(item)
+            scores.append(score)
+    except DataError:
+        _replay_heads(gold, head_lines, sent_idx, allow_multiple_roots)
+        raise
+    text = "".join(line + "\n" for _, line in head_lines)
+    heads = None
+    if _canonical_heads(k, len(gold)).fullmatch(text):
+        heads = np.fromstring(text.replace("HEAD", ""), dtype=np.int64, sep=" ")
+        heads = heads.reshape(k, len(gold))
+    if heads is None or not rooted_rows(heads, allow_multiple_roots).all():
+        heads = np.array(_replay_heads(gold, head_lines, sent_idx, allow_multiple_roots),
+                         dtype=np.int64)
+    return KBestList.from_arrays(gold, heads, np.array(scores, dtype=np.float64))
+
+
 def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | str,
                allow_multiple_roots: bool = False) -> list[KBestList]:
-    """Pair gold trees with their k-best candidate head assignments."""
+    """Pair gold trees with their k-best candidate head assignments.
+
+    The candidate source is read line by line, one sentence at a time.
+    """
     golds = parse_conll(gold_source, allow_multiple_roots)
-    lines = [l.rstrip("\n") for l in _iter_lines(cand_source)]
-    pos = 0
+    lines = ((lineno, line.rstrip("\n"))
+             for lineno, line in enumerate(_iter_lines(cand_source), start=1) if line.strip())
     lists: list[KBestList] = []
-
-    def next_line() -> tuple[int, str] | None:
-        nonlocal pos
-        while pos < len(lines):
-            pos += 1
-            if lines[pos - 1].strip():
-                return pos, lines[pos - 1]
-        return None
-
     for sent_idx, gold in enumerate(golds):
-        item = next_line()
+        item = next(lines, None)
         if item is None:
             raise AlignmentError(
                 f"candidate file ended before sentence {sent_idx} ({len(golds)} gold sentences)")
@@ -262,42 +429,8 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
             raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
         if k < 1:
             raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
-        cands = []
-        for rank in range(1, k + 1):
-            item = next_line()
-            if item is None or not item[1].startswith("CAND"):
-                raise ParseError(f"sentence {sent_idx}: missing CAND line for rank {rank}",
-                                 item[0] if item else lineno)
-            lineno, cand_line = item
-            fields = cand_line.split()
-            if len(fields) != 3:
-                raise ParseError(f"expected 'CAND <rank> <score>', got {cand_line!r}", lineno)
-            try:
-                score = float(fields[2])
-            except ValueError:
-                raise ParseError(f"bad base score {fields[2]!r}", lineno) from None
-            if not math.isfinite(score):
-                raise ParseError(f"non-finite base score {fields[2]!r}", lineno)
-            item = next_line()
-            if item is None or not item[1].startswith("HEAD"):
-                raise ParseError(f"sentence {sent_idx}: missing HEAD line for rank {rank}",
-                                 item[0] if item else lineno)
-            lineno, head_line = item
-            try:
-                heads = [int(h) for h in head_line.split()[1:]]
-            except ValueError:
-                raise ParseError(f"non-integer head in {head_line!r}", lineno) from None
-            if len(heads) != len(gold):
-                raise AlignmentError(
-                    f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
-                    f"gold has {len(gold)} tokens")
-            try:
-                cand = gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
-            except StructureError as e:
-                raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
-            cands.append((cand, score))
-        lists.append(KBestList(gold, tuple(cands)))
-    if next_line() is not None:
+        lists.append(_read_candidates(lines, gold, sent_idx, k, lineno, allow_multiple_roots))
+    if next(lines, None) is not None:
         raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")
     return lists
 
@@ -306,10 +439,11 @@ def write_kbest(kbests: Iterable[KBestList]) -> str:
     """Render k-best lists in the format read_kbest expects."""
     out = []
     for idx, kb in enumerate(kbests):
-        out.append(f"SENT {idx} {len(kb.candidates)}")
-        for rank, (cand, score) in enumerate(kb.candidates, start=1):
+        out.append(f"SENT {idx} {len(kb)}")
+        for rank, (heads, score) in enumerate(zip(kb.heads.tolist(), kb.scores.tolist()),
+                                              start=1):
             out.append(f"CAND {rank} {score!r}")
-            out.append("HEAD " + " ".join(str(h) for h in cand.heads))
+            out.append("HEAD " + " ".join(map(str, heads)))
     return "\n".join(out) + "\n" if out else ""
 
 
@@ -360,15 +494,11 @@ def oracle_worst(kb: KBestList,
 
 
 def _oracle(kb: KBestList, punct_tags, worst: bool) -> tuple[int, EvalResult]:
-    if not kb.candidates:
+    if not len(kb):
         raise ValueError("oracle over an empty candidate list")
-    best_idx = 0
-    best = uas(kb.candidates[0][0], kb.gold, punct_tags)
-    for idx in range(1, len(kb.candidates)):
-        res = uas(kb.candidates[idx][0], kb.gold, punct_tags)
-        if (res.uas < best.uas) if worst else (res.uas > best.uas):
-            best_idx, best = idx, res
-    return best_idx, best
+    correct, scored = kb.attachment_counts(punct_tags)
+    idx = int(correct.argmin() if worst else correct.argmax())
+    return idx, EvalResult(int(correct[idx]), scored)
 
 
 def corpus_oracle(kbests: Sequence[KBestList], punct_tags: frozenset[str] | set[str] = frozenset(),

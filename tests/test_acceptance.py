@@ -22,7 +22,7 @@ from deprerank.treebank import (
     DependencyTree, Token, corpus_oracle, write_conll, write_kbest,
 )
 
-from helpers import all_trees_up_to
+from helpers import all_trees_up_to, trace_nodes
 
 
 def _report(number, name, conditions):
@@ -60,7 +60,7 @@ def test_criterion_2_leaf_and_structural_identities():
     for tree in all_trees_up_to(4):
         trace = score_tree(params, tree, create_pairs=True)
         plan = trace.plan
-        for node in trace.nodes:
+        for node in trace_nodes(trace):
             if node.is_leaf:
                 row = params.word_row(tree.tokens[node.node - 1].form)
                 if not np.array_equal(node.x, params.words.vectors[row]):

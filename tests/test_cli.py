@@ -8,7 +8,7 @@ from deprerank.cli import main
 from deprerank.synth import synth_corpus
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
 
-from helpers import make_tree
+from helpers import BAD_MODELS, make_tree, tiny_params
 
 
 @pytest.fixture()
@@ -179,6 +179,21 @@ def test_rerank_outputs_and_eval_agree(tmp_path, corpus_files, capsys):
                      for part in capsys.readouterr().out.splitlines()[0].split())
     assert float(eval_line["uas"]) == pytest.approx(res.uas, abs=1e-6)
     assert int(eval_line["correct"]) == res.correct_heads
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_rerank_with_bad_model_exits_2(tmp_path, corpus_files, capsys, case):
+    paths, _ = corpus_files
+    build, message = BAD_MODELS[case]
+    model_path = tmp_path / "bad.bin"
+    model_path.write_bytes(build(tiny_params()))
+    dg, dk = paths["dev"]
+    code = main(["rerank", "--model", str(model_path), "--gold", str(dg),
+                 "--kbest", str(dk), "--alpha", "0.5"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("deprerank: error: ") and err.count("\n") == 1
+    assert message in err
 
 
 def test_rerank_search_alpha_not_worse_than_base(tmp_path, corpus_files, capsys):

@@ -11,7 +11,7 @@ from deprerank.params import (
     init_random, load, load_pretrained, save,
 )
 
-from helpers import make_tree, tiny_params
+from helpers import BAD_MODELS, make_tree, model_bytes, model_parts, tiny_params
 
 
 def test_same_seed_is_bit_identical():
@@ -197,3 +197,35 @@ def test_root_and_unk_always_present():
     assert UNK_FORM in p.words.rows
     assert ROOT_FORM in p.words.rows
     assert p.lookup_word(ROOT_FORM).shape == (2,)
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_load_rejects_bad_header(case):
+    build, message = BAD_MODELS[case]
+    data = build(tiny_params())
+    with pytest.raises(ModelIOError, match=message):
+        load(io.BytesIO(data))
+
+
+def test_load_rejects_ill_typed_header_fields():
+    header, payload = model_parts(tiny_params())
+    for key, value in (("seed", "7"), ("seed", -1), ("words", "w1"), ("pairs", [["NN"]]),
+                       ("pos_vocab", [1]), ("hyper", [])):
+        bad = dict(header, **{key: value})
+        with pytest.raises(ModelIOError, match=repr(key)):
+            load(io.BytesIO(model_bytes(bad, payload)))
+    for key, value in (("m", 2.0), ("m", True), ("rho", "0.1"), ("rho", float("nan"))):
+        bad = dict(header, hyper=dict(header["hyper"], **{key: value}))
+        with pytest.raises(ModelIOError):
+            load(io.BytesIO(model_bytes(bad, payload)))
+    with pytest.raises(ModelIOError, match="JSON object"):
+        load(io.BytesIO(model_bytes(b"[1, 2]", payload)))
+    with pytest.raises(ModelIOError, match="corrupt model header"):
+        load(io.BytesIO(model_bytes(b"[" * 100000, payload)))
+
+
+def test_load_of_a_huge_distance_table_fails_as_truncated():
+    header, payload = model_parts(tiny_params())
+    header["hyper"]["dist_clip"] = 10 ** 12
+    with pytest.raises(ModelIOError, match="truncated"):
+        load(io.BytesIO(model_bytes(header, payload)))

@@ -6,13 +6,13 @@ import pytest
 from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_tree, build_list_plan, build_plan, compose_pair, forward_unit, score_list,
-    score_plan, score_tree,
+    backward_tree, build_list_plan, build_plan, score_list, score_plan, score_tree,
 )
+from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, all_trees_up_to, fd_entries, make_tree, max_rel_error, random_heads, random_tree,
-    tiny_params,
+    TAGS, all_trees_up_to, compose_pair, fd_entries, forward_unit, list_plan, make_tree,
+    max_abs, max_rel_error, node_trace, random_heads, random_tree, tiny_params, trace_nodes,
 )
 
 
@@ -124,7 +124,7 @@ def test_score_single_token_sentence():
     trace = score_tree(p, tree, create_pairs=True)
     root_unit = forward_unit(p, tree, 0, {1: p.lookup_word("w1")})
     assert trace.total_score == pytest.approx(root_unit.unit_score, rel=1e-12)
-    nontrivial = [n for n in trace.nodes if not n.is_leaf]
+    nontrivial = [n for n in trace_nodes(trace) if not n.is_leaf]
     assert len(nontrivial) == 1 and nontrivial[0].node == 0
 
 
@@ -136,7 +136,7 @@ def test_score_bike_tree_decomposes():
     root = forward_unit(p, tree, 0, {3: bike.x})
     assert trace.total_score == pytest.approx(bike.unit_score + root.unit_score, rel=1e-12)
     # only ROOT and "bike" carry units
-    assert sorted(n.node for n in trace.nodes if not n.is_leaf) == [0, 3]
+    assert sorted(n.node for n in trace_nodes(trace) if not n.is_leaf) == [0, 3]
 
 
 def test_zero_score_vectors_zero_total():
@@ -157,7 +157,7 @@ def test_trace_invariants():
     for _ in range(10):
         tree = random_tree(rng, int(rng.integers(2, 9)))
         trace = score_tree(p, tree, create_pairs=True)
-        for node in trace.nodes:
+        for node in trace_nodes(trace):
             if node.is_leaf:
                 row = p.word_row(ROOT_FORM if node.node == 0 else
                                  tree.tokens[node.node - 1].form)
@@ -193,7 +193,7 @@ def test_backward_zero_upstream():
     tree = make_tree([0, 1, 1])
     trace = score_tree(p, tree, create_pairs=True)
     grads = backward_tree(p, trace, upstream=0.0)
-    assert grads.max_abs() == 0.0
+    assert max_abs(grads) == 0.0
 
 
 def test_backward_single_unit_score_vector_gradient():
@@ -229,7 +229,7 @@ def test_pooling_tie_routes_gradient_to_lowest_child():
     p.words.vectors[p.word_row("w2")] = p.words.vectors[p.word_row("w3")]
     tree = make_tree([0, 1, 1], forms=["w1", "w2", "w3"], tags=["VB", "NN", "NN"])
     trace = score_tree(p, tree, create_pairs=True)
-    head_unit = trace.node_trace(1)
+    head_unit = node_trace(trace, 1)
     assert np.array_equal(head_unit.z[0], head_unit.z[1])
     assert np.all(head_unit.pool_argmax == 0)
     grads = backward_tree(p, trace)
@@ -252,7 +252,7 @@ def test_backward_scales_with_upstream():
 
 
 def _assert_list_matches_trees(p, trees):
-    scores = score_list(p, build_list_plan(p, trees))
+    scores = score_list(p, list_plan(p, trees))
     assert scores.shape == (len(trees),)
     for tree, score in zip(trees, scores):
         expected = score_tree(p, tree).total_score
@@ -266,7 +266,7 @@ def test_score_list_matches_score_tree_on_all_small_trees():
     for tree in all_trees_up_to(4):
         by_length.setdefault(len(tree), []).append(tree)
     for trees in by_length.values():
-        build_list_plan(p, trees, create_pairs=True)
+        list_plan(p, trees, create_pairs=True)
         _assert_list_matches_trees(p, trees)
 
 
@@ -297,13 +297,13 @@ def test_score_list_matches_score_tree_on_random_lists():
         trees += [trees[0], gold, trees[3]]  # duplicates
         scores = _assert_list_matches_trees(p, trees)
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
-        assert np.array_equal(scores, score_list(p, build_list_plan(p, trees)))
+        assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
 
 
 def test_list_plan_shares_repeated_subtrees():
     p = tiny_params()
     gold = make_tree([2, 0, 2, 3])
-    plan = build_list_plan(p, [gold, gold.with_heads([2, 0, 2, 2]), gold])
+    plan = list_plan(p, [gold, gold.with_heads([2, 0, 2, 2]), gold])
     # gold has arcs 2->1, 0->2, 2->3, 3->4; the second tree adds 2->4, and its
     # 2->3 and 0->2 arcs see other subtrees below them
     assert plan.num_arcs == 7
@@ -317,7 +317,7 @@ def test_list_plan_creates_pairs_in_build_plan_order():
     one_by_one, listed = tiny_params(seed=1), tiny_params(seed=1)
     for tree in trees:
         build_plan(one_by_one, tree, create_pairs=True)
-    build_list_plan(listed, trees, create_pairs=True)
+    list_plan(listed, trees, create_pairs=True)
     assert listed.pos_pairs.index == one_by_one.pos_pairs.index
     assert np.array_equal(listed.pos_pairs.W, one_by_one.pos_pairs.W)
 
@@ -325,15 +325,25 @@ def test_list_plan_creates_pairs_in_build_plan_order():
 def test_list_plan_rejects_bad_input():
     p = tiny_params()
     gold = make_tree([0, 1, 1])
+    forms, tags = gold.forms, gold.pos_tags
+    # candidates share the gold tree's forms and tags; a k-best list checks it
     with pytest.raises(AlignmentError):
-        build_list_plan(p, [gold, make_tree([0, 1, 1], forms=["w1", "w2", "w9"])])
+        KBestList(gold, [(make_tree([0, 1, 1], forms=["w1", "w2", "w9"]), 0.0)])
     with pytest.raises(AlignmentError):
-        build_list_plan(p, [gold, make_tree([0, 1, 1], tags=["NN", "NN", "NN"])])
+        KBestList(gold, [(make_tree([0, 1, 1], tags=["NN", "NN", "NN"]), 0.0)])
     with pytest.raises(AlignmentError):
-        build_list_plan(p, [gold, make_tree([0, 1])])
+        KBestList(gold, [(make_tree([0, 1]), 0.0)])
+    with pytest.raises(AlignmentError):
+        build_list_plan(p, forms, tags, [[0, 1, 1, 1]])
+    with pytest.raises(AlignmentError):
+        build_list_plan(p, forms, tags[:2], [[0, 1, 1]])
     with pytest.raises(StructureError):
-        build_list_plan(p, [gold, make_tree([0, 1, 4])])
+        build_list_plan(p, forms, tags, [[0, 1, 1], [0, 1, 4]])
+    with pytest.raises(StructureError):
+        build_list_plan(p, forms, tags, [[0, 1, -1]])
     with pytest.raises(ValueError, match="empty sentence"):
-        build_list_plan(p, [make_tree([])])
-    with pytest.raises(ValueError):
-        build_list_plan(p, [])
+        build_list_plan(p, [], [], np.zeros((1, 0)))
+    with pytest.raises(ValueError, match="no trees"):
+        build_list_plan(p, forms, tags, np.zeros((0, 3)))
+    with pytest.raises(ValueError, match="matrix"):
+        build_list_plan(p, forms, tags, [0, 1, 1])

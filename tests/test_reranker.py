@@ -9,10 +9,9 @@ from deprerank.reranker import (
     rerank_corpus, rerank_sentence, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
-from deprerank.trainer import margin_delta
-from deprerank.treebank import corpus_oracle
+from deprerank.treebank import EvalResult, corpus_oracle, uas
 
-from helpers import kbest_of, make_tree, tiny_params
+from helpers import kbest_of, make_tree, margin_delta, tiny_params
 
 
 def test_mixture_score_arithmetic():
@@ -163,3 +162,35 @@ def test_uas_curve_shape_properties():
     # k beyond the available candidates is flagged
     assert rows[-1].short_sentences == len(corpus)
     assert rows[0].short_sentences == 0
+
+def test_search_alpha_counts_heads_without_building_trees(monkeypatch):
+    import deprerank.reranker as R
+
+    corpus = synth_corpus(seed=23, sentences=6, k=5, tags=("NN", "VB", "."))
+    scores = [[float(i % 3) for i in range(len(kb))] for kb in corpus]
+    punct = {"."}
+    # per-tree reference: rerank at every grid point, keep the first best UAS
+    per_alpha = [(float(a), rerank_corpus(tiny_params(), corpus, RerankConfig(alpha=float(a)),
+                                          punct, model_scores=scores).score)
+                 for a in alpha_grid(0.1)]
+    expected = max(per_alpha, key=lambda row: (row[1].uas, -row[0]))
+    monkeypatch.setattr(R, "uas", lambda *a, **kw: pytest.fail("uas called"))
+    assert search_alpha(tiny_params(), corpus, 0.1, punct, model_scores=scores) == expected
+
+
+def test_uas_curve_rows_match_truncated_corpus_evaluation():
+    corpus = synth_corpus(seed=4, sentences=10, k=6, tags=("NN", "VB", "DT", "."))
+    p = tiny_params(m=3, m_d=3, seed=2)
+    punct = {"."}
+    rows = uas_curve(p, corpus, ks=[1, 3, 6, 9], alpha_step=0.1, punct_tags=punct)
+    for row in rows:
+        cut = [kb.truncated(row.k) for kb in corpus]
+        best = sum((max((uas(t, kb.gold, punct) for t, _ in kb.candidates),
+                        key=lambda r: r.correct_heads) for kb in cut), EvalResult(0, 0))
+        worst = sum((min((uas(t, kb.gold, punct) for t, _ in kb.candidates),
+                         key=lambda r: r.correct_heads) for kb in cut), EvalResult(0, 0))
+        model_only = rerank_corpus(p, cut, RerankConfig(alpha=1.0), punct)
+        alpha, reranked = search_alpha(p, cut, 0.1, punct)
+        assert (row.oracle_best, row.oracle_worst, row.model_only, row.reranked,
+                row.best_alpha) == (best.uas, worst.uas, model_only.score.uas,
+                                    reranked.uas, alpha)

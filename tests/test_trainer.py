@@ -8,12 +8,15 @@ from deprerank.params import Hyperparams, init_random
 from deprerank.rcnn import backward_tree, build_plan, score_tree
 from deprerank.synth import synth_corpus
 from deprerank.trainer import (
-    AdaGradState, TrainConfig, adagrad_step, grad_check, loss_augmented_pick,
-    margin_delta, run_grad_check_suite, sentence_subgradient, train,
+    AdaGradState, TrainConfig, _kbest_digest, _SentenceItem, adagrad_step, grad_check,
+    run_grad_check_suite, train,
 )
 from deprerank.treebank import KBestList
 
-from helpers import kbest_of, make_tree, per_tree_pick, random_tree, tiny_params
+from helpers import (
+    kbest_of, loss_augmented_pick, make_tree, margin_delta, max_abs, per_tree_pick,
+    random_tree, sentence_subgradient, tiny_params,
+)
 
 
 def test_margin_delta_examples():
@@ -109,7 +112,7 @@ def test_identical_trees_cancel():
     t2 = score_tree(p, tree)
     grads = backward_tree(p, t1, upstream=1.0)
     grads.accumulate(backward_tree(p, t2, upstream=-1.0))
-    assert grads.max_abs() == 0.0
+    assert max_abs(grads) == 0.0
 
 
 def test_subgradient_matches_grad_check():
@@ -296,3 +299,22 @@ def test_train_requires_data():
     kb = kbest_of(gold, [([0], -1.0)])
     with pytest.raises(ValueError):
         train(p, [kb], [], TrainConfig())
+
+
+def test_sentence_margins_count_wrong_heads_per_candidate():
+    corpus = synth_corpus(seed=21, sentences=6, k=5, length_range=(2, 9))
+    for kb in corpus:
+        item = _SentenceItem.build(tiny_params(), kb, kappa=1.5)
+        assert item.deltas.tolist() == [margin_delta(kb.gold, t, 1.5) for t, _ in kb.candidates]
+
+
+def test_kbest_digest_hashes_trees_and_scores_as_text():
+    import hashlib
+
+    for kb in synth_corpus(seed=8, sentences=4, k=4):
+        h = hashlib.blake2b(digest_size=16)
+        for tok in kb.gold.tokens:
+            h.update(f"{tok.form}\t{tok.pos}\t{tok.head}\n".encode("utf-8"))
+        for tree, score in kb.candidates:
+            h.update(("C " + " ".join(map(str, tree.heads)) + f" {score!r}\n").encode("utf-8"))
+        assert _kbest_digest(kb) == h.digest()

@@ -2,16 +2,17 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.treebank import (
-    EvalResult, KBestList, corpus_oracle, is_rooted_tree, oracle_best, oracle_worst,
-    parse_conll, read_kbest, resolve_punct_set, uas, write_conll, write_kbest,
-    PUNCT_SETS,
+    DependencyTree, EvalResult, KBestList, corpus_oracle, is_rooted_tree, oracle_best,
+    oracle_worst, parse_conll, read_kbest, resolve_punct_set, rooted_rows, uas, write_conll,
+    write_kbest, PUNCT_SETS,
 )
 
-from helpers import kbest_of, make_tree
+from helpers import kbest_of, make_tree, reference_read_kbest
 
 BIKE_BLOCK = (
     "1\ta\t_\tDT\tDT\t_\t3\tdet\n"
@@ -231,3 +232,88 @@ def test_punct_set_resolution():
     assert resolve_punct_set("CTB") == frozenset({"PU"})
     assert resolve_punct_set("none") == frozenset()
     assert resolve_punct_set("PU, Sym") == frozenset({"PU", "Sym"})
+
+
+@pytest.mark.parametrize("lines, message", [
+    ("CANDIDATE 1 -1.0\nHEAD 3 3 0\n", "line 2: expected 'CAND <rank> <score>'"),
+    ("CAND 1 -1.0\nHEADS 3 3 0\n", "line 3: expected 'HEAD <h1> ... <hn>'"),
+    ("CAND 7 -1.0\nHEAD 3 3 0\n", "line 2: sentence 0: expected CAND rank 1, got '7'"),
+    ("CAND x -1.0\nHEAD 3 3 0\n", "line 2: sentence 0: expected CAND rank 1, got 'x'"),
+])
+def test_kbest_line_format_is_exact(lines, message):
+    cands = "SENT 0 1\n" + lines
+    reference_read_kbest(BIKE_BLOCK, cands)  # a prefix check let these through
+    with pytest.raises(ParseError, match=message):
+        read_kbest(BIKE_BLOCK, cands)
+
+
+def test_kbest_errors_come_in_file_order():
+    cycle = "CAND 1 -1.0\nHEAD 2 1 0\n"
+    with pytest.raises(StructureError, match="sentence 0, candidate 1"):
+        read_kbest(BIKE_BLOCK, "SENT 0 2\n" + cycle + "CAND 2 nan\nHEAD 3 3 0\n")
+    with pytest.raises(StructureError, match="sentence 0, candidate 1"):
+        read_kbest(BIKE_BLOCK, "SENT 0 2\n" + cycle + "CAND 2 -1.0\nHEAD 3 x 0\n")
+    with pytest.raises(ParseError, match="line 5: non-integer head"):
+        read_kbest(BIKE_BLOCK, "SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0\n"
+                               "CAND 2 -1.0\nHEAD 3 x 0\nCAND 3 -1.0\nHEAD 2 1 0\n")
+    with pytest.raises(AlignmentError, match="candidate 2 has 2 heads"):
+        read_kbest(BIKE_BLOCK, "SENT 0 3\nCAND 1 -1.0\nHEAD 3 3 0\n"
+                               "CAND 2 -1.0\nHEAD 3 0\nCAND 3 -1.0\nHEAD 2 1 0\n")
+
+
+@pytest.mark.parametrize("head", ["9" * 25, "-" + "9" * 25, "4", "-1", "3"])
+def test_kbest_bad_head_matches_reference(head):
+    cands = f"SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0\nCAND 2 -2.0\nHEAD 3 3 {head}\n"
+    with pytest.raises(StructureError) as ours:
+        read_kbest(BIKE_BLOCK, cands)
+    with pytest.raises(StructureError) as theirs:
+        reference_read_kbest(BIKE_BLOCK, cands)
+    assert str(ours.value) == str(theirs.value)
+    assert str(ours.value).startswith("sentence 0, candidate 2: ")
+
+
+def test_rooted_rows_matches_is_rooted_tree():
+    for n in range(1, 6):
+        rows = np.array(list(itertools.product(range(-1, n + 2), repeat=n)))
+        for multi in (False, True):
+            expected = [is_rooted_tree(row, multi) for row in rows.tolist()]
+            assert rooted_rows(rows, multi).tolist() == expected
+
+
+def test_candidates_are_built_on_demand(monkeypatch):
+    gold = make_tree([2, 0, 2, 2])
+    text = write_kbest([kbest_of(gold, [([2, 0, 2, 2], -1.0), ([0, 1, 2, 2], -2.5),
+                                        ([2, 0, 4, 2], -3.0)])])
+    kb = read_kbest(write_conll([gold]), text)[0]
+    built = []
+    with_heads = DependencyTree.with_heads
+
+    def counted(self, heads, **kw):
+        built.append(list(heads))
+        return with_heads(self, heads, **kw)
+
+    monkeypatch.setattr(DependencyTree, "with_heads", counted)
+    assert len(kb.candidates) == len(kb) == 3 and built == []
+    tree, score = kb.candidates[1]
+    assert built == [[0, 1, 2, 2]] and tree.heads == [0, 1, 2, 2] and score == -2.5
+    assert type(score) is float and tree.forms == gold.forms
+    assert kb.candidates[-1][0].heads == [2, 0, 4, 2]
+    assert [s for _, s in kb.candidates[1:]] == [-2.5, -3.0]
+    with pytest.raises(IndexError):
+        kb.candidates[3]
+    assert kb.heads.shape == (3, 4) and kb.heads.dtype == np.int64
+    with pytest.raises(ValueError):
+        kb.heads[0, 0] = 1
+    with pytest.raises(ValueError):
+        kb.scores[0] = 0.0
+    assert kb.truncated(2).heads.tolist() == kb.heads[:2].tolist()
+
+
+def test_attachment_counts_match_uas():
+    gold = make_tree([2, 0, 2, 2, 4], tags=["DT", "NN", ".", "VB", ","])
+    kb = kbest_of(gold, [([2, 0, 2, 2, 4], 0.0), ([0, 1, 2, 2, 4], 0.0),
+                         ([2, 0, 4, 2, 3], 0.0), ([3, 0, 2, 3, 4], 0.0)])
+    for punct in (frozenset(), {".", ","}, PUNCT_SETS["ptb"]):
+        correct, scored = kb.attachment_counts(punct)
+        assert [EvalResult(int(c), scored) for c in correct] == [
+            uas(tree, gold, punct) for tree, _ in kb.candidates]
