@@ -256,6 +256,7 @@ def _number(convert, low, allow_low: bool = True):
 
 
 _POSITIVE_INT = _number(int, 1)
+_NON_NEGATIVE_INT = _number(int, 0)
 _POSITIVE = _number(float, 0, allow_low=False)
 _NON_NEGATIVE = _number(float, 0)
 
@@ -290,13 +291,13 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--lambda", dest="lam", type=_NON_NEGATIVE)
     t.add_argument("--k", type=_POSITIVE_INT)
     t.add_argument("--dist-clip", dest="dist_clip", type=_POSITIVE_INT)
-    t.add_argument("--seed", type=int)
+    t.add_argument("--seed", type=_NON_NEGATIVE_INT)
     t.add_argument("--max-epochs", dest="max_epochs", type=_POSITIVE_INT)
     t.add_argument("--patience", type=int)
     t.add_argument("--punct-set", dest="punct_set")
     t.add_argument("--min-freq", type=int, default=2,
                    help="forms rarer than this train the unknown-word row")
-    t.add_argument("--adagrad-eps", type=float, default=0.0)
+    t.add_argument("--adagrad-eps", type=_NON_NEGATIVE, default=0.0)
     t.add_argument("--allow-multiple-roots", action="store_true")
     t.set_defaults(func=cmd_train)
 
@@ -348,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=cmd_curve)
 
     g = subs.add_parser("gradcheck", help="finite-difference check of the subgradients")
-    g.add_argument("--seed", type=int, default=2024)
+    g.add_argument("--seed", type=_NON_NEGATIVE_INT, default=2024)
     g.add_argument("--instances", type=_POSITIVE_INT, default=50)
     g.add_argument("--max-len", dest="max_len", type=_number(int, 2), default=6)
     g.add_argument("--m", type=_POSITIVE_INT, default=3)

@@ -8,14 +8,17 @@ participates like any other head.
 
 A k-best list is scored as a whole (`build_list_plan`, `score_list`): an arc's
 hidden vector depends only on its head node and the child's subtree, so every
-unique arc of the list is computed once. The per-tree plans and kernels
-(`build_plan`, `score_plan`) keep the activations a backward pass needs.
+unique arc of the list is computed once. `forward_list` also returns those
+arcs' activations, and `backward_list` backpropagates a weighted sum of some of
+the list's tree scores through them (a training step's hinge). The per-tree
+plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same one
+tree at a time; they remain for `score_tree` and as the tests' reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -257,8 +260,15 @@ def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
                     arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
 
 
-def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
-    """Total score of every tree of a list plan, in order.
+class ListActivations(NamedTuple):
+    """What `forward_list` computes per unique arc of a list plan."""
+
+    p: np.ndarray  # (num_arcs, n) inputs [e(head); x(child); d(dist)]
+    z: np.ndarray  # (num_arcs + 1, m) tanh(W p); the last row pads pooling with -inf
+
+
+def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActivations]:
+    """Total score of every tree of a list plan, in order, and the activations.
 
     Heights are walked bottom-up: the unique arcs whose child has one height
     go through tanh(W p), one matrix product per POS-pair slot, and then every
@@ -271,10 +281,10 @@ def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
     words = params.words.vectors[plan.node_word]
     x = np.empty((plan.num_signatures, m))
     x[:len(words)] = words
-    p = np.empty((plan.num_arcs, W.shape[2]))  # inputs [e(head); x(child); d(dist)]
+    p = np.empty((plan.num_arcs, W.shape[2]))
     p[:, :m] = words[plan.arc_head]
     p[:, 2 * m:] = params.distances.vectors[plan.arc_dist]
-    z = np.full((plan.num_arcs + 1, m), -np.inf)  # the last row pads pooling
+    z = np.full((plan.num_arcs + 1, m), -np.inf)
     for a0, a1, groups, s0, s1, members in plan.levels:
         p[a0:a1, m:2 * m] = x[plan.arc_child[a0:a1]]
         for g0, g1, slot in groups:
@@ -282,7 +292,12 @@ def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
         np.tanh(z[a0:a1], out=z[a0:a1])
         x[s0:s1] = z[members].max(axis=1)
     arc_scores = np.einsum("am,am->a", v[plan.arc_slot], z[:-1])
-    return arc_scores[plan.tree_arcs].sum(axis=0)
+    return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
+
+
+def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
+    """Total score of every tree of a list plan, in order (see `forward_list`)."""
+    return forward_list(params, plan)[0]
 
 
 @dataclass
@@ -357,4 +372,120 @@ def backward_tree(params: ParamSet, trace: TreeForwardTrace, upstream: float = 1
     for local, slot in enumerate(plan.pair_slots):
         grads.pair_W[int(slot)] = d_W[local]
         grads.pair_v[int(slot)] = d_v[local]
+    return grads
+
+
+def _tree_rows(plan: ListPlan, heads, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row i * n + u is token u + 1 of tree trees[i]: its arc, its head node
+    and its sibling group (tree and head)."""
+    n = plan.tree_arcs.shape[0]
+    trees = np.asarray(trees, dtype=np.int64)
+    if trees.ndim != 1 or trees.min(initial=0) < 0 or trees.max(initial=0) >= plan.num_trees:
+        raise ValueError(f"tree indices must lie in [0, {plan.num_trees})")
+    head = np.asarray(heads, dtype=np.int64)[trees].ravel()
+    group = np.repeat(np.arange(len(trees)) * (n + 1), n) + head
+    return plan.tree_arcs[:, trees].T.ravel(), head, group
+
+
+def _run_starts(keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in a sorted key array starts."""
+    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+
+
+def _first_max(z: np.ndarray, group: np.ndarray) -> np.ndarray:
+    """(rows, m) mask: the first row of its group, in row order, holding
+    the group's column maximum."""
+    order = np.argsort(group, kind="stable")
+    starts = _run_starts(group[order])
+    sizes = np.diff(np.append(starts, len(order)))
+    zs = z[order]
+    top = np.repeat(np.maximum.reduceat(zs, starts, axis=0), sizes, axis=0)
+    pos = np.arange(len(order))[:, None]
+    first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)
+    win = np.empty(z.shape, dtype=bool)
+    win[order] = np.repeat(first, sizes, axis=0) == pos
+    return win
+
+
+def pool_winners(plan: ListPlan, acts: ListActivations, heads, trees) -> np.ndarray:
+    """(len(trees) * n, m) mask: row i * n + u is True in column j when token
+    u + 1 of tree trees[i] wins column j of its head's max pooling, the first
+    child in sentence order that holds the maximum (as in the per-tree
+    kernels). `heads` is the (num_trees, n) head matrix the plan was built from.
+    """
+    arcs, _, group = _tree_rows(plan, heads, trees)
+    return _first_max(acts.z[arcs], group)
+
+
+def _sum_by(keys: np.ndarray, values: np.ndarray) -> dict[int, np.ndarray]:
+    """Sum of the value rows per key."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    starts = _run_starts(keys)
+    return dict(zip(keys[starts].tolist(), np.add.reduceat(values[order], starts, axis=0)))
+
+
+def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads,
+                  trees, upstream) -> Gradients:
+    """Gradient of sum_i upstream[i] * score(trees[i]) from a list's activations.
+
+    `acts` must come from `forward_list` on the current parameters and `heads`
+    is the (num_trees, n) head matrix the plan was built from. Rows are the
+    (tree, token) pairs of the chosen trees, each reading its arc's p and z;
+    they are walked top-down by the height of the arc's child, so a row's
+    pooled gradient is a gather of its head row's input gradient, and it goes
+    only to the pooling winner (`pool_winners`). Every parameter block is
+    summed once, after the walk.
+    """
+    m = params.hyper.m
+    W, v = params.pos_pairs.W, params.pos_pairs.v
+    n = plan.tree_arcs.shape[0]
+    upstream = np.asarray(upstream, dtype=float)
+    if upstream.shape != (len(trees),):
+        raise ValueError("need one upstream value per tree")
+    arcs, head, group = _tree_rows(plan, heads, trees)
+    z = acts.z[arcs]
+    win = _first_max(z, group)
+
+    # walk order: the arc's child height, highest first; a row's head row
+    # (same tree, the head token) sits higher, and root children read the
+    # zero pad row
+    rows = len(arcs)
+    height = np.searchsorted([level[1] for level in plan.levels], arcs, side="right")
+    order = np.argsort(-height, kind="stable")
+    rank = np.empty(rows + 1, dtype=np.int64)
+    rank[order] = np.arange(rows)
+    rank[-1] = rows
+    head_row = np.where(head > 0, np.arange(rows) // n * n + head - 1, rows)
+    parent = rank[head_row[order]]
+    arcs, head, z, win = arcs[order], head[order], z[order], win[order]
+    slot = plan.arc_slot[arcs]
+    up = upstream.repeat(n)[order]
+    dz_score = up[:, None] * v[slot]
+    d_x = np.zeros((rows + 1, m))  # d x(child) of each row; the pad row stays 0
+    d_pre = np.empty_like(z)
+    starts = _run_starts(height[order]).tolist()
+    for r0, r1 in zip(starts, starts[1:] + [rows]):
+        dz = dz_score[r0:r1] + np.where(win[r0:r1], d_x[parent[r0:r1]], 0.0)
+        d_pre[r0:r1] = dz * (1.0 - z[r0:r1] * z[r0:r1])
+        d_x[r0:r1] = np.matmul(d_pre[r0:r1, None, :], W[slot[r0:r1], :, m:2 * m])[:, 0]
+
+    # per slot: dW = da^T p, dv and the inputs' gradient d[e(head); x; d(dist)]
+    by_slot = np.argsort(slot, kind="stable")
+    arcs, head, slot, d_pre = arcs[by_slot], head[by_slot], slot[by_slot], d_pre[by_slot]
+    up_z = up[by_slot, None] * z[by_slot]
+    token = order[by_slot] % n + 1
+    p = acts.p[arcs]
+    d_in = np.empty_like(p)
+    grads = Gradients()
+    starts = _run_starts(slot).tolist()
+    for g0, g1 in zip(starts, starts[1:] + [rows]):
+        key = int(slot[g0])
+        grads.pair_W[key] = d_pre[g0:g1].T @ p[g0:g1]
+        grads.pair_v[key] = up_z[g0:g1].sum(axis=0)
+        d_in[g0:g1] = d_pre[g0:g1] @ W[key]
+    leaf = plan.arc_child[arcs] < len(plan.node_word)  # a leaf's x is its word vector
+    grads.words = _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],
+                          np.concatenate([d_in[:, :m], d_in[leaf, m:2 * m]]))
+    grads.dists = _sum_by(plan.arc_dist[arcs], d_in[:, 2 * m:])
     return grads

@@ -9,6 +9,7 @@ the parameters a sentence touches.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -17,20 +18,22 @@ import numpy as np
 from . import synth
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
-    Gradients, ListPlan, TreeForwardTrace, backward_tree, build_list_plan, build_plan,
-    score_list, score_plan,
+    Gradients, ListActivations, ListPlan, backward_list, build_list_plan, forward_list,
+    pool_winners, score_list,
 )
+# no longer used here; perfbench's tracer self-test still checks this binding
+from .rcnn import build_plan  # noqa: F401
 from .reranker import RerankConfig, rerank_corpus
 from .treebank import KBestList
 
 
 @dataclass
 class _SentenceItem:
-    """Per-sentence training state: one list plan (gold, then the candidates)
-    and the margin terms, kappa times each candidate's number of wrong heads
-    (punctuation included)."""
+    """Per-sentence training state: one list plan over its head matrix (gold
+    in row 0, then the candidates) and the margin terms, kappa times each
+    candidate's number of wrong heads (punctuation included)."""
 
-    kb: KBestList
+    heads: np.ndarray
     plan: ListPlan
     deltas: np.ndarray
 
@@ -39,35 +42,28 @@ class _SentenceItem:
         if not len(kb):
             raise ValueError("candidate list must be non-empty")
         gold = np.array([kb.gold.heads], dtype=np.int64)
-        plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags,
-                               np.concatenate([gold, kb.heads]), create_pairs=True)
-        return cls(kb, plan, kappa * (kb.heads != gold).sum(axis=1))
+        heads = np.concatenate([gold, kb.heads])
+        plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, heads,
+                               create_pairs=True)
+        return cls(heads, plan, kappa * (kb.heads != gold).sum(axis=1))
 
 
-def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float]:
-    """Loss-augmented selection: (candidate index, hinge), ties to the lowest index."""
-    scores = score_list(params, item.plan)
+def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float, ListActivations]:
+    """Loss-augmented selection: (candidate index, hinge, the list's activations),
+    ties to the lowest index."""
+    scores, acts = forward_list(params, item.plan)
     aug = scores[1:] + item.deltas
     idx = int(np.argmax(aug))
-    return idx, max(0.0, float(aug[idx] - scores[0]))
-
-
-def _traces(params: ParamSet, item: _SentenceItem,
-            idx: int) -> tuple[TreeForwardTrace, TreeForwardTrace]:
-    """Per-tree forward traces of candidate idx and of gold, for a backward pass."""
-    return (score_plan(params, build_plan(params, item.kb.candidates[idx][0])),
-            score_plan(params, build_plan(params, item.kb.gold)))
+    return idx, max(0.0, float(aug[idx] - scores[0])), acts
 
 
 def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, float]:
     """Subgradient of the sentence hinge; empty when the hinge is inactive."""
-    idx, hinge = _pick(params, item)
+    idx, hinge, acts = _pick(params, item)
     if hinge <= 0.0:
         return Gradients(), hinge
-    picked, gold = _traces(params, item, idx)
-    grads = backward_tree(params, picked, upstream=1.0)
-    grads.accumulate(backward_tree(params, gold, upstream=-1.0))
-    return grads, hinge
+    # the hinge is score(picked) - score(gold) + margin; gold is plan row 0
+    return backward_list(params, item.plan, acts, item.heads, (idx + 1, 0), (1.0, -1.0)), hinge
 
 
 @dataclass
@@ -148,6 +144,10 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (math.isfinite(self.adagrad_eps) and self.adagrad_eps >= 0.0):
+            raise ValueError(f"adagrad_eps must be a finite number >= 0, got {self.adagrad_eps}")
 
 
 @dataclass
@@ -257,21 +257,18 @@ def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5,
     """
     kappa = params.hyper.kappa if kappa is None else kappa
     item = _SentenceItem.build(params, kb, kappa)
-    idx0, hinge0 = _pick(params, item)
+    idx0, hinge0, acts = _pick(params, item)
     if hinge0 <= 0.0:
         return GradCheckReport(active=False)
-    picked0, gold0 = _traces(params, item, idx0)
-    sig0 = (picked0.pool_argmax.copy(), gold0.pool_argmax.copy())
-    grads = backward_tree(params, picked0, upstream=1.0)
-    grads.accumulate(backward_tree(params, gold0, upstream=-1.0))
+    trees = (idx0 + 1, 0)
+    winners0 = pool_winners(item.plan, acts, item.heads, trees)
+    grads = backward_list(params, item.plan, acts, item.heads, trees, (1.0, -1.0))
     report = GradCheckReport(active=True)
 
     def probe():
-        idx, hinge = _pick(params, item)
-        picked, gold = _traces(params, item, idx0)
+        idx, hinge, acts = _pick(params, item)
         same = (idx == idx0 and hinge > 0.0
-                and np.array_equal(picked.pool_argmax, sig0[0])
-                and np.array_equal(gold.pool_argmax, sig0[1]))
+                and np.array_equal(pool_winners(item.plan, acts, item.heads, trees), winners0))
         return hinge, same
 
     for label, analytic, arr, index in _grad_entries(params, grads):

@@ -18,7 +18,7 @@ import numpy as np
 
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
-from deprerank.rcnn import build_list_plan, build_plan, score_plan
+from deprerank.rcnn import Gradients, backward_tree, build_list_plan, build_plan, score_plan
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree, parse_conll
 
@@ -67,6 +67,16 @@ def all_trees_up_to(max_len):
 def kbest_of(gold, cand_heads_scores):
     return KBestList(gold, tuple(
         (gold.with_heads(h), float(s)) for h, s in cand_heads_scores))
+
+
+def random_multi_root_heads(rng, n):
+    """Tokens attach, in random order, to the root or to an attached token."""
+    heads = [0] * n
+    attached = [0]
+    for idx in rng.permutation(n) + 1:
+        heads[idx - 1] = int(attached[rng.integers(len(attached))])
+        attached.append(int(idx))
+    return heads
 
 
 def tiny_params(m=3, m_d=3, vocab=VOCAB, tags=TAGS, seed=0, **kw):
@@ -198,12 +208,35 @@ def list_plan(params, trees, create_pairs=False):
 
 def loss_augmented_pick(params, kb, kappa):
     """Candidate maximizing score + margin, and the resulting hinge value."""
-    return _pick(params, _SentenceItem.build(params, kb, kappa))
+    return _pick(params, _SentenceItem.build(params, kb, kappa))[:2]
 
 
 def sentence_subgradient(params, kb, kappa):
     """Subgradient of the sentence hinge; empty when the hinge is inactive."""
     return _subgradient(params, _SentenceItem.build(params, kb, kappa))
+
+
+def per_tree_subgradient(params, kb, kappa):
+    """The sentence hinge's subgradient from per-tree plans and kernels: the
+    list pick, then `backward_tree` on the picked tree (+1) and on gold (-1).
+    Empty when the hinge is inactive."""
+    idx, hinge, _ = _pick(params, _SentenceItem.build(params, kb, kappa))
+    if hinge <= 0.0:
+        return Gradients(), hinge
+    picked = score_plan(params, build_plan(params, kb.candidates[idx][0]))
+    gold = score_plan(params, build_plan(params, kb.gold))
+    grads = backward_tree(params, picked, upstream=1.0)
+    grads.accumulate(backward_tree(params, gold, upstream=-1.0))
+    return grads, hinge
+
+
+def assert_same_gradients(got, want, rel=1e-12):
+    """Same touched keys in every block, values within rel * max(1, |want|)."""
+    for mine, theirs in ((got.words, want.words), (got.dists, want.dists),
+                         (got.pair_W, want.pair_W), (got.pair_v, want.pair_v)):
+        assert set(mine) == set(theirs)
+        for key, grad in theirs.items():
+            assert np.all(np.abs(mine[key] - grad) <= rel * np.maximum(1.0, np.abs(grad))), key
 
 
 def max_abs(grads):

@@ -109,6 +109,8 @@ def test_usage_errors_exit_1(capsys):
 @pytest.mark.parametrize("flag, value", [
     ("--m", "0"), ("--m-d", "-2"), ("--rho", "-1"), ("--rho", "nan"), ("--kappa", "0"),
     ("--lambda", "-1e-4"), ("--k", "0"), ("--dist-clip", "0"), ("--max-epochs", "0"),
+    ("--seed", "-1"), ("--adagrad-eps", "nan"), ("--adagrad-eps", "-1"),
+    ("--adagrad-eps", "inf"),
 ])
 def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, flag, value):
     paths, _ = corpus_files
@@ -132,6 +134,28 @@ def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "max_epochs must be >= 1" in err
+
+
+def test_negative_config_seed_exits_2(tmp_path, corpus_files, capsys):
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
+    code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
+                 "--dev-gold", str(dg), "--dev-kbest", str(dk),
+                 "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_gradcheck_negative_seed_exits_1(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--seed", "-1", "--instances", "1"])
+    assert exc.value.code == 1
+    last = capsys.readouterr().err.splitlines()[-1]
+    assert "argument --seed: must be a finite number >= 0, got -1" in last
 
 
 @pytest.mark.parametrize("step", ["3", "1.5", "0", "-0.1"])

@@ -6,13 +6,15 @@ import pytest
 from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_tree, build_list_plan, build_plan, score_list, score_plan, score_tree,
+    backward_list, backward_tree, build_list_plan, build_plan, forward_list, score_list,
+    score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, all_trees_up_to, compose_pair, fd_entries, forward_unit, list_plan, make_tree,
-    max_abs, max_rel_error, node_trace, random_heads, random_tree, tiny_params, trace_nodes,
+    TAGS, all_trees_up_to, assert_same_gradients, compose_pair, fd_entries, forward_unit,
+    list_plan, make_tree, max_abs, max_rel_error, node_trace, random_heads,
+    random_multi_root_heads, random_tree, tiny_params, trace_nodes,
 )
 
 
@@ -270,16 +272,6 @@ def test_score_list_matches_score_tree_on_all_small_trees():
         _assert_list_matches_trees(p, trees)
 
 
-def _random_multi_root_heads(rng, n):
-    """Tokens attach, in random order, to the root or to an attached token."""
-    heads = [0] * n
-    attached = [0]
-    for idx in rng.permutation(n) + 1:
-        heads[idx - 1] = int(attached[rng.integers(len(attached))])
-        attached.append(int(idx))
-    return heads
-
-
 def test_score_list_matches_score_tree_on_random_lists():
     rng = np.random.default_rng(31)
     # dist_clip 2 clips most distances; tag "XX" and forms "oov*" are unknown to
@@ -292,12 +284,61 @@ def test_score_list_matches_score_tree_on_random_lists():
         if case % 2:
             build_plan(p, gold, create_pairs=True)  # some pairs seen, others not
         heads = [random_heads(rng, n) for _ in range(5)]
-        heads += [_random_multi_root_heads(rng, n) for _ in range(3)]
+        heads += [random_multi_root_heads(rng, n) for _ in range(3)]
         trees = [gold.with_heads(h, allow_multiple_roots=True) for h in heads]
         trees += [trees[0], gold, trees[3]]  # duplicates
         scores = _assert_list_matches_trees(p, trees)
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
         assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
+
+
+def test_backward_list_matches_backward_tree():
+    rng = np.random.default_rng(47)
+    # dist_clip 2 clips most distances; tag "XX" and forms "oov*" are unknown
+    p = tiny_params(m=4, m_d=3, seed=9, dist_clip=2)
+    for case in range(30):
+        n = 1 if case < 2 else int(rng.integers(2, 15))
+        gold = random_tree(rng, n, vocab=("w1", "w2", "w3", "oov1", "oov2"),
+                           tags=TAGS + ("XX",))
+        heads = [gold.heads] + [random_heads(rng, n) for _ in range(4)]
+        heads += [random_multi_root_heads(rng, n) for _ in range(2)] + [heads[1]]
+        trees = [gold.with_heads(h, allow_multiple_roots=True) for h in heads]
+        plan = list_plan(p, trees, create_pairs=case % 2 == 0)  # odd: fallback slot
+        _, acts = forward_list(p, plan)
+        chosen = [int(i) for i in rng.integers(len(trees), size=int(rng.integers(1, 4)))]
+        upstream = rng.uniform(-2.0, 2.0, len(chosen))
+        want = None
+        for i, up in zip(chosen, upstream):
+            grads = backward_tree(p, score_tree(p, trees[i]), upstream=float(up))
+            want = grads if want is None else want.accumulate(grads)
+        assert_same_gradients(backward_list(p, plan, acts, heads, chosen, upstream), want)
+
+
+def test_backward_list_routes_ties_to_the_first_child():
+    # W = 0 makes every hidden vector 0, so every pooling column ties
+    rng = np.random.default_rng(5)
+    p = tiny_params(m=3, m_d=3, seed=2)
+    gold = random_tree(rng, 9)
+    heads = [gold.heads] + [random_heads(rng, 9) for _ in range(3)]
+    trees = [gold.with_heads(h) for h in heads]
+    plan = list_plan(p, trees, create_pairs=True)
+    p.pos_pairs.W[:] = 0.0
+    _, acts = forward_list(p, plan)
+    want = backward_tree(p, score_tree(p, trees[2]), upstream=1.0)
+    want.accumulate(backward_tree(p, score_tree(p, trees[0]), upstream=-1.0))
+    assert_same_gradients(backward_list(p, plan, acts, heads, [2, 0], [1.0, -1.0]), want)
+
+
+def test_backward_list_rejects_bad_tree_selection():
+    p = tiny_params()
+    trees = [make_tree([0, 1, 1]), make_tree([2, 0, 2])]
+    heads = [tree.heads for tree in trees]
+    plan = list_plan(p, trees, create_pairs=True)
+    _, acts = forward_list(p, plan)
+    with pytest.raises(ValueError, match="tree indices"):
+        backward_list(p, plan, acts, heads, [2], [1.0])
+    with pytest.raises(ValueError, match="upstream"):
+        backward_list(p, plan, acts, heads, [0, 1], [1.0])
 
 
 def test_list_plan_shares_repeated_subtrees():

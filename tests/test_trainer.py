@@ -14,7 +14,8 @@ from deprerank.trainer import (
 from deprerank.treebank import KBestList
 
 from helpers import (
-    kbest_of, loss_augmented_pick, make_tree, margin_delta, max_abs, per_tree_pick,
+    TAGS, assert_same_gradients, kbest_of, loss_augmented_pick, make_tree, margin_delta,
+    max_abs, per_tree_pick, per_tree_subgradient, random_heads, random_multi_root_heads,
     random_tree, sentence_subgradient, tiny_params,
 )
 
@@ -103,6 +104,52 @@ def test_subgradient_empty_when_hinge_inactive():
     grads, hinge = sentence_subgradient(p, kb, kappa=2.0)
     assert hinge == 0.0
     assert grads.is_empty()
+
+
+def _near(rng, heads):
+    """heads with one token re-attached to the root or to a token outside its
+    subtree, so the tree stays rooted and shares most subtrees with heads."""
+    n = len(heads)
+    for _ in range(50):
+        tok, new = int(rng.integers(1, n + 1)), int(rng.integers(0, n + 1))
+        node = new
+        while node not in (0, tok):
+            node = heads[node - 1]
+        if node == 0 and new != heads[tok - 1]:
+            out = list(heads)
+            out[tok - 1] = new
+            return out
+    return list(heads)
+
+
+def test_list_subgradient_matches_per_tree_subgradient():
+    rng = np.random.default_rng(41)
+    active = 0
+    for case in range(36):
+        # dist_clip 2 clips most distances; tag "XX" (an unseen pair, created
+        # by the training item) and forms "oov*" are unknown to the parameters
+        p = tiny_params(m=4, m_d=3, seed=case, dist_clip=2)
+        n = 1 if case == 0 else int(rng.integers(2, 14))
+        gold = random_tree(rng, n, vocab=("w1", "w2", "w3", "oov1", "oov2"),
+                           tags=TAGS + ("XX",))
+        if case % 3 == 1:  # every candidate is one head away from gold
+            heads = [_near(rng, gold.heads) for _ in range(5)]
+        else:
+            heads = [random_heads(rng, n) for _ in range(4)]
+            heads += [random_multi_root_heads(rng, n) for _ in range(2)]
+            heads += [_near(rng, gold.heads), gold.heads]
+        heads += [heads[0], heads[-1]]  # duplicates
+        kb = KBestList(gold, [(gold.with_heads(h, allow_multiple_roots=True), -float(i))
+                              for i, h in enumerate(heads)])
+        if case % 3 == 2:  # W = 0: every pooling column ties
+            _SentenceItem.build(p, kb, kappa=1.5)
+            p.pos_pairs.W[:] = 0.0
+        want, want_hinge = per_tree_subgradient(p, kb, kappa=1.5)
+        got, hinge = sentence_subgradient(p, kb, kappa=1.5)
+        assert hinge == want_hinge
+        assert_same_gradients(got, want)
+        active += hinge > 0.0
+    assert active > 30
 
 
 def test_identical_trees_cancel():
@@ -299,6 +346,18 @@ def test_train_requires_data():
     kb = kbest_of(gold, [([0], -1.0)])
     with pytest.raises(ValueError):
         train(p, [kb], [], TrainConfig())
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(max_epochs=0), "max_epochs must be >= 1"),
+    (dict(seed=-1), "seed must be >= 0"),
+    (dict(adagrad_eps=float("nan")), "adagrad_eps must be a finite number >= 0"),
+    (dict(adagrad_eps=float("inf")), "adagrad_eps must be a finite number >= 0"),
+    (dict(adagrad_eps=-1e-8), "adagrad_eps must be a finite number >= 0"),
+])
+def test_train_config_rejects_out_of_range_settings(settings, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**settings)
 
 
 def test_sentence_margins_count_wrong_heads_per_candidate():
