@@ -3,9 +3,10 @@
 
 Scores (and backpropagates through) a batch of random trees with both kernel
 implementations and reports per-tree times. Then, per synthetic k-best list,
-times the list scorer (`score_list`, `forward_list`) and a training step's
-`backward_list` for the loss-augmented pick and gold, next to the per-tree
-`build_plan` + forward + backward of those two trees. Run from a checkout:
+times the list scorer (`score_list`, `forward_list`), a training step's
+`backward_list` for the loss-augmented pick and gold and its `adagrad_step`
+on those gradients, next to the per-tree `build_plan` + forward + backward of
+those two trees. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
 """
@@ -23,6 +24,7 @@ from deprerank.rcnn import (
     score_plan,
 )
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
+from deprerank.trainer import AdaGradState, adagrad_step
 
 
 def _forward_args(params, plan):
@@ -69,9 +71,10 @@ def _median_per_list(step, lists, repeats):
 
 
 def bench_lists(params, kbests, repeats):
-    """Median time per list of the list scorer, and of the backward pass of a
+    """Median time per list of the list scorer, of the backward pass of a
     training step (the loss-augmented pick and gold) on the list path and on
-    the per-tree path."""
+    the per-tree path, and of the step's AdaGrad update (applied to a copy of
+    the parameters)."""
     lists = []
     for kb in kbests:
         heads = np.concatenate([[kb.gold.heads], kb.heads])
@@ -89,6 +92,14 @@ def bench_lists(params, kbests, repeats):
         for tree, upstream in ((picked, 1.0), (gold, -1.0)):
             backward_tree(params, score_plan(params, build_plan(params, tree)), upstream)
 
+    updated = params.copy()
+    state = AdaGradState.from_params(updated)
+    steps = [(backward_list(params, plan, acts, heads, (row, 0), (1.0, -1.0)),)
+             for plan, acts, heads, _, _, row in lists]
+
+    def update(grads):
+        adagrad_step(updated, state, grads, params.hyper.lam)
+
     return {
         "score_list": _median_per_list(lambda plan, *_: score_list(params, plan),
                                        lists, repeats),
@@ -96,6 +107,7 @@ def bench_lists(params, kbests, repeats):
                                          lists, repeats),
         "backward_list (pick + gold)": _median_per_list(backward, lists, repeats),
         "per-tree build+fwd+bwd (pick + gold)": _median_per_list(per_tree, lists, repeats),
+        "adagrad_step (pick + gold)": _median_per_list(update, steps, repeats),
     }
 
 

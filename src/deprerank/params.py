@@ -163,7 +163,10 @@ class PosPairStore:
         return self._W[slot], self._v[slot]
 
     def finalize_fallback(self) -> None:
-        """Overwrite the fallback with the mean of all learned pairs (if any)."""
+        """Derive the fallback: slot 0 becomes the mean of the learned pairs,
+        or stays as it is while there are none. `train()` calls this before
+        every dev evaluation, so the model it selects, saves and reloads
+        scores unseen pairs with the fallback it was selected with."""
         if self.count > 1:
             self._W[0] = self._W[1:self.count].mean(axis=0)
             self._v[0] = self._v[1:self.count].mean(axis=0)
@@ -316,12 +319,11 @@ def _header(params: ParamSet) -> bytes:
 
 
 def save(params: ParamSet, sink) -> None:
-    """Serialize to a path or binary file object.
+    """Serialize to a path or binary file object, exactly as the parameters are.
 
-    Finalizes the fallback pair (mean of learned pairs) in place before writing,
-    so unseen POS pairs score identically before and after a round trip.
+    The parameters are left as they are, so every score, unseen POS pairs
+    included, is the same before and after a round trip.
     """
-    params.pos_pairs.finalize_fallback()
     if hasattr(sink, "write"):
         _write_model(params, sink)
     else:

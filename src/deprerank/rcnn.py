@@ -17,7 +17,7 @@ tree at a time; they remain for `score_tree` and as the tests' reference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -288,7 +288,7 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     for a0, a1, groups, s0, s1, members in plan.levels:
         p[a0:a1, m:2 * m] = x[plan.arc_child[a0:a1]]
         for g0, g1, slot in groups:
-            z[g0:g1] = p[g0:g1] @ W[slot].T
+            np.matmul(p[g0:g1], W[slot].T, out=z[g0:g1])
         np.tanh(z[a0:a1], out=z[a0:a1])
         x[s0:s1] = z[members].max(axis=1)
     arc_scores = np.einsum("am,am->a", v[plan.arc_slot], z[:-1])
@@ -314,27 +314,29 @@ class TreeForwardTrace:
     total_score: float
 
 
+class Rows(NamedTuple):
+    """The gradient of some rows of one parameter table: values[i] belongs to
+    row rows[i], and no row appears twice."""
+
+    rows: np.ndarray    # (r,) int64
+    values: np.ndarray  # (r, ...) float64
+
+
+_NO_ROWS = Rows(np.empty(0, dtype=np.int64), np.empty(0))
+
+
 @dataclass
 class Gradients:
-    """Sparse accumulators keyed by embedding row / pair slot."""
+    """Sparse gradients, one `Rows` per table: word rows, distance rows, and
+    the W ((S, m, n) values) and v ((S, m) values) of S POS-pair slots."""
 
-    words: dict[int, np.ndarray] = field(default_factory=dict)
-    dists: dict[int, np.ndarray] = field(default_factory=dict)
-    pair_W: dict[int, np.ndarray] = field(default_factory=dict)
-    pair_v: dict[int, np.ndarray] = field(default_factory=dict)
+    words: Rows = _NO_ROWS
+    dists: Rows = _NO_ROWS
+    pair_W: Rows = _NO_ROWS
+    pair_v: Rows = _NO_ROWS
 
     def is_empty(self) -> bool:
-        return not (self.words or self.dists or self.pair_W or self.pair_v)
-
-    def accumulate(self, other: "Gradients", scale: float = 1.0) -> "Gradients":
-        for mine, theirs in ((self.words, other.words), (self.dists, other.dists),
-                             (self.pair_W, other.pair_W), (self.pair_v, other.pair_v)):
-            for key, grad in theirs.items():
-                if key in mine:
-                    mine[key] += scale * grad
-                else:
-                    mine[key] = scale * grad
-        return self
+        return not any(len(g.rows) for g in (self.words, self.dists, self.pair_W, self.pair_v))
 
 
 def score_plan(params: ParamSet, plan: TreePlan) -> TreeForwardTrace:
@@ -364,15 +366,8 @@ def backward_tree(params: ParamSet, trace: TreeForwardTrace, upstream: float = 1
         len(plan.word_rows), len(plan.dist_rows), len(plan.pair_slots),
         trace.p, trace.z, trace.pool_argmax,
         params.pos_pairs.W, params.pos_pairs.v, upstream)
-    grads = Gradients()
-    for local, row in enumerate(plan.word_rows):
-        grads.words[int(row)] = d_word[local]
-    for local, row in enumerate(plan.dist_rows):
-        grads.dists[int(row)] = d_dist[local]
-    for local, slot in enumerate(plan.pair_slots):
-        grads.pair_W[int(slot)] = d_W[local]
-        grads.pair_v[int(slot)] = d_v[local]
-    return grads
+    return Gradients(Rows(plan.word_rows, d_word), Rows(plan.dist_rows, d_dist),
+                     Rows(plan.pair_slots, d_W), Rows(plan.pair_slots, d_v))
 
 
 def _tree_rows(plan: ListPlan, heads, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -417,12 +412,12 @@ def pool_winners(plan: ListPlan, acts: ListActivations, heads, trees) -> np.ndar
     return _first_max(acts.z[arcs], group)
 
 
-def _sum_by(keys: np.ndarray, values: np.ndarray) -> dict[int, np.ndarray]:
-    """Sum of the value rows per key."""
+def _sum_by(keys: np.ndarray, values: np.ndarray) -> Rows:
+    """Sum of the value rows per key, keys in ascending order."""
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     starts = _run_starts(keys)
-    return dict(zip(keys[starts].tolist(), np.add.reduceat(values[order], starts, axis=0)))
+    return Rows(keys[starts], np.add.reduceat(values[order], starts, axis=0))
 
 
 def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads,
@@ -477,15 +472,20 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
     token = order[by_slot] % n + 1
     p = acts.p[arcs]
     d_in = np.empty_like(p)
-    grads = Gradients()
-    starts = _run_starts(slot).tolist()
-    for g0, g1 in zip(starts, starts[1:] + [rows]):
-        key = int(slot[g0])
-        grads.pair_W[key] = d_pre[g0:g1].T @ p[g0:g1]
-        grads.pair_v[key] = up_z[g0:g1].sum(axis=0)
-        d_in[g0:g1] = d_pre[g0:g1] @ W[key]
+    starts = _run_starts(slot)
+    slots = slot[starts]
+    d_W = np.empty((len(starts),) + W.shape[1:])
+    d_v = np.empty((len(starts), m))
+    bounds = np.append(starts, rows).tolist()
+    for i, key in enumerate(slots.tolist()):
+        g0, g1 = bounds[i], bounds[i + 1]
+        np.matmul(d_pre[g0:g1].T, p[g0:g1], out=d_W[i])
+        # row by row, as `sum` adds them; reduceat would add in another order
+        np.sum(up_z[g0:g1], axis=0, out=d_v[i])
+        np.matmul(d_pre[g0:g1], W[key], out=d_in[g0:g1])
     leaf = plan.arc_child[arcs] < len(plan.node_word)  # a leaf's x is its word vector
-    grads.words = _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],
-                          np.concatenate([d_in[:, :m], d_in[leaf, m:2 * m]]))
-    grads.dists = _sum_by(plan.arc_dist[arcs], d_in[:, 2 * m:])
-    return grads
+    return Gradients(
+        _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],
+                np.concatenate([d_in[:, :m], d_in[leaf, m:2 * m]])),
+        _sum_by(plan.arc_dist[arcs], d_in[:, 2 * m:]),
+        Rows(slots, d_W), Rows(slots, d_v))

@@ -87,40 +87,58 @@ class AdaGradState:
                    np.zeros((pp.count, pp.m)))
 
     def sync(self, params: ParamSet) -> None:
-        count = params.pos_pairs.count
-        if count > len(self.acc_W):
-            pad = count - len(self.acc_W)
-            self.acc_W = np.concatenate(
-                [self.acc_W, np.zeros((pad,) + self.acc_W.shape[1:])])
-            self.acc_v = np.concatenate(
-                [self.acc_v, np.zeros((pad,) + self.acc_v.shape[1:])])
+        pad = params.pos_pairs.count - len(self.acc_W)
+        if pad > 0:  # zero sums for the pairs created since
+            self.acc_W = np.concatenate([self.acc_W, np.zeros((pad,) + self.acc_W.shape[1:])])
+            self.acc_v = np.concatenate([self.acc_v, np.zeros((pad,) + self.acc_v.shape[1:])])
 
 
-def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray,
-                  lam: float, rho: float, eps: float) -> None:
-    eff = grad + lam * theta
-    acc += eff * eff
-    denom = np.sqrt(acc) + eps
-    update = np.divide(eff, denom, out=np.zeros_like(eff), where=denom > 0.0)
-    theta -= rho * update
+def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: float,
+                  rho: float, eps: float, eff: np.ndarray, tmp: np.ndarray) -> None:
+    """In place, element by element: eff = grad + lam * theta, acc += eff * eff,
+    theta -= rho * eff / (sqrt(acc) + eps), where the denominator is positive
+    (elsewhere, as for 0 / 0 with eps = 0, theta is kept). `eff` and `tmp`
+    are buffers of theta's shape."""
+    np.multiply(theta, lam, out=eff)
+    np.add(grad, eff, out=eff)
+    np.multiply(eff, eff, out=tmp)
+    np.add(acc, tmp, out=acc)
+    np.sqrt(acc, out=tmp)
+    if eps:  # x + 0.0 == x for the non-negative x here
+        np.add(tmp, eps, out=tmp)
+    where = True if tmp.min() > 0.0 else tmp > 0.0
+    np.divide(eff, tmp, out=eff, where=where)
+    np.multiply(eff, rho, out=eff)
+    np.subtract(theta, eff, out=theta, where=where)
 
 
 def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
                  lam: float) -> None:
-    """One diagonal-AdaGrad update over exactly the touched parameters."""
+    """One diagonal-AdaGrad update over exactly the touched parameters.
+
+    Word rows, distance rows and v slots are gathered per table, updated as
+    one block and scattered back. W slots are updated in place, one run of
+    consecutive slots at a time: W blocks are large, and gathering and
+    scattering them costs more element passes than the calls it saves.
+    """
     state.sync(params)
-    for row, g in grads.words.items():
-        _apply_update(params.words.vectors[row], state.acc_words[row], g,
-                      lam, state.rho, state.eps)
-    for row, g in grads.dists.items():
-        _apply_update(params.distances.vectors[row], state.acc_dists[row], g,
-                      lam, state.rho, state.eps)
-    for slot, g in grads.pair_W.items():
-        W, _ = params.pos_pairs.get(slot)
-        _apply_update(W, state.acc_W[slot], g, lam, state.rho, state.eps)
-    for slot, g in grads.pair_v.items():
-        _, v = params.pos_pairs.get(slot)
-        _apply_update(v, state.acc_v[slot], g, lam, state.rho, state.eps)
+    pp, args = params.pos_pairs, (lam, state.rho, state.eps)
+    for table, acc, (rows, grad) in ((params.words.vectors, state.acc_words, grads.words),
+                                     (params.distances.vectors, state.acc_dists, grads.dists),
+                                     (pp.v, state.acc_v, grads.pair_v)):
+        if len(rows):
+            theta, sums = table[rows], acc[rows]
+            _apply_update(theta, sums, grad, *args, *np.empty((2,) + grad.shape))
+            table[rows], acc[rows] = theta, sums
+    slots, grad = grads.pair_W
+    if not len(slots):
+        return
+    W, (eff, tmp) = pp.W, np.empty((2,) + grad.shape)
+    cuts = (np.flatnonzero(np.diff(slots) != 1) + 1).tolist()
+    for i0, i1 in zip([0] + cuts, cuts + [len(slots)]):  # runs of consecutive slots
+        s0, s1 = int(slots[i0]), int(slots[i0]) + i1 - i0
+        _apply_update(W[s0:s1], state.acc_W[s0:s1], grad[i0:i1], *args,
+                      eff[:i1 - i0], tmp[:i1 - i0])
 
 
 def _kbest_digest(kb: KBestList) -> bytes:
@@ -164,7 +182,9 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
           ) -> tuple[ParamSet, list[TrainReport]]:
     """Epochs of shuffled per-sentence updates; returns the best-dev parameters.
 
-    Dev selection scores candidates with the model alone (mixture weight 1).
+    Dev selection scores candidates with the model alone (mixture weight 1),
+    with the fallback pair derived from the pairs learned so far; the returned
+    parameters keep that fallback.
     Identical seeds, data, and config reproduce the exact report sequence;
     sentences are ordered by content digest before shuffling, so the result
     does not depend on the order sentences appear in the input files.
@@ -194,6 +214,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
             if hinge > 0.0:
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
+        params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
         dev_scores = [score_list(params, plan).tolist() for plan in dev_plans]
         dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
                                 model_scores=dev_scores)
@@ -229,21 +250,14 @@ class GradCheckReport:
 
 
 def _grad_entries(params: ParamSet, grads: Gradients) -> Iterator[tuple[str, float, np.ndarray, tuple]]:
-    for row, g in grads.words.items():
-        for j in range(g.size):
-            yield f"word[{row},{j}]", float(g[j]), params.words.vectors, (row, j)
-    for row, g in grads.dists.items():
-        for j in range(g.size):
-            yield f"dist[{row},{j}]", float(g[j]), params.distances.vectors, (row, j)
-    for slot, g in grads.pair_W.items():
-        W, _ = params.pos_pairs.get(slot)
-        for j in range(g.shape[0]):
-            for c in range(g.shape[1]):
-                yield f"W[{slot},{j},{c}]", float(g[j, c]), W, (j, c)
-    for slot, g in grads.pair_v.items():
-        _, v = params.pos_pairs.get(slot)
-        for j in range(g.size):
-            yield f"v[{slot},{j}]", float(g[j]), v, (j,)
+    pp = params.pos_pairs
+    for name, table, (rows, values) in (("word", params.words.vectors, grads.words),
+                                        ("dist", params.distances.vectors, grads.dists),
+                                        ("W", pp.W, grads.pair_W), ("v", pp.v, grads.pair_v)):
+        for row, grad in zip(rows.tolist(), values):
+            for j in np.ndindex(grad.shape):
+                label = ",".join(map(str, (row, *j)))
+                yield f"{name}[{label}]", float(grad[j]), table, (row, *j)
 
 
 def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5,

@@ -247,10 +247,25 @@ def parse_conll(source: Iterable[str] | str,
             raise ParseError(f"token {index} is its own head", lineno)
         if head < 0:
             raise ParseError(f"negative HEAD {head}", lineno)
-        tokens.append(Token(index, cols[1], cols[4], head, cols))
+        tokens.append(_checked_token(index, cols[1], cols[4], head, cols))
     if tokens:
         trees.append(_finish_sentence(tokens, len(trees), allow_multiple_roots))
     return trees
+
+
+def _checked_token(index: int, form: str, pos: str, head: int, cols: tuple[str, ...]) -> Token:
+    """A `Token` whose index and head the caller has already checked, built
+    without running `Token.__post_init__`'s checks a second time. Fields are
+    set one by one in `__init__`'s order: filling `__dict__` at once would
+    give each token its own key table, about twice the memory."""
+    tok = object.__new__(Token)
+    put = object.__setattr__  # Token is frozen
+    put(tok, "index", index)
+    put(tok, "form", form)
+    put(tok, "pos", pos)
+    put(tok, "head", head)
+    put(tok, "cols", cols)
+    return tok
 
 
 def _finish_sentence(tokens: list[Token], ordinal: int,

@@ -18,7 +18,9 @@ import numpy as np
 
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
-from deprerank.rcnn import Gradients, backward_tree, build_list_plan, build_plan, score_plan
+from deprerank.rcnn import (
+    Gradients, Rows, backward_tree, build_list_plan, build_plan, score_plan,
+)
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree, parse_conll
 
@@ -162,20 +164,21 @@ def fd_entries(params, analytic, f, eps=1e-5):
         return (fp - fm) / (2.0 * eps)
 
     out = []
-    for row, g in analytic.words.items():
+    words, dists, pair_W, pair_v = grad_dicts(analytic)
+    for row, g in words.items():
         for j in range(g.size):
             out.append((f"word[{row},{j}]", float(g[j]),
                         central(params.words.vectors, (row, j))))
-    for row, g in analytic.dists.items():
+    for row, g in dists.items():
         for j in range(g.size):
             out.append((f"dist[{row},{j}]", float(g[j]),
                         central(params.distances.vectors, (row, j))))
-    for slot, g in analytic.pair_W.items():
+    for slot, g in pair_W.items():
         W, _ = params.pos_pairs.get(slot)
         for j in range(g.shape[0]):
             for c in range(g.shape[1]):
                 out.append((f"W[{slot},{j},{c}]", float(g[j, c]), central(W, (j, c))))
-    for slot, g in analytic.pair_v.items():
+    for slot, g in pair_v.items():
         _, v = params.pos_pairs.get(slot)
         for j in range(g.size):
             out.append((f"v[{slot},{j}]", float(g[j]), central(v, (j,))))
@@ -225,15 +228,36 @@ def per_tree_subgradient(params, kb, kappa):
         return Gradients(), hinge
     picked = score_plan(params, build_plan(params, kb.candidates[idx][0]))
     gold = score_plan(params, build_plan(params, kb.gold))
-    grads = backward_tree(params, picked, upstream=1.0)
-    grads.accumulate(backward_tree(params, gold, upstream=-1.0))
-    return grads, hinge
+    return accumulate(backward_tree(params, picked, upstream=1.0),
+                      backward_tree(params, gold, upstream=-1.0)), hinge
+
+
+def grad_dicts(grads):
+    """The four gradient tables as {row or slot: values} dicts; checks that
+    each table names a row once and holds one value block per row."""
+    tables = []
+    for rows, values in (grads.words, grads.dists, grads.pair_W, grads.pair_v):
+        assert len(set(rows.tolist())) == len(rows) == len(values)
+        tables.append(dict(zip(rows.tolist(), values)))
+    return tuple(tables)
+
+
+def accumulate(grads, other):
+    """The sum of two gradients, table by table and row by row; rows ascending."""
+    tables = []
+    for mine, theirs in zip(grad_dicts(grads), grad_dicts(other)):
+        total = dict(mine)
+        for key, grad in theirs.items():
+            total[key] = total[key] + grad if key in total else grad
+        keys = sorted(total)
+        tables.append(Rows(np.array(keys, dtype=np.int64),
+                           np.array([total[key] for key in keys])))
+    return Gradients(*tables)
 
 
 def assert_same_gradients(got, want, rel=1e-12):
     """Same touched keys in every block, values within rel * max(1, |want|)."""
-    for mine, theirs in ((got.words, want.words), (got.dists, want.dists),
-                         (got.pair_W, want.pair_W), (got.pair_v, want.pair_v)):
+    for mine, theirs in zip(grad_dicts(got), grad_dicts(want)):
         assert set(mine) == set(theirs)
         for key, grad in theirs.items():
             assert np.all(np.abs(mine[key] - grad) <= rel * np.maximum(1.0, np.abs(grad))), key
@@ -241,12 +265,36 @@ def assert_same_gradients(got, want, rel=1e-12):
 
 def max_abs(grads):
     """Largest absolute entry over every gradient block (0 when empty)."""
-    out = 0.0
-    for group in (grads.words, grads.dists, grads.pair_W, grads.pair_v):
-        for grad in group.values():
-            if grad.size:
-                out = max(out, float(np.abs(grad).max()))
-    return out
+    return max((float(np.abs(values).max()) for _, values in
+                (grads.words, grads.dists, grads.pair_W, grads.pair_v) if values.size),
+               default=0.0)
+
+
+def apply_update(theta, acc, grad, lam, rho, eps):
+    """The AdaGrad update of one row or slot, in place."""
+    eff = grad + lam * theta
+    acc += eff * eff
+    denom = np.sqrt(acc) + eps
+    update = np.divide(eff, denom, out=np.zeros_like(eff), where=denom > 0.0)
+    theta -= rho * update
+
+
+def reference_adagrad_step(params, state, grads, lam):
+    """`trainer.adagrad_step`, one `apply_update` per touched row and slot."""
+    state.sync(params)
+    words, dists, pair_W, pair_v = grad_dicts(grads)
+    for row, g in words.items():
+        apply_update(params.words.vectors[row], state.acc_words[row], g,
+                     lam, state.rho, state.eps)
+    for row, g in dists.items():
+        apply_update(params.distances.vectors[row], state.acc_dists[row], g,
+                     lam, state.rho, state.eps)
+    for slot, g in pair_W.items():
+        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g,
+                     lam, state.rho, state.eps)
+    for slot, g in pair_v.items():
+        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g,
+                     lam, state.rho, state.eps)
 
 
 # ---------------------------------------------------------------------------

@@ -196,13 +196,13 @@ def test_criterion_6_determinism_and_persistence():
     for tree in trees:
         build_plan(params, tree, create_pairs=True)
     buf = io.BytesIO()
-    save(params, buf)  # finalizes the fallback in place, then serializes
+    save(params, buf)  # writes the parameters as they are
     before = [score_tree(params, tree).total_score for tree in trees]
     buf.seek(0)
     reloaded = load(buf)
     after = [score_tree(reloaded, tree).total_score for tree in trees]
     exact = sum(1 for a, b in zip(before, after) if a == b)
-    # a tree with an unseen POS pair exercises the finalized fallback path
+    # a tree with an unseen POS pair exercises the fallback slot
     odd = DependencyTree((Token(1, "word00", "ZZZ", 0),
                           Token(2, "word01", "QQQ", 1)))
     fallback_match = (score_tree(params, odd).total_score

@@ -94,6 +94,18 @@ def test_fallback_finalized_to_mean_leaving_pairs_alone():
     assert np.array_equal(p.get_pair("JJ", "NN")[0], w2_before)
 
 
+def test_save_leaves_its_argument_alone():
+    p = tiny_params()
+    p.get_pair("NN", "DT", create_if_missing=True)
+    p.get_pair("JJ", "NN", create_if_missing=True)
+    before = p.copy()
+    buf = io.BytesIO()
+    save(p, buf)
+    assert p.equals(before)  # slot 0 is not replaced by the pairs' mean
+    buf.seek(0)
+    assert load(buf).equals(p)
+
+
 def test_dimension_consistency_on_every_store():
     p = tiny_params(m=4, m_d=2)
     for pair in [("A", "B"), ("B", "C"), ("C", "A")]:

@@ -12,8 +12,8 @@ from deprerank.rcnn import (
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, all_trees_up_to, assert_same_gradients, compose_pair, fd_entries, forward_unit,
-    list_plan, make_tree, max_abs, max_rel_error, node_trace, random_heads,
+    TAGS, accumulate, all_trees_up_to, assert_same_gradients, compose_pair, fd_entries,
+    forward_unit, grad_dicts, list_plan, make_tree, max_abs, max_rel_error, node_trace, random_heads,
     random_multi_root_heads, random_tree, tiny_params, trace_nodes,
 )
 
@@ -205,7 +205,7 @@ def test_backward_single_unit_score_vector_gradient():
     grads = backward_tree(p, trace)
     slot = p.pos_pairs.slot("ROOT", "NN")
     assert slot != 0
-    assert np.array_equal(grads.pair_v[slot], trace.z[0])
+    assert np.array_equal(grad_dicts(grads)[3][slot], trace.z[0])
 
 
 def test_backward_matches_finite_differences():
@@ -234,23 +234,23 @@ def test_pooling_tie_routes_gradient_to_lowest_child():
     head_unit = node_trace(trace, 1)
     assert np.array_equal(head_unit.z[0], head_unit.z[1])
     assert np.all(head_unit.pool_argmax == 0)
-    grads = backward_tree(p, trace)
+    words = grad_dicts(backward_tree(p, trace))[0]
     row2, row3 = p.word_row("w2"), p.word_row("w3")
     # both children share the score-path gradient; only the tie winner (the
     # lower index) receives the pooled-path gradient routed from above
-    assert not np.allclose(grads.words[row2], grads.words[row3])
+    assert not np.allclose(words[row2], words[row3])
 
 
 def test_backward_scales_with_upstream():
     p = tiny_params(seed=8)
     tree = make_tree([2, 0, 2, 3])
     trace = score_tree(p, tree, create_pairs=True)
-    g1 = backward_tree(p, trace, upstream=1.0)
-    g3 = backward_tree(p, trace, upstream=-3.0)
-    for key, arr in g1.pair_W.items():
-        assert np.allclose(g3.pair_W[key], -3.0 * arr)
-    for key, arr in g1.words.items():
-        assert np.allclose(g3.words[key], -3.0 * arr)
+    g1 = grad_dicts(backward_tree(p, trace, upstream=1.0))
+    g3 = grad_dicts(backward_tree(p, trace, upstream=-3.0))
+    for key, arr in g1[2].items():
+        assert np.allclose(g3[2][key], -3.0 * arr)
+    for key, arr in g1[0].items():
+        assert np.allclose(g3[0][key], -3.0 * arr)
 
 
 def _assert_list_matches_trees(p, trees):
@@ -292,6 +292,27 @@ def test_score_list_matches_score_tree_on_random_lists():
         assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
 
 
+@pytest.mark.parametrize("m, m_d", [(4, 3), (25, 25)])
+def test_forward_list_products_match_the_assignment_form(m, m_d):
+    # forward_list writes each (height, slot) product into z with matmul(out=);
+    # assigning the product instead must give the same bits
+    rng = np.random.default_rng(12)
+    p = tiny_params(m=m, m_d=m_d, seed=3, dist_clip=2)
+    for _ in range(8):
+        n = int(rng.integers(1, 14))
+        gold = random_tree(rng, n)
+        trees = [gold] + [gold.with_heads(random_heads(rng, n)) for _ in range(6)]
+        plan = list_plan(p, trees, create_pairs=True)
+        _, acts = forward_list(p, plan)
+        W = p.pos_pairs.W
+        z = np.full_like(acts.z, -np.inf)
+        for a0, a1, groups, *_ in plan.levels:
+            for g0, g1, slot in groups:
+                z[g0:g1] = acts.p[g0:g1] @ W[slot].T
+            np.tanh(z[a0:a1], out=z[a0:a1])
+        assert z.tobytes() == acts.z.tobytes()
+
+
 def test_backward_list_matches_backward_tree():
     rng = np.random.default_rng(47)
     # dist_clip 2 clips most distances; tag "XX" and forms "oov*" are unknown
@@ -310,7 +331,7 @@ def test_backward_list_matches_backward_tree():
         want = None
         for i, up in zip(chosen, upstream):
             grads = backward_tree(p, score_tree(p, trees[i]), upstream=float(up))
-            want = grads if want is None else want.accumulate(grads)
+            want = grads if want is None else accumulate(want, grads)
         assert_same_gradients(backward_list(p, plan, acts, heads, chosen, upstream), want)
 
 
@@ -324,8 +345,8 @@ def test_backward_list_routes_ties_to_the_first_child():
     plan = list_plan(p, trees, create_pairs=True)
     p.pos_pairs.W[:] = 0.0
     _, acts = forward_list(p, plan)
-    want = backward_tree(p, score_tree(p, trees[2]), upstream=1.0)
-    want.accumulate(backward_tree(p, score_tree(p, trees[0]), upstream=-1.0))
+    want = accumulate(backward_tree(p, score_tree(p, trees[2]), upstream=1.0),
+                      backward_tree(p, score_tree(p, trees[0]), upstream=-1.0))
     assert_same_gradients(backward_list(p, plan, acts, heads, [2, 0], [1.0, -1.0]), want)
 
 

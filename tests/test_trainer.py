@@ -1,12 +1,18 @@
 """Margin, loss-augmented selection, AdaGrad updates, the epoch loop, grad checks."""
 
+import copy
+import io
+
 import numpy as np
 import pytest
 
 from deprerank.errors import AlignmentError
-from deprerank.params import Hyperparams, init_random
-from deprerank.rcnn import backward_tree, build_plan, score_tree
-from deprerank.synth import synth_corpus
+from deprerank.params import (
+    Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
+)
+from deprerank.rcnn import Gradients, Rows, backward_tree, build_plan, score_tree
+from deprerank.reranker import RerankConfig, rerank_corpus
+from deprerank.synth import DEFAULT_TAGS, synth_corpus
 from deprerank.trainer import (
     AdaGradState, TrainConfig, _kbest_digest, _SentenceItem, adagrad_step, grad_check,
     run_grad_check_suite, train,
@@ -14,9 +20,9 @@ from deprerank.trainer import (
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, assert_same_gradients, kbest_of, loss_augmented_pick, make_tree, margin_delta,
+    TAGS, accumulate, assert_same_gradients, kbest_of, loss_augmented_pick, make_tree, margin_delta,
     max_abs, per_tree_pick, per_tree_subgradient, random_heads, random_multi_root_heads,
-    random_tree, sentence_subgradient, tiny_params,
+    random_tree, reference_adagrad_step, sentence_subgradient, tiny_params,
 )
 
 
@@ -157,8 +163,8 @@ def test_identical_trees_cancel():
     tree = make_tree([2, 0, 2, 3])
     t1 = score_tree(p, tree, create_pairs=True)
     t2 = score_tree(p, tree)
-    grads = backward_tree(p, t1, upstream=1.0)
-    grads.accumulate(backward_tree(p, t2, upstream=-1.0))
+    grads = accumulate(backward_tree(p, t1, upstream=1.0),
+                       backward_tree(p, t2, upstream=-1.0))
     assert max_abs(grads) == 0.0
 
 
@@ -209,14 +215,18 @@ def test_grad_check_suite_acceptance_shape():
     assert suite.passed(1e-4), suite.worst
 
 
+def _word_grad(row, values):
+    """Gradients touching one word row."""
+    return Gradients(words=Rows(np.array([row]), np.array([values])))
+
+
 def test_adagrad_first_step_is_rho_signed():
     p = tiny_params(m=3, m_d=3)
     state = AdaGradState.from_params(p)
     row = p.word_row("w1")
     p.words.vectors[row] = 0.0
     g = np.array([0.25, -3.0, 0.0])
-    from deprerank.rcnn import Gradients
-    adagrad_step(p, state, Gradients(words={row: g.copy()}), lam=0.5)
+    adagrad_step(p, state, _word_grad(row, g), lam=0.5)
     # theta was 0, so lambda does not bite; each nonzero coord moves by rho*sign(g)
     assert np.allclose(p.words.vectors[row], [-0.1, 0.1, 0.0])
     assert np.allclose(state.acc_words[row], g * g)
@@ -228,8 +238,7 @@ def test_adagrad_zero_gradient_is_fixed_point():
     row = p.word_row("w2")
     p.words.vectors[row] = 0.0
     before_acc = state.acc_words[row].copy()
-    from deprerank.rcnn import Gradients
-    adagrad_step(p, state, Gradients(words={row: np.zeros(3)}), lam=0.0)
+    adagrad_step(p, state, _word_grad(row, np.zeros(3)), lam=0.0)
     assert np.array_equal(p.words.vectors[row], np.zeros(3))
     assert np.array_equal(state.acc_words[row], before_acc)
 
@@ -238,12 +247,11 @@ def test_adagrad_accumulator_monotone_and_steps_shrink():
     p = tiny_params(m=2, m_d=2)
     state = AdaGradState.from_params(p)
     row = p.word_row("w3")
-    from deprerank.rcnn import Gradients
     prev_acc = state.acc_words[row].copy()
     prev_step = None
     for _ in range(5):
         before = p.words.vectors[row].copy()
-        adagrad_step(p, state, Gradients(words={row: np.ones(2)}), lam=0.0)
+        adagrad_step(p, state, _word_grad(row, np.ones(2)), lam=0.0)
         assert np.all(state.acc_words[row] >= prev_acc)
         step = np.abs(p.words.vectors[row] - before)
         if prev_step is not None:
@@ -256,10 +264,9 @@ def test_adagrad_step_descends_along_subgradient():
     p = tiny_params(m=3, m_d=3, seed=6)
     state = AdaGradState.from_params(p)
     row = p.word_row("w1")
-    from deprerank.rcnn import Gradients
     g = np.array([0.5, -0.2, 0.0])
     before = p.words.vectors[row].copy()
-    adagrad_step(p, state, Gradients(words={row: g.copy()}), lam=0.0)
+    adagrad_step(p, state, _word_grad(row, g), lam=0.0)
     step = p.words.vectors[row] - before
     assert float(g @ step) < 0.0
 
@@ -269,9 +276,56 @@ def test_adagrad_leaves_untouched_parameters_alone():
     state = AdaGradState.from_params(p)
     row0, row1 = p.word_row("w1"), p.word_row("w2")
     before = p.words.vectors[row1].copy()
-    from deprerank.rcnn import Gradients
-    adagrad_step(p, state, Gradients(words={row0: np.ones(3)}), lam=1.0)
+    adagrad_step(p, state, _word_grad(row0, np.ones(3)), lam=1.0)
     assert np.array_equal(p.words.vectors[row1], before)
+
+
+def _random_rows(rng, count, shape):
+    """Gradients for distinct rows of a table with `count` rows, in random or
+    (as `backward_list` gives them) ascending order; about a third of the
+    values are exactly zero."""
+    rows = rng.permutation(count)[:int(rng.integers(1, count + 1))]
+    if rng.random() < 0.5:
+        rows.sort()
+    values = rng.standard_normal((len(rows),) + shape)
+    values[rng.random(values.shape) < 0.3] = 0.0
+    return Rows(rows, values)
+
+
+def _state_bytes(params, state):
+    return [a.tobytes() for a in (params.words.vectors, params.distances.vectors,
+                                  params.pos_pairs.W, params.pos_pairs.v, state.acc_words,
+                                  state.acc_dists, state.acc_W, state.acc_v)]
+
+
+@pytest.mark.parametrize("lam, eps", [(1e-4, 0.0), (0.0, 1e-8), (0.0, 0.0), (0.5, 1e-3)])
+def test_adagrad_step_matches_the_per_row_reference(lam, eps):
+    rng = np.random.default_rng(17)
+    p = tiny_params(m=3, m_d=2, seed=4)
+    p.get_pair("NN", "DT", create_if_missing=True)
+    # zero parameters (of both signs): with lam = 0 or a zero gradient their
+    # effective gradient is 0, so with eps = 0 the update divides 0 by 0
+    p.words.vectors[:3] = 0.0
+    p.words.vectors[3:5] = -0.0
+    p.pos_pairs.W[1, 0] = -0.0
+    state = AdaGradState.from_params(p, eps=eps)
+    # slots created after the state was built: the step grows the accumulators
+    for pair in (("VB", "NN"), ("JJ", "NN"), ("IN", "DT")):
+        p.get_pair(*pair, create_if_missing=True)
+    ref, ref_state = p.copy(), copy.deepcopy(state)
+    m, n = p.hyper.m, p.hyper.n
+    zero_sums = False
+    for _ in range(8):
+        grads = Gradients(_random_rows(rng, len(p.words), (m,)),
+                          _random_rows(rng, len(p.distances), (p.hyper.m_d,)),
+                          _random_rows(rng, p.pos_pairs.count, (m, n)),
+                          _random_rows(rng, p.pos_pairs.count, (m,)))
+        adagrad_step(p, state, grads, lam)
+        reference_adagrad_step(ref, ref_state, grads, lam)
+        assert _state_bytes(p, state) == _state_bytes(ref, ref_state)
+        zero_sums |= bool((state.acc_words[grads.words.rows] == 0.0).any())
+    assert len(state.acc_W) == p.pos_pairs.count == 5
+    assert zero_sums  # a touched coordinate divided 0 by sqrt(0) + eps
 
 
 def test_train_on_separated_data_changes_nothing():
@@ -377,3 +431,23 @@ def test_kbest_digest_hashes_trees_and_scores_as_text():
         for tree, score in kb.candidates:
             h.update(("C " + " ".join(map(str, tree.heads)) + f" {score!r}\n").encode("utf-8"))
         assert _kbest_digest(kb) == h.digest()
+
+
+@pytest.mark.parametrize("dev_tags", [DEFAULT_TAGS, DEFAULT_TAGS + ("U1", "U2")])
+def test_reloaded_model_reproduces_the_selected_dev_uas(dev_tags):
+    # with unseen dev tags, dev scoring reads the fallback pair (slot 0): the
+    # mean of the learned pairs, in dev selection and in the saved model
+    train_kbs = synth_corpus(seed=1, sentences=60, k=16)
+    dev = synth_corpus(seed=4, sentences=60, k=16, tags=dev_tags)
+    golds = [kb.gold for kb in train_kbs]
+    params = init_random(Hyperparams(m=10, m_d=10, k=16), build_word_vocab(golds),
+                         build_pos_vocab(golds), seed=0)
+    best, reports = train(params, train_kbs, dev, TrainConfig(max_epochs=6, seed=0))
+    buf = io.BytesIO()
+    save(best, buf)
+    buf.seek(0)
+    model = load(buf)
+    assert np.array_equal(model.pos_pairs.W[0], model.pos_pairs.W[1:].mean(axis=0))
+    assert np.array_equal(model.pos_pairs.v[0], model.pos_pairs.v[1:].mean(axis=0))
+    reloaded = rerank_corpus(model, dev, RerankConfig(alpha=1.0))
+    assert reloaded.score.uas == max(r.dev_uas for r in reports)

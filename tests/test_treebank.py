@@ -1,5 +1,6 @@
 """Treebank I/O, validation, and UAS evaluation."""
 
+import dataclasses
 import itertools
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.treebank import (
-    DependencyTree, EvalResult, KBestList, corpus_oracle, is_rooted_tree, oracle_best,
+    DependencyTree, EvalResult, KBestList, Token, corpus_oracle, is_rooted_tree, oracle_best,
     oracle_worst, parse_conll, read_kbest, resolve_punct_set, rooted_rows, uas, write_conll,
     write_kbest, PUNCT_SETS,
 )
@@ -28,6 +29,20 @@ def test_parse_bike_block():
     assert tree.forms == ["a", "red", "bike"]
     assert tree.pos_tags == ["DT", "JJ", "NN"]
     assert tree.heads == [3, 3, 0]
+
+
+def test_parsed_tokens_equal_validated_tokens():
+    tree = parse_conll(BIKE_BLOCK)[0]
+    rebuilt = tuple(Token(t.index, t.form, t.pos, t.head, t.cols) for t in tree.tokens)
+    assert tree.tokens == rebuilt
+    assert [hash(t) for t in tree.tokens] == [hash(t) for t in rebuilt]
+    assert [t.cols for t in tree.tokens] == [t.cols for t in rebuilt]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tree.tokens[0].head = 1
+    # the parser skips the constructor's checks; a caller's Token still runs them
+    for index, head in ((0, 1), (2, -1), (2, 2)):
+        with pytest.raises(StructureError):
+            Token(index, "a", "DT", head)
 
 
 def test_parse_empty_input():
