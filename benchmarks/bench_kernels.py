@@ -3,10 +3,12 @@
 
 Scores (and backpropagates through) a batch of random trees with both kernel
 implementations and reports per-tree times. Then, per synthetic k-best list,
-times the list scorer (`score_list`, `forward_list`), a training step's
-`backward_list` for the loss-augmented pick and gold and its `adagrad_step`
-on those gradients, next to the per-tree `build_plan` + forward + backward of
-those two trees. Run from a checkout:
+times plan building one list per call (`build_list_plan`, the path that
+scores one list at a time) and in batches (`build_list_plans`), the list
+scorer (`score_list`, `forward_list`), a training step's `backward_list` for
+the loss-augmented pick and gold and its `adagrad_step` on those gradients,
+next to the per-tree `build_plan` + forward + backward of those two trees.
+Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
 """
@@ -20,8 +22,8 @@ import numpy as np
 from deprerank import kernels
 from deprerank.params import Hyperparams, init_random
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_list_plan, build_plan, forward_list, score_list,
-    score_plan,
+    backward_list, backward_tree, build_list_plan, build_list_plans, build_plan, forward_list,
+    score_list, score_plan,
 )
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
 from deprerank.trainer import AdaGradState, adagrad_step
@@ -68,6 +70,23 @@ def _median_per_list(step, lists, repeats):
             step(*item)
         times.append(time.perf_counter() - t0)
     return statistics.median(times) / len(lists)
+
+
+def bench_builds(params, kbests, repeats):
+    """Median time per list of building the lists' plans one list per call,
+    and in batches over all the lists, alternating the two per repeat."""
+    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests]
+    one, batched = [], []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        for sentence in sentences:
+            build_list_plan(params, *sentence)
+        one.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        build_list_plans(params, sentences)
+        batched.append(time.perf_counter() - t0)
+    return {"build_list_plan (one list per call)": statistics.median(one) / len(kbests),
+            "build_list_plans (batched)": statistics.median(batched) / len(kbests)}
 
 
 def bench_lists(params, kbests, repeats):
@@ -152,7 +171,11 @@ def main():
     kbests = [synth_kbest(rng, tree, args.k) for tree in trees]
     print(f"\n{args.sentences} {args.k}-best lists over the same trees, "
           f"{kernels.active_backend()} per-tree kernels")
-    for stage, seconds in bench_lists(params, kbests, args.repeats).items():
+    build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests],
+                     create_pairs=True)  # the pairs exist before any build is timed
+    stages = {**bench_builds(params, kbests, args.repeats),
+              **bench_lists(params, kbests, args.repeats)}
+    for stage, seconds in stages.items():
         print(f"{stage:<40}{seconds * 1e6:>10.1f} us/list")
 
 

@@ -8,7 +8,9 @@ participates like any other head.
 
 A k-best list is scored as a whole (`build_list_plan`, `score_list`): an arc's
 hidden vector depends only on its head node and the child's subtree, so every
-unique arc of the list is computed once. `forward_list` also returns those
+unique arc of the list is computed once. `build_list_plans` builds the plans of
+many lists in batches, one pass over all their trees, and splits the result
+into the plans each list gets alone. `forward_list` also returns those
 arcs' activations, and `backward_list` backpropagates a weighted sum of some of
 the list's tree scores through them (a training step's hinge). The per-tree
 plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same one
@@ -18,7 +20,7 @@ tree at a time; they remain for `score_tree` and as the tests' reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -152,16 +154,14 @@ class ListPlan:
         return self.levels[-1][4]
 
 
-def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
-                    heads, create_pairs: bool = False) -> ListPlan:
-    """Hash-cons the trees of one sentence into unique subtrees and arcs.
+# The most node instances, sum of k * (n + 1) over its sentences, that one
+# batched plan build holds. A batch's fixed cost per subtree height is shared
+# by all its sentences; the cap keeps its arrays, and so peak memory, small.
+PLAN_BUDGET = 8192
 
-    `heads` is a (k, n) matrix, one row of 1-based heads (0 = root) per tree
-    over the sentence's n forms and POS tags. Lookups follow `build_plan`:
-    OOV words use `<unk>`, distances are clipped, and unseen POS pairs map to
-    the fallback slot or, with create_pairs, get fresh parameters, created in
-    the order `build_plan` would meet them tree by tree.
-    """
+
+def _checked_heads(forms: Sequence[str], tags: Sequence[str], heads) -> np.ndarray:
+    """A sentence's (k, n) head matrix, checked against its forms and tags."""
     heads = np.asarray(heads, dtype=np.int64)
     n = len(forms)
     if heads.ndim != 2:
@@ -175,48 +175,109 @@ def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
         raise ValueError("cannot score an empty sentence")
     if heads.min() < 0 or heads.max() > n:
         raise StructureError(f"head indices must lie in [0, {n}]")
-    k, width = len(heads), n + 1
+    return heads
 
-    # node u of tree t is t * width + u; `end` pads rows of `kids`
-    end = k * width
-    node = np.tile(np.arange(width), k)
-    child = np.arange(end).reshape(k, width)[:, 1:].ravel()
-    parent = (heads + width * np.arange(k)[:, None]).ravel()
+
+def plan_batches(sentences: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """Runs of consecutive (forms, tags, heads) sentences whose node instances,
+    k * (n + 1) per sentence, add up to at most PLAN_BUDGET; a larger sentence
+    is a batch of its own."""
+    batch, size = [], 0
+    for sentence in sentences:
+        forms, _, heads = sentence
+        cost = len(heads) * (len(forms) + 1)
+        if batch and size + cost > PLAN_BUDGET:
+            yield batch
+            batch, size = [], 0
+        batch.append(sentence)
+        size += cost
+    if batch:
+        yield batch
+
+
+def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
+                    heads, create_pairs: bool = False) -> ListPlan:
+    """The plan of one sentence's trees: `build_list_plans` on one sentence."""
+    return build_list_plans(params, [(forms, tags, heads)], create_pairs)[0]
+
+
+def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
+                     create_pairs: bool = False) -> list[ListPlan]:
+    """Hash-cons the trees of each sentence into unique subtrees and arcs.
+
+    A sentence is (forms, tags, heads): `heads` is a (k, n) matrix, one row of
+    1-based heads (0 = root) per tree over the n forms and POS tags. Lookups
+    follow `build_plan`: OOV words use `<unk>`, distances are clipped, and
+    unseen POS pairs map to the fallback slot or, with create_pairs, get fresh
+    parameters, created in the order `build_plan` would meet them sentence by
+    sentence and tree by tree. Every sentence is checked before any pair is
+    created.
+
+    The sentences of a batch (`plan_batches`) are built as one forest, in one
+    pass per subtree height, and split into one plan per sentence. Sentences
+    share no node, so each plan is the one its sentence gets alone, numbering
+    included.
+    """
+    checked = [(forms, tags, _checked_heads(forms, tags, heads))
+               for forms, tags, heads in sentences]
+    return [plan for batch in plan_batches(checked)
+            for plan in _build_batch(params, batch, create_pairs)]
+
+
+def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> list[ListPlan]:
+    """The plans of a batch's checked sentences, in order."""
+    # Node instance i is node u of tree t of sentence s, in that order, and
+    # node[i] is its node in the forest (the nodes of earlier sentences, + u);
+    # `end` pads rows of `kids`. With one sentence, forest ids are its own.
+    nodes, children, parents = [], [], []
+    end = num_nodes = 0
+    for _, _, heads in batch:
+        k, width = heads.shape[0], heads.shape[1] + 1
+        grid = np.arange(end, end + k * width).reshape(k, width)
+        nodes.append(np.tile(np.arange(num_nodes, num_nodes + width), k))
+        children.append(grid[:, 1:].ravel())
+        parents.append((heads + grid[:, :1]).ravel())
+        end, num_nodes = end + k * width, num_nodes + width
+    node, child, parent = (np.concatenate(a) for a in (nodes, children, parents))
     parent_of = np.full(end, end)  # a root's parent is `end`
     parent_of[child] = parent
     by_head = np.argsort(parent, kind="stable")  # build_plan's arc order, tree by tree
     nkids = np.bincount(parent, minlength=end)
     first = np.cumsum(nkids) - nkids
     kids = np.full((end, nkids.max()), end)
-    kids[parent[by_head], np.arange(k * n) - first[parent[by_head]]] = child[by_head]
+    kids[parent[by_head], np.arange(len(child)) - first[parent[by_head]]] = child[by_head]
 
-    # Signatures, one height at a time: a node's row is its head node and its
+    # Signatures, one height at a time: a node's row is its node and its
     # children's signatures (-1 pads), and equal rows get one id. Heights h
-    # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id.
+    # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id, in
+    # sentence order.
     sig = np.append(node, -1)
-    bounds = [0, width]
+    bounds = [0, num_nodes]
     reps = []
     pending = nkids.copy()
-    ready = np.flatnonzero(nkids == 0)
-    while True:
+    ready = (nkids == 0).nonzero()[0]
+    while True:  # ndarray methods, not their np.* wrappers: this loop runs per height
         done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
         pending -= done
-        ready = np.flatnonzero((pending == 0) & (done > 0))
+        ready = ((pending == 0) & (done > 0)).nonzero()[0]
         if not len(ready):
             break
         rows = sig[kids[ready]]
-        rows[:, 0] += node[ready] * (end + width)
+        rows[:, 0] += node[ready] * (end + num_nodes)
         order = np.lexsort(rows.T[::-1])
         rows = rows[order]
-        new = np.ones(len(order), dtype=bool)
-        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-        sig[ready[order]] = bounds[-1] - 1 + np.cumsum(new)
+        new = np.empty(len(order), dtype=bool)
+        new[0] = True
+        (rows[1:] != rows[:-1]).any(axis=1, out=new[1:])
+        ids = new.cumsum()
+        sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
-        bounds.append(bounds[-1] + int(new.sum()))
-    sig_node = np.concatenate([np.arange(width)] + [node[r] for r in reps])
+        bounds.append(bounds[-1] + int(ids[-1]))
+    sig_node = np.concatenate([np.arange(num_nodes)] + [node[r] for r in reps])
 
     tag_ids: dict[str, int] = {}
-    tag_of = np.array([tag_ids.setdefault(t, len(tag_ids)) for t in [ROOT_POS, *tags]])
+    tag_of = np.array([tag_ids.setdefault(t, len(tag_ids))
+                       for _, tags, _ in batch for t in (ROOT_POS, *tags)])
     names, ntags = list(tag_ids), len(tag_ids)
     codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
     _, seen = np.unique(codes, return_index=True)
@@ -225,39 +286,86 @@ def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
         slot_of[code] = params.pos_pairs.slot(names[code // ntags], names[code % ntags],
                                               create=create_pairs)
 
-    # unique arcs, numbered by their child's height, then by slot
-    arc_key, arc_of_child = np.unique(sig[child] * width + node[parent], return_inverse=True)
-    arc_child, arc_head = np.divmod(arc_key, width)
+    # unique arcs, numbered by sentence, then by their child's height, then by
+    # slot: level s * stride + h holds sentence s's arcs whose child has height h
+    arc_key, arc_of_child = np.unique(sig[child] * num_nodes + node[parent],
+                                      return_inverse=True)
+    arc_child, arc_head = np.divmod(arc_key, num_nodes)
     child_node = sig_node[arc_child]
     arc_slot = slot_of[tag_of[arc_head] * ntags + tag_of[child_node]]
-    height = np.searchsorted(bounds, arc_child, side="right") - 1
-    order = np.lexsort((arc_slot, height))
+    level = np.searchsorted(bounds, arc_child, side="right") - 1
+    num_sents, stride = len(batch), len(reps) + 1
+    widths = np.array([len(forms) + 1 for forms, _, _ in batch])
+    if num_sents > 1:
+        sent_of_node = np.repeat(np.arange(num_sents), widths)
+        level += sent_of_node[arc_head] * stride
+    order = np.lexsort((arc_slot, level))
     num_arcs = len(order)
     renumber = np.empty(num_arcs, dtype=np.int64)
     renumber[order] = np.arange(num_arcs)
-    arc_child, arc_head, child_node, arc_slot, height = (
-        a[order] for a in (arc_child, arc_head, child_node, arc_slot, height))
+    arc_child, arc_head, child_node, arc_slot, level = (
+        a[order] for a in (arc_child, arc_head, child_node, arc_slot, level))
     arc_of = np.full(end + 1, num_arcs)
     arc_of[child] = renumber[arc_of_child]
 
-    cuts = np.flatnonzero((arc_slot[1:] != arc_slot[:-1]) | (height[1:] != height[:-1])) + 1
-    starts = np.append(0, cuts)
-    groups = list(zip(starts.tolist(), np.append(cuts, num_arcs).tolist(),
-                      arc_slot[starts].tolist()))
-    arc_bounds = np.searchsorted(height, np.arange(len(reps) + 1))
-    group_bounds = np.searchsorted(starts, arc_bounds)
-    levels = []
-    for h, r in enumerate(reps):
-        levels.append((int(arc_bounds[h]), int(arc_bounds[h + 1]),
-                       groups[group_bounds[h]:group_bounds[h + 1]],
-                       bounds[h + 1], bounds[h + 2], arc_of[kids[r, :nkids[r].max()]]))
-
+    cuts = np.flatnonzero((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])) + 1
+    starts, stops = np.append(0, cuts), np.append(cuts, num_arcs)
+    group_slots = arc_slot[starts].tolist()
+    arc_bounds = np.searchsorted(level, np.arange(num_sents * stride)).reshape(-1, stride)
+    group_bounds = np.searchsorted(starts, arc_bounds).tolist()
+    arc0, arc1 = arc_bounds[:, 0], arc_bounds[:, -1]
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
-    node_word = np.array([params.word_row(f) for f in [ROOT_FORM, *forms]])
-    return ListPlan(node_word, arc_child, arc_head,
-                    dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip],
-                    arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
+    arc_dist = dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip]
+    node_word = np.array([params.word_row(f)
+                          for forms, _, _ in batch for f in (ROOT_FORM, *forms)])
+    tree_arcs = arc_of[child]
+
+    # per sentence and height: the arcs of each new signature's children, one
+    # row each, padded with the sentence's arc count and cut to its widest row
+    if num_sents == 1:
+        members = [[arc_of[kids[r, :nkids[r].max()]] for r in reps]]
+        sig_bounds = np.array(bounds)[:, None]
+    else:  # forest ids -> each sentence's own ids, which keep their order
+        members = [[] for _ in batch]
+        counts = np.empty((len(reps), num_sents), dtype=np.int64)
+        for h, r in enumerate(reps):
+            sent = sent_of_node[node[r]]
+            counts[h] = np.bincount(sent, minlength=num_sents)
+            present = np.flatnonzero(counts[h])
+            firsts = (np.cumsum(counts[h]) - counts[h])[present]
+            widest = np.maximum.reduceat(nkids[r], firsts)
+            rows = np.minimum(arc_of[kids[r, :widest.max()]], arc1[sent, None]) - arc0[sent, None]
+            for s, i, j, w in zip(present.tolist(), firsts.tolist(),
+                                  firsts[1:].tolist() + [len(r)], widest.tolist()):
+                members[s].append(np.ascontiguousarray(rows[i:j, :w]))
+        sig_bounds = np.cumsum(np.vstack([np.zeros_like(widths), widths, counts]), axis=0)
+        forest_start = np.array(bounds[1:-1])[:, None] + np.cumsum(counts, axis=1) - counts
+        local_node = np.arange(num_nodes) - np.repeat(np.cumsum(widths) - widths, widths)
+        local_sig = np.concatenate([
+            local_node, np.arange(num_nodes, bounds[-1])
+            + np.repeat((sig_bounds[1:-1] - forest_start).ravel(), counts.ravel())])
+        arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
+        shift = arc0[level[starts] // stride]
+        starts, stops = starts - shift, stops - shift
+        tree_arcs = tree_arcs - np.repeat(arc0, [heads.size for _, _, heads in batch])
+        arc_bounds = arc_bounds - arc0[:, None]
+    groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
+
+    plans = []
+    node_at = child_at = 0
+    for (_, _, heads), arc_at, group_at, sig_at, rows_of, a0, a1 in zip(
+            batch, arc_bounds.tolist(), group_bounds, sig_bounds.T.tolist(), members,
+            arc0.tolist(), arc1.tolist()):
+        k, n = heads.shape
+        levels = [(arc_at[h], arc_at[h + 1], groups[group_at[h]:group_at[h + 1]],
+                   sig_at[h + 1], sig_at[h + 2], rows_of[h]) for h in range(len(rows_of))]
+        plans.append(ListPlan(
+            node_word[node_at:node_at + n + 1], arc_child[a0:a1], arc_head[a0:a1],
+            arc_dist[a0:a1], arc_slot[a0:a1], levels,
+            np.ascontiguousarray(tree_arcs[child_at:child_at + k * n].reshape(k, n).T)))
+        node_at, child_at = node_at + n + 1, child_at + k * n
+    return plans
 
 
 class ListActivations(NamedTuple):

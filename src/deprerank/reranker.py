@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .params import ParamSet
-from .rcnn import build_list_plan, score_list
+from .rcnn import build_list_plan, build_list_plans, plan_batches, score_list
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import score_tree  # noqa: F401
 from .treebank import DependencyTree, EvalResult, KBestList, uas
@@ -101,8 +101,14 @@ class RerankResult:
 
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
                         include_oracle: bool = False) -> list[list[float]]:
-    """Model score per candidate per sentence."""
-    return [candidate_model_scores(params, kb, include_oracle) for kb in kbests]
+    """Model score per candidate per sentence, as `candidate_model_scores`
+    gives them; the plans are built a batch at a time (`plan_batches`) and
+    scored one list at a time."""
+    lists = [augmented(kb, include_oracle) for kb in kbests]
+    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in lists if len(kb)]
+    scores = iter([score_list(params, plan).tolist() for batch in plan_batches(sentences)
+                   for plan in build_list_plans(params, batch)])
+    return [next(scores) if len(kb) else [] for kb in lists]
 
 
 def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankConfig,

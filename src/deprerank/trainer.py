@@ -18,7 +18,7 @@ import numpy as np
 from . import synth
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
-    Gradients, ListActivations, ListPlan, backward_list, build_list_plan, forward_list,
+    Gradients, ListActivations, ListPlan, backward_list, build_list_plans, forward_list,
     pool_winners, score_list,
 )
 # no longer used here; perfbench's tracer self-test still checks this binding
@@ -38,14 +38,21 @@ class _SentenceItem:
     deltas: np.ndarray
 
     @classmethod
-    def build(cls, params: ParamSet, kb: KBestList, kappa: float) -> "_SentenceItem":
-        if not len(kb):
+    def build_all(cls, params: ParamSet, kbests: Sequence[KBestList],
+                  kappa: float) -> list["_SentenceItem"]:
+        """One item per list, their plans built in batches (`build_list_plans`)."""
+        if not all(len(kb) for kb in kbests):
             raise ValueError("candidate list must be non-empty")
-        gold = np.array([kb.gold.heads], dtype=np.int64)
-        heads = np.concatenate([gold, kb.heads])
-        plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, heads,
-                               create_pairs=True)
-        return cls(heads, plan, kappa * (kb.heads != gold).sum(axis=1))
+        heads = [np.concatenate([np.array([kb.gold.heads], dtype=np.int64), kb.heads])
+                 for kb in kbests]
+        plans = build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, h)
+                                          for kb, h in zip(kbests, heads)], create_pairs=True)
+        return [cls(h, plan, kappa * (h[1:] != h[0]).sum(axis=1))
+                for h, plan in zip(heads, plans)]
+
+    @classmethod
+    def build(cls, params: ParamSet, kb: KBestList, kappa: float) -> "_SentenceItem":
+        return cls.build_all(params, [kb], kappa)[0]
 
 
 def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float, ListActivations]:
@@ -142,13 +149,13 @@ def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
 
 
 def _kbest_digest(kb: KBestList) -> bytes:
-    """Content digest used to order sentences canonically before shuffling."""
-    h = hashlib.blake2b(digest_size=16)
-    for tok in kb.gold.tokens:
-        h.update(f"{tok.form}\t{tok.pos}\t{tok.head}\n".encode("utf-8"))
-    for heads, score in zip(kb.heads.tolist(), kb.scores.tolist()):
-        h.update(("C " + " ".join(map(str, heads)) + f" {score!r}\n").encode("utf-8"))
-    return h.digest()
+    """Content digest used to order sentences canonically before shuffling:
+    blake2b of the list as text, one line per gold token and per candidate."""
+    names = [str(h) for h in range(len(kb.gold) + 1)]  # every head value's text
+    lines = [f"{tok.form}\t{tok.pos}\t{tok.head}\n" for tok in kb.gold.tokens]
+    lines += ["C " + " ".join([names[h] for h in heads]) + f" {score!r}\n"
+              for heads, score in zip(kb.heads.tolist(), kb.scores.tolist())]
+    return hashlib.blake2b("".join(lines).encode("utf-8"), digest_size=16).digest()
 
 
 @dataclass
@@ -196,10 +203,10 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     hyper = params.hyper
     rng = np.random.default_rng(config.seed)
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
-    items = [_SentenceItem.build(params, kb, hyper.kappa) for kb in ordered]
+    items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
-    dev_plans = [build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, kb.heads)
-                 for kb in dev]
+    dev_plans = build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads)
+                                          for kb in dev])
     state = AdaGradState.from_params(params, eps=config.adagrad_eps)
     best = params.copy()
     best_uas = -1.0

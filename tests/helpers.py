@@ -19,7 +19,7 @@ import numpy as np
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
 from deprerank.rcnn import (
-    Gradients, Rows, backward_tree, build_list_plan, build_plan, score_plan,
+    Gradients, ListPlan, Rows, backward_tree, build_list_plan, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree, parse_conll
@@ -207,6 +207,134 @@ def list_plan(params, trees, create_pairs=False):
     """`build_list_plan` over trees of one sentence (forms and tags of the first)."""
     return build_list_plan(params, trees[0].forms, trees[0].pos_tags,
                            [tree.heads for tree in trees], create_pairs)
+
+
+def reference_list_plan(params, forms: Sequence[str], tags: Sequence[str], heads,
+                        create_pairs: bool = False) -> ListPlan:
+    """The list plan of one sentence, built on its own: the oracle that every
+    plan `build_list_plans` returns must equal field by field.
+
+    `heads` is a (k, n) matrix, one row of 1-based heads (0 = root) per tree
+    over the sentence's n forms and POS tags. Lookups follow `build_plan`:
+    OOV words use `<unk>`, distances are clipped, and unseen POS pairs map to
+    the fallback slot or, with create_pairs, get fresh parameters, created in
+    the order `build_plan` would meet them tree by tree.
+    """
+    heads = np.asarray(heads, dtype=np.int64)
+    n = len(forms)
+    if heads.ndim != 2:
+        raise ValueError("heads must be a (trees, tokens) matrix")
+    if not len(heads):
+        raise ValueError("no trees to score")
+    if len(tags) != n or heads.shape[1] != n:
+        raise AlignmentError(
+            f"{heads.shape[1]} heads per tree for {n} forms and {len(tags)} POS tags")
+    if not n:
+        raise ValueError("cannot score an empty sentence")
+    if heads.min() < 0 or heads.max() > n:
+        raise StructureError(f"head indices must lie in [0, {n}]")
+    k, width = len(heads), n + 1
+
+    # node u of tree t is t * width + u; `end` pads rows of `kids`
+    end = k * width
+    node = np.tile(np.arange(width), k)
+    child = np.arange(end).reshape(k, width)[:, 1:].ravel()
+    parent = (heads + width * np.arange(k)[:, None]).ravel()
+    parent_of = np.full(end, end)  # a root's parent is `end`
+    parent_of[child] = parent
+    by_head = np.argsort(parent, kind="stable")  # build_plan's arc order, tree by tree
+    nkids = np.bincount(parent, minlength=end)
+    first = np.cumsum(nkids) - nkids
+    kids = np.full((end, nkids.max()), end)
+    kids[parent[by_head], np.arange(k * n) - first[parent[by_head]]] = child[by_head]
+
+    # Signatures, one height at a time: a node's row is its head node and its
+    # children's signatures (-1 pads), and equal rows get one id. Heights h
+    # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id.
+    sig = np.append(node, -1)
+    bounds = [0, width]
+    reps = []
+    pending = nkids.copy()
+    ready = np.flatnonzero(nkids == 0)
+    while True:
+        done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
+        pending -= done
+        ready = np.flatnonzero((pending == 0) & (done > 0))
+        if not len(ready):
+            break
+        rows = sig[kids[ready]]
+        rows[:, 0] += node[ready] * (end + width)
+        order = np.lexsort(rows.T[::-1])
+        rows = rows[order]
+        new = np.ones(len(order), dtype=bool)
+        new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+        sig[ready[order]] = bounds[-1] - 1 + np.cumsum(new)
+        reps.append(ready[order[new]])
+        bounds.append(bounds[-1] + int(new.sum()))
+    sig_node = np.concatenate([np.arange(width)] + [node[r] for r in reps])
+
+    tag_ids: dict[str, int] = {}
+    tag_of = np.array([tag_ids.setdefault(t, len(tag_ids)) for t in [ROOT_POS, *tags]])
+    names, ntags = list(tag_ids), len(tag_ids)
+    codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
+    _, seen = np.unique(codes, return_index=True)
+    slot_of = np.zeros(ntags * ntags, dtype=np.int64)
+    for code in codes[np.sort(seen)].tolist():
+        slot_of[code] = params.pos_pairs.slot(names[code // ntags], names[code % ntags],
+                                              create=create_pairs)
+
+    # unique arcs, numbered by their child's height, then by slot
+    arc_key, arc_of_child = np.unique(sig[child] * width + node[parent], return_inverse=True)
+    arc_child, arc_head = np.divmod(arc_key, width)
+    child_node = sig_node[arc_child]
+    arc_slot = slot_of[tag_of[arc_head] * ntags + tag_of[child_node]]
+    height = np.searchsorted(bounds, arc_child, side="right") - 1
+    order = np.lexsort((arc_slot, height))
+    num_arcs = len(order)
+    renumber = np.empty(num_arcs, dtype=np.int64)
+    renumber[order] = np.arange(num_arcs)
+    arc_child, arc_head, child_node, arc_slot, height = (
+        a[order] for a in (arc_child, arc_head, child_node, arc_slot, height))
+    arc_of = np.full(end + 1, num_arcs)
+    arc_of[child] = renumber[arc_of_child]
+
+    cuts = np.flatnonzero((arc_slot[1:] != arc_slot[:-1]) | (height[1:] != height[:-1])) + 1
+    starts = np.append(0, cuts)
+    groups = list(zip(starts.tolist(), np.append(cuts, num_arcs).tolist(),
+                      arc_slot[starts].tolist()))
+    arc_bounds = np.searchsorted(height, np.arange(len(reps) + 1))
+    group_bounds = np.searchsorted(starts, arc_bounds)
+    levels = []
+    for h, r in enumerate(reps):
+        levels.append((int(arc_bounds[h]), int(arc_bounds[h + 1]),
+                       groups[group_bounds[h]:group_bounds[h + 1]],
+                       bounds[h + 1], bounds[h + 2], arc_of[kids[r, :nkids[r].max()]]))
+
+    clip = params.hyper.dist_clip
+    dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
+    node_word = np.array([params.word_row(f) for f in [ROOT_FORM, *forms]])
+    return ListPlan(node_word, arc_child, arc_head,
+                    dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip],
+                    arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
+
+
+def one_sentence_plans(params, sentences, create_pairs=False):
+    """`build_list_plans` made of `reference_list_plan` calls, one per sentence."""
+    return [reference_list_plan(params, forms, tags, heads, create_pairs)
+            for forms, tags, heads in sentences]
+
+
+def assert_same_plan(got: ListPlan, want: ListPlan):
+    """Every field equal, arrays in dtype, shape and bytes, levels' bounds as ints."""
+    for name in ("node_word", "arc_child", "arc_head", "arc_dist", "arc_slot", "tree_arcs"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert len(got.levels) == len(want.levels)
+    for (*bounds, members), (*want_bounds, want_members) in zip(got.levels, want.levels):
+        assert bounds == want_bounds
+        assert all(type(x) is int for x in bounds[:2] + bounds[3:])
+        assert (members.dtype, members.shape, members.tobytes()) == (
+            want_members.dtype, want_members.shape, want_members.tobytes())
 
 
 def loss_augmented_pick(params, kb, kappa):

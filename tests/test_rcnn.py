@@ -1,20 +1,24 @@
 """Tree scoring: convolution, pooling, recursion, and analytic gradients."""
 
+import re
+
 import numpy as np
 import pytest
 
+from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_list_plan, build_plan, forward_list, score_list,
-    score_plan, score_tree,
+    backward_list, backward_tree, build_list_plan, build_list_plans, build_plan, forward_list,
+    plan_batches, score_list, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, accumulate, all_trees_up_to, assert_same_gradients, compose_pair, fd_entries,
-    forward_unit, grad_dicts, list_plan, make_tree, max_abs, max_rel_error, node_trace, random_heads,
-    random_multi_root_heads, random_tree, tiny_params, trace_nodes,
+    TAGS, accumulate, all_trees_up_to, assert_same_gradients, assert_same_plan, compose_pair,
+    fd_entries, forward_unit, grad_dicts, list_plan, make_tree, max_abs, max_rel_error,
+    node_trace, one_sentence_plans, random_heads, random_multi_root_heads, random_tree,
+    reference_list_plan, tiny_params, trace_nodes,
 )
 
 
@@ -289,6 +293,8 @@ def test_score_list_matches_score_tree_on_random_lists():
         trees += [trees[0], gold, trees[3]]  # duplicates
         scores = _assert_list_matches_trees(p, trees)
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
+        assert_same_plan(list_plan(p, trees), reference_list_plan(
+            p, gold.forms, gold.pos_tags, [tree.heads for tree in trees]))
         assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
 
 
@@ -409,3 +415,79 @@ def test_list_plan_rejects_bad_input():
         build_list_plan(p, forms, tags, np.zeros((0, 3)))
     with pytest.raises(ValueError, match="matrix"):
         build_list_plan(p, forms, tags, [0, 1, 1])
+
+
+def _random_sentences(rng, count):
+    """(forms, tags, heads) sentences of mixed n and k: n = 1, multi-root and
+    duplicate rows, OOV forms ("oov*") and a tag the parameters lack ("XX")."""
+    sentences = []
+    for _ in range(count):
+        n = 1 if rng.random() < 0.15 else int(rng.integers(2, 14))
+        gold = random_tree(rng, n, vocab=("w1", "w2", "w3", "oov1", "oov2"),
+                           tags=TAGS + ("XX",))
+        heads = [gold.heads] + [random_heads(rng, n) for _ in range(int(rng.integers(0, 6)))]
+        heads += [random_multi_root_heads(rng, n) for _ in range(int(rng.integers(0, 3)))]
+        heads.append(heads[int(rng.integers(len(heads)))])
+        sentences.append((gold.forms, gold.pos_tags, heads))
+    return sentences
+
+
+@pytest.mark.parametrize("create_pairs", [False, True])
+def test_batched_plans_equal_one_sentence_plans(create_pairs):
+    rng = np.random.default_rng(61)
+    for case in range(40):
+        sentences = _random_sentences(rng, int(rng.integers(1, 9)))
+        oracle, alone, batched = (tiny_params(m=3, m_d=3, seed=case, dist_clip=2)
+                                  for _ in range(3))
+        if case % 2:  # some pairs seen before, others not
+            seen = random_tree(rng, 6, tags=TAGS + ("XX",))
+            for p in (oracle, alone, batched):
+                build_plan(p, seen, create_pairs=True)
+        want = one_sentence_plans(oracle, sentences, create_pairs)
+        for got in ([build_list_plan(alone, *s, create_pairs) for s in sentences],
+                    build_list_plans(batched, sentences, create_pairs)):
+            assert len(got) == len(want)
+            for plan, expected in zip(got, want):
+                assert_same_plan(plan, expected)
+        for p in (alone, batched):  # the same pairs, created in the same order
+            assert list(p.pos_pairs.index.items()) == list(oracle.pos_pairs.index.items())
+            assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
+            assert p.pos_pairs.v.tobytes() == oracle.pos_pairs.v.tobytes()
+
+
+@pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
+def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, budget):
+    # with budget 20 the malformed sentence comes in a later batch than others
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
+    gold = make_tree([0, 1, 1])
+    forms, tags = gold.forms, gold.pos_tags
+    good = _random_sentences(np.random.default_rng(63), 4)
+    for bad in ((forms, tags, [[0, 1, 1, 1]]), (forms, tags[:2], [[0, 1, 1]]),
+                (forms, tags, [[0, 1, 1], [0, 1, 4]]), (forms, tags, [[0, 1, -1]]),
+                ([], [], np.zeros((1, 0))), (forms, tags, np.zeros((0, 3))),
+                (forms, tags, [0, 1, 1])):
+        with pytest.raises((ValueError, AlignmentError, StructureError)) as alone:
+            build_list_plan(tiny_params(), *bad, create_pairs=True)
+        p = tiny_params()
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            build_list_plans(p, good[:2] + [bad] + good[2:], create_pairs=True)
+        assert p.pos_pairs.count == tiny_params().pos_pairs.count  # no pair created
+
+
+def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 60)
+    rng = np.random.default_rng(64)
+    sentences = _random_sentences(rng, 30)
+    big = random_tree(rng, 12)
+    sentences.insert(7, (big.forms, big.pos_tags, [big.heads] * 6))  # 6 * 13 node instances
+    cost = lambda s: len(s[2]) * (len(s[0]) + 1)
+    batches = list(plan_batches(sentences))
+    assert [s for batch in batches for s in batch] == sentences
+    assert [sentences[7]] in batches
+    assert any(len(batch) > 1 for batch in batches)
+    for batch in batches:
+        assert len(batch) == 1 or sum(map(cost, batch)) <= 60
+    p, oracle = tiny_params(seed=4), tiny_params(seed=4)
+    for plan, expected in zip(build_list_plans(p, sentences, create_pairs=True),
+                              one_sentence_plans(oracle, sentences, create_pairs=True)):
+        assert_same_plan(plan, expected)

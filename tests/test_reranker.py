@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from deprerank import rcnn
 from deprerank.params import Hyperparams, init_random
 from deprerank.reranker import (
-    RerankConfig, alpha_grid, mixture_score, per_pos_accuracy, pos_improvement,
-    rerank_corpus, rerank_sentence, search_alpha, uas_curve,
+    RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, mixture_score,
+    per_pos_accuracy, pos_improvement, rerank_corpus, rerank_sentence, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
-from deprerank.treebank import EvalResult, corpus_oracle, uas
+from deprerank.treebank import EvalResult, KBestList, corpus_oracle, uas
 
 from helpers import kbest_of, make_tree, margin_delta, tiny_params
 
@@ -194,3 +195,14 @@ def test_uas_curve_rows_match_truncated_corpus_evaluation():
         assert (row.oracle_best, row.oracle_worst, row.model_only, row.reranked,
                 row.best_alpha) == (best.uas, worst.uas, model_only.score.uas,
                                     reranked.uas, alpha)
+
+
+@pytest.mark.parametrize("include_oracle", [False, True])
+def test_corpus_scores_in_batches_equal_list_by_list_scores(monkeypatch, include_oracle):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 100)  # several batches
+    corpus = synth_corpus(seed=17, sentences=20, k=5, length_range=(1, 14))
+    if not include_oracle:  # an empty list scores nothing
+        corpus.insert(3, KBestList(corpus[0].gold, []))
+    p = tiny_params(m=4, m_d=4, seed=6)
+    want = [candidate_model_scores(p, kb, include_oracle) for kb in corpus]
+    assert corpus_model_scores(p, corpus, include_oracle) == want

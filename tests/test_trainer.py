@@ -6,6 +6,7 @@ import io
 import numpy as np
 import pytest
 
+from deprerank import rcnn, trainer
 from deprerank.errors import AlignmentError
 from deprerank.params import (
     Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
@@ -21,8 +22,9 @@ from deprerank.treebank import KBestList
 
 from helpers import (
     TAGS, accumulate, assert_same_gradients, kbest_of, loss_augmented_pick, make_tree, margin_delta,
-    max_abs, per_tree_pick, per_tree_subgradient, random_heads, random_multi_root_heads,
-    random_tree, reference_adagrad_step, sentence_subgradient, tiny_params,
+    max_abs, model_parts, one_sentence_plans, per_tree_pick, per_tree_subgradient, random_heads,
+    random_multi_root_heads, random_tree, reference_adagrad_step, sentence_subgradient,
+    tiny_params,
 )
 
 
@@ -451,3 +453,29 @@ def test_reloaded_model_reproduces_the_selected_dev_uas(dev_tags):
     assert np.array_equal(model.pos_pairs.v[0], model.pos_pairs.v[1:].mean(axis=0))
     reloaded = rerank_corpus(model, dev, RerankConfig(alpha=1.0))
     assert reloaded.score.uas == max(r.dev_uas for r in reports)
+
+
+def test_training_on_batched_plans_matches_one_sentence_plans(monkeypatch):
+    # a small budget spreads the training lists over several batches; the dev
+    # set's unseen tag reads the fallback pair
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 300)
+    train_kbs = synth_corpus(seed=33, sentences=24, k=6, length_range=(1, 12))
+    dev = synth_corpus(seed=34, sentences=8, k=6, tags=DEFAULT_TAGS + ("U1",))
+    golds = [kb.gold for kb in train_kbs]
+    build_batch, sizes = rcnn._build_batch, []
+
+    def counted(params, batch, create_pairs):
+        sizes.append(len(batch))
+        return build_batch(params, batch, create_pairs)
+
+    def run():
+        params = init_random(Hyperparams(m=5, m_d=4, k=6), build_word_vocab(golds),
+                             build_pos_vocab(golds), seed=3)
+        best, reports = train(params, train_kbs, dev, TrainConfig(max_epochs=4, seed=5))
+        return model_parts(best), reports
+
+    monkeypatch.setattr(rcnn, "_build_batch", counted)
+    batched = run()
+    assert len(sizes) > 3 and max(sizes) > 1
+    monkeypatch.setattr(trainer, "build_list_plans", one_sentence_plans)
+    assert run() == batched
