@@ -8,6 +8,9 @@ scores one list at a time) and in batches (`build_list_plans`), the list
 scorer (`score_list`, `forward_list`), a training step's `backward_list` for
 the loss-augmented pick and gold and its `adagrad_step` on those gradients,
 next to the per-tree `build_plan` + forward + backward of those two trees.
+Last, dev scoring as `train()` does it, on the same lists: building the
+batches' per-list plans (`build_list_plans`) against their forests
+(`build_forests`), and scoring each per-list plan against each forest.
 Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
@@ -22,8 +25,8 @@ import numpy as np
 from deprerank import kernels
 from deprerank.params import Hyperparams, init_random
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_list_plan, build_list_plans, build_plan, forward_list,
-    score_list, score_plan,
+    backward_list, backward_tree, build_forests, build_list_plan, build_list_plans, build_plan,
+    forward_list, score_list, score_plan,
 )
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
 from deprerank.trainer import AdaGradState, adagrad_step
@@ -87,6 +90,26 @@ def bench_builds(params, kbests, repeats):
         batched.append(time.perf_counter() - t0)
     return {"build_list_plan (one list per call)": statistics.median(one) / len(kbests),
             "build_list_plans (batched)": statistics.median(batched) / len(kbests)}
+
+
+def bench_dev_scoring(params, kbests, repeats):
+    """Median time per list of building and scoring dev lists as per-list
+    plans and as forests, the four steps in turn per repeat."""
+    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests]
+    plans, forests = build_list_plans(params, sentences), build_forests(params, sentences)
+    steps = {
+        "dev build: per-list plans": lambda: build_list_plans(params, sentences),
+        "dev build: forests": lambda: build_forests(params, sentences),
+        "dev forward: per-list plans": lambda: [score_list(params, p) for p in plans],
+        "dev forward: forests": lambda: [score_list(params, f) for f in forests],
+    }
+    times = {name: [] for name in steps}
+    for _ in range(repeats):
+        for name, step in steps.items():
+            t0 = time.perf_counter()
+            step()
+            times[name].append(time.perf_counter() - t0)
+    return {name: statistics.median(ts) / len(kbests) for name, ts in times.items()}
 
 
 def bench_lists(params, kbests, repeats):
@@ -174,7 +197,8 @@ def main():
     build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests],
                      create_pairs=True)  # the pairs exist before any build is timed
     stages = {**bench_builds(params, kbests, args.repeats),
-              **bench_lists(params, kbests, args.repeats)}
+              **bench_lists(params, kbests, args.repeats),
+              **bench_dev_scoring(params, kbests, args.repeats)}
     for stage, seconds in stages.items():
         print(f"{stage:<40}{seconds * 1e6:>10.1f} us/list")
 

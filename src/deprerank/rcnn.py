@@ -10,11 +10,13 @@ A k-best list is scored as a whole (`build_list_plan`, `score_list`): an arc's
 hidden vector depends only on its head node and the child's subtree, so every
 unique arc of the list is computed once. `build_list_plans` builds the plans of
 many lists in batches, one pass over all their trees, and splits the result
-into the plans each list gets alone. `forward_list` also returns those
-arcs' activations, and `backward_list` backpropagates a weighted sum of some of
-the list's tree scores through them (a training step's hinge). The per-tree
-plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same one
-tree at a time; they remain for `score_tree` and as the tests' reference.
+into the plans each list gets alone; `build_forests` keeps each batch whole,
+one plan that `forward_list` scores with one product per (height, slot) for
+all its lists. `forward_list` also returns the arcs' activations, and
+`backward_list` backpropagates a weighted sum of some of a list's tree scores
+through them (a training step's hinge). The per-tree plans and kernels
+(`build_plan`, `score_plan`, `backward_tree`) do the same one tree at a time;
+they remain for `score_tree` and as the tests' reference.
 """
 
 from __future__ import annotations
@@ -120,7 +122,8 @@ def build_plan(params: ParamSet, tree: DependencyTree, create_pairs: bool = Fals
 
 @dataclass
 class ListPlan:
-    """The trees of one sentence, reduced to their unique subtrees and arcs.
+    """The trees of one sentence, reduced to their unique subtrees and arcs
+    (or of a batch of sentences: a forest, see `build_forests`).
 
     A subtree signature is (node, child signatures): equal signatures have
     equal phrase vectors, since pooling ignores child order. Signatures 0..n
@@ -139,7 +142,8 @@ class ListPlan:
     # (g0, g1, slot) runs of one POS-pair slot; then the signatures [s0, s1) of
     # height h + 1 with their arcs, one row each, padded with len(arc_child)
     levels: list[tuple[int, int, list[tuple[int, int, int]], int, int, np.ndarray]]
-    tree_arcs: np.ndarray    # (n, num_trees) arc ids, one column per tree
+    tree_arcs: np.ndarray    # (n, num_trees) arc ids, one column per tree; a
+    #                          forest's shorter sentences pad with num_arcs
 
     @property
     def num_trees(self) -> int:
@@ -201,6 +205,13 @@ def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
     return build_list_plans(params, [(forms, tags, heads)], create_pairs)[0]
 
 
+def _checked_batches(sentences: Iterable[tuple]) -> Iterator[list[tuple]]:
+    """`plan_batches` of the sentences, every one checked before the first
+    batch is handed out."""
+    return plan_batches([(forms, tags, _checked_heads(forms, tags, heads))
+                         for forms, tags, heads in sentences])
+
+
 def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
                      create_pairs: bool = False) -> list[ListPlan]:
     """Hash-cons the trees of each sentence into unique subtrees and arcs.
@@ -211,21 +222,49 @@ def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
     unseen POS pairs map to the fallback slot or, with create_pairs, get fresh
     parameters, created in the order `build_plan` would meet them sentence by
     sentence and tree by tree. Every sentence is checked before any pair is
-    created.
+    created, except for cycles: a row that is not a forest fails its batch
+    as it is built, after the pairs of earlier batches.
 
     The sentences of a batch (`plan_batches`) are built as one forest, in one
     pass per subtree height, and split into one plan per sentence. Sentences
     share no node, so each plan is the one its sentence gets alone, numbering
     included.
     """
-    checked = [(forms, tags, _checked_heads(forms, tags, heads))
-               for forms, tags, heads in sentences]
-    return [plan for batch in plan_batches(checked)
+    return [plan for batch in _checked_batches(sentences)
             for plan in _build_batch(params, batch, create_pairs)]
 
 
-def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> list[ListPlan]:
-    """The plans of a batch's checked sentences, in order."""
+def build_forests(params: ParamSet, sentences: Iterable[tuple]) -> list[ListPlan]:
+    """The unsplit forest of each batch of sentences (see `build_list_plans`).
+
+    A forest is one plan over all the trees of its batch, in sentence order:
+    its arcs are numbered by height and POS-pair slot across the sentences,
+    so `forward_list` makes one product per (height, slot) for the whole
+    batch. `tree_arcs` has a column per tree and a row per token of the
+    batch's longest sentence; the rows past a shorter sentence's length hold
+    `num_arcs`, which scores 0. A forest of one sentence is that sentence's
+    list plan. Scores match the per-list plans' within rounding: a row of a
+    matrix product can change in its last bits with the rows around it.
+    """
+    return [_build_batch(params, batch, False, forest=True)[0]
+            for batch in _checked_batches(sentences)]
+
+
+def _cycle_error(batch: list[tuple], instance: int) -> StructureError:
+    """The error for a node instance of the batch that lies on a cycle."""
+    for forms, _, heads in batch:
+        if instance < len(heads) * (len(forms) + 1):
+            break
+        instance -= len(heads) * (len(forms) + 1)
+    row, token = divmod(instance, len(forms) + 1)
+    return StructureError(f"heads row {row} of the sentence {' '.join(forms)!r} "
+                          f"has a cycle through token {token}")
+
+
+def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
+                 forest: bool = False) -> list[ListPlan]:
+    """The plans of a batch's checked sentences, in order, or with forest its
+    unsplit forest alone."""
     # Node instance i is node u of tree t of sentence s, in that order, and
     # node[i] is its node in the forest (the nodes of earlier sentences, + u);
     # `end` pads rows of `kids`. With one sentence, forest ids are its own.
@@ -250,18 +289,20 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> li
     # Signatures, one height at a time: a node's row is its node and its
     # children's signatures (-1 pads), and equal rows get one id. Heights h
     # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id, in
-    # sentence order.
+    # sentence order. A node on a cycle never gets one.
     sig = np.append(node, -1)
     bounds = [0, num_nodes]
     reps = []
     pending = nkids.copy()
     ready = (nkids == 0).nonzero()[0]
+    signed = len(ready)
     while True:  # ndarray methods, not their np.* wrappers: this loop runs per height
         done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
         pending -= done
         ready = ((pending == 0) & (done > 0)).nonzero()[0]
         if not len(ready):
             break
+        signed += len(ready)
         rows = sig[kids[ready]]
         rows[:, 0] += node[ready] * (end + num_nodes)
         order = np.lexsort(rows.T[::-1])
@@ -273,21 +314,27 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> li
         sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
         bounds.append(bounds[-1] + int(ids[-1]))
+    if signed < end:
+        raise _cycle_error(batch, int(pending.nonzero()[0][0]))
     sig_node = np.concatenate([np.arange(num_nodes)] + [node[r] for r in reps])
 
+    # POS pairs by first occurrence in build_plan's arc order
     tag_ids: dict[str, int] = {}
     tag_of = np.array([tag_ids.setdefault(t, len(tag_ids))
                        for _, tags, _ in batch for t in (ROOT_POS, *tags)])
     names, ntags = list(tag_ids), len(tag_ids)
     codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
-    _, seen = np.unique(codes, return_index=True)
+    seen = np.full(ntags * ntags, len(codes))
+    np.minimum.at(seen, codes, np.arange(len(codes)))
+    present = (seen < len(codes)).nonzero()[0]
     slot_of = np.zeros(ntags * ntags, dtype=np.int64)
-    for code in codes[np.sort(seen)].tolist():
+    for code in present[seen[present].argsort()].tolist():
         slot_of[code] = params.pos_pairs.slot(names[code // ntags], names[code % ntags],
                                               create=create_pairs)
 
-    # unique arcs, numbered by sentence, then by their child's height, then by
-    # slot: level s * stride + h holds sentence s's arcs whose child has height h
+    # unique arcs, numbered by their child's height, then by slot; split, by
+    # sentence first: level s * stride + h holds sentence s's arcs whose
+    # child has height h
     arc_key, arc_of_child = np.unique(sig[child] * num_nodes + node[parent],
                                       return_inverse=True)
     arc_child, arc_head = np.divmod(arc_key, num_nodes)
@@ -296,7 +343,8 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> li
     level = np.searchsorted(bounds, arc_child, side="right") - 1
     num_sents, stride = len(batch), len(reps) + 1
     widths = np.array([len(forms) + 1 for forms, _, _ in batch])
-    if num_sents > 1:
+    split = num_sents > 1 and not forest
+    if split:
         sent_of_node = np.repeat(np.arange(num_sents), widths)
         level += sent_of_node[arc_head] * stride
     order = np.lexsort((arc_slot, level))
@@ -311,9 +359,8 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> li
     cuts = np.flatnonzero((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])) + 1
     starts, stops = np.append(0, cuts), np.append(cuts, num_arcs)
     group_slots = arc_slot[starts].tolist()
-    arc_bounds = np.searchsorted(level, np.arange(num_sents * stride)).reshape(-1, stride)
+    arc_bounds = np.searchsorted(level, np.arange(num_sents * stride if split else stride))
     group_bounds = np.searchsorted(starts, arc_bounds).tolist()
-    arc0, arc1 = arc_bounds[:, 0], arc_bounds[:, -1]
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
     arc_dist = dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip]
@@ -321,36 +368,50 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool) -> li
                           for forms, _, _ in batch for f in (ROOT_FORM, *forms)])
     tree_arcs = arc_of[child]
 
+    if not split:  # the forest: a sentence alone, or the whole batch
+        groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
+        arc_at = arc_bounds.tolist()
+        levels = [(arc_at[h], arc_at[h + 1], groups[group_bounds[h]:group_bounds[h + 1]],
+                   bounds[h + 1], bounds[h + 2], arc_of[kids[r, :nkids[r].max()]])
+                  for h, r in enumerate(reps)]
+        columns = np.full((widths.max() - 1, sum(len(heads) for _, _, heads in batch)),
+                          num_arcs)
+        col = at = 0
+        for _, _, heads in batch:
+            k, n = heads.shape
+            columns[:n, col:col + k] = tree_arcs[at:at + k * n].reshape(k, n).T
+            col, at = col + k, at + k * n
+        return [ListPlan(node_word, arc_child, arc_head, arc_dist, arc_slot, levels, columns)]
+
     # per sentence and height: the arcs of each new signature's children, one
-    # row each, padded with the sentence's arc count and cut to its widest row
-    if num_sents == 1:
-        members = [[arc_of[kids[r, :nkids[r].max()]] for r in reps]]
-        sig_bounds = np.array(bounds)[:, None]
-    else:  # forest ids -> each sentence's own ids, which keep their order
-        members = [[] for _ in batch]
-        counts = np.empty((len(reps), num_sents), dtype=np.int64)
-        for h, r in enumerate(reps):
-            sent = sent_of_node[node[r]]
-            counts[h] = np.bincount(sent, minlength=num_sents)
-            present = np.flatnonzero(counts[h])
-            firsts = (np.cumsum(counts[h]) - counts[h])[present]
-            widest = np.maximum.reduceat(nkids[r], firsts)
-            rows = np.minimum(arc_of[kids[r, :widest.max()]], arc1[sent, None]) - arc0[sent, None]
-            for s, i, j, w in zip(present.tolist(), firsts.tolist(),
-                                  firsts[1:].tolist() + [len(r)], widest.tolist()):
-                members[s].append(np.ascontiguousarray(rows[i:j, :w]))
-        sig_bounds = np.cumsum(np.vstack([np.zeros_like(widths), widths, counts]), axis=0)
-        forest_start = np.array(bounds[1:-1])[:, None] + np.cumsum(counts, axis=1) - counts
-        local_node = np.arange(num_nodes) - np.repeat(np.cumsum(widths) - widths, widths)
-        local_sig = np.concatenate([
-            local_node, np.arange(num_nodes, bounds[-1])
-            + np.repeat((sig_bounds[1:-1] - forest_start).ravel(), counts.ravel())])
-        arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
-        shift = arc0[level[starts] // stride]
-        starts, stops = starts - shift, stops - shift
-        tree_arcs = tree_arcs - np.repeat(arc0, [heads.size for _, _, heads in batch])
-        arc_bounds = arc_bounds - arc0[:, None]
-    groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
+    # row each, padded with the sentence's arc count and cut to its widest
+    # row; forest ids -> each sentence's own ids, which keep their order
+    arc_bounds = arc_bounds.reshape(-1, stride)
+    arc0, arc1 = arc_bounds[:, 0], arc_bounds[:, -1]
+    members = [[] for _ in batch]
+    counts = np.empty((len(reps), num_sents), dtype=np.int64)
+    for h, r in enumerate(reps):
+        sent = sent_of_node[node[r]]
+        counts[h] = np.bincount(sent, minlength=num_sents)
+        present = np.flatnonzero(counts[h])
+        firsts = (np.cumsum(counts[h]) - counts[h])[present]
+        widest = np.maximum.reduceat(nkids[r], firsts)
+        rows = np.minimum(arc_of[kids[r, :widest.max()]], arc1[sent, None]) - arc0[sent, None]
+        for s, i, j, w in zip(present.tolist(), firsts.tolist(),
+                              firsts[1:].tolist() + [len(r)], widest.tolist()):
+            members[s].append(np.ascontiguousarray(rows[i:j, :w]))
+    sig_bounds = np.cumsum(np.vstack([np.zeros_like(widths), widths, counts]), axis=0)
+    forest_start = np.array(bounds[1:-1])[:, None] + np.cumsum(counts, axis=1) - counts
+    local_node = np.arange(num_nodes) - np.repeat(np.cumsum(widths) - widths, widths)
+    local_sig = np.concatenate([
+        local_node, np.arange(num_nodes, bounds[-1])
+        + np.repeat((sig_bounds[1:-1] - forest_start).ravel(), counts.ravel())])
+    arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
+    shift = arc0[level[starts] // stride]
+    groups = list(zip((starts - shift).tolist(), (stops - shift).tolist(), group_slots))
+    tree_arcs = tree_arcs - np.repeat(arc0, [heads.size for _, _, heads in batch])
+    arc_bounds = arc_bounds - arc0[:, None]
+    group_bounds = np.reshape(group_bounds, (-1, stride)).tolist()
 
     plans = []
     node_at = child_at = 0
@@ -382,7 +443,7 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     go through tanh(W p), one matrix product per POS-pair slot, and then every
     unique subtree one level up is pooled once.
     A tree's score sums its arc scores in a fixed order, so identical trees
-    get bit-identical scores.
+    get bit-identical scores. `plan` may be a forest (`build_forests`).
     """
     m = params.hyper.m
     W, v = params.pos_pairs.W, params.pos_pairs.v
@@ -399,7 +460,8 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
             np.matmul(p[g0:g1], W[slot].T, out=z[g0:g1])
         np.tanh(z[a0:a1], out=z[a0:a1])
         x[s0:s1] = z[members].max(axis=1)
-    arc_scores = np.einsum("am,am->a", v[plan.arc_slot], z[:-1])
+    arc_scores = np.zeros(plan.num_arcs + 1)  # a forest's shorter trees read the last 0
+    np.einsum("am,am->a", v[plan.arc_slot], z[:-1], out=arc_scores[:-1])
     return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
 
 

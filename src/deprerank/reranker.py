@@ -42,6 +42,8 @@ def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
     """
     if not include_oracle:
         return kb
+    if not len(kb):
+        raise ValueError("cannot add the oracle to a k-best list with no candidates")
     return KBestList.from_arrays(kb.gold, np.vstack([kb.heads, [kb.gold.heads]]),
                                  np.append(kb.scores, kb.scores.max()))
 

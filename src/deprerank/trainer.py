@@ -18,8 +18,8 @@ import numpy as np
 from . import synth
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
-    Gradients, ListActivations, ListPlan, backward_list, build_list_plans, forward_list,
-    pool_winners, score_list,
+    Gradients, ListActivations, ListPlan, backward_list, build_forests, build_list_plans,
+    forward_list, pool_winners, score_list,
 )
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import build_plan  # noqa: F401
@@ -191,7 +191,8 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
 
     Dev selection scores candidates with the model alone (mixture weight 1),
     with the fallback pair derived from the pairs learned so far; the returned
-    parameters keep that fallback.
+    parameters keep that fallback. The dev lists are scored a batch at a time,
+    as forests (`build_forests`) built once.
     Identical seeds, data, and config reproduce the exact report sequence;
     sentences are ordered by content digest before shuffling, so the result
     does not depend on the order sentences appear in the input files.
@@ -205,8 +206,9 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
     items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
-    dev_plans = build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads)
-                                          for kb in dev])
+    dev_forests = build_forests(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads)
+                                         for kb in dev])
+    dev_cuts = np.cumsum([len(kb) for kb in dev])[:-1]
     state = AdaGradState.from_params(params, eps=config.adagrad_eps)
     best = params.copy()
     best_uas = -1.0
@@ -222,7 +224,8 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
         params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
-        dev_scores = [score_list(params, plan).tolist() for plan in dev_plans]
+        dev_scores = np.split(np.concatenate([score_list(params, forest)
+                                              for forest in dev_forests]), dev_cuts)
         dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
                                 model_scores=dev_scores)
         report = TrainReport(epoch, total_hinge / len(items), violations,

@@ -319,7 +319,10 @@ def reference_list_plan(params, forms: Sequence[str], tags: Sequence[str], heads
 
 
 def one_sentence_plans(params, sentences, create_pairs=False):
-    """`build_list_plans` made of `reference_list_plan` calls, one per sentence."""
+    """`build_list_plans` made of `reference_list_plan` calls, one per sentence.
+
+    Each plan is also a forest of one sentence, so in place of `build_forests`
+    this scores dev list by list, as training did before dev forests."""
     return [reference_list_plan(params, forms, tags, heads, create_pairs)
             for forms, tags, heads in sentences]
 

@@ -9,8 +9,8 @@ from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_list_plan, build_list_plans, build_plan, forward_list,
-    plan_batches, score_list, score_plan, score_tree,
+    backward_list, backward_tree, build_forests, build_list_plan, build_list_plans, build_plan,
+    forward_list, plan_batches, score_list, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
@@ -491,3 +491,81 @@ def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
     for plan, expected in zip(build_list_plans(p, sentences, create_pairs=True),
                               one_sentence_plans(oracle, sentences, create_pairs=True)):
         assert_same_plan(plan, expected)
+
+
+def test_list_plan_rejects_cycles():
+    p = tiny_params()
+    gold = make_tree([0, 1, 2, 3, 4])
+    forms, tags = gold.forms, gold.pos_tags
+    with pytest.raises(StructureError, match=r"^heads row 0 of the sentence 'w1 w2 w3' "
+                                             r"has a cycle through token 1$"):
+        build_list_plan(p, forms[:3], tags[:3], [[2, 1, 0]])
+    # row 1: tokens 3 and 4 head each other, 2 and 5 hang below them, and 1
+    # hangs below the root
+    with pytest.raises(StructureError, match="heads row 1 .* cycle through token 3$"):
+        build_list_plan(p, forms, tags, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]])
+    with pytest.raises(StructureError, match="heads row 0 .* cycle through token 1$"):
+        build_list_plan(p, forms[:1], tags[:1], [[1]])
+
+
+def test_a_forest_of_one_sentence_is_its_list_plan():
+    rng = np.random.default_rng(65)
+    p = tiny_params(m=3, m_d=3, seed=2, dist_clip=2)
+    for sentence in _random_sentences(rng, 30):
+        [forest] = build_forests(p, [sentence])
+        assert_same_plan(forest, build_list_plan(p, *sentence))
+
+
+def _assert_forest_scores_match(p, sentences):
+    """Score the sentences' forests against their list plans; returns the
+    number of sentences per forest."""
+    forests, batches = build_forests(p, sentences), list(plan_batches(sentences))
+    assert [forest.num_trees for forest in forests] == [
+        sum(len(heads) for _, _, heads in batch) for batch in batches]
+    scores = np.concatenate([score_list(p, forest) for forest in forests])
+    at = 0
+    for forms, tags, heads in sentences:
+        got, want = scores[at:at + len(heads)], score_list(p, build_list_plan(p, forms, tags, heads))
+        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+        rows = [tuple(row) for row in heads]
+        for i, row in enumerate(rows):  # duplicate rows, bit for bit
+            assert got[i] == got[rows.index(row)]
+        at += len(heads)
+    return [len(batch) for batch in batches]
+
+
+@pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 120])
+def test_forest_scores_match_list_scores_in_input_order(monkeypatch, budget):
+    # _random_sentences mixes k and n (n = 1 too), duplicate rows, OOV forms
+    # and the tag "XX"; pairs with "XX", and others, read the fallback slot
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
+    rng = np.random.default_rng(66)
+    sizes = []
+    for case in range(12):
+        p = tiny_params(m=4, m_d=3, seed=case, dist_clip=2)
+        build_plan(p, random_tree(rng, 8), create_pairs=True)  # some pairs learned
+        p.pos_pairs.finalize_fallback()
+        sentences = _random_sentences(rng, int(rng.integers(1, 25)))
+        if case % 3 == 0:  # a list larger than the budget is a batch of its own
+            big = random_tree(rng, 14, tags=TAGS + ("XX",))
+            heads = [random_heads(rng, 14) for _ in range(budget // 15 + 1)]
+            sentences.insert(int(rng.integers(len(sentences))), (big.forms, big.pos_tags, heads))
+        sizes += _assert_forest_scores_match(p, sentences)
+    assert max(sizes) > 1 and 1 in sizes  # forests of many lists, and of one
+
+
+@pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
+def test_a_malformed_sentence_fails_its_forest_as_it_fails_alone(monkeypatch, budget):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
+    gold = make_tree([0, 1, 1])
+    forms, tags = gold.forms, gold.pos_tags
+    good = _random_sentences(np.random.default_rng(67), 4)
+    for bad in ((forms, tags, [[0, 1, 1, 1]]), (forms, tags[:2], [[0, 1, 1]]),
+                (forms, tags, [[0, 1, 1], [0, 1, 4]]), (forms, tags, [[0, 1, -1]]),
+                ([], [], np.zeros((1, 0))), (forms, tags, np.zeros((0, 3))),
+                (forms, tags, [0, 1, 1]), (forms, tags, [[0, 1, 1], [2, 1, 0]]),
+                (forms, tags, [[0, 3, 2]])):
+        with pytest.raises((ValueError, AlignmentError, StructureError)) as alone:
+            build_list_plan(tiny_params(), *bad)
+        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
+            build_forests(tiny_params(), good[:2] + [bad] + good[2:])

@@ -206,3 +206,15 @@ def test_corpus_scores_in_batches_equal_list_by_list_scores(monkeypatch, include
     p = tiny_params(m=4, m_d=4, seed=6)
     want = [candidate_model_scores(p, kb, include_oracle) for kb in corpus]
     assert corpus_model_scores(p, corpus, include_oracle) == want
+
+
+def test_the_oracle_of_an_empty_list_is_refused():
+    p = tiny_params(m=4, m_d=4, seed=6)
+    corpus = synth_corpus(seed=18, sentences=3, k=4)
+    empty = KBestList(corpus[0].gold, [])
+    message = "^cannot add the oracle to a k-best list with no candidates$"
+    assert candidate_model_scores(p, empty) == []
+    with pytest.raises(ValueError, match=message):
+        candidate_model_scores(p, empty, include_oracle=True)
+    with pytest.raises(ValueError, match=message):
+        corpus_model_scores(p, corpus[:2] + [empty] + corpus[2:], include_oracle=True)

@@ -464,9 +464,10 @@ def test_training_on_batched_plans_matches_one_sentence_plans(monkeypatch):
     golds = [kb.gold for kb in train_kbs]
     build_batch, sizes = rcnn._build_batch, []
 
-    def counted(params, batch, create_pairs):
-        sizes.append(len(batch))
-        return build_batch(params, batch, create_pairs)
+    def counted(params, batch, create_pairs, forest=False):
+        if not forest:  # the training lists' plans, not the dev forests
+            sizes.append(len(batch))
+        return build_batch(params, batch, create_pairs, forest)
 
     def run():
         params = init_random(Hyperparams(m=5, m_d=4, k=6), build_word_vocab(golds),
@@ -479,3 +480,31 @@ def test_training_on_batched_plans_matches_one_sentence_plans(monkeypatch):
     assert len(sizes) > 3 and max(sizes) > 1
     monkeypatch.setattr(trainer, "build_list_plans", one_sentence_plans)
     assert run() == batched
+
+
+def test_dev_forests_select_as_per_list_dev_scoring(monkeypatch):
+    # a small budget spreads the dev lists over several forests of several
+    # lists each; the dev set's unseen tag reads the fallback pair
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 200)
+    train_kbs = synth_corpus(seed=35, sentences=16, k=6, length_range=(1, 12))
+    dev = synth_corpus(seed=36, sentences=20, k=6, length_range=(1, 14),
+                       tags=DEFAULT_TAGS + ("U1",))
+    golds = [kb.gold for kb in train_kbs]
+    build_forests, forests = rcnn.build_forests, []
+
+    def counted(params, sentences):
+        built = build_forests(params, sentences)
+        forests.extend(built)
+        return built
+
+    def run():
+        params = init_random(Hyperparams(m=5, m_d=4, k=6), build_word_vocab(golds),
+                             build_pos_vocab(golds), seed=4)
+        best, reports = train(params, train_kbs, dev, TrainConfig(max_epochs=5, seed=6))
+        return model_parts(best), reports
+
+    monkeypatch.setattr(trainer, "build_forests", counted)
+    by_forest = run()
+    assert len(forests) > 3 and max(forest.num_trees for forest in forests) > 12
+    monkeypatch.setattr(trainer, "build_forests", one_sentence_plans)
+    assert run() == by_forest
