@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
-"""Benchmark the scoring kernels: per tree, and per k-best list.
+"""Benchmark the scoring kernels: per k-best list, and per tree.
 
-Scores (and backpropagates through) a batch of random trees with both kernel
-implementations and reports per-tree times. Then, per synthetic k-best list,
-times plan building one list per call (`build_list_plan`, the path that
-scores one list at a time) and in batches (`build_list_plans`), the list
-scorer (`score_list`, `forward_list`), a training step's `backward_list` for
-the loss-augmented pick and gold and its `adagrad_step` on those gradients,
-next to the per-tree `build_plan` + forward + backward of those two trees.
-Last, dev scoring as `train()` does it, on the same lists: building the
-batches' per-list plans (`build_list_plans`) against their forests
-(`build_forests`), and scoring each per-list plan against each forest.
-Run from a checkout:
+First, per synthetic k-best list: the list kernels (`forward_list`, and a
+training step's `backward_list` for the loss-augmented pick and gold), the
+list scorer (`score_list`), the step's `adagrad_step` on those gradients,
+and the per-tree `build_plan` + forward + backward of those two trees. Then
+plan building one list per call (`build_list_plan`, the path that scores one
+list at a time) and in batches (`build_list_plans`), and dev scoring as
+`train()` does it, on the same lists: building the batches' per-list plans
+(`build_list_plans`) against their forests (`build_forests`), and scoring
+each per-list plan against each forest. Last, the per-tree kernels of every
+implementation on the lists' gold trees. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
 """
@@ -143,11 +142,11 @@ def bench_lists(params, kbests, repeats):
         adagrad_step(updated, state, grads, params.hyper.lam)
 
     return {
-        "score_list": _median_per_list(lambda plan, *_: score_list(params, plan),
-                                       lists, repeats),
         "forward_list": _median_per_list(lambda plan, *_: forward_list(params, plan),
                                          lists, repeats),
         "backward_list (pick + gold)": _median_per_list(backward, lists, repeats),
+        "score_list": _median_per_list(lambda plan, *_: score_list(params, plan),
+                                       lists, repeats),
         "per-tree build+fwd+bwd (pick + gold)": _median_per_list(per_tree, lists, repeats),
         "adagrad_step (pick + gold)": _median_per_list(update, steps, repeats),
     }
@@ -171,9 +170,19 @@ def main():
                          list(DEFAULT_TAGS), seed=args.seed)
     trees = [random_tree(rng, args.length, vocab) for _ in range(args.sentences)]
     plans = [build_plan(params, t, create_pairs=True) for t in trees]
-    print(f"{args.sentences} trees of length {args.length}, "
+    kbests = [synth_kbest(rng, tree, args.k) for tree in trees]
+    build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests],
+                     create_pairs=True)  # the pairs exist before any build is timed
+    print(f"{args.sentences} {args.k}-best lists of length {args.length}, "
           f"m={args.m}, m_d={args.m_d}, {len(params.pos_pairs)} pair slots")
+    stages = {**bench_lists(params, kbests, args.repeats),
+              **bench_builds(params, kbests, args.repeats),
+              **bench_dev_scoring(params, kbests, args.repeats)}
+    for stage, seconds in stages.items():
+        print(f"{stage:<40}{seconds * 1e6:>10.1f} us/list")
 
+    print(f"\nthe {args.sentences} gold trees, per-tree kernels "
+          f"({kernels.active_backend()} is active)")
     results = {}
     results["numpy"] = bench(kernels.forward_numpy, kernels.backward_numpy,
                              params, plans, args.repeats)
@@ -190,17 +199,6 @@ def main():
         f_speed = results["numpy"][0] / results["numba"][0]
         b_speed = results["numpy"][1] / results["numba"][1]
         print(f"{'speedup':<10}{f_speed:>14.1f}x{b_speed:>15.1f}x")
-
-    kbests = [synth_kbest(rng, tree, args.k) for tree in trees]
-    print(f"\n{args.sentences} {args.k}-best lists over the same trees, "
-          f"{kernels.active_backend()} per-tree kernels")
-    build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests],
-                     create_pairs=True)  # the pairs exist before any build is timed
-    stages = {**bench_builds(params, kbests, args.repeats),
-              **bench_lists(params, kbests, args.repeats),
-              **bench_dev_scoring(params, kbests, args.repeats)}
-    for stage, seconds in stages.items():
-        print(f"{stage:<40}{seconds * 1e6:>10.1f} us/list")
 
 
 if __name__ == "__main__":

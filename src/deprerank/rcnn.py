@@ -140,7 +140,9 @@ class ListPlan:
     arc_slot: np.ndarray     # POS-pair slot per arc
     # per height h >= 0: the arcs [a0, a1) whose child has height h, as
     # (g0, g1, slot) runs of one POS-pair slot; then the signatures [s0, s1) of
-    # height h + 1 with their arcs, one row each, padded with len(arc_child)
+    # height h + 1 and their members, a (width, s1 - s0) array: column j holds
+    # the arcs of signature s0 + j, padded with len(arc_child), and width is
+    # the most arcs any of them has
     levels: list[tuple[int, int, list[tuple[int, int, int]], int, int, np.ndarray]]
     tree_arcs: np.ndarray    # (n, num_trees) arc ids, one column per tree; a
     #                          forest's shorter sentences pad with num_arcs
@@ -205,11 +207,16 @@ def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
     return build_list_plans(params, [(forms, tags, heads)], create_pairs)[0]
 
 
-def _checked_batches(sentences: Iterable[tuple]) -> Iterator[list[tuple]]:
+def _checked_batches(sentences: Iterable[tuple],
+                     acyclic: bool = False) -> Iterator[list[tuple]]:
     """`plan_batches` of the sentences, every one checked before the first
-    batch is handed out."""
-    return plan_batches([(forms, tags, _checked_heads(forms, tags, heads))
-                         for forms, tags, heads in sentences])
+    batch is handed out; with acyclic, every head row is also checked to be
+    a forest (`_check_forests`)."""
+    checked = [(forms, tags, _checked_heads(forms, tags, heads))
+               for forms, tags, heads in sentences]
+    if acyclic and checked:
+        _check_forests(checked)
+    return plan_batches(checked)
 
 
 def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
@@ -221,16 +228,16 @@ def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
     follow `build_plan`: OOV words use `<unk>`, distances are clipped, and
     unseen POS pairs map to the fallback slot or, with create_pairs, get fresh
     parameters, created in the order `build_plan` would meet them sentence by
-    sentence and tree by tree. Every sentence is checked before any pair is
-    created, except for cycles: a row that is not a forest fails its batch
-    as it is built, after the pairs of earlier batches.
+    sentence and tree by tree. With create_pairs every sentence is checked,
+    for cycles too, before any pair is created; without, a row that is not a
+    forest fails its batch as it is built, with the same error.
 
     The sentences of a batch (`plan_batches`) are built as one forest, in one
     pass per subtree height, and split into one plan per sentence. Sentences
     share no node, so each plan is the one its sentence gets alone, numbering
     included.
     """
-    return [plan for batch in _checked_batches(sentences)
+    return [plan for batch in _checked_batches(sentences, acyclic=create_pairs)
             for plan in _build_batch(params, batch, create_pairs)]
 
 
@@ -250,15 +257,34 @@ def build_forests(params: ParamSet, sentences: Iterable[tuple]) -> list[ListPlan
             for batch in _checked_batches(sentences)]
 
 
-def _cycle_error(batch: list[tuple], instance: int) -> StructureError:
-    """The error for a node instance of the batch that lies on a cycle."""
-    for forms, _, heads in batch:
-        if instance < len(heads) * (len(forms) + 1):
+def _check_forests(sentences: list[tuple]) -> None:
+    """Raise StructureError for the first head row of the checked sentences
+    that is not a forest, naming the lowest token on a cycle in that row.
+
+    Pointer jumping, as in `treebank.rooted_rows`, over the tokens of every
+    row at once: a token points at its head's token or, below the root, at
+    `end`, which points at itself. After j rounds a token points 2^j steps up
+    its head chain, so after n.bit_length() rounds every token of a forest
+    points at `end`, and a token on or below a cycle points at a token on it.
+    """
+    heads = np.concatenate([h.ravel() for _, _, h in sentences])
+    row_n = np.repeat([h.shape[1] for _, _, h in sentences], [len(h) for _, _, h in sentences])
+    end = len(heads)
+    first = np.repeat(np.cumsum(row_n) - row_n, row_n)  # the first token of each token's row
+    up = np.append(np.where(heads > 0, first + heads - 1, end), end)
+    for _ in range(int(row_n.max()).bit_length()):
+        up = up[up]
+    stuck = (up[:end] != end).nonzero()[0]
+    if not len(stuck):
+        return
+    at = start = int(first[stuck[0]])
+    for forms, _, heads in sentences:
+        if at < heads.size:
             break
-        instance -= len(heads) * (len(forms) + 1)
-    row, token = divmod(instance, len(forms) + 1)
-    return StructureError(f"heads row {row} of the sentence {' '.join(forms)!r} "
-                          f"has a cycle through token {token}")
+        at -= heads.size
+    on_cycle = up[start:start + len(forms)]
+    raise StructureError(f"heads row {at // len(forms)} of the sentence {' '.join(forms)!r} "
+                         f"has a cycle through token {on_cycle[on_cycle < end].min() - start + 1}")
 
 
 def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
@@ -314,8 +340,8 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
         sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
         bounds.append(bounds[-1] + int(ids[-1]))
-    if signed < end:
-        raise _cycle_error(batch, int(pending.nonzero()[0][0]))
+    if signed < end:  # only a node on a cycle gets no signature
+        _check_forests(batch)
     sig_node = np.concatenate([np.arange(num_nodes)] + [node[r] for r in reps])
 
     # POS pairs by first occurrence in build_plan's arc order
@@ -372,7 +398,8 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
         groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
         arc_at = arc_bounds.tolist()
         levels = [(arc_at[h], arc_at[h + 1], groups[group_bounds[h]:group_bounds[h + 1]],
-                   bounds[h + 1], bounds[h + 2], arc_of[kids[r, :nkids[r].max()]])
+                   bounds[h + 1], bounds[h + 2],
+                   np.ascontiguousarray(arc_of[kids[r, :nkids[r].max()]].T))
                   for h, r in enumerate(reps)]
         columns = np.full((widths.max() - 1, sum(len(heads) for _, _, heads in batch)),
                           num_arcs)
@@ -384,8 +411,8 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
         return [ListPlan(node_word, arc_child, arc_head, arc_dist, arc_slot, levels, columns)]
 
     # per sentence and height: the arcs of each new signature's children, one
-    # row each, padded with the sentence's arc count and cut to its widest
-    # row; forest ids -> each sentence's own ids, which keep their order
+    # column each, padded with the sentence's arc count and cut to its widest
+    # column; forest ids -> each sentence's own ids, which keep their order
     arc_bounds = arc_bounds.reshape(-1, stride)
     arc0, arc1 = arc_bounds[:, 0], arc_bounds[:, -1]
     members = [[] for _ in batch]
@@ -399,7 +426,7 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
         rows = np.minimum(arc_of[kids[r, :widest.max()]], arc1[sent, None]) - arc0[sent, None]
         for s, i, j, w in zip(present.tolist(), firsts.tolist(),
                               firsts[1:].tolist() + [len(r)], widest.tolist()):
-            members[s].append(np.ascontiguousarray(rows[i:j, :w]))
+            members[s].append(np.ascontiguousarray(rows[i:j, :w].T))
     sig_bounds = np.cumsum(np.vstack([np.zeros_like(widths), widths, counts]), axis=0)
     forest_start = np.array(bounds[1:-1])[:, None] + np.cumsum(counts, axis=1) - counts
     local_node = np.arange(num_nodes) - np.repeat(np.cumsum(widths) - widths, widths)
@@ -440,8 +467,11 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     """Total score of every tree of a list plan, in order, and the activations.
 
     Heights are walked bottom-up: the unique arcs whose child has one height
-    go through tanh(W p), one matrix product per POS-pair slot, and then every
-    unique subtree one level up is pooled once.
+    go through tanh(W p), one BLAS `dot` per POS-pair slot, and then every
+    unique subtree one level up is pooled once, as a running maximum over the
+    (signatures, m) slabs of its members' rows. `dot` reaches the same BLAS
+    call as `matmul` and max is exact, so the bits are those of a `matmul`
+    per slot and a row-wise max.
     A tree's score sums its arc scores in a fixed order, so identical trees
     get bit-identical scores. `plan` may be a forest (`build_forests`).
     """
@@ -453,13 +483,15 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     p = np.empty((plan.num_arcs, W.shape[2]))
     p[:, :m] = words[plan.arc_head]
     p[:, 2 * m:] = params.distances.vectors[plan.arc_dist]
-    z = np.full((plan.num_arcs + 1, m), -np.inf)
+    WT = W.transpose(0, 2, 1)
+    z = np.empty((plan.num_arcs + 1, m))  # every arc row is written by one group
+    z[-1] = -np.inf
     for a0, a1, groups, s0, s1, members in plan.levels:
         p[a0:a1, m:2 * m] = x[plan.arc_child[a0:a1]]
         for g0, g1, slot in groups:
-            np.matmul(p[g0:g1], W[slot].T, out=z[g0:g1])
+            np.dot(p[g0:g1], WT[slot], out=z[g0:g1])
         np.tanh(z[a0:a1], out=z[a0:a1])
-        x[s0:s1] = z[members].max(axis=1)
+        np.maximum.reduce(z[members], axis=0, out=x[s0:s1])
     arc_scores = np.zeros(plan.num_arcs + 1)  # a forest's shorter trees read the last 0
     np.einsum("am,am->a", v[plan.arc_slot], z[:-1], out=arc_scores[:-1])
     return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
@@ -649,10 +681,10 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
     bounds = np.append(starts, rows).tolist()
     for i, key in enumerate(slots.tolist()):
         g0, g1 = bounds[i], bounds[i + 1]
-        np.matmul(d_pre[g0:g1].T, p[g0:g1], out=d_W[i])
+        np.dot(d_pre[g0:g1].T, p[g0:g1], out=d_W[i])
         # row by row, as `sum` adds them; reduceat would add in another order
-        np.sum(up_z[g0:g1], axis=0, out=d_v[i])
-        np.matmul(d_pre[g0:g1], W[key], out=d_in[g0:g1])
+        up_z[g0:g1].sum(axis=0, out=d_v[i])
+        np.dot(d_pre[g0:g1], W[key], out=d_in[g0:g1])
     leaf = plan.arc_child[arcs] < len(plan.node_word)  # a leaf's x is its word vector
     return Gradients(
         _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],

@@ -19,7 +19,8 @@ import numpy as np
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
 from deprerank.rcnn import (
-    Gradients, ListPlan, Rows, backward_tree, build_list_plan, build_plan, score_plan,
+    Gradients, ListActivations, ListPlan, Rows, _first_max, _run_starts, _sum_by, _tree_rows,
+    backward_tree, build_list_plan, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree, parse_conll
@@ -308,7 +309,8 @@ def reference_list_plan(params, forms: Sequence[str], tags: Sequence[str], heads
     for h, r in enumerate(reps):
         levels.append((int(arc_bounds[h]), int(arc_bounds[h + 1]),
                        groups[group_bounds[h]:group_bounds[h + 1]],
-                       bounds[h + 1], bounds[h + 2], arc_of[kids[r, :nkids[r].max()]]))
+                       bounds[h + 1], bounds[h + 2],
+                       np.ascontiguousarray(arc_of[kids[r, :nkids[r].max()]].T)))
 
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
@@ -338,6 +340,95 @@ def assert_same_plan(got: ListPlan, want: ListPlan):
         assert all(type(x) is int for x in bounds[:2] + bounds[3:])
         assert (members.dtype, members.shape, members.tobytes()) == (
             want_members.dtype, want_members.shape, want_members.tobytes())
+
+
+def reference_forward_list(params, plan: ListPlan):
+    """`forward_list` as one `np.matmul` per (height, slot) and a row-wise max
+    per new signature: the kernel's reference, which it must match in bytes."""
+    m = params.hyper.m
+    W, v = params.pos_pairs.W, params.pos_pairs.v
+    words = params.words.vectors[plan.node_word]
+    x = np.empty((plan.num_signatures, m))
+    x[:len(words)] = words
+    p = np.empty((plan.num_arcs, W.shape[2]))
+    p[:, :m] = words[plan.arc_head]
+    p[:, 2 * m:] = params.distances.vectors[plan.arc_dist]
+    z = np.full((plan.num_arcs + 1, m), -np.inf)
+    for a0, a1, groups, s0, s1, members in plan.levels:
+        p[a0:a1, m:2 * m] = x[plan.arc_child[a0:a1]]
+        for g0, g1, slot in groups:
+            np.matmul(p[g0:g1], W[slot].T, out=z[g0:g1])
+        np.tanh(z[a0:a1], out=z[a0:a1])
+        x[s0:s1] = z[members.T].max(axis=1)  # one row of arcs per signature
+    arc_scores = np.zeros(plan.num_arcs + 1)
+    np.einsum("am,am->a", v[plan.arc_slot], z[:-1], out=arc_scores[:-1])
+    return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
+
+
+def reference_backward_list(params, plan: ListPlan, acts: ListActivations, heads,
+                            trees, upstream) -> Gradients:
+    """`backward_list` with an `np.matmul` and an `np.sum` per POS-pair slot:
+    the kernel's reference, which it must match in bytes."""
+    m = params.hyper.m
+    W, v = params.pos_pairs.W, params.pos_pairs.v
+    n = plan.tree_arcs.shape[0]
+    upstream = np.asarray(upstream, dtype=float)
+    arcs, head, group = _tree_rows(plan, heads, trees)
+    z = acts.z[arcs]
+    win = _first_max(z, group)
+
+    rows = len(arcs)
+    height = np.searchsorted([level[1] for level in plan.levels], arcs, side="right")
+    order = np.argsort(-height, kind="stable")
+    rank = np.empty(rows + 1, dtype=np.int64)
+    rank[order] = np.arange(rows)
+    rank[-1] = rows
+    head_row = np.where(head > 0, np.arange(rows) // n * n + head - 1, rows)
+    parent = rank[head_row[order]]
+    arcs, head, z, win = arcs[order], head[order], z[order], win[order]
+    slot = plan.arc_slot[arcs]
+    up = upstream.repeat(n)[order]
+    dz_score = up[:, None] * v[slot]
+    d_x = np.zeros((rows + 1, m))
+    d_pre = np.empty_like(z)
+    starts = _run_starts(height[order]).tolist()
+    for r0, r1 in zip(starts, starts[1:] + [rows]):
+        dz = dz_score[r0:r1] + np.where(win[r0:r1], d_x[parent[r0:r1]], 0.0)
+        d_pre[r0:r1] = dz * (1.0 - z[r0:r1] * z[r0:r1])
+        d_x[r0:r1] = np.matmul(d_pre[r0:r1, None, :], W[slot[r0:r1], :, m:2 * m])[:, 0]
+
+    by_slot = np.argsort(slot, kind="stable")
+    arcs, head, slot, d_pre = arcs[by_slot], head[by_slot], slot[by_slot], d_pre[by_slot]
+    up_z = up[by_slot, None] * z[by_slot]
+    token = order[by_slot] % n + 1
+    p = acts.p[arcs]
+    d_in = np.empty_like(p)
+    starts = _run_starts(slot)
+    slots = slot[starts]
+    d_W = np.empty((len(starts),) + W.shape[1:])
+    d_v = np.empty((len(starts), m))
+    bounds = np.append(starts, rows).tolist()
+    for i, key in enumerate(slots.tolist()):
+        g0, g1 = bounds[i], bounds[i + 1]
+        np.matmul(d_pre[g0:g1].T, p[g0:g1], out=d_W[i])
+        np.sum(up_z[g0:g1], axis=0, out=d_v[i])
+        np.matmul(d_pre[g0:g1], W[key], out=d_in[g0:g1])
+    leaf = plan.arc_child[arcs] < len(plan.node_word)
+    return Gradients(
+        _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],
+                np.concatenate([d_in[:, :m], d_in[leaf, m:2 * m]])),
+        _sum_by(plan.arc_dist[arcs], d_in[:, 2 * m:]),
+        Rows(slots, d_W), Rows(slots, d_v))
+
+
+def assert_same_bytes(got, want):
+    """Arrays, or `Gradients`' tables, equal in dtype, shape and bytes."""
+    if isinstance(want, Gradients):
+        for name in ("words", "dists", "pair_W", "pair_v"):
+            for a, b in zip(getattr(got, name), getattr(want, name)):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    else:
+        assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
 
 
 def loss_augmented_pick(params, kb, kappa):

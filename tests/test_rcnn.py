@@ -15,9 +15,10 @@ from deprerank.rcnn import (
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, accumulate, all_trees_up_to, assert_same_gradients, assert_same_plan, compose_pair,
-    fd_entries, forward_unit, grad_dicts, list_plan, make_tree, max_abs, max_rel_error,
-    node_trace, one_sentence_plans, random_heads, random_multi_root_heads, random_tree,
+    TAGS, accumulate, all_trees_up_to, assert_same_bytes, assert_same_gradients,
+    assert_same_plan, compose_pair, fd_entries, forward_unit, grad_dicts, list_plan, make_tree,
+    max_abs, max_rel_error, node_trace, one_sentence_plans, random_heads,
+    random_multi_root_heads, random_tree, reference_backward_list, reference_forward_list,
     reference_list_plan, tiny_params, trace_nodes,
 )
 
@@ -300,8 +301,8 @@ def test_score_list_matches_score_tree_on_random_lists():
 
 @pytest.mark.parametrize("m, m_d", [(4, 3), (25, 25)])
 def test_forward_list_products_match_the_assignment_form(m, m_d):
-    # forward_list writes each (height, slot) product into z with matmul(out=);
-    # assigning the product instead must give the same bits
+    # forward_list writes each (height, slot) product into z with dot(out=);
+    # assigning the matmul product instead must give the same bits
     rng = np.random.default_rng(12)
     p = tiny_params(m=m, m_d=m_d, seed=3, dist_clip=2)
     for _ in range(8):
@@ -465,7 +466,8 @@ def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, bud
     for bad in ((forms, tags, [[0, 1, 1, 1]]), (forms, tags[:2], [[0, 1, 1]]),
                 (forms, tags, [[0, 1, 1], [0, 1, 4]]), (forms, tags, [[0, 1, -1]]),
                 ([], [], np.zeros((1, 0))), (forms, tags, np.zeros((0, 3))),
-                (forms, tags, [0, 1, 1])):
+                (forms, tags, [0, 1, 1]), (forms, tags, [[0, 1, 1], [2, 1, 0]]),
+                (forms, tags, [[0, 3, 2]])):
         with pytest.raises((ValueError, AlignmentError, StructureError)) as alone:
             build_list_plan(tiny_params(), *bad, create_pairs=True)
         p = tiny_params()
@@ -506,6 +508,75 @@ def test_list_plan_rejects_cycles():
         build_list_plan(p, forms, tags, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]])
     with pytest.raises(StructureError, match="heads row 0 .* cycle through token 1$"):
         build_list_plan(p, forms[:1], tags[:1], [[1]])
+
+
+def test_a_cycle_in_a_later_batch_creates_no_pair(monkeypatch):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 12)
+    gold = make_tree([0, 1, 1])
+    forms, tags = gold.forms, gold.pos_tags
+    p = tiny_params()
+    with pytest.raises(StructureError, match=r"^heads row 0 of the sentence 'w1 w2 w3' "
+                                             r"has a cycle through token 1$"):
+        build_list_plans(p, [(forms, tags, [[0, 1, 1], [2, 0, 2], [0, 1, 2]]),
+                             (forms, tags, [[2, 1, 0]])], create_pairs=True)
+    assert p.pos_pairs.count == tiny_params().pos_pairs.count
+
+
+def _assert_members_layout(plan):
+    """Each level's members: a C-contiguous (width, signatures) int64 array,
+    every column its signature's arcs, all with one head and one of them from
+    the height below, then padding with num_arcs; width is the most arcs any
+    signature has."""
+    for a0, a1, _, s0, s1, members in plan.levels:
+        assert members.dtype == np.int64 and members.flags.c_contiguous
+        assert members.ndim == 2 and members.shape[1] == s1 - s0
+        real = members < plan.num_arcs
+        assert np.all(members[~real] == plan.num_arcs)
+        assert np.all(real[:-1] >= real[1:])  # padding only after a column's arcs
+        assert real[0].all() and real[-1].any()  # none empty; no row of padding alone
+        assert np.all(members[real] < a1) and np.all((members * real >= a0).any(axis=0))
+        heads = plan.arc_head[np.where(real, members, members[0])]
+        assert np.all(heads == heads[0])
+
+
+def test_members_are_width_by_signature_slabs(monkeypatch):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 200)  # batches of a few sentences
+    rng = np.random.default_rng(68)
+    p = tiny_params(m=3, m_d=3, seed=1, dist_clip=2)
+    sentences = _random_sentences(rng, 20)
+    plans = (build_list_plans(p, sentences) + build_forests(p, sentences)
+             + [build_list_plan(p, *s) for s in sentences])
+    assert any(len(batch) > 1 for batch in plan_batches(sentences))  # split and forests
+    for plan in plans:
+        _assert_members_layout(plan)
+    assert any(len(plan.levels[0][5]) > 1 for plan in plans)
+
+
+@pytest.mark.parametrize("m, m_d", [(4, 3), (25, 25)])
+def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
+    # _random_sentences mixes k and n (n = 1 too), duplicate rows, OOV forms
+    # and the tag "XX", which the finalized fallback slot scores; small lists
+    # give products of one row
+    rng = np.random.default_rng(69)
+    rows = []
+    for case in range(8):
+        p = tiny_params(m=m, m_d=m_d, seed=case, dist_clip=2)
+        build_plan(p, random_tree(rng, 8), create_pairs=True)  # some pairs learned
+        p.pos_pairs.finalize_fallback()
+        sentences = _random_sentences(rng, 12)
+        for plan in build_list_plans(p, sentences) + build_forests(p, sentences):
+            scores, acts = forward_list(p, plan)
+            want_scores, want = reference_forward_list(p, plan)
+            for got, expected in ((scores, want_scores), (acts.p, want.p), (acts.z, want.z)):
+                assert_same_bytes(got, expected)
+            rows += [g1 - g0 for _, _, groups, *_ in plan.levels for g0, g1, _ in groups]
+        for (forms, tags, heads), plan in zip(sentences, build_list_plans(p, sentences)):
+            _, acts = forward_list(p, plan)
+            chosen = rng.integers(len(heads), size=int(rng.integers(1, 4)))
+            upstream = rng.uniform(-2.0, 2.0, len(chosen))
+            assert_same_bytes(backward_list(p, plan, acts, heads, chosen, upstream),
+                              reference_backward_list(p, plan, acts, heads, chosen, upstream))
+    assert 1 in rows and max(rows) > 1
 
 
 def test_a_forest_of_one_sentence_is_its_list_plan():
