@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Benchmark the k-best reader, per list, on synthetic files.
+
+Writes a gold CoNLL file and a k-best file for two corpora, 8-best lists of
+5-60 tokens and 64-best lists of 20-30 tokens (the shapes of perfbench's
+rerank-k8-long and rerank-k64), and times per list: `load_conll` of the gold
+file, `read_kbest_files` (which parses the gold file too), `read_kbest` over
+the same lines given as a list (which takes the line-by-line path, as a
+k-best file not in `write_kbest`'s form does), and `rooted_rows` over the
+lists' head matrices in the batches the reader checks. Each step is timed
+over all the lists, in turn, and the median of the repeats is printed. Run
+from a checkout:
+
+    PYTHONPATH=src python3 benchmarks/bench_reader.py --sentences 200
+"""
+
+import argparse
+import os
+import statistics
+import tempfile
+import time
+
+import numpy as np
+
+from deprerank import treebank
+from deprerank.synth import random_tree, synth_kbest
+
+CORPORA = {"k = 8, 5-60 tokens": (8, (5, 60)), "k = 64, 20-30 tokens": (64, (20, 30))}
+
+
+def write_corpus(directory, rng, sentences, k, lengths, vocab):
+    kbests = []
+    for _ in range(sentences):
+        gold = random_tree(rng, int(rng.integers(lengths[0], lengths[1] + 1)), vocab)
+        kbests.append(synth_kbest(rng, gold, k, max_changes=max(1, len(gold) // 4)))
+    gold_path, kbest_path = (os.path.join(directory, f"k{k}.{ext}") for ext in ("conll", "kbest"))
+    with open(gold_path, "w", encoding="utf-8") as f:
+        f.write(treebank.write_conll(kb.gold for kb in kbests))
+    with open(kbest_path, "w", encoding="utf-8") as f:
+        f.write(treebank.write_kbest(kbests))
+    return gold_path, kbest_path
+
+
+def check_batches(kbests):
+    """The lists' head matrices in runs of at least the reader's batch of tokens."""
+    batches, batch, tokens = [], [], 0
+    for kb in kbests:
+        batch.append(kb.heads)
+        tokens += kb.heads.size
+        if tokens >= treebank._CHECK_TOKENS:
+            batches.append(batch)
+            batch, tokens = [], 0
+    return batches + [batch] if batch else batches
+
+
+def bench_corpus(gold_path, kbest_path, repeats):
+    with open(gold_path, encoding="utf-8") as f:
+        gold_lines = f.readlines()
+    with open(kbest_path, encoding="utf-8") as f:
+        kbest_lines = f.readlines()
+    kbests = treebank.read_kbest_files(gold_path, kbest_path)
+    batches = check_batches(kbests)
+    steps = {
+        "load_conll (gold)": lambda: treebank.load_conll(gold_path),
+        "read_kbest_files": lambda: treebank.read_kbest_files(gold_path, kbest_path),
+        "read_kbest, line by line": lambda: treebank.read_kbest(gold_lines, kbest_lines),
+        "rooted_rows, batched": lambda: [treebank.rooted_rows(b) for b in batches],
+    }
+    times = {name: [] for name in steps}
+    for _ in range(repeats):
+        for name, step in steps.items():
+            t0 = time.perf_counter()
+            step()
+            times[name].append(time.perf_counter() - t0)
+    cands = sum(len(kb) for kb in kbests)
+    return {name: statistics.median(ts) / len(kbests) for name, ts in times.items()}, cands
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--sentences", type=int, default=200)
+    ap.add_argument("--vocab", type=int, default=300)
+    ap.add_argument("--repeats", type=int, default=9)
+    ap.add_argument("--seed", type=int, default=0)
+    args = ap.parse_args()
+
+    rng = np.random.default_rng(args.seed)
+    vocab = [f"w{i:03d}" for i in range(args.vocab)]
+    with tempfile.TemporaryDirectory() as directory:
+        for label, (k, lengths) in CORPORA.items():
+            paths = write_corpus(directory, rng, args.sentences, k, lengths, vocab)
+            stages, cands = bench_corpus(*paths, args.repeats)
+            print(f"{args.sentences} lists, {label} ({cands} candidates)")
+            for stage, seconds in stages.items():
+                print(f"  {stage:<30}{seconds * 1e6:>10.1f} us/list")
+
+
+if __name__ == "__main__":
+    main()

@@ -103,6 +103,10 @@ def cmd_train(args) -> int:
                                           args.allow_multiple_roots)
     dev_kbs = treebank.read_kbest_files(args.dev_gold, args.dev_kbest,
                                         args.allow_multiple_roots)
+    for kbs, role, path in ((train_kbs, "training", args.train_gold),
+                            (dev_kbs, "dev", args.dev_gold)):
+        if not kbs:
+            raise DataError(f"{path}: the {role} set has no sentences")
     golds = [kb.gold for kb in train_kbs]
     vocab = P.build_word_vocab(golds, min_freq=args.min_freq)
     pos_vocab = P.build_pos_vocab(golds)
@@ -240,6 +244,10 @@ def _alpha_step(text: str) -> float:
     value = float(text)
     if not 0.0 < value <= 1.0:
         raise argparse.ArgumentTypeError(f"alpha step must lie in (0, 1], got {text}")
+    if value < reranker.MIN_ALPHA_STEP:
+        raise argparse.ArgumentTypeError(
+            f"alpha step must be >= {reranker.MIN_ALPHA_STEP:g} (at most 10,001 alphas), "
+            f"got {text}")
     return value
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import kernels
 from .errors import AlignmentError, StructureError
 from .params import ParamSet, ROOT_FORM, ROOT_POS
-from .treebank import DependencyTree
+from .treebank import DependencyTree, head_chains
 
 ROOT_NODE = 0
 
@@ -261,20 +261,14 @@ def _check_forests(sentences: list[tuple]) -> None:
     """Raise StructureError for the first head row of the checked sentences
     that is not a forest, naming the lowest token on a cycle in that row.
 
-    Pointer jumping, as in `treebank.rooted_rows`, over the tokens of every
-    row at once: a token points at its head's token or, below the root, at
-    `end`, which points at itself. After j rounds a token points 2^j steps up
-    its head chain, so after n.bit_length() rounds every token of a forest
-    points at `end`, and a token on or below a cycle points at a token on it.
+    `treebank.head_chains` follows every row's head chains at once: a token
+    of a forest reaches the root, and a token on or below a cycle ends on it.
     """
     heads = np.concatenate([h.ravel() for _, _, h in sentences])
-    row_n = np.repeat([h.shape[1] for _, _, h in sentences], [len(h) for _, _, h in sentences])
+    up, first = head_chains(
+        heads, np.repeat([h.shape[1] for _, _, h in sentences], [len(h) for _, _, h in sentences]))
     end = len(heads)
-    first = np.repeat(np.cumsum(row_n) - row_n, row_n)  # the first token of each token's row
-    up = np.append(np.where(heads > 0, first + heads - 1, end), end)
-    for _ in range(int(row_n.max()).bit_length()):
-        up = up[up]
-    stuck = (up[:end] != end).nonzero()[0]
+    stuck = (up != end).nonzero()[0]
     if not len(stuck):
         return
     at = start = int(first[stuck[0]])

@@ -15,6 +15,19 @@ from .rcnn import score_tree  # noqa: F401
 from .treebank import DependencyTree, EvalResult, KBestList, uas
 
 
+# The finest alpha grid step: at most 10,001 alphas, so that one 64-best
+# list's sweep over the grid takes about 15 MB.
+MIN_ALPHA_STEP = 1e-4
+
+
+def _check_alpha_step(alpha_step: float) -> None:
+    if not 0.0 < alpha_step <= 1.0:
+        raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")
+    if alpha_step < MIN_ALPHA_STEP:
+        raise ValueError(f"alpha_step must be >= {MIN_ALPHA_STEP:g} "
+                         f"(at most 10,001 alphas), got {alpha_step}")
+
+
 @dataclass
 class RerankConfig:
     """How candidates are mixed and selected."""
@@ -27,8 +40,7 @@ class RerankConfig:
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        if not 0.0 < self.alpha_step <= 1.0:
-            raise ValueError(f"alpha_step must lie in (0, 1], got {self.alpha_step}")
+        _check_alpha_step(self.alpha_step)
 
 
 def mixture_score(alpha: float, model_score: float, base_score: float) -> float:
@@ -133,8 +145,7 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
 
 def alpha_grid(alpha_step: float) -> np.ndarray:
     """The grid {0, step, 2 step, ..., 1}; step 0.005 gives 201 points."""
-    if not 0.0 < alpha_step <= 1.0:
-        raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")
+    _check_alpha_step(alpha_step)
     steps = int(round(1.0 / alpha_step))
     return np.linspace(0.0, 1.0, steps + 1)
 

@@ -3,8 +3,11 @@
 from __future__ import annotations
 
 import functools
+import io
+import itertools
 import math
 import re
+import sys
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
@@ -212,9 +215,17 @@ class EvalResult:
 # CoNLL-X
 
 def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
+    """The lines of a source. A string is split at its line boundaries, and
+    each of its lines ends in one newline; other sources' lines are as given."""
     if isinstance(source, str):
-        return iter(source.splitlines())
+        return (line + "\n" for line in source.splitlines())
     return iter(source)
+
+
+# Trees are validated in batches of about this many tokens, one pass each:
+# per tree costs a numpy call per check, and one pass over a whole k-best
+# file misses the cache more than it saves.
+_CHECK_TOKENS = 8192
 
 
 def parse_conll(source: Iterable[str] | str,
@@ -222,34 +233,50 @@ def parse_conll(source: Iterable[str] | str,
     """Parse blank-line-separated CoNLL-X blocks into dependency trees.
 
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
-    HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7.
+    HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. Lines are
+    checked as they are read, trees a batch at a time (`_check_trees`); a
+    batch is checked before any error is raised, so the first error in file
+    order is the one raised.
     """
     trees: list[DependencyTree] = []
     tokens: list[Token] = []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.rstrip("\n")
-        if not line.strip():
-            if tokens:
-                trees.append(_finish_sentence(tokens, len(trees), allow_multiple_roots))
-                tokens = []
-            continue
-        cols = tuple(line.split("\t"))
-        if len(cols) < 8:
-            raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
-        try:
-            index = int(cols[0])
-            head = int(cols[6])
-        except ValueError:
-            raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
-        if index != len(tokens) + 1:
-            raise ParseError(f"token ID {index} out of order (expected {len(tokens) + 1})", lineno)
-        if head == index:
-            raise ParseError(f"token {index} is its own head", lineno)
-        if head < 0:
-            raise ParseError(f"negative HEAD {head}", lineno)
-        tokens.append(_checked_token(index, cols[1], cols[4], head, cols))
-    if tokens:
-        trees.append(_finish_sentence(tokens, len(trees), allow_multiple_roots))
+    heads: list[int] = []  # of the unchecked trees trees[checked:], then of `tokens`
+    checked = 0
+    try:
+        for lineno, raw in enumerate(_iter_lines(source), start=1):
+            line = raw.rstrip("\n")
+            if not line.strip():
+                if tokens:
+                    trees.append(DependencyTree(tuple(tokens)))
+                    tokens = []
+                    if len(heads) >= _CHECK_TOKENS:
+                        _check_trees(trees, checked, heads, allow_multiple_roots)
+                        checked, heads = len(trees), []
+                continue
+            cols = tuple(line.split("\t"))
+            if len(cols) < 8:
+                raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
+            try:
+                index = int(cols[0])
+                head = int(cols[6])
+            except ValueError:
+                raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
+            if index != len(tokens) + 1:
+                raise ParseError(f"token ID {index} out of order (expected {len(tokens) + 1})",
+                                 lineno)
+            if head == index:
+                raise ParseError(f"token {index} is its own head", lineno)
+            if head < 0:
+                raise ParseError(f"negative HEAD {head}", lineno)
+            heads.append(head)
+            tokens.append(_checked_token(index, cols[1], cols[4], head, cols))
+        if tokens:
+            trees.append(DependencyTree(tuple(tokens)))
+            tokens = []
+    except DataError:
+        _check_trees(trees, checked, heads[:len(heads) - len(tokens)], allow_multiple_roots)
+        raise
+    _check_trees(trees, checked, heads, allow_multiple_roots)
     return trees
 
 
@@ -268,11 +295,20 @@ def _checked_token(index: int, form: str, pos: str, head: int, cols: tuple[str, 
     return tok
 
 
-def _finish_sentence(tokens: list[Token], ordinal: int,
-                     allow_multiple_roots: bool) -> DependencyTree:
-    tree = DependencyTree(tuple(tokens))
-    tree.validate(allow_multiple_roots, label=f"sentence {ordinal}")
-    return tree
+def _check_trees(trees: list[DependencyTree], start: int, heads: list[int],
+                 allow_multiple_roots: bool) -> None:
+    """Check trees[start:], whose heads `heads` holds end to end, in one pass:
+    the first that is not a rooted tree raises what its `validate` raises."""
+    todo = trees[start:]
+    if not todo:
+        return
+    try:
+        ok = _rooted(np.array(heads, dtype=np.int64), np.array([len(t) for t in todo]),
+                     allow_multiple_roots)
+    except OverflowError:  # a head beyond int64: only `validate` can name it
+        ok = np.zeros(len(todo), dtype=bool)
+    for i in np.flatnonzero(~ok).tolist():
+        todo[i].validate(allow_multiple_roots, label=f"sentence {start + i}")
 
 
 def write_conll(trees: Iterable[DependencyTree]) -> str:
@@ -310,32 +346,106 @@ def dump_conll(trees: Iterable[DependencyTree], path) -> None:
 #   HEAD <h1> <h2> ... <hn>
 # with 0 denoting the root. Sentence order must match the gold file.
 
-def rooted_rows(heads: np.ndarray, allow_multiple_roots: bool = False) -> np.ndarray:
-    """`is_rooted_tree` of every row of a (k, n) head matrix, as a (k,) bool array.
+def rooted_rows(heads: Sequence[np.ndarray], allow_multiple_roots: bool = False) -> np.ndarray:
+    """`is_rooted_tree` of every row of a list of (k, n) head matrices of any
+    widths n >= 1, as one bool array over their rows in order."""
+    width = np.repeat([h.shape[1] for h in heads], [len(h) for h in heads])
+    return _rooted(np.concatenate([h.ravel() for h in heads]), width, allow_multiple_roots)
 
-    Acyclicity by pointer jumping: after j rounds each node points 2^j steps
-    up its head chain, so after n.bit_length() rounds every node of a tree
-    points at the root 0, and a node on or below a cycle never does.
-    """
-    k, n = heads.shape
-    ok = ((heads >= 0) & (heads <= n) & (heads != np.arange(1, n + 1))).all(axis=1)
-    roots = (heads == 0).sum(axis=1)
+
+def _rooted(heads: np.ndarray, width: np.ndarray, allow_multiple_roots: bool) -> np.ndarray:
+    """`is_rooted_tree` of each row of `heads`, rows laid end to end, row r
+    holding width[r] heads. A self-head is a cycle of one token."""
+    start = np.cumsum(width) - width
+    ok = ~np.logical_or.reduceat((heads < 0) | (heads > np.repeat(width, width)), start)
+    roots = np.add.reduceat(heads == 0, start)
     ok &= (roots >= 1) if allow_multiple_roots else (roots == 1)
-    # node u of row r is r * (n + 1) + u; each root points at itself
-    base = np.arange(k)[:, None] * (n + 1)
-    up = np.zeros((k, n + 1), dtype=np.int64)
-    up[:, 1:] = np.where(ok[:, None], heads, 0)
-    up = (up + base).ravel()
-    for _ in range(n.bit_length()):
+    if not ok.all():  # head_chains needs every head within its row
+        heads = np.where(np.repeat(ok, width), heads, 0)
+    up, _ = head_chains(heads, width)
+    return ok & np.logical_and.reduceat(up == len(heads), start)
+
+
+def head_chains(heads: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where every token's head chain leads, by pointer jumping.
+
+    `heads` holds rows of 1-based heads (0 = root) laid end to end, row r
+    holding width[r] heads, each within [0, width[r]]. Token i points at its
+    head's token, or at len(heads), which stands for the root and points at
+    itself. After j rounds each token points 2^j steps up its chain, so after
+    max(width).bit_length() rounds a token whose chain reaches the root
+    points at len(heads), and a token on or below a cycle at a token on it.
+    Returns these pointers and, per token, the position of its row's first token.
+    """
+    first = np.repeat(np.cumsum(width) - width, width)
+    end = len(heads)
+    up = np.append(np.where(heads > 0, first + heads - 1, end), end)
+    for _ in range(int(width.max()).bit_length()):
         up = up[up]
-    return ok & (up.reshape(k, n + 1) == base).all(axis=1)
+    return up[:end], first
 
 
-@functools.lru_cache(maxsize=1024)
-def _canonical_heads(k: int, n: int) -> re.Pattern:
-    """k HEAD lines as `write_kbest` writes them, each ending in a newline:
-    n heads of 1-18 ASCII digits (so within int64), one space before each."""
-    return re.compile(rf"(?:HEAD(?: [0-9]{{1,18}}){{{n}}}\n){{{k}}}")
+# A block's CAND and HEAD lines as `write_kbest` writes them: single spaces,
+# a finite score's digits, sign, point and exponent, heads of digits only.
+_CAND_LINES = re.compile(r"(?:CAND [0-9]+ [0-9eE.+-]+\n)+")
+_HEAD_LINES = re.compile(r"(?:HEAD [ 0-9]*[0-9]\n)+")
+
+
+@functools.lru_cache(maxsize=64)
+def _ranks(k: int) -> list[str]:
+    return [str(rank) for rank in range(1, k + 1)]
+
+
+def _canonical_heads(text: str, k: int, n: int) -> np.ndarray | None:
+    """The (k, n) head matrix of k HEAD lines in `write_kbest`'s form, each
+    ending in a newline, read by one `np.fromstring`; else None.
+
+    Each line's HEAD is read as a -1, which must start each row of n + 1. A
+    head too large for int64 is read as the int64 maximum, which fails the
+    tree check; its error is then read from the line (`_check_lists`).
+    """
+    if not _HEAD_LINES.fullmatch(text) or "  " in text or text.count("HEAD") != k:
+        return None
+    heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
+    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any():
+        return None
+    return heads.reshape(k, n + 1)[:, 1:].copy()
+
+
+def _read_block(taken: list[str], k: int, n: int
+                ) -> tuple[list[float], np.ndarray, str] | None:
+    """Scores, (k, n) head matrix and HEAD lines of the 2k lines after a SENT
+    header, if they are whole lines in `write_kbest`'s form; else None.
+
+    The lines are matched a block at a time, not one by one, and taken only
+    where the exact path (`_read_candidates`) reads the same values from
+    them: ranks 1..k written as `str(rank)`, scores that `float()` reads as
+    finite numbers, and canonical HEAD lines (`_canonical_heads`).
+    """
+    if len(taken) != 2 * k:
+        return None
+    cands, text = "".join(taken[0::2]), "".join(taken[1::2])
+    if not _CAND_LINES.fullmatch(cands):
+        return None
+    fields = cands.split()
+    if fields[1::3] != _ranks(k):
+        return None
+    try:
+        scores = [float(score) for score in fields[2::3]]
+    except ValueError:
+        return None
+    if not all(map(math.isfinite, scores)):
+        return None
+    heads = _canonical_heads(text, k, n)
+    return None if heads is None else (scores, heads, text)
+
+
+def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank: int,
+                     allow_multiple_roots: bool) -> None:
+    try:
+        gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
+    except StructureError as e:
+        raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
 
 
 def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_idx: int,
@@ -358,22 +468,23 @@ def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_
             raise AlignmentError(
                 f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
                 f"gold has {len(gold)} tokens")
-        try:
-            gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
-        except StructureError as e:
-            raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
+        _check_candidate(gold, heads, sent_idx, rank, allow_multiple_roots)
         rows.append(heads)
     return rows
 
 
 def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sent_idx: int,
-                     k: int, lineno: int, allow_multiple_roots: bool) -> KBestList:
-    """The k CAND/HEAD blocks after a SENT header on line `lineno`.
+                     k: int, lineno: int, allow_multiple_roots: bool
+                     ) -> tuple[list[float], np.ndarray, str, int]:
+    """The k CAND/HEAD blocks after a SENT header on line `lineno`, read line
+    by line: the exact path, for lines `_read_block` does not take.
 
     CAND lines are checked as they are read. When all k HEAD lines are
-    canonical, they are parsed in one call and validated as one matrix.
-    Otherwise, or when a check fails, `_replay_heads` goes through them
-    candidate by candidate, so the first error in file order is raised.
+    canonical, they are parsed in one call, and their trees are left to the
+    caller to check. Otherwise, or when a check fails, `_replay_heads` goes
+    through them candidate by candidate, so the first error in file order is
+    raised. Returns the scores, the head matrix, the HEAD lines and the
+    number of the last line read.
     """
     head_lines: list[tuple[int, str]] = []
     scores: list[float] = []
@@ -407,46 +518,97 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
         _replay_heads(gold, head_lines, sent_idx, allow_multiple_roots)
         raise
     text = "".join(line + "\n" for _, line in head_lines)
-    heads = None
-    if _canonical_heads(k, len(gold)).fullmatch(text):
-        heads = np.fromstring(text.replace("HEAD", ""), dtype=np.int64, sep=" ")
-        heads = heads.reshape(k, len(gold))
-    if heads is None or not rooted_rows(heads, allow_multiple_roots).all():
+    heads = _canonical_heads(text, k, len(gold))
+    if heads is None:
         heads = np.array(_replay_heads(gold, head_lines, sent_idx, allow_multiple_roots),
                          dtype=np.int64)
-    return KBestList.from_arrays(gold, heads, np.array(scores, dtype=np.float64))
+    return scores, heads, text, lineno
+
+
+def _check_lists(pending: list[tuple[int, KBestList, str]], allow_multiple_roots: bool) -> None:
+    """Check the candidate trees of (sentence index, list, HEAD lines) items
+    in one pass: the first tree in file order that is not a rooted tree
+    raises what the exact path raises for it, read from its line."""
+    if not pending:
+        return
+    ok = rooted_rows([kb.heads for _, kb, _ in pending], allow_multiple_roots)
+    if ok.all():
+        return
+    row = int(ok.argmin())
+    for sent_idx, kb, text in pending:
+        if row < len(kb):
+            break
+        row -= len(kb)
+    heads = [int(h) for h in text.split("\n")[row].split()[1:]]
+    _check_candidate(kb.gold, heads, sent_idx, row + 1, allow_multiple_roots)
 
 
 def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | str,
                allow_multiple_roots: bool = False) -> list[KBestList]:
     """Pair gold trees with their k-best candidate head assignments.
 
-    The candidate source is read line by line, one sentence at a time.
+    The candidate source is read one sentence at a time. When the source is
+    a string or a text file, a sentence's 2k CAND/HEAD lines are taken at
+    once and parsed as one block if they are in `write_kbest`'s form
+    (`_read_block`); otherwise they are read line by line (`_read_candidates`).
+    Candidate trees are checked a batch at a time (`_check_lists`), and a
+    batch is checked before any error is raised, so the first error in file
+    order is the one raised.
     """
     golds = parse_conll(gold_source, allow_multiple_roots)
-    lines = ((lineno, line.rstrip("\n"))
-             for lineno, line in enumerate(_iter_lines(cand_source), start=1) if line.strip())
+    raw = _iter_lines(cand_source)
+    # Lines of a string or a text file are whole: each ends in its only
+    # newline, but for perhaps the file's last. Other sources' may not be.
+    whole = isinstance(cand_source, (str, io.TextIOBase))
     lists: list[KBestList] = []
-    for sent_idx, gold in enumerate(golds):
-        item = next(lines, None)
-        if item is None:
+    pending: list[tuple[int, KBestList, str]] = []
+    lineno = pending_tokens = 0
+    try:
+        for sent_idx, gold in enumerate(golds):
+            for header in raw:
+                lineno += 1
+                if header.strip():
+                    break
+            else:
+                raise AlignmentError(f"candidate file ended before sentence {sent_idx} "
+                                     f"({len(golds)} gold sentences)")
+            header = header.rstrip("\n")
+            parts = header.split()
+            if len(parts) != 3 or parts[0] != "SENT":
+                raise ParseError(f"expected 'SENT <index> <k>', got {header!r}", lineno)
+            try:
+                file_idx, k = int(parts[1]), int(parts[2])
+            except ValueError:
+                raise ParseError(f"non-integer SENT fields in {header!r}", lineno) from None
+            if file_idx != sent_idx:
+                raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
+            if k < 1:
+                raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
+            taken = list(itertools.islice(raw, min(2 * k, sys.maxsize)))
+            block = _read_block(taken, k, len(gold)) if whole else None
+            if block:
+                scores, heads, text = block
+                lineno += 2 * k
+            else:  # the exact path, from the first taken line on
+                lines = ((number, line.rstrip("\n"))
+                         for number, line in enumerate(itertools.chain(taken, raw), lineno + 1)
+                         if line.strip())
+                scores, heads, text, lineno = _read_candidates(lines, gold, sent_idx, k, lineno,
+                                                               allow_multiple_roots)
+            kb = KBestList.from_arrays(gold, heads, np.array(scores, dtype=np.float64))
+            lists.append(kb)
+            pending.append((sent_idx, kb, text))
+            pending_tokens += heads.size
+            if pending_tokens >= _CHECK_TOKENS:
+                _check_lists(pending, allow_multiple_roots)
+                pending, pending_tokens = [], 0
+        if any(line.strip() for line in raw):
             raise AlignmentError(
-                f"candidate file ended before sentence {sent_idx} ({len(golds)} gold sentences)")
-        lineno, header = item
-        parts = header.split()
-        if len(parts) != 3 or parts[0] != "SENT":
-            raise ParseError(f"expected 'SENT <index> <k>', got {header!r}", lineno)
-        try:
-            file_idx, k = int(parts[1]), int(parts[2])
-        except ValueError:
-            raise ParseError(f"non-integer SENT fields in {header!r}", lineno) from None
-        if file_idx != sent_idx:
-            raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
-        if k < 1:
-            raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
-        lists.append(_read_candidates(lines, gold, sent_idx, k, lineno, allow_multiple_roots))
-    if next(lines, None) is not None:
-        raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")
+                f"candidate file has more sentences than the {len(golds)} gold ones")
+    except DataError:
+        _check_lists(pending, allow_multiple_roots)
+        raise
+    _check_lists(pending, allow_multiple_roots)
     return lists
 
 

@@ -23,7 +23,7 @@ from deprerank.rcnn import (
     backward_tree, build_list_plan, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
-from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree, parse_conll
+from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -614,13 +614,50 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
 # ---------------------------------------------------------------------------
 # a reference k-best reader: one validated tree per candidate
 
-def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
-    """Pair gold trees with their candidates, one `with_heads` tree each.
+def reference_parse_conll(source, allow_multiple_roots=False):
+    """`parse_conll` one line and one tree at a time: each tree is validated
+    as soon as its blank line (or the end of the input) is read."""
+    lines = source.splitlines() if isinstance(source, str) else source
+    trees, tokens = [], []
 
-    Returns [(gold, [(tree, score), ...]), ...]. Line checks are by prefix
-    (`startswith`), so `CANDIDATE`/`HEADS` lines and any CAND rank pass here.
+    def finish():
+        tree = DependencyTree(tuple(tokens))
+        tree.validate(allow_multiple_roots, label=f"sentence {len(trees)}")
+        trees.append(tree)
+
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            if tokens:
+                finish()
+                tokens = []
+            continue
+        cols = tuple(line.split("\t"))
+        if len(cols) < 8:
+            raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
+        try:
+            index, head = int(cols[0]), int(cols[6])
+        except ValueError:
+            raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
+        if index != len(tokens) + 1:
+            raise ParseError(f"token ID {index} out of order (expected {len(tokens) + 1})", lineno)
+        if head == index:
+            raise ParseError(f"token {index} is its own head", lineno)
+        if head < 0:
+            raise ParseError(f"negative HEAD {head}", lineno)
+        tokens.append(Token(index, cols[1], cols[4], head, cols))
+    if tokens:
+        finish()
+    return trees
+
+
+def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
+    """Pair gold trees with their candidates, one line and one `with_heads`
+    tree at a time, so the first error in file order is raised.
+
+    Returns [(gold, [(tree, score), ...]), ...].
     """
-    golds = parse_conll(gold_source, allow_multiple_roots)
+    golds = reference_parse_conll(gold_source, allow_multiple_roots)
     if isinstance(cand_source, str):
         cand_source = cand_source.splitlines()
     lines = [l.rstrip("\n") for l in cand_source]
@@ -660,7 +697,7 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
                                  item[0] if item else lineno)
             lineno, cand_line = item
             fields = cand_line.split()
-            if len(fields) != 3:
+            if len(fields) != 3 or fields[0] != "CAND":
                 raise ParseError(f"expected 'CAND <rank> <score>', got {cand_line!r}", lineno)
             try:
                 score = float(fields[2])
@@ -668,11 +705,16 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
                 raise ParseError(f"bad base score {fields[2]!r}", lineno) from None
             if not math.isfinite(score):
                 raise ParseError(f"non-finite base score {fields[2]!r}", lineno)
+            if fields[1] != str(rank):
+                raise ParseError(f"sentence {sent_idx}: expected CAND rank {rank}, "
+                                 f"got {fields[1]!r}", lineno)
             item = next_line()
             if item is None or not item[1].startswith("HEAD"):
                 raise ParseError(f"sentence {sent_idx}: missing HEAD line for rank {rank}",
                                  item[0] if item else lineno)
             lineno, head_line = item
+            if head_line.split()[0] != "HEAD":
+                raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {head_line!r}", lineno)
             try:
                 heads = [int(h) for h in head_line.split()[1:]]
             except ValueError:

@@ -68,6 +68,20 @@ def test_train_missing_kbest_file_exits_2(tmp_path, corpus_files, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("role", ["train", "dev"])
+def test_train_on_an_empty_corpus_exits_2(tmp_path, corpus_files, capsys, role):
+    paths, _ = corpus_files
+    gold, kbest = tmp_path / "empty.conll", tmp_path / "empty.kbest"
+    gold.write_text("", encoding="utf-8")
+    kbest.write_text("", encoding="utf-8")
+    paths = dict(paths, **{role: (gold, kbest)})
+    assert main(_train_args(paths, tmp_path / "m.bin")) == 2
+    err = capsys.readouterr().err.splitlines()
+    name = "training" if role == "train" else "dev"
+    assert err == [f"deprerank: error: {gold}: the {name} set has no sentences"]
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, corpus_files, capsys):
     paths, _ = corpus_files
     cfg = tmp_path / "train.cfg"
@@ -167,6 +181,19 @@ def test_alpha_step_out_of_range_exits_1(capsys, step):
         assert exc.value.code == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert f"argument --alpha-step: alpha step must lie in (0, 1], got {step}" in last
+
+
+@pytest.mark.parametrize("step", ["1e-12", "5e-5"])
+def test_alpha_step_below_the_floor_exits_1(capsys, step):
+    # never run a step like 1e-9 past this check: its grid takes gigabytes
+    for command in (["rerank", "--search-alpha"], ["curve", "--ks", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--gold", "g", "--kbest", "k", "--model", "m",
+                            "--alpha-step", step])
+        assert exc.value.code == 1
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.endswith("argument --alpha-step: alpha step must be >= 0.0001 "
+                             f"(at most 10,001 alphas), got {step}")
 
 
 def _trained_model(tmp_path, paths):

@@ -2,14 +2,18 @@
 the k-best reader agrees with a per-candidate reference reader."""
 
 import io
+from unittest import mock
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from deprerank import treebank
 from deprerank.errors import DataError
 from deprerank.params import load
 from deprerank.treebank import parse_conll, read_kbest, write_conll
 
-from helpers import make_tree, model_bytes, model_parts, reference_read_kbest, tiny_params
+from helpers import (
+    make_tree, model_bytes, model_parts, reference_parse_conll, reference_read_kbest, tiny_params,
+)
 
 FUZZ = settings(max_examples=150, deadline=None,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -39,10 +43,11 @@ def test_parse_conll_parses_or_raises_a_data_error(text, multi):
 @FUZZ
 @given(st.one_of(st.text(max_size=120), kbest_text), st.booleans())
 def test_read_kbest_parses_or_raises_a_data_error(text, multi):
-    try:
-        read_kbest(GOLD_TEXT, text, allow_multiple_roots=multi)
-    except DataError:
-        pass
+    for source in (text, io.StringIO(text)):
+        try:
+            read_kbest(GOLD_TEXT, source, allow_multiple_roots=multi)
+        except DataError:
+            pass
 
 
 @st.composite
@@ -57,13 +62,26 @@ def rooted_heads(draw, n, multi):
 
 @st.composite
 def kbest_files(draw):
-    """(gold text, candidate lines, allow_multiple_roots) of a well-formed file.
+    """(gold text, candidate lines, the end of the last line,
+    allow_multiple_roots, valid) of a k-best file.
 
-    HEAD lines are usually canonical, sometimes spaced with tabs, runs of
-    spaces or leading zeros, which the format allows too.
+    Lines are usually as `write_kbest` writes them. Sometimes a CAND or HEAD
+    line is spaced with tabs, runs of spaces or a trailing blank, a head has
+    leading zeros, a score is written as 1_0, 1e5 or -0.0, a blank line falls
+    inside a block, or the file ends without a newline: the format allows all
+    of these, and the reader must take them past its block parse. A CAND rank
+    with a leading zero, which the format rejects, makes the file not valid.
     """
     multi = draw(st.booleans())
     golds, lines = [], []
+    valid = True
+
+    def spaced(fields):
+        if draw(st.integers(0, 3)):
+            return " ".join(fields)
+        sep = draw(st.sampled_from(("  ", "\t", " \t ")))
+        return sep.join(fields) + draw(st.sampled_from(("", " ", "\t")))
+
     for idx in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 7))
         gold = make_tree(draw(rooted_heads(n, False)))
@@ -71,16 +89,21 @@ def kbest_files(draw):
         k = draw(st.integers(1, 4))
         lines.append(f"SENT {idx} {k}")
         for rank in range(1, k + 1):
-            score = draw(st.floats(allow_nan=False, allow_infinity=False))
-            lines.append(f"CAND {rank} {score!r}")
+            score = repr(draw(st.floats(allow_nan=False, allow_infinity=False)))
+            if not draw(st.integers(0, 5)):
+                score = draw(st.sampled_from(("1_0", "1e5", "-0.0")))
+            written = str(rank)
+            if not draw(st.integers(0, 15)):
+                written, valid = "0" + written, False
+            lines.append(spaced(["CAND", written, score]))
             heads = [str(h) for h in draw(rooted_heads(n, multi))]
-            if draw(st.integers(0, 3)) == 0:
+            if not draw(st.integers(0, 3)):
                 heads = [draw(st.sampled_from(("", "0", "00"))) + h for h in heads]
-                sep = draw(st.sampled_from(("  ", "\t", " \t ")))
-                lines.append("HEAD" + sep + sep.join(heads) + draw(st.sampled_from(("", " "))))
-            else:
-                lines.append("HEAD " + " ".join(heads))
-    return write_conll(golds), lines, multi
+            lines.append(spaced(["HEAD", *heads]))
+            if not draw(st.integers(0, 7)):
+                lines.append(draw(st.sampled_from(("", " ", "\t"))))
+    end = draw(st.sampled_from(("\n", "\n", "")))
+    return write_conll(golds), lines, end, multi, valid
 
 
 def _outcome(reader, gold_text, cand_text, multi):
@@ -96,13 +119,25 @@ def _outcome(reader, gold_text, cand_text, multi):
                    for _, cands in lists])
 
 
+def _read(gold_text, text, multi, batch):
+    """`read_kbest`'s outcome, checking trees `batch` tokens at a time, on the
+    text as a string and as a file; the two must agree."""
+    with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
+        outcome = _outcome(read_kbest, gold_text, text, multi)
+        assert _outcome(read_kbest, gold_text, io.StringIO(text), multi) == outcome
+    return outcome
+
+
+BATCHES = st.sampled_from((1, 7, 8192))
+
+
 @FUZZ
-@given(kbest_files())
-def test_read_kbest_matches_the_per_candidate_reader(files):
-    gold_text, lines, multi = files
-    text = "\n".join(lines) + "\n"
-    new = _outcome(read_kbest, gold_text, text, multi)
-    assert new[0] == "ok"
+@given(kbest_files(), BATCHES)
+def test_read_kbest_matches_the_per_candidate_reader(files, batch):
+    gold_text, lines, end, multi, valid = files
+    text = "\n".join(lines) + end
+    new = _read(gold_text, text, multi, batch)
+    assert new[0] == ("ok" if valid else "error")
     assert new == _outcome(reference_read_kbest, gold_text, text, multi)
 
 
@@ -118,7 +153,7 @@ def _mutate(lines, data, after=0):
     fields = lines[at].split()
     n = len(fields) - 1
     if how == "score":
-        fields[2] = data.draw(st.sampled_from(("nan", "-inf", "x")))
+        fields[2] = data.draw(st.sampled_from(("nan", "-inf", "1e999", "x")))
     elif how == "value" and n:
         # the root or another token as head can add a root or close a cycle
         fields[data.draw(st.integers(1, n))] = str(data.draw(
@@ -131,18 +166,65 @@ def _mutate(lines, data, after=0):
 
 
 @settings(FUZZ, max_examples=400)
-@given(kbest_files(), st.data())
-def test_read_kbest_fails_like_the_per_candidate_reader(files, data):
+@given(kbest_files(), BATCHES, st.data())
+def test_read_kbest_fails_like_the_per_candidate_reader(files, batch, data):
     """One mutation, or two where the second comes later in the file: then
     the error reported must be the first in file order, as the
     per-candidate reader reports it."""
-    gold_text, lines, multi = files
+    gold_text, lines, end, multi, _ = files
     lines, at = _mutate(lines, data)
     if data.draw(st.booleans()):
         lines, _ = _mutate(lines, data, after=at + 1)
-    text = "\n".join(lines) + "\n"
-    assert (_outcome(read_kbest, gold_text, text, multi)
+    text = "\n".join(lines) + end
+    assert (_read(gold_text, text, multi, batch)
             == _outcome(reference_read_kbest, gold_text, text, multi))
+
+
+# lines the parser rejects as it reads them
+BAD_CONLL_LINES = ("x\tw\t_\tNN\tNN\t_\t0\t_", "1\tw\t_\tNN", "9\tw\t_\tNN\tNN\t_\t0\t_",
+                   "1\tw\t_\tNN\tNN\t_\t-1\t_", "1\tw\t_\tNN\tNN\t_\t1\t_")
+
+
+@st.composite
+def conll_files(draw):
+    """(text, allow_multiple_roots) of CoNLL sentences whose heads may not
+    form a tree (cycles, no root or many, heads past the end, a head beyond
+    int64), with perhaps one line the parser rejects somewhere after them."""
+    blocks = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 6))
+        heads = draw(st.one_of(rooted_heads(n, False), rooted_heads(n, True),
+                               st.lists(st.integers(0, n + 1), min_size=n, max_size=n)))
+        heads = [0 if h == i else h for i, h in enumerate(heads, start=1)]
+        if not draw(st.integers(0, 9)):
+            heads[draw(st.integers(0, n - 1))] = 10 ** 30
+        blocks.append([f"{i}\tw{h % 7}\t_\tT{i % 3}\tT{h % 3}\t_\t{h}\t_"
+                       for i, h in enumerate(heads, start=1)])
+    if draw(st.booleans()):
+        block = draw(st.sampled_from(blocks))
+        block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(BAD_CONLL_LINES)))
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n", draw(st.booleans())
+
+
+def _parsed(parser, text, multi):
+    """('ok', heads, forms, tags, columns) per tree, or ('error', class, message, line)."""
+    try:
+        trees = parser(text, allow_multiple_roots=multi)
+    except DataError as e:
+        return ("error", type(e), str(e), getattr(e, "line", None))
+    return ("ok", [[(t.head, t.form, t.pos, t.cols) for t in tree.tokens] for tree in trees])
+
+
+@settings(FUZZ, max_examples=300)
+@given(conll_files(), BATCHES)
+def test_parse_conll_fails_like_the_sequential_parser(files, batch):
+    """Trees are checked a batch at a time, yet the error raised is the first
+    in file order, as the parser that checks each tree at once raises it."""
+    text, multi = files
+    with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
+        ours = _parsed(parse_conll, text, multi)
+        assert _parsed(parse_conll, io.StringIO(text), multi) == ours
+    assert ours == _parsed(reference_parse_conll, text, multi)
 
 
 json_values = st.recursive(

@@ -28,6 +28,15 @@ def test_rerank_config_validation():
         RerankConfig(alpha=0.5, alpha_step=0.0)
 
 
+@pytest.mark.parametrize("step", [1e-12, 5e-5, 0.99e-4])
+def test_alpha_steps_below_the_floor_are_refused(step):
+    # the check comes before any grid is allocated: 1e-12 would ask for 7 TiB
+    for make in (alpha_grid, lambda s: RerankConfig(alpha=0.5, alpha_step=s)):
+        with pytest.raises(ValueError, match="alpha_step must be >= 0.0001"):
+            make(step)
+    assert len(alpha_grid(1e-4)) == 10_001
+
+
 def test_rerank_alpha_zero_is_base_parser():
     gold = make_tree([0, 1, 1])
     kb = kbest_of(gold, [([0, 1, 1], -3.0), ([0, 1, 2], -1.0), ([0, 3, 1], -1.0)])

@@ -13,7 +13,7 @@ from deprerank.treebank import (
     write_kbest, PUNCT_SETS,
 )
 
-from helpers import kbest_of, make_tree, reference_read_kbest
+from helpers import kbest_of, make_tree, reference_parse_conll, reference_read_kbest
 
 BIKE_BLOCK = (
     "1\ta\t_\tDT\tDT\t_\t3\tdet\n"
@@ -257,9 +257,9 @@ def test_punct_set_resolution():
 ])
 def test_kbest_line_format_is_exact(lines, message):
     cands = "SENT 0 1\n" + lines
-    reference_read_kbest(BIKE_BLOCK, cands)  # a prefix check let these through
-    with pytest.raises(ParseError, match=message):
-        read_kbest(BIKE_BLOCK, cands)
+    for reader in (read_kbest, reference_read_kbest):
+        with pytest.raises(ParseError, match=message):
+            reader(BIKE_BLOCK, cands)
 
 
 def test_kbest_errors_come_in_file_order():
@@ -274,6 +274,62 @@ def test_kbest_errors_come_in_file_order():
     with pytest.raises(AlignmentError, match="candidate 2 has 2 heads"):
         read_kbest(BIKE_BLOCK, "SENT 0 3\nCAND 1 -1.0\nHEAD 3 3 0\n"
                                "CAND 2 -1.0\nHEAD 3 0\nCAND 3 -1.0\nHEAD 2 1 0\n")
+    # as many heads in all as k rows of n, but not n in each row
+    with pytest.raises(AlignmentError, match="candidate 1 has 4 heads"):
+        read_kbest(BIKE_BLOCK, "SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0 1\nCAND 2 -1.0\nHEAD 3 0\n")
+    # a line of a source that is neither a string nor a file may hold two
+    with pytest.raises(ParseError, match=r"line 3: non-integer head in 'HEAD 3\\nHEAD 0'"):
+        read_kbest(BIKE_BLOCK, ["SENT 0 1\n", "CAND 1 -1.0\n", "HEAD 3\nHEAD 0\n"])
+    with pytest.raises(ParseError, match="line 2: expected 'CAND <rank> <score>'"):
+        read_kbest(BIKE_BLOCK, ["SENT 0 2\n", "CAND 1 -1.0\nCAND 2 ", "HEAD 3 3 0\n", "-2.0\n",
+                                "HEAD 3 3 0\n"])
+
+
+def _chain(n):
+    """Gold of n tokens, each headed by the one before it."""
+    return make_tree(list(range(n)))
+
+
+def test_conll_errors_come_in_file_order_across_batches():
+    cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
+    # the first sentence alone fills a batch, so the cycle opens the second
+    first = write_conll([_chain(8192)])
+    for text, label in ((BIKE_BLOCK + "\n" + cycle, "sentence 1"),
+                        (first + "\n" + cycle, "sentence 1"),
+                        (first + "\n" + BIKE_BLOCK + "\n" + cycle, "sentence 2")):
+        for tail in ("\n" + BIKE_BLOCK + "\n1\tx\n", "\n2\tb\t_\tNN\tNN\t_\t0\t_\n", ""):
+            with pytest.raises(StructureError) as ours:
+                parse_conll(text + tail)
+            with pytest.raises(StructureError) as theirs:
+                reference_parse_conll(text + tail)
+            assert str(ours.value) == str(theirs.value)
+            assert str(ours.value).startswith(f"{label}: head indices do not form a rooted tree")
+
+
+def test_conll_head_beyond_int64_is_a_structure_error():
+    text = BIKE_BLOCK + "\n" + BIKE_BLOCK.replace("\t0\troot", f"\t{10 ** 30}\troot")
+    with pytest.raises(StructureError, match=f"sentence 1: .*{10 ** 30}"):
+        parse_conll(text)
+    with pytest.raises(StructureError, match="sentence 1: "):
+        parse_conll(text + "\nx\n")
+
+
+def test_kbest_errors_come_in_file_order_across_batches():
+    """A cyclic candidate in the first list of the second batch of trees
+    checked, then a bad CAND line: the cycle is the error raised."""
+    golds = [_chain(16) for _ in range(10)]  # 64 x 16 = 1024 candidate tokens per list
+    lists = [kbest_of(g, [(g.heads, -float(r)) for r in range(64)]) for g in golds]
+    lines = write_kbest(lists).splitlines()
+    sent8 = lines.index("SENT 8 64")
+    lines[sent8 + 6] = "HEAD 0 " + " ".join(map(str, range(3, 17))) + " 2"  # candidate 3
+    lines[lines.index("SENT 9 64") + 1] = "CAND 1 nan"
+    text = "\n".join(lines) + "\n"
+    with pytest.raises(StructureError) as ours:
+        read_kbest(write_conll(golds), text)
+    assert str(ours.value).startswith("sentence 8, candidate 3: ")
+    with pytest.raises(StructureError) as theirs:
+        reference_read_kbest(write_conll(golds), text)
+    assert str(ours.value) == str(theirs.value)
 
 
 @pytest.mark.parametrize("head", ["9" * 25, "-" + "9" * 25, "4", "-1", "3"])
@@ -288,11 +344,13 @@ def test_kbest_bad_head_matches_reference(head):
 
 
 def test_rooted_rows_matches_is_rooted_tree():
-    for n in range(1, 6):
-        rows = np.array(list(itertools.product(range(-1, n + 2), repeat=n)))
-        for multi in (False, True):
-            expected = [is_rooted_tree(row, multi) for row in rows.tolist()]
-            assert rooted_rows(rows, multi).tolist() == expected
+    mats = [np.array(list(itertools.product(range(-1, n + 2), repeat=n))) for n in range(1, 6)]
+    mats += [np.array([[2, 0, 2, 3 + 2 ** 62]]), np.array([[0]]), np.array([[2, 1]])]
+    for multi in (False, True):
+        expected = [is_rooted_tree(row, multi) for m in mats for row in m.tolist()]
+        assert rooted_rows(mats, multi).tolist() == expected  # widths mixed in one pass
+        for m in mats:
+            assert rooted_rows([m], multi).tolist() == [is_rooted_tree(r, multi) for r in m.tolist()]
 
 
 def test_candidates_are_built_on_demand(monkeypatch):
