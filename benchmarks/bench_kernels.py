@@ -9,8 +9,8 @@ plan building one list per call (`build_list_plan`, the path that scores one
 list at a time) and in batches (`build_list_plans`), and dev scoring as
 `train()` does it, on the same lists: building the batches' per-list plans
 (`build_list_plans`) against their forests (`build_forests`), and scoring
-each per-list plan against each forest. Last, the per-tree kernels of every
-implementation on the lists' gold trees. Run from a checkout:
+each per-list plan against each forest. Last, the per-tree numpy kernels on
+the lists' gold trees. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
 """
@@ -45,8 +45,11 @@ def _backward_args(params, plan, fwd):
             p, z, amax, params.pos_pairs.W, params.pos_pairs.v, 1.0)
 
 
-def bench(forward, backward, params, plans, repeats):
-    # one untimed pass to trigger jit compilation / cache warm
+def bench_trees(params, plans, repeats):
+    """Median time per tree of the per-tree forward kernel, and of forward
+    and backward together."""
+    forward, backward = kernels.tree_forward, kernels.tree_backward
+    # one untimed pass to warm the caches
     fwd = forward(*_forward_args(params, plans[0]))
     backward(*_backward_args(params, plans[0], fwd))
     fwd_times, both_times = [], []
@@ -181,24 +184,10 @@ def main():
     for stage, seconds in stages.items():
         print(f"{stage:<40}{seconds * 1e6:>10.1f} us/list")
 
-    print(f"\nthe {args.sentences} gold trees, per-tree kernels "
-          f"({kernels.active_backend()} is active)")
-    results = {}
-    results["numpy"] = bench(kernels.forward_numpy, kernels.backward_numpy,
-                             params, plans, args.repeats)
-    if kernels.forward_numba is not None:
-        results["numba"] = bench(kernels.forward_numba, kernels.backward_numba,
-                                 params, plans, args.repeats)
-    else:
-        print("numba unavailable; benchmarking the numpy path only")
-
-    print(f"{'backend':<10}{'forward/tree':>16}{'fwd+bwd/tree':>16}")
-    for name, (fwd, both) in results.items():
-        print(f"{name:<10}{fwd * 1e6:>13.1f} us{both * 1e6:>13.1f} us")
-    if "numba" in results:
-        f_speed = results["numpy"][0] / results["numba"][0]
-        b_speed = results["numpy"][1] / results["numba"][1]
-        print(f"{'speedup':<10}{f_speed:>14.1f}x{b_speed:>15.1f}x")
+    fwd, both = bench_trees(params, plans, args.repeats)
+    print(f"\nthe {args.sentences} gold trees, per-tree kernels")
+    print(f"{'forward/tree':>16}{'fwd+bwd/tree':>16}")
+    print(f"{fwd * 1e6:>13.1f} us{both * 1e6:>13.1f} us")
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ import math
 import sys
 import time
 
-from . import kernels, params as P, reranker, trainer, treebank
+from . import params as P, reranker, trainer, treebank
 from .errors import ConfigError, DataError
 
 EXIT_OK = 0
@@ -30,19 +30,18 @@ class _Parser(argparse.ArgumentParser):
 def read_config(path) -> dict[str, str]:
     """Flat 'key = value' file; '#' starts a comment. Unknown keys are rejected."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, raw in enumerate(f, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in CONFIG_KEYS:
-                raise ConfigError(
-                    f"{path}:{lineno}: unknown config key {key!r}; "
-                    f"valid keys: {', '.join(CONFIG_KEYS)}")
-            out[key] = value
+    for lineno, raw in enumerate(treebank.read_text(path, lambda f: f.readlines()), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in CONFIG_KEYS:
+            raise ConfigError(
+                f"{path}:{lineno}: unknown config key {key!r}; "
+                f"valid keys: {', '.join(CONFIG_KEYS)}")
+        out[key] = value
     return out
 
 
@@ -98,7 +97,6 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
 
 def cmd_train(args) -> int:
     hyper, cfg = _resolve_settings(args)
-    kernels.warmup()
     train_kbs = treebank.read_kbest_files(args.train_gold, args.train_kbest,
                                           args.allow_multiple_roots)
     dev_kbs = treebank.read_kbest_files(args.dev_gold, args.dev_kbest,
@@ -111,8 +109,8 @@ def cmd_train(args) -> int:
     vocab = P.build_word_vocab(golds, min_freq=args.min_freq)
     pos_vocab = P.build_pos_vocab(golds)
     model = P.init_random(hyper, vocab, pos_vocab, cfg.seed)
-    print(f"backend={kernels.active_backend()} sentences={len(train_kbs)} "
-          f"dev_sentences={len(dev_kbs)} vocab={len(model.words)} seed={cfg.seed}")
+    print(f"sentences={len(train_kbs)} dev_sentences={len(dev_kbs)} "
+          f"vocab={len(model.words)} seed={cfg.seed}")
     if args.pretrained:
         loaded = P.load_pretrained_file(model, args.pretrained)
         print(f"pretrained_loaded={loaded}")
@@ -131,7 +129,6 @@ def cmd_train(args) -> int:
 
 def cmd_rerank(args) -> int:
     model = P.load(args.model)
-    kernels.warmup()
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     punct = treebank.resolve_punct_set(args.punct_set)
     scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
@@ -187,7 +184,6 @@ def cmd_oracle(args) -> int:
 
 def cmd_curve(args) -> int:
     model = P.load(args.model)
-    kernels.warmup()
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     punct = treebank.resolve_punct_set(args.punct_set)
     rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, punct)
@@ -205,15 +201,13 @@ def cmd_curve(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    kernels.warmup()
     start = time.perf_counter()
     suite = trainer.run_grad_check_suite(
         seed=args.seed, instances=args.instances, max_len=args.max_len,
         m=args.m, m_d=args.m_d, k=args.k,
         epsilon=args.epsilon, tolerance=args.tolerance)
     elapsed = time.perf_counter() - start
-    print(f"backend={kernels.active_backend()} seed={suite.seed} "
-          f"instances={suite.instances} active={suite.active} "
+    print(f"seed={suite.seed} instances={suite.instances} active={suite.active} "
           f"checked={suite.checked} skipped={suite.skipped} "
           f"max_rel_error={suite.max_rel_error:.3e} tolerance={args.tolerance:.1e} "
           f"elapsed={elapsed:.2f}s")
@@ -301,9 +295,9 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--dist-clip", dest="dist_clip", type=_POSITIVE_INT)
     t.add_argument("--seed", type=_NON_NEGATIVE_INT)
     t.add_argument("--max-epochs", dest="max_epochs", type=_POSITIVE_INT)
-    t.add_argument("--patience", type=int)
+    t.add_argument("--patience", type=_POSITIVE_INT)
     t.add_argument("--punct-set", dest="punct_set")
-    t.add_argument("--min-freq", type=int, default=2,
+    t.add_argument("--min-freq", type=_POSITIVE_INT, default=2,
                    help="forms rarer than this train the unknown-word row")
     t.add_argument("--adagrad-eps", type=_NON_NEGATIVE, default=0.0)
     t.add_argument("--allow-multiple-roots", action="store_true")
@@ -375,10 +369,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DataError as err:
-        print(f"deprerank: error: {err}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as err:
+    except (DataError, OSError) as err:
         print(f"deprerank: error: {err}", file=sys.stderr)
         return EXIT_DATA
 

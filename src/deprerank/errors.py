@@ -5,6 +5,10 @@ class DataError(Exception):
     """Base class for problems with user-supplied data or configuration."""
 
 
+class EncodingError(DataError):
+    """An input file is not UTF-8 text."""
+
+
 class ParseError(DataError):
     """A line in an input file could not be parsed."""
 

@@ -1,119 +1,17 @@
-"""Hot tree-scoring kernels: numba-jitted loops with a pure-numpy fallback.
+"""Per-tree scoring kernels over the flat index arrays of an `rcnn.TreePlan`.
 
-Both implementations consume the flat per-tree index arrays built in `scoring`
-(post-order node list, CSR-style arc grouping, embedding-row and pair-slot
-indices) and agree to floating-point noise; within one backend results are
-bit-reproducible. Set DEPRERANK_NUMBA=0 to force the numpy path, =1 to require
-numba; default is auto-detection.
+Training and reranking score whole k-best lists (`rcnn.forward_list`); these
+kernels remain for `rcnn.score_tree`, as test oracles and as the benchmark
+tracer's targets, which read each call's sizes from the argument order.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 
-def _numba_requested() -> bool | None:
-    flag = os.environ.get("DEPRERANK_NUMBA", "auto").strip().lower()
-    if flag in ("0", "false", "off", "no", "numpy"):
-        return False
-    if flag in ("1", "true", "on", "yes", "numba"):
-        return True
-    return None
-
-
-# ---------------------------------------------------------------------------
-# jittable loop implementations (also valid plain python)
-
-def _forward_loops(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                   word_vecs, dist_vecs, W, v):
-    num_nodes = order.shape[0]
-    num_arcs = arc_child.shape[0]
-    m = word_vecs.shape[1]
-    n = W.shape[2]
-    x = np.zeros((num_nodes, m))
-    p = np.zeros((num_arcs, n))
-    a = np.zeros((num_arcs, m))
-    z = np.zeros((num_arcs, m))
-    amax = np.full((num_nodes, m), -1, dtype=np.int64)
-    unit = np.zeros(num_nodes)
-    for t in range(num_nodes):
-        i = order[t]
-        s0 = arc_start[i]
-        s1 = arc_start[i + 1]
-        if s0 == s1:
-            x[i] = word_vecs[node_word[i]]
-            continue
-        wh = word_vecs[node_word[i]]
-        for arc in range(s0, s1):
-            p[arc, :m] = wh
-            p[arc, m:2 * m] = x[arc_child[arc]]
-            p[arc, 2 * m:] = dist_vecs[arc_dist[arc]]
-            slot = arc_pair[arc]
-            a[arc] = np.dot(W[slot], p[arc])
-            z[arc] = np.tanh(a[arc])
-            unit[i] += np.dot(v[slot], z[arc])
-            if arc == s0:
-                for j in range(m):
-                    x[i, j] = z[arc, j]
-                    amax[i, j] = arc
-            else:
-                for j in range(m):
-                    if z[arc, j] > x[i, j]:
-                        x[i, j] = z[arc, j]
-                        amax[i, j] = arc
-    total = 0.0
-    for t in range(num_nodes):
-        total += unit[order[t]]
-    return x, p, a, z, amax, unit, total
-
-
-def _backward_loops(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                    wloc, dloc, ploc, n_wloc, n_dloc, n_ploc,
-                    p, z, amax, W, v, upstream):
-    num_nodes = order.shape[0]
-    m = z.shape[1]
-    n = p.shape[1]
-    d_word = np.zeros((n_wloc, m))
-    d_dist = np.zeros((n_dloc, n - 2 * m))
-    d_W = np.zeros((n_ploc, m, n))
-    d_v = np.zeros((n_ploc, m))
-    dx = np.zeros((num_nodes, m))
-    for t in range(num_nodes - 1, -1, -1):
-        i = order[t]
-        s0 = arc_start[i]
-        s1 = arc_start[i + 1]
-        if s0 == s1:
-            continue
-        for arc in range(s0, s1):
-            slot = arc_pair[arc]
-            dz = upstream * v[slot]
-            for j in range(m):
-                if amax[i, j] == arc:
-                    dz[j] += dx[i, j]
-            da = dz * (1.0 - z[arc] * z[arc])
-            loc = ploc[arc]
-            for j in range(m):
-                d_v[loc, j] += upstream * z[arc, j]
-                daj = da[j]
-                for col in range(n):
-                    d_W[loc, j, col] += daj * p[arc, col]
-            dp = np.dot(da, W[slot])
-            d_word[wloc[i]] += dp[:m]
-            dx[arc_child[arc]] += dp[m:2 * m]
-            d_dist[dloc[arc]] += dp[2 * m:]
-    for i in range(num_nodes):
-        if arc_start[i] == arc_start[i + 1]:
-            d_word[wloc[i]] += dx[i]
-    return d_word, d_dist, d_W, d_v
-
-
-# ---------------------------------------------------------------------------
-# vectorized numpy fallback
-
-def forward_numpy(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                  word_vecs, dist_vecs, W, v):
+def tree_forward(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
+                 word_vecs, dist_vecs, W, v):
     num_nodes = order.shape[0]
     num_arcs = arc_child.shape[0]
     m = word_vecs.shape[1]
@@ -148,9 +46,9 @@ def forward_numpy(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
     return x, p, a, z, amax, unit, total
 
 
-def backward_numpy(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                   wloc, dloc, ploc, n_wloc, n_dloc, n_ploc,
-                   p, z, amax, W, v, upstream):
+def tree_backward(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
+                  wloc, dloc, ploc, n_wloc, n_dloc, n_ploc,
+                  p, z, amax, W, v, upstream):
     num_nodes = order.shape[0]
     m = z.shape[1]
     n = p.shape[1]
@@ -180,49 +78,10 @@ def backward_numpy(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
     return d_word, d_dist, d_W, d_v
 
 
-# ---------------------------------------------------------------------------
-# backend selection
-
-_requested = _numba_requested()
-forward_numba = None
-backward_numba = None
-if _requested is not False:
-    try:
-        from numba import njit
-    except ImportError:
-        if _requested is True:
-            raise
-    else:
-        forward_numba = njit(cache=True)(_forward_loops)
-        backward_numba = njit(cache=True)(_backward_loops)
-
-if forward_numba is not None:
-    tree_forward, tree_backward = forward_numba, backward_numba
-    _BACKEND = "numba"
-else:
-    tree_forward, tree_backward = forward_numpy, backward_numpy
-    _BACKEND = "numpy"
-
-
 def active_backend() -> str:
-    return _BACKEND
+    """Always "numpy". Kept only because the benchmark's worker records it."""
+    return "numpy"
 
 
 def warmup() -> None:
-    """Trigger jit compilation on a toy tree so later timings are steady-state."""
-    order = np.array([1, 0], dtype=np.int64)
-    arc_start = np.array([0, 1, 1], dtype=np.int64)
-    arc_child = np.array([1], dtype=np.int64)
-    node_word = np.array([0, 1], dtype=np.int64)
-    arc_dist = np.array([0], dtype=np.int64)
-    arc_pair = np.array([0], dtype=np.int64)
-    word_vecs = np.ones((2, 2))
-    dist_vecs = np.ones((1, 1))
-    W = np.ones((1, 2, 5))
-    v = np.ones((1, 2))
-    out = tree_forward(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                       word_vecs, dist_vecs, W, v)
-    x, p, a, z, amax, unit, total = out
-    zero = np.zeros(1, dtype=np.int64)
-    tree_backward(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
-                  node_word, zero, zero, 2, 1, 1, p, z, amax, W, v, 1.0)
+    """Does nothing; kept only because the benchmark's worker calls it."""

@@ -13,7 +13,7 @@ from typing import IO, Iterable, Sequence
 import numpy as np
 
 from .errors import FormatError, ModelIOError, ParseError
-from .treebank import DependencyTree
+from .treebank import DependencyTree, read_text
 
 UNK_FORM = "<unk>"
 ROOT_FORM = "<root>"
@@ -259,8 +259,8 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
 def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
     """Overwrite word rows from word2vec text format; returns rows loaded.
 
-    Header line is "<count> <dim>"; each following line is a form and dim floats.
-    Out-of-vocabulary forms are skipped.
+    Header line is "<count> <dim>"; each following line is a form and dim
+    finite floats. Out-of-vocabulary forms are skipped.
     """
     m = params.hyper.m
     lines = iter(stream)
@@ -289,16 +289,18 @@ def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
         if row is None:
             continue
         try:
-            params.words.vectors[row] = [float(x) for x in fields[1:]]
+            values = [float(x) for x in fields[1:]]
         except ValueError:
             raise ParseError(f"malformed float in vector for {fields[0]!r}", lineno) from None
+        if not all(map(math.isfinite, values)):
+            raise ParseError(f"non-finite value in vector for {fields[0]!r}", lineno)
+        params.words.vectors[row] = values
         loaded += 1
     return loaded
 
 
 def load_pretrained_file(params: ParamSet, path) -> int:
-    with open(path, encoding="utf-8") as f:
-        return load_pretrained(params, f)
+    return read_text(path, lambda f: load_pretrained(params, f))
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +427,10 @@ def _read_model(f: IO[bytes]) -> ParamSet:
 
     def read_array(shape, what):
         nbytes = math.prod(shape) * 8
-        return np.frombuffer(_read_exact(f, nbytes, what), dtype=np.float64).reshape(shape).copy()
+        arr = np.frombuffer(_read_exact(f, nbytes, what), dtype=np.float64).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise ModelIOError(f"non-finite values in {what}")
+        return arr
 
     words = EmbeddingTable(hyper.m, forms, read_array((len(forms), hyper.m), "word vectors"))
     clip = hyper.dist_clip

@@ -16,7 +16,7 @@ all its lists. `forward_list` also returns the arcs' activations, and
 `backward_list` backpropagates a weighted sum of some of a list's tree scores
 through them (a training step's hinge). The per-tree plans and kernels
 (`build_plan`, `score_plan`, `backward_tree`) do the same one tree at a time;
-they remain for `score_tree` and as the tests' reference.
+they remain for `score_tree`, as test oracles and as the tracer's targets.
 """
 
 from __future__ import annotations

@@ -169,6 +169,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.patience < 1:
+            raise ValueError(f"patience must be >= 1, got {self.patience}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not (math.isfinite(self.adagrad_eps) and self.adagrad_eps >= 0.0):

@@ -7,14 +7,13 @@ import io
 import itertools
 import math
 import re
-import sys
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AlignmentError, DataError, ParseError, StructureError
+from .errors import AlignmentError, DataError, EncodingError, ParseError, StructureError
 
 # POS tags treated as punctuation when scoring, keyed by config name.
 PUNCT_SETS = {
@@ -227,6 +226,10 @@ def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
 # file misses the cache more than it saves.
 _CHECK_TOKENS = 8192
 
+# A sentence's 2k CAND/HEAD lines are taken as one block only up to this many
+# lines; a larger (absurd) k is read line by line, not pulled into memory.
+_BLOCK_LINES = 65536
+
 
 def parse_conll(source: Iterable[str] | str,
                 allow_multiple_roots: bool = False) -> list[DependencyTree]:
@@ -326,9 +329,18 @@ def write_conll(trees: Iterable[DependencyTree]) -> str:
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def load_conll(path, allow_multiple_roots: bool = False) -> list[DependencyTree]:
+def read_text(path, read):
+    """`read(f)` of the UTF-8 text file at `path`; a byte that is not UTF-8
+    raises `EncodingError` naming the file."""
     with open(path, encoding="utf-8") as f:
-        return parse_conll(f, allow_multiple_roots)
+        try:
+            return read(f)
+        except UnicodeDecodeError as err:
+            raise EncodingError(f"{path}: not UTF-8 text ({err.reason})") from None
+
+
+def load_conll(path, allow_multiple_roots: bool = False) -> list[DependencyTree]:
+    return read_text(path, lambda f: parse_conll(f, allow_multiple_roots))
 
 
 def dump_conll(trees: Iterable[DependencyTree], path) -> None:
@@ -548,14 +560,20 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
     """Pair gold trees with their k-best candidate head assignments.
 
     The candidate source is read one sentence at a time. When the source is
-    a string or a text file, a sentence's 2k CAND/HEAD lines are taken at
-    once and parsed as one block if they are in `write_kbest`'s form
-    (`_read_block`); otherwise they are read line by line (`_read_candidates`).
-    Candidate trees are checked a batch at a time (`_check_lists`), and a
-    batch is checked before any error is raised, so the first error in file
-    order is the one raised.
+    a string or a text file, a sentence's 2k CAND/HEAD lines (at most
+    `_BLOCK_LINES`) are taken at once and parsed as one block if they are in
+    `write_kbest`'s form (`_read_block`); otherwise they are read line by line
+    (`_read_candidates`). Candidate trees are checked a batch at a time
+    (`_check_lists`), and a batch is checked before any error is raised, so
+    the first error in file order is the one raised.
     """
-    golds = parse_conll(gold_source, allow_multiple_roots)
+    return _pair_kbest(parse_conll(gold_source, allow_multiple_roots), cand_source,
+                       allow_multiple_roots)
+
+
+def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
+                allow_multiple_roots: bool) -> list[KBestList]:
+    """`read_kbest` of gold trees already parsed."""
     raw = _iter_lines(cand_source)
     # Lines of a string or a text file are whole: each ends in its only
     # newline, but for perhaps the file's last. Other sources' may not be.
@@ -584,7 +602,7 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
                 raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
             if k < 1:
                 raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
-            taken = list(itertools.islice(raw, min(2 * k, sys.maxsize)))
+            taken = list(itertools.islice(raw, 2 * k)) if 2 * k <= _BLOCK_LINES else []
             block = _read_block(taken, k, len(gold)) if whole else None
             if block:
                 scores, heads, text = block
@@ -625,8 +643,8 @@ def write_kbest(kbests: Iterable[KBestList]) -> str:
 
 
 def read_kbest_files(gold_path, cand_path, allow_multiple_roots: bool = False) -> list[KBestList]:
-    with open(gold_path, encoding="utf-8") as g, open(cand_path, encoding="utf-8") as c:
-        return read_kbest(g, c, allow_multiple_roots)
+    golds = load_conll(gold_path, allow_multiple_roots)
+    return read_text(cand_path, lambda c: _pair_kbest(golds, c, allow_multiple_roots))
 
 
 # ---------------------------------------------------------------------------

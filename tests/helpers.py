@@ -117,6 +117,15 @@ def _rename_word(old, new):
     return edit
 
 
+def _poisoned(table, value):
+    """A saved model whose first entry of `table(params)` is `value`."""
+    def build(params):
+        params = params.copy()
+        table(params).flat[0] = value
+        return model_bytes(*model_parts(params))
+    return build
+
+
 # model files the loader must reject: case -> (build from params, message)
 BAD_MODELS = {
     "header-beyond-file": (
@@ -130,6 +139,14 @@ BAD_MODELS = {
         _edited(lambda header: header["hyper"].update(m=0)), "invalid hyperparameters"),
     "duplicate-words": (_edited(_rename_word("w2", "w1")), "duplicate words"),
     "no-unk": (_edited(_rename_word(UNK_FORM, "<nothing>")), "no <unk> word"),
+    "nan-word-vector": (_poisoned(lambda p: p.words.vectors, math.nan),
+                        "non-finite values in word vectors"),
+    "inf-distance-vector": (_poisoned(lambda p: p.distances.vectors, math.inf),
+                            "non-finite values in distance vectors"),
+    "nan-composition-matrix": (_poisoned(lambda p: p.pos_pairs.W, math.nan),
+                               "non-finite values in composition matrices"),
+    "inf-score-vector": (_poisoned(lambda p: p.pos_pairs.v, -math.inf),
+                         "non-finite values in score vectors"),
 }
 
 
@@ -429,6 +446,94 @@ def assert_same_bytes(got, want):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     else:
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
+
+
+def forward_loops(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
+                  word_vecs, dist_vecs, W, v):
+    """`kernels.tree_forward` one arc and one pooling column at a time, in plain
+    Python loops: the per-tree kernel's oracle. A pooling tie goes to the
+    first child."""
+    num_nodes = order.shape[0]
+    num_arcs = arc_child.shape[0]
+    m = word_vecs.shape[1]
+    n = W.shape[2]
+    x = np.zeros((num_nodes, m))
+    p = np.zeros((num_arcs, n))
+    a = np.zeros((num_arcs, m))
+    z = np.zeros((num_arcs, m))
+    amax = np.full((num_nodes, m), -1, dtype=np.int64)
+    unit = np.zeros(num_nodes)
+    for t in range(num_nodes):
+        i = order[t]
+        s0 = arc_start[i]
+        s1 = arc_start[i + 1]
+        if s0 == s1:
+            x[i] = word_vecs[node_word[i]]
+            continue
+        wh = word_vecs[node_word[i]]
+        for arc in range(s0, s1):
+            p[arc, :m] = wh
+            p[arc, m:2 * m] = x[arc_child[arc]]
+            p[arc, 2 * m:] = dist_vecs[arc_dist[arc]]
+            slot = arc_pair[arc]
+            a[arc] = np.dot(W[slot], p[arc])
+            z[arc] = np.tanh(a[arc])
+            unit[i] += np.dot(v[slot], z[arc])
+            if arc == s0:
+                for j in range(m):
+                    x[i, j] = z[arc, j]
+                    amax[i, j] = arc
+            else:
+                for j in range(m):
+                    if z[arc, j] > x[i, j]:
+                        x[i, j] = z[arc, j]
+                        amax[i, j] = arc
+    total = 0.0
+    for t in range(num_nodes):
+        total += unit[order[t]]
+    return x, p, a, z, amax, unit, total
+
+
+def backward_loops(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
+                   wloc, dloc, ploc, n_wloc, n_dloc, n_ploc,
+                   p, z, amax, W, v, upstream):
+    """`kernels.tree_backward` one arc and one gradient element at a time, in
+    plain Python loops: the per-tree kernel's oracle."""
+    num_nodes = order.shape[0]
+    m = z.shape[1]
+    n = p.shape[1]
+    d_word = np.zeros((n_wloc, m))
+    d_dist = np.zeros((n_dloc, n - 2 * m))
+    d_W = np.zeros((n_ploc, m, n))
+    d_v = np.zeros((n_ploc, m))
+    dx = np.zeros((num_nodes, m))
+    for t in range(num_nodes - 1, -1, -1):
+        i = order[t]
+        s0 = arc_start[i]
+        s1 = arc_start[i + 1]
+        if s0 == s1:
+            continue
+        for arc in range(s0, s1):
+            slot = arc_pair[arc]
+            dz = upstream * v[slot]
+            for j in range(m):
+                if amax[i, j] == arc:
+                    dz[j] += dx[i, j]
+            da = dz * (1.0 - z[arc] * z[arc])
+            loc = ploc[arc]
+            for j in range(m):
+                d_v[loc, j] += upstream * z[arc, j]
+                daj = da[j]
+                for col in range(n):
+                    d_W[loc, j, col] += daj * p[arc, col]
+            dp = np.dot(da, W[slot])
+            d_word[wloc[i]] += dp[:m]
+            dx[arc_child[arc]] += dp[m:2 * m]
+            d_dist[dloc[arc]] += dp[2 * m:]
+    for i in range(num_nodes):
+        if arc_start[i] == arc_start[i + 1]:
+            d_word[wloc[i]] += dx[i]
+    return d_word, d_dist, d_W, d_v
 
 
 def loss_augmented_pick(params, kb, kappa):

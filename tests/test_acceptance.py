@@ -9,7 +9,6 @@ import time
 import numpy as np
 import pytest
 
-from deprerank import kernels
 from deprerank.cli import main
 from deprerank.params import (
     Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
@@ -34,7 +33,6 @@ def _report(number, name, conditions):
 
 
 def test_criterion_1_gradient_correctness():
-    kernels.warmup()
     seed = 20240
     start = time.perf_counter()
     suite = run_grad_check_suite(seed=seed, instances=50, max_len=6,
@@ -108,7 +106,6 @@ def test_criterion_3_oracle_sandwich():
 
 
 def test_criterion_4_synthetic_separability():
-    kernels.warmup()
     start = time.perf_counter()
     corpus = synth_corpus(seed=2024, sentences=50, vocab_size=30,
                           length_range=(5, 8), k=8)

@@ -1,5 +1,7 @@
 """End-to-end CLI workflows over small synthetic fixtures."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,41 @@ def test_train_on_an_empty_corpus_exits_2(tmp_path, corpus_files, capsys, role):
     assert not (tmp_path / "m.bin").exists()
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("train", "--train-gold"), ("train", "--train-kbest"), ("train", "--dev-gold"),
+    ("train", "--dev-kbest"), ("train", "--config"), ("train", "--pretrained"),
+    ("rerank", "--gold"), ("rerank", "--kbest"), ("oracle", "--gold"), ("oracle", "--kbest"),
+    ("curve", "--gold"), ("curve", "--kbest"), ("eval", "--pred"), ("eval", "--gold"),
+])
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, corpus_files, capsys, command, flag):
+    paths, _ = corpus_files
+    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
+    model = tmp_path / "model.bin"
+    P.save(tiny_params(m=4, m_d=4), model)
+    config, pretrained = tmp_path / "train.cfg", tmp_path / "vectors.txt"
+    config.write_text("m = 4\nm_d = 4\n", encoding="utf-8")
+    pretrained.write_text("1 4\nw1 0.5 0.5 0.5 0.5\n", encoding="utf-8")
+    args = {
+        "train": ["--train-gold", tg, "--train-kbest", tk, "--dev-gold", dg, "--dev-kbest", dk,
+                  "--model-out", tmp_path / "m.bin", "--config", config,
+                  "--pretrained", pretrained, "--max-epochs", "1"],
+        "rerank": ["--gold", dg, "--kbest", dk, "--model", model, "--alpha", "0.5"],
+        "oracle": ["--gold", dg, "--kbest", dk],
+        "curve": ["--gold", dg, "--kbest", dk, "--model", model, "--ks", "1,2"],
+        "eval": ["--pred", dg, "--gold", tmp_path / "gold.conll"],
+    }[command]
+    args = [str(a) for a in args]
+    if command == "eval":
+        (tmp_path / "gold.conll").write_bytes(dg.read_bytes())
+    target = Path(args[args.index(flag) + 1])
+    data = target.read_bytes()
+    target.write_bytes(data[:len(data) // 2] + b"\xff" + data[len(data) // 2:])
+    assert main([command, *args]) == 2
+    err = capsys.readouterr().err
+    assert err == f"deprerank: error: {target}: not UTF-8 text (invalid start byte)\n"
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, corpus_files, capsys):
     paths, _ = corpus_files
     cfg = tmp_path / "train.cfg"
@@ -124,7 +161,8 @@ def test_usage_errors_exit_1(capsys):
     ("--m", "0"), ("--m-d", "-2"), ("--rho", "-1"), ("--rho", "nan"), ("--kappa", "0"),
     ("--lambda", "-1e-4"), ("--k", "0"), ("--dist-clip", "0"), ("--max-epochs", "0"),
     ("--seed", "-1"), ("--adagrad-eps", "nan"), ("--adagrad-eps", "-1"),
-    ("--adagrad-eps", "inf"),
+    ("--adagrad-eps", "inf"), ("--patience", "0"), ("--patience", "-4"), ("--min-freq", "0"),
+    ("--min-freq", "-4"),
 ])
 def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, flag, value):
     paths, _ = corpus_files

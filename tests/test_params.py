@@ -148,6 +148,15 @@ def test_load_pretrained_malformed_float():
         load_pretrained(p, io.StringIO("1 3\nw1 0.5 oops 0.5\n"))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+def test_load_pretrained_rejects_non_finite_values(value):
+    p = tiny_params(m=3)
+    before = p.words.vectors.copy()
+    with pytest.raises(ParseError, match="line 3: non-finite value in vector for 'w1'"):
+        load_pretrained(p, io.StringIO(f"2 3\nw2 1 2 3\nw1 0.5 {value} 0.5\n"))
+    assert np.array_equal(p.words.vectors[p.words.rows["w1"]], before[p.words.rows["w1"]])
+
+
 def test_save_load_roundtrip_bit_exact():
     p = tiny_params(m=4, m_d=3, seed=9)
     p.get_pair("NN", "DT", create_if_missing=True)

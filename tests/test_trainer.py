@@ -410,6 +410,7 @@ def test_train_requires_data():
     (dict(adagrad_eps=float("nan")), "adagrad_eps must be a finite number >= 0"),
     (dict(adagrad_eps=float("inf")), "adagrad_eps must be a finite number >= 0"),
     (dict(adagrad_eps=-1e-8), "adagrad_eps must be a finite number >= 0"),
+    (dict(patience=0), "patience must be >= 1"),
 ])
 def test_train_config_rejects_out_of_range_settings(settings, message):
     with pytest.raises(ValueError, match=message):

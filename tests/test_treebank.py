@@ -1,6 +1,7 @@
 """Treebank I/O, validation, and UAS evaluation."""
 
 import dataclasses
+import io
 import itertools
 
 import numpy as np
@@ -10,7 +11,7 @@ from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.treebank import (
     DependencyTree, EvalResult, KBestList, Token, corpus_oracle, is_rooted_tree, oracle_best,
     oracle_worst, parse_conll, read_kbest, resolve_punct_set, rooted_rows, uas, write_conll,
-    write_kbest, PUNCT_SETS,
+    write_kbest, PUNCT_SETS, _BLOCK_LINES,
 )
 
 from helpers import kbest_of, make_tree, reference_parse_conll, reference_read_kbest
@@ -283,6 +284,32 @@ def test_kbest_errors_come_in_file_order():
     with pytest.raises(ParseError, match="line 2: expected 'CAND <rank> <score>'"):
         read_kbest(BIKE_BLOCK, ["SENT 0 2\n", "CAND 1 -1.0\nCAND 2 ", "HEAD 3 3 0\n", "-2.0\n",
                                 "HEAD 3 3 0\n"])
+
+
+class _CountingLines(io.StringIO):
+    """A text source that counts the lines taken from it."""
+    pulled = 0
+
+    def __next__(self):
+        line = super().__next__()
+        self.pulled += 1
+        return line
+
+
+@pytest.mark.parametrize("k", [10 ** 9, _BLOCK_LINES // 2 + 1, _BLOCK_LINES // 2])
+def test_a_huge_k_takes_a_bounded_block(k):
+    # the fifth line after the SENT header is malformed; the filler after it
+    # is taken only if the reader takes a whole 2k-line block first
+    text = (f"SENT 0 {k}\nCAND 1 -1.0\nHEAD 3 3 0\nCAND 2 -1.0\nHEAD 3 3 0\nCAND x\n"
+            + "CAND 3 -1.0\n" * _BLOCK_LINES)
+    source = _CountingLines(text)
+    with pytest.raises(ParseError) as ours:
+        read_kbest(BIKE_BLOCK, source)
+    with pytest.raises(ParseError) as theirs:
+        reference_read_kbest(BIKE_BLOCK, text)
+    assert (str(ours.value), ours.value.line) == (str(theirs.value), theirs.value.line) == (
+        "line 6: expected 'CAND <rank> <score>', got 'CAND x'", 6)
+    assert source.pulled <= 1 + _BLOCK_LINES  # the header, then at most one block
 
 
 def _chain(n):
