@@ -1,0 +1,109 @@
+#!/usr/bin/env python3
+"""Print a SHA-256 digest of every input and output of the CLI on perfbench workloads.
+
+For each workload and seed, writes the workload's input files with
+`perfbench/workloads.write_inputs` into a temporary directory, then runs
+these commands there through `cli.main`, with the workload's model shape,
+epochs and punctuation set:
+
+    train                     on the workload's train set, against its dev set
+    rerank --search-alpha     of its rerank set, with --output and --report
+    oracle --best
+    oracle --worst --with-oracle
+    curve                     at k = 1, 2, 4, ... up to the workload's k
+    eval --per-pos            of the reranked output against its gold file
+
+and prints one digest per input file, per output file and per command's
+stdout. Files are named relative to the directory, so two checkouts that
+write the same bytes print the same lines. Run from a checkout:
+
+    PYTHONPATH=src python3 benchmarks/digest_outputs.py --seed 7 101
+"""
+
+import argparse
+import contextlib
+import hashlib
+import io
+import os
+import sys
+import tempfile
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+
+import workloads as W  # noqa: E402
+from deprerank import cli  # noqa: E402
+
+
+def commands(wl):
+    """(name, argv, files it writes) of each command run on a workload's inputs."""
+    train, target = wl.train_role, wl.rerank_role
+    data = ["--gold", f"{target}.conll", "--kbest", f"{target}.kbest", "--punct-set", W.PUNCT_SET]
+    ks = ",".join(str(1 << i) for i in range(wl.k.bit_length()))
+    return [
+        ("train", ["train", "--train-gold", f"{train}.conll", "--train-kbest", f"{train}.kbest",
+                   "--dev-gold", "dev.conll", "--dev-kbest", "dev.kbest",
+                   "--model-out", "model.bin", "--m", str(W.M), "--m-d", str(W.M_D),
+                   "--k", str(wl.k), "--max-epochs", str(wl.epochs),
+                   "--patience", str(wl.epochs), "--punct-set", W.PUNCT_SET],
+         ["model.bin"]),
+        ("rerank", ["rerank", *data, "--model", "model.bin", "--search-alpha",
+                    "--alpha-step", str(W.ALPHA_STEP), "--output", "out.conll",
+                    "--report", "out.tsv"],
+         ["out.conll", "out.tsv"]),
+        ("oracle-best", ["oracle", *data, "--best"], []),
+        ("oracle-worst", ["oracle", *data, "--worst", "--with-oracle"], []),
+        ("curve", ["curve", *data, "--model", "model.bin", "--ks", ks,
+                   "--alpha-step", str(W.ALPHA_STEP), "--output", "curve.tsv"],
+         ["curve.tsv"]),
+        ("eval", ["eval", "--pred", "out.conll", "--gold", f"{target}.conll",
+                  "--punct-set", W.PUNCT_SET, "--per-pos"],
+         []),
+    ]
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def digests(wl, seed: int) -> list[tuple[str, str]]:
+    """(digest, name) of the workload's input files, then of each command's
+    stdout and written files, in the order they are made."""
+    out = []
+    with tempfile.TemporaryDirectory() as directory:
+        W.write_inputs(wl, seed, directory)
+        for name in sorted(os.listdir(directory)):
+            with open(os.path.join(directory, name), "rb") as f:
+                out.append((sha256(f.read()), name))
+        cwd = os.getcwd()
+        os.chdir(directory)
+        try:
+            for name, argv, files in commands(wl):
+                stdout = io.StringIO()
+                with contextlib.redirect_stdout(stdout):
+                    code = cli.main(argv)
+                if code != cli.EXIT_OK:
+                    raise SystemExit(f"{wl.name} seed {seed}: {name} exited {code}")
+                out.append((sha256(stdout.getvalue().encode("utf-8")), f"{name}: stdout"))
+                for path in files:
+                    with open(path, "rb") as f:
+                        out.append((sha256(f.read()), f"{name}: {path}"))
+        finally:
+            os.chdir(cwd)
+    return out
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workload", nargs="+", choices=sorted(W.WORKLOADS),
+                    default=list(W.WORKLOADS))
+    ap.add_argument("--seed", nargs="+", type=int, default=[7])
+    args = ap.parse_args()
+    for name in args.workload:
+        for seed in args.seed:
+            for digest, what in digests(W.WORKLOADS[name], seed):
+                print(f"{digest}  {name} seed {seed} {what}", flush=True)
+
+
+if __name__ == "__main__":
+    main()

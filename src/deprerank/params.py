@@ -107,21 +107,15 @@ class PosPairStore:
 
     FALLBACK_SLOT = 0
 
-    def __init__(self, m: int, n: int, seed: int,
-                 fallback_W: np.ndarray, fallback_v: np.ndarray):
-        self.m = m
-        self.n = n
-        self.seed = seed
-        self.index: dict[tuple[str, str], int] = {}
-        self._W = np.zeros((8, m, n))
-        self._v = np.zeros((8, m))
-        self.count = 1
-        self._store(0, fallback_W, fallback_v)
-
-    def _store(self, slot: int, W: np.ndarray, v: np.ndarray) -> None:
-        assert W.shape == (self.m, self.n) and v.shape == (self.m,)
-        self._W[slot] = W
-        self._v[slot] = v
+    def __init__(self, m: int, n: int, seed: int, W: np.ndarray, v: np.ndarray,
+                 pairs: Sequence[tuple[str, str]] = ()):
+        """A store over a (count, m, n) `W` and a (count, m) `v`, taken as they
+        are: slot 0 is the fallback and slot i the i-th of `pairs`."""
+        assert W.shape == (len(pairs) + 1, m, n) and v.shape == (len(pairs) + 1, m)
+        self.m, self.n, self.seed = m, n, seed
+        self.index = {pair: slot for slot, pair in enumerate(pairs, start=1)}
+        self._W, self._v = W, v
+        self.count = len(pairs) + 1
 
     @property
     def W(self) -> np.ndarray:
@@ -154,7 +148,8 @@ class PosPairStore:
         rng = np.random.default_rng(
             (self.seed, 0x70A1, _stable_hash(head_pos), _stable_hash(child_pos)))
         slot = self.count
-        self._store(slot, _uniform_init(rng, (self.m, self.n)), _uniform_init(rng, (self.m,)))
+        self._W[slot] = _uniform_init(rng, (self.m, self.n))
+        self._v[slot] = _uniform_init(rng, (self.m,))
         self.index[(head_pos, child_pos)] = slot
         self.count += 1
         return slot
@@ -172,12 +167,7 @@ class PosPairStore:
             self._v[0] = self._v[1:self.count].mean(axis=0)
 
     def copy(self) -> "PosPairStore":
-        clone = PosPairStore(self.m, self.n, self.seed, self._W[0], self._v[0])
-        clone.index = dict(self.index)
-        clone.count = self.count
-        clone._W = self._W[:self.count].copy()
-        clone._v = self._v[:self.count].copy()
-        return clone
+        return PosPairStore(self.m, self.n, self.seed, self.W.copy(), self.v.copy(), self.pairs())
 
 
 @dataclass
@@ -231,12 +221,12 @@ class ParamSet:
 
 def build_word_vocab(trees: Iterable[DependencyTree], min_freq: int = 2) -> list[str]:
     """Forms occurring at least min_freq times, sorted; rarer forms train the UNK row."""
-    counts = Counter(t.form for tree in trees for t in tree.tokens)
+    counts = Counter(form for tree in trees for form in tree.forms)
     return sorted(form for form, c in counts.items() if c >= min_freq)
 
 
 def build_pos_vocab(trees: Iterable[DependencyTree]) -> list[str]:
-    tags = {t.pos for tree in trees for t in tree.tokens}
+    tags = {pos for tree in trees for pos in tree.pos_tags}
     tags.add(ROOT_POS)
     return sorted(tags)
 
@@ -251,8 +241,8 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
     deltas = list(range(-hyper.dist_clip, hyper.dist_clip + 1))
     distances = EmbeddingTable(hyper.m_d, deltas, _uniform_init(rng, (len(deltas), hyper.m_d)))
     pairs = PosPairStore(hyper.m, hyper.n, seed,
-                         _uniform_init(rng, (hyper.m, hyper.n)),
-                         _uniform_init(rng, (hyper.m,)))
+                         _uniform_init(rng, (hyper.m, hyper.n))[None],
+                         _uniform_init(rng, (hyper.m,))[None])
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
 
 
@@ -260,7 +250,9 @@ def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
     """Overwrite word rows from word2vec text format; returns rows loaded.
 
     Header line is "<count> <dim>"; each following line is a form and dim
-    finite floats. Out-of-vocabulary forms are skipped.
+    finite floats. Out-of-vocabulary forms are skipped, and of a form given
+    twice the last line wins. Every line is checked before any row is
+    written, so an error leaves the parameters as they were.
     """
     m = params.hyper.m
     lines = iter(stream)
@@ -278,7 +270,7 @@ def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
         raise ParseError(f"non-integer header field in {header.strip()!r}", line=1) from None
     if dim != m:
         raise FormatError(f"pretrained vectors have dim {dim}, model expects {m}")
-    loaded = 0
+    loaded, rows = 0, {}
     for lineno, line in enumerate(lines, start=2):
         if not line.strip():
             continue
@@ -294,8 +286,10 @@ def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
             raise ParseError(f"malformed float in vector for {fields[0]!r}", lineno) from None
         if not all(map(math.isfinite, values)):
             raise ParseError(f"non-finite value in vector for {fields[0]!r}", lineno)
-        params.words.vectors[row] = values
+        rows[row] = values
         loaded += 1
+    for row, values in rows.items():
+        params.words.vectors[row] = values
     return loaded
 
 
@@ -441,12 +435,5 @@ def _read_model(f: IO[bytes]) -> ParamSet:
     v = read_array((count, hyper.m), "score vectors")
     if f.read(1):
         raise ModelIOError("trailing bytes after model payload")
-    pairs = PosPairStore(hyper.m, hyper.n, seed, W[0], v[0])
-    for slot, key in enumerate(pair_keys, start=1):
-        pairs.index[key] = slot
-        if pairs.count == len(pairs._W):
-            pairs._W = np.concatenate([pairs._W, np.zeros_like(pairs._W)])
-            pairs._v = np.concatenate([pairs._v, np.zeros_like(pairs._v)])
-        pairs._store(slot, W[slot], v[slot])
-        pairs.count += 1
+    pairs = PosPairStore(hyper.m, hyper.n, seed, W, v, pair_keys)
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))

@@ -14,9 +14,11 @@ into the plans each list gets alone; `build_forests` keeps each batch whole,
 one plan that `forward_list` scores with one product per (height, slot) for
 all its lists. `forward_list` also returns the arcs' activations, and
 `backward_list` backpropagates a weighted sum of some of a list's tree scores
-through them (a training step's hinge). The per-tree plans and kernels
-(`build_plan`, `score_plan`, `backward_tree`) do the same one tree at a time;
-they remain for `score_tree`, as test oracles and as the tracer's targets.
+through them (a training step's hinge). Plans read trees as columns; the
+readers check that heads form rooted trees (`treebank._rooted`). The per-tree
+plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same
+one tree at a time; they remain for `score_tree`, as test oracles and as the
+tracer's targets.
 """
 
 from __future__ import annotations
@@ -77,8 +79,8 @@ def build_plan(params: ParamSet, tree: DependencyTree, create_pairs: bool = Fals
         raise ValueError("cannot score an empty sentence")
     n = len(tree)
     children: list[list[int]] = [[] for _ in range(n + 1)]
-    for tok in tree.tokens:
-        children[tok.head].append(tok.index)
+    for child, head in enumerate(tree.heads, start=1):
+        children[head].append(child)
 
     order: list[int] = []
     stack: list[tuple[int, int]] = [(ROOT_NODE, 0)]
@@ -91,8 +93,8 @@ def build_plan(params: ParamSet, tree: DependencyTree, create_pairs: bool = Fals
             order.append(node)
             stack.pop()
 
-    forms = [ROOT_FORM] + [t.form for t in tree.tokens]
-    tags = [ROOT_POS] + [t.pos for t in tree.tokens]
+    forms = [ROOT_FORM] + tree.forms
+    tags = [ROOT_POS] + tree.pos_tags
     node_word = [params.word_row(f) for f in forms]
 
     arc_start = [0]

@@ -207,13 +207,11 @@ def per_pos_accuracy(pred_trees: Sequence[DependencyTree],
     for pred, gold in zip(pred_trees, gold_trees):
         if pred.forms != gold.forms:
             raise AlignmentError("predicted and gold sentences do not match")
-        for p, g in zip(pred.tokens, gold.tokens):
-            if g.pos in punct_tags:
-                continue
-            cell = counts.setdefault(g.pos, [0, 0])
-            cell[1] += 1
-            if p.head == g.head:
-                cell[0] += 1
+        for p, g, pos in zip(pred.heads, gold.heads, gold.pos_tags):
+            if pos not in punct_tags:
+                cell = counts.setdefault(pos, [0, 0])
+                cell[0] += int(p == g)
+                cell[1] += 1
     return {pos: (c, t) for pos, (c, t) in counts.items()}
 
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .treebank import DependencyTree, KBestList, Token, is_rooted_tree
+from .treebank import DependencyTree, KBestList, is_rooted_tree
 
 DEFAULT_TAGS = ("DT", "JJ", "NN", "NNS", "VB", "IN", "RB")
 
@@ -18,10 +18,9 @@ def random_tree(rng: np.random.Generator, length: int,
     for idx in order[1:]:
         heads[idx - 1] = int(attached[rng.integers(len(attached))])
         attached.append(idx)
-    return DependencyTree(tuple(
-        Token(i + 1, vocab[int(rng.integers(len(vocab)))],
-              tags[int(rng.integers(len(tags)))], heads[i])
-        for i in range(length)))
+    forms, pos_tags = zip(*[(vocab[int(rng.integers(len(vocab)))],
+                             tags[int(rng.integers(len(tags)))]) for _ in range(length)])
+    return DependencyTree.from_columns(forms, pos_tags, heads, (None,) * length)
 
 
 def corrupt_heads(rng: np.random.Generator, tree: DependencyTree,

@@ -152,7 +152,8 @@ def _kbest_digest(kb: KBestList) -> bytes:
     """Content digest used to order sentences canonically before shuffling:
     blake2b of the list as text, one line per gold token and per candidate."""
     names = [str(h) for h in range(len(kb.gold) + 1)]  # every head value's text
-    lines = [f"{tok.form}\t{tok.pos}\t{tok.head}\n" for tok in kb.gold.tokens]
+    gold = kb.gold
+    lines = [f"{f}\t{p}\t{h}\n" for f, p, h in zip(gold.forms, gold.pos_tags, gold.heads)]
     lines += ["C " + " ".join([names[h] for h in heads]) + f" {score!r}\n"
               for heads, score in zip(kb.heads.tolist(), kb.scores.tolist())]
     return hashlib.blake2b("".join(lines).encode("utf-8"), digest_size=16).digest()

@@ -1,4 +1,9 @@
-"""Dependency trees, CoNLL-X and k-best list I/O, and attachment-score evaluation."""
+"""Dependency trees, CoNLL-X and k-best list I/O, and attachment-score evaluation.
+
+A `DependencyTree` is columns: forms, POS tags and heads, and each token's
+CoNLL columns. `_rooted` alone decides whether heads form a rooted tree, for
+one tree (`is_rooted_tree`, `validate`) or for a batch of rows in one pass.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +12,6 @@ import io
 import itertools
 import math
 import re
-from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 
@@ -52,66 +56,87 @@ class Token:
 
 
 def is_rooted_tree(heads: Sequence[int], allow_multiple_roots: bool = False) -> bool:
-    """True iff the 1-based head vector forms a tree hanging off the artificial root 0."""
-    n = len(heads)
-    if any(h < 0 or h > n for h in heads):
-        return False
-    if any(h == i + 1 for i, h in enumerate(heads)):
-        return False
-    roots = sum(1 for h in heads if h == 0)
-    if roots == 0 or (roots > 1 and not allow_multiple_roots):
-        return False
-    children: list[list[int]] = [[] for _ in range(n + 1)]
-    for i, h in enumerate(heads):
-        children[h].append(i + 1)
-    seen = 0
-    queue = deque([0])
-    while queue:
-        node = queue.popleft()
-        for child in children[node]:
-            seen += 1
-            queue.append(child)
-    return seen == n
+    """True iff the 1-based head vector forms a tree hanging off the artificial
+    root 0. `_rooted` decides it, as it does for every tree the library checks."""
+    return len(heads) > 0 and not _unrooted(heads, [len(heads)], allow_multiple_roots)
 
 
-@dataclass(frozen=True)
 class DependencyTree:
-    """A sentence with one head index per token."""
+    """A sentence as columns: one form, POS tag and head per token, and the
+    CoNLL columns each token was read from (None if it was not), kept so that
+    other fields survive a round trip. Equality and hashing ignore these."""
 
-    tokens: tuple[Token, ...]
+    __slots__ = ("_forms", "_tags", "_heads", "_cols")
+
+    def __init__(self, tokens: Iterable[Token]):
+        """The tree of `tokens`, whose indices must be 1..n in order."""
+        tokens = tuple(tokens)
+        for position, t in enumerate(tokens, start=1):
+            if t.index != position:
+                raise StructureError(f"token {position} carries index {t.index}")
+        self._forms, self._tags, self._heads, self._cols = (
+            tuple(getattr(t, name) for t in tokens) for name in ("form", "pos", "head", "cols"))
+
+    @classmethod
+    def from_columns(cls, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
+                     cols: Sequence[tuple[str, ...] | None]) -> "DependencyTree":
+        """A tree over the given columns, taken as they are: no checks."""
+        tree = cls.__new__(cls)
+        tree._forms, tree._tags, tree._heads, tree._cols = map(tuple, (forms, tags, heads, cols))
+        return tree
 
     def __len__(self) -> int:
-        return len(self.tokens)
+        return len(self._heads)
+
+    def __eq__(self, other) -> bool:
+        return (isinstance(other, DependencyTree) and self._heads == other._heads
+                and self._forms == other._forms and self._tags == other._tags)
+
+    def __hash__(self) -> int:
+        return hash((self._forms, self._tags, self._heads))
+
+    def __repr__(self) -> str:
+        return f"DependencyTree(forms={self._forms}, pos_tags={self._tags}, heads={self._heads})"
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        """The tokens, built anew on each read."""
+        return tuple(Token(i, *t) for i, t in enumerate(
+            zip(self._forms, self._tags, self._heads, self._cols), start=1))
 
     @property
     def heads(self) -> list[int]:
-        return [t.head for t in self.tokens]
+        return list(self._heads)
 
     @property
     def forms(self) -> list[str]:
-        return [t.form for t in self.tokens]
+        return list(self._forms)
 
     @property
     def pos_tags(self) -> list[str]:
-        return [t.pos for t in self.tokens]
+        return list(self._tags)
 
     def children(self, index: int) -> list[int]:
         """1-based indices of the tokens headed by `index` (0 = root), in sentence order."""
-        return [t.index for t in self.tokens if t.head == index]
+        return [i for i, h in enumerate(self._heads, start=1) if h == index]
 
     def validate(self, allow_multiple_roots: bool = False, label: str = "sentence") -> None:
-        if not is_rooted_tree(self.heads, allow_multiple_roots):
+        if not is_rooted_tree(self._heads, allow_multiple_roots):
             raise StructureError(f"{label}: head indices do not form a rooted tree: {self.heads}")
 
     def with_heads(self, heads: Sequence[int], validate: bool = True,
                    allow_multiple_roots: bool = False) -> "DependencyTree":
-        """Copy of this tree with head indices replaced (forms/POS/extra columns kept)."""
-        if len(heads) != len(self.tokens):
-            raise AlignmentError(
-                f"expected {len(self.tokens)} heads, got {len(heads)}")
-        tree = DependencyTree(tuple(
-            Token(t.index, t.form, t.pos, int(h), t.cols)
-            for t, h in zip(self.tokens, heads)))
+        """Copy of this tree with head indices replaced (forms/POS/extra columns
+        kept). A negative head or a self-head raises what a `Token` raises."""
+        if len(heads) != len(self._heads):
+            raise AlignmentError(f"expected {len(self._heads)} heads, got {len(heads)}")
+        heads = tuple(map(int, heads))
+        for index, head in enumerate(heads, start=1):
+            if head < 0:
+                raise StructureError(f"head must be >= 0, got {head}")
+            if head == index:
+                raise StructureError(f"token {index} ({self._forms[index - 1]!r}) is its own head")
+        tree = DependencyTree.from_columns(self._forms, self._tags, heads, self._cols)
         if validate:
             tree.validate(allow_multiple_roots)
         return tree
@@ -132,7 +157,7 @@ class KBestList:
                  candidates: Iterable[tuple[DependencyTree, float]] = ()):
         pairs = tuple(candidates)
         for rank, (tree, _) in enumerate(pairs, start=1):
-            if tree.forms != gold.forms or tree.pos_tags != gold.pos_tags:
+            if tree._forms != gold._forms or tree._tags != gold._tags:
                 raise AlignmentError(
                     f"candidate {rank} does not have the forms and POS tags of the gold tree")
         heads = np.array([tree.heads for tree, _ in pairs], dtype=np.int64)
@@ -170,8 +195,8 @@ class KBestList:
         Punctuation tokens are never counted, so `uas(tree, gold)` of candidate
         i is EvalResult(correct[i], scored).
         """
-        scored = np.array([t.pos not in punct_tags for t in self.gold.tokens], dtype=bool)
-        correct = ((self.heads == np.array(self.gold.heads)) & scored).sum(axis=1)
+        scored = np.array([pos not in punct_tags for pos in self.gold._tags], dtype=bool)
+        correct = ((self.heads == np.array(self.gold._heads)) & scored).sum(axis=1)
         return correct, int(scored.sum())
 
 
@@ -242,16 +267,18 @@ def parse_conll(source: Iterable[str] | str,
     order is the one raised.
     """
     trees: list[DependencyTree] = []
-    tokens: list[Token] = []
-    heads: list[int] = []  # of the unchecked trees trees[checked:], then of `tokens`
+    rows: list[tuple[str, ...]] = []  # the columns of the tree being read
+    heads: list[int] = []  # of the unchecked trees trees[checked:], then of `rows`
     checked = 0
-    try:
-        for lineno, raw in enumerate(_iter_lines(source), start=1):
+    try:  # the blank line chained after the input ends its last tree
+        for lineno, raw in enumerate(itertools.chain(_iter_lines(source), [""]), start=1):
             line = raw.rstrip("\n")
             if not line.strip():
-                if tokens:
-                    trees.append(DependencyTree(tuple(tokens)))
-                    tokens = []
+                if rows:
+                    trees.append(DependencyTree.from_columns(
+                        [c[1] for c in rows], [c[4] for c in rows],
+                        heads[len(heads) - len(rows):], rows))
+                    rows = []
                     if len(heads) >= _CHECK_TOKENS:
                         _check_trees(trees, checked, heads, allow_multiple_roots)
                         checked, heads = len(trees), []
@@ -264,38 +291,20 @@ def parse_conll(source: Iterable[str] | str,
                 head = int(cols[6])
             except ValueError:
                 raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
-            if index != len(tokens) + 1:
-                raise ParseError(f"token ID {index} out of order (expected {len(tokens) + 1})",
+            if index != len(rows) + 1:
+                raise ParseError(f"token ID {index} out of order (expected {len(rows) + 1})",
                                  lineno)
             if head == index:
                 raise ParseError(f"token {index} is its own head", lineno)
             if head < 0:
                 raise ParseError(f"negative HEAD {head}", lineno)
             heads.append(head)
-            tokens.append(_checked_token(index, cols[1], cols[4], head, cols))
-        if tokens:
-            trees.append(DependencyTree(tuple(tokens)))
-            tokens = []
+            rows.append(cols)
     except DataError:
-        _check_trees(trees, checked, heads[:len(heads) - len(tokens)], allow_multiple_roots)
+        _check_trees(trees, checked, heads[:len(heads) - len(rows)], allow_multiple_roots)
         raise
     _check_trees(trees, checked, heads, allow_multiple_roots)
     return trees
-
-
-def _checked_token(index: int, form: str, pos: str, head: int, cols: tuple[str, ...]) -> Token:
-    """A `Token` whose index and head the caller has already checked, built
-    without running `Token.__post_init__`'s checks a second time. Fields are
-    set one by one in `__init__`'s order: filling `__dict__` at once would
-    give each token its own key table, about twice the memory."""
-    tok = object.__new__(Token)
-    put = object.__setattr__  # Token is frozen
-    put(tok, "index", index)
-    put(tok, "form", form)
-    put(tok, "pos", pos)
-    put(tok, "head", head)
-    put(tok, "cols", cols)
-    return tok
 
 
 def _check_trees(trees: list[DependencyTree], start: int, heads: list[int],
@@ -303,15 +312,21 @@ def _check_trees(trees: list[DependencyTree], start: int, heads: list[int],
     """Check trees[start:], whose heads `heads` holds end to end, in one pass:
     the first that is not a rooted tree raises what its `validate` raises."""
     todo = trees[start:]
-    if not todo:
-        return
-    try:
-        ok = _rooted(np.array(heads, dtype=np.int64), np.array([len(t) for t in todo]),
-                     allow_multiple_roots)
-    except OverflowError:  # a head beyond int64: only `validate` can name it
-        ok = np.zeros(len(todo), dtype=bool)
-    for i in np.flatnonzero(~ok).tolist():
+    for i in _unrooted(heads, [len(t) for t in todo], allow_multiple_roots):
         todo[i].validate(allow_multiple_roots, label=f"sentence {start + i}")
+
+
+def _unrooted(heads: Sequence[int], width: list[int], allow_multiple_roots: bool) -> list[int]:
+    """The rows that `_rooted` finds are not rooted trees, of rows of heads
+    laid end to end, row r holding width[r] heads. Every row, if a head lies
+    beyond int64: then only each row's own check can tell which it is."""
+    if not width:
+        return []
+    try:
+        ok = _rooted(np.array(heads, dtype=np.int64), np.array(width), allow_multiple_roots)
+    except OverflowError:
+        return list(range(len(width)))
+    return np.flatnonzero(~ok).tolist()
 
 
 def write_conll(trees: Iterable[DependencyTree]) -> str:
@@ -319,11 +334,12 @@ def write_conll(trees: Iterable[DependencyTree]) -> str:
     blocks = []
     for tree in trees:
         lines = []
-        for t in tree.tokens:
-            if t.cols is not None:
-                cols = t.cols[:6] + (str(t.head),) + t.cols[7:]
+        for index, (form, pos, head, cols) in enumerate(
+                zip(tree._forms, tree._tags, tree._heads, tree._cols), start=1):
+            if cols is not None:
+                cols = cols[:6] + (str(head),) + cols[7:]
             else:
-                cols = (str(t.index), t.form, "_", t.pos, t.pos, "_", str(t.head), "_", "_", "_")
+                cols = (str(index), form, "_", pos, pos, "_", str(head), "_", "_", "_")
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
@@ -462,26 +478,30 @@ def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank
 
 def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_idx: int,
                   allow_multiple_roots: bool) -> list[list[int]]:
-    """Parse and validate HEAD lines one candidate at a time, token by token.
+    """Parse HEAD lines one candidate at a time, then check their trees in one call.
 
     The exact path: it raises the error of the first bad line or tree,
     naming its line or candidate, and returns the head rows if there is none.
     """
-    rows = []
-    for rank, (lineno, line) in enumerate(head_lines, start=1):
-        fields = line.split()
-        if fields[0] != "HEAD":
-            raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {line!r}", lineno)
-        try:
-            heads = [int(h) for h in fields[1:]]
-        except ValueError:
-            raise ParseError(f"non-integer head in {line!r}", lineno) from None
-        if len(heads) != len(gold):
-            raise AlignmentError(
-                f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
-                f"gold has {len(gold)} tokens")
-        _check_candidate(gold, heads, sent_idx, rank, allow_multiple_roots)
-        rows.append(heads)
+    rows: list[list[int]] = []
+    try:
+        for rank, (lineno, line) in enumerate(head_lines, start=1):
+            fields = line.split()
+            if fields[0] != "HEAD":
+                raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {line!r}", lineno)
+            try:
+                heads = [int(h) for h in fields[1:]]
+            except ValueError:
+                raise ParseError(f"non-integer head in {line!r}", lineno) from None
+            if len(heads) != len(gold):
+                raise AlignmentError(
+                    f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
+                    f"gold has {len(gold)} tokens")
+            rows.append(heads)
+    finally:  # the rows before a bad line are checked before its error is raised
+        for row in _unrooted([h for heads in rows for h in heads], [len(gold)] * len(rows),
+                             allow_multiple_roots):
+            _check_candidate(gold, rows[row], sent_idx, row + 1, allow_multiple_roots)
     return rows
 
 
@@ -493,9 +513,9 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
 
     CAND lines are checked as they are read. When all k HEAD lines are
     canonical, they are parsed in one call, and their trees are left to the
-    caller to check. Otherwise, or when a check fails, `_replay_heads` goes
-    through them candidate by candidate, so the first error in file order is
-    raised. Returns the scores, the head matrix, the HEAD lines and the
+    caller to check. Otherwise, or when a check fails, `_replay_heads` reads
+    them line by line and checks their trees in one call, so the first error
+    in file order is raised. Returns the scores, the head matrix, the HEAD lines and the
     number of the last line read.
     """
     head_lines: list[tuple[int, str]] = []
@@ -653,16 +673,11 @@ def read_kbest_files(gold_path, cand_path, allow_multiple_roots: bool = False) -
 def uas(pred: DependencyTree, gold: DependencyTree,
         punct_tags: frozenset[str] | set[str] = frozenset()) -> EvalResult:
     """Unlabeled attachment score of `pred` against `gold`, skipping punctuation POS."""
-    if len(pred) != len(gold) or pred.forms != gold.forms:
+    if len(pred) != len(gold) or pred._forms != gold._forms:
         raise AlignmentError("predicted and gold sentences do not match")
-    correct = scored = 0
-    for p, g in zip(pred.tokens, gold.tokens):
-        if g.pos in punct_tags:
-            continue
-        scored += 1
-        if p.head == g.head:
-            correct += 1
-    return EvalResult(correct, scored)
+    right = [p == g for p, g, pos in zip(pred._heads, gold._heads, gold._tags)
+             if pos not in punct_tags]
+    return EvalResult(sum(right), len(right))
 
 
 def corpus_uas(pred_trees: Sequence[DependencyTree], gold_trees: Sequence[DependencyTree],
@@ -670,10 +685,7 @@ def corpus_uas(pred_trees: Sequence[DependencyTree], gold_trees: Sequence[Depend
     if len(pred_trees) != len(gold_trees):
         raise AlignmentError(
             f"{len(pred_trees)} predicted sentences vs {len(gold_trees)} gold")
-    total = EvalResult(0, 0)
-    for pred, gold in zip(pred_trees, gold_trees):
-        total = total + uas(pred, gold, punct_tags)
-    return total
+    return sum((uas(p, g, punct_tags) for p, g in zip(pred_trees, gold_trees)), EvalResult(0, 0))
 
 
 def oracle_best(kb: KBestList,

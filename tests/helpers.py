@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import struct
+from collections import deque
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -23,7 +24,7 @@ from deprerank.rcnn import (
     backward_tree, build_list_plan, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
-from deprerank.treebank import DependencyTree, KBestList, Token, is_rooted_tree
+from deprerank.treebank import DependencyTree, KBestList, Token
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -35,6 +36,30 @@ def make_tree(heads, forms=None, tags=None):
     tags = list(tags) if tags else [TAGS[i % len(TAGS)] for i in range(n)]
     return DependencyTree(tuple(
         Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
+
+
+def rooted_by_bfs(heads, allow_multiple_roots=False):
+    """True iff the 1-based head vector forms a tree hanging off the root 0,
+    decided by a breadth-first walk down from the root: the oracle of
+    `is_rooted_tree`, which follows each token's chain up by pointer jumping."""
+    n = len(heads)
+    if any(h < 0 or h > n for h in heads):
+        return False
+    if any(h == i + 1 for i, h in enumerate(heads)):
+        return False
+    roots = sum(1 for h in heads if h == 0)
+    if roots == 0 or (roots > 1 and not allow_multiple_roots):
+        return False
+    children = [[] for _ in range(n + 1)]
+    for i, h in enumerate(heads):
+        children[h].append(i + 1)
+    seen = 0
+    queue = deque([0])
+    while queue:
+        for child in children[queue.popleft()]:
+            seen += 1
+            queue.append(child)
+    return seen == n
 
 
 def random_heads(rng, n):
@@ -60,9 +85,7 @@ def all_trees_up_to(max_len):
     tags = ["DT", "NN", "VB", "JJ"]
     for n in range(1, max_len + 1):
         for heads in itertools.product(range(n + 1), repeat=n):
-            if any(h == i + 1 for i, h in enumerate(heads)):
-                continue
-            if is_rooted_tree(heads):
+            if rooted_by_bfs(heads):
                 yield DependencyTree(tuple(
                     Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
 
@@ -717,18 +740,33 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
 
 
 # ---------------------------------------------------------------------------
-# a reference k-best reader: one validated tree per candidate
+# a reference k-best reader: one tree checked by `rooted_by_bfs` per candidate
+
+def tree_problem(forms, heads, allow_multiple_roots=False, label="sentence"):
+    """The message of the `StructureError` that a tree of these forms and
+    heads raises when it is built by `with_heads` and validated, or None."""
+    for index, head in enumerate(heads, start=1):
+        if head < 0:
+            return f"head must be >= 0, got {head}"
+        if head == index:
+            return f"token {index} ({forms[index - 1]!r}) is its own head"
+    if not rooted_by_bfs(heads, allow_multiple_roots):
+        return f"{label}: head indices do not form a rooted tree: {list(heads)}"
+    return None
+
 
 def reference_parse_conll(source, allow_multiple_roots=False):
-    """`parse_conll` one line and one tree at a time: each tree is validated
+    """`parse_conll` one line and one tree at a time: each tree is checked
     as soon as its blank line (or the end of the input) is read."""
     lines = source.splitlines() if isinstance(source, str) else source
     trees, tokens = [], []
 
     def finish():
-        tree = DependencyTree(tuple(tokens))
-        tree.validate(allow_multiple_roots, label=f"sentence {len(trees)}")
-        trees.append(tree)
+        problem = tree_problem([t.form for t in tokens], [t.head for t in tokens],
+                               allow_multiple_roots, label=f"sentence {len(trees)}")
+        if problem:
+            raise StructureError(problem)
+        trees.append(DependencyTree(tuple(tokens)))
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -757,8 +795,8 @@ def reference_parse_conll(source, allow_multiple_roots=False):
 
 
 def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
-    """Pair gold trees with their candidates, one line and one `with_heads`
-    tree at a time, so the first error in file order is raised.
+    """Pair gold trees with their candidates, one line and one checked tree
+    at a time, so the first error in file order is raised.
 
     Returns [(gold, [(tree, score), ...]), ...].
     """
@@ -828,11 +866,10 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
                 raise AlignmentError(
                     f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
                     f"gold has {len(gold)} tokens")
-            try:
-                cand = gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
-            except StructureError as e:
-                raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
-            cands.append((cand, score))
+            problem = tree_problem(gold.forms, heads, allow_multiple_roots)
+            if problem:
+                raise StructureError(f"sentence {sent_idx}, candidate {rank}: {problem}")
+            cands.append((gold.with_heads(heads, validate=False), score))
         lists.append((gold, cands))
     if next_line() is not None:
         raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")

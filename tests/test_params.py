@@ -136,6 +136,22 @@ def test_load_pretrained_all_oov_is_noop():
     assert np.array_equal(p.words.vectors, before)
 
 
+def test_load_pretrained_counts_lines_and_the_last_line_wins():
+    p = tiny_params(m=3)
+    text = "3 3\nw1 1 2 3\nzzz 0 0 0\nw1 4 5 6\n"
+    assert load_pretrained(p, io.StringIO(text)) == 2
+    assert np.array_equal(p.lookup_word("w1"), [4, 5, 6])
+
+
+@pytest.mark.parametrize("bad", ["w3 1 x 3", "w3 1 nan 3", "w3 1 2"])
+def test_load_pretrained_is_all_or_nothing(bad):
+    p = tiny_params(m=3)
+    before = p.words.vectors.tobytes()
+    with pytest.raises(ParseError, match="line 4"):
+        load_pretrained(p, io.StringIO(f"3 3\nw1 1 2 3\nw2 4 5 6\n{bad}\n"))
+    assert p.words.vectors.tobytes() == before
+
+
 def test_load_pretrained_dim_mismatch():
     p = tiny_params(m=3)
     with pytest.raises(FormatError):
@@ -167,6 +183,23 @@ def test_save_load_roundtrip_bit_exact():
     q = load(buf)
     assert q.equals(p)
     assert q.hyper == p.hyper
+
+
+def test_loaded_and_copied_pairs_grow_like_the_original():
+    p = tiny_params(m=4, m_d=3, seed=9)
+    for pair in [("NN", "DT"), ("VB", "IN"), ("DT", "NN")]:
+        p.get_pair(*pair, create_if_missing=True)
+    buf = io.BytesIO()
+    save(p, buf)
+    buf.seek(0)
+    loaded, copied = load(buf), p.copy()
+    for q in (p, loaded, copied):
+        assert q.pos_pairs.pairs() == [("NN", "DT"), ("VB", "IN"), ("DT", "NN")]
+        for pair in [("IN", "VB"), ("JJ", "NN"), ("NN", "DT")]:
+            q.get_pair(*pair, create_if_missing=True)
+    assert loaded.equals(p) and copied.equals(p)
+    copied.pos_pairs.W[1] += 1.0
+    assert not copied.equals(p) and loaded.equals(p)
 
 
 def test_save_is_byte_deterministic():

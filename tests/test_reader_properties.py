@@ -1,18 +1,24 @@
-"""Property tests of the readers: any input parses or raises a DataError, and
-the k-best reader agrees with a per-candidate reference reader."""
+"""Property tests of the readers and the tree check: any input parses or
+raises a DataError, the readers agree with per-tree reference readers, and
+the tree check agrees with a breadth-first walk."""
 
 import io
 from unittest import mock
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from deprerank import treebank
-from deprerank.errors import DataError
+from deprerank.errors import DataError, StructureError
 from deprerank.params import load
-from deprerank.treebank import parse_conll, read_kbest, write_conll
+from deprerank.treebank import (
+    DependencyTree, is_rooted_tree, parse_conll, read_kbest, rooted_rows, write_conll,
+)
 
 from helpers import (
-    make_tree, model_bytes, model_parts, reference_parse_conll, reference_read_kbest, tiny_params,
+    make_tree, model_bytes, model_parts, reference_parse_conll, reference_read_kbest,
+    rooted_by_bfs, tiny_params,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -58,6 +64,44 @@ def rooted_heads(draw, n, multi):
     for i, node in enumerate(order[1:], start=1):
         heads[node - 1] = draw(st.sampled_from(([0] if multi else []) + list(order[:i])))
     return heads
+
+
+BEYOND_INT64 = (2 ** 63, 10 ** 30, -(2 ** 63) - 1)
+
+
+@st.composite
+def head_vectors(draw):
+    """Head vectors of 0 to 7 tokens that may not form a tree: heads above
+    n (sometimes one beyond int64), self-heads, cycles, several roots."""
+    n = draw(st.integers(0, 7))
+    heads = draw(st.one_of(rooted_heads(n, False), rooted_heads(n, True),
+                           st.lists(st.integers(-1, n + 2), min_size=n, max_size=n)))
+    if n and not draw(st.integers(0, 4)):
+        heads[draw(st.integers(0, n - 1))] = draw(st.sampled_from(BEYOND_INT64))
+    return heads
+
+
+@FUZZ
+@given(head_vectors(), st.booleans())
+@example([], False)
+@example([], True)
+@example([2, 0, 10 ** 30], False)
+@example([0, 1, 0], False)
+@example([0, 1, 0], True)
+@example([0, 2], True)
+def test_the_tree_check_matches_the_bfs(heads, multi):
+    rooted = rooted_by_bfs(heads, multi)
+    assert is_rooted_tree(heads, multi) == rooted
+    if heads and all(abs(h) < 2 ** 62 for h in heads):
+        assert rooted_rows([np.array([heads])], multi).tolist() == [rooted]
+    n = len(heads)
+    tree = DependencyTree.from_columns(["w"] * n, ["NN"] * n, heads, [None] * n)
+    if rooted:
+        tree.validate(multi)
+        return
+    with pytest.raises(StructureError) as err:
+        tree.validate(multi, label="sentence 3")
+    assert str(err.value) == f"sentence 3: head indices do not form a rooted tree: {heads}"
 
 
 @st.composite

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from deprerank.treebank import (
     write_kbest, PUNCT_SETS, _BLOCK_LINES,
 )
 
-from helpers import kbest_of, make_tree, reference_parse_conll, reference_read_kbest
+from helpers import (
+    kbest_of, make_tree, reference_parse_conll, reference_read_kbest, rooted_by_bfs,
+)
 
 BIKE_BLOCK = (
     "1\ta\t_\tDT\tDT\t_\t3\tdet\n"
@@ -40,7 +43,7 @@ def test_parsed_tokens_equal_validated_tokens():
     assert [t.cols for t in tree.tokens] == [t.cols for t in rebuilt]
     with pytest.raises(dataclasses.FrozenInstanceError):
         tree.tokens[0].head = 1
-    # the parser skips the constructor's checks; a caller's Token still runs them
+    # a Token checks its own index and head
     for index, head in ((0, 1), (2, -1), (2, 2)):
         with pytest.raises(StructureError):
             Token(index, "a", "DT", head)
@@ -92,26 +95,48 @@ def test_write_synthetic_tokens_parses_back():
 
 
 def test_validation_matches_bruteforce_enumeration():
-    # Oracle: BFS reachability over every head vector of length <= 5.
-    def oracle(heads):
-        n = len(heads)
-        if any(h == i + 1 for i, h in enumerate(heads)):
-            return False
-        if sum(1 for h in heads if h == 0) != 1:
-            return False
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            node = frontier.pop()
-            for i, h in enumerate(heads):
-                if h == node and i + 1 not in reached:
-                    reached.add(i + 1)
-                    frontier.append(i + 1)
-        return len(reached) == n + 1
-
+    # every head vector of length <= 5, against the BFS oracle
     for n in range(1, 6):
         for heads in itertools.product(range(n + 1), repeat=n):
-            assert is_rooted_tree(heads) == oracle(heads), heads
+            for multi in (False, True):
+                assert is_rooted_tree(heads, multi) == rooted_by_bfs(heads, multi), heads
+
+
+def test_trees_compare_and_hash_by_forms_tags_and_heads_only():
+    parsed = parse_conll(BIKE_BLOCK)[0]
+    built = make_tree([3, 3, 0], ["a", "red", "bike"], ["DT", "JJ", "NN"])
+    assert parsed == built and hash(parsed) == hash(built)
+    assert write_conll([parsed]) != write_conll([built])  # the CoNLL columns differ
+    for other in (built.with_heads([2, 3, 0]),
+                  make_tree([3, 3, 0], ["a", "red", "car"], ["DT", "JJ", "NN"]),
+                  make_tree([3, 3, 0], ["a", "red", "bike"], ["DT", "JJ", "NNS"])):
+        assert parsed != other
+    assert parsed != parsed.tokens
+
+
+@pytest.mark.parametrize("indices", [(2, 1), (1, 3), (2,), (1, 1)])
+def test_tree_of_tokens_needs_indices_one_to_n_in_order(indices):
+    tokens = [Token(i, f"w{i}", "NN", 0) for i in indices]
+    with pytest.raises(StructureError, match="carries index"):
+        DependencyTree(tokens)
+
+
+def test_tree_of_its_tokens_is_the_same_tree_with_its_columns():
+    text = BIKE_BLOCK + ("\n1\tHe\the\tPRP\tPRP\t_\t2\tnsubj\t_\t_\n"
+                         "2\tran\trun\tVBD\tVBD\t_\t0\troot\n")
+    trees = parse_conll(text) + [make_tree([2, 0, 2])]
+    rebuilt = [DependencyTree(tree.tokens) for tree in trees]
+    assert rebuilt == trees
+    assert write_conll(rebuilt) == write_conll(trees) == text + "\n" + write_conll(trees[-1:])
+
+
+def test_validate_prints_the_heads_as_a_list():
+    tree = parse_conll(BIKE_BLOCK)[0].with_heads([2, 3, 1], validate=False)
+    with pytest.raises(StructureError) as err:
+        tree.validate(label="sentence 4")
+    assert str(err.value) == "sentence 4: head indices do not form a rooted tree: [2, 3, 1]"
+    with pytest.raises(StructureError, match=re.escape("tree: [3, 3, 0, 0]")):
+        make_tree([3, 3, 0, 0]).validate()
 
 
 def test_kbest_reading_and_scores():
@@ -374,10 +399,13 @@ def test_rooted_rows_matches_is_rooted_tree():
     mats = [np.array(list(itertools.product(range(-1, n + 2), repeat=n))) for n in range(1, 6)]
     mats += [np.array([[2, 0, 2, 3 + 2 ** 62]]), np.array([[0]]), np.array([[2, 1]])]
     for multi in (False, True):
-        expected = [is_rooted_tree(row, multi) for m in mats for row in m.tolist()]
+        expected = [rooted_by_bfs(row, multi) for m in mats for row in m.tolist()]
         assert rooted_rows(mats, multi).tolist() == expected  # widths mixed in one pass
         for m in mats:
-            assert rooted_rows([m], multi).tolist() == [is_rooted_tree(r, multi) for r in m.tolist()]
+            rows = m.tolist()
+            assert rooted_rows([m], multi).tolist() == [rooted_by_bfs(r, multi) for r in rows]
+            assert [is_rooted_tree(r, multi) for r in rows] == [
+                rooted_by_bfs(r, multi) for r in rows]
 
 
 def test_candidates_are_built_on_demand(monkeypatch):
