@@ -4,12 +4,15 @@
 Writes a gold CoNLL file and a k-best file for two corpora, 8-best lists of
 5-60 tokens and 64-best lists of 20-30 tokens (the shapes of perfbench's
 rerank-k8-long and rerank-k64), and times per list: `load_conll` of the gold
-file, `read_kbest_files` (which parses the gold file too), `read_kbest` over
-the same lines given as a list (which takes the line-by-line path, as a
-k-best file not in `write_kbest`'s form does), and `rooted_rows` over the
-lists' head matrices in the batches the reader checks. Each step is timed
-over all the lists, in turn, and the median of the repeats is printed. Run
-from a checkout:
+file; `load_conll` of the same file with one head per sentence written with
+a + sign, which int() reads but the block parser leaves to the line-by-line
+path, so every sentence takes that path; `read_kbest_files` (which parses the
+gold file too); `read_kbest` over the same lines given as a list (which
+takes the line-by-line path, as a k-best file not in `write_kbest`'s form
+does); `rooted_rows` over the lists' head matrices in the batches the reader
+checks; and `write_conll` of one candidate tree per list, built from the
+gold trees read. Each step is timed over all the lists, in turn, and the
+median of the repeats is printed. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_reader.py --sentences 200
 """
@@ -33,12 +36,24 @@ def write_corpus(directory, rng, sentences, k, lengths, vocab):
     for _ in range(sentences):
         gold = random_tree(rng, int(rng.integers(lengths[0], lengths[1] + 1)), vocab)
         kbests.append(synth_kbest(rng, gold, k, max_changes=max(1, len(gold) // 4)))
-    gold_path, kbest_path = (os.path.join(directory, f"k{k}.{ext}") for ext in ("conll", "kbest"))
+    gold_path, signed_path, kbest_path = (os.path.join(directory, f"k{k}{ext}")
+                                          for ext in (".conll", "-signed.conll", ".kbest"))
+    gold = treebank.write_conll(kb.gold for kb in kbests)
     with open(gold_path, "w", encoding="utf-8") as f:
-        f.write(treebank.write_conll(kb.gold for kb in kbests))
+        f.write(gold)
+    with open(signed_path, "w", encoding="utf-8") as f:
+        f.write("\n\n".join(signed_head(block) for block in gold.rstrip("\n").split("\n\n")) + "\n")
     with open(kbest_path, "w", encoding="utf-8") as f:
         f.write(treebank.write_kbest(kbests))
-    return gold_path, kbest_path
+    return gold_path, signed_path, kbest_path
+
+
+def signed_head(sentence):
+    """The lines of a sentence with the first one's head written as +h."""
+    first, _, rest = sentence.partition("\n")
+    cols = first.split("\t")
+    cols[6] = "+" + cols[6]
+    return "\n".join(["\t".join(cols)] + ([rest] if rest else []))
 
 
 def check_batches(kbests):
@@ -53,18 +68,22 @@ def check_batches(kbests):
     return batches + [batch] if batch else batches
 
 
-def bench_corpus(gold_path, kbest_path, repeats):
+def bench_corpus(gold_path, signed_path, kbest_path, repeats):
     with open(gold_path, encoding="utf-8") as f:
         gold_lines = f.readlines()
     with open(kbest_path, encoding="utf-8") as f:
         kbest_lines = f.readlines()
     kbests = treebank.read_kbest_files(gold_path, kbest_path)
+    assert treebank.load_conll(signed_path) == [kb.gold for kb in kbests]
     batches = check_batches(kbests)
+    chosen = [kb.candidates[len(kb) // 2][0] for kb in kbests]
     steps = {
         "load_conll (gold)": lambda: treebank.load_conll(gold_path),
+        "load_conll, + heads": lambda: treebank.load_conll(signed_path),
         "read_kbest_files": lambda: treebank.read_kbest_files(gold_path, kbest_path),
         "read_kbest, line by line": lambda: treebank.read_kbest(gold_lines, kbest_lines),
         "rooted_rows, batched": lambda: [treebank.rooted_rows(b) for b in batches],
+        "write_conll": lambda: treebank.write_conll(chosen),
     }
     times = {name: [] for name in steps}
     for _ in range(repeats):

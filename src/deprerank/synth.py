@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .treebank import DependencyTree, KBestList, is_rooted_tree
+from .treebank import DependencyTree, KBestList
 
 DEFAULT_TAGS = ("DT", "JJ", "NN", "NNS", "VB", "IN", "RB")
 
@@ -23,9 +23,23 @@ def random_tree(rng: np.random.Generator, length: int,
     return DependencyTree.from_columns(forms, pos_tags, heads, (None,) * length)
 
 
+def keeps_tree(heads: list[int], i: int, new_head: int) -> bool:
+    """Whether setting token i + 1's head to `new_head`, neither its own
+    index nor its head, leaves `heads`, a rooted tree with one root, a rooted
+    tree: it must not add a root or move the root, and `new_head` must not
+    lie below the token."""
+    if new_head == 0 or heads[i] == 0:
+        return False
+    node = new_head
+    while node and node != i + 1:
+        node = heads[node - 1]
+    return node == 0
+
+
 def corrupt_heads(rng: np.random.Generator, tree: DependencyTree,
                   max_changes: int = 3) -> DependencyTree:
-    """A candidate differing from `tree` in at least one (valid) head assignment.
+    """A candidate differing from `tree`, a rooted tree with one root, in at
+    least one (valid) head assignment.
 
     Single-token sentences admit exactly one tree and are returned unchanged.
     """
@@ -43,12 +57,9 @@ def corrupt_heads(rng: np.random.Generator, tree: DependencyTree,
             new_head = int(rng.integers(n + 1))
             if new_head == heads[i] or new_head == i + 1:
                 continue
-            old = heads[i]
-            heads[i] = new_head
-            if is_rooted_tree(heads):
+            if keeps_tree(heads, i, new_head):
+                heads[i] = new_head
                 changes += 1
-            else:
-                heads[i] = old
         if changes:
             return tree.with_heads(heads)
     return tree

@@ -1,8 +1,12 @@
 """Dependency trees, CoNLL-X and k-best list I/O, and attachment-score evaluation.
 
-A `DependencyTree` is columns: forms, POS tags and heads, and each token's
-CoNLL columns. `_rooted` alone decides whether heads form a rooted tree, for
-one tree (`is_rooted_tree`, `validate`) or for a batch of rows in one pass.
+A `DependencyTree` is columns: forms, POS tags and heads, and the CoNLL line
+each token was read from. `_rooted` alone decides whether heads form a rooted
+tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
+one pass. Both readers take a string or a text file a block of lines at a
+time and parse what they can at once, where that reads the same values as
+reading line by line; everything else is read line by line, which raises the
+error of the first bad line.
 """
 
 from __future__ import annotations
@@ -63,26 +67,31 @@ def is_rooted_tree(heads: Sequence[int], allow_multiple_roots: bool = False) -> 
 
 class DependencyTree:
     """A sentence as columns: one form, POS tag and head per token, and the
-    CoNLL columns each token was read from (None if it was not), kept so that
-    other fields survive a round trip. Equality and hashing ignore these."""
+    CoNLL line each token was read from (None if it was not), kept so that
+    other fields survive a round trip. Equality and hashing ignore the lines."""
 
-    __slots__ = ("_forms", "_tags", "_heads", "_cols")
+    __slots__ = ("_forms", "_tags", "_heads", "_lines")
 
     def __init__(self, tokens: Iterable[Token]):
-        """The tree of `tokens`, whose indices must be 1..n in order."""
+        """The tree of `tokens`, whose indices must be 1..n in order. A
+        token's columns are kept as their line, joined by tabs, so they must
+        be at least one and hold no tab."""
         tokens = tuple(tokens)
         for position, t in enumerate(tokens, start=1):
             if t.index != position:
                 raise StructureError(f"token {position} carries index {t.index}")
-        self._forms, self._tags, self._heads, self._cols = (
-            tuple(getattr(t, name) for t in tokens) for name in ("form", "pos", "head", "cols"))
+            if t.cols is not None and (not t.cols or any("\t" in c for c in t.cols)):
+                raise StructureError(f"token {position} has no CoNLL columns or a tab in one")
+        self._forms, self._tags, self._heads = (
+            tuple(getattr(t, name) for t in tokens) for name in ("form", "pos", "head"))
+        self._lines = tuple(None if t.cols is None else "\t".join(t.cols) for t in tokens)
 
     @classmethod
     def from_columns(cls, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
-                     cols: Sequence[tuple[str, ...] | None]) -> "DependencyTree":
-        """A tree over the given columns, taken as they are: no checks."""
+                     lines: Sequence[str | None]) -> "DependencyTree":
+        """A tree over the given columns and CoNLL lines, taken as they are: no checks."""
         tree = cls.__new__(cls)
-        tree._forms, tree._tags, tree._heads, tree._cols = map(tuple, (forms, tags, heads, cols))
+        tree._forms, tree._tags, tree._heads, tree._lines = map(tuple, (forms, tags, heads, lines))
         return tree
 
     def __len__(self) -> int:
@@ -100,9 +109,10 @@ class DependencyTree:
 
     @property
     def tokens(self) -> tuple[Token, ...]:
-        """The tokens, built anew on each read."""
-        return tuple(Token(i, *t) for i, t in enumerate(
-            zip(self._forms, self._tags, self._heads, self._cols), start=1))
+        """The tokens, built anew on each read; their columns split from their lines."""
+        return tuple(Token(i, form, pos, head, None if line is None else tuple(line.split("\t")))
+                     for i, (form, pos, head, line) in enumerate(
+                         zip(self._forms, self._tags, self._heads, self._lines), start=1))
 
     @property
     def heads(self) -> list[int]:
@@ -126,8 +136,8 @@ class DependencyTree:
 
     def with_heads(self, heads: Sequence[int], validate: bool = True,
                    allow_multiple_roots: bool = False) -> "DependencyTree":
-        """Copy of this tree with head indices replaced (forms/POS/extra columns
-        kept). A negative head or a self-head raises what a `Token` raises."""
+        """Copy of this tree with head indices replaced (forms, POS tags and
+        lines shared). A negative head or a self-head raises what a `Token` raises."""
         if len(heads) != len(self._heads):
             raise AlignmentError(f"expected {len(self._heads)} heads, got {len(heads)}")
         heads = tuple(map(int, heads))
@@ -136,7 +146,7 @@ class DependencyTree:
                 raise StructureError(f"head must be >= 0, got {head}")
             if head == index:
                 raise StructureError(f"token {index} ({self._forms[index - 1]!r}) is its own head")
-        tree = DependencyTree.from_columns(self._forms, self._tags, heads, self._cols)
+        tree = DependencyTree.from_columns(self._forms, self._tags, heads, self._lines)
         if validate:
             tree.validate(allow_multiple_roots)
         return tree
@@ -247,13 +257,51 @@ def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
 
 
 # Trees are validated in batches of about this many tokens, one pass each:
-# per tree costs a numpy call per check, and one pass over a whole k-best
-# file misses the cache more than it saves.
+# per tree costs a numpy call per check, and one pass over a whole file
+# misses the cache more than it saves.
 _CHECK_TOKENS = 8192
 
-# A sentence's 2k CAND/HEAD lines are taken as one block only up to this many
-# lines; a larger (absurd) k is read line by line, not pulled into memory.
+# The readers take at most this many lines at once beyond what they are
+# reading: a block of sentences, or a sentence's 2k CAND/HEAD lines. A larger
+# (absurd) k, or a sentence that fills a block, is read line by line instead.
 _BLOCK_LINES = 65536
+
+
+def _take(lines: Iterator[str], count: int) -> list[str]:
+    """Up to `count` lines of `lines`. At a line that cannot be decoded
+    (`_TextLines`), the lines before it; reading on raises its error."""
+    taken: list[str] = []
+    try:
+        taken.extend(itertools.islice(lines, count))  # keeps what it took before an error
+    except EncodingError:
+        pass
+    return taken
+
+
+class _Trees:
+    """The trees read so far. Their heads are checked by `_rooted` a batch
+    of about `_CHECK_TOKENS` tokens at a time."""
+
+    def __init__(self, allow_multiple_roots: bool):
+        self.allow_multiple_roots = allow_multiple_roots
+        self.trees: list[DependencyTree] = []
+        self.heads: list[int] = []  # of the unchecked trees trees[checked:], end to end
+        self.checked = 0
+
+    def add(self, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
+            lines: Sequence[str]) -> None:
+        self.trees.append(DependencyTree.from_columns(forms, tags, heads, lines))
+        self.heads += heads
+        if len(self.heads) >= _CHECK_TOKENS:
+            self.check()
+
+    def check(self) -> None:
+        """Check the unchecked trees in one pass: the first that is not a
+        rooted tree raises what its `validate` raises."""
+        todo = self.trees[self.checked:]
+        for i in _unrooted(self.heads, [len(t) for t in todo], self.allow_multiple_roots):
+            todo[i].validate(self.allow_multiple_roots, label=f"sentence {self.checked + i}")
+        self.checked, self.heads = len(self.trees), []
 
 
 def parse_conll(source: Iterable[str] | str,
@@ -261,59 +309,189 @@ def parse_conll(source: Iterable[str] | str,
     """Parse blank-line-separated CoNLL-X blocks into dependency trees.
 
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
-    HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. Lines are
-    checked as they are read, trees a batch at a time (`_check_trees`); a
-    batch is checked before any error is raised, so the first error in file
-    order is the one raised.
+    HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. A string is
+    split by `str.splitlines`; the lines of a file or any other source are
+    as given. They are read a block at a time (`_parse_blocks`). Trees are
+    checked a batch at a time (`_Trees`); a batch is checked before any
+    error is raised, so the first error in file order is the one raised.
     """
-    trees: list[DependencyTree] = []
-    rows: list[tuple[str, ...]] = []  # the columns of the tree being read
-    heads: list[int] = []  # of the unchecked trees trees[checked:], then of `rows`
-    checked = 0
-    try:  # the blank line chained after the input ends its last tree
-        for lineno, raw in enumerate(itertools.chain(_iter_lines(source), [""]), start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                if rows:
-                    trees.append(DependencyTree.from_columns(
-                        [c[1] for c in rows], [c[4] for c in rows],
-                        heads[len(heads) - len(rows):], rows))
-                    rows = []
-                    if len(heads) >= _CHECK_TOKENS:
-                        _check_trees(trees, checked, heads, allow_multiple_roots)
-                        checked, heads = len(trees), []
-                continue
-            cols = tuple(line.split("\t"))
-            if len(cols) < 8:
-                raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
-            try:
-                index = int(cols[0])
-                head = int(cols[6])
-            except ValueError:
-                raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
-            if index != len(rows) + 1:
-                raise ParseError(f"token ID {index} out of order (expected {len(rows) + 1})",
-                                 lineno)
-            if head == index:
-                raise ParseError(f"token {index} is its own head", lineno)
-            if head < 0:
-                raise ParseError(f"negative HEAD {head}", lineno)
-            heads.append(head)
-            rows.append(cols)
+    if isinstance(source, str):
+        lines = source.splitlines()
+        blocks = (lines[i:i + _BLOCK_LINES] for i in range(0, len(lines), _BLOCK_LINES))
+    else:
+        blocks = _line_blocks(source)
+    return _parse(blocks, allow_multiple_roots)
+
+
+def _line_blocks(source: Iterable[str]) -> Iterator[list[str]]:
+    """The lines of `source` without their newlines, up to `_BLOCK_LINES`
+    at a time; then the error of a line that could not be decoded, if one
+    ended them."""
+    lines = iter(source)
+    while block := _take(lines, _BLOCK_LINES):
+        yield [line.rstrip("\n") for line in block]
+    next(lines, None)
+
+
+def _parse(blocks: Iterable[list[str]], allow_multiple_roots: bool) -> list[DependencyTree]:
+    """The trees of blocks of lines; the unchecked ones are checked before
+    any error is raised."""
+    trees = _Trees(allow_multiple_roots)
+    try:
+        _parse_blocks(blocks, trees)
     except DataError:
-        _check_trees(trees, checked, heads[:len(heads) - len(rows)], allow_multiple_roots)
+        trees.check()
         raise
-    _check_trees(trees, checked, heads, allow_multiple_roots)
-    return trees
+    trees.check()
+    return trees.trees
 
 
-def _check_trees(trees: list[DependencyTree], start: int, heads: list[int],
-                 allow_multiple_roots: bool) -> None:
-    """Check trees[start:], whose heads `heads` holds end to end, in one pass:
-    the first that is not a rooted tree raises what its `validate` raises."""
-    todo = trees[start:]
-    for i in _unrooted(heads, [len(t) for t in todo], allow_multiple_roots):
-        todo[i].validate(allow_multiple_roots, label=f"sentence {start + i}")
+def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
+    """The exact path: `lines`, without their newlines, from line number
+    `lineno` on, read one at a time. A tree ends at each blank line and at
+    the end of `lines`; a line is checked as it is read, and the first bad
+    one raises its error."""
+    forms: list[str] = []  # of the tree being read
+    tags: list[str] = []
+    heads: list[int] = []
+    texts: list[str] = []
+    for lineno, line in enumerate(itertools.chain(lines, [""]), start=lineno):
+        if not line.strip():
+            if heads:
+                trees.add(forms, tags, heads, texts)
+                forms, tags, heads, texts = [], [], [], []
+            continue
+        cols = line.split("\t", 7)  # the columns up to HEAD, DEPREL and the rest
+        if len(cols) < 8:
+            raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
+        try:
+            index = int(cols[0])
+            head = int(cols[6])
+        except ValueError:
+            raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
+        if index != len(heads) + 1:
+            raise ParseError(f"token ID {index} out of order (expected {len(heads) + 1})",
+                             lineno)
+        if head == index:
+            raise ParseError(f"token {index} is its own head", lineno)
+        if head < 0:
+            raise ParseError(f"negative HEAD {head}", lineno)
+        forms.append(cols[1])
+        tags.append(cols[4])
+        heads.append(head)
+        texts.append(line)
+
+
+def _parse_blocks(blocks: Iterable[list[str]], trees: _Trees) -> None:
+    """The sentences of blocks of lines, without their newlines.
+
+    Each block is parsed up to its last blank line (`_parse_block`), and the
+    sentence that it cuts is carried over to the next; the last is parsed
+    whole. A sentence that fills `_BLOCK_LINES` lines is read line by line,
+    with all the lines after it. When a line cannot be decoded, the sentence
+    before it is read line by line, then its error is raised.
+    """
+    blocks = iter(blocks)
+    lineno, held = 1, []  # the lines of the sentence cut by the last block
+    try:
+        for block in blocks:
+            end = _sentences_end(block)
+            if end:
+                held += block[:end]
+                _parse_block(held, lineno, trees)
+                lineno, held = lineno + len(held), block[end:]
+            else:
+                held += block
+            if len(held) >= _BLOCK_LINES:
+                break
+        else:
+            _parse_block(held, lineno, trees)
+            return
+    except EncodingError as err:
+        rest = _raising(err)
+    else:  # outside the `try`: a decode error in `rest` is raised as it is
+        rest = itertools.chain.from_iterable(blocks)
+    _parse_lines(itertools.chain(held, rest), lineno, trees)
+
+
+def _sentences_end(lines: list[str]) -> int:
+    """Where `lines` end after their last blank line, or 0."""
+    return next((i + 1 for i in range(len(lines) - 1, -1, -1) if not lines[i].strip()), 0)
+
+
+def _raising(error: Exception) -> Iterator[str]:
+    """An iterator that raises `error` when read."""
+    raise error
+    yield
+
+
+def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
+    """The sentences of `lines`, without their newlines, from line number
+    `lineno` on, each split at once where that reads what reading it line by
+    line reads.
+
+    Sentences are runs of non-empty lines. A few passes over the bytes of the
+    whole block find the sentences whose lines all have the same number of
+    columns, at least 8, and whose heads are 1-18 ASCII digits, none equal to
+    the line's place in its sentence, and read those heads (`_digits`). Such
+    a sentence is split by one `split`, which gives its IDs, forms and tags
+    as strided slices; if its IDs are 1..n, it is a tree. Any other sentence,
+    or any block with a line that holds a newline, is read by `_parse_lines`,
+    which raises the error of the first bad line.
+    """
+    text = "\n".join(lines)
+    if text.count("\n") != len(lines) - 1:
+        _parse_lines(lines, lineno, trees)
+        return
+    data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    seps = np.flatnonzero((data == 9) | (data == 10))  # the tabs and newlines
+    ends = np.flatnonzero(data[seps] == 10)  # where in `seps` each line ends, but the last
+    first = np.append(0, ends + 1)  # where in `seps` each line's first tab would be
+    width = np.diff(first, append=len(seps) + 1)  # the columns of each line
+    filled = np.append(0, seps[ends] + 1) < np.append(seps[ends], len(data))
+    opens = filled & np.append(True, ~filled[:-1])  # the lines that begin a sentence
+    begin = np.flatnonzero(opens)
+    if not len(begin) or len(seps) == len(ends):  # no sentence, or no line of 8 columns
+        _parse_lines(lines, lineno, trees)
+        return
+    which = np.cumsum(opens) - 1  # the sentence of each line, -1 before the first
+    heads, ok = _digits(data, seps[np.minimum(first + 5, len(seps) - 1)] + 1,
+                        seps[np.minimum(first + 6, len(seps) - 1)])
+    ok &= ((width >= 8) & (width == width[begin][which])
+           & (heads != np.arange(len(lines)) - begin[which] + 1))  # no self-head
+    fast = np.logical_and.reduceat(ok | ~filled, begin)
+    sizes = np.add.reduceat(filled, begin)
+    heads = heads.tolist()
+    exact = None  # the first line of the sentences to read line by line
+    for a, n, w, split in zip(begin.tolist(), sizes.tolist(), width[begin].tolist(),
+                              fast.tolist()):
+        if split:
+            sentence = lines[a:a + n]
+            fields = "\t".join(sentence).split("\t")
+            split = fields[::w] == _ranks(n)
+        if not split:
+            exact = a if exact is None else exact
+            continue
+        if exact is not None:
+            _parse_lines(lines[exact:a], lineno + exact, trees)
+            exact = None
+        trees.add(fields[1::w], fields[4::w], heads[a:a + n], sentence)
+    if exact is not None:
+        _parse_lines(lines[exact:], lineno + exact, trees)
+
+
+def _digits(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The numbers written in data[lo[i]:hi[i]] for each i, and whether each
+    is written in 1 to 18 ASCII digits, as an int64 array and a bool array."""
+    size = hi - lo
+    ok = (size >= 1) & (size <= 18)
+    value = np.zeros(len(lo), dtype=np.int64)
+    for place in range(int(size.max(initial=0, where=ok))):
+        at = np.flatnonzero(ok & (size > place))
+        digit = data[lo[at] + place] - 48  # wraps below '0'
+        ok[at] &= digit <= 9
+        value[at] = value[at] * 10 + digit
+    return value, ok
 
 
 def _unrooted(heads: Sequence[int], width: list[int], allow_multiple_roots: bool) -> list[int]:
@@ -330,32 +508,68 @@ def _unrooted(heads: Sequence[int], width: list[int], allow_multiple_roots: bool
 
 
 def write_conll(trees: Iterable[DependencyTree]) -> str:
-    """Render trees as CoNLL-X. Tokens parsed from a file keep their extra columns."""
+    """Render trees as CoNLL-X. A token read from CoNLL keeps its line, with
+    the tree's head in its HEAD column."""
     blocks = []
     for tree in trees:
         lines = []
-        for index, (form, pos, head, cols) in enumerate(
-                zip(tree._forms, tree._tags, tree._heads, tree._cols), start=1):
-            if cols is not None:
-                cols = cols[:6] + (str(head),) + cols[7:]
-            else:
-                cols = (str(index), form, "_", pos, pos, "_", str(head), "_", "_", "_")
+        for index, (form, pos, head, line) in enumerate(
+                zip(tree._forms, tree._tags, tree._heads, tree._lines), start=1):
+            if line is None:
+                cols = [str(index), form, "_", pos, pos, "_", str(head), "_", "_", "_"]
+            else:  # HEAD replaces column 7, or follows a line of fewer columns
+                cols = line.split("\t", 7)
+                cols[6:7] = [str(head)]
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
 def read_text(path, read):
-    """`read(f)` of the UTF-8 text file at `path`; a byte that is not UTF-8
-    raises `EncodingError` naming the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
+    """`read(f)` of the UTF-8 text file at `path`. A byte that is not UTF-8
+    raises `EncodingError` naming the file when the line that holds it is
+    read, not before, so a reader that checks what it has read before it
+    raises (both treebank readers) reports the first error in file order.
+
+    The file is decoded a block of bytes ahead of `read`, so a decode error
+    stops `read` early; `read` is then run again on `_TextLines`. Every
+    reader here can be run again: none changes anything before it returns.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
             return read(f)
-        except UnicodeDecodeError as err:
-            raise EncodingError(f"{path}: not UTF-8 text ({err.reason})") from None
+    except UnicodeDecodeError:
+        pass
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        return read(_TextLines(f, path))
+
+
+class _TextLines(io.TextIOBase):
+    """The lines of a text file that is not all UTF-8, opened with
+    errors="surrogateescape", which reads a byte that is not UTF-8 as a lone
+    surrogate. The line that holds one raises `EncodingError`, naming the
+    file, and so does every read after it."""
+
+    def __init__(self, f: io.TextIOBase, path):
+        super().__init__()
+        self._lines, self._path, self._error = f, path, None
+
+    def __iter__(self) -> Iterator[str]:
+        return self
+
+    def __next__(self) -> str:
+        if self._error is None:
+            line = next(self._lines)
+            try:
+                line.encode("utf-8", "surrogateescape").decode("utf-8")
+                return line
+            except UnicodeDecodeError as err:
+                self._error = f"{self._path}: not UTF-8 text ({err.reason})"
+        raise EncodingError(self._error)
 
 
 def load_conll(path, allow_multiple_roots: bool = False) -> list[DependencyTree]:
+    """`parse_conll` of the UTF-8 text file at `path` (`read_text`)."""
     return read_text(path, lambda f: parse_conll(f, allow_multiple_roots))
 
 
@@ -419,8 +633,9 @@ _CAND_LINES = re.compile(r"(?:CAND [0-9]+ [0-9eE.+-]+\n)+")
 _HEAD_LINES = re.compile(r"(?:HEAD [ 0-9]*[0-9]\n)+")
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=256)
 def _ranks(k: int) -> list[str]:
+    """str(1), ..., str(k): candidate ranks, or token IDs."""
     return [str(rank) for rank in range(1, k + 1)]
 
 
@@ -507,7 +722,7 @@ def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_
 
 def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sent_idx: int,
                      k: int, lineno: int, allow_multiple_roots: bool
-                     ) -> tuple[list[float], np.ndarray, str, int]:
+                     ) -> tuple[list[float], np.ndarray, str | None, int]:
     """The k CAND/HEAD blocks after a SENT header on line `lineno`, read line
     by line: the exact path, for lines `_read_block` does not take.
 
@@ -515,8 +730,9 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
     canonical, they are parsed in one call, and their trees are left to the
     caller to check. Otherwise, or when a check fails, `_replay_heads` reads
     them line by line and checks their trees in one call, so the first error
-    in file order is raised. Returns the scores, the head matrix, the HEAD lines and the
-    number of the last line read.
+    in file order is raised. Returns the scores, the head matrix, the HEAD
+    lines (None if their trees are checked here) and the number of the last
+    line read.
     """
     head_lines: list[tuple[int, str]] = []
     scores: list[float] = []
@@ -554,6 +770,7 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
     if heads is None:
         heads = np.array(_replay_heads(gold, head_lines, sent_idx, allow_multiple_roots),
                          dtype=np.int64)
+        text = None
     return scores, heads, text, lineno
 
 
@@ -622,7 +839,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                 raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
             if k < 1:
                 raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
-            taken = list(itertools.islice(raw, 2 * k)) if 2 * k <= _BLOCK_LINES else []
+            taken = _take(raw, 2 * k) if 2 * k <= _BLOCK_LINES else []
             block = _read_block(taken, k, len(gold)) if whole else None
             if block:
                 scores, heads, text = block
@@ -635,11 +852,12 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                                                                allow_multiple_roots)
             kb = KBestList.from_arrays(gold, heads, np.array(scores, dtype=np.float64))
             lists.append(kb)
-            pending.append((sent_idx, kb, text))
-            pending_tokens += heads.size
-            if pending_tokens >= _CHECK_TOKENS:
-                _check_lists(pending, allow_multiple_roots)
-                pending, pending_tokens = [], 0
+            if text is not None:  # else `_replay_heads` has checked its trees
+                pending.append((sent_idx, kb, text))
+                pending_tokens += heads.size
+                if pending_tokens >= _CHECK_TOKENS:
+                    _check_lists(pending, allow_multiple_roots)
+                    pending, pending_tokens = [], 0
         if any(line.strip() for line in raw):
             raise AlignmentError(
                 f"candidate file has more sentences than the {len(golds)} gold ones")

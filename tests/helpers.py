@@ -794,6 +794,21 @@ def reference_parse_conll(source, allow_multiple_roots=False):
     return trees
 
 
+def reference_write_conll(trees):
+    """`write_conll` one token at a time, from each token's columns."""
+    blocks = []
+    for tree in trees:
+        lines = []
+        for t in tree.tokens:
+            if t.cols is None:
+                cols = (str(t.index), t.form, "_", t.pos, t.pos, "_", str(t.head), "_", "_", "_")
+            else:
+                cols = t.cols[:6] + (str(t.head),) + t.cols[7:]
+            lines.append("\t".join(cols))
+        blocks.append("\n".join(lines))
+    return "\n\n".join(blocks) + "\n" if blocks else ""
+
+
 def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
     """Pair gold trees with their candidates, one line and one checked tree
     at a time, so the first error in file order is raised.

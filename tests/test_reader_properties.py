@@ -3,22 +3,25 @@ raises a DataError, the readers agree with per-tree reference readers, and
 the tree check agrees with a breadth-first walk."""
 
 import io
+import os
+import tempfile
 from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from deprerank import treebank
+from deprerank import synth, treebank
 from deprerank.errors import DataError, StructureError
 from deprerank.params import load
 from deprerank.treebank import (
-    DependencyTree, is_rooted_tree, parse_conll, read_kbest, rooted_rows, write_conll,
+    DependencyTree, is_rooted_tree, load_conll, parse_conll, read_kbest, rooted_rows,
+    write_conll,
 )
 
 from helpers import (
     make_tree, model_bytes, model_parts, reference_parse_conll, reference_read_kbest,
-    rooted_by_bfs, tiny_params,
+    reference_write_conll, rooted_by_bfs, tiny_params,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -269,6 +272,103 @@ def test_parse_conll_fails_like_the_sequential_parser(files, batch):
         ours = _parsed(parse_conll, text, multi)
         assert _parsed(parse_conll, io.StringIO(text), multi) == ours
     assert ours == _parsed(reference_parse_conll, text, multi)
+
+
+# ways to write a number that int() reads: signed, zero-padded, with an
+# underscore, in fullwidth digits, padded with spaces
+FULLWIDTH = str.maketrans("0123456789", "０１２３４５６７８９")
+NUMERALS = (lambda n: f"+{n}", lambda n: f"0{n}", lambda n: "_".join(str(n)),
+            lambda n: str(n).translate(FULLWIDTH), lambda n: f" {n}")
+
+
+@st.composite
+def conll_texts(draw):
+    r"""CoNLL text that the block parser must read exactly as the line parser
+    does: usually well-formed sentences, sometimes with ragged column counts
+    (columns of small numbers, so that a ragged sentence's columns can look
+    like IDs), IDs or heads written as +3, 03, 3_0 or fullwidth digits,
+    \r\n or a lone \r, \x0b or \u2028 inside a line, whitespace-only or
+    repeated blank lines between sentences, a self-head, a head past the
+    end, and no final newline."""
+    def rare(k=6):
+        return not draw(st.integers(0, k))
+
+    filler = st.sampled_from(("_", "_", "1", "2", "3"))
+    out = []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.integers(1, 6))
+        heads = draw(st.one_of(rooted_heads(n, False), rooted_heads(n, True),
+                               st.lists(st.integers(0, n + 1), min_size=n, max_size=n)))
+        width, ragged = draw(st.integers(8, 10)), rare(3)
+        for i, h in enumerate(heads, start=1):
+            ident, head = str(i), str(h)
+            if rare():
+                ident = draw(st.sampled_from(NUMERALS))(i)
+            if rare():
+                head = draw(st.sampled_from(NUMERALS))(h)
+            form = draw(st.sampled_from((f"w{h}", str(i - 1), str(i), str(i + 1))))
+            if rare(9):
+                form += draw(st.sampled_from(("\x0b", "\u2028", "\r")))
+            cols = [ident, form, draw(filler), f"T{i % 3}", f"T{h % 3}", draw(filler), head,
+                    *(draw(filler) for _ in range(3))]
+            cols = cols[:draw(st.sampled_from((7, 8, 9, 9, 10, 10))) if ragged else width]
+            out.append("\t".join(cols) + draw(st.sampled_from(("\n",) * 6 + ("\r\n", "\r"))))
+        out.append(draw(st.sampled_from(("\n",) * 6 + ("\n\n", " \n", "\t\n", "\r\n"))))
+    text = "".join(out)
+    return text.rstrip("\n") if rare(3) else text
+
+
+def _paired_lines(text):
+    """The lines of `text` with their ends, two to an item: a source whose
+    items hold newlines inside them."""
+    lines = text.splitlines(keepends=True)
+    return ["".join(lines[i:i + 2]) for i in range(0, len(lines), 2)]
+
+
+def _parsed_file(text, multi):
+    """`_parsed` of `load_conll` on the text written to a file as it is."""
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "gold.conll")
+        with open(path, "w", encoding="utf-8", newline="") as f:
+            f.write(text)
+        ours = _parsed(lambda _, **kw: load_conll(path, **kw), text, multi)
+        with open(path, encoding="utf-8") as f:  # newline translation, as load_conll reads
+            return ours, _parsed(reference_parse_conll, f, multi)
+
+
+# 9, 8 and 8 columns: split as if all had 9, the third line's form would
+# read as its ID
+RAGGED = "1\t1\t1\tT\tT\t1\t0\t1\t1\n2\tw\t1\tT\tT\t1\t1\t1\n3\t3\t1\tT\tT\t1\t1\t1\n"
+
+
+@settings(FUZZ, max_examples=300)
+@given(conll_texts(), st.booleans(), st.sampled_from((1, 7, treebank._BLOCK_LINES)),
+       st.sampled_from((1, 7, treebank._CHECK_TOKENS)))
+@example(RAGGED, False, treebank._BLOCK_LINES, treebank._CHECK_TOKENS)
+def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
+    """String, text-file and list sources, read in blocks of 1 or 7 lines or whole."""
+    with mock.patch.multiple(treebank, _BLOCK_LINES=block, _CHECK_TOKENS=batch):
+        for source in (lambda: io.StringIO(text), lambda: _paired_lines(text), lambda: text):
+            ours = _parsed(parse_conll, source(), multi)
+            assert ours == _parsed(reference_parse_conll, source(), multi)
+        in_file, by_line = _parsed_file(text, multi)
+        assert in_file == by_line
+    if ours[0] == "ok":  # written back as the line parser's trees are, with any heads
+        trees = parse_conll(text, allow_multiple_roots=multi)
+        for heads in (lambda t: t.heads, lambda t: [0] * len(t)):
+            moved = [tree.with_heads(heads(tree), validate=False) for tree in trees]
+            assert write_conll(moved) == reference_write_conll(moved)
+
+
+@given(st.integers(1, 9).flatmap(lambda n: st.tuples(rooted_heads(n, False),
+                                                     st.integers(0, n - 1),
+                                                     st.integers(0, n))))
+def test_a_local_edit_check_agrees_with_the_tree_check(case):
+    heads, i, new_head = case
+    if new_head in (i + 1, heads[i]):  # not an edit `corrupt_heads` tries
+        return
+    edited = heads[:i] + [new_head] + heads[i + 1:]
+    assert synth.keeps_tree(heads, i, new_head) == is_rooted_tree(edited)
 
 
 json_values = st.recursive(

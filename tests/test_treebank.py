@@ -4,15 +4,18 @@ import dataclasses
 import io
 import itertools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from deprerank.errors import AlignmentError, ParseError, StructureError
+from deprerank import treebank
+from deprerank.cli import main
+from deprerank.errors import AlignmentError, EncodingError, ParseError, StructureError
 from deprerank.treebank import (
-    DependencyTree, EvalResult, KBestList, Token, corpus_oracle, is_rooted_tree, oracle_best,
-    oracle_worst, parse_conll, read_kbest, resolve_punct_set, rooted_rows, uas, write_conll,
-    write_kbest, PUNCT_SETS, _BLOCK_LINES,
+    DependencyTree, EvalResult, KBestList, Token, corpus_oracle, is_rooted_tree, load_conll,
+    oracle_best, oracle_worst, parse_conll, read_kbest, read_kbest_files, resolve_punct_set,
+    rooted_rows, uas, write_conll, write_kbest, PUNCT_SETS, _BLOCK_LINES,
 )
 
 from helpers import (
@@ -47,6 +50,26 @@ def test_parsed_tokens_equal_validated_tokens():
     for index, head in ((0, 1), (2, -1), (2, 2)):
         with pytest.raises(StructureError):
             Token(index, "a", "DT", head)
+
+
+def test_tokens_and_lines_of_tokens_with_no_or_short_columns_round_trip():
+    tokens = (Token(1, "a", "DT", 2), Token(2, "b", "NN", 0, ("2", "b", "x")),
+              Token(3, "c", "VB", 2, ("3", "c", "_", "VB", "VB", "_", "9", "dep", "_", "_", "+")))
+    tree = DependencyTree(tokens)
+    assert tree.tokens == tokens
+    assert [t.cols for t in tree.tokens] == [t.cols for t in tokens]
+    assert write_conll([tree]) == ("1\ta\t_\tDT\tDT\t_\t2\t_\t_\t_\n"
+                                   "2\tb\tx\t0\n"
+                                   "3\tc\t_\tVB\tVB\t_\t2\tdep\t_\t_\t+\n")
+    moved = tree.with_heads([0, 3, 1], validate=False)
+    assert moved.tokens[2].cols == tokens[2].cols  # the lines are shared, heads are not
+    assert write_conll([moved]).splitlines() == [
+        "1\ta\t_\tDT\tDT\t_\t0\t_\t_\t_", "2\tb\tx\t3",
+        "3\tc\t_\tVB\tVB\t_\t1\tdep\t_\t_\t+"]
+    # columns are kept as their line, so none may hold a tab, and there is one
+    for cols in ((), ("1", "a\tb", "_", "DT", "DT", "_", "0", "_")):
+        with pytest.raises(StructureError, match="token 1 has no CoNLL columns or a tab"):
+            DependencyTree([Token(1, "a", "DT", 0, cols)])
 
 
 def test_parse_empty_input():
@@ -337,6 +360,24 @@ def test_a_huge_k_takes_a_bounded_block(k):
     assert source.pulled <= 1 + _BLOCK_LINES  # the header, then at most one block
 
 
+def test_a_sentence_with_no_blank_lines_takes_a_bounded_block():
+    # the third line is out of order, and no blank line ever ends the sentence
+    line = "1\ta\t_\tDT\tDT\t_\t0\t_\n"
+    text = line + "2\tb\t_\tNN\tNN\t_\t1\t_\n" + line * (2 * _BLOCK_LINES)
+    source = _CountingLines(text)
+    with pytest.raises(ParseError) as ours:
+        parse_conll(source)
+    with pytest.raises(ParseError) as theirs:
+        reference_parse_conll(text)
+    assert (str(ours.value), ours.value.line) == (str(theirs.value), theirs.value.line) == (
+        "line 3: token ID 1 out of order (expected 3)", 3)
+    assert source.pulled <= _BLOCK_LINES
+    # a sentence longer than a block is read line by line, with what follows it
+    text = write_conll([_chain(10), _chain(3), _chain(12), _chain(2)])
+    with mock.patch.object(treebank, "_BLOCK_LINES", 4):
+        assert parse_conll(io.StringIO(text)) == reference_parse_conll(text)
+
+
 def _chain(n):
     """Gold of n tokens, each headed by the one before it."""
     return make_tree(list(range(n)))
@@ -445,3 +486,64 @@ def test_attachment_counts_match_uas():
         correct, scored = kb.attachment_counts(punct)
         assert [EvalResult(int(c), scored) for c in correct] == [
             uas(tree, gold, punct) for tree, _ in kb.candidates]
+
+
+def test_a_list_read_line_by_line_is_checked_once(monkeypatch):
+    """A list whose HEAD lines are not in `write_kbest`'s form has its trees
+    checked where they are read, and not again in the reader's batch."""
+    rows = []
+    rooted = treebank._rooted
+
+    def counted(heads, width, allow_multiple_roots):
+        rows.append(len(width))
+        return rooted(heads, width, allow_multiple_roots)
+
+    monkeypatch.setattr(treebank, "_rooted", counted)
+    for spacing in ("HEAD", "HEAD "):  # write_kbest's form, then one with a double space
+        rows.clear()
+        lists = read_kbest(BIKE_BLOCK, f"SENT 0 2\nCAND 1 -1.0\n{spacing} 3 3 0\n"
+                                       f"CAND 2 -2.0\n{spacing} 2 3 0\n")
+        assert lists[0].heads.tolist() == [[3, 3, 0], [2, 3, 0]]
+        assert sum(rows) == 1 + 2  # the gold tree, then each candidate once
+
+
+CYCLE = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
+NOT_UTF8 = "1\tb\t_\tNN\tNN\t_\t0\t_\n".encode() + b"2\t\xff\t_\tNN\tNN\t_\t1\t_\n"
+
+
+def test_a_byte_that_is_not_utf8_is_an_error_at_its_line(tmp_path, capsys):
+    """Errors come in file order across a decode error too: a cyclic first
+    sentence is reported, not the byte in the second, in a gold file and in
+    a k-best file, through the CLI as well."""
+    cyclic = tmp_path / "cyclic.conll"
+    cyclic.write_bytes(CYCLE.encode() + b"\n" + NOT_UTF8)
+    with pytest.raises(StructureError, match="^sentence 0: head indices"):
+        load_conll(cyclic)
+    gold = tmp_path / "gold.conll"
+    gold.write_text(BIKE_BLOCK + "\n" + BIKE_BLOCK, encoding="utf-8")
+    kbest = tmp_path / "cyclic.kbest"
+    kbest.write_bytes(b"SENT 0 1\nCAND 1 -1.0\nHEAD 2 3 1\nSENT 1 1\nCAND 1 -1.0\nHEAD\xff 3 3 0\n")
+    with pytest.raises(StructureError, match="^sentence 0, candidate 1: "):
+        read_kbest_files(gold, kbest)
+    for args, message in (([cyclic, kbest], "sentence 0: head indices"),
+                          ([gold, kbest], "sentence 0, candidate 1: ")):
+        assert main(["oracle", "--gold", str(args[0]), "--kbest", str(args[1])]) == 2
+        assert capsys.readouterr().err.startswith(f"deprerank: error: {message}")
+    # with nothing wrong before it, the byte is the error, named as before
+    bad = tmp_path / "bad.conll"
+    bad.write_bytes(BIKE_BLOCK.encode() + b"\n" + NOT_UTF8 + b"\n" + CYCLE.encode())
+    message = f"^{re.escape(str(bad))}: not UTF-8 text \\(invalid start byte\\)$"
+    with pytest.raises(EncodingError, match=message):
+        load_conll(bad)
+    with pytest.raises(EncodingError, match=message):
+        read_kbest_files(bad, kbest)
+    assert main(["oracle", "--gold", str(bad), "--kbest", str(kbest)]) == 2
+    assert capsys.readouterr().err == (
+        f"deprerank: error: {bad}: not UTF-8 text (invalid start byte)\n")
+
+
+def test_a_line_error_before_the_byte_in_its_sentence_comes_first(tmp_path):
+    path = tmp_path / "gold.conll"
+    path.write_bytes(BIKE_BLOCK.encode() + b"\n1\tx\t_\tNN\tNN\t_\t0\n" + NOT_UTF8)
+    with pytest.raises(ParseError, match="^line 5: expected >= 8 tab-separated columns, got 7$"):
+        load_conll(path)
