@@ -29,6 +29,7 @@ from deprerank.rcnn import (
 )
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
 from deprerank.trainer import AdaGradState, adagrad_step
+from deprerank.treebank import KBestList
 
 
 def _forward_args(params, plan):
@@ -80,15 +81,14 @@ def _median_per_list(step, lists, repeats):
 def bench_builds(params, kbests, repeats):
     """Median time per list of building the lists' plans one list per call,
     and in batches over all the lists, alternating the two per repeat."""
-    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests]
     one, batched = [], []
     for _ in range(repeats):
         t0 = time.perf_counter()
-        for sentence in sentences:
-            build_list_plan(params, *sentence)
+        for kb in kbests:
+            build_list_plan(params, kb)
         one.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        build_list_plans(params, sentences)
+        build_list_plans(params, kbests)
         batched.append(time.perf_counter() - t0)
     return {"build_list_plan (one list per call)": statistics.median(one) / len(kbests),
             "build_list_plans (batched)": statistics.median(batched) / len(kbests)}
@@ -97,11 +97,10 @@ def bench_builds(params, kbests, repeats):
 def bench_dev_scoring(params, kbests, repeats):
     """Median time per list of building and scoring dev lists as per-list
     plans and as forests, the four steps in turn per repeat."""
-    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests]
-    plans, forests = build_list_plans(params, sentences), build_forests(params, sentences)
+    plans, forests = build_list_plans(params, kbests), build_forests(params, kbests)
     steps = {
-        "dev build: per-list plans": lambda: build_list_plans(params, sentences),
-        "dev build: forests": lambda: build_forests(params, sentences),
+        "dev build: per-list plans": lambda: build_list_plans(params, kbests),
+        "dev build: forests": lambda: build_forests(params, kbests),
         "dev forward: per-list plans": lambda: [score_list(params, p) for p in plans],
         "dev forward: forests": lambda: [score_list(params, f) for f in forests],
     }
@@ -122,7 +121,7 @@ def bench_lists(params, kbests, repeats):
     lists = []
     for kb in kbests:
         heads = np.concatenate([[kb.gold.heads], kb.heads])
-        plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, heads,
+        plan = build_list_plan(params, KBestList.from_arrays(kb.gold, heads, np.zeros(len(heads))),
                                create_pairs=True)
         scores, acts = forward_list(params, plan)
         wrong = (kb.heads != heads[0]).sum(axis=1)
@@ -174,8 +173,7 @@ def main():
     trees = [random_tree(rng, args.length, vocab) for _ in range(args.sentences)]
     plans = [build_plan(params, t, create_pairs=True) for t in trees]
     kbests = [synth_kbest(rng, tree, args.k) for tree in trees]
-    build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in kbests],
-                     create_pairs=True)  # the pairs exist before any build is timed
+    build_list_plans(params, kbests, create_pairs=True)  # pairs exist before any build is timed
     print(f"{args.sentences} {args.k}-best lists of length {args.length}, "
           f"m={args.m}, m_d={args.m_d}, {len(params.pos_pairs)} pair slots")
     stages = {**bench_lists(params, kbests, args.repeats),

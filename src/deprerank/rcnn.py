@@ -14,8 +14,9 @@ into the plans each list gets alone; `build_forests` keeps each batch whole,
 one plan that `forward_list` scores with one product per (height, slot) for
 all its lists. `forward_list` also returns the arcs' activations, and
 `backward_list` backpropagates a weighted sum of some of a list's tree scores
-through them (a training step's hinge). Plans read trees as columns; the
-readers check that heads form rooted trees (`treebank._rooted`). The per-tree
+through them (a training step's hinge). The builders take `KBestList`s, whose
+constructors have checked that every head row is a forest over the sentence;
+nothing here checks heads again. The per-tree
 plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same
 one tree at a time; they remain for `score_tree`, as test oracles and as the
 tracer's targets.
@@ -24,14 +25,13 @@ tracer's targets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from . import kernels
-from .errors import AlignmentError, StructureError
 from .params import ParamSet, ROOT_FORM, ROOT_POS
-from .treebank import DependencyTree, head_chains
+from .treebank import DependencyTree, KBestList
 
 ROOT_NODE = 0
 
@@ -168,136 +168,79 @@ class ListPlan:
 PLAN_BUDGET = 8192
 
 
-def _checked_heads(forms: Sequence[str], tags: Sequence[str], heads) -> np.ndarray:
-    """A sentence's (k, n) head matrix, checked against its forms and tags."""
-    heads = np.asarray(heads, dtype=np.int64)
-    n = len(forms)
-    if heads.ndim != 2:
-        raise ValueError("heads must be a (trees, tokens) matrix")
-    if not len(heads):
-        raise ValueError("no trees to score")
-    if len(tags) != n or heads.shape[1] != n:
-        raise AlignmentError(
-            f"{heads.shape[1]} heads per tree for {n} forms and {len(tags)} POS tags")
-    if not n:
-        raise ValueError("cannot score an empty sentence")
-    if heads.min() < 0 or heads.max() > n:
-        raise StructureError(f"head indices must lie in [0, {n}]")
-    return heads
-
-
-def plan_batches(sentences: Iterable[tuple]) -> Iterator[list[tuple]]:
-    """Runs of consecutive (forms, tags, heads) sentences whose node instances,
-    k * (n + 1) per sentence, add up to at most PLAN_BUDGET; a larger sentence
-    is a batch of its own."""
-    batch, size = [], 0
-    for sentence in sentences:
-        forms, _, heads = sentence
-        cost = len(heads) * (len(forms) + 1)
-        if batch and size + cost > PLAN_BUDGET:
-            yield batch
-            batch, size = [], 0
-        batch.append(sentence)
+def plan_batches(lists: Iterable[KBestList]) -> list[list[KBestList]]:
+    """Runs of consecutive k-best lists whose node instances, k * (n + 1) per
+    list, add up to at most PLAN_BUDGET; a larger list is a batch of its own.
+    All batches are made before any is built, so a list with no candidates
+    raises ValueError before any plan is."""
+    batches, size = [], 0
+    for kb in lists:
+        if not len(kb):
+            raise ValueError("no trees to score")
+        cost = len(kb) * (len(kb.gold) + 1)
+        if not batches or size + cost > PLAN_BUDGET:
+            batches.append([])
+            size = 0
+        batches[-1].append(kb)
         size += cost
-    if batch:
-        yield batch
+    return batches
 
 
-def build_list_plan(params: ParamSet, forms: Sequence[str], tags: Sequence[str],
-                    heads, create_pairs: bool = False) -> ListPlan:
-    """The plan of one sentence's trees: `build_list_plans` on one sentence."""
-    return build_list_plans(params, [(forms, tags, heads)], create_pairs)[0]
+def build_list_plan(params: ParamSet, kb: KBestList, create_pairs: bool = False) -> ListPlan:
+    """The plan of one list's trees: `build_list_plans` on one list."""
+    return build_list_plans(params, [kb], create_pairs)[0]
 
 
-def _checked_batches(sentences: Iterable[tuple],
-                     acyclic: bool = False) -> Iterator[list[tuple]]:
-    """`plan_batches` of the sentences, every one checked before the first
-    batch is handed out; with acyclic, every head row is also checked to be
-    a forest (`_check_forests`)."""
-    checked = [(forms, tags, _checked_heads(forms, tags, heads))
-               for forms, tags, heads in sentences]
-    if acyclic and checked:
-        _check_forests(checked)
-    return plan_batches(checked)
-
-
-def build_list_plans(params: ParamSet, sentences: Iterable[tuple],
+def build_list_plans(params: ParamSet, lists: Iterable[KBestList],
                      create_pairs: bool = False) -> list[ListPlan]:
-    """Hash-cons the trees of each sentence into unique subtrees and arcs.
+    """Hash-cons the trees of each k-best list into unique subtrees and arcs.
 
-    A sentence is (forms, tags, heads): `heads` is a (k, n) matrix, one row of
-    1-based heads (0 = root) per tree over the n forms and POS tags. Lookups
-    follow `build_plan`: OOV words use `<unk>`, distances are clipped, and
-    unseen POS pairs map to the fallback slot or, with create_pairs, get fresh
-    parameters, created in the order `build_plan` would meet them sentence by
-    sentence and tree by tree. With create_pairs every sentence is checked,
-    for cycles too, before any pair is created; without, a row that is not a
-    forest fails its batch as it is built, with the same error.
+    A list's trees are its `heads` rows over its gold tree's forms and POS
+    tags; a `KBestList` holds only forests, so no row is checked here.
+    Lookups follow `build_plan`: OOV words use `<unk>`, distances are
+    clipped, and unseen POS pairs map to the fallback slot or, with
+    create_pairs, get fresh parameters, created in the order `build_plan`
+    would meet them list by list and tree by tree.
 
-    The sentences of a batch (`plan_batches`) are built as one forest, in one
-    pass per subtree height, and split into one plan per sentence. Sentences
-    share no node, so each plan is the one its sentence gets alone, numbering
-    included.
+    The lists of a batch (`plan_batches`) are built as one forest, in one
+    pass per subtree height, and split into one plan per list. Lists share
+    no node, so each plan is the one its list gets alone, numbering included.
     """
-    return [plan for batch in _checked_batches(sentences, acyclic=create_pairs)
+    return [plan for batch in plan_batches(lists)
             for plan in _build_batch(params, batch, create_pairs)]
 
 
-def build_forests(params: ParamSet, sentences: Iterable[tuple]) -> list[ListPlan]:
-    """The unsplit forest of each batch of sentences (see `build_list_plans`).
+def build_forests(params: ParamSet, lists: Iterable[KBestList]) -> list[ListPlan]:
+    """The unsplit forest of each batch of k-best lists (see `build_list_plans`).
 
-    A forest is one plan over all the trees of its batch, in sentence order:
-    its arcs are numbered by height and POS-pair slot across the sentences,
-    so `forward_list` makes one product per (height, slot) for the whole
-    batch. `tree_arcs` has a column per tree and a row per token of the
-    batch's longest sentence; the rows past a shorter sentence's length hold
-    `num_arcs`, which scores 0. A forest of one sentence is that sentence's
-    list plan. Scores match the per-list plans' within rounding: a row of a
-    matrix product can change in its last bits with the rows around it.
+    A forest is one plan over all the trees of its batch, in list order: its
+    arcs are numbered by height and POS-pair slot across the lists, so
+    `forward_list` makes one product per (height, slot) for the whole batch.
+    `tree_arcs` has a column per tree and a row per token of the batch's
+    longest sentence; the rows past a shorter sentence's length hold
+    `num_arcs`, which scores 0. A forest of one list is that list's plan.
+    Scores match the per-list plans' within rounding: a row of a matrix
+    product can change in its last bits with the rows around it.
     """
     return [_build_batch(params, batch, False, forest=True)[0]
-            for batch in _checked_batches(sentences)]
+            for batch in plan_batches(lists)]
 
 
-def _check_forests(sentences: list[tuple]) -> None:
-    """Raise StructureError for the first head row of the checked sentences
-    that is not a forest, naming the lowest token on a cycle in that row.
-
-    `treebank.head_chains` follows every row's head chains at once: a token
-    of a forest reaches the root, and a token on or below a cycle ends on it.
-    """
-    heads = np.concatenate([h.ravel() for _, _, h in sentences])
-    up, first = head_chains(
-        heads, np.repeat([h.shape[1] for _, _, h in sentences], [len(h) for _, _, h in sentences]))
-    end = len(heads)
-    stuck = (up != end).nonzero()[0]
-    if not len(stuck):
-        return
-    at = start = int(first[stuck[0]])
-    for forms, _, heads in sentences:
-        if at < heads.size:
-            break
-        at -= heads.size
-    on_cycle = up[start:start + len(forms)]
-    raise StructureError(f"heads row {at // len(forms)} of the sentence {' '.join(forms)!r} "
-                         f"has a cycle through token {on_cycle[on_cycle < end].min() - start + 1}")
-
-
-def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
+def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
                  forest: bool = False) -> list[ListPlan]:
-    """The plans of a batch's checked sentences, in order, or with forest its
-    unsplit forest alone."""
+    """The plans of a batch's lists, in order, or with forest its unsplit
+    forest alone."""
     # Node instance i is node u of tree t of sentence s, in that order, and
     # node[i] is its node in the forest (the nodes of earlier sentences, + u);
     # `end` pads rows of `kids`. With one sentence, forest ids are its own.
     nodes, children, parents = [], [], []
     end = num_nodes = 0
-    for _, _, heads in batch:
-        k, width = heads.shape[0], heads.shape[1] + 1
+    for kb in batch:
+        k, width = len(kb), len(kb.gold) + 1
         grid = np.arange(end, end + k * width).reshape(k, width)
         nodes.append(np.tile(np.arange(num_nodes, num_nodes + width), k))
         children.append(grid[:, 1:].ravel())
-        parents.append((heads + grid[:, :1]).ravel())
+        parents.append((kb.heads + grid[:, :1]).ravel())
         end, num_nodes = end + k * width, num_nodes + width
     node, child, parent = (np.concatenate(a) for a in (nodes, children, parents))
     parent_of = np.full(end, end)  # a root's parent is `end`
@@ -311,20 +254,18 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
     # Signatures, one height at a time: a node's row is its node and its
     # children's signatures (-1 pads), and equal rows get one id. Heights h
     # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id, in
-    # sentence order. A node on a cycle never gets one.
+    # sentence order.
     sig = np.append(node, -1)
     bounds = [0, num_nodes]
     reps = []
     pending = nkids.copy()
     ready = (nkids == 0).nonzero()[0]
-    signed = len(ready)
     while True:  # ndarray methods, not their np.* wrappers: this loop runs per height
         done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
         pending -= done
         ready = ((pending == 0) & (done > 0)).nonzero()[0]
         if not len(ready):
             break
-        signed += len(ready)
         rows = sig[kids[ready]]
         rows[:, 0] += node[ready] * (end + num_nodes)
         order = np.lexsort(rows.T[::-1])
@@ -336,14 +277,12 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
         sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
         bounds.append(bounds[-1] + int(ids[-1]))
-    if signed < end:  # only a node on a cycle gets no signature
-        _check_forests(batch)
     sig_node = np.concatenate([np.arange(num_nodes)] + [node[r] for r in reps])
 
     # POS pairs by first occurrence in build_plan's arc order
     tag_ids: dict[str, int] = {}
     tag_of = np.array([tag_ids.setdefault(t, len(tag_ids))
-                       for _, tags, _ in batch for t in (ROOT_POS, *tags)])
+                       for kb in batch for t in (ROOT_POS, *kb.gold.pos_tags)])
     names, ntags = list(tag_ids), len(tag_ids)
     codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
     seen = np.full(ntags * ntags, len(codes))
@@ -364,7 +303,7 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
     arc_slot = slot_of[tag_of[arc_head] * ntags + tag_of[child_node]]
     level = np.searchsorted(bounds, arc_child, side="right") - 1
     num_sents, stride = len(batch), len(reps) + 1
-    widths = np.array([len(forms) + 1 for forms, _, _ in batch])
+    widths = np.array([len(kb.gold) + 1 for kb in batch])
     split = num_sents > 1 and not forest
     if split:
         sent_of_node = np.repeat(np.arange(num_sents), widths)
@@ -387,7 +326,7 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
     arc_dist = dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip]
     node_word = np.array([params.word_row(f)
-                          for forms, _, _ in batch for f in (ROOT_FORM, *forms)])
+                          for kb in batch for f in (ROOT_FORM, *kb.gold.forms)])
     tree_arcs = arc_of[child]
 
     if not split:  # the forest: a sentence alone, or the whole batch
@@ -397,11 +336,10 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
                    bounds[h + 1], bounds[h + 2],
                    np.ascontiguousarray(arc_of[kids[r, :nkids[r].max()]].T))
                   for h, r in enumerate(reps)]
-        columns = np.full((widths.max() - 1, sum(len(heads) for _, _, heads in batch)),
-                          num_arcs)
+        columns = np.full((widths.max() - 1, sum(map(len, batch))), num_arcs)
         col = at = 0
-        for _, _, heads in batch:
-            k, n = heads.shape
+        for kb in batch:
+            k, n = kb.heads.shape
             columns[:n, col:col + k] = tree_arcs[at:at + k * n].reshape(k, n).T
             col, at = col + k, at + k * n
         return [ListPlan(node_word, arc_child, arc_head, arc_dist, arc_slot, levels, columns)]
@@ -432,16 +370,16 @@ def _build_batch(params: ParamSet, batch: list[tuple], create_pairs: bool,
     arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
     shift = arc0[level[starts] // stride]
     groups = list(zip((starts - shift).tolist(), (stops - shift).tolist(), group_slots))
-    tree_arcs = tree_arcs - np.repeat(arc0, [heads.size for _, _, heads in batch])
+    tree_arcs = tree_arcs - np.repeat(arc0, [kb.heads.size for kb in batch])
     arc_bounds = arc_bounds - arc0[:, None]
     group_bounds = np.reshape(group_bounds, (-1, stride)).tolist()
 
     plans = []
     node_at = child_at = 0
-    for (_, _, heads), arc_at, group_at, sig_at, rows_of, a0, a1 in zip(
+    for kb, arc_at, group_at, sig_at, rows_of, a0, a1 in zip(
             batch, arc_bounds.tolist(), group_bounds, sig_bounds.T.tolist(), members,
             arc0.tolist(), arc1.tolist()):
-        k, n = heads.shape
+        k, n = kb.heads.shape
         levels = [(arc_at[h], arc_at[h + 1], groups[group_at[h]:group_at[h + 1]],
                    sig_at[h + 1], sig_at[h + 2], rows_of[h]) for h in range(len(rows_of))]
         plans.append(ListPlan(

@@ -10,9 +10,10 @@ import numpy as np
 from .errors import AlignmentError
 from .params import ParamSet
 from .rcnn import build_list_plan, build_list_plans, plan_batches, score_list
-# no longer used here; perfbench's tracer self-test still checks this binding
+from .treebank import DependencyTree, EvalResult, KBestList
+# no longer used here; perfbench's tracer self-test still checks these bindings
 from .rcnn import score_tree  # noqa: F401
-from .treebank import DependencyTree, EvalResult, KBestList, uas
+from .treebank import uas  # noqa: F401
 
 
 # The finest alpha grid step: at most 10,001 alphas, so that one 64-best
@@ -56,8 +57,8 @@ def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
         return kb
     if not len(kb):
         raise ValueError("cannot add the oracle to a k-best list with no candidates")
-    return KBestList.from_arrays(kb.gold, np.vstack([kb.heads, [kb.gold.heads]]),
-                                 np.append(kb.scores, kb.scores.max()))
+    return KBestList._unchecked(kb.gold, np.vstack([kb.heads, [kb.gold.heads]]),
+                                np.append(kb.scores, kb.scores.max()))
 
 
 def candidate_model_scores(params: ParamSet, kb: KBestList,
@@ -66,8 +67,7 @@ def candidate_model_scores(params: ParamSet, kb: KBestList,
     kb = augmented(kb, include_oracle)
     if not len(kb):
         return []
-    plan = build_list_plan(params, kb.gold.forms, kb.gold.pos_tags, kb.heads)
-    return score_list(params, plan).tolist()
+    return score_list(params, build_list_plan(params, kb)).tolist()
 
 
 def _znorm(scores: np.ndarray) -> np.ndarray:
@@ -107,10 +107,15 @@ def rerank_sentence(params: ParamSet, kb: KBestList, config: RerankConfig,
 @dataclass
 class RerankResult:
     chosen: list[int]
-    trees: list[DependencyTree]
     score: EvalResult
     # one row per sentence: (index, chosen rank 1-based, model, base, mixture)
     rows: list[tuple[int, int, float, float, float]]
+    lists: list[KBestList]  # the lists chosen from, each with its oracle if added
+
+    @property
+    def trees(self) -> list[DependencyTree]:
+        """The chosen tree of each list, built anew on each read."""
+        return [kb.candidates[idx][0] for kb, idx in zip(self.lists, self.chosen)]
 
 
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
@@ -119,8 +124,8 @@ def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
     gives them; the plans are built a batch at a time (`plan_batches`) and
     scored one list at a time."""
     lists = [augmented(kb, include_oracle) for kb in kbests]
-    sentences = [(kb.gold.forms, kb.gold.pos_tags, kb.heads) for kb in lists if len(kb)]
-    scores = iter([score_list(params, plan).tolist() for batch in plan_batches(sentences)
+    scores = iter([score_list(params, plan).tolist()
+                   for batch in plan_batches(kb for kb in lists if len(kb))
                    for plan in build_list_plans(params, batch)])
     return [next(scores) if len(kb) else [] for kb in lists]
 
@@ -128,19 +133,22 @@ def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
 def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankConfig,
                   punct_tags: frozenset[str] | set[str] = frozenset(),
                   model_scores: Sequence[Sequence[float]] | None = None) -> RerankResult:
+    """The mixture pick of each list and their attachment score, counted by
+    `KBestList.attachment_counts`: no tree is built until `trees` is read."""
     if model_scores is None:
         model_scores = corpus_model_scores(params, kbests, config.include_oracle)
-    chosen, trees, rows = [], [], []
+    chosen, lists, rows = [], [], []
     total = EvalResult(0, 0)
     for i, kb in enumerate(kbests):
         idx = rerank_sentence(params, kb, config, model_scores[i])
-        tree, base = augmented(kb, config.include_oracle).candidates[idx]
-        model = float(model_scores[i][idx])
+        cands = augmented(kb, config.include_oracle)
+        model, base = float(model_scores[i][idx]), float(cands.scores[idx])
+        right, tokens = cands.attachment_counts(punct_tags)
         chosen.append(idx)
-        trees.append(tree)
+        lists.append(cands)
         rows.append((i, idx + 1, model, base, mixture_score(config.alpha, model, base)))
-        total = total + uas(tree, kb.gold, punct_tags)
-    return RerankResult(chosen, trees, total, rows)
+        total = total + EvalResult(int(right[idx]), tokens)
+    return RerankResult(chosen, total, rows, lists)
 
 
 def alpha_grid(alpha_step: float) -> np.ndarray:

@@ -43,12 +43,12 @@ class _SentenceItem:
         """One item per list, their plans built in batches (`build_list_plans`)."""
         if not all(len(kb) for kb in kbests):
             raise ValueError("candidate list must be non-empty")
-        heads = [np.concatenate([np.array([kb.gold.heads], dtype=np.int64), kb.heads])
-                 for kb in kbests]
-        plans = build_list_plans(params, [(kb.gold.forms, kb.gold.pos_tags, h)
-                                          for kb, h in zip(kbests, heads)], create_pairs=True)
-        return [cls(h, plan, kappa * (h[1:] != h[0]).sum(axis=1))
-                for h, plan in zip(heads, plans)]
+        # gold, then the candidates: rows the lists have checked; scores unread
+        lists = [KBestList._unchecked(kb.gold, np.vstack([kb.gold.heads, kb.heads]),
+                                      np.zeros(len(kb) + 1)) for kb in kbests]
+        plans = build_list_plans(params, lists, create_pairs=True)
+        return [cls(kb.heads, plan, kappa * (kb.heads[1:] != kb.heads[0]).sum(axis=1))
+                for kb, plan in zip(lists, plans)]
 
     @classmethod
     def build(cls, params: ParamSet, kb: KBestList, kappa: float) -> "_SentenceItem":
@@ -195,10 +195,10 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     Dev selection scores candidates with the model alone (mixture weight 1),
     with the fallback pair derived from the pairs learned so far; the returned
     parameters keep that fallback. The dev lists are scored a batch at a time,
-    as forests (`build_forests`) built once.
-    Identical seeds, data, and config reproduce the exact report sequence;
-    sentences are ordered by content digest before shuffling, so the result
-    does not depend on the order sentences appear in the input files.
+    as forests (`build_forests`) built once, and their picks counted (no tree
+    is built). Identical seeds, data, and config reproduce the exact report
+    sequence; sentences are ordered by content digest before shuffling, so the
+    result does not depend on the order sentences appear in the input files.
     """
     if not train_kbest:
         raise ValueError("training set is empty")
@@ -209,8 +209,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
     items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
-    dev_forests = build_forests(params, [(kb.gold.forms, kb.gold.pos_tags, kb.heads)
-                                         for kb in dev])
+    dev_forests = build_forests(params, dev)
     dev_cuts = np.cumsum([len(kb) for kb in dev])[:-1]
     state = AdaGradState.from_params(params, eps=config.adagrad_eps)
     best = params.copy()

@@ -3,10 +3,11 @@
 A `DependencyTree` is columns: forms, POS tags and heads, and the CoNLL line
 each token was read from. `_rooted` alone decides whether heads form a rooted
 tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
-one pass. Both readers take a string or a text file a block of lines at a
-time and parse what they can at once, where that reads the same values as
-reading line by line; everything else is read line by line, which raises the
-error of the first bad line.
+one pass; a `KBestList` checks its rows where it is made, and only there.
+Both readers take a string or a text file a block of lines at a time and
+parse what they can at once, where that reads the same values as reading
+line by line; everything else is read line by line, which raises the error
+of the first bad line.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ class KBestList:
     heads, so they are held as a read-only (k, n) int64 head matrix `heads`
     and a (k,) float64 vector `scores` of base scores. `candidates` shows
     them as (tree, score) pairs; a tree is built only when its item is read.
+    Each row, and the gold tree's heads, is a forest over the n >= 1 tokens:
+    both constructors check it (`_check_rows`); the readers check as they
+    read and build lists with `_unchecked`.
     """
 
     __slots__ = ("gold", "heads", "scores")
@@ -167,17 +171,23 @@ class KBestList:
                  candidates: Iterable[tuple[DependencyTree, float]] = ()):
         pairs = tuple(candidates)
         for rank, (tree, _) in enumerate(pairs, start=1):
-            if tree._forms != gold._forms or tree._tags != gold._tags:
+            if tree._forms != gold._forms or tree._tags != gold._tags or len(tree) != len(gold):
                 raise AlignmentError(
                     f"candidate {rank} does not have the forms and POS tags of the gold tree")
-        heads = np.array([tree.heads for tree, _ in pairs], dtype=np.int64)
-        self._set(gold, heads.reshape(len(pairs), len(gold)),
-                  np.array([score for _, score in pairs], dtype=np.float64))
+        heads = [tree.heads for tree, _ in pairs] or np.empty((0, len(gold)))
+        self._set(gold, *_check_rows(gold, heads, [score for _, score in pairs]))
 
     @classmethod
-    def from_arrays(cls, gold: DependencyTree, heads: np.ndarray,
-                    scores: np.ndarray) -> "KBestList":
-        """A list over given arrays, taken as they are: no copy, no checks."""
+    def from_arrays(cls, gold: DependencyTree, heads, scores) -> "KBestList":
+        """A list over a (k, n) head matrix and k base scores, checked as the
+        constructor checks them; int64 and float64 arrays are not copied."""
+        return cls._unchecked(gold, *_check_rows(gold, heads, scores))
+
+    @classmethod
+    def _unchecked(cls, gold: DependencyTree, heads: np.ndarray,
+                   scores: np.ndarray) -> "KBestList":
+        """A list over given arrays, taken as they are: no copy, no checks.
+        Only for rows known to be forests over the gold tree's tokens."""
         kb = cls.__new__(cls)
         kb._set(gold, heads, scores)
         return kb
@@ -196,7 +206,7 @@ class KBestList:
 
     def truncated(self, k: int) -> "KBestList":
         """Keep only the top-ranked k candidates."""
-        return KBestList.from_arrays(self.gold, self.heads[:k], self.scores[:k])
+        return KBestList._unchecked(self.gold, self.heads[:k], self.scores[:k])
 
     def attachment_counts(self, punct_tags: frozenset[str] | set[str] = frozenset()
                           ) -> tuple[np.ndarray, int]:
@@ -208,6 +218,25 @@ class KBestList:
         scored = np.array([pos not in punct_tags for pos in self.gold._tags], dtype=bool)
         correct = ((self.heads == np.array(self.gold._heads)) & scored).sum(axis=1)
         return correct, int(scored.sum())
+
+
+def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:
+    """`heads` and `scores` as int64 and float64 arrays, if they are a (k, n)
+    head matrix over the gold tree's n >= 1 tokens and k scores, and every
+    row and the gold heads is a forest (heads in [0, n], no cycle)."""
+    n, heads, scores = len(gold), np.asarray(heads), np.asarray(scores, dtype=np.float64)
+    if heads.ndim != 2 or heads.shape[1] != n or scores.shape != (len(heads),):
+        raise AlignmentError(f"a list of {n}-token trees needs a (k, {n}) head matrix and "
+                             f"k scores, got shapes {heads.shape} and {scores.shape}")
+    if not n:
+        raise StructureError("a k-best list needs a sentence of at least one token")
+    rows = [list(gold._heads)] + heads.tolist()
+    for row in _unrooted([h for row in rows for h in row], [n] * len(rows), True):
+        if not is_rooted_tree(rows[row], True):  # a head past int64 fails every row
+            name = "the gold tree" if row == 0 else f"candidate {row}"
+            raise StructureError(f"{name} of the sentence {' '.join(gold._forms)!r}: head "
+                                 f"indices do not form a forest: {rows[row]}")
+    return heads.astype(np.int64, copy=False), scores
 
 
 class Candidates(Sequence):
@@ -597,34 +626,20 @@ def rooted_rows(heads: Sequence[np.ndarray], allow_multiple_roots: bool = False)
 
 def _rooted(heads: np.ndarray, width: np.ndarray, allow_multiple_roots: bool) -> np.ndarray:
     """`is_rooted_tree` of each row of `heads`, rows laid end to end, row r
-    holding width[r] heads. A self-head is a cycle of one token."""
+    holding width[r] heads. A self-head is a cycle of one token. Token i
+    points at its head's token, or at the root len(heads), which points at
+    itself; after j rounds of pointer jumping it points 2^j steps up."""
     start = np.cumsum(width) - width
     ok = ~np.logical_or.reduceat((heads < 0) | (heads > np.repeat(width, width)), start)
     roots = np.add.reduceat(heads == 0, start)
     ok &= (roots >= 1) if allow_multiple_roots else (roots == 1)
-    if not ok.all():  # head_chains needs every head within its row
+    if not ok.all():  # a pointer needs a head within its row
         heads = np.where(np.repeat(ok, width), heads, 0)
-    up, _ = head_chains(heads, width)
-    return ok & np.logical_and.reduceat(up == len(heads), start)
-
-
-def head_chains(heads: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where every token's head chain leads, by pointer jumping.
-
-    `heads` holds rows of 1-based heads (0 = root) laid end to end, row r
-    holding width[r] heads, each within [0, width[r]]. Token i points at its
-    head's token, or at len(heads), which stands for the root and points at
-    itself. After j rounds each token points 2^j steps up its chain, so after
-    max(width).bit_length() rounds a token whose chain reaches the root
-    points at len(heads), and a token on or below a cycle at a token on it.
-    Returns these pointers and, per token, the position of its row's first token.
-    """
-    first = np.repeat(np.cumsum(width) - width, width)
     end = len(heads)
-    up = np.append(np.where(heads > 0, first + heads - 1, end), end)
+    up = np.append(np.where(heads > 0, np.repeat(start, width) + heads - 1, end), end)
     for _ in range(int(width.max()).bit_length()):
         up = up[up]
-    return up[:end], first
+    return ok & np.logical_and.reduceat(up[:end] == end, start)
 
 
 # A block's CAND and HEAD lines as `write_kbest` writes them: single spaces,
@@ -850,7 +865,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                          if line.strip())
                 scores, heads, text, lineno = _read_candidates(lines, gold, sent_idx, k, lineno,
                                                                allow_multiple_roots)
-            kb = KBestList.from_arrays(gold, heads, np.array(scores, dtype=np.float64))
+            kb = KBestList._unchecked(gold, heads, np.array(scores, dtype=np.float64))
             lists.append(kb)
             if text is not None:  # else `_replay_heads` has checked its trees
                 pending.append((sent_idx, kb, text))

@@ -244,36 +244,31 @@ def margin_delta(gold, cand, kappa):
     return kappa * sum(1 for g, c in zip(gold.tokens, cand.tokens) if g.head != c.head)
 
 
+def heads_list(gold, heads):
+    """The k-best list of the gold tree over the given head rows, base scores 0."""
+    return KBestList.from_arrays(gold, np.array(heads, dtype=np.int64).reshape(-1, len(gold)),
+                                 np.zeros(len(heads)))
+
+
 def list_plan(params, trees, create_pairs=False):
-    """`build_list_plan` over trees of one sentence (forms and tags of the first)."""
-    return build_list_plan(params, trees[0].forms, trees[0].pos_tags,
-                           [tree.heads for tree in trees], create_pairs)
+    """`build_list_plan` over trees of one sentence (the first as the gold tree)."""
+    return build_list_plan(params, heads_list(trees[0], [tree.heads for tree in trees]),
+                           create_pairs)
 
 
-def reference_list_plan(params, forms: Sequence[str], tags: Sequence[str], heads,
-                        create_pairs: bool = False) -> ListPlan:
-    """The list plan of one sentence, built on its own: the oracle that every
+def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> ListPlan:
+    """The plan of one k-best list, built on its own: the oracle that every
     plan `build_list_plans` returns must equal field by field.
 
-    `heads` is a (k, n) matrix, one row of 1-based heads (0 = root) per tree
-    over the sentence's n forms and POS tags. Lookups follow `build_plan`:
-    OOV words use `<unk>`, distances are clipped, and unseen POS pairs map to
-    the fallback slot or, with create_pairs, get fresh parameters, created in
-    the order `build_plan` would meet them tree by tree.
+    The list's trees are its (k, n) head matrix, one row of 1-based heads
+    (0 = root) per tree over the gold tree's n forms and POS tags. Lookups
+    follow `build_plan`: OOV words use `<unk>`, distances are clipped, and
+    unseen POS pairs map to the fallback slot or, with create_pairs, get
+    fresh parameters, created in the order `build_plan` would meet them tree
+    by tree.
     """
-    heads = np.asarray(heads, dtype=np.int64)
+    heads, forms, tags = kb.heads, kb.gold.forms, kb.gold.pos_tags
     n = len(forms)
-    if heads.ndim != 2:
-        raise ValueError("heads must be a (trees, tokens) matrix")
-    if not len(heads):
-        raise ValueError("no trees to score")
-    if len(tags) != n or heads.shape[1] != n:
-        raise AlignmentError(
-            f"{heads.shape[1]} heads per tree for {n} forms and {len(tags)} POS tags")
-    if not n:
-        raise ValueError("cannot score an empty sentence")
-    if heads.min() < 0 or heads.max() > n:
-        raise StructureError(f"head indices must lie in [0, {n}]")
     k, width = len(heads), n + 1
 
     # node u of tree t is t * width + u; `end` pads rows of `kids`
@@ -360,13 +355,12 @@ def reference_list_plan(params, forms: Sequence[str], tags: Sequence[str], heads
                     arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
 
 
-def one_sentence_plans(params, sentences, create_pairs=False):
-    """`build_list_plans` made of `reference_list_plan` calls, one per sentence.
+def one_sentence_plans(params, lists, create_pairs=False):
+    """`build_list_plans` made of `reference_list_plan` calls, one per list.
 
-    Each plan is also a forest of one sentence, so in place of `build_forests`
+    Each plan is also a forest of one list, so in place of `build_forests`
     this scores dev list by list, as training did before dev forests."""
-    return [reference_list_plan(params, forms, tags, heads, create_pairs)
-            for forms, tags, heads in sentences]
+    return [reference_list_plan(params, kb, create_pairs) for kb in lists]
 
 
 def assert_same_plan(got: ListPlan, want: ListPlan):

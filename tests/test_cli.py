@@ -303,6 +303,37 @@ def test_rerank_search_alpha_not_worse_than_base(tmp_path, corpus_files, capsys)
     assert float(searched["uas"]) >= float(base_line["uas"])
 
 
+def test_rerank_search_alpha_normalize_report(tmp_path, corpus_files, capsys):
+    # --normalize reaches both the search and the final pick; the report keeps
+    # each chosen candidate's raw model and base scores
+    from deprerank import reranker
+    from deprerank.treebank import read_kbest_files
+
+    paths, _ = corpus_files
+    model_path = _trained_model(tmp_path, paths)
+    dg, dk = paths["dev"]
+    report = tmp_path / "report.tsv"
+    capsys.readouterr()
+    assert main(["rerank", "--model", str(model_path), "--gold", str(dg), "--kbest", str(dk),
+                 "--search-alpha", "--alpha-step", "0.05", "--normalize",
+                 "--punct-set", "none", "--report", str(report)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    model, kbs = P.load(model_path), read_kbest_files(dg, dk)
+    scores = reranker.corpus_model_scores(model, kbs)
+    alpha, searched = reranker.search_alpha(model, kbs, 0.05, normalize=True,
+                                            model_scores=scores)
+    result = reranker.rerank_corpus(model, kbs, reranker.RerankConfig(alpha, normalize=True),
+                                    model_scores=scores)
+    assert lines == [f"best_alpha={alpha:.6g} search_uas={searched.uas:.6f}",
+                     f"alpha={alpha:.6g} uas={result.score.uas:.6f} "
+                     f"correct={result.score.correct_heads} scored={result.score.scored_tokens}"]
+    assert result.score == searched
+    rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
+    assert [int(row[1]) - 1 for row in rows] == result.chosen
+    for row, kb, model_scores, idx in zip(rows, kbs, scores, result.chosen):
+        assert (float(row[2]), float(row[3])) == (model_scores[idx], kb.scores[idx])
+
+
 def test_oracle_command(tmp_path, corpus_files, capsys):
     paths, split = corpus_files
     dg, dk = paths["dev"]

@@ -16,8 +16,8 @@ from deprerank.treebank import KBestList
 
 from helpers import (
     TAGS, accumulate, all_trees_up_to, assert_same_bytes, assert_same_gradients,
-    assert_same_plan, compose_pair, fd_entries, forward_unit, grad_dicts, list_plan, make_tree,
-    max_abs, max_rel_error, node_trace, one_sentence_plans, random_heads,
+    assert_same_plan, compose_pair, fd_entries, forward_unit, grad_dicts, heads_list, list_plan,
+    make_tree, max_abs, max_rel_error, node_trace, one_sentence_plans, random_heads,
     random_multi_root_heads, random_tree, reference_backward_list, reference_forward_list,
     reference_list_plan, tiny_params, trace_nodes,
 )
@@ -294,8 +294,8 @@ def test_score_list_matches_score_tree_on_random_lists():
         trees += [trees[0], gold, trees[3]]  # duplicates
         scores = _assert_list_matches_trees(p, trees)
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
-        assert_same_plan(list_plan(p, trees), reference_list_plan(
-            p, gold.forms, gold.pos_tags, [tree.heads for tree in trees]))
+        assert_same_plan(list_plan(p, trees),
+                         reference_list_plan(p, heads_list(gold, [tree.heads for tree in trees])))
         assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
 
 
@@ -392,10 +392,10 @@ def test_list_plan_creates_pairs_in_build_plan_order():
 
 
 def test_list_plan_rejects_bad_input():
+    # a plan is built from a KBestList, which refuses rows that do not match
+    # its gold tree's tokens; the one list a builder refuses has no candidates
     p = tiny_params()
     gold = make_tree([0, 1, 1])
-    forms, tags = gold.forms, gold.pos_tags
-    # candidates share the gold tree's forms and tags; a k-best list checks it
     with pytest.raises(AlignmentError):
         KBestList(gold, [(make_tree([0, 1, 1], forms=["w1", "w2", "w9"]), 0.0)])
     with pytest.raises(AlignmentError):
@@ -403,25 +403,36 @@ def test_list_plan_rejects_bad_input():
     with pytest.raises(AlignmentError):
         KBestList(gold, [(make_tree([0, 1]), 0.0)])
     with pytest.raises(AlignmentError):
-        build_list_plan(p, forms, tags, [[0, 1, 1, 1]])
+        KBestList.from_arrays(gold, [[0, 1, 1, 1]], [0.0])
     with pytest.raises(AlignmentError):
-        build_list_plan(p, forms, tags[:2], [[0, 1, 1]])
+        KBestList.from_arrays(gold, [0, 1, 1], [0.0] * 3)
     with pytest.raises(StructureError):
-        build_list_plan(p, forms, tags, [[0, 1, 1], [0, 1, 4]])
+        KBestList.from_arrays(gold, [[0, 1, 1], [0, 1, 4]], [0.0, 0.0])
     with pytest.raises(StructureError):
-        build_list_plan(p, forms, tags, [[0, 1, -1]])
-    with pytest.raises(ValueError, match="empty sentence"):
-        build_list_plan(p, [], [], np.zeros((1, 0)))
+        KBestList.from_arrays(gold, [[0, 1, -1]], [0.0])
     with pytest.raises(ValueError, match="no trees"):
-        build_list_plan(p, forms, tags, np.zeros((0, 3)))
-    with pytest.raises(ValueError, match="matrix"):
-        build_list_plan(p, forms, tags, [0, 1, 1])
+        build_list_plan(p, KBestList(gold))
 
 
-def _random_sentences(rng, count):
-    """(forms, tags, heads) sentences of mixed n and k: n = 1, multi-root and
-    duplicate rows, OOV forms ("oov*") and a tag the parameters lack ("XX")."""
-    sentences = []
+def test_list_plan_rejects_cycles():
+    # a cyclic row cannot reach a plan build: its list cannot be made
+    gold = make_tree([0, 1, 2, 3, 4])
+    forest = "head indices do not form a forest"
+    with pytest.raises(StructureError, match=rf"^candidate 1 of the sentence 'w1 w2 w3': "
+                                             rf"{forest}: \[2, 1, 0\]$"):
+        KBestList.from_arrays(make_tree([0, 1, 1]), [[2, 1, 0]], [0.0])
+    # row 2: tokens 3 and 4 head each other, 2 and 5 hang below them, and 1
+    # hangs below the root
+    with pytest.raises(StructureError, match=rf"^candidate 2 .*{forest}: \[0, 3, 4, 3, 2\]$"):
+        KBestList.from_arrays(gold, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]], [0.0, 0.0])
+    with pytest.raises(StructureError, match=rf"^candidate 1 .*{forest}: \[1\]$"):
+        KBestList.from_arrays(make_tree([0]), [[1]], [0.0])
+
+
+def _random_lists(rng, count):
+    """k-best lists of mixed n and k: n = 1, multi-root and duplicate rows,
+    OOV forms ("oov*") and a tag the parameters lack ("XX")."""
+    lists = []
     for _ in range(count):
         n = 1 if rng.random() < 0.15 else int(rng.integers(2, 14))
         gold = random_tree(rng, n, vocab=("w1", "w2", "w3", "oov1", "oov2"),
@@ -429,24 +440,24 @@ def _random_sentences(rng, count):
         heads = [gold.heads] + [random_heads(rng, n) for _ in range(int(rng.integers(0, 6)))]
         heads += [random_multi_root_heads(rng, n) for _ in range(int(rng.integers(0, 3)))]
         heads.append(heads[int(rng.integers(len(heads)))])
-        sentences.append((gold.forms, gold.pos_tags, heads))
-    return sentences
+        lists.append(heads_list(gold, heads))
+    return lists
 
 
 @pytest.mark.parametrize("create_pairs", [False, True])
 def test_batched_plans_equal_one_sentence_plans(create_pairs):
     rng = np.random.default_rng(61)
     for case in range(40):
-        sentences = _random_sentences(rng, int(rng.integers(1, 9)))
+        lists = _random_lists(rng, int(rng.integers(1, 9)))
         oracle, alone, batched = (tiny_params(m=3, m_d=3, seed=case, dist_clip=2)
                                   for _ in range(3))
         if case % 2:  # some pairs seen before, others not
             seen = random_tree(rng, 6, tags=TAGS + ("XX",))
             for p in (oracle, alone, batched):
                 build_plan(p, seen, create_pairs=True)
-        want = one_sentence_plans(oracle, sentences, create_pairs)
-        for got in ([build_list_plan(alone, *s, create_pairs) for s in sentences],
-                    build_list_plans(batched, sentences, create_pairs)):
+        want = one_sentence_plans(oracle, lists, create_pairs)
+        for got in ([build_list_plan(alone, kb, create_pairs) for kb in lists],
+                    build_list_plans(batched, lists, create_pairs)):
             assert len(got) == len(want)
             for plan, expected in zip(got, want):
                 assert_same_plan(plan, expected)
@@ -458,68 +469,37 @@ def test_batched_plans_equal_one_sentence_plans(create_pairs):
 
 @pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
 def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, budget):
-    # with budget 20 the malformed sentence comes in a later batch than others
+    # a list's rows are checked where it is made (test_treebank), so the one
+    # list a builder refuses has no candidates; with budget 20 it comes in a
+    # later batch than others, and still no pair is created
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
-    gold = make_tree([0, 1, 1])
-    forms, tags = gold.forms, gold.pos_tags
-    good = _random_sentences(np.random.default_rng(63), 4)
-    for bad in ((forms, tags, [[0, 1, 1, 1]]), (forms, tags[:2], [[0, 1, 1]]),
-                (forms, tags, [[0, 1, 1], [0, 1, 4]]), (forms, tags, [[0, 1, -1]]),
-                ([], [], np.zeros((1, 0))), (forms, tags, np.zeros((0, 3))),
-                (forms, tags, [0, 1, 1]), (forms, tags, [[0, 1, 1], [2, 1, 0]]),
-                (forms, tags, [[0, 3, 2]])):
-        with pytest.raises((ValueError, AlignmentError, StructureError)) as alone:
-            build_list_plan(tiny_params(), *bad, create_pairs=True)
-        p = tiny_params()
-        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
-            build_list_plans(p, good[:2] + [bad] + good[2:], create_pairs=True)
-        assert p.pos_pairs.count == tiny_params().pos_pairs.count  # no pair created
+    empty = KBestList(make_tree([0, 1, 1]))
+    good = _random_lists(np.random.default_rng(63), 4)
+    with pytest.raises(ValueError) as alone:
+        build_list_plan(tiny_params(), empty, create_pairs=True)
+    p = tiny_params()
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        build_list_plans(p, good[:2] + [empty] + good[2:], create_pairs=True)
+    assert p.pos_pairs.count == tiny_params().pos_pairs.count  # no pair created
 
 
 def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", 60)
     rng = np.random.default_rng(64)
-    sentences = _random_sentences(rng, 30)
+    lists = _random_lists(rng, 30)
     big = random_tree(rng, 12)
-    sentences.insert(7, (big.forms, big.pos_tags, [big.heads] * 6))  # 6 * 13 node instances
-    cost = lambda s: len(s[2]) * (len(s[0]) + 1)
-    batches = list(plan_batches(sentences))
-    assert [s for batch in batches for s in batch] == sentences
-    assert [sentences[7]] in batches
+    lists.insert(7, heads_list(big, [big.heads] * 6))  # 6 * 13 node instances
+    cost = lambda kb: len(kb) * (len(kb.gold) + 1)
+    batches = plan_batches(lists)
+    assert [kb for batch in batches for kb in batch] == lists
+    assert [lists[7]] in batches
     assert any(len(batch) > 1 for batch in batches)
     for batch in batches:
         assert len(batch) == 1 or sum(map(cost, batch)) <= 60
     p, oracle = tiny_params(seed=4), tiny_params(seed=4)
-    for plan, expected in zip(build_list_plans(p, sentences, create_pairs=True),
-                              one_sentence_plans(oracle, sentences, create_pairs=True)):
+    for plan, expected in zip(build_list_plans(p, lists, create_pairs=True),
+                              one_sentence_plans(oracle, lists, create_pairs=True)):
         assert_same_plan(plan, expected)
-
-
-def test_list_plan_rejects_cycles():
-    p = tiny_params()
-    gold = make_tree([0, 1, 2, 3, 4])
-    forms, tags = gold.forms, gold.pos_tags
-    with pytest.raises(StructureError, match=r"^heads row 0 of the sentence 'w1 w2 w3' "
-                                             r"has a cycle through token 1$"):
-        build_list_plan(p, forms[:3], tags[:3], [[2, 1, 0]])
-    # row 1: tokens 3 and 4 head each other, 2 and 5 hang below them, and 1
-    # hangs below the root
-    with pytest.raises(StructureError, match="heads row 1 .* cycle through token 3$"):
-        build_list_plan(p, forms, tags, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]])
-    with pytest.raises(StructureError, match="heads row 0 .* cycle through token 1$"):
-        build_list_plan(p, forms[:1], tags[:1], [[1]])
-
-
-def test_a_cycle_in_a_later_batch_creates_no_pair(monkeypatch):
-    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 12)
-    gold = make_tree([0, 1, 1])
-    forms, tags = gold.forms, gold.pos_tags
-    p = tiny_params()
-    with pytest.raises(StructureError, match=r"^heads row 0 of the sentence 'w1 w2 w3' "
-                                             r"has a cycle through token 1$"):
-        build_list_plans(p, [(forms, tags, [[0, 1, 1], [2, 0, 2], [0, 1, 2]]),
-                             (forms, tags, [[2, 1, 0]])], create_pairs=True)
-    assert p.pos_pairs.count == tiny_params().pos_pairs.count
 
 
 def _assert_members_layout(plan):
@@ -543,10 +523,10 @@ def test_members_are_width_by_signature_slabs(monkeypatch):
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", 200)  # batches of a few sentences
     rng = np.random.default_rng(68)
     p = tiny_params(m=3, m_d=3, seed=1, dist_clip=2)
-    sentences = _random_sentences(rng, 20)
-    plans = (build_list_plans(p, sentences) + build_forests(p, sentences)
-             + [build_list_plan(p, *s) for s in sentences])
-    assert any(len(batch) > 1 for batch in plan_batches(sentences))  # split and forests
+    lists = _random_lists(rng, 20)
+    plans = (build_list_plans(p, lists) + build_forests(p, lists)
+             + [build_list_plan(p, kb) for kb in lists])
+    assert any(len(batch) > 1 for batch in plan_batches(lists))  # split and forests
     for plan in plans:
         _assert_members_layout(plan)
     assert any(len(plan.levels[0][5]) > 1 for plan in plans)
@@ -554,7 +534,7 @@ def test_members_are_width_by_signature_slabs(monkeypatch):
 
 @pytest.mark.parametrize("m, m_d", [(4, 3), (25, 25)])
 def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
-    # _random_sentences mixes k and n (n = 1 too), duplicate rows, OOV forms
+    # _random_lists mixes k and n (n = 1 too), duplicate rows, OOV forms
     # and the tag "XX", which the finalized fallback slot scores; small lists
     # give products of one row
     rng = np.random.default_rng(69)
@@ -563,14 +543,15 @@ def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
         p = tiny_params(m=m, m_d=m_d, seed=case, dist_clip=2)
         build_plan(p, random_tree(rng, 8), create_pairs=True)  # some pairs learned
         p.pos_pairs.finalize_fallback()
-        sentences = _random_sentences(rng, 12)
-        for plan in build_list_plans(p, sentences) + build_forests(p, sentences):
+        lists = _random_lists(rng, 12)
+        for plan in build_list_plans(p, lists) + build_forests(p, lists):
             scores, acts = forward_list(p, plan)
             want_scores, want = reference_forward_list(p, plan)
             for got, expected in ((scores, want_scores), (acts.p, want.p), (acts.z, want.z)):
                 assert_same_bytes(got, expected)
             rows += [g1 - g0 for _, _, groups, *_ in plan.levels for g0, g1, _ in groups]
-        for (forms, tags, heads), plan in zip(sentences, build_list_plans(p, sentences)):
+        for kb, plan in zip(lists, build_list_plans(p, lists)):
+            heads = kb.heads
             _, acts = forward_list(p, plan)
             chosen = rng.integers(len(heads), size=int(rng.integers(1, 4)))
             upstream = rng.uniform(-2.0, 2.0, len(chosen))
@@ -582,32 +563,31 @@ def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
 def test_a_forest_of_one_sentence_is_its_list_plan():
     rng = np.random.default_rng(65)
     p = tiny_params(m=3, m_d=3, seed=2, dist_clip=2)
-    for sentence in _random_sentences(rng, 30):
-        [forest] = build_forests(p, [sentence])
-        assert_same_plan(forest, build_list_plan(p, *sentence))
+    for kb in _random_lists(rng, 30):
+        [forest] = build_forests(p, [kb])
+        assert_same_plan(forest, build_list_plan(p, kb))
 
 
-def _assert_forest_scores_match(p, sentences):
-    """Score the sentences' forests against their list plans; returns the
-    number of sentences per forest."""
-    forests, batches = build_forests(p, sentences), list(plan_batches(sentences))
-    assert [forest.num_trees for forest in forests] == [
-        sum(len(heads) for _, _, heads in batch) for batch in batches]
+def _assert_forest_scores_match(p, lists):
+    """Score the lists' forests against their list plans; returns the number
+    of lists per forest."""
+    forests, batches = build_forests(p, lists), plan_batches(lists)
+    assert [forest.num_trees for forest in forests] == [sum(map(len, batch)) for batch in batches]
     scores = np.concatenate([score_list(p, forest) for forest in forests])
     at = 0
-    for forms, tags, heads in sentences:
-        got, want = scores[at:at + len(heads)], score_list(p, build_list_plan(p, forms, tags, heads))
+    for kb in lists:
+        got, want = scores[at:at + len(kb)], score_list(p, build_list_plan(p, kb))
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
-        rows = [tuple(row) for row in heads]
+        rows = [tuple(row) for row in kb.heads.tolist()]
         for i, row in enumerate(rows):  # duplicate rows, bit for bit
             assert got[i] == got[rows.index(row)]
-        at += len(heads)
+        at += len(kb)
     return [len(batch) for batch in batches]
 
 
 @pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 120])
 def test_forest_scores_match_list_scores_in_input_order(monkeypatch, budget):
-    # _random_sentences mixes k and n (n = 1 too), duplicate rows, OOV forms
+    # _random_lists mixes k and n (n = 1 too), duplicate rows, OOV forms
     # and the tag "XX"; pairs with "XX", and others, read the fallback slot
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
     rng = np.random.default_rng(66)
@@ -616,27 +596,22 @@ def test_forest_scores_match_list_scores_in_input_order(monkeypatch, budget):
         p = tiny_params(m=4, m_d=3, seed=case, dist_clip=2)
         build_plan(p, random_tree(rng, 8), create_pairs=True)  # some pairs learned
         p.pos_pairs.finalize_fallback()
-        sentences = _random_sentences(rng, int(rng.integers(1, 25)))
+        lists = _random_lists(rng, int(rng.integers(1, 25)))
         if case % 3 == 0:  # a list larger than the budget is a batch of its own
             big = random_tree(rng, 14, tags=TAGS + ("XX",))
             heads = [random_heads(rng, 14) for _ in range(budget // 15 + 1)]
-            sentences.insert(int(rng.integers(len(sentences))), (big.forms, big.pos_tags, heads))
-        sizes += _assert_forest_scores_match(p, sentences)
+            lists.insert(int(rng.integers(len(lists))), heads_list(big, heads))
+        sizes += _assert_forest_scores_match(p, lists)
     assert max(sizes) > 1 and 1 in sizes  # forests of many lists, and of one
 
 
 @pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
 def test_a_malformed_sentence_fails_its_forest_as_it_fails_alone(monkeypatch, budget):
+    # as for batches: the one list a forest refuses has no candidates
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
-    gold = make_tree([0, 1, 1])
-    forms, tags = gold.forms, gold.pos_tags
-    good = _random_sentences(np.random.default_rng(67), 4)
-    for bad in ((forms, tags, [[0, 1, 1, 1]]), (forms, tags[:2], [[0, 1, 1]]),
-                (forms, tags, [[0, 1, 1], [0, 1, 4]]), (forms, tags, [[0, 1, -1]]),
-                ([], [], np.zeros((1, 0))), (forms, tags, np.zeros((0, 3))),
-                (forms, tags, [0, 1, 1]), (forms, tags, [[0, 1, 1], [2, 1, 0]]),
-                (forms, tags, [[0, 3, 2]])):
-        with pytest.raises((ValueError, AlignmentError, StructureError)) as alone:
-            build_list_plan(tiny_params(), *bad)
-        with pytest.raises(type(alone.value), match=f"^{re.escape(str(alone.value))}$"):
-            build_forests(tiny_params(), good[:2] + [bad] + good[2:])
+    empty = KBestList(make_tree([0, 1, 1]))
+    good = _random_lists(np.random.default_rng(67), 4)
+    with pytest.raises(ValueError) as alone:
+        build_forests(tiny_params(), [empty])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
+        build_forests(tiny_params(), good[:2] + [empty] + good[2:])

@@ -1,9 +1,11 @@
-"""Property tests of the readers and the tree check: any input parses or
-raises a DataError, the readers agree with per-tree reference readers, and
-the tree check agrees with a breadth-first walk."""
+"""Property tests of the readers and the tree checks: any input parses or
+raises a DataError, the readers agree with per-tree reference readers, the
+tree check agrees with a breadth-first walk, and a k-best list's constructors
+accept exactly the lists whose rows are forests."""
 
 import io
 import os
+import re
 import tempfile
 from unittest import mock
 
@@ -12,16 +14,18 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from deprerank import synth, treebank
-from deprerank.errors import DataError, StructureError
+from deprerank.errors import AlignmentError, DataError, StructureError
 from deprerank.params import load
+from deprerank.rcnn import build_list_plan
 from deprerank.treebank import (
-    DependencyTree, is_rooted_tree, load_conll, parse_conll, read_kbest, rooted_rows,
+    DependencyTree, KBestList, is_rooted_tree, load_conll, parse_conll, read_kbest, rooted_rows,
     write_conll,
 )
 
 from helpers import (
-    make_tree, model_bytes, model_parts, reference_parse_conll, reference_read_kbest,
-    reference_write_conll, rooted_by_bfs, tiny_params,
+    TAGS, assert_same_plan, make_tree, model_bytes, model_parts, reference_list_plan,
+    reference_parse_conll, reference_read_kbest, reference_write_conll, rooted_by_bfs,
+    tiny_params,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -358,6 +362,64 @@ def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
         for heads in (lambda t: t.heads, lambda t: [0] * len(t)):
             moved = [tree.with_heads(heads(tree), validate=False) for tree in trees]
             assert write_conll(moved) == reference_write_conll(moved)
+
+
+@st.composite
+def gold_and_rows(draw):
+    """A gold head vector of 1 to 6 tokens and up to 4 candidate rows of one
+    width, the gold tree's or one more or less. A row is a tree, a forest, or
+    heads in [-1, n + 1]: self-heads, cycles, heads out of range, no root or
+    several."""
+    n = draw(st.integers(1, 6))
+    width = n if draw(st.integers(0, 5)) else draw(st.sampled_from((n - 1, n + 1)))
+
+    def row(w):
+        return st.one_of(rooted_heads(w, False), rooted_heads(w, True),
+                         st.lists(st.integers(-1, w + 1), min_size=w, max_size=w))
+
+    return n, draw(row(n)), draw(st.lists(row(width), max_size=4))
+
+
+@FUZZ
+@given(gold_and_rows())
+@example((4, [0, 1, 1, 1], [[2, 1, 0, 3]]))
+@example((3, [0, 1, 1], [[0, 1, 1], [1, 0, 2]]))
+@example((3, [2, 3, 1], [[0, 1, 1]]))
+@example((2, [0, 1], [[0, 1, 1]]))
+def test_kbest_constructors_accept_exactly_forests(case):
+    n, gold_heads, rows = case
+    # forms and tags to n + 1 tokens for the wider rows; "XX" is not a
+    # parameter tag, so its arcs read the fallback slot
+    forms = [f"w{i % 4}" for i in range(n + 1)]
+    tags = [(TAGS + ("XX",))[i % 6] for i in range(n + 1)]
+    gold = DependencyTree.from_columns(forms[:n], tags[:n], gold_heads, [None] * n)
+    k, width = len(rows), len(rows[0]) if rows else n
+    heads = np.array(rows, dtype=np.int64).reshape(k, width)
+    trees = [(DependencyTree.from_columns(forms[:width], tags[:width], row, [None] * width),
+              float(i)) for i, row in enumerate(rows)]
+    builds = (lambda: KBestList(gold, trees),
+              lambda: KBestList.from_arrays(gold, heads, np.arange(k, dtype=float)))
+    if width != n:
+        for build in builds:
+            with pytest.raises(AlignmentError):
+                build()
+        return
+    ok = treebank._rooted(np.array([gold_heads] + rows).ravel(), np.full(k + 1, n), True)
+    if not ok.all():  # the first row that is not a forest, gold first, is named
+        bad = int(ok.argmin())
+        name = "the gold tree" if bad == 0 else f"candidate {bad}"
+        for build in builds:
+            with pytest.raises(StructureError, match=f"^{re.escape(name)} of the sentence "):
+                build()
+        return
+    for build in builds:
+        kb = build()
+        assert kb.heads.tolist() == rows and kb.scores.tolist() == list(range(k))
+    if k:  # the plan of an accepted list is the oracle's, field by field
+        p, oracle = tiny_params(m=2, m_d=2, seed=k), tiny_params(m=2, m_d=2, seed=k)
+        assert_same_plan(build_list_plan(p, kb, create_pairs=True),
+                         reference_list_plan(oracle, kb, create_pairs=True))
+        assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(rooted_heads(n, False),

@@ -1,5 +1,7 @@
 """Mixture re-ranking, alpha search, per-POS accuracy, oracle bounds."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from deprerank.reranker import (
     per_pos_accuracy, pos_improvement, rerank_corpus, rerank_sentence, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
-from deprerank.treebank import EvalResult, KBestList, corpus_oracle, uas
+from deprerank.treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
 
 from helpers import kbest_of, make_tree, margin_delta, tiny_params
 
@@ -186,6 +188,87 @@ def test_search_alpha_counts_heads_without_building_trees(monkeypatch):
     expected = max(per_alpha, key=lambda row: (row[1].uas, -row[0]))
     monkeypatch.setattr(R, "uas", lambda *a, **kw: pytest.fail("uas called"))
     assert search_alpha(tiny_params(), corpus, 0.1, punct, model_scores=scores) == expected
+
+
+@pytest.mark.parametrize("include_oracle", [False, True])
+def test_rerank_corpus_counts_heads_without_building_trees(monkeypatch, include_oracle):
+    import deprerank.reranker as R
+
+    corpus = synth_corpus(seed=24, sentences=8, k=5, tags=("NN", "VB", "."))
+    scores = [[float((i * 7) % 5) for i in range(len(kb) + include_oracle)] for kb in corpus]
+    punct = {"."}
+    config = RerankConfig(alpha=0.5, include_oracle=include_oracle)
+    with monkeypatch.context() as patch:
+        patch.setattr(R, "uas", lambda *a, **kw: pytest.fail("uas called"))
+        patch.setattr(DependencyTree, "with_heads", lambda *a, **kw: pytest.fail("tree built"))
+        result = rerank_corpus(tiny_params(), corpus, config, punct, model_scores=scores)
+    # the trees, built when read, are the chosen candidates, and uas counts them alike
+    want = [R.augmented(kb, include_oracle).candidates[i][0]
+            for kb, i in zip(corpus, result.chosen)]
+    assert result.trees == want
+    assert result.score == sum((uas(tree, kb.gold, punct) for tree, kb in zip(want, corpus)),
+                               EvalResult(0, 0))
+
+
+def _znorm_by_hand(xs):
+    """(x - mean) / population standard deviation, or all 0 when that is 0."""
+    mean = sum(xs) / len(xs)
+    std = math.sqrt(sum((x - mean) ** 2 for x in xs) / len(xs))
+    return [0.0] * len(xs) if std == 0.0 else [(x - mean) / std for x in xs]
+
+
+def _pick_by_hand(alpha, model, base):
+    """The first argmax of the z-normalised mixture."""
+    mix = [alpha * m + (1.0 - alpha) * b
+           for m, b in zip(_znorm_by_hand(model), _znorm_by_hand(base))]
+    return mix.index(max(mix))
+
+
+def _normalize_corpus():
+    """Lists whose model and base scores are each the correct heads plus
+    noise, the base scores on a scale 1000 times the model scores', so that
+    normalizing changes picks; plus one list whose scores are all equal and
+    one whose base scores are: zero spread in both columns or one."""
+    corpus = synth_corpus(seed=29, sentences=12, k=5, tags=("NN", "VB", "."))
+    rng = np.random.default_rng(29)
+    noisy = lambda kb: kb.attachment_counts()[0] + rng.normal(scale=1.5, size=len(kb))
+    scores = [noisy(kb).tolist() for kb in corpus]
+    corpus = [kbest_of(kb.gold, [(tree.heads, 1000.0 * base)
+                                 for (tree, _), base in zip(kb.candidates, noisy(kb))])
+              for kb in corpus]
+    flat = corpus[0]
+    corpus.append(kbest_of(flat.gold, [(tree.heads, -1.0) for tree, _ in flat.candidates]))
+    scores.append([0.5] * len(flat))
+    corpus.append(kbest_of(flat.gold, [(tree.heads, -1.0) for tree, _ in flat.candidates]))
+    scores.append([float(i % 3) for i in range(len(flat))])  # the model prefers candidate 3
+    return corpus, scores
+
+
+def test_normalize_mixes_z_scores_as_computed_by_hand():
+    corpus, scores = _normalize_corpus()
+    assert np.std([0.5] * 5) == 0.0 and np.std(corpus[-1].scores) == 0.0
+    p = tiny_params()
+    changed = 0
+    for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
+        on, off = RerankConfig(alpha=alpha, normalize=True), RerankConfig(alpha=alpha)
+        for kb, model in zip(corpus, scores):
+            want = _pick_by_hand(alpha, model, kb.scores.tolist())
+            assert rerank_sentence(p, kb, on, model_scores=model) == want
+            changed += rerank_sentence(p, kb, off, model_scores=model) != want
+    assert changed  # normalizing changed some picks
+    assert rerank_sentence(p, corpus[-2], RerankConfig(alpha=0.5, normalize=True),
+                           model_scores=scores[-2]) == 0  # all equal: ties go low
+
+    punct = {"."}
+    per_alpha = []
+    for alpha in alpha_grid(0.1).tolist():
+        picks = [_pick_by_hand(alpha, model, kb.scores.tolist())
+                 for kb, model in zip(corpus, scores)]
+        per_alpha.append((alpha, sum((uas(kb.candidates[i][0], kb.gold, punct)
+                                      for kb, i in zip(corpus, picks)), EvalResult(0, 0))))
+    want = max(per_alpha, key=lambda row: (row[1].uas, -row[0]))
+    assert search_alpha(p, corpus, 0.1, punct, normalize=True, model_scores=scores) == want
+    assert search_alpha(p, corpus, 0.1, punct, model_scores=scores) != want
 
 
 def test_uas_curve_rows_match_truncated_corpus_evaluation():

@@ -488,6 +488,79 @@ def test_attachment_counts_match_uas():
             uas(tree, gold, punct) for tree, _ in kb.candidates]
 
 
+def _unchecked_tree(gold, heads):
+    """A tree of the gold tree's forms and tags over any heads, not checked."""
+    n = len(heads)
+    return DependencyTree.from_columns(gold.forms[:n], gold.pos_tags[:n], heads, [None] * n)
+
+
+def test_kbest_constructors_reject_rows_that_are_not_forests():
+    # a list holds only forests over its gold tree's tokens, so nothing that
+    # plans, scores or reranks a list checks its rows again
+    gold = make_tree([0, 1, 1])
+    with pytest.raises(AlignmentError):
+        KBestList(gold, [(make_tree([0, 1, 1], forms=["w1", "w2", "w9"]), 0.0)])
+    with pytest.raises(AlignmentError):
+        KBestList(gold, [(make_tree([0, 1, 1], tags=["NN", "NN", "NN"]), 0.0)])
+    with pytest.raises(AlignmentError):
+        KBestList(gold, [(make_tree([0, 1]), 0.0)])
+    with pytest.raises(AlignmentError):  # forms and tags of the gold tree, one head more
+        KBestList(gold, [(DependencyTree.from_columns(gold.forms, gold.pos_tags, [0, 1, 1, 1],
+                                                      [None] * 3), 0.0)])
+    for heads, scores in (([[0, 1, 1, 1]], [0.0]), ([0, 1, 1], [0.0] * 3),
+                          (np.zeros((0, 2)), []), ([[0, 1, 1]], [0.0, 1.0]), ([[0, 1, 1]], 0.0)):
+        with pytest.raises(AlignmentError, match=r"needs a \(k, 3\) head matrix and k scores"):
+            KBestList.from_arrays(gold, heads, scores)
+    sentence = "of the sentence 'w1 w2 w3': head indices do not form a forest:"
+    for tree, rows, message in (
+            (gold, [[0, 1, 1], [0, 1, 4]], f"candidate 2 {sentence} [0, 1, 4]"),
+            (gold, [[0, 1, -1]], f"candidate 1 {sentence} [0, 1, -1]"),
+            (gold, [[0, 1, 1], [0, 1, 2 ** 70]], f"candidate 2 {sentence} [0, 1, {2 ** 70}]"),
+            (gold, [[2, 1, 0]], f"candidate 1 {sentence} [2, 1, 0]"),
+            (gold, [[1, 0, 1]], f"candidate 1 {sentence} [1, 0, 1]"),
+            (gold, [[0, 3, 2], [2, 1, 0]], f"candidate 1 {sentence} [0, 3, 2]"),
+            (gold, [[0, 1, 1], [3, 3, 1]], f"candidate 2 {sentence} [3, 3, 1]"),
+            (_unchecked_tree(gold, [2, 3, 1]), [[0, 1, 1]], f"the gold tree {sentence} [2, 3, 1]"),
+            (_unchecked_tree(gold, [0, 4, 1]), [[2, 1, 0]], f"the gold tree {sentence} [0, 4, 1]"),
+            (_unchecked_tree(gold, [0, 2 ** 64, 1]), [[0, 1, 1]],
+             f"the gold tree {sentence} [0, {2 ** 64}, 1]")):
+        candidates = [(_unchecked_tree(tree, row), 0.0) for row in rows]
+        for build in (lambda: KBestList(tree, candidates),
+                      lambda: KBestList.from_arrays(tree, rows, [0.0] * len(rows))):
+            with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
+                build()
+    with pytest.raises(StructureError, match="at least one token"):
+        KBestList(DependencyTree(()))
+    with pytest.raises(StructureError, match="at least one token"):
+        KBestList.from_arrays(DependencyTree(()), np.zeros((1, 0)), [0.0])
+    # several roots make a forest, which a list holds
+    assert KBestList.from_arrays(gold, [[0, 0, 0], [0, 1, 0]], [0.0, 0.0]).heads.tolist() == [
+        [0, 0, 0], [0, 1, 0]]
+    multi = gold.with_heads([0, 0, 2], allow_multiple_roots=True)
+    assert KBestList(multi, [(multi, 1.5)]).heads.tolist() == [[0, 0, 2]]
+
+
+def test_a_cycle_is_refused_where_its_list_is_made():
+    # a cyclic candidate once went through from_arrays unchecked, and
+    # rerank_corpus wrote the cycle out as CoNLL
+    from deprerank.reranker import RerankConfig, rerank_corpus
+
+    gold = make_tree([0, 1, 1, 1])
+    with pytest.raises(StructureError, match=r"^candidate 1 .* forest: \[2, 1, 0, 3\]$"):
+        rerank_corpus(None, [KBestList.from_arrays(gold, [[2, 1, 0, 3]], [0.0])],
+                      RerankConfig(alpha=0.5), model_scores=[[0.0]])
+
+
+def test_from_arrays_holds_int64_and_float64_arrays_without_copying():
+    gold = make_tree([0, 1, 1])
+    heads, scores = np.array([[0, 1, 1], [0, 1, 2]]), np.array([-1.0, -2.0])
+    kb = KBestList.from_arrays(gold, heads, scores)
+    assert kb.heads is heads and kb.scores is scores and not heads.flags.writeable
+    kb = KBestList.from_arrays(gold, [[0, 1, 2]], [-1])
+    assert (kb.heads.dtype, kb.scores.dtype) == (np.int64, np.float64)
+    assert kb.heads.tolist() == [[0, 1, 2]] and kb.scores.tolist() == [-1.0]
+
+
 def test_a_list_read_line_by_line_is_checked_once(monkeypatch):
     """A list whose HEAD lines are not in `write_kbest`'s form has its trees
     checked where they are read, and not again in the reader's batch."""
