@@ -8,6 +8,7 @@ epochs and punctuation set:
 
     train                     on the workload's train set, against its dev set
     rerank --search-alpha     of its rerank set, with --output and --report
+    rerank --search-alpha --normalize, the same
     oracle --best
     oracle --worst --with-oracle
     curve                     at k = 1, 2, 4, ... up to the workload's k
@@ -51,6 +52,10 @@ def commands(wl):
                     "--alpha-step", str(W.ALPHA_STEP), "--output", "out.conll",
                     "--report", "out.tsv"],
          ["out.conll", "out.tsv"]),
+        ("rerank-normalize", ["rerank", *data, "--model", "model.bin", "--search-alpha",
+                              "--alpha-step", str(W.ALPHA_STEP), "--normalize",
+                              "--output", "norm.conll", "--report", "norm.tsv"],
+         ["norm.conll", "norm.tsv"]),
         ("oracle-best", ["oracle", *data, "--best"], []),
         ("oracle-worst", ["oracle", *data, "--worst", "--with-oracle"], []),
         ("curve", ["curve", *data, "--model", "model.bin", "--ks", ks,

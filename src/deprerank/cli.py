@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(o)
     o.set_defaults(func=cmd_oracle)
 
-    c = subs.add_parser("curve", help="UAS against k for oracles, model, re-ranker")
+    c = subs.add_parser("curve", help="UAS against k for oracles, model, re-ranker",
+                        description="UAS against k. The reranker column's alpha is tuned on "
+                        "the same lists it reports, so it is an in-sample figure.")
     c.add_argument("--gold", required=True)
     c.add_argument("--kbest", required=True)
     c.add_argument("--ks", type=_ks_list, required=True,

@@ -35,18 +35,15 @@ class Hyperparams:
     kappa: float = 2.0   # margin discount per wrong head
     lam: float = 1e-4    # L2 weight ("lambda" in config files)
     k: int = 64          # k-best list size
-    alpha: float = 0.5   # mixture weight when none is searched
     dist_clip: int = 10  # max |relative distance| kept distinct
 
     def __post_init__(self):
-        if not all(math.isfinite(x) for x in (self.rho, self.kappa, self.lam, self.alpha)):
-            raise ValueError("rho, kappa, lambda and alpha must be finite")
+        if not all(math.isfinite(x) for x in (self.rho, self.kappa, self.lam)):
+            raise ValueError("rho, kappa and lambda must be finite")
         if min(self.m, self.m_d, self.k, self.dist_clip) <= 0:
             raise ValueError("m, m_d, k and dist_clip must be positive")
         if self.rho <= 0 or self.kappa <= 0 or self.lam < 0:
             raise ValueError("rho and kappa must be positive, lam non-negative")
-        if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
 
     @property
     def n(self) -> int:
@@ -305,7 +302,7 @@ def _header(params: ParamSet) -> bytes:
     h = params.hyper
     meta = {
         "hyper": {"m": h.m, "m_d": h.m_d, "rho": h.rho, "kappa": h.kappa,
-                  "lambda": h.lam, "k": h.k, "alpha": h.alpha, "dist_clip": h.dist_clip},
+                  "lambda": h.lam, "k": h.k, "dist_clip": h.dist_clip},
         "seed": params.seed,
         "words": params.words.keys,
         "pairs": params.pos_pairs.pairs(),
@@ -389,10 +386,9 @@ def _parse_header(raw: bytes) -> tuple[Hyperparams, int, list[str], list[tuple[s
     number = lambda v: _is_int(v) or isinstance(v, float)
     sizes = {key: _field(hy, key, _is_int, "an integer") for key in ("m", "m_d", "k", "dist_clip")}
     rates = {key: _field(hy, key, number, "a number")
-             for key in ("rho", "kappa", "lambda", "alpha")}
-    try:
-        hyper = Hyperparams(**sizes, rho=rates["rho"], kappa=rates["kappa"],
-                            lam=rates["lambda"], alpha=rates["alpha"])
+             for key in ("rho", "kappa", "lambda")}
+    try:  # models saved with an "alpha" key still load: nothing reads it
+        hyper = Hyperparams(**sizes, rho=rates["rho"], kappa=rates["kappa"], lam=rates["lambda"])
     except ValueError as e:
         raise ModelIOError(f"model header: invalid hyperparameters: {e}") from None
     seed = _field(meta, "seed", lambda v: _is_int(v) and v >= 0, "a non-negative integer")

@@ -44,10 +44,6 @@ class RerankConfig:
         _check_alpha_step(self.alpha_step)
 
 
-def mixture_score(alpha: float, model_score: float, base_score: float) -> float:
-    return alpha * model_score + (1.0 - alpha) * base_score
-
-
 def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
     """The list, with the gold tree appended (at the best base score) if asked.
 
@@ -77,38 +73,55 @@ def _znorm(scores: np.ndarray) -> np.ndarray:
     return (scores - scores.mean()) / std
 
 
-def _mixture_columns(cands: KBestList, normalize: bool,
-                     model_scores: Sequence[float]) -> tuple[np.ndarray, np.ndarray]:
-    """Model and base score columns of an augmented list."""
-    if len(model_scores) != len(cands):
-        raise ValueError(f"expected {len(cands)} model scores, got {len(model_scores)}")
-    model = np.asarray(model_scores, dtype=np.float64)
-    base = cands.scores
-    if normalize:
-        model, base = _znorm(model), _znorm(base)
-    return model, base
+def _columns(kbests: Sequence[KBestList], model_scores: Sequence[Sequence[float]],
+             include_oracle: bool = False, normalize: bool = False,
+             punct_tags: frozenset[str] | set[str] = frozenset()):
+    """Per list: the list picked from (its oracle appended if asked), the
+    model and base columns that the mixture mixes (z-normalized if asked),
+    each candidate's correct heads and the tokens scored. The one place that
+    checks callers' model scores: one finite score per candidate, oracle last."""
+    if len(model_scores) != len(kbests):
+        raise ValueError(f"expected model scores for {len(kbests)} lists, got {len(model_scores)}")
+    for i, (kb, scores) in enumerate(zip(kbests, model_scores)):
+        cands = augmented(kb, include_oracle)
+        model = np.asarray(scores, dtype=np.float64)
+        if model.shape != (len(cands),):
+            raise ValueError(f"list {i}: expected {len(cands)} model scores, got {model.shape}")
+        bad = model[~np.isfinite(model)]
+        if bad.size:
+            raise ValueError(f"list {i}: model score {bad[0]} is not finite")
+        base = cands.scores
+        if normalize:
+            model, base = _znorm(model), _znorm(base)
+        yield (cands, model, base) + cands.attachment_counts(punct_tags)
+
+
+def _mixture_argmax(alphas: np.ndarray, model: np.ndarray, base: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax (ties -> lowest index), and the mixture alpha * model
+    + (1 - alpha) * base of each candidate, one row per alpha."""
+    alphas = alphas[:, None]
+    mix = alphas * model + (1.0 - alphas) * base
+    return mix.argmax(axis=1), mix
 
 
 def rerank_sentence(params: ParamSet, kb: KBestList, config: RerankConfig,
                     model_scores: Sequence[float] | None = None) -> int:
-    """Index of the mixture-score argmax (ties -> lowest index).
-
-    With include_oracle the appended gold tree is index len(kb).
-    Precomputed model_scores (one per candidate, oracle last) skip rescoring.
-    """
-    if model_scores is None:
-        model_scores = candidate_model_scores(params, kb, config.include_oracle)
-    model, base = _mixture_columns(augmented(kb, config.include_oracle), config.normalize,
-                                   model_scores)
-    mix = config.alpha * model + (1.0 - config.alpha) * base
-    return int(np.argmax(mix))
+    """The pick of `rerank_corpus` on the one list; with include_oracle the
+    appended gold tree is index len(kb). Precomputed model_scores (one per
+    candidate, oracle last) skip rescoring."""
+    scores = None if model_scores is None else [model_scores]
+    return rerank_corpus(params, [kb], config, model_scores=scores).chosen[0]
 
 
 @dataclass
 class RerankResult:
     chosen: list[int]
     score: EvalResult
-    # one row per sentence: (index, chosen rank 1-based, model, base, mixture)
+    # one row per sentence: (index, chosen rank 1-based, model score, base
+    # score, mixture score). The model and base scores are the chosen
+    # candidate's raw scores; the mixture score is the value the pick
+    # maximized, from the z-normalized columns under `normalize`.
     rows: list[tuple[int, int, float, float, float]]
     lists: list[KBestList]  # the lists chosen from, each with its oracle if added
 
@@ -137,16 +150,17 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
     `KBestList.attachment_counts`: no tree is built until `trees` is read."""
     if model_scores is None:
         model_scores = corpus_model_scores(params, kbests, config.include_oracle)
+    alpha = np.array([config.alpha])
     chosen, lists, rows = [], [], []
     total = EvalResult(0, 0)
-    for i, kb in enumerate(kbests):
-        idx = rerank_sentence(params, kb, config, model_scores[i])
-        cands = augmented(kb, config.include_oracle)
-        model, base = float(model_scores[i][idx]), float(cands.scores[idx])
-        right, tokens = cands.attachment_counts(punct_tags)
+    for i, (cands, model, base, right, tokens) in enumerate(
+            _columns(kbests, model_scores, config.include_oracle, config.normalize, punct_tags)):
+        picks, mix = _mixture_argmax(alpha, model, base)
+        idx = int(picks[0])
         chosen.append(idx)
         lists.append(cands)
-        rows.append((i, idx + 1, model, base, mixture_score(config.alpha, model, base)))
+        rows.append((i, idx + 1, float(model_scores[i][idx]), float(cands.scores[idx]),
+                     float(mix[0, idx])))
         total = total + EvalResult(int(right[idx]), tokens)
     return RerankResult(chosen, total, rows, lists)
 
@@ -158,20 +172,13 @@ def alpha_grid(alpha_step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps + 1)
 
 
-def _alpha_sweep(grid: np.ndarray,
-                 columns: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray, int]]
-                 ) -> tuple[np.ndarray, int]:
-    """Corpus correct heads at every alpha of the grid, and tokens scored.
-
-    One (model, base, correct, scored) column set per sentence: the two score
-    columns and the correct heads of each candidate, and the sentence's
-    scored tokens. The mixture argmax picks the lowest index on ties.
-    """
+def _alpha_sweep(grid: np.ndarray, columns) -> tuple[np.ndarray, int]:
+    """Corpus correct heads at every alpha of the grid, and tokens scored,
+    from each list's `_columns`."""
     correct = np.zeros(len(grid), dtype=np.int64)
     scored = 0
-    for model, base, right, tokens in columns:
-        mix = np.outer(grid, model) + np.outer(1.0 - grid, base)
-        correct += right[mix.argmax(axis=1)]
+    for _, model, base, right, tokens in columns:
+        correct += right[_mixture_argmax(grid, model, base)[0]]
         scored += tokens
     return correct, scored
 
@@ -196,11 +203,7 @@ def search_alpha(params: ParamSet, dev_kbest: Sequence[KBestList],
     if model_scores is None:
         model_scores = corpus_model_scores(params, dev_kbest, include_oracle)
     grid = alpha_grid(alpha_step)
-    columns = []
-    for kb, scores in zip(dev_kbest, model_scores):
-        cands = augmented(kb, include_oracle)
-        columns.append(_mixture_columns(cands, normalize, scores)
-                       + cands.attachment_counts(punct_tags))
+    columns = _columns(dev_kbest, model_scores, include_oracle, normalize, punct_tags)
     return _best_alpha(grid, *_alpha_sweep(grid, columns))
 
 
@@ -221,20 +224,6 @@ def per_pos_accuracy(pred_trees: Sequence[DependencyTree],
                 cell[0] += int(p == g)
                 cell[1] += 1
     return {pos: (c, t) for pos, (c, t) in counts.items()}
-
-
-def pos_improvement(base: dict[str, tuple[int, int]],
-                    ours: dict[str, tuple[int, int]]) -> list[tuple[str, float, float, float]]:
-    """(pos, base accuracy, our accuracy, gain) rows sorted by gain, largest first."""
-    rows = []
-    for pos in sorted(set(base) | set(ours)):
-        bc, bt = base.get(pos, (0, 0))
-        oc, ot = ours.get(pos, (0, 0))
-        ba = bc / bt if bt else 0.0
-        oa = oc / ot if ot else 0.0
-        rows.append((pos, ba, oa, oa - ba))
-    rows.sort(key=lambda r: -r[3])
-    return rows
 
 
 @dataclass
@@ -258,17 +247,16 @@ def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
     alpha = 1 point.
     """
     grid = alpha_grid(alpha_step)
-    full = [(np.asarray(scores), kb.scores) + kb.attachment_counts(punct_tags)
-            for kb, scores in zip(kbests, corpus_model_scores(params, kbests))]
+    full = list(_columns(kbests, corpus_model_scores(params, kbests), punct_tags=punct_tags))
     rows = []
     for k in ks:
         if k < 1:
             raise ValueError(f"k must be >= 1, got {k}")
-        cut = [(model[:k], base[:k], correct[:k], scored)
-               for model, base, correct, scored in full]
+        cut = [(kb, model[:k], base[:k], correct[:k], scored)
+               for kb, model, base, correct, scored in full]
         by_alpha, scored = _alpha_sweep(grid, cut)
-        best = EvalResult(sum(int(c.max()) for _, _, c, _ in cut), scored)
-        worst = EvalResult(sum(int(c.min()) for _, _, c, _ in cut), scored)
+        best = EvalResult(sum(int(c.max()) for *_, c, _ in cut), scored)
+        worst = EvalResult(sum(int(c.min()) for *_, c, _ in cut), scored)
         alpha, reranked = _best_alpha(grid, by_alpha, scored)
         rows.append(CurveRow(k, best.uas, worst.uas,
                              EvalResult(int(by_alpha[-1]), scored).uas, reranked.uas, alpha,

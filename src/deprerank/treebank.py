@@ -222,20 +222,33 @@ class KBestList:
 
 def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:
     """`heads` and `scores` as int64 and float64 arrays, if they are a (k, n)
-    head matrix over the gold tree's n >= 1 tokens and k scores, and every
-    row and the gold heads is a forest (heads in [0, n], no cycle)."""
+    head matrix over the gold tree's n >= 1 tokens and k finite scores, and
+    every row and the gold heads is a forest (integer heads in [0, n], no
+    cycle). Heads given as integral floats are taken as integers."""
     n, heads, scores = len(gold), np.asarray(heads), np.asarray(scores, dtype=np.float64)
     if heads.ndim != 2 or heads.shape[1] != n or scores.shape != (len(heads),):
         raise AlignmentError(f"a list of {n}-token trees needs a (k, {n}) head matrix and "
                              f"k scores, got shapes {heads.shape} and {scores.shape}")
     if not n:
         raise StructureError("a k-best list needs a sentence of at least one token")
+    sentence = f"of the sentence {' '.join(gold._forms)!r}"
+    finite = np.isfinite(scores)
+    if not finite.all():
+        rank = int(finite.argmin()) + 1
+        raise AlignmentError(f"candidate {rank} {sentence}: base score {scores[rank - 1]} "
+                             "is not finite")
     rows = [list(gold._heads)] + heads.tolist()
+    if heads.dtype.kind not in "iub":  # floats or objects: integral values only
+        for rank, row in enumerate(rows[1:], start=1):
+            if not all(isinstance(h, int) or isinstance(h, float) and h.is_integer()
+                       for h in row):
+                raise StructureError(f"candidate {rank} {sentence}: head indices are not "
+                                     f"integers: {row}")
     for row in _unrooted([h for row in rows for h in row], [n] * len(rows), True):
         if not is_rooted_tree(rows[row], True):  # a head past int64 fails every row
             name = "the gold tree" if row == 0 else f"candidate {row}"
-            raise StructureError(f"{name} of the sentence {' '.join(gold._forms)!r}: head "
-                                 f"indices do not form a forest: {rows[row]}")
+            raise StructureError(f"{name} {sentence}: head indices do not form a forest: "
+                                 f"{rows[row]}")
     return heads.astype(np.int64, copy=False), scores
 
 

@@ -305,7 +305,8 @@ def test_rerank_search_alpha_not_worse_than_base(tmp_path, corpus_files, capsys)
 
 def test_rerank_search_alpha_normalize_report(tmp_path, corpus_files, capsys):
     # --normalize reaches both the search and the final pick; the report keeps
-    # each chosen candidate's raw model and base scores
+    # each chosen candidate's raw model and base scores, and the mixture the
+    # pick maximized, of the z-normalized columns
     from deprerank import reranker
     from deprerank.treebank import read_kbest_files
 
@@ -330,8 +331,13 @@ def test_rerank_search_alpha_normalize_report(tmp_path, corpus_files, capsys):
     assert result.score == searched
     rows = [line.split("\t") for line in report.read_text().splitlines()[1:]]
     assert [int(row[1]) - 1 for row in rows] == result.chosen
+    printed = float(lines[-1].split()[0].split("=")[1])
+    znorm = lambda xs: np.zeros_like(xs) if xs.std() == 0 else (xs - xs.mean()) / xs.std()
     for row, kb, model_scores, idx in zip(rows, kbs, scores, result.chosen):
         assert (float(row[2]), float(row[3])) == (model_scores[idx], kb.scores[idx])
+        mix = printed * znorm(np.array(model_scores)) + (1 - printed) * znorm(kb.scores)
+        assert float(row[4]) == pytest.approx(mix[idx], rel=1e-9, abs=1e-9)
+        assert float(row[4]) == pytest.approx(mix.max(), rel=1e-9, abs=1e-9)
 
 
 def test_oracle_command(tmp_path, corpus_files, capsys):

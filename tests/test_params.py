@@ -241,9 +241,19 @@ def test_hyperparams_validation():
     with pytest.raises(ValueError):
         Hyperparams(m=0)
     with pytest.raises(ValueError):
-        Hyperparams(alpha=1.5)
-    with pytest.raises(ValueError):
         Hyperparams(rho=-0.1)
+
+
+def test_load_takes_a_header_that_still_holds_alpha():
+    # models saved before the unused alpha setting was dropped carry it
+    p = tiny_params()
+    header, payload = model_parts(p)
+    assert "alpha" not in header["hyper"]
+    header["hyper"]["alpha"] = 0.5
+    loaded, saved = io.BytesIO(), io.BytesIO()
+    save(load(io.BytesIO(model_bytes(header, payload))), loaded)
+    save(p, saved)
+    assert loaded.getvalue() == saved.getvalue()
 
 
 def test_root_and_unk_always_present():

@@ -4,6 +4,7 @@ tree check agrees with a breadth-first walk, and a k-best list's constructors
 accept exactly the lists whose rows are forests."""
 
 import io
+import math
 import os
 import re
 import tempfile
@@ -369,7 +370,10 @@ def gold_and_rows(draw):
     """A gold head vector of 1 to 6 tokens and up to 4 candidate rows of one
     width, the gold tree's or one more or less. A row is a tree, a forest, or
     heads in [-1, n + 1]: self-heads, cycles, heads out of range, no root or
-    several."""
+    several. Then whether the heads are given as floats, and at most one
+    fault: a head replaced by a fraction or a non-finite value, or a base
+    score by a non-finite one, at a position counted over all heads or
+    scores."""
     n = draw(st.integers(1, 6))
     width = n if draw(st.integers(0, 5)) else draw(st.sampled_from((n - 1, n + 1)))
 
@@ -377,31 +381,58 @@ def gold_and_rows(draw):
         return st.one_of(rooted_heads(w, False), rooted_heads(w, True),
                          st.lists(st.integers(-1, w + 1), min_size=w, max_size=w))
 
-    return n, draw(row(n)), draw(st.lists(row(width), max_size=4))
+    non_finite = st.sampled_from((math.nan, math.inf, -math.inf))
+    fault = draw(st.none()
+                 | st.tuples(st.just("head"), st.integers(0, 30),
+                             st.sampled_from((0.5, 1.7, -0.25)) | non_finite)
+                 | st.tuples(st.just("score"), st.integers(0, 30), non_finite))
+    return n, draw(row(n)), draw(st.lists(row(width), max_size=4)), draw(st.booleans()), fault
 
 
 @FUZZ
 @given(gold_and_rows())
-@example((4, [0, 1, 1, 1], [[2, 1, 0, 3]]))
-@example((3, [0, 1, 1], [[0, 1, 1], [1, 0, 2]]))
-@example((3, [2, 3, 1], [[0, 1, 1]]))
-@example((2, [0, 1], [[0, 1, 1]]))
+@example((4, [0, 1, 1, 1], [[2, 1, 0, 3]], False, None))
+@example((3, [0, 1, 1], [[0, 1, 1], [1, 0, 2]], False, None))
+@example((3, [2, 3, 1], [[0, 1, 1]], False, None))
+@example((2, [0, 1], [[0, 1, 1]], False, None))
+@example((3, [0, 1, 1], [[0, 1, 1]], True, None))
+@example((3, [0, 1, 1], [[0, 1, 1]], False, ("head", 1, 1.7)))
+@example((3, [0, 1, 1], [[0, 1, 1]], False, ("score", 0, math.nan)))
+@example((3, [0, 1, 1], [[0, 1, 1], [3, 0, 2]], True, ("head", 5, math.inf)))
 def test_kbest_constructors_accept_exactly_forests(case):
-    n, gold_heads, rows = case
+    n, gold_heads, rows, as_float, fault = case
     # forms and tags to n + 1 tokens for the wider rows; "XX" is not a
     # parameter tag, so its arcs read the fallback slot
     forms = [f"w{i % 4}" for i in range(n + 1)]
     tags = [(TAGS + ("XX",))[i % 6] for i in range(n + 1)]
     gold = DependencyTree.from_columns(forms[:n], tags[:n], gold_heads, [None] * n)
     k, width = len(rows), len(rows[0]) if rows else n
-    heads = np.array(rows, dtype=np.int64).reshape(k, width)
+    heads = np.array(rows, dtype=float if as_float or fault else np.int64).reshape(k, width)
+    scores = np.arange(k, dtype=float)
+    if fault:  # one head or score made a fraction or non-finite
+        what, at, value = fault
+        target = heads if what == "head" else scores
+        if target.size:
+            target.flat[at % target.size] = value
+        else:
+            fault = None
     trees = [(DependencyTree.from_columns(forms[:width], tags[:width], row, [None] * width),
-              float(i)) for i, row in enumerate(rows)]
-    builds = (lambda: KBestList(gold, trees),
-              lambda: KBestList.from_arrays(gold, heads, np.arange(k, dtype=float)))
+              score) for row, score in zip(heads.tolist() if as_float or fault else rows,
+                                           scores.tolist())]
+    builds = (lambda: KBestList(gold, trees), lambda: KBestList.from_arrays(gold, heads, scores))
     if width != n:
         for build in builds:
             with pytest.raises(AlignmentError):
+                build()
+        return
+    if fault and fault[0] == "score":
+        for build in builds:
+            with pytest.raises(AlignmentError, match=f"base score {value} is not finite$"):
+                build()
+        return
+    if fault and fault[0] == "head":
+        for build in builds:
+            with pytest.raises(StructureError, match="head indices are not integers: "):
                 build()
         return
     ok = treebank._rooted(np.array([gold_heads] + rows).ravel(), np.full(k + 1, n), True)
@@ -414,6 +445,7 @@ def test_kbest_constructors_accept_exactly_forests(case):
         return
     for build in builds:
         kb = build()
+        assert kb.heads.dtype == np.int64 and kb.scores.dtype == np.float64
         assert kb.heads.tolist() == rows and kb.scores.tolist() == list(range(k))
     if k:  # the plan of an accepted list is the oracle's, field by field
         p, oracle = tiny_params(m=2, m_d=2, seed=k), tiny_params(m=2, m_d=2, seed=k)

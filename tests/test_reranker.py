@@ -8,8 +8,8 @@ import pytest
 from deprerank import rcnn
 from deprerank.params import Hyperparams, init_random
 from deprerank.reranker import (
-    RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, mixture_score,
-    per_pos_accuracy, pos_improvement, rerank_corpus, rerank_sentence, search_alpha, uas_curve,
+    RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, per_pos_accuracy,
+    rerank_corpus, rerank_sentence, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
 from deprerank.treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
@@ -18,9 +18,28 @@ from helpers import kbest_of, make_tree, margin_delta, tiny_params
 
 
 def test_mixture_score_arithmetic():
-    assert mixture_score(0.0, 5.0, -2.5) == -2.5
-    assert mixture_score(1.0, 5.0, -2.5) == 5.0
-    assert mixture_score(0.5, 2.0, -4.0) == -1.0
+    gold = make_tree([0, 1])
+    p = tiny_params()
+
+    def mixture(alpha, model, base):
+        kb = kbest_of(gold, [([0, 1], base)])
+        return rerank_corpus(p, [kb], RerankConfig(alpha=alpha), model_scores=[[model]]).rows[0][4]
+
+    assert mixture(0.0, 5.0, -2.5) == -2.5
+    assert mixture(1.0, 5.0, -2.5) == 5.0
+    assert mixture(0.5, 2.0, -4.0) == -1.0
+    # the reported mixture is the scalar alpha * model + (1 - alpha) * base,
+    # bit for bit, so reports without normalize keep their bytes
+    rng = np.random.default_rng(5)
+    kbs = [kbest_of(gold, [([0, 1], float(b)) for b in rng.normal(scale=50.0, size=64)])
+           for _ in range(20)]
+    scores = [rng.normal(scale=3.0, size=64).tolist() for _ in kbs]
+    for alpha in alpha_grid(0.05).tolist():
+        result = rerank_corpus(p, kbs, RerankConfig(alpha=alpha), model_scores=scores)
+        for (_, rank, model, base, mix), kb, row in zip(result.rows, kbs, scores):
+            assert (model, base) == (row[rank - 1], kb.scores[rank - 1])
+            assert mix == alpha * model + (1.0 - alpha) * base
+            assert mix == max(alpha * m + (1.0 - alpha) * b for m, b in zip(row, kb.scores))
 
 
 def test_rerank_config_validation():
@@ -150,15 +169,6 @@ def test_per_pos_accuracy_counts():
     assert "." not in acc
 
 
-def test_pos_improvement_sorted_by_gain():
-    base = {"DT": (5, 10), "NN": (9, 10)}
-    ours = {"DT": (9, 10), "NN": (9, 10)}
-    rows = pos_improvement(base, ours)
-    assert rows[0][0] == "DT"
-    assert rows[0][3] == pytest.approx(0.4)
-    assert rows[1][3] == 0.0
-
-
 def test_uas_curve_shape_properties():
     corpus = synth_corpus(seed=3, sentences=12, k=6)
     p = tiny_params(m=3, m_d=3, seed=4)
@@ -269,6 +279,47 @@ def test_normalize_mixes_z_scores_as_computed_by_hand():
     want = max(per_alpha, key=lambda row: (row[1].uas, -row[0]))
     assert search_alpha(p, corpus, 0.1, punct, normalize=True, model_scores=scores) == want
     assert search_alpha(p, corpus, 0.1, punct, model_scores=scores) != want
+
+
+def test_normalize_reports_the_mixture_the_pick_maximized():
+    gold = make_tree([0, 1, 1])
+    kb = kbest_of(gold, [([0, 1, 1], 100.0), ([0, 1, 2], 0.0), ([0, 3, 1], 50.0)])
+    model = [0.0, 3.0, 2.9]
+    result = rerank_corpus(tiny_params(), [kb], RerankConfig(alpha=0.5, normalize=True),
+                           model_scores=[model])
+    mix = [0.5 * m + 0.5 * b for m, b in zip(_znorm_by_hand(model), _znorm_by_hand([100, 0, 50]))]
+    sentence, rank, model_score, base_score, mixture = result.rows[0]
+    assert (sentence, rank, model_score, base_score) == (0, 3, 2.9, 50.0)
+    # the raw mixture of rank 3 is 26.45, below rank 1's 50
+    assert mixture == pytest.approx(max(mix), rel=1e-12) and mixture != 26.45
+    assert mix.index(max(mix)) == 2
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("alpha", [0.0, 0.5])
+def test_non_finite_model_scores_are_refused(bad, alpha):
+    gold = make_tree([0, 1, 1])
+    kb = kbest_of(gold, [([0, 1, 1], -1.0), ([0, 1, 2], -2.0)])
+    p, scores = tiny_params(), [0.0, bad]
+    message = f"^list 0: model score {bad} is not finite$"
+    for normalize in (False, True):
+        config = RerankConfig(alpha=alpha, normalize=normalize)
+        with pytest.raises(ValueError, match=message):
+            rerank_sentence(p, kb, config, model_scores=scores)
+        with pytest.raises(ValueError, match=message):
+            rerank_corpus(p, [kb], config, model_scores=[scores])
+        with pytest.raises(ValueError, match=message):
+            search_alpha(p, [kb], 0.5, normalize=normalize, model_scores=[scores])
+
+
+def test_model_scores_must_match_the_lists():
+    gold = make_tree([0, 1, 1])
+    kb = kbest_of(gold, [([0, 1, 1], -1.0), ([0, 1, 2], -2.0)])
+    p, config = tiny_params(), RerankConfig(alpha=0.5)
+    with pytest.raises(ValueError, match=r"^list 0: expected 2 model scores, got \(3,\)$"):
+        rerank_corpus(p, [kb], config, model_scores=[[0.0, 1.0, 2.0]])
+    with pytest.raises(ValueError, match="^expected model scores for 2 lists, got 1$"):
+        search_alpha(p, [kb, kb], 0.5, model_scores=[[0.0, 1.0]])
 
 
 def test_uas_curve_rows_match_truncated_corpus_evaluation():
