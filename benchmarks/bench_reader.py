@@ -7,9 +7,11 @@ rerank-k8-long and rerank-k64), and times per list: `load_conll` of the gold
 file; `load_conll` of the same file with one head per sentence written with
 a + sign, which int() reads but the block parser leaves to the line-by-line
 path, so every sentence takes that path; `read_kbest_files` (which parses the
-gold file too); `read_kbest` over the same lines given as a list (which
-takes the line-by-line path, as a k-best file not in `write_kbest`'s form
-does); `rooted_rows` over the lists' head matrices in the batches the reader
+gold file too); `read_kbest` over the same lines given as a list, which
+times the exact path, `_read_candidates`: every list of a list source is
+read line by line, with `int()` per head and one tree check per list, as is
+every list of a k-best file that is not in `write_kbest`'s form;
+`rooted_rows` over the lists' head matrices in the batches the reader
 checks; and `write_conll` of one candidate tree per list, built from the
 gold trees read. Each step is timed over all the lists, in turn, and the
 median of the repeats is printed. Run from a checkout:

@@ -67,7 +67,11 @@ def candidate_model_scores(params: ParamSet, kb: KBestList,
 
 
 def _znorm(scores: np.ndarray) -> np.ndarray:
-    std = scores.std()
+    with np.errstate(over="ignore", invalid="ignore"):
+        std = scores.std()
+    if not np.isfinite(std):  # the sum or the squares overflow: z-scores do not change with scale
+        scores = scores / np.abs(scores).max()
+        std = scores.std()
     if std == 0.0:
         return np.zeros_like(scores)
     return (scores - scores.mean()) / std

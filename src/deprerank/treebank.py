@@ -667,22 +667,6 @@ def _ranks(k: int) -> list[str]:
     return [str(rank) for rank in range(1, k + 1)]
 
 
-def _canonical_heads(text: str, k: int, n: int) -> np.ndarray | None:
-    """The (k, n) head matrix of k HEAD lines in `write_kbest`'s form, each
-    ending in a newline, read by one `np.fromstring`; else None.
-
-    Each line's HEAD is read as a -1, which must start each row of n + 1. A
-    head too large for int64 is read as the int64 maximum, which fails the
-    tree check; its error is then read from the line (`_check_lists`).
-    """
-    if not _HEAD_LINES.fullmatch(text) or "  " in text or text.count("HEAD") != k:
-        return None
-    heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
-    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any():
-        return None
-    return heads.reshape(k, n + 1)[:, 1:].copy()
-
-
 def _read_block(taken: list[str], k: int, n: int
                 ) -> tuple[list[float], np.ndarray, str] | None:
     """Scores, (k, n) head matrix and HEAD lines of the 2k lines after a SENT
@@ -691,7 +675,10 @@ def _read_block(taken: list[str], k: int, n: int
     The lines are matched a block at a time, not one by one, and taken only
     where the exact path (`_read_candidates`) reads the same values from
     them: ranks 1..k written as `str(rank)`, scores that `float()` reads as
-    finite numbers, and canonical HEAD lines (`_canonical_heads`).
+    finite numbers, and HEAD lines of single spaces and digits, all read by
+    one `np.fromstring` with each HEAD as a -1 that must start each row of
+    n + 1. A head too large for int64 reads as the int64 maximum, which fails
+    the tree check; its error is then read from the line (`_check_lists`).
     """
     if len(taken) != 2 * k:
         return None
@@ -707,8 +694,12 @@ def _read_block(taken: list[str], k: int, n: int
         return None
     if not all(map(math.isfinite, scores)):
         return None
-    heads = _canonical_heads(text, k, n)
-    return None if heads is None else (scores, heads, text)
+    if not _HEAD_LINES.fullmatch(text) or "  " in text or text.count("HEAD") != k:
+        return None
+    heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
+    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any():
+        return None
+    return scores, heads.reshape(k, n + 1)[:, 1:].copy(), text
 
 
 def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank: int,
@@ -719,51 +710,18 @@ def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank
         raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
 
 
-def _replay_heads(gold: DependencyTree, head_lines: list[tuple[int, str]], sent_idx: int,
-                  allow_multiple_roots: bool) -> list[list[int]]:
-    """Parse HEAD lines one candidate at a time, then check their trees in one call.
-
-    The exact path: it raises the error of the first bad line or tree,
-    naming its line or candidate, and returns the head rows if there is none.
-    """
-    rows: list[list[int]] = []
-    try:
-        for rank, (lineno, line) in enumerate(head_lines, start=1):
-            fields = line.split()
-            if fields[0] != "HEAD":
-                raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {line!r}", lineno)
-            try:
-                heads = [int(h) for h in fields[1:]]
-            except ValueError:
-                raise ParseError(f"non-integer head in {line!r}", lineno) from None
-            if len(heads) != len(gold):
-                raise AlignmentError(
-                    f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
-                    f"gold has {len(gold)} tokens")
-            rows.append(heads)
-    finally:  # the rows before a bad line are checked before its error is raised
-        for row in _unrooted([h for heads in rows for h in heads], [len(gold)] * len(rows),
-                             allow_multiple_roots):
-            _check_candidate(gold, rows[row], sent_idx, row + 1, allow_multiple_roots)
-    return rows
-
-
 def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sent_idx: int,
                      k: int, lineno: int, allow_multiple_roots: bool
-                     ) -> tuple[list[float], np.ndarray, str | None, int]:
+                     ) -> tuple[list[float], np.ndarray, int]:
     """The k CAND/HEAD blocks after a SENT header on line `lineno`, read line
-    by line: the exact path, for lines `_read_block` does not take.
-
-    CAND lines are checked as they are read. When all k HEAD lines are
-    canonical, they are parsed in one call, and their trees are left to the
-    caller to check. Otherwise, or when a check fails, `_replay_heads` reads
-    them line by line and checks their trees in one call, so the first error
-    in file order is raised. Returns the scores, the head matrix, the HEAD
-    lines (None if their trees are checked here) and the number of the last
-    line read.
+    by line: the exact path, for lines `_read_block` does not take. Each
+    line is checked as it is read, a HEAD line's heads read by `int()`; the
+    trees are checked in one call at the end, or before a bad line's error
+    is raised, so the first error in file order is raised. Returns the
+    scores, the checked head matrix and the number of the last line read.
     """
-    head_lines: list[tuple[int, str]] = []
     scores: list[float] = []
+    rows: list[list[int]] = []
     try:
         for rank in range(1, k + 1):
             item = next(lines, None)
@@ -787,19 +745,25 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
             if item is None or not item[1].startswith("HEAD"):
                 raise ParseError(f"sentence {sent_idx}: missing HEAD line for rank {rank}",
                                  item[0] if item else lineno)
-            lineno = item[0]
-            head_lines.append(item)
+            lineno, line = item
+            fields = line.split()
+            if fields[0] != "HEAD":
+                raise ParseError(f"expected 'HEAD <h1> ... <hn>', got {line!r}", lineno)
+            try:
+                heads = [int(h) for h in fields[1:]]
+            except ValueError:
+                raise ParseError(f"non-integer head in {line!r}", lineno) from None
+            if len(heads) != len(gold):
+                raise AlignmentError(
+                    f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
+                    f"gold has {len(gold)} tokens")
             scores.append(score)
-    except DataError:
-        _replay_heads(gold, head_lines, sent_idx, allow_multiple_roots)
-        raise
-    text = "".join(line + "\n" for _, line in head_lines)
-    heads = _canonical_heads(text, k, len(gold))
-    if heads is None:
-        heads = np.array(_replay_heads(gold, head_lines, sent_idx, allow_multiple_roots),
-                         dtype=np.int64)
-        text = None
-    return scores, heads, text, lineno
+            rows.append(heads)
+    finally:  # the rows before a bad line are checked before its error is raised
+        for row in _unrooted([h for heads in rows for h in heads], [len(gold)] * len(rows),
+                             allow_multiple_roots):
+            _check_candidate(gold, rows[row], sent_idx, row + 1, allow_multiple_roots)
+    return scores, np.array(rows, dtype=np.int64), lineno
 
 
 def _check_lists(pending: list[tuple[int, KBestList, str]], allow_multiple_roots: bool) -> None:
@@ -828,9 +792,10 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
     a string or a text file, a sentence's 2k CAND/HEAD lines (at most
     `_BLOCK_LINES`) are taken at once and parsed as one block if they are in
     `write_kbest`'s form (`_read_block`); otherwise they are read line by line
-    (`_read_candidates`). Candidate trees are checked a batch at a time
-    (`_check_lists`), and a batch is checked before any error is raised, so
-    the first error in file order is the one raised.
+    (`_read_candidates`), which checks the list's trees itself. The trees of
+    block-read lists are checked a batch at a time (`_check_lists`), and a
+    batch is checked before any error is raised, so the first error in file
+    order is the one raised.
     """
     return _pair_kbest(parse_conll(gold_source, allow_multiple_roots), cand_source,
                        allow_multiple_roots)
@@ -876,11 +841,11 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                 lines = ((number, line.rstrip("\n"))
                          for number, line in enumerate(itertools.chain(taken, raw), lineno + 1)
                          if line.strip())
-                scores, heads, text, lineno = _read_candidates(lines, gold, sent_idx, k, lineno,
-                                                               allow_multiple_roots)
+                scores, heads, lineno = _read_candidates(lines, gold, sent_idx, k, lineno,
+                                                         allow_multiple_roots)
             kb = KBestList._unchecked(gold, heads, np.array(scores, dtype=np.float64))
             lists.append(kb)
-            if text is not None:  # else `_replay_heads` has checked its trees
+            if block:  # else `_read_candidates` has checked its trees
                 pending.append((sent_idx, kb, text))
                 pending_tokens += heads.size
                 if pending_tokens >= _CHECK_TOKENS:

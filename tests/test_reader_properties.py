@@ -173,10 +173,13 @@ def _outcome(reader, gold_text, cand_text, multi):
 
 def _read(gold_text, text, multi, batch):
     """`read_kbest`'s outcome, checking trees `batch` tokens at a time, on the
-    text as a string and as a file; the two must agree."""
+    text as a string, as a file, and as a list and an iterator of its lines
+    (which are read line by line); all must agree."""
+    lines = text.splitlines(keepends=True)
     with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
         outcome = _outcome(read_kbest, gold_text, text, multi)
-        assert _outcome(read_kbest, gold_text, io.StringIO(text), multi) == outcome
+        for source in (io.StringIO(text), lines, iter(lines)):
+            assert _outcome(read_kbest, gold_text, source, multi) == outcome
     return outcome
 
 

@@ -295,6 +295,17 @@ def test_normalize_reports_the_mixture_the_pick_maximized():
     assert mix.index(max(mix)) == 2
 
 
+def test_normalize_survives_base_scores_whose_spread_overflows():
+    """The squares of these finite scores overflow float64, yet their
+    z-scores exist; the largest base score must win at alpha 0."""
+    gold = make_tree([0, 1, 1])
+    kb = kbest_of(gold, [([0, 1, 1], -1e308), ([0, 1, 2], 1e308), ([0, 3, 1], 5e307)])
+    result = rerank_corpus(tiny_params(), [kb], RerankConfig(alpha=0.0, normalize=True),
+                           model_scores=[[0.0, 0.0, 0.0]])
+    assert result.rows[0][1] == 2
+    assert result.rows[0][4] == pytest.approx(max(_znorm_by_hand([-1.0, 1.0, 0.5])))
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("alpha", [0.0, 0.5])
 def test_non_finite_model_scores_are_refused(bad, alpha):
