@@ -88,7 +88,6 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
             patience=pick("patience", "patience", int, train_defaults.patience),
             seed=pick("seed", "seed", int, train_defaults.seed),
             punct_tags=treebank.resolve_punct_set(punct),
-            adagrad_eps=args.adagrad_eps,
         )
     except ValueError as err:
         raise ConfigError(f"{args.config}: {err}") from None
@@ -204,8 +203,7 @@ def cmd_gradcheck(args) -> int:
     start = time.perf_counter()
     suite = trainer.run_grad_check_suite(
         seed=args.seed, instances=args.instances, max_len=args.max_len,
-        m=args.m, m_d=args.m_d, k=args.k,
-        epsilon=args.epsilon, tolerance=args.tolerance)
+        m=args.m, m_d=args.m_d, k=args.k, epsilon=args.epsilon)
     elapsed = time.perf_counter() - start
     print(f"seed={suite.seed} instances={suite.instances} active={suite.active} "
           f"checked={suite.checked} skipped={suite.skipped} "
@@ -299,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--punct-set", dest="punct_set")
     t.add_argument("--min-freq", type=_POSITIVE_INT, default=2,
                    help="forms rarer than this train the unknown-word row")
-    t.add_argument("--adagrad-eps", type=_NON_NEGATIVE, default=0.0)
     t.add_argument("--allow-multiple-roots", action="store_true")
     t.set_defaults(func=cmd_train)
 

@@ -66,7 +66,7 @@ def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """Dense lookup table; lookups return views so updates write through."""
+    """Dense lookup table: key i of `keys` owns row i of `vectors`."""
 
     def __init__(self, dim: int, keys: Sequence, vectors: np.ndarray):
         assert vectors.shape == (len(keys), dim)
@@ -78,17 +78,6 @@ class EmbeddingTable:
 
     def __len__(self) -> int:
         return len(self.keys)
-
-    def row(self, key, default=None) -> int:
-        idx = self.rows.get(key)
-        if idx is None:
-            if default is None:
-                raise KeyError(key)
-            idx = self.rows[default]
-        return idx
-
-    def lookup(self, key, default=None) -> np.ndarray:
-        return self.vectors[self.row(key, default)]
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.dim, self.keys, self.vectors.copy())
@@ -178,42 +167,19 @@ class ParamSet:
     seed: int
     pos_vocab: tuple[str, ...] = field(default_factory=tuple)
 
-    def lookup_word(self, form: str) -> np.ndarray:
-        return self.words.lookup(form, default=UNK_FORM)
-
     def word_row(self, form: str) -> int:
-        return self.words.row(form, default=UNK_FORM)
-
-    def clip_distance(self, delta: int) -> int:
-        c = self.hyper.dist_clip
-        return max(-c, min(c, delta))
+        """The word's row; an unknown form reads the `<unk>` row."""
+        rows = self.words.rows
+        return rows.get(form, rows[UNK_FORM])
 
     def distance_row(self, delta: int) -> int:
-        return self.distances.rows[self.clip_distance(delta)]
-
-    def lookup_distance(self, delta: int) -> np.ndarray:
-        return self.distances.vectors[self.distance_row(delta)]
-
-    def get_pair(self, head_pos: str, child_pos: str,
-                 create_if_missing: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        return self.pos_pairs.get(self.pos_pairs.slot(head_pos, child_pos, create_if_missing))
+        """The row of the relative distance, clipped to [-dist_clip, dist_clip]."""
+        c = self.hyper.dist_clip
+        return self.distances.rows[max(-c, min(c, delta))]
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.words.copy(), self.distances.copy(), self.pos_pairs.copy(),
                         self.hyper, self.seed, self.pos_vocab)
-
-    def equals(self, other: "ParamSet") -> bool:
-        """Bit-exact equality of all parameters and metadata."""
-        return (self.hyper == other.hyper
-                and self.seed == other.seed
-                and self.pos_vocab == other.pos_vocab
-                and self.words.keys == other.words.keys
-                and self.distances.keys == other.distances.keys
-                and self.pos_pairs.index == other.pos_pairs.index
-                and np.array_equal(self.words.vectors, other.words.vectors)
-                and np.array_equal(self.distances.vectors, other.distances.vectors)
-                and np.array_equal(self.pos_pairs.W, other.pos_pairs.W)
-                and np.array_equal(self.pos_pairs.v, other.pos_pairs.v))
 
 
 def build_word_vocab(trees: Iterable[DependencyTree], min_freq: int = 2) -> list[str]:

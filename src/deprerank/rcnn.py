@@ -471,9 +471,6 @@ class Gradients:
     pair_W: Rows = _NO_ROWS
     pair_v: Rows = _NO_ROWS
 
-    def is_empty(self) -> bool:
-        return not any(len(g.rows) for g in (self.words, self.dists, self.pair_W, self.pair_v))
-
 
 def score_plan(params: ParamSet, plan: TreePlan) -> TreeForwardTrace:
     x, p, a, z, amax, unit, total = kernels.tree_forward(

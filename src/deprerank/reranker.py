@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .params import ParamSet
-from .rcnn import build_list_plan, build_list_plans, plan_batches, score_list
+from .rcnn import build_list_plans, plan_batches, score_list
 from .treebank import DependencyTree, EvalResult, KBestList
 # no longer used here; perfbench's tracer self-test still checks these bindings
 from .rcnn import score_tree  # noqa: F401
@@ -59,11 +59,8 @@ def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
 
 def candidate_model_scores(params: ParamSet, kb: KBestList,
                            include_oracle: bool = False) -> list[float]:
-    """Model score per candidate (oracle last), from one forward pass over the list."""
-    kb = augmented(kb, include_oracle)
-    if not len(kb):
-        return []
-    return score_list(params, build_list_plan(params, kb)).tolist()
+    """Model score per candidate (oracle last): `corpus_model_scores` of the one list."""
+    return corpus_model_scores(params, [kb], include_oracle)[0]
 
 
 def _znorm(scores: np.ndarray) -> np.ndarray:
@@ -109,15 +106,6 @@ def _mixture_argmax(alphas: np.ndarray, model: np.ndarray, base: np.ndarray
     return mix.argmax(axis=1), mix
 
 
-def rerank_sentence(params: ParamSet, kb: KBestList, config: RerankConfig,
-                    model_scores: Sequence[float] | None = None) -> int:
-    """The pick of `rerank_corpus` on the one list; with include_oracle the
-    appended gold tree is index len(kb). Precomputed model_scores (one per
-    candidate, oracle last) skip rescoring."""
-    scores = None if model_scores is None else [model_scores]
-    return rerank_corpus(params, [kb], config, model_scores=scores).chosen[0]
-
-
 @dataclass
 class RerankResult:
     chosen: list[int]
@@ -137,9 +125,9 @@ class RerankResult:
 
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
                         include_oracle: bool = False) -> list[list[float]]:
-    """Model score per candidate per sentence, as `candidate_model_scores`
-    gives them; the plans are built a batch at a time (`plan_batches`) and
-    scored one list at a time."""
+    """Model score per candidate (oracle last) per list, from one forward
+    pass over each list; the plans are built a batch at a time
+    (`plan_batches`) and scored one list at a time."""
     lists = [augmented(kb, include_oracle) for kb in kbests]
     scores = iter([score_list(params, plan).tolist()
                    for batch in plan_batches(kb for kb in lists if len(kb))

@@ -89,3 +89,32 @@ def synth_corpus(seed: int, sentences: int, vocab_size: int = 30,
         gold = random_tree(rng, int(rng.integers(lo, hi + 1)), vocab, tags)
         out.append(synth_kbest(rng, gold, k, noise))
     return out
+
+
+def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
+    """8-best lists (`synth_kbest`, noise 0.8) over gold trees of 5-15 tokens
+    of a grammar planted from `seed`. Trees have `random_tree`'s shapes; each
+    token's tag (of `DEFAULT_TAGS`) is drawn given its head's tag, and its
+    form `<tag>_<j>`, j < 4, with j drawn given its head's j, from fixed
+    peaked tables (Dirichlet(0.15) rows, one more row for the artificial
+    root). So gold arcs carry a signal that holds on lists not trained on,
+    unlike `synth_corpus`'s independent draws."""
+    rng = np.random.default_rng(seed)
+    tags, n_tags, n_forms = DEFAULT_TAGS, len(DEFAULT_TAGS), 4
+    tag_table = rng.dirichlet([0.15] * n_tags, size=n_tags + 1)
+    form_table = rng.dirichlet([0.15] * n_forms, size=n_forms + 1)
+    out = []
+    for _ in range(sentences):
+        shape = random_tree(rng, int(rng.integers(5, 16)), list(tags))
+        n, heads = len(shape), shape.heads
+        tag, form = [n_tags] + [0] * n, [n_forms] + [0] * n  # node 0: the root's rows
+        order = [0]
+        for node in order:  # heads before their dependents
+            for child in shape.children(node):
+                order.append(child)
+                tag[child] = int(rng.choice(n_tags, p=tag_table[tag[node]]))
+                form[child] = int(rng.choice(n_forms, p=form_table[form[node]]))
+        gold = DependencyTree.from_columns([f"{tags[t]}_{j}" for t, j in zip(tag[1:], form[1:])],
+                                           [tags[t] for t in tag[1:]], heads, (None,) * n)
+        out.append(synth_kbest(rng, gold, 8, 0.8))
+    return out

@@ -291,10 +291,12 @@ class EvalResult:
 # CoNLL-X
 
 def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
-    """The lines of a source. A string is split at its line boundaries, and
-    each of its lines ends in one newline; other sources' lines are as given."""
+    r"""The lines of a source. A string is read as a text file is, with
+    universal newlines: a line ends at \n, \r\n or \r, read as \n, and not at
+    the other breaks of `str.splitlines` (\x0b, \x1c, \u2028, ...). Other
+    sources' lines are as given."""
     if isinstance(source, str):
-        return (line + "\n" for line in source.splitlines())
+        return io.StringIO(source, newline=None)
     return iter(source)
 
 
@@ -352,17 +354,12 @@ def parse_conll(source: Iterable[str] | str,
 
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
     HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. A string is
-    split by `str.splitlines`; the lines of a file or any other source are
-    as given. They are read a block at a time (`_parse_blocks`). Trees are
-    checked a batch at a time (`_Trees`); a batch is checked before any
-    error is raised, so the first error in file order is the one raised.
+    read as a text file is (`_iter_lines`); the lines of a file or any other
+    source are as given. They are read a block at a time (`_parse_blocks`).
+    Trees are checked a batch at a time (`_Trees`); a batch is checked before
+    any error is raised, so the first error in file order is the one raised.
     """
-    if isinstance(source, str):
-        lines = source.splitlines()
-        blocks = (lines[i:i + _BLOCK_LINES] for i in range(0, len(lines), _BLOCK_LINES))
-    else:
-        blocks = _line_blocks(source)
-    return _parse(blocks, allow_multiple_roots)
+    return _parse(_line_blocks(_iter_lines(source)), allow_multiple_roots)
 
 
 def _line_blocks(source: Iterable[str]) -> Iterator[list[str]]:
@@ -899,31 +896,14 @@ def corpus_uas(pred_trees: Sequence[DependencyTree], gold_trees: Sequence[Depend
     return sum((uas(p, g, punct_tags) for p, g in zip(pred_trees, gold_trees)), EvalResult(0, 0))
 
 
-def oracle_best(kb: KBestList,
-                punct_tags: frozenset[str] | set[str] = frozenset()) -> tuple[int, EvalResult]:
-    """Candidate with the highest per-sentence UAS (ties: lowest index)."""
-    return _oracle(kb, punct_tags, worst=False)
-
-
-def oracle_worst(kb: KBestList,
-                 punct_tags: frozenset[str] | set[str] = frozenset()) -> tuple[int, EvalResult]:
-    """Candidate with the lowest per-sentence UAS (ties: lowest index)."""
-    return _oracle(kb, punct_tags, worst=True)
-
-
-def _oracle(kb: KBestList, punct_tags, worst: bool) -> tuple[int, EvalResult]:
-    if not len(kb):
-        raise ValueError("oracle over an empty candidate list")
-    correct, scored = kb.attachment_counts(punct_tags)
-    idx = int(correct.argmin() if worst else correct.argmax())
-    return idx, EvalResult(int(correct[idx]), scored)
-
-
 def corpus_oracle(kbests: Sequence[KBestList], punct_tags: frozenset[str] | set[str] = frozenset(),
                   worst: bool = False) -> EvalResult:
-    """Oracle selection per sentence, aggregated as summed counts (not averaged UAS)."""
+    """The most (with worst, the fewest) correct heads of any candidate of
+    each list, summed over the lists (not averaged UAS)."""
     total = EvalResult(0, 0)
     for kb in kbests:
-        _, res = _oracle(kb, punct_tags, worst)
-        total = total + res
+        if not len(kb):
+            raise ValueError("oracle over an empty candidate list")
+        correct, scored = kb.attachment_counts(punct_tags)
+        total = total + EvalResult(int(correct.min() if worst else correct.max()), scored)
     return total

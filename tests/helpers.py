@@ -110,6 +110,33 @@ def tiny_params(m=3, m_d=3, vocab=VOCAB, tags=TAGS, seed=0, **kw):
     return init_random(hyper, list(vocab), list(tags), seed)
 
 
+def word_vec(params, form):
+    """The word's embedding row, a view; an unknown form reads `<unk>`'s."""
+    return params.words.vectors[params.word_row(form)]
+
+
+def dist_vec(params, delta):
+    """The clipped relative distance's embedding row, a view."""
+    return params.distances.vectors[params.distance_row(delta)]
+
+
+def get_pair(params, head_pos, child_pos, create=False):
+    """The (W, v) views of a POS pair's slot (the fallback's if unseen,
+    unless create makes the pair)."""
+    pairs = params.pos_pairs
+    return pairs.get(pairs.slot(head_pos, child_pos, create))
+
+
+def same_params(a, b):
+    """Bit-exact equality of all parameters and metadata."""
+    return (a.hyper == b.hyper and a.seed == b.seed and a.pos_vocab == b.pos_vocab
+            and a.words.keys == b.words.keys and a.distances.keys == b.distances.keys
+            and a.pos_pairs.index == b.pos_pairs.index
+            and all(np.array_equal(x, y) for x, y in (
+                (a.words.vectors, b.words.vectors), (a.distances.vectors, b.distances.vectors),
+                (a.pos_pairs.W, b.pos_pairs.W), (a.pos_pairs.v, b.pos_pairs.v))))
+
+
 def model_parts(params):
     """A saved model split into (header dict, array payload)."""
     buf = io.BytesIO()
@@ -553,21 +580,26 @@ def backward_loops(order, arc_start, arc_child, node_word, arc_dist, arc_pair,
     return d_word, d_dist, d_W, d_v
 
 
+def sentence_item(params, kb, kappa):
+    """The training item of one list."""
+    return _SentenceItem.build_all(params, [kb], kappa)[0]
+
+
 def loss_augmented_pick(params, kb, kappa):
     """Candidate maximizing score + margin, and the resulting hinge value."""
-    return _pick(params, _SentenceItem.build(params, kb, kappa))[:2]
+    return _pick(params, sentence_item(params, kb, kappa))[:2]
 
 
 def sentence_subgradient(params, kb, kappa):
     """Subgradient of the sentence hinge; empty when the hinge is inactive."""
-    return _subgradient(params, _SentenceItem.build(params, kb, kappa))
+    return _subgradient(params, sentence_item(params, kb, kappa))
 
 
 def per_tree_subgradient(params, kb, kappa):
     """The sentence hinge's subgradient from per-tree plans and kernels: the
     list pick, then `backward_tree` on the picked tree (+1) and on gold (-1).
     Empty when the hinge is inactive."""
-    idx, hinge, _ = _pick(params, _SentenceItem.build(params, kb, kappa))
+    idx, hinge, _ = _pick(params, sentence_item(params, kb, kappa))
     if hinge <= 0.0:
         return Gradients(), hinge
     picked = score_plan(params, build_plan(params, kb.candidates[idx][0]))
@@ -614,11 +646,11 @@ def max_abs(grads):
                default=0.0)
 
 
-def apply_update(theta, acc, grad, lam, rho, eps):
+def apply_update(theta, acc, grad, lam, rho):
     """The AdaGrad update of one row or slot, in place."""
     eff = grad + lam * theta
     acc += eff * eff
-    denom = np.sqrt(acc) + eps
+    denom = np.sqrt(acc)
     update = np.divide(eff, denom, out=np.zeros_like(eff), where=denom > 0.0)
     theta -= rho * update
 
@@ -628,17 +660,13 @@ def reference_adagrad_step(params, state, grads, lam):
     state.sync(params)
     words, dists, pair_W, pair_v = grad_dicts(grads)
     for row, g in words.items():
-        apply_update(params.words.vectors[row], state.acc_words[row], g,
-                     lam, state.rho, state.eps)
+        apply_update(params.words.vectors[row], state.acc_words[row], g, lam, state.rho)
     for row, g in dists.items():
-        apply_update(params.distances.vectors[row], state.acc_dists[row], g,
-                     lam, state.rho, state.eps)
+        apply_update(params.distances.vectors[row], state.acc_dists[row], g, lam, state.rho)
     for slot, g in pair_W.items():
-        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g,
-                     lam, state.rho, state.eps)
+        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g, lam, state.rho)
     for slot, g in pair_v.items():
-        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g,
-                     lam, state.rho, state.eps)
+        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g, lam, state.rho)
 
 
 # ---------------------------------------------------------------------------
@@ -688,7 +716,7 @@ def compose_pair(params, head_word_vec, child_phrase_vec, delta, pair):
         raise ValueError("head/child vectors do not match the word embedding size")
     if W.shape != (hyper.m, hyper.n):
         raise ValueError(f"composition matrix shape {W.shape} != ({hyper.m}, {hyper.n})")
-    p = np.concatenate([head_word_vec, child_phrase_vec, params.lookup_distance(delta)])
+    p = np.concatenate([head_word_vec, child_phrase_vec, dist_vec(params, delta)])
     return p, np.tanh(W @ p)
 
 
@@ -709,7 +737,7 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
     else:
         tok = tree.tokens[node - 1]
         head_form, head_pos = tok.form, tok.pos
-    head_vec = params.lookup_word(head_form)
+    head_vec = word_vec(params, head_form)
     if not kids:
         return NodeTrace(node, (), np.empty((0, params.hyper.n)),
                          np.empty((0, params.hyper.m)), np.empty((0, params.hyper.m)),
@@ -724,7 +752,7 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
             child_vec = child_phrase_vecs[child]
         except KeyError:
             raise ValueError(f"missing phrase vector for child {child}") from None
-        pair = params.get_pair(head_pos, tree.tokens[child - 1].pos)
+        pair = get_pair(params, head_pos, tree.tokens[child - 1].pos)
         p[j], z[j] = compose_pair(params, head_vec, child_vec, child - node, pair)
         a[j] = pair[0] @ p[j]
         score += float(np.dot(pair[1], z[j]))
@@ -749,10 +777,17 @@ def tree_problem(forms, heads, allow_multiple_roots=False, label="sentence"):
     return None
 
 
+def text_lines(text):
+    r"""The lines of a string as a text file read with universal newlines
+    gives them: each ends at \n, \r\n or \r, read as \n."""
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    return [line + "\n" for line in lines[:-1]] + ([lines[-1]] if lines[-1] else [])
+
+
 def reference_parse_conll(source, allow_multiple_roots=False):
     """`parse_conll` one line and one tree at a time: each tree is checked
     as soon as its blank line (or the end of the input) is read."""
-    lines = source.splitlines() if isinstance(source, str) else source
+    lines = text_lines(source) if isinstance(source, str) else source
     trees, tokens = [], []
 
     def finish():
@@ -811,7 +846,7 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
     """
     golds = reference_parse_conll(gold_source, allow_multiple_roots)
     if isinstance(cand_source, str):
-        cand_source = cand_source.splitlines()
+        cand_source = text_lines(cand_source)
     lines = [l.rstrip("\n") for l in cand_source]
     pos = 0
     lists = []

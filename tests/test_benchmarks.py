@@ -1,0 +1,24 @@
+"""The scripts under benchmarks/ run on tiny inputs, so that a library name
+they use and the library no longer has fails here, not at the next
+benchmark run."""
+
+import os
+import subprocess
+import sys
+
+import pytest
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+@pytest.mark.parametrize("script, args", [
+    ("bench_kernels.py", ["--sentences", "3", "--length", "6", "--k", "4", "--m", "3",
+                          "--m-d", "3", "--repeats", "1"]),
+    ("bench_reader.py", ["--sentences", "3", "--repeats", "1"]),
+])
+def test_benchmark_script_runs(tmp_path, script, args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    run = subprocess.run([sys.executable, os.path.join(ROOT, "benchmarks", script), *args],
+                         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout

@@ -11,21 +11,24 @@ from deprerank.params import (
     init_random, load, load_pretrained, save,
 )
 
-from helpers import BAD_MODELS, make_tree, model_bytes, model_parts, tiny_params
+from helpers import (
+    BAD_MODELS, dist_vec, get_pair, make_tree, model_bytes, model_parts, same_params,
+    tiny_params, word_vec,
+)
 
 
 def test_same_seed_is_bit_identical():
     a = tiny_params(seed=11)
     b = tiny_params(seed=11)
-    a.get_pair("NN", "DT", create_if_missing=True)
-    b.get_pair("NN", "DT", create_if_missing=True)
-    assert a.equals(b)
-    assert not a.equals(tiny_params(seed=12))
+    get_pair(a, "NN", "DT", create=True)
+    get_pair(b, "NN", "DT", create=True)
+    assert same_params(a, b)
+    assert not same_params(a, tiny_params(seed=12))
 
 
 def test_init_entries_inside_open_interval():
     p = tiny_params(m=5, m_d=4, seed=3)
-    p.get_pair("NN", "DT", create_if_missing=True)
+    get_pair(p, "NN", "DT", create=True)
     for arr in (p.words.vectors, p.distances.vectors, p.pos_pairs.W, p.pos_pairs.v):
         assert np.all(np.abs(arr) < 0.01)
 
@@ -34,49 +37,49 @@ def test_default_composition_shape():
     hyper = Hyperparams()
     assert (hyper.m, hyper.m_d, hyper.n) == (25, 25, 75)
     p = init_random(hyper, ["the"], ["DT"], seed=0)
-    W, v = p.get_pair("NN", "DT", create_if_missing=True)
+    W, v = get_pair(p, "NN", "DT", create=True)
     assert W.shape == (25, 75)
     assert v.shape == (25,)
 
 
 def test_lookup_word_oov_maps_to_unk():
     p = tiny_params()
-    assert np.array_equal(p.lookup_word("never-seen-zzz"), p.lookup_word(UNK_FORM))
-    assert np.shares_memory(p.lookup_word("w1"), p.words.vectors)
+    assert p.word_row("never-seen-zzz") == p.word_row(UNK_FORM) == p.words.rows[UNK_FORM]
+    assert p.word_row("w1") == p.words.rows["w1"] != p.word_row(UNK_FORM)
 
 
 def test_distance_clipping():
     p = tiny_params()
-    assert np.array_equal(p.lookup_distance(-37), p.lookup_distance(-10))
-    assert np.array_equal(p.lookup_distance(99), p.lookup_distance(10))
-    assert p.clip_distance(1 - 3) == -2
-    assert not np.array_equal(p.lookup_distance(-2), p.lookup_distance(2))
+    assert np.array_equal(dist_vec(p, -37), dist_vec(p, -10))
+    assert np.array_equal(dist_vec(p, 99), dist_vec(p, 10))
+    assert p.distance_row(1 - 3) == p.distances.rows[-2]
+    assert not np.array_equal(dist_vec(p, -2), dist_vec(p, 2))
 
 
 def test_get_pair_idempotent_and_distinct():
     p = tiny_params()
-    W1, v1 = p.get_pair("NN", "DT", create_if_missing=True)
-    W2, v2 = p.get_pair("NN", "DT", create_if_missing=True)
+    W1, v1 = get_pair(p, "NN", "DT", create=True)
+    W2, v2 = get_pair(p, "NN", "DT", create=True)
     assert np.shares_memory(W1, W2) and np.shares_memory(v1, v2)
-    Wa, _ = p.get_pair("JJ", "NN", create_if_missing=True)
-    Wb, _ = p.get_pair("VB", "NN", create_if_missing=True)
+    Wa, _ = get_pair(p, "JJ", "NN", create=True)
+    Wb, _ = get_pair(p, "VB", "NN", create=True)
     assert not np.array_equal(Wa, Wb)
 
 
 def test_pair_creation_order_independent():
     a = tiny_params(seed=5)
     b = tiny_params(seed=5)
-    a.get_pair("NN", "DT", create_if_missing=True)
-    a.get_pair("VB", "NN", create_if_missing=True)
-    b.get_pair("VB", "NN", create_if_missing=True)
-    b.get_pair("NN", "DT", create_if_missing=True)
-    assert np.array_equal(a.get_pair("NN", "DT")[0], b.get_pair("NN", "DT")[0])
-    assert np.array_equal(a.get_pair("VB", "NN")[0], b.get_pair("VB", "NN")[0])
+    get_pair(a, "NN", "DT", create=True)
+    get_pair(a, "VB", "NN", create=True)
+    get_pair(b, "VB", "NN", create=True)
+    get_pair(b, "NN", "DT", create=True)
+    assert np.array_equal(get_pair(a, "NN", "DT")[0], get_pair(b, "NN", "DT")[0])
+    assert np.array_equal(get_pair(a, "VB", "NN")[0], get_pair(b, "VB", "NN")[0])
 
 
 def test_unseen_pair_uses_fallback():
     p = tiny_params()
-    W, v = p.get_pair("XX", "YY")
+    W, v = get_pair(p, "XX", "YY")
     Wf, vf = p.pos_pairs.get(p.pos_pairs.FALLBACK_SLOT)
     assert np.shares_memory(W, Wf) and np.shares_memory(v, vf)
     assert p.pos_pairs.slot("XX", "YY") == 0
@@ -84,32 +87,32 @@ def test_unseen_pair_uses_fallback():
 
 def test_fallback_finalized_to_mean_leaving_pairs_alone():
     p = tiny_params()
-    W1, _ = p.get_pair("NN", "DT", create_if_missing=True)
-    W2, _ = p.get_pair("JJ", "NN", create_if_missing=True)
+    W1, _ = get_pair(p, "NN", "DT", create=True)
+    W2, _ = get_pair(p, "JJ", "NN", create=True)
     w1_before, w2_before = W1.copy(), W2.copy()
     p.pos_pairs.finalize_fallback()
     Wf, vf = p.pos_pairs.get(0)
     assert np.array_equal(Wf, (w1_before + w2_before) / 2)
-    assert np.array_equal(p.get_pair("NN", "DT")[0], w1_before)
-    assert np.array_equal(p.get_pair("JJ", "NN")[0], w2_before)
+    assert np.array_equal(get_pair(p, "NN", "DT")[0], w1_before)
+    assert np.array_equal(get_pair(p, "JJ", "NN")[0], w2_before)
 
 
 def test_save_leaves_its_argument_alone():
     p = tiny_params()
-    p.get_pair("NN", "DT", create_if_missing=True)
-    p.get_pair("JJ", "NN", create_if_missing=True)
+    get_pair(p, "NN", "DT", create=True)
+    get_pair(p, "JJ", "NN", create=True)
     before = p.copy()
     buf = io.BytesIO()
     save(p, buf)
-    assert p.equals(before)  # slot 0 is not replaced by the pairs' mean
+    assert same_params(p, before)  # slot 0 is not replaced by the pairs' mean
     buf.seek(0)
-    assert load(buf).equals(p)
+    assert same_params(load(buf), p)
 
 
 def test_dimension_consistency_on_every_store():
     p = tiny_params(m=4, m_d=2)
     for pair in [("A", "B"), ("B", "C"), ("C", "A")]:
-        W, v = p.get_pair(*pair, create_if_missing=True)
+        W, v = get_pair(p, *pair, create=True)
         assert W.shape == (4, 10)
         assert v.shape == (4,)
 
@@ -126,7 +129,7 @@ def test_load_pretrained_overwrites_in_vocab_rows():
     p = tiny_params(m=3)
     text = "2 3\nw1 1.5 -0.25 0.125\nnot-in-vocab 9 9 9\n"
     assert load_pretrained(p, io.StringIO(text)) == 1
-    assert np.array_equal(p.lookup_word("w1"), [1.5, -0.25, 0.125])
+    assert np.array_equal(word_vec(p, "w1"), [1.5, -0.25, 0.125])
 
 
 def test_load_pretrained_all_oov_is_noop():
@@ -140,7 +143,7 @@ def test_load_pretrained_counts_lines_and_the_last_line_wins():
     p = tiny_params(m=3)
     text = "3 3\nw1 1 2 3\nzzz 0 0 0\nw1 4 5 6\n"
     assert load_pretrained(p, io.StringIO(text)) == 2
-    assert np.array_equal(p.lookup_word("w1"), [4, 5, 6])
+    assert np.array_equal(word_vec(p, "w1"), [4, 5, 6])
 
 
 @pytest.mark.parametrize("bad", ["w3 1 x 3", "w3 1 nan 3", "w3 1 2"])
@@ -175,20 +178,20 @@ def test_load_pretrained_rejects_non_finite_values(value):
 
 def test_save_load_roundtrip_bit_exact():
     p = tiny_params(m=4, m_d=3, seed=9)
-    p.get_pair("NN", "DT", create_if_missing=True)
-    p.get_pair("VB", "IN", create_if_missing=True)
+    get_pair(p, "NN", "DT", create=True)
+    get_pair(p, "VB", "IN", create=True)
     buf = io.BytesIO()
     save(p, buf)
     buf.seek(0)
     q = load(buf)
-    assert q.equals(p)
+    assert same_params(q, p)
     assert q.hyper == p.hyper
 
 
 def test_loaded_and_copied_pairs_grow_like_the_original():
     p = tiny_params(m=4, m_d=3, seed=9)
     for pair in [("NN", "DT"), ("VB", "IN"), ("DT", "NN")]:
-        p.get_pair(*pair, create_if_missing=True)
+        get_pair(p, *pair, create=True)
     buf = io.BytesIO()
     save(p, buf)
     buf.seek(0)
@@ -196,17 +199,17 @@ def test_loaded_and_copied_pairs_grow_like_the_original():
     for q in (p, loaded, copied):
         assert q.pos_pairs.pairs() == [("NN", "DT"), ("VB", "IN"), ("DT", "NN")]
         for pair in [("IN", "VB"), ("JJ", "NN"), ("NN", "DT")]:
-            q.get_pair(*pair, create_if_missing=True)
-    assert loaded.equals(p) and copied.equals(p)
+            get_pair(q, *pair, create=True)
+    assert same_params(loaded, p) and same_params(copied, p)
     copied.pos_pairs.W[1] += 1.0
-    assert not copied.equals(p) and loaded.equals(p)
+    assert not same_params(copied, p) and same_params(loaded, p)
 
 
 def test_save_is_byte_deterministic():
     bufs = []
     for _ in range(2):
         p = tiny_params(seed=4)
-        p.get_pair("NN", "DT", create_if_missing=True)
+        get_pair(p, "NN", "DT", create=True)
         buf = io.BytesIO()
         save(p, buf)
         bufs.append(buf.getvalue())
@@ -260,7 +263,7 @@ def test_root_and_unk_always_present():
     p = init_random(Hyperparams(m=2, m_d=2), [], ["NN"], seed=0)
     assert UNK_FORM in p.words.rows
     assert ROOT_FORM in p.words.rows
-    assert p.lookup_word(ROOT_FORM).shape == (2,)
+    assert word_vec(p, ROOT_FORM).shape == (2,)
 
 
 @pytest.mark.parametrize("case", sorted(BAD_MODELS))

@@ -16,10 +16,10 @@ from deprerank.treebank import KBestList
 
 from helpers import (
     TAGS, accumulate, all_trees_up_to, assert_same_bytes, assert_same_gradients,
-    assert_same_plan, compose_pair, fd_entries, forward_unit, grad_dicts, heads_list, list_plan,
-    make_tree, max_abs, max_rel_error, node_trace, one_sentence_plans, random_heads,
-    random_multi_root_heads, random_tree, reference_backward_list, reference_forward_list,
-    reference_list_plan, tiny_params, trace_nodes,
+    assert_same_plan, compose_pair, dist_vec, fd_entries, forward_unit, get_pair, grad_dicts,
+    heads_list, list_plan, make_tree, max_abs, max_rel_error, node_trace, one_sentence_plans,
+    random_heads, random_multi_root_heads, random_tree, reference_backward_list,
+    reference_forward_list, reference_list_plan, tiny_params, trace_nodes, word_vec,
 )
 
 
@@ -61,7 +61,7 @@ def test_forward_unit_leaf():
     tree = make_tree([3, 3, 0], forms=["a", "red", "bike"], tags=["DT", "JJ", "NN"])
     trace = forward_unit(p, tree, 2, {})
     assert trace.is_leaf
-    assert np.array_equal(trace.x, p.lookup_word("red"))
+    assert np.array_equal(trace.x, word_vec(p, "red"))
     assert trace.unit_score == 0.0
 
 
@@ -71,9 +71,9 @@ def _rigged_bike_unit(z1, z2):
     tree = make_tree([3, 3, 0], forms=["a", "red", "bike"], tags=["DT", "JJ", "NN"])
     for child, target in ((1, z1), (2, z2)):
         tok = tree.tokens[child - 1]
-        W, _ = p.get_pair("NN", tok.pos, create_if_missing=True)
-        vec_in = np.concatenate([p.lookup_word("bike"), p.lookup_word(tok.form),
-                                 p.lookup_distance(child - 3)])
+        W, _ = get_pair(p, "NN", tok.pos, create=True)
+        vec_in = np.concatenate([word_vec(p, "bike"), word_vec(p, tok.form),
+                                 dist_vec(p, child - 3)])
         W[:] = np.multiply.outer(np.arctanh(target), vec_in) / np.dot(vec_in, vec_in)
     return p, tree
 
@@ -82,27 +82,27 @@ def test_forward_unit_pooling_rowwise_max():
     z1 = np.array([0.5, -0.2])
     z2 = np.array([0.1, 0.3])
     p, tree = _rigged_bike_unit(z1, z2)
-    vecs = {1: p.lookup_word("a"), 2: p.lookup_word("red")}
+    vecs = {1: word_vec(p, "a"), 2: word_vec(p, "red")}
     trace = forward_unit(p, tree, 3, vecs)
     assert np.allclose(trace.z[0], z1)
     assert np.allclose(trace.z[1], z2)
     assert np.allclose(trace.x, [0.5, 0.3])
     assert list(trace.pool_argmax) == [0, 1]
-    v1 = p.get_pair("NN", "DT")[1]
-    v2 = p.get_pair("NN", "JJ")[1]
+    v1 = get_pair(p, "NN", "DT")[1]
+    v2 = get_pair(p, "NN", "JJ")[1]
     assert trace.unit_score == pytest.approx(v1 @ trace.z[0] + v2 @ trace.z[1])
 
 
 def test_forward_unit_single_child():
     p = tiny_params()
     tree = make_tree([0, 1], tags=["VB", "NN"])
-    p.get_pair("VB", "NN", create_if_missing=True)
-    child_vec = p.lookup_word("w2")
+    get_pair(p, "VB", "NN", create=True)
+    child_vec = word_vec(p, "w2")
     trace = forward_unit(p, tree, 1, {2: child_vec})
-    _, z = compose_pair(p, p.lookup_word("w1"), child_vec, 1, p.get_pair("VB", "NN"))
+    _, z = compose_pair(p, word_vec(p, "w1"), child_vec, 1, get_pair(p, "VB", "NN"))
     assert np.array_equal(trace.x, trace.z[0])
     assert np.allclose(trace.z[0], z)
-    v = p.get_pair("VB", "NN")[1]
+    v = get_pair(p, "VB", "NN")[1]
     assert trace.unit_score == pytest.approx(float(v @ z))
 
 
@@ -116,7 +116,7 @@ def test_forward_unit_child_order_invariance():
     vecs = {c: rng.uniform(-1, 1, 3) for c in kids}
     for tag_h in {("ROOT" if node == 0 else tree.tokens[node - 1].pos)}:
         for c in kids:
-            p.get_pair(tag_h, tree.tokens[c - 1].pos, create_if_missing=True)
+            get_pair(p, tag_h, tree.tokens[c - 1].pos, create=True)
     base = forward_unit(p, tree, node, vecs)
     for _ in range(5):
         perm = list(rng.permutation(kids))
@@ -129,7 +129,7 @@ def test_score_single_token_sentence():
     p = tiny_params()
     tree = make_tree([0], tags=["NN"])
     trace = score_tree(p, tree, create_pairs=True)
-    root_unit = forward_unit(p, tree, 0, {1: p.lookup_word("w1")})
+    root_unit = forward_unit(p, tree, 0, {1: word_vec(p, "w1")})
     assert trace.total_score == pytest.approx(root_unit.unit_score, rel=1e-12)
     nontrivial = [n for n in trace_nodes(trace) if not n.is_leaf]
     assert len(nontrivial) == 1 and nontrivial[0].node == 0
@@ -139,7 +139,7 @@ def test_score_bike_tree_decomposes():
     p = tiny_params(vocab=("a", "red", "bike"))
     tree = make_tree([3, 3, 0], forms=["a", "red", "bike"], tags=["DT", "JJ", "NN"])
     trace = score_tree(p, tree, create_pairs=True)
-    bike = forward_unit(p, tree, 3, {1: p.lookup_word("a"), 2: p.lookup_word("red")})
+    bike = forward_unit(p, tree, 3, {1: word_vec(p, "a"), 2: word_vec(p, "red")})
     root = forward_unit(p, tree, 0, {3: bike.x})
     assert trace.total_score == pytest.approx(bike.unit_score + root.unit_score, rel=1e-12)
     # only ROOT and "bike" carry units

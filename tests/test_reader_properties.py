@@ -26,7 +26,7 @@ from deprerank.treebank import (
 from helpers import (
     TAGS, assert_same_plan, make_tree, model_bytes, model_parts, reference_list_plan,
     reference_parse_conll, reference_read_kbest, reference_write_conll, rooted_by_bfs,
-    tiny_params,
+    text_lines, tiny_params,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -175,7 +175,7 @@ def _read(gold_text, text, multi, batch):
     """`read_kbest`'s outcome, checking trees `batch` tokens at a time, on the
     text as a string, as a file, and as a list and an iterator of its lines
     (which are read line by line); all must agree."""
-    lines = text.splitlines(keepends=True)
+    lines = text_lines(text)
     with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
         outcome = _outcome(read_kbest, gold_text, text, multi)
         for source in (io.StringIO(text), lines, iter(lines)):
@@ -329,7 +329,7 @@ def conll_texts(draw):
 def _paired_lines(text):
     """The lines of `text` with their ends, two to an item: a source whose
     items hold newlines inside them."""
-    lines = text.splitlines(keepends=True)
+    lines = text_lines(text)
     return ["".join(lines[i:i + 2]) for i in range(0, len(lines), 2)]
 
 
@@ -360,7 +360,7 @@ def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
             ours = _parsed(parse_conll, source(), multi)
             assert ours == _parsed(reference_parse_conll, source(), multi)
         in_file, by_line = _parsed_file(text, multi)
-        assert in_file == by_line
+        assert in_file == by_line == ours  # a string reads as its file does
     if ours[0] == "ok":  # written back as the line parser's trees are, with any heads
         trees = parse_conll(text, allow_multiple_roots=multi)
         for heads in (lambda t: t.heads, lambda t: [0] * len(t)):

@@ -9,12 +9,18 @@ from deprerank import rcnn
 from deprerank.params import Hyperparams, init_random
 from deprerank.reranker import (
     RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, per_pos_accuracy,
-    rerank_corpus, rerank_sentence, search_alpha, uas_curve,
+    rerank_corpus, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
 from deprerank.treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
 
 from helpers import kbest_of, make_tree, margin_delta, tiny_params
+
+
+def _pick(params, kb, config, model_scores=None):
+    """The pick of `rerank_corpus` on the one list."""
+    scores = None if model_scores is None else [model_scores]
+    return rerank_corpus(params, [kb], config, model_scores=scores).chosen[0]
 
 
 def test_mixture_score_arithmetic():
@@ -63,21 +69,21 @@ def test_rerank_alpha_zero_is_base_parser():
     kb = kbest_of(gold, [([0, 1, 1], -3.0), ([0, 1, 2], -1.0), ([0, 3, 1], -1.0)])
     p = tiny_params()
     # base scores peak (with a tie) at index 1; the model must be ignored
-    idx = rerank_sentence(p, kb, RerankConfig(alpha=0.0), model_scores=[9.0, 0.0, 99.0])
+    idx = _pick(p, kb, RerankConfig(alpha=0.0), model_scores=[9.0, 0.0, 99.0])
     assert idx == 1
 
 
 def test_rerank_singleton():
     gold = make_tree([0])
     kb = kbest_of(gold, [([0], -1.0)])
-    assert rerank_sentence(tiny_params(), kb, RerankConfig(alpha=0.7)) == 0
+    assert _pick(tiny_params(), kb, RerankConfig(alpha=0.7)) == 0
 
 
 def test_rerank_alpha_one_with_zero_scorer_tie_breaks_low():
     gold = make_tree([2, 0, 2])
     kb = kbest_of(gold, [([2, 0, 2], -1.0), ([2, 0, 1], -2.0)])
     p = tiny_params()
-    idx = rerank_sentence(p, kb, RerankConfig(alpha=1.0), model_scores=[0.0, 0.0])
+    idx = _pick(p, kb, RerankConfig(alpha=1.0), model_scores=[0.0, 0.0])
     assert idx == 0
 
 
@@ -87,10 +93,10 @@ def test_rerank_affine_invariance_of_mixture_columns():
     p = tiny_params()
     config = RerankConfig(alpha=0.25)
     model = [1.0, 4.0, -2.0]
-    base_pick = rerank_sentence(p, kb, config, model_scores=model)
+    base_pick = _pick(p, kb, config, model_scores=model)
     scaled = [2.0 * s + 1.0 for s in model]
     kb_scaled = kbest_of(gold, [(t.heads, 2.0 * s + 1.0) for t, s in kb.candidates])
-    assert rerank_sentence(p, kb_scaled, config, model_scores=scaled) == base_pick
+    assert _pick(p, kb_scaled, config, model_scores=scaled) == base_pick
 
 
 def test_include_oracle_appends_gold_at_max_base():
@@ -100,7 +106,7 @@ def test_include_oracle_appends_gold_at_max_base():
     config = RerankConfig(alpha=1.0, include_oracle=True)
     # a perfect scorer prefers the tree with the smallest margin to gold
     scores = [-margin_delta(gold, t, 2.0) for t, _ in kb.candidates] + [0.0]
-    idx = rerank_sentence(p, kb, config, model_scores=scores)
+    idx = _pick(p, kb, config, model_scores=scores)
     assert idx == len(kb.candidates)
     result = rerank_corpus(p, [kb], config, model_scores=[scores])
     assert result.score.uas == 1.0
@@ -263,11 +269,11 @@ def test_normalize_mixes_z_scores_as_computed_by_hand():
         on, off = RerankConfig(alpha=alpha, normalize=True), RerankConfig(alpha=alpha)
         for kb, model in zip(corpus, scores):
             want = _pick_by_hand(alpha, model, kb.scores.tolist())
-            assert rerank_sentence(p, kb, on, model_scores=model) == want
-            changed += rerank_sentence(p, kb, off, model_scores=model) != want
+            assert _pick(p, kb, on, model_scores=model) == want
+            changed += _pick(p, kb, off, model_scores=model) != want
     assert changed  # normalizing changed some picks
-    assert rerank_sentence(p, corpus[-2], RerankConfig(alpha=0.5, normalize=True),
-                           model_scores=scores[-2]) == 0  # all equal: ties go low
+    assert _pick(p, corpus[-2], RerankConfig(alpha=0.5, normalize=True),
+                 model_scores=scores[-2]) == 0  # all equal: ties go low
 
     punct = {"."}
     per_alpha = []
@@ -315,8 +321,6 @@ def test_non_finite_model_scores_are_refused(bad, alpha):
     message = f"^list 0: model score {bad} is not finite$"
     for normalize in (False, True):
         config = RerankConfig(alpha=alpha, normalize=normalize)
-        with pytest.raises(ValueError, match=message):
-            rerank_sentence(p, kb, config, model_scores=scores)
         with pytest.raises(ValueError, match=message):
             rerank_corpus(p, [kb], config, model_scores=[scores])
         with pytest.raises(ValueError, match=message):

@@ -15,16 +15,16 @@ from deprerank.rcnn import Gradients, Rows, backward_tree, build_plan, score_tre
 from deprerank.reranker import RerankConfig, rerank_corpus
 from deprerank.synth import DEFAULT_TAGS, synth_corpus
 from deprerank.trainer import (
-    AdaGradState, TrainConfig, _kbest_digest, _SentenceItem, adagrad_step, grad_check,
+    AdaGradState, TrainConfig, _kbest_digest, adagrad_step, grad_check,
     run_grad_check_suite, train,
 )
 from deprerank.treebank import KBestList
 
 from helpers import (
-    TAGS, accumulate, assert_same_gradients, kbest_of, loss_augmented_pick, make_tree, margin_delta,
-    max_abs, model_parts, one_sentence_plans, per_tree_pick, per_tree_subgradient, random_heads,
-    random_multi_root_heads, random_tree, reference_adagrad_step, sentence_subgradient,
-    tiny_params,
+    TAGS, accumulate, assert_same_gradients, get_pair, kbest_of, loss_augmented_pick, make_tree,
+    margin_delta, max_abs, model_parts, one_sentence_plans, per_tree_pick, per_tree_subgradient,
+    random_heads, random_multi_root_heads, random_tree, reference_adagrad_step, same_params,
+    sentence_item, sentence_subgradient, tiny_params,
 )
 
 
@@ -111,7 +111,7 @@ def test_subgradient_empty_when_hinge_inactive():
     p = tiny_params()
     grads, hinge = sentence_subgradient(p, kb, kappa=2.0)
     assert hinge == 0.0
-    assert grads.is_empty()
+    assert not any(len(g.rows) for g in (grads.words, grads.dists, grads.pair_W, grads.pair_v))
 
 
 def _near(rng, heads):
@@ -150,7 +150,7 @@ def test_list_subgradient_matches_per_tree_subgradient():
         kb = KBestList(gold, [(gold.with_heads(h, allow_multiple_roots=True), -float(i))
                               for i, h in enumerate(heads)])
         if case % 3 == 2:  # W = 0: every pooling column ties
-            _SentenceItem.build(p, kb, kappa=1.5)
+            sentence_item(p, kb, kappa=1.5)  # creates the list's pairs
             p.pos_pairs.W[:] = 0.0
         want, want_hinge = per_tree_subgradient(p, kb, kappa=1.5)
         got, hinge = sentence_subgradient(p, kb, kappa=1.5)
@@ -177,7 +177,7 @@ def test_subgradient_matches_grad_check():
     gold = random_tree(rng, 4, vocab)
     kb = synth_kbest(rng, gold, 3)
     p = init_random(Hyperparams(m=3, m_d=3, k=3), vocab, ["NN"], seed=7)
-    report = grad_check(p, kb, epsilon=1e-5, tolerance=1e-4)
+    report = grad_check(p, kb, epsilon=1e-5)
     assert report.active
     assert report.checked > 0
     assert report.max_rel_error < 1e-4, report.worst
@@ -192,10 +192,10 @@ def test_grad_check_flags_kinks_on_symmetric_zero_scorer():
     ])
     p = _zeroed_scorer(kb)
     p.pos_pairs.W[:] = 0.0
-    report = grad_check(p, kb, epsilon=1e-5, tolerance=1e-4)
+    report = grad_check(p, kb, epsilon=1e-5)
     assert report.active                # hinge is positive (margin term)
     assert report.skipped > 0           # ties are flagged, not failed
-    assert report.passed(1e-4)
+    assert report.max_rel_error < 1e-4, report.worst
 
 
 def test_grad_check_epsilon_scaling_stays_small():
@@ -203,7 +203,7 @@ def test_grad_check_epsilon_scaling_stays_small():
     p = tiny_params(m=3, m_d=3, seed=9)
     errs = []
     for eps in (1e-5, 2e-5):
-        report = grad_check(p, kb, epsilon=eps, tolerance=1e-4)
+        report = grad_check(p, kb, epsilon=eps)
         assert report.active
         errs.append(report.max_rel_error)
     # central differences stay well-behaved as epsilon doubles
@@ -300,20 +300,20 @@ def _state_bytes(params, state):
                                   state.acc_dists, state.acc_W, state.acc_v)]
 
 
-@pytest.mark.parametrize("lam, eps", [(1e-4, 0.0), (0.0, 1e-8), (0.0, 0.0), (0.5, 1e-3)])
-def test_adagrad_step_matches_the_per_row_reference(lam, eps):
+@pytest.mark.parametrize("lam", [1e-4, 0.0, 0.5])
+def test_adagrad_step_matches_the_per_row_reference(lam):
     rng = np.random.default_rng(17)
     p = tiny_params(m=3, m_d=2, seed=4)
-    p.get_pair("NN", "DT", create_if_missing=True)
+    get_pair(p, "NN", "DT", create=True)
     # zero parameters (of both signs): with lam = 0 or a zero gradient their
-    # effective gradient is 0, so with eps = 0 the update divides 0 by 0
+    # effective gradient is 0, so the update divides 0 by 0
     p.words.vectors[:3] = 0.0
     p.words.vectors[3:5] = -0.0
     p.pos_pairs.W[1, 0] = -0.0
-    state = AdaGradState.from_params(p, eps=eps)
+    state = AdaGradState.from_params(p)
     # slots created after the state was built: the step grows the accumulators
     for pair in (("VB", "NN"), ("JJ", "NN"), ("IN", "DT")):
-        p.get_pair(*pair, create_if_missing=True)
+        get_pair(p, *pair, create=True)
     ref, ref_state = p.copy(), copy.deepcopy(state)
     m, n = p.hyper.m, p.hyper.n
     zero_sums = False
@@ -327,7 +327,7 @@ def test_adagrad_step_matches_the_per_row_reference(lam, eps):
         assert _state_bytes(p, state) == _state_bytes(ref, ref_state)
         zero_sums |= bool((state.acc_words[grads.words.rows] == 0.0).any())
     assert len(state.acc_W) == p.pos_pairs.count == 5
-    assert zero_sums  # a touched coordinate divided 0 by sqrt(0) + eps
+    assert zero_sums  # a touched coordinate divided 0 by sqrt(0)
 
 
 def test_train_on_separated_data_changes_nothing():
@@ -352,7 +352,7 @@ def test_train_determinism():
         best, reports = train(p, corpus, corpus, TrainConfig(max_epochs=4, seed=1))
         runs.append((best, reports))
     assert runs[0][1] == runs[1][1]
-    assert runs[0][0].equals(runs[1][0])
+    assert same_params(runs[0][0], runs[1][0])
 
 
 def test_train_invariant_to_input_order():
@@ -365,7 +365,7 @@ def test_train_invariant_to_input_order():
         best, reports = train(p, data, data, TrainConfig(max_epochs=3, seed=4))
         results.append((best, reports))
     assert results[0][1] == results[1][1]
-    assert results[0][0].equals(results[1][0])
+    assert same_params(results[0][0], results[1][0])
 
 
 def test_train_loss_decreases_on_synthetic_corpus():
@@ -407,9 +407,6 @@ def test_train_requires_data():
 @pytest.mark.parametrize("settings, message", [
     (dict(max_epochs=0), "max_epochs must be >= 1"),
     (dict(seed=-1), "seed must be >= 0"),
-    (dict(adagrad_eps=float("nan")), "adagrad_eps must be a finite number >= 0"),
-    (dict(adagrad_eps=float("inf")), "adagrad_eps must be a finite number >= 0"),
-    (dict(adagrad_eps=-1e-8), "adagrad_eps must be a finite number >= 0"),
     (dict(patience=0), "patience must be >= 1"),
 ])
 def test_train_config_rejects_out_of_range_settings(settings, message):
@@ -420,7 +417,7 @@ def test_train_config_rejects_out_of_range_settings(settings, message):
 def test_sentence_margins_count_wrong_heads_per_candidate():
     corpus = synth_corpus(seed=21, sentences=6, k=5, length_range=(2, 9))
     for kb in corpus:
-        item = _SentenceItem.build(tiny_params(), kb, kappa=1.5)
+        item = sentence_item(tiny_params(), kb, kappa=1.5)
         assert item.deltas.tolist() == [margin_delta(kb.gold, t, 1.5) for t, _ in kb.candidates]
 
 

@@ -14,7 +14,7 @@ from deprerank.cli import main
 from deprerank.errors import AlignmentError, EncodingError, ParseError, StructureError
 from deprerank.treebank import (
     DependencyTree, EvalResult, KBestList, Token, corpus_oracle, is_rooted_tree, load_conll,
-    oracle_best, oracle_worst, parse_conll, read_kbest, read_kbest_files, resolve_punct_set,
+    parse_conll, read_kbest, read_kbest_files, resolve_punct_set,
     rooted_rows, uas, write_conll, write_kbest, PUNCT_SETS, _BLOCK_LINES,
 )
 
@@ -90,6 +90,30 @@ def test_parse_errors_carry_line_numbers():
         parse_conll("x\ta\t_\tDT\tDT\t_\t2\t_\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_conll("1\ta\t_\tDT\tDT\t_\tzzz\t_\n")
+
+
+# breaks that `str.splitlines` splits at and a text file does not
+SPLITLINES_ONLY = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+
+
+@pytest.mark.parametrize("brk", SPLITLINES_ONLY, ids=[f"U+{ord(c):04X}" for c in SPLITLINES_ONLY])
+def test_a_string_splits_lines_as_its_file_does(tmp_path, brk):
+    gold = f"1\ta{brk}b\t_\tNN\tNN\t_\t0\t_\r\n2\tc\t_\tVB\tVB\t_\t1\t_\n"
+    kbest = "SENT 0 2\rCAND 1 -1.0\nHEAD 0 1\r\nCAND 2 -2.0\nHEAD 2 0\n"
+    gold_path, kbest_path = tmp_path / "gold.conll", tmp_path / "cands.kbest"
+    gold_path.write_text(gold, encoding="utf-8", newline="")
+    kbest_path.write_text(kbest, encoding="utf-8", newline="")
+    want = [make_tree([0, 1], forms=[f"a{brk}b", "c"], tags=["NN", "VB"])]
+    assert load_conll(gold_path) == want
+    for source in (gold, io.StringIO(gold, newline=None)):
+        assert parse_conll(source) == want
+    lists = [read_kbest_files(gold_path, kbest_path)]
+    lists += [read_kbest(g, k) for g, k in ((gold, kbest), (io.StringIO(gold, newline=None),
+                                                           io.StringIO(kbest, newline=None)))]
+    for kbs in lists:
+        assert [kb.gold for kb in kbs] == want
+        assert [kb.heads.tolist() for kb in kbs] == [[[0, 1], [2, 0]]]
+        assert [kb.scores.tolist() for kb in kbs] == [[-1.0, -2.0]]
 
 
 def test_multiple_roots_strict_and_lenient():
@@ -258,25 +282,23 @@ def test_oracle_best_worst():
         ([2, 0] + [2] * 8, -2.0),
         ([4, 0] + [2] * 8, -3.0),
     ])
-    best_idx, best = oracle_best(kb)
-    worst_idx, worst = oracle_worst(kb)
-    assert best_idx == 1 and best.uas == 1.0
-    assert worst_idx == 0 and worst.uas == pytest.approx(0.8)
+    assert corpus_oracle([kb]) == EvalResult(10, 10)
+    assert corpus_oracle([kb], worst=True) == EvalResult(8, 10)
 
 
 def test_oracle_singleton_and_ties():
     gold = make_tree([0, 1])
     single = kbest_of(gold, [([0, 1], -1.0)])
-    assert oracle_best(single)[0] == 0 == oracle_worst(single)[0]
+    assert corpus_oracle([single]) == EvalResult(2, 2) == corpus_oracle([single], worst=True)
     tie = kbest_of(gold, [([2, 0], -1.0), ([2, 0], -2.0)])
-    assert oracle_best(tie)[0] == 0
-    assert oracle_worst(tie)[0] == 0
+    assert corpus_oracle([tie]) == EvalResult(0, 2) == corpus_oracle([tie], worst=True)
 
 
 def test_oracle_empty_candidates():
     gold = make_tree([0])
-    with pytest.raises(ValueError):
-        oracle_best(KBestList(gold, ()))
+    for worst in (False, True):
+        with pytest.raises(ValueError, match="oracle over an empty candidate list"):
+            corpus_oracle([KBestList(gold, ())], worst=worst)
 
 
 def test_corpus_oracle_aggregates_counts():
