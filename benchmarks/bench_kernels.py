@@ -5,11 +5,11 @@ First, per synthetic k-best list: the list kernels (`forward_list`, and a
 training step's `backward_list` for the loss-augmented pick and gold), the
 list scorer (`score_list`), the step's `adagrad_step` on those gradients,
 and the per-tree `build_plan` + forward + backward of those two trees. Then
-plan building one list per call (`build_list_plan`, the path that scores one
-list at a time) and in batches (`build_list_plans`), and dev scoring as
-`train()` does it, on the same lists: building the batches' per-list plans
-(`build_list_plans`) against their forests (`build_forests`), and scoring
-each per-list plan against each forest. Last, the per-tree numpy kernels on
+plan building with `build_list_plans` one list per call (the path that scores
+one list at a time) and in batches, and dev scoring as `train()` does it, on
+the same lists: building the batches' per-list plans (`build_list_plans`)
+against their forests (`build_forests`), and scoring each per-list plan
+against each forest. Last, the per-tree numpy kernels on
 the lists' gold trees. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
@@ -24,7 +24,7 @@ import numpy as np
 from deprerank import kernels
 from deprerank.params import Hyperparams, init_random
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_forests, build_list_plan, build_list_plans, build_plan,
+    backward_list, backward_tree, build_forests, build_list_plans, build_plan,
     forward_list, score_list, score_plan,
 )
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
@@ -85,12 +85,12 @@ def bench_builds(params, kbests, repeats):
     for _ in range(repeats):
         t0 = time.perf_counter()
         for kb in kbests:
-            build_list_plan(params, kb)
+            build_list_plans(params, [kb])
         one.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         build_list_plans(params, kbests)
         batched.append(time.perf_counter() - t0)
-    return {"build_list_plan (one list per call)": statistics.median(one) / len(kbests),
+    return {"build_list_plans (one list per call)": statistics.median(one) / len(kbests),
             "build_list_plans (batched)": statistics.median(batched) / len(kbests)}
 
 
@@ -121,8 +121,8 @@ def bench_lists(params, kbests, repeats):
     lists = []
     for kb in kbests:
         heads = np.concatenate([[kb.gold.heads], kb.heads])
-        plan = build_list_plan(params, KBestList.from_arrays(kb.gold, heads, np.zeros(len(heads))),
-                               create_pairs=True)
+        [plan] = build_list_plans(
+            params, [KBestList.from_arrays(kb.gold, heads, np.zeros(len(heads)))], True)
         scores, acts = forward_list(params, plan)
         wrong = (kb.heads != heads[0]).sum(axis=1)
         idx = int(np.argmax(scores[1:] + params.hyper.kappa * wrong))

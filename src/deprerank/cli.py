@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 import time
@@ -15,9 +16,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
-CONFIG_KEYS = ("m", "m_d", "rho", "kappa", "lambda", "k", "dist_clip", "seed",
-               "max_epochs", "patience", "punct_set")
-
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this artifact reserves 2 for data errors."""
@@ -27,9 +25,9 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def read_config(path) -> dict[str, str]:
-    """Flat 'key = value' file; '#' starts a comment. Unknown keys are rejected."""
-    out: dict[str, str] = {}
+def read_config(path) -> dict:
+    """Flat 'key = value' file ('#' comments) of `TRAIN_SETTINGS` keys, each parsed at its line."""
+    out = {}
     for lineno, raw in enumerate(treebank.read_text(path, lambda f: f.readlines()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -37,61 +35,32 @@ def read_config(path) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in TRAIN_SETTINGS:
             raise ConfigError(
                 f"{path}:{lineno}: unknown config key {key!r}; "
-                f"valid keys: {', '.join(CONFIG_KEYS)}")
-        out[key] = value
+                f"valid keys: {', '.join(TRAIN_SETTINGS)}")
+        try:
+            out[key] = TRAIN_SETTINGS[key][1](value)
+        except ValueError:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
+                              f"cannot parse {value!r}") from None
     return out
 
 
-def _setting(args, config: dict[str, str], key: str, attr: str, convert):
-    """Flag value if given, else config-file value, else None (use the default)."""
-    flag = getattr(args, attr)
-    if flag is not None:
-        return flag
-    if key in config:
-        try:
-            return convert(config[key])
-        except ValueError:
-            raise ConfigError(f"config key {key!r}: cannot parse {config[key]!r}") from None
-    return None
-
-
 def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
-    """Hyperparameters and training settings from flags, config file and defaults.
-
-    Flags are range-checked by argparse, so a value rejected here came from
-    the config file.
-    """
-    config = read_config(args.config) if args.config else {}
-    hyper_defaults = P.Hyperparams()
-    train_defaults = trainer.TrainConfig()
-
-    def pick(key, attr, convert, default):
-        value = _setting(args, config, key, attr, convert)
-        return default if value is None else value
-
+    """The config file's settings with the given flags on top; the rest keep
+    their defaults. Flags are range-checked by argparse, so a value rejected
+    here came from the config file."""
+    given = read_config(args.config) if args.config else {}
+    given.update((k, v) for k, v in vars(args).items() if k in TRAIN_SETTINGS and v is not None)
+    fields = {"punct_tags": treebank.PUNCT_SETS["ptb"]}  # TrainConfig's own is none
+    fields.update((TRAIN_SETTINGS[key][0], value) for key, value in given.items())
+    hyper_fields = {f.name for f in dataclasses.fields(P.Hyperparams)}
     try:
-        hyper = P.Hyperparams(
-            m=pick("m", "m", int, hyper_defaults.m),
-            m_d=pick("m_d", "m_d", int, hyper_defaults.m_d),
-            rho=pick("rho", "rho", float, hyper_defaults.rho),
-            kappa=pick("kappa", "kappa", float, hyper_defaults.kappa),
-            lam=pick("lambda", "lam", float, hyper_defaults.lam),
-            k=pick("k", "k", int, hyper_defaults.k),
-            dist_clip=pick("dist_clip", "dist_clip", int, hyper_defaults.dist_clip),
-        )
-        punct = pick("punct_set", "punct_set", str, "ptb")
-        cfg = trainer.TrainConfig(
-            max_epochs=pick("max_epochs", "max_epochs", int, train_defaults.max_epochs),
-            patience=pick("patience", "patience", int, train_defaults.patience),
-            seed=pick("seed", "seed", int, train_defaults.seed),
-            punct_tags=treebank.resolve_punct_set(punct),
-        )
+        return (P.Hyperparams(**{f: v for f, v in fields.items() if f in hyper_fields}),
+                trainer.TrainConfig(**{f: v for f, v in fields.items() if f not in hyper_fields}))
     except ValueError as err:
         raise ConfigError(f"{args.config}: {err}") from None
-    return hyper, cfg
 
 
 def cmd_train(args) -> int:
@@ -129,11 +98,10 @@ def cmd_train(args) -> int:
 def cmd_rerank(args) -> int:
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
-    punct = treebank.resolve_punct_set(args.punct_set)
     scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
     if args.search_alpha:
         alpha, dev = reranker.search_alpha(
-            model, kbs, args.alpha_step, punct, include_oracle=args.with_oracle,
+            model, kbs, args.alpha_step, args.punct_set, include_oracle=args.with_oracle,
             normalize=args.normalize, model_scores=scores)
         print(f"best_alpha={alpha:.6g} search_uas={dev.uas:.6f}")
     else:
@@ -141,7 +109,7 @@ def cmd_rerank(args) -> int:
     config = reranker.RerankConfig(alpha=alpha, alpha_step=args.alpha_step,
                                    include_oracle=args.with_oracle,
                                    normalize=args.normalize)
-    result = reranker.rerank_corpus(model, kbs, config, punct, model_scores=scores)
+    result = reranker.rerank_corpus(model, kbs, config, args.punct_set, model_scores=scores)
     print(f"alpha={alpha:.6g} uas={result.score.uas:.6f} "
           f"correct={result.score.correct_heads} scored={result.score.scored_tokens}")
     if args.output:
@@ -157,11 +125,10 @@ def cmd_rerank(args) -> int:
 def cmd_eval(args) -> int:
     pred = treebank.load_conll(args.pred, args.allow_multiple_roots)
     gold = treebank.load_conll(args.gold, args.allow_multiple_roots)
-    punct = treebank.resolve_punct_set(args.punct_set)
-    res = treebank.corpus_uas(pred, gold, punct)
+    res = treebank.corpus_uas(pred, gold, args.punct_set)
     print(f"uas={res.uas:.6f} correct={res.correct_heads} scored={res.scored_tokens}")
     if args.per_pos:
-        acc = reranker.per_pos_accuracy(pred, gold, punct)
+        acc = reranker.per_pos_accuracy(pred, gold, args.punct_set)
         for pos in sorted(acc):
             correct, total = acc[pos]
             print(f"pos={pos} correct={correct} total={total} "
@@ -171,10 +138,9 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
-    punct = treebank.resolve_punct_set(args.punct_set)
     if args.with_oracle:
         kbs = [reranker.augmented(kb, include_oracle=True) for kb in kbs]
-    res = treebank.corpus_oracle(kbs, punct, worst=args.worst)
+    res = treebank.corpus_oracle(kbs, args.punct_set, worst=args.worst)
     which = "worst" if args.worst else "best"
     print(f"oracle={which} uas={res.uas:.6f} correct={res.correct_heads} "
           f"scored={res.scored_tokens}")
@@ -184,8 +150,7 @@ def cmd_oracle(args) -> int:
 def cmd_curve(args) -> int:
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
-    punct = treebank.resolve_punct_set(args.punct_set)
-    rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, punct)
+    rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, args.punct_set)
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
         sink.write("k\toracle_best\toracle_worst\tmodel\treranker\tbest_alpha\tshort_sentences\n")
@@ -261,8 +226,25 @@ _POSITIVE = _number(float, 0, allow_low=False)
 _NON_NEGATIVE = _number(float, 0)
 
 
+# Every `train` setting: config key -> (its Hyperparams or TrainConfig field, the
+# converter of a config value, the argparse type that range-checks `--<key>`).
+TRAIN_SETTINGS = {
+    "m": ("m", int, _POSITIVE_INT),
+    "m_d": ("m_d", int, _POSITIVE_INT),
+    "rho": ("rho", float, _POSITIVE),
+    "kappa": ("kappa", float, _POSITIVE),
+    "lambda": ("lam", float, _NON_NEGATIVE),
+    "k": ("k", int, _POSITIVE_INT),
+    "dist_clip": ("dist_clip", int, _POSITIVE_INT),
+    "seed": ("seed", int, _NON_NEGATIVE_INT),
+    "max_epochs": ("max_epochs", int, _POSITIVE_INT),
+    "patience": ("patience", int, _POSITIVE_INT),
+    "punct_set": ("punct_tags", treebank.resolve_punct_set, treebank.resolve_punct_set),
+}
+
+
 def _add_common(sub, model=False):
-    sub.add_argument("--punct-set", default="ptb",
+    sub.add_argument("--punct-set", default="ptb", type=treebank.resolve_punct_set,
                      help="ptb, ctb, none, or a comma-separated tag list")
     sub.add_argument("--allow-multiple-roots", action="store_true",
                      help="accept sentences with several tokens attached to root")
@@ -284,17 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model-out", required=True)
     t.add_argument("--pretrained", help="word2vec text-format vectors")
     t.add_argument("--config", help="flat key = value settings file")
-    t.add_argument("--m", type=_POSITIVE_INT)
-    t.add_argument("--m-d", dest="m_d", type=_POSITIVE_INT)
-    t.add_argument("--rho", type=_POSITIVE)
-    t.add_argument("--kappa", type=_POSITIVE)
-    t.add_argument("--lambda", dest="lam", type=_NON_NEGATIVE)
-    t.add_argument("--k", type=_POSITIVE_INT)
-    t.add_argument("--dist-clip", dest="dist_clip", type=_POSITIVE_INT)
-    t.add_argument("--seed", type=_NON_NEGATIVE_INT)
-    t.add_argument("--max-epochs", dest="max_epochs", type=_POSITIVE_INT)
-    t.add_argument("--patience", type=_POSITIVE_INT)
-    t.add_argument("--punct-set", dest="punct_set")
+    for key, (_, _, flag_type) in TRAIN_SETTINGS.items():
+        t.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type)
     t.add_argument("--min-freq", type=_POSITIVE_INT, default=2,
                    help="forms rarer than this train the unknown-word row")
     t.add_argument("--allow-multiple-roots", action="store_true")

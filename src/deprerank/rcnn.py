@@ -6,13 +6,13 @@ max-pools the hidden vectors row-wise into the node's phrase vector, and adds
 one dot product per child to the tree score. The artificial root (node 0)
 participates like any other head.
 
-A k-best list is scored as a whole (`build_list_plan`, `score_list`): an arc's
-hidden vector depends only on its head node and the child's subtree, so every
-unique arc of the list is computed once. `build_list_plans` builds the plans of
-many lists in batches, one pass over all their trees, and splits the result
-into the plans each list gets alone; `build_forests` keeps each batch whole,
-one plan that `forward_list` scores with one product per (height, slot) for
-all its lists. `forward_list` also returns the arcs' activations, and
+A k-best list is scored as a whole (`build_list_plans`, `score_list`): an
+arc's hidden vector depends only on its head node and the child's subtree, so
+every unique arc of the list is computed once. `build_list_plans` builds the
+plans of many lists in batches, one pass over all their trees, and splits the
+result into the plans each list gets alone; `build_forests` keeps each batch
+whole, one plan that `forward_list` scores with one product per (height,
+slot) for all its lists. `forward_list` also returns the arcs' activations, and
 `backward_list` backpropagates a weighted sum of some of a list's tree scores
 through them (a training step's hinge). The builders take `KBestList`s, whose
 constructors have checked that every head row is a forest over the sentence;
@@ -184,11 +184,6 @@ def plan_batches(lists: Iterable[KBestList]) -> list[list[KBestList]]:
         batches[-1].append(kb)
         size += cost
     return batches
-
-
-def build_list_plan(params: ParamSet, kb: KBestList, create_pairs: bool = False) -> ListPlan:
-    """The plan of one list's trees: `build_list_plans` on one list."""
-    return build_list_plans(params, [kb], create_pairs)[0]
 
 
 def build_list_plans(params: ParamSet, lists: Iterable[KBestList],

@@ -70,7 +70,7 @@ def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, floa
 
 @dataclass
 class AdaGradState:
-    """Per-coordinate squared-gradient sums; grows with lazily created pairs."""
+    """Per-coordinate squared-gradient sums."""
 
     rho: float
     acc_words: np.ndarray
@@ -80,18 +80,14 @@ class AdaGradState:
 
     @classmethod
     def from_params(cls, params: ParamSet) -> "AdaGradState":
+        """Zero sums for every parameter; make the state after the last POS
+        pair is created (`train()` builds every training item first)."""
         pp = params.pos_pairs
         return cls(params.hyper.rho,
                    np.zeros_like(params.words.vectors),
                    np.zeros_like(params.distances.vectors),
                    np.zeros((pp.count, pp.m, pp.n)),
                    np.zeros((pp.count, pp.m)))
-
-    def sync(self, params: ParamSet) -> None:
-        pad = params.pos_pairs.count - len(self.acc_W)
-        if pad > 0:  # zero sums for the pairs created since
-            self.acc_W = np.concatenate([self.acc_W, np.zeros((pad,) + self.acc_W.shape[1:])])
-            self.acc_v = np.concatenate([self.acc_v, np.zeros((pad,) + self.acc_v.shape[1:])])
 
 
 def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: float,
@@ -120,7 +116,6 @@ def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
     consecutive slots at a time: W blocks are large, and gathering and
     scattering them costs more element passes than the calls it saves.
     """
-    state.sync(params)
     pp, args = params.pos_pairs, (lam, state.rho)
     for table, acc, (rows, grad) in ((params.words.vectors, state.acc_words, grads.words),
                                      (params.distances.vectors, state.acc_dists, grads.dists),

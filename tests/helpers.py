@@ -21,7 +21,7 @@ from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
 from deprerank.rcnn import (
     Gradients, ListActivations, ListPlan, Rows, _first_max, _run_starts, _sum_by, _tree_rows,
-    backward_tree, build_list_plan, build_plan, score_plan,
+    backward_tree, build_list_plans, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token
@@ -277,10 +277,15 @@ def heads_list(gold, heads):
                                  np.zeros(len(heads)))
 
 
+def one_list_plan(params, kb, create_pairs=False):
+    """The plan of one k-best list, built on its own by `build_list_plans`."""
+    return build_list_plans(params, [kb], create_pairs)[0]
+
+
 def list_plan(params, trees, create_pairs=False):
-    """`build_list_plan` over trees of one sentence (the first as the gold tree)."""
-    return build_list_plan(params, heads_list(trees[0], [tree.heads for tree in trees]),
-                           create_pairs)
+    """`one_list_plan` over trees of one sentence (the first as the gold tree)."""
+    return one_list_plan(params, heads_list(trees[0], [tree.heads for tree in trees]),
+                         create_pairs)
 
 
 def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> ListPlan:
@@ -657,7 +662,6 @@ def apply_update(theta, acc, grad, lam, rho):
 
 def reference_adagrad_step(params, state, grads, lam):
     """`trainer.adagrad_step`, one `apply_update` per touched row and slot."""
-    state.sync(params)
     words, dists, pair_W, pair_v = grad_dicts(grads)
     for row, g in words.items():
         apply_update(params.words.vectors[row], state.acc_words[row], g, lam, state.rho)

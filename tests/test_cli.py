@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deprerank import params as P
+from deprerank import cli, params as P
 from deprerank.cli import main
 from deprerank.synth import synth_corpus
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
@@ -145,6 +145,68 @@ def test_config_file_values_and_flag_override(tmp_path, corpus_files, capsys):
     assert model.hyper.m == 4      # flag wins
     assert model.hyper.m_d == 6    # config wins over default
     capsys.readouterr()
+
+
+# every train setting: its config key and flag, a value for each, and the
+# Hyperparams or TrainConfig field that holds it, with the two values as held
+TRAIN_SETTING_CASES = [
+    ("m", "--m", "3", "4", "m", 3, 4),
+    ("m_d", "--m-d", "5", "6", "m_d", 5, 6),
+    ("rho", "--rho", "0.5", "0.25", "rho", 0.5, 0.25),
+    ("kappa", "--kappa", "1.5", "3", "kappa", 1.5, 3.0),
+    ("lambda", "--lambda", "0.01", "0", "lam", 0.01, 0.0),
+    ("k", "--k", "8", "16", "k", 8, 16),
+    ("dist_clip", "--dist-clip", "4", "7", "dist_clip", 4, 7),
+    ("seed", "--seed", "11", "5", "seed", 11, 5),
+    ("max_epochs", "--max-epochs", "2", "9", "max_epochs", 2, 9),
+    ("patience", "--patience", "3", "1", "patience", 3, 1),
+    ("punct_set", "--punct-set", "ctb", "none", "punct_tags", frozenset({"PU"}), frozenset()),
+]
+
+
+@pytest.mark.parametrize("key, flag, config_value, flag_value, field, from_config, from_flag",
+                         TRAIN_SETTING_CASES)
+def test_each_train_setting_reads_its_config_key_and_flag(
+        tmp_path, key, flag, config_value, flag_value, field, from_config, from_flag):
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text(f"{key} = {config_value}\n", encoding="utf-8")
+    required = ["train", "--train-gold", "g", "--train-kbest", "k", "--dev-gold", "dg",
+                "--dev-kbest", "dk", "--model-out", "m.bin"]
+
+    def resolved(*extra):
+        hyper, train_cfg = cli._resolve_settings(cli.build_parser().parse_args(
+            [*required, *extra]))
+        return {**vars(hyper), **vars(train_cfg)}
+
+    defaults = resolved()
+    from_file = resolved("--config", str(cfg))
+    overridden = resolved("--config", str(cfg), flag, flag_value)
+    assert (from_file[field], overridden[field]) == (from_config, from_flag)
+    assert defaults[field] not in (from_config, from_flag)
+    for other in defaults.keys() - {field}:
+        assert from_file[other] == overridden[other] == defaults[other]
+
+
+@pytest.mark.parametrize("flags", [[], ["--m", "4"]])
+def test_unparsable_config_value_exits_2_at_its_line(tmp_path, corpus_files, capsys, flags):
+    # parsed where it is read, so a flag that overrides it does not hide it
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("m = four\nm_d = 4\n", encoding="utf-8")
+    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
+    code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
+                 "--dev-gold", str(dg), "--dev-kbest", str(dk),
+                 "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg), *flags])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"deprerank: error: {cfg}:1: config key 'm': cannot parse 'four'"]
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_readme_lists_the_config_keys_of_the_train_settings():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    listed = readme.split("Valid keys:", 1)[1].split("`")[1]
+    assert [key.strip() for key in listed.split(",")] == list(cli.TRAIN_SETTINGS)
 
 
 def test_usage_errors_exit_1(capsys):

@@ -9,7 +9,7 @@ from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
-    backward_list, backward_tree, build_forests, build_list_plan, build_list_plans, build_plan,
+    backward_list, backward_tree, build_forests, build_list_plans, build_plan,
     forward_list, plan_batches, score_list, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
@@ -17,9 +17,10 @@ from deprerank.treebank import KBestList
 from helpers import (
     TAGS, accumulate, all_trees_up_to, assert_same_bytes, assert_same_gradients,
     assert_same_plan, compose_pair, dist_vec, fd_entries, forward_unit, get_pair, grad_dicts,
-    heads_list, list_plan, make_tree, max_abs, max_rel_error, node_trace, one_sentence_plans,
-    random_heads, random_multi_root_heads, random_tree, reference_backward_list,
-    reference_forward_list, reference_list_plan, tiny_params, trace_nodes, word_vec,
+    heads_list, list_plan, make_tree, max_abs, max_rel_error, node_trace, one_list_plan,
+    one_sentence_plans, random_heads, random_multi_root_heads, random_tree,
+    reference_backward_list, reference_forward_list, reference_list_plan, tiny_params,
+    trace_nodes, word_vec,
 )
 
 
@@ -411,7 +412,7 @@ def test_list_plan_rejects_bad_input():
     with pytest.raises(StructureError):
         KBestList.from_arrays(gold, [[0, 1, -1]], [0.0])
     with pytest.raises(ValueError, match="no trees"):
-        build_list_plan(p, KBestList(gold))
+        one_list_plan(p, KBestList(gold))
 
 
 def test_list_plan_rejects_cycles():
@@ -456,7 +457,7 @@ def test_batched_plans_equal_one_sentence_plans(create_pairs):
             for p in (oracle, alone, batched):
                 build_plan(p, seen, create_pairs=True)
         want = one_sentence_plans(oracle, lists, create_pairs)
-        for got in ([build_list_plan(alone, kb, create_pairs) for kb in lists],
+        for got in ([one_list_plan(alone, kb, create_pairs) for kb in lists],
                     build_list_plans(batched, lists, create_pairs)):
             assert len(got) == len(want)
             for plan, expected in zip(got, want):
@@ -476,7 +477,7 @@ def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, bud
     empty = KBestList(make_tree([0, 1, 1]))
     good = _random_lists(np.random.default_rng(63), 4)
     with pytest.raises(ValueError) as alone:
-        build_list_plan(tiny_params(), empty, create_pairs=True)
+        one_list_plan(tiny_params(), empty, create_pairs=True)
     p = tiny_params()
     with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
         build_list_plans(p, good[:2] + [empty] + good[2:], create_pairs=True)
@@ -525,7 +526,7 @@ def test_members_are_width_by_signature_slabs(monkeypatch):
     p = tiny_params(m=3, m_d=3, seed=1, dist_clip=2)
     lists = _random_lists(rng, 20)
     plans = (build_list_plans(p, lists) + build_forests(p, lists)
-             + [build_list_plan(p, kb) for kb in lists])
+             + [one_list_plan(p, kb) for kb in lists])
     assert any(len(batch) > 1 for batch in plan_batches(lists))  # split and forests
     for plan in plans:
         _assert_members_layout(plan)
@@ -565,7 +566,7 @@ def test_a_forest_of_one_sentence_is_its_list_plan():
     p = tiny_params(m=3, m_d=3, seed=2, dist_clip=2)
     for kb in _random_lists(rng, 30):
         [forest] = build_forests(p, [kb])
-        assert_same_plan(forest, build_list_plan(p, kb))
+        assert_same_plan(forest, one_list_plan(p, kb))
 
 
 def _assert_forest_scores_match(p, lists):
@@ -576,7 +577,7 @@ def _assert_forest_scores_match(p, lists):
     scores = np.concatenate([score_list(p, forest) for forest in forests])
     at = 0
     for kb in lists:
-        got, want = scores[at:at + len(kb)], score_list(p, build_list_plan(p, kb))
+        got, want = scores[at:at + len(kb)], score_list(p, one_list_plan(p, kb))
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         rows = [tuple(row) for row in kb.heads.tolist()]
         for i, row in enumerate(rows):  # duplicate rows, bit for bit

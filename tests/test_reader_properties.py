@@ -17,16 +17,15 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 from deprerank import synth, treebank
 from deprerank.errors import AlignmentError, DataError, StructureError
 from deprerank.params import load
-from deprerank.rcnn import build_list_plan
 from deprerank.treebank import (
     DependencyTree, KBestList, is_rooted_tree, load_conll, parse_conll, read_kbest, rooted_rows,
     write_conll,
 )
 
 from helpers import (
-    TAGS, assert_same_plan, make_tree, model_bytes, model_parts, reference_list_plan,
-    reference_parse_conll, reference_read_kbest, reference_write_conll, rooted_by_bfs,
-    text_lines, tiny_params,
+    TAGS, assert_same_plan, make_tree, model_bytes, model_parts, one_list_plan,
+    reference_list_plan, reference_parse_conll, reference_read_kbest, reference_write_conll,
+    rooted_by_bfs, text_lines, tiny_params,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -452,7 +451,7 @@ def test_kbest_constructors_accept_exactly_forests(case):
         assert kb.heads.tolist() == rows and kb.scores.tolist() == list(range(k))
     if k:  # the plan of an accepted list is the oracle's, field by field
         p, oracle = tiny_params(m=2, m_d=2, seed=k), tiny_params(m=2, m_d=2, seed=k)
-        assert_same_plan(build_list_plan(p, kb, create_pairs=True),
+        assert_same_plan(one_list_plan(p, kb, create_pairs=True),
                          reference_list_plan(oracle, kb, create_pairs=True))
         assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
 

@@ -310,10 +310,9 @@ def test_adagrad_step_matches_the_per_row_reference(lam):
     p.words.vectors[:3] = 0.0
     p.words.vectors[3:5] = -0.0
     p.pos_pairs.W[1, 0] = -0.0
-    state = AdaGradState.from_params(p)
-    # slots created after the state was built: the step grows the accumulators
     for pair in (("VB", "NN"), ("JJ", "NN"), ("IN", "DT")):
         get_pair(p, *pair, create=True)
+    state = AdaGradState.from_params(p)
     ref, ref_state = p.copy(), copy.deepcopy(state)
     m, n = p.hyper.m, p.hyper.n
     zero_sums = False
@@ -384,6 +383,7 @@ def test_repeated_steps_separate_single_sentence():
         ([3, 0, 2, 2], -3.0),
     ])
     p = tiny_params(m=3, m_d=3, seed=21)
+    sentence_item(p, kb, kappa=2.0)  # creates the list's POS pairs before the state, as train()
     state = AdaGradState.from_params(p)
     hinge = None
     for _ in range(300):
