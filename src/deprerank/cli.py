@@ -26,8 +26,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 def read_config(path) -> dict:
-    """Flat 'key = value' file ('#' comments) of `TRAIN_SETTINGS` keys, each parsed at its line."""
-    out = {}
+    """Flat 'key = value' file ('#' comments) of `TRAIN_SETTINGS` keys, each
+    given once and parsed at its line."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(treebank.read_text(path, lambda f: f.readlines()), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -39,6 +40,10 @@ def read_config(path) -> dict:
             raise ConfigError(
                 f"{path}:{lineno}: unknown config key {key!r}; "
                 f"valid keys: {', '.join(TRAIN_SETTINGS)}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r} is already set "
+                              f"at line {line_of[key]}")
+        line_of[key] = lineno
         try:
             out[key] = TRAIN_SETTINGS[key][1](value)
         except ValueError:
@@ -53,8 +58,7 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
     here came from the config file."""
     given = read_config(args.config) if args.config else {}
     given.update((k, v) for k, v in vars(args).items() if k in TRAIN_SETTINGS and v is not None)
-    fields = {"punct_tags": treebank.PUNCT_SETS["ptb"]}  # TrainConfig's own is none
-    fields.update((TRAIN_SETTINGS[key][0], value) for key, value in given.items())
+    fields = {TRAIN_SETTINGS[key][0]: value for key, value in given.items()}
     hyper_fields = {f.name for f in dataclasses.fields(P.Hyperparams)}
     try:
         return (P.Hyperparams(**{f: v for f, v in fields.items() if f in hyper_fields}),

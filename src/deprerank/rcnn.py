@@ -20,6 +20,20 @@ nothing here checks heads again. The per-tree
 plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same
 one tree at a time; they remain for `score_tree`, as test oracles and as the
 tracer's targets.
+
+The list builders and kernels run a few numpy calls per subtree height and
+per POS-pair slot, so the Python code in front of numpy's C loops costs more
+than many of the loops. They call those loops directly, each with the inputs
+the np.* function would pass, so the bits are the same: ndarray methods
+(`a.dot(b, out=)`, `argsort`, `searchsorted`, `repeat`, `cumsum`,
+`nonzero()[0]`) for `np.dot`, `np.argsort`, ..., `np.flatnonzero`; ufunc
+reductions (`np.add/maximum/minimum/logical_or.reduce`) for
+`sum/max/min/any`; `_full` for `np.full`; `concatenate`, slicing or integer
+arithmetic for `np.append`, `np.diff`, `np.tile` and `np.clip`; and
+`_unique_inverse` for `np.unique(return_inverse=True)`. `einsum` stays: its
+products are not those of a `dot`. The training step and the rerank path
+(`trainer`, `reranker`, `KBestList.attachment_counts`) keep the same rule;
+`tests/test_hot_paths.py` fails if one of these wrappers is entered.
 """
 
 from __future__ import annotations
@@ -221,6 +235,24 @@ def build_forests(params: ParamSet, lists: Iterable[KBestList]) -> list[ListPlan
             for batch in plan_batches(lists)]
 
 
+def _full(shape, value: int) -> np.ndarray:
+    """np.full of an int64 value."""
+    out = np.empty(shape, dtype=np.int64)
+    out.fill(value)
+    return out
+
+
+def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique(keys, return_inverse=True) of a non-empty 1-D int64 array,
+    by the same sort."""
+    order = keys.argsort()
+    ordered = keys[order]
+    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = new.cumsum() - 1
+    return ordered[new], inverse
+
+
 def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
                  forest: bool = False) -> list[ListPlan]:
     """The plans of a batch's lists, in order, or with forest its unsplit
@@ -233,29 +265,30 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     for kb in batch:
         k, width = len(kb), len(kb.gold) + 1
         grid = np.arange(end, end + k * width).reshape(k, width)
-        nodes.append(np.tile(np.arange(num_nodes, num_nodes + width), k))
+        nodes.append(np.arange(k * width) % width + num_nodes)
         children.append(grid[:, 1:].ravel())
         parents.append((kb.heads + grid[:, :1]).ravel())
         end, num_nodes = end + k * width, num_nodes + width
-    node, child, parent = (np.concatenate(a) for a in (nodes, children, parents))
-    parent_of = np.full(end, end)  # a root's parent is `end`
+    node, child, parent = (a[0] if len(a) == 1 else np.concatenate(a)
+                           for a in (nodes, children, parents))
+    parent_of = _full(end, end)  # a root's parent is `end`
     parent_of[child] = parent
-    by_head = np.argsort(parent, kind="stable")  # build_plan's arc order, tree by tree
+    by_head = parent.argsort(kind="stable")  # build_plan's arc order, tree by tree
     nkids = np.bincount(parent, minlength=end)
-    first = np.cumsum(nkids) - nkids
-    kids = np.full((end, nkids.max()), end)
+    first = nkids.cumsum() - nkids
+    kids = _full((end, np.maximum.reduce(nkids)), end)
     kids[parent[by_head], np.arange(len(child)) - first[parent[by_head]]] = child[by_head]
 
     # Signatures, one height at a time: a node's row is its node and its
     # children's signatures (-1 pads), and equal rows get one id. Heights h
     # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id, in
     # sentence order.
-    sig = np.append(node, -1)
+    sig = np.concatenate((node, [-1]))
     bounds = [0, num_nodes]
     reps = []
     pending = nkids.copy()
     ready = (nkids == 0).nonzero()[0]
-    while True:  # ndarray methods, not their np.* wrappers: this loop runs per height
+    while True:
         done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
         pending -= done
         ready = ((pending == 0) & (done > 0)).nonzero()[0]
@@ -267,7 +300,7 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
         rows = rows[order]
         new = np.empty(len(order), dtype=bool)
         new[0] = True
-        (rows[1:] != rows[:-1]).any(axis=1, out=new[1:])
+        np.logical_or.reduce(rows[1:] != rows[:-1], axis=1, out=new[1:])
         ids = new.cumsum()
         sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
@@ -280,7 +313,7 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
                        for kb in batch for t in (ROOT_POS, *kb.gold.pos_tags)])
     names, ntags = list(tag_ids), len(tag_ids)
     codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
-    seen = np.full(ntags * ntags, len(codes))
+    seen = _full(ntags * ntags, len(codes))
     np.minimum.at(seen, codes, np.arange(len(codes)))
     present = (seen < len(codes)).nonzero()[0]
     slot_of = np.zeros(ntags * ntags, dtype=np.int64)
@@ -291,17 +324,16 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     # unique arcs, numbered by their child's height, then by slot; split, by
     # sentence first: level s * stride + h holds sentence s's arcs whose
     # child has height h
-    arc_key, arc_of_child = np.unique(sig[child] * num_nodes + node[parent],
-                                      return_inverse=True)
+    arc_key, arc_of_child = _unique_inverse(sig[child] * num_nodes + node[parent])
     arc_child, arc_head = np.divmod(arc_key, num_nodes)
     child_node = sig_node[arc_child]
     arc_slot = slot_of[tag_of[arc_head] * ntags + tag_of[child_node]]
-    level = np.searchsorted(bounds, arc_child, side="right") - 1
+    level = np.array(bounds).searchsorted(arc_child, side="right") - 1
     num_sents, stride = len(batch), len(reps) + 1
     widths = np.array([len(kb.gold) + 1 for kb in batch])
     split = num_sents > 1 and not forest
     if split:
-        sent_of_node = np.repeat(np.arange(num_sents), widths)
+        sent_of_node = np.arange(num_sents).repeat(widths)
         level += sent_of_node[arc_head] * stride
     order = np.lexsort((arc_slot, level))
     num_arcs = len(order)
@@ -309,29 +341,29 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     renumber[order] = np.arange(num_arcs)
     arc_child, arc_head, child_node, arc_slot, level = (
         a[order] for a in (arc_child, arc_head, child_node, arc_slot, level))
-    arc_of = np.full(end + 1, num_arcs)
+    arc_of = _full(end + 1, num_arcs)
     arc_of[child] = renumber[arc_of_child]
 
-    cuts = np.flatnonzero((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])) + 1
-    starts, stops = np.append(0, cuts), np.append(cuts, num_arcs)
+    cuts = ((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])).nonzero()[0] + 1
+    starts, stops = np.concatenate(([0], cuts)), np.concatenate((cuts, [num_arcs]))
     group_slots = arc_slot[starts].tolist()
-    arc_bounds = np.searchsorted(level, np.arange(num_sents * stride if split else stride))
-    group_bounds = np.searchsorted(starts, arc_bounds).tolist()
+    arc_bounds = level.searchsorted(np.arange(num_sents * stride if split else stride))
+    group_bounds = starts.searchsorted(arc_bounds)
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
-    arc_dist = dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip]
+    arc_dist = dist_rows[np.minimum(np.maximum(child_node - arc_head, -clip), clip) + clip]
     node_word = np.array([params.word_row(f)
                           for kb in batch for f in (ROOT_FORM, *kb.gold.forms)])
     tree_arcs = arc_of[child]
 
     if not split:  # the forest: a sentence alone, or the whole batch
         groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
-        arc_at = arc_bounds.tolist()
-        levels = [(arc_at[h], arc_at[h + 1], groups[group_bounds[h]:group_bounds[h + 1]],
+        arc_at, group_at = arc_bounds.tolist(), group_bounds.tolist()
+        levels = [(arc_at[h], arc_at[h + 1], groups[group_at[h]:group_at[h + 1]],
                    bounds[h + 1], bounds[h + 2],
-                   np.ascontiguousarray(arc_of[kids[r, :nkids[r].max()]].T))
+                   np.ascontiguousarray(arc_of[kids[r, :np.maximum.reduce(nkids[r])]].T))
                   for h, r in enumerate(reps)]
-        columns = np.full((widths.max() - 1, sum(map(len, batch))), num_arcs)
+        columns = _full((np.maximum.reduce(widths) - 1, sum(map(len, batch))), num_arcs)
         col = at = 0
         for kb in batch:
             k, n = kb.heads.shape
@@ -349,25 +381,27 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     for h, r in enumerate(reps):
         sent = sent_of_node[node[r]]
         counts[h] = np.bincount(sent, minlength=num_sents)
-        present = np.flatnonzero(counts[h])
-        firsts = (np.cumsum(counts[h]) - counts[h])[present]
+        present = counts[h].nonzero()[0]
+        firsts = (counts[h].cumsum() - counts[h])[present]
         widest = np.maximum.reduceat(nkids[r], firsts)
-        rows = np.minimum(arc_of[kids[r, :widest.max()]], arc1[sent, None]) - arc0[sent, None]
+        rows = (np.minimum(arc_of[kids[r, :np.maximum.reduce(widest)]], arc1[sent, None])
+                - arc0[sent, None])
         for s, i, j, w in zip(present.tolist(), firsts.tolist(),
                               firsts[1:].tolist() + [len(r)], widest.tolist()):
             members[s].append(np.ascontiguousarray(rows[i:j, :w].T))
-    sig_bounds = np.cumsum(np.vstack([np.zeros_like(widths), widths, counts]), axis=0)
-    forest_start = np.array(bounds[1:-1])[:, None] + np.cumsum(counts, axis=1) - counts
-    local_node = np.arange(num_nodes) - np.repeat(np.cumsum(widths) - widths, widths)
+    sig_bounds = np.concatenate((np.zeros((1, num_sents), dtype=np.int64), widths[None],
+                                 counts)).cumsum(axis=0)
+    forest_start = np.array(bounds[1:-1])[:, None] + counts.cumsum(axis=1) - counts
+    local_node = np.arange(num_nodes) - (widths.cumsum() - widths).repeat(widths)
     local_sig = np.concatenate([
         local_node, np.arange(num_nodes, bounds[-1])
-        + np.repeat((sig_bounds[1:-1] - forest_start).ravel(), counts.ravel())])
+        + (sig_bounds[1:-1] - forest_start).ravel().repeat(counts.ravel())])
     arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
     shift = arc0[level[starts] // stride]
     groups = list(zip((starts - shift).tolist(), (stops - shift).tolist(), group_slots))
-    tree_arcs = tree_arcs - np.repeat(arc0, [kb.heads.size for kb in batch])
+    tree_arcs = tree_arcs - arc0.repeat([kb.heads.size for kb in batch])
     arc_bounds = arc_bounds - arc0[:, None]
-    group_bounds = np.reshape(group_bounds, (-1, stride)).tolist()
+    group_bounds = group_bounds.reshape(-1, stride).tolist()
 
     plans = []
     node_at = child_at = 0
@@ -418,12 +452,12 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     for a0, a1, groups, s0, s1, members in plan.levels:
         p[a0:a1, m:2 * m] = x[plan.arc_child[a0:a1]]
         for g0, g1, slot in groups:
-            np.dot(p[g0:g1], WT[slot], out=z[g0:g1])
+            p[g0:g1].dot(WT[slot], out=z[g0:g1])
         np.tanh(z[a0:a1], out=z[a0:a1])
         np.maximum.reduce(z[members], axis=0, out=x[s0:s1])
     arc_scores = np.zeros(plan.num_arcs + 1)  # a forest's shorter trees read the last 0
     np.einsum("am,am->a", v[plan.arc_slot], z[:-1], out=arc_scores[:-1])
-    return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
+    return np.add.reduce(arc_scores[plan.tree_arcs], axis=0), ListActivations(p, z)
 
 
 def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
@@ -503,30 +537,31 @@ def _tree_rows(plan: ListPlan, heads, trees) -> tuple[np.ndarray, np.ndarray, np
     and its sibling group (tree and head)."""
     n = plan.tree_arcs.shape[0]
     trees = np.asarray(trees, dtype=np.int64)
-    if trees.ndim != 1 or trees.min(initial=0) < 0 or trees.max(initial=0) >= plan.num_trees:
+    if (trees.ndim != 1 or np.minimum.reduce(trees, initial=0) < 0
+            or np.maximum.reduce(trees, initial=0) >= plan.num_trees):
         raise ValueError(f"tree indices must lie in [0, {plan.num_trees})")
     head = np.asarray(heads, dtype=np.int64)[trees].ravel()
-    group = np.repeat(np.arange(len(trees)) * (n + 1), n) + head
+    group = (np.arange(len(trees)) * (n + 1)).repeat(n) + head
     return plan.tree_arcs[:, trees].T.ravel(), head, group
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
     """Where each run of equal values in a sorted key array starts."""
-    return np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return np.concatenate(([True], keys[1:] != keys[:-1])).nonzero()[0]
 
 
 def _first_max(z: np.ndarray, group: np.ndarray) -> np.ndarray:
     """(rows, m) mask: the first row of its group, in row order, holding
     the group's column maximum."""
-    order = np.argsort(group, kind="stable")
+    order = group.argsort(kind="stable")
     starts = _run_starts(group[order])
-    sizes = np.diff(np.append(starts, len(order)))
+    sizes = np.concatenate((starts[1:], [len(order)])) - starts
     zs = z[order]
-    top = np.repeat(np.maximum.reduceat(zs, starts, axis=0), sizes, axis=0)
+    top = np.maximum.reduceat(zs, starts, axis=0).repeat(sizes, axis=0)
     pos = np.arange(len(order))[:, None]
     first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)
     win = np.empty(z.shape, dtype=bool)
-    win[order] = np.repeat(first, sizes, axis=0) == pos
+    win[order] = first.repeat(sizes, axis=0) == pos
     return win
 
 
@@ -542,7 +577,7 @@ def pool_winners(plan: ListPlan, acts: ListActivations, heads, trees) -> np.ndar
 
 def _sum_by(keys: np.ndarray, values: np.ndarray) -> Rows:
     """Sum of the value rows per key, keys in ascending order."""
-    order = np.argsort(keys, kind="stable")
+    order = keys.argsort(kind="stable")
     keys = keys[order]
     starts = _run_starts(keys)
     return Rows(keys[starts], np.add.reduceat(values[order], starts, axis=0))
@@ -574,8 +609,8 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
     # (same tree, the head token) sits higher, and root children read the
     # zero pad row
     rows = len(arcs)
-    height = np.searchsorted([level[1] for level in plan.levels], arcs, side="right")
-    order = np.argsort(-height, kind="stable")
+    height = np.array([level[1] for level in plan.levels]).searchsorted(arcs, side="right")
+    order = (-height).argsort(kind="stable")
     rank = np.empty(rows + 1, dtype=np.int64)
     rank[order] = np.arange(rows)
     rank[-1] = rows
@@ -586,7 +621,7 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
     up = upstream.repeat(n)[order]
     dz_score = up[:, None] * v[slot]
     d_x = np.zeros((rows + 1, m))  # d x(child) of each row; the pad row stays 0
-    d_pre = np.empty_like(z)
+    d_pre = np.empty(z.shape)
     starts = _run_starts(height[order]).tolist()
     for r0, r1 in zip(starts, starts[1:] + [rows]):
         dz = dz_score[r0:r1] + np.where(win[r0:r1], d_x[parent[r0:r1]], 0.0)
@@ -594,23 +629,23 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
         d_x[r0:r1] = np.matmul(d_pre[r0:r1, None, :], W[slot[r0:r1], :, m:2 * m])[:, 0]
 
     # per slot: dW = da^T p, dv and the inputs' gradient d[e(head); x; d(dist)]
-    by_slot = np.argsort(slot, kind="stable")
+    by_slot = slot.argsort(kind="stable")
     arcs, head, slot, d_pre = arcs[by_slot], head[by_slot], slot[by_slot], d_pre[by_slot]
     up_z = up[by_slot, None] * z[by_slot]
     token = order[by_slot] % n + 1
     p = acts.p[arcs]
-    d_in = np.empty_like(p)
+    d_in = np.empty(p.shape)
     starts = _run_starts(slot)
     slots = slot[starts]
     d_W = np.empty((len(starts),) + W.shape[1:])
     d_v = np.empty((len(starts), m))
-    bounds = np.append(starts, rows).tolist()
+    bounds = starts.tolist() + [rows]
     for i, key in enumerate(slots.tolist()):
         g0, g1 = bounds[i], bounds[i + 1]
-        np.dot(d_pre[g0:g1].T, p[g0:g1], out=d_W[i])
-        # row by row, as `sum` adds them; reduceat would add in another order
-        up_z[g0:g1].sum(axis=0, out=d_v[i])
-        np.dot(d_pre[g0:g1], W[key], out=d_in[g0:g1])
+        d_pre[g0:g1].T.dot(p[g0:g1], out=d_W[i])
+        # row by row, as `sum(axis=0)` adds them; reduceat would add in another order
+        np.add.reduce(up_z[g0:g1], axis=0, out=d_v[i])
+        d_pre[g0:g1].dot(W[key], out=d_in[g0:g1])
     leaf = plan.arc_child[arcs] < len(plan.node_word)  # a leaf's x is its word vector
     return Gradients(
         _sum_by(plan.node_word[np.concatenate([head, token[leaf]])],

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .params import ParamSet
-from .rcnn import build_list_plans, plan_batches, score_list
+from .rcnn import _build_batch, plan_batches, score_list
 from .treebank import DependencyTree, EvalResult, KBestList
 # no longer used here; perfbench's tracer self-test still checks these bindings
 from .rcnn import score_tree  # noqa: F401
@@ -53,8 +53,8 @@ def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
         return kb
     if not len(kb):
         raise ValueError("cannot add the oracle to a k-best list with no candidates")
-    return KBestList._unchecked(kb.gold, np.vstack([kb.heads, [kb.gold.heads]]),
-                                np.append(kb.scores, kb.scores.max()))
+    return KBestList._unchecked(kb.gold, np.concatenate((kb.heads, [kb.gold.heads])),
+                                np.concatenate((kb.scores, [np.maximum.reduce(kb.scores)])))
 
 
 def candidate_model_scores(params: ParamSet, kb: KBestList,
@@ -131,7 +131,7 @@ def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
     lists = [augmented(kb, include_oracle) for kb in kbests]
     scores = iter([score_list(params, plan).tolist()
                    for batch in plan_batches(kb for kb in lists if len(kb))
-                   for plan in build_list_plans(params, batch)])
+                   for plan in _build_batch(params, batch, False)])
     return [next(scores) if len(kb) else [] for kb in lists]
 
 

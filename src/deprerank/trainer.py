@@ -23,7 +23,7 @@ from .rcnn import (
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import build_plan  # noqa: F401
 from .reranker import RerankConfig, rerank_corpus
-from .treebank import KBestList
+from .treebank import PUNCT_SETS, KBestList
 
 
 @dataclass
@@ -55,7 +55,7 @@ def _pick(params: ParamSet, item: _SentenceItem) -> tuple[int, float, ListActiva
     ties to the lowest index."""
     scores, acts = forward_list(params, item.plan)
     aug = scores[1:] + item.deltas
-    idx = int(np.argmax(aug))
+    idx = int(aug.argmax())
     return idx, max(0.0, float(aug[idx] - scores[0])), acts
 
 
@@ -101,7 +101,7 @@ def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: flo
     np.multiply(eff, eff, out=tmp)
     np.add(acc, tmp, out=acc)
     np.sqrt(acc, out=tmp)
-    where = True if tmp.min() > 0.0 else tmp > 0.0
+    where = True if np.minimum.reduce(tmp, axis=None) > 0.0 else tmp > 0.0
     np.divide(eff, tmp, out=eff, where=where)
     np.multiply(eff, rho, out=eff)
     np.subtract(theta, eff, out=theta, where=where)
@@ -128,7 +128,7 @@ def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
     if not len(slots):
         return
     W, (eff, tmp) = pp.W, np.empty((2,) + grad.shape)
-    cuts = (np.flatnonzero(np.diff(slots) != 1) + 1).tolist()
+    cuts = (((slots[1:] - slots[:-1]) != 1).nonzero()[0] + 1).tolist()
     for i0, i1 in zip([0] + cuts, cuts + [len(slots)]):  # runs of consecutive slots
         s0, s1 = int(slots[i0]), int(slots[i0]) + i1 - i0
         _apply_update(W[s0:s1], state.acc_W[s0:s1], grad[i0:i1], *args,
@@ -151,7 +151,7 @@ class TrainConfig:
     max_epochs: int = 20
     patience: int = 5
     seed: int = 0
-    punct_tags: frozenset[str] = frozenset()
+    punct_tags: frozenset[str] = PUNCT_SETS["ptb"]
 
     def __post_init__(self):
         if self.max_epochs < 1:

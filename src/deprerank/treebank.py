@@ -216,8 +216,8 @@ class KBestList:
         i is EvalResult(correct[i], scored).
         """
         scored = np.array([pos not in punct_tags for pos in self.gold._tags], dtype=bool)
-        correct = ((self.heads == np.array(self.gold._heads)) & scored).sum(axis=1)
-        return correct, int(scored.sum())
+        correct = np.add.reduce((self.heads == np.array(self.gold._heads)) & scored, axis=1)
+        return correct, int(np.add.reduce(scored))
 
 
 def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:

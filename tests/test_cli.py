@@ -203,6 +203,17 @@ def test_unparsable_config_value_exits_2_at_its_line(tmp_path, corpus_files, cap
     assert not (tmp_path / "m.bin").exists()
 
 
+def test_config_key_given_twice_exits_2_naming_both_lines(tmp_path, corpus_files, capsys):
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("m = 4\n# later\nm_d = 4\nm = 6\n", encoding="utf-8")
+    code = main(_train_args(paths, tmp_path / "m.bin", "--config", str(cfg)))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"deprerank: error: {cfg}:4: config key 'm' is already set at line 1"]
+    assert not (tmp_path / "m.bin").exists()
+
+
 def test_readme_lists_the_config_keys_of_the_train_settings():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     listed = readme.split("Valid keys:", 1)[1].split("`")[1]

@@ -18,7 +18,7 @@ from deprerank.trainer import (
     AdaGradState, TrainConfig, _kbest_digest, adagrad_step, grad_check,
     run_grad_check_suite, train,
 )
-from deprerank.treebank import KBestList
+from deprerank.treebank import PUNCT_SETS, KBestList
 
 from helpers import (
     TAGS, accumulate, assert_same_gradients, get_pair, kbest_of, loss_augmented_pick, make_tree,
@@ -402,6 +402,26 @@ def test_train_requires_data():
     kb = kbest_of(gold, [([0], -1.0)])
     with pytest.raises(ValueError):
         train(p, [kb], [], TrainConfig())
+
+
+def test_train_config_counts_dev_uas_without_ptb_punctuation_by_default():
+    # the CLI's default punctuation set, so a library caller selects its model
+    # on the dev UAS that `deprerank train` reports
+    tags = DEFAULT_TAGS + (".", ",")
+    train_kbs = synth_corpus(seed=41, sentences=10, k=4, tags=tags)
+    dev = synth_corpus(seed=42, sentences=10, k=4, tags=tags)
+    assert {".", ","} <= {t for kb in dev for t in kb.gold.pos_tags}
+    golds = [kb.gold for kb in train_kbs]
+
+    def dev_uas(config):
+        params = init_random(Hyperparams(m=4, m_d=3, k=4), build_word_vocab(golds),
+                             build_pos_vocab(golds), seed=2)
+        return [r.dev_uas for r in train(params, train_kbs, dev, config)[1]]
+
+    assert TrainConfig().punct_tags == PUNCT_SETS["ptb"]
+    assert (dev_uas(TrainConfig(max_epochs=3, seed=0))
+            == dev_uas(TrainConfig(max_epochs=3, seed=0, punct_tags=PUNCT_SETS["ptb"]))
+            != dev_uas(TrainConfig(max_epochs=3, seed=0, punct_tags=frozenset())))
 
 
 @pytest.mark.parametrize("settings, message", [
