@@ -13,22 +13,22 @@ read line by line, with `int()` per head and one tree check per list, as is
 every list of a k-best file that is not in `write_kbest`'s form;
 `rooted_rows` over the lists' head matrices in the batches the reader
 checks; and `write_conll` of one candidate tree per list, built from the
-gold trees read. Each step is timed over all the lists, in turn, and the
-median of the repeats is printed. Run from a checkout:
+gold trees read. Each step is timed over all the lists, in turn, on a
+calibrated clock (`layer_rows.py`), and its median and IQR per list are
+printed. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_reader.py --sentences 200
 """
 
 import argparse
 import os
-import statistics
 import tempfile
-import time
 
 import numpy as np
 
 from deprerank import treebank
 from deprerank.synth import random_tree, synth_kbest
+from layer_rows import print_rows
 
 CORPORA = {"k = 8, 5-60 tokens": (8, (5, 60)), "k = 64, 20-30 tokens": (64, (20, 30))}
 
@@ -70,7 +70,8 @@ def check_batches(kbests):
     return batches + [batch] if batch else batches
 
 
-def bench_corpus(gold_path, signed_path, kbest_path, repeats):
+def rows(gold_path, signed_path, kbest_path):
+    """Each row's call over all the lists, and the lists read."""
     with open(gold_path, encoding="utf-8") as f:
         gold_lines = f.readlines()
     with open(kbest_path, encoding="utf-8") as f:
@@ -79,22 +80,14 @@ def bench_corpus(gold_path, signed_path, kbest_path, repeats):
     assert treebank.load_conll(signed_path) == [kb.gold for kb in kbests]
     batches = check_batches(kbests)
     chosen = [kb.candidates[len(kb) // 2][0] for kb in kbests]
-    steps = {
+    return {
         "load_conll (gold)": lambda: treebank.load_conll(gold_path),
         "load_conll, + heads": lambda: treebank.load_conll(signed_path),
         "read_kbest_files": lambda: treebank.read_kbest_files(gold_path, kbest_path),
         "read_kbest, line by line": lambda: treebank.read_kbest(gold_lines, kbest_lines),
         "rooted_rows, batched": lambda: [treebank.rooted_rows(b) for b in batches],
         "write_conll": lambda: treebank.write_conll(chosen),
-    }
-    times = {name: [] for name in steps}
-    for _ in range(repeats):
-        for name, step in steps.items():
-            t0 = time.perf_counter()
-            step()
-            times[name].append(time.perf_counter() - t0)
-    cands = sum(len(kb) for kb in kbests)
-    return {name: statistics.median(ts) / len(kbests) for name, ts in times.items()}, cands
+    }, kbests
 
 
 def main():
@@ -110,10 +103,10 @@ def main():
     with tempfile.TemporaryDirectory() as directory:
         for label, (k, lengths) in CORPORA.items():
             paths = write_corpus(directory, rng, args.sentences, k, lengths, vocab)
-            stages, cands = bench_corpus(*paths, args.repeats)
-            print(f"{args.sentences} lists, {label} ({cands} candidates)")
-            for stage, seconds in stages.items():
-                print(f"  {stage:<30}{seconds * 1e6:>10.1f} us/list")
+            timed, kbests = rows(*paths)
+            print(f"{args.sentences} lists, {label} "
+                  f"({sum(len(kb) for kb in kbests)} candidates)")
+            print_rows(timed, args.repeats, len(kbests), "list", indent="  ")
 
 
 if __name__ == "__main__":

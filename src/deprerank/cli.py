@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import math
+import os
 import sys
 import time
 
@@ -67,7 +69,24 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
         raise ConfigError(f"{args.config}: {err}") from None
 
 
+def _check_paths(outputs=(), inputs=()) -> None:
+    """Raise before any work the OSError that writing an output (a directory,
+    or in a missing one) or reading an input would raise after it. None is
+    skipped; no file is created or changed."""
+    for path in filter(None, outputs):
+        if os.path.isdir(path):
+            code = errno.EISDIR
+        elif not os.path.isdir(os.path.dirname(path) or "."):
+            code = errno.ENOENT
+        else:
+            continue
+        raise OSError(code, os.strerror(code), path)
+    for path in filter(None, inputs):
+        open(path, "rb").close()
+
+
 def cmd_train(args) -> int:
+    _check_paths([args.model_out], [args.pretrained])
     hyper, cfg = _resolve_settings(args)
     train_kbs = treebank.read_kbest_files(args.train_gold, args.train_kbest,
                                           args.allow_multiple_roots)
@@ -100,6 +119,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
+    _check_paths([args.output, args.report])
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
@@ -110,8 +130,7 @@ def cmd_rerank(args) -> int:
         print(f"best_alpha={alpha:.6g} search_uas={dev.uas:.6f}")
     else:
         alpha = args.alpha
-    config = reranker.RerankConfig(alpha=alpha, alpha_step=args.alpha_step,
-                                   include_oracle=args.with_oracle,
+    config = reranker.RerankConfig(alpha=alpha, include_oracle=args.with_oracle,
                                    normalize=args.normalize)
     result = reranker.rerank_corpus(model, kbs, config, args.punct_set, model_scores=scores)
     print(f"alpha={alpha:.6g} uas={result.score.uas:.6f} "
@@ -152,6 +171,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_curve(args) -> int:
+    _check_paths([args.output])
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, args.punct_set)

@@ -1,8 +1,11 @@
 """Per-tree scoring kernels over the flat index arrays of an `rcnn.TreePlan`.
 
-Training and reranking score whole k-best lists (`rcnn.forward_list`); these
-kernels remain for `rcnn.score_tree`, as test oracles and as the benchmark
-tracer's targets, which read each call's sizes from the argument order.
+Training and reranking score whole k-best lists (`rcnn.forward_list`). No
+command calls anything here; the tests use the kernels as oracles, and each
+name remains only for `perfbench/`: `tracing.py` traces `tree_forward`,
+`tree_backward` (reading each call's sizes from the argument order) and
+`warmup`, `test_perfbench.py` checks the `tree_forward` binding, and
+`worker.py` calls `warmup` and records `active_backend`.
 """
 
 from __future__ import annotations

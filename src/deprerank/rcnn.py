@@ -6,20 +6,26 @@ max-pools the hidden vectors row-wise into the node's phrase vector, and adds
 one dot product per child to the tree score. The artificial root (node 0)
 participates like any other head.
 
-A k-best list is scored as a whole (`build_list_plans`, `score_list`): an
+A k-best list is scored as a whole (`build_list_plans`, `forward_list`): an
 arc's hidden vector depends only on its head node and the child's subtree, so
 every unique arc of the list is computed once. `build_list_plans` builds the
 plans of many lists in batches, one pass over all their trees, and splits the
 result into the plans each list gets alone; `build_forests` keeps each batch
 whole, one plan that `forward_list` scores with one product per (height,
-slot) for all its lists. `forward_list` also returns the arcs' activations, and
-`backward_list` backpropagates a weighted sum of some of a list's tree scores
-through them (a training step's hinge). The builders take `KBestList`s, whose
-constructors have checked that every head row is a forest over the sentence;
-nothing here checks heads again. The per-tree
-plans and kernels (`build_plan`, `score_plan`, `backward_tree`) do the same
-one tree at a time; they remain for `score_tree`, as test oracles and as the
-tracer's targets.
+slot) for all its lists. `score_lists` scores a corpus, a batch at a time.
+`forward_list` also returns the arcs' activations, and `backward_list`
+backpropagates a weighted sum of some of a list's tree scores through them (a
+training step's hinge). The builders take `KBestList`s, whose constructors
+have checked that every head row is a forest over the sentence; nothing here
+checks heads again.
+
+The per-tree plans and kernels do the same one tree at a time. No command
+calls them; the tests use them as oracles, and each remains only for
+`perfbench/`: `tracing.py` traces `build_plan`, `score_plan`, `score_tree`
+and `backward_tree`, `worker.py` reads their rows, and `test_perfbench.py`
+scores with `score_tree` and checks its binding in `reranker` (and
+`build_plan`'s in `trainer`). `TreePlan` and `TreeForwardTrace` are what
+`build_plan` and `score_plan` return.
 
 The list builders and kernels run a few numpy calls per subtree height and
 per POS-pair slot, so the Python code in front of numpy's C loops costs more
@@ -460,9 +466,12 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     return np.add.reduce(arc_scores[plan.tree_arcs], axis=0), ListActivations(p, z)
 
 
-def score_list(params: ParamSet, plan: ListPlan) -> np.ndarray:
-    """Total score of every tree of a list plan, in order (see `forward_list`)."""
-    return forward_list(params, plan)[0]
+def score_lists(params: ParamSet, lists: Iterable[KBestList]) -> list[np.ndarray]:
+    """Total score of every tree of each list, one array per list. Plans are
+    built a batch at a time (`plan_batches`), never all at once, and each
+    list's plan is scored alone, so its scores do not depend on its batch."""
+    return [forward_list(params, plan)[0] for batch in plan_batches(lists)
+            for plan in _build_batch(params, batch, False)]
 
 
 @dataclass

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import AlignmentError
 from .params import ParamSet
-from .rcnn import _build_batch, plan_batches, score_list
+from .rcnn import score_lists
 from .treebank import DependencyTree, EvalResult, KBestList
 # no longer used here; perfbench's tracer self-test still checks these bindings
 from .rcnn import score_tree  # noqa: F401
@@ -34,6 +34,8 @@ class RerankConfig:
     """How candidates are mixed and selected."""
 
     alpha: float
+    # checked, never read: only perfbench/worker.py still passes it, and
+    # ROADMAP item 2 deletes it
     alpha_step: float = 0.005
     include_oracle: bool = False
     normalize: bool = False  # per-sentence z-normalization of both score columns
@@ -125,14 +127,10 @@ class RerankResult:
 
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
                         include_oracle: bool = False) -> list[list[float]]:
-    """Model score per candidate (oracle last) per list, from one forward
-    pass over each list; the plans are built a batch at a time
-    (`plan_batches`) and scored one list at a time."""
+    """Model score per candidate (oracle last) per list (`rcnn.score_lists`)."""
     lists = [augmented(kb, include_oracle) for kb in kbests]
-    scores = iter([score_list(params, plan).tolist()
-                   for batch in plan_batches(kb for kb in lists if len(kb))
-                   for plan in _build_batch(params, batch, False)])
-    return [next(scores) if len(kb) else [] for kb in lists]
+    scores = iter(score_lists(params, [kb for kb in lists if len(kb)]))
+    return [next(scores).tolist() if len(kb) else [] for kb in lists]
 
 
 def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankConfig,

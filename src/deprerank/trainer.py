@@ -18,7 +18,7 @@ from . import synth
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
     Gradients, ListActivations, ListPlan, backward_list, build_forests, build_list_plans,
-    forward_list, pool_winners, score_list,
+    forward_list, pool_winners,
 )
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import build_plan  # noqa: F401
@@ -210,7 +210,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
         params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
-        dev_scores = np.split(np.concatenate([score_list(params, forest)
+        dev_scores = np.split(np.concatenate([forward_list(params, forest)[0]
                                               for forest in dev_forests]), dev_cuts)
         dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
                                 model_scores=dev_scores)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from deprerank import cli, params as P
+from deprerank import cli, params as P, treebank
 from deprerank.cli import main
 from deprerank.synth import synth_corpus
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
@@ -355,6 +355,42 @@ def test_rerank_with_bad_model_exits_2(tmp_path, corpus_files, capsys, case):
     err = capsys.readouterr().err
     assert err.startswith("deprerank: error: ") and err.count("\n") == 1
     assert message in err
+
+
+@pytest.mark.parametrize("case", ["train --model-out", "train --pretrained", "rerank --output",
+                                  "rerank --report", "curve --output"])
+def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monkeypatch, case):
+    """An output path that is a directory, or a --pretrained file that is
+    missing, ends the command before it reads a k-best list: exit 2, one line
+    on stderr, nothing on stdout, and no file created or changed."""
+    paths, _ = corpus_files
+    folder = tmp_path / "folder"
+    folder.mkdir()
+    kept = tmp_path / "kept.conll"
+    kept.write_text("old\n", encoding="utf-8")
+    model = tmp_path / "model.bin"
+    P.save(tiny_params(), model)
+    dg, dk = paths["dev"]
+    scoring = ["--model", str(model), "--gold", str(dg), "--kbest", str(dk)]
+    argv = {
+        "train --model-out": _train_args(paths, folder),
+        "train --pretrained": _train_args(paths, tmp_path / "m.bin",
+                                          "--pretrained", str(tmp_path / "missing.vec")),
+        "rerank --output": ["rerank", *scoring, "--alpha", "0.5", "--output", str(folder)],
+        "rerank --report": ["rerank", *scoring, "--alpha", "0.5", "--output", str(kept),
+                            "--report", str(folder)],
+        "curve --output": ["curve", *scoring, "--ks", "1,2", "--output", str(folder)],
+    }[case]
+    reads, read = [], treebank.read_kbest_files
+    monkeypatch.setattr(treebank, "read_kbest_files", lambda *a: reads.append(a) or read(*a))
+    files = sorted(tmp_path.rglob("*"))
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("deprerank: error: ") and err.count("\n") == 1
+    assert reads == []
+    assert sorted(tmp_path.rglob("*")) == files
+    assert kept.read_text(encoding="utf-8") == "old\n"
 
 
 def test_rerank_search_alpha_not_worse_than_base(tmp_path, corpus_files, capsys):

@@ -10,7 +10,7 @@ from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
-    forward_list, plan_batches, score_list, score_plan, score_tree,
+    forward_list, plan_batches, score_lists, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
@@ -260,7 +260,7 @@ def test_backward_scales_with_upstream():
 
 
 def _assert_list_matches_trees(p, trees):
-    scores = score_list(p, list_plan(p, trees))
+    scores = forward_list(p, list_plan(p, trees))[0]
     assert scores.shape == (len(trees),)
     for tree, score in zip(trees, scores):
         expected = score_tree(p, tree).total_score
@@ -297,7 +297,7 @@ def test_score_list_matches_score_tree_on_random_lists():
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
         assert_same_plan(list_plan(p, trees),
                          reference_list_plan(p, heads_list(gold, [tree.heads for tree in trees])))
-        assert np.array_equal(scores, score_list(p, list_plan(p, trees)))
+        assert np.array_equal(scores, forward_list(p, list_plan(p, trees))[0])
 
 
 @pytest.mark.parametrize("m, m_d", [(4, 3), (25, 25)])
@@ -574,10 +574,10 @@ def _assert_forest_scores_match(p, lists):
     of lists per forest."""
     forests, batches = build_forests(p, lists), plan_batches(lists)
     assert [forest.num_trees for forest in forests] == [sum(map(len, batch)) for batch in batches]
-    scores = np.concatenate([score_list(p, forest) for forest in forests])
+    scores = np.concatenate([forward_list(p, forest)[0] for forest in forests])
     at = 0
     for kb in lists:
-        got, want = scores[at:at + len(kb)], score_list(p, one_list_plan(p, kb))
+        got, want = scores[at:at + len(kb)], forward_list(p, one_list_plan(p, kb))[0]
         assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
         rows = [tuple(row) for row in kb.heads.tolist()]
         for i, row in enumerate(rows):  # duplicate rows, bit for bit
@@ -604,6 +604,22 @@ def test_forest_scores_match_list_scores_in_input_order(monkeypatch, budget):
             lists.insert(int(rng.integers(len(lists))), heads_list(big, heads))
         sizes += _assert_forest_scores_match(p, lists)
     assert max(sizes) > 1 and 1 in sizes  # forests of many lists, and of one
+
+
+def test_score_lists_scores_each_batch_before_it_builds_the_next(monkeypatch):
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 120)
+    p = tiny_params(m=3, m_d=3, seed=4, dist_clip=2)
+    lists = _random_lists(np.random.default_rng(68), 16)
+    calls, build, forward = [], rcnn._build_batch, rcnn.forward_list
+    monkeypatch.setattr(rcnn, "_build_batch", lambda *a: calls.append("build") or build(*a))
+    monkeypatch.setattr(rcnn, "forward_list", lambda *a: calls.append("score") or forward(*a))
+    scores = score_lists(p, iter(lists))
+    batches = plan_batches(lists)
+    assert len(batches) > 2
+    assert calls == [c for batch in batches for c in ["build"] + ["score"] * len(batch)]
+    assert len(scores) == len(lists)
+    for kb, got in zip(lists, scores):  # each list's plan is scored alone, bit for bit
+        assert np.array_equal(got, forward(p, one_list_plan(p, kb))[0])
 
 
 @pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
