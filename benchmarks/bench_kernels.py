@@ -2,14 +2,13 @@
 """Benchmark the list scoring path, per synthetic k-best list.
 
 Rows: a training step's `forward_list`, its `backward_list` for the
-loss-augmented pick and gold, and its `adagrad_step` on those gradients; plan
-building with `build_list_plans` one list per call (the path that scores one
-list at a time) and batched over all the lists; and dev scoring as `train()`
-does it, against the per-list plans that `rcnn.score_lists` scores: building
-the forests (`build_forests`), and `forward_list` of each per-list plan and of
-each forest. Rows are timed in turn on a calibrated clock
-(`layer_rows.py`), and each one's median and IQR per list are printed. Run
-from a checkout:
+loss-augmented pick and gold, and its `adagrad_step` on those gradients; the
+training plans' build, `build_list_plans` batched over all the lists; and the
+scoring path that `rcnn.score_lists` and `train()`'s dev selection share:
+`build_forests` one list per call (the build that scoring one list at a time
+makes) and batched, and `forward_list` of each batched forest. Rows are
+timed in turn on a calibrated clock (`layer_rows.py`), and each one's median
+and IQR per list are printed. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/bench_kernels.py --sentences 200 --length 25 --k 64
 """
@@ -33,7 +32,7 @@ def rows(params, kbests):
     lists = [KBestList.from_arrays(kb.gold, np.concatenate([[kb.gold.heads], kb.heads]),
                                    np.zeros(len(kb) + 1)) for kb in kbests]
     items = []
-    for kb, plan in zip(lists, build_list_plans(params, lists, create_pairs=True)):
+    for kb, plan in zip(lists, build_list_plans(params, lists)):
         scores, acts = forward_list(params, plan)
         wrong = (kb.heads[1:] != kb.heads[0]).sum(axis=1)
         pick = int(np.argmax(scores[1:] + params.hyper.kappa * wrong)) + 1
@@ -41,18 +40,17 @@ def rows(params, kbests):
     grads = [backward_list(params, *item, (1.0, -1.0)) for item in items]
     updated = params.copy()
     state = AdaGradState.from_params(updated)
-    plans, forests = build_list_plans(params, kbests), build_forests(params, kbests)
+    forests = build_forests(params, kbests)
     return {
         "forward_list (train item)": lambda: [forward_list(params, item[0]) for item in items],
         "backward_list (pick + gold)":
             lambda: [backward_list(params, *item, (1.0, -1.0)) for item in items],
         "adagrad_step (pick + gold)":
             lambda: [adagrad_step(updated, state, g, params.hyper.lam) for g in grads],
-        "build_list_plans (one list per call)":
-            lambda: [build_list_plans(params, [kb]) for kb in kbests],
         "build_list_plans (batched)": lambda: build_list_plans(params, kbests),
+        "build_forests (one list per call)":
+            lambda: [build_forests(params, [kb]) for kb in kbests],
         "build_forests": lambda: build_forests(params, kbests),
-        "forward_list (per-list plans)": lambda: [forward_list(params, p) for p in plans],
         "forward_list (forests)": lambda: [forward_list(params, f) for f in forests],
     }
 

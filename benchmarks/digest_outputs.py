@@ -15,8 +15,10 @@ epochs and punctuation set:
     eval --per-pos            of the reranked output against its gold file
 
 and prints one digest per input file, per output file and per command's
-stdout. Files are named relative to the directory, so two checkouts that
-write the same bytes print the same lines. Run from a checkout:
+stdout, and one of each rerank report's `chosen_rank` column: the picks,
+which stay when a change moves only the report's last digits. Files are
+named relative to the directory, so two checkouts that write the same bytes
+print the same lines. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/digest_outputs.py --seed 7 101
 """
@@ -73,7 +75,8 @@ def sha256(data: bytes) -> str:
 
 def digests(wl, seed: int) -> list[tuple[str, str]]:
     """(digest, name) of the workload's input files, then of each command's
-    stdout and written files, in the order they are made."""
+    stdout and written files, in the order they are made, each rerank
+    report followed by its picks."""
     out = []
     with tempfile.TemporaryDirectory() as directory:
         W.write_inputs(wl, seed, directory)
@@ -92,7 +95,11 @@ def digests(wl, seed: int) -> list[tuple[str, str]]:
                 out.append((sha256(stdout.getvalue().encode("utf-8")), f"{name}: stdout"))
                 for path in files:
                     with open(path, "rb") as f:
-                        out.append((sha256(f.read()), f"{name}: {path}"))
+                        data = f.read()
+                    out.append((sha256(data), f"{name}: {path}"))
+                    if path.endswith(".tsv") and name.startswith("rerank"):
+                        picks = b"\n".join(row.split(b"\t")[1] for row in data.splitlines())
+                        out.append((sha256(picks), f"{name}: {path} chosen_rank"))
         finally:
             os.chdir(cwd)
     return out

@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import errno
+import itertools
 import math
 import os
 import sys
@@ -71,9 +72,11 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
 
 def _check_paths(outputs=(), inputs=()) -> None:
     """Raise before any work the OSError that writing an output (a directory,
-    or in a missing one) or reading an input would raise after it. None is
-    skipped; no file is created or changed."""
-    for path in filter(None, outputs):
+    or in a missing one) or reading an input would raise after it, and a
+    DataError for two outputs that name one file, where the second write
+    would replace the first. None is skipped; no file is created or changed."""
+    outputs = [path for path in outputs if path]
+    for path in outputs:
         if os.path.isdir(path):
             code = errno.EISDIR
         elif not os.path.isdir(os.path.dirname(path) or "."):
@@ -81,6 +84,11 @@ def _check_paths(outputs=(), inputs=()) -> None:
         else:
             continue
         raise OSError(code, os.strerror(code), path)
+    for first, second in itertools.combinations(outputs, 2):
+        if os.path.realpath(first) == os.path.realpath(second) or (
+                os.path.exists(first) and os.path.exists(second)
+                and os.path.samefile(first, second)):
+            raise DataError(f"two outputs name one file: {first} and {second}")
     for path in filter(None, inputs):
         open(path, "rb").close()
 

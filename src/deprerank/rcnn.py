@@ -6,18 +6,23 @@ max-pools the hidden vectors row-wise into the node's phrase vector, and adds
 one dot product per child to the tree score. The artificial root (node 0)
 participates like any other head.
 
-A k-best list is scored as a whole (`build_list_plans`, `forward_list`): an
-arc's hidden vector depends only on its head node and the child's subtree, so
-every unique arc of the list is computed once. `build_list_plans` builds the
-plans of many lists in batches, one pass over all their trees, and splits the
-result into the plans each list gets alone; `build_forests` keeps each batch
-whole, one plan that `forward_list` scores with one product per (height,
-slot) for all its lists. `score_lists` scores a corpus, a batch at a time.
-`forward_list` also returns the arcs' activations, and `backward_list`
-backpropagates a weighted sum of some of a list's tree scores through them (a
-training step's hinge). The builders take `KBestList`s, whose constructors
-have checked that every head row is a forest over the sentence; nothing here
+A k-best list is scored as a whole: an arc's hidden vector depends only on
+its head node and the child's subtree, so every unique arc of the list is
+computed once. Lists are built in batches (`plan_batches`), one pass over
+their trees. Scoring keeps a batch whole, one forest (`build_forests`) that
+`forward_list` walks once and `forest_scores` splits per list, as
+`score_lists` and `train()`'s dev selection do; training splits it into the
+lists' own plans (`build_list_plans`). `forward_list` also returns the arcs'
+activations, and `backward_list` backpropagates a weighted sum of some of a
+list's tree scores through them (a training step's hinge). The builders take
+`KBestList`s, whose constructors have checked every head row; nothing here
 checks heads again.
+
+A forest's matrix products are its lists' own, one per (height, list,
+POS-pair slot): a row of a product can come back with other last bits when
+the product has other rows (up to 5.0e-15 relative on the benchmark's
+workloads), so no product mixes lists. A list's scores are therefore the same
+in any batch, bit for bit, and identical trees in a list get equal scores.
 
 The per-tree plans and kernels do the same one tree at a time. No command
 calls them; the tests use them as oracles, and each remains only for
@@ -45,6 +50,7 @@ products are not those of a `dot`. The training step and the rerank path
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -151,8 +157,9 @@ class ListPlan:
     equal phrase vectors, since pooling ignores child order. Signatures 0..n
     are the nodes as leaves; the others are numbered by height, so each height
     is one contiguous range. An arc is (head node, child signature); arcs are
-    numbered by their child's height and then by POS-pair slot, so each
-    height, and each slot within it, is one contiguous range too.
+    numbered by their child's height, then (in a forest) by sentence and then
+    by POS-pair slot, so each height, and each group of one sentence and slot
+    within it, is one contiguous range too.
     """
 
     node_word: np.ndarray    # (n + 1,) word row per node
@@ -161,13 +168,14 @@ class ListPlan:
     arc_dist: np.ndarray     # distance row per arc
     arc_slot: np.ndarray     # POS-pair slot per arc
     # per height h >= 0: the arcs [a0, a1) whose child has height h, as
-    # (g0, g1, slot) runs of one POS-pair slot; then the signatures [s0, s1) of
-    # height h + 1 and their members, a (width, s1 - s0) array: column j holds
-    # the arcs of signature s0 + j, padded with len(arc_child), and width is
-    # the most arcs any of them has
+    # (g0, g1, slot) runs of one sentence and POS-pair slot; then the
+    # signatures [s0, s1) of height h + 1 and their members, a (width, s1 -
+    # s0) array: column j holds the arcs of signature s0 + j, padded with
+    # len(arc_child), and width is the most arcs any of them has
     levels: list[tuple[int, int, list[tuple[int, int, int]], int, int, np.ndarray]]
     tree_arcs: np.ndarray    # (n, num_trees) arc ids, one column per tree; a
     #                          forest's shorter sentences pad with num_arcs
+    list_trees: list[int]    # trees per list, in order: a forest's lists, or one
 
     @property
     def num_trees(self) -> int:
@@ -206,39 +214,28 @@ def plan_batches(lists: Iterable[KBestList]) -> list[list[KBestList]]:
     return batches
 
 
-def build_list_plans(params: ParamSet, lists: Iterable[KBestList],
-                     create_pairs: bool = False) -> list[ListPlan]:
-    """Hash-cons the trees of each k-best list into unique subtrees and arcs.
+def build_list_plans(params: ParamSet, lists: Iterable[KBestList]) -> list[ListPlan]:
+    """The training plans: the trees (`heads` rows) of each k-best list
+    hash-consed into unique subtrees and arcs, one plan per list.
 
-    A list's trees are its `heads` rows over its gold tree's forms and POS
-    tags; a `KBestList` holds only forests, so no row is checked here.
     Lookups follow `build_plan`: OOV words use `<unk>`, distances are
-    clipped, and unseen POS pairs map to the fallback slot or, with
-    create_pairs, get fresh parameters, created in the order `build_plan`
-    would meet them list by list and tree by tree.
-
-    The lists of a batch (`plan_batches`) are built as one forest, in one
-    pass per subtree height, and split into one plan per list. Lists share
-    no node, so each plan is the one its list gets alone, numbering included.
-    """
-    return [plan for batch in plan_batches(lists)
-            for plan in _build_batch(params, batch, create_pairs)]
+    clipped, and unseen POS pairs get fresh parameters, created in the order
+    `build_plan` would meet them list by list and tree by tree. The lists of
+    a batch (`plan_batches`) are built as one forest and split into one plan
+    per list. Lists share no node, so each plan is the one its list gets
+    alone, numbering included."""
+    return [plan for batch in plan_batches(lists) for plan in _build_batch(params, batch, True)]
 
 
 def build_forests(params: ParamSet, lists: Iterable[KBestList]) -> list[ListPlan]:
-    """The unsplit forest of each batch of k-best lists (see `build_list_plans`).
-
-    A forest is one plan over all the trees of its batch, in list order: its
-    arcs are numbered by height and POS-pair slot across the lists, so
-    `forward_list` makes one product per (height, slot) for the whole batch.
-    `tree_arcs` has a column per tree and a row per token of the batch's
-    longest sentence; the rows past a shorter sentence's length hold
-    `num_arcs`, which scores 0. A forest of one list is that list's plan.
-    Scores match the per-list plans' within rounding: a row of a matrix
-    product can change in its last bits with the rows around it.
-    """
-    return [_build_batch(params, batch, False, forest=True)[0]
-            for batch in plan_batches(lists)]
+    """The scoring plans: the forest of each batch of k-best lists, built as
+    `build_list_plans` builds but not split, with unseen POS pairs mapped to
+    the fallback slot. A forest is one plan over all the trees of its batch,
+    in list order, its arcs numbered by height across the lists. `tree_arcs`
+    has a row per token of the batch's longest sentence; the rows past a
+    shorter sentence's length hold `num_arcs`, which scores 0. A forest of
+    one list is that list's plan."""
+    return [_build_batch(params, batch, False)[0] for batch in plan_batches(lists)]
 
 
 def _full(shape, value: int) -> np.ndarray:
@@ -259,10 +256,9 @@ def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ordered[new], inverse
 
 
-def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
-                 forest: bool = False) -> list[ListPlan]:
-    """The plans of a batch's lists, in order, or with forest its unsplit
-    forest alone."""
+def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -> list[ListPlan]:
+    """With create_pairs (training), the plans of a batch's lists, in order;
+    otherwise the batch's forest alone."""
     # Node instance i is node u of tree t of sentence s, in that order, and
     # node[i] is its node in the forest (the nodes of earlier sentences, + u);
     # `end` pads rows of `kids`. With one sentence, forest ids are its own.
@@ -327,9 +323,9 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
         slot_of[code] = params.pos_pairs.slot(names[code // ntags], names[code % ntags],
                                               create=create_pairs)
 
-    # unique arcs, numbered by their child's height, then by slot; split, by
-    # sentence first: level s * stride + h holds sentence s's arcs whose
-    # child has height h
+    # unique arcs, numbered by level, then by slot; a level holds sentence s's
+    # arcs whose child has height h, so no product mixes sentences: level
+    # h * num_sents + s in a forest, s * stride + h when split
     arc_key, arc_of_child = _unique_inverse(sig[child] * num_nodes + node[parent])
     arc_child, arc_head = np.divmod(arc_key, num_nodes)
     child_node = sig_node[arc_child]
@@ -337,10 +333,11 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     level = np.array(bounds).searchsorted(arc_child, side="right") - 1
     num_sents, stride = len(batch), len(reps) + 1
     widths = np.array([len(kb.gold) + 1 for kb in batch])
-    split = num_sents > 1 and not forest
-    if split:
+    split = num_sents > 1 and create_pairs
+    if num_sents > 1:
         sent_of_node = np.arange(num_sents).repeat(widths)
-        level += sent_of_node[arc_head] * stride
+        sent = sent_of_node[arc_head]
+        level = sent * stride + level if split else level * num_sents + sent
     order = np.lexsort((arc_slot, level))
     num_arcs = len(order)
     renumber = np.empty(num_arcs, dtype=np.int64)
@@ -353,7 +350,7 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
     cuts = ((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])).nonzero()[0] + 1
     starts, stops = np.concatenate(([0], cuts)), np.concatenate((cuts, [num_arcs]))
     group_slots = arc_slot[starts].tolist()
-    arc_bounds = level.searchsorted(np.arange(num_sents * stride if split else stride))
+    arc_bounds = level.searchsorted(np.arange(0, num_sents * stride, 1 if split else num_sents))
     group_bounds = starts.searchsorted(arc_bounds)
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])
@@ -375,7 +372,8 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
             k, n = kb.heads.shape
             columns[:n, col:col + k] = tree_arcs[at:at + k * n].reshape(k, n).T
             col, at = col + k, at + k * n
-        return [ListPlan(node_word, arc_child, arc_head, arc_dist, arc_slot, levels, columns)]
+        return [ListPlan(node_word, arc_child, arc_head, arc_dist, arc_slot, levels, columns,
+                         [len(kb) for kb in batch])]
 
     # per sentence and height: the arcs of each new signature's children, one
     # column each, padded with the sentence's arc count and cut to its widest
@@ -420,7 +418,7 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool,
         plans.append(ListPlan(
             node_word[node_at:node_at + n + 1], arc_child[a0:a1], arc_head[a0:a1],
             arc_dist[a0:a1], arc_slot[a0:a1], levels,
-            np.ascontiguousarray(tree_arcs[child_at:child_at + k * n].reshape(k, n).T)))
+            np.ascontiguousarray(tree_arcs[child_at:child_at + k * n].reshape(k, n).T), [k]))
         node_at, child_at = node_at + n + 1, child_at + k * n
     return plans
 
@@ -442,7 +440,8 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     call as `matmul` and max is exact, so the bits are those of a `matmul`
     per slot and a row-wise max.
     A tree's score sums its arc scores in a fixed order, so identical trees
-    get bit-identical scores. `plan` may be a forest (`build_forests`).
+    get bit-identical scores. `plan` may be a forest (`build_forests`); its
+    lists' trees get the scores they get alone.
     """
     m = params.hyper.m
     W, v = params.pos_pairs.W, params.pos_pairs.v
@@ -466,12 +465,19 @@ def forward_list(params: ParamSet, plan: ListPlan) -> tuple[np.ndarray, ListActi
     return np.add.reduce(arc_scores[plan.tree_arcs], axis=0), ListActivations(p, z)
 
 
+def forest_scores(params: ParamSet, forest: ListPlan) -> list[np.ndarray]:
+    """Total score of every tree of each list of a forest, one array per list."""
+    scores = forward_list(params, forest)[0]
+    return [scores[end - k:end]
+            for k, end in zip(forest.list_trees, accumulate(forest.list_trees))]
+
+
 def score_lists(params: ParamSet, lists: Iterable[KBestList]) -> list[np.ndarray]:
-    """Total score of every tree of each list, one array per list. Plans are
-    built a batch at a time (`plan_batches`), never all at once, and each
-    list's plan is scored alone, so its scores do not depend on its batch."""
-    return [forward_list(params, plan)[0] for batch in plan_batches(lists)
-            for plan in _build_batch(params, batch, False)]
+    """Total score of every tree of each list, one array per list. Each batch
+    (`plan_batches`) is built as one forest and scored (`forest_scores`)
+    before the next is built, so a corpus's plans are never all held at once."""
+    return [scores for batch in plan_batches(lists)
+            for scores in forest_scores(params, _build_batch(params, batch, False)[0])]
 
 
 @dataclass

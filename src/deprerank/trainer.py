@@ -18,7 +18,7 @@ from . import synth
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
     Gradients, ListActivations, ListPlan, backward_list, build_forests, build_list_plans,
-    forward_list, pool_winners,
+    forest_scores, forward_list, pool_winners,
 )
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import build_plan  # noqa: F401
@@ -45,7 +45,7 @@ class _SentenceItem:
         # gold, then the candidates: rows the lists have checked; scores unread
         lists = [KBestList._unchecked(kb.gold, np.vstack([kb.gold.heads, kb.heads]),
                                       np.zeros(len(kb) + 1)) for kb in kbests]
-        plans = build_list_plans(params, lists, create_pairs=True)
+        plans = build_list_plans(params, lists)
         return [cls(kb.heads, plan, kappa * (kb.heads[1:] != kb.heads[0]).sum(axis=1))
                 for kb, plan in zip(lists, plans)]
 
@@ -178,11 +178,13 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
 
     Dev selection scores candidates with the model alone (mixture weight 1),
     with the fallback pair derived from the pairs learned so far; the returned
-    parameters keep that fallback. The dev lists are scored a batch at a time,
-    as forests (`build_forests`) built once, and their picks counted (no tree
-    is built). Identical seeds, data, and config reproduce the exact report
-    sequence; sentences are ordered by content digest before shuffling, so the
-    result does not depend on the order sentences appear in the input files.
+    parameters keep that fallback. The dev forests (`build_forests`) are built
+    once and scored every epoch by `forest_scores`, as `rcnn.score_lists`
+    scores a corpus, so the saved model reranks dev (k <= hyper.k) with the
+    selected UAS, bit for bit; picks are counted (no tree is built).
+    Identical seeds, data, and config reproduce the exact report sequence;
+    sentences are ordered by content digest before shuffling, so the result
+    does not depend on the order sentences appear in the input files.
     """
     if not train_kbest:
         raise ValueError("training set is empty")
@@ -194,7 +196,6 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
     dev_forests = build_forests(params, dev)
-    dev_cuts = np.cumsum([len(kb) for kb in dev])[:-1]
     state = AdaGradState.from_params(params)
     best = params.copy()
     best_uas = -1.0
@@ -210,8 +211,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
         params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
-        dev_scores = np.split(np.concatenate([forward_list(params, forest)[0]
-                                              for forest in dev_forests]), dev_cuts)
+        dev_scores = [s for forest in dev_forests for s in forest_scores(params, forest)]
         dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
                                 model_scores=dev_scores)
         report = TrainReport(epoch, total_hinge / len(items), violations,

@@ -21,7 +21,7 @@ from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
 from deprerank.rcnn import (
     Gradients, ListActivations, ListPlan, Rows, _first_max, _run_starts, _sum_by, _tree_rows,
-    backward_tree, build_list_plans, build_plan, score_plan,
+    backward_tree, build_forests, build_list_plans, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
 from deprerank.treebank import DependencyTree, KBestList, Token
@@ -278,8 +278,10 @@ def heads_list(gold, heads):
 
 
 def one_list_plan(params, kb, create_pairs=False):
-    """The plan of one k-best list, built on its own by `build_list_plans`."""
-    return build_list_plans(params, [kb], create_pairs)[0]
+    """The plan of one k-best list, built on its own: by `build_list_plans`
+    with create_pairs, else by `build_forests` (a forest of one list is that
+    list's plan)."""
+    return (build_list_plans if create_pairs else build_forests)(params, [kb])[0]
 
 
 def list_plan(params, trees, create_pairs=False):
@@ -290,7 +292,8 @@ def list_plan(params, trees, create_pairs=False):
 
 def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> ListPlan:
     """The plan of one k-best list, built on its own: the oracle that every
-    plan `build_list_plans` returns must equal field by field.
+    plan `build_list_plans` returns, and every one-list forest, must equal
+    field by field.
 
     The list's trees are its (k, n) head matrix, one row of 1-based heads
     (0 = root) per tree over the gold tree's n forms and POS tags. Lookups
@@ -384,14 +387,13 @@ def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> Li
     node_word = np.array([params.word_row(f) for f in [ROOT_FORM, *forms]])
     return ListPlan(node_word, arc_child, arc_head,
                     dist_rows[np.clip(child_node - arc_head, -clip, clip) + clip],
-                    arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T))
+                    arc_slot, levels, np.ascontiguousarray(arc_of[child].reshape(k, n).T), [k])
 
 
 def one_sentence_plans(params, lists, create_pairs=False):
-    """`build_list_plans` made of `reference_list_plan` calls, one per list.
-
-    Each plan is also a forest of one list, so in place of `build_forests`
-    this scores dev list by list, as training did before dev forests."""
+    """`reference_list_plan` of each list: `build_list_plans` with
+    create_pairs, else forests of one list each, so in place of
+    `build_forests` this scores dev list by list."""
     return [reference_list_plan(params, kb, create_pairs) for kb in lists]
 
 
@@ -400,6 +402,7 @@ def assert_same_plan(got: ListPlan, want: ListPlan):
     for name in ("node_word", "arc_child", "arc_head", "arc_dist", "arc_slot", "tree_arcs"):
         a, b = getattr(got, name), getattr(want, name)
         assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
+    assert got.list_trees == want.list_trees
     assert len(got.levels) == len(want.levels)
     for (*bounds, members), (*want_bounds, want_members) in zip(got.levels, want.levels):
         assert bounds == want_bounds

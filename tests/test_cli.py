@@ -1,11 +1,12 @@
 """End-to-end CLI workflows over small synthetic fixtures."""
 
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from deprerank import cli, params as P, treebank
+from deprerank import cli, params as P, rcnn, treebank
 from deprerank.cli import main
 from deprerank.synth import synth_corpus
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
@@ -57,6 +58,24 @@ def test_train_same_seed_byte_identical(tmp_path, corpus_files):
     assert main(_train_args(paths, out1)) == 0
     assert main(_train_args(paths, out2)) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_rerank_at_alpha_1_on_dev_prints_the_selected_dev_uas(tmp_path, corpus_files, capsys,
+                                                               monkeypatch):
+    # train's dev selection and rerank score dev through one path, so the
+    # saved model reranks dev with the UAS it was selected at; a small budget
+    # makes dev several forests of several lists each
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 60)
+    paths, split = corpus_files
+    batches = rcnn.plan_batches(split["dev"])
+    assert len(batches) > 1 and max(map(len, batches)) > 1
+    model_path = tmp_path / "model.bin"
+    assert main(_train_args(paths, model_path)) == 0
+    best = capsys.readouterr().out.splitlines()[-1].split(" best_dev_uas=")[1]
+    dg, dk = paths["dev"]
+    assert main(["rerank", "--model", str(model_path), "--gold", str(dg), "--kbest", str(dk),
+                 "--alpha", "1", "--punct-set", "none"]) == 0
+    assert f" uas={best} " in capsys.readouterr().out
 
 
 def test_train_missing_kbest_file_exits_2(tmp_path, corpus_files, capsys):
@@ -358,16 +377,20 @@ def test_rerank_with_bad_model_exits_2(tmp_path, corpus_files, capsys, case):
 
 
 @pytest.mark.parametrize("case", ["train --model-out", "train --pretrained", "rerank --output",
-                                  "rerank --report", "curve --output"])
+                                  "rerank --report", "rerank --report, the --output file",
+                                  "rerank --report, a hard link to --output", "curve --output"])
 def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monkeypatch, case):
-    """An output path that is a directory, or a --pretrained file that is
-    missing, ends the command before it reads a k-best list: exit 2, one line
-    on stderr, nothing on stdout, and no file created or changed."""
+    """An output path that is a directory, a --pretrained file that is
+    missing, or two output paths that name one file, end the command before
+    it reads a k-best list: exit 2, one line on stderr, nothing on stdout,
+    and no file created or changed."""
     paths, _ = corpus_files
     folder = tmp_path / "folder"
     folder.mkdir()
     kept = tmp_path / "kept.conll"
     kept.write_text("old\n", encoding="utf-8")
+    linked = tmp_path / "linked.conll"
+    os.link(kept, linked)
     model = tmp_path / "model.bin"
     P.save(tiny_params(), model)
     dg, dk = paths["dev"]
@@ -379,6 +402,11 @@ def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monk
         "rerank --output": ["rerank", *scoring, "--alpha", "0.5", "--output", str(folder)],
         "rerank --report": ["rerank", *scoring, "--alpha", "0.5", "--output", str(kept),
                             "--report", str(folder)],
+        "rerank --report, the --output file": [
+            "rerank", *scoring, "--alpha", "0.5", "--output", str(kept),
+            "--report", str(folder / ".." / "kept.conll")],
+        "rerank --report, a hard link to --output": [
+            "rerank", *scoring, "--alpha", "0.5", "--output", str(kept), "--report", str(linked)],
         "curve --output": ["curve", *scoring, "--ks", "1,2", "--output", str(folder)],
     }[case]
     reads, read = [], treebank.read_kbest_files
@@ -390,6 +418,7 @@ def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monk
     assert err.startswith("deprerank: error: ") and err.count("\n") == 1
     assert reads == []
     assert sorted(tmp_path.rglob("*")) == files
+    assert kept.read_text(encoding="utf-8") == "old\n"
     assert kept.read_text(encoding="utf-8") == "old\n"
 
 

@@ -10,7 +10,7 @@ from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
-    forward_list, plan_batches, score_lists, score_plan, score_tree,
+    forest_scores, forward_list, plan_batches, score_lists, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
@@ -445,8 +445,10 @@ def _random_lists(rng, count):
     return lists
 
 
-@pytest.mark.parametrize("create_pairs", [False, True])
-def test_batched_plans_equal_one_sentence_plans(create_pairs):
+def test_batched_plans_equal_one_sentence_plans():
+    # training plans: a batch split into the plans its lists get alone, with
+    # their pairs created (one-list plans without pairs are forests, see
+    # test_a_forest_of_one_sentence_is_its_list_plan)
     rng = np.random.default_rng(61)
     for case in range(40):
         lists = _random_lists(rng, int(rng.integers(1, 9)))
@@ -456,9 +458,9 @@ def test_batched_plans_equal_one_sentence_plans(create_pairs):
             seen = random_tree(rng, 6, tags=TAGS + ("XX",))
             for p in (oracle, alone, batched):
                 build_plan(p, seen, create_pairs=True)
-        want = one_sentence_plans(oracle, lists, create_pairs)
-        for got in ([one_list_plan(alone, kb, create_pairs) for kb in lists],
-                    build_list_plans(batched, lists, create_pairs)):
+        want = one_sentence_plans(oracle, lists, create_pairs=True)
+        for got in ([one_list_plan(alone, kb, create_pairs=True) for kb in lists],
+                    build_list_plans(batched, lists)):
             assert len(got) == len(want)
             for plan, expected in zip(got, want):
                 assert_same_plan(plan, expected)
@@ -480,7 +482,7 @@ def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, bud
         one_list_plan(tiny_params(), empty, create_pairs=True)
     p = tiny_params()
     with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-        build_list_plans(p, good[:2] + [empty] + good[2:], create_pairs=True)
+        build_list_plans(p, good[:2] + [empty] + good[2:])
     assert p.pos_pairs.count == tiny_params().pos_pairs.count  # no pair created
 
 
@@ -498,7 +500,7 @@ def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
     for batch in batches:
         assert len(batch) == 1 or sum(map(cost, batch)) <= 60
     p, oracle = tiny_params(seed=4), tiny_params(seed=4)
-    for plan, expected in zip(build_list_plans(p, lists, create_pairs=True),
+    for plan, expected in zip(build_list_plans(p, lists),
                               one_sentence_plans(oracle, lists, create_pairs=True)):
         assert_same_plan(plan, expected)
 
@@ -545,13 +547,15 @@ def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
         build_plan(p, random_tree(rng, 8), create_pairs=True)  # some pairs learned
         p.pos_pairs.finalize_fallback()
         lists = _random_lists(rng, 12)
-        for plan in build_list_plans(p, lists) + build_forests(p, lists):
+        forests = build_forests(p, lists)  # before build_list_plans creates the pairs
+        plans = build_list_plans(p, lists)
+        for plan in forests + plans:
             scores, acts = forward_list(p, plan)
             want_scores, want = reference_forward_list(p, plan)
             for got, expected in ((scores, want_scores), (acts.p, want.p), (acts.z, want.z)):
                 assert_same_bytes(got, expected)
             rows += [g1 - g0 for _, _, groups, *_ in plan.levels for g0, g1, _ in groups]
-        for kb, plan in zip(lists, build_list_plans(p, lists)):
+        for kb, plan in zip(lists, plans):
             heads = kb.heads
             _, acts = forward_list(p, plan)
             chosen = rng.integers(len(heads), size=int(rng.integers(1, 4)))
@@ -562,27 +566,39 @@ def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
 
 
 def test_a_forest_of_one_sentence_is_its_list_plan():
+    # unseen pairs read the fallback slot; once a training build has created
+    # them, the forest is the training plan too
     rng = np.random.default_rng(65)
-    p = tiny_params(m=3, m_d=3, seed=2, dist_clip=2)
-    for kb in _random_lists(rng, 30):
+    for case in range(30):
+        p = tiny_params(m=3, m_d=3, seed=case, dist_clip=2)
+        if case % 2:  # some pairs seen before, others not
+            build_plan(p, random_tree(rng, 6, tags=TAGS + ("XX",)), create_pairs=True)
+        [kb] = _random_lists(rng, 1)
+        count = p.pos_pairs.count
         [forest] = build_forests(p, [kb])
-        assert_same_plan(forest, one_list_plan(p, kb))
+        assert p.pos_pairs.count == count  # no pair created
+        assert_same_plan(forest, reference_list_plan(p, kb))
+        [plan] = build_list_plans(p, [kb])
+        assert_same_plan(build_forests(p, [kb])[0], plan)
 
 
 def _assert_forest_scores_match(p, lists):
-    """Score the lists' forests against their list plans; returns the number
-    of lists per forest."""
+    """Score the lists' forests against their one-list forests, bit for bit;
+    returns the number of lists per forest."""
     forests, batches = build_forests(p, lists), plan_batches(lists)
-    assert [forest.num_trees for forest in forests] == [sum(map(len, batch)) for batch in batches]
-    scores = np.concatenate([forward_list(p, forest)[0] for forest in forests])
-    at = 0
-    for kb in lists:
-        got, want = scores[at:at + len(kb)], forward_list(p, one_list_plan(p, kb))[0]
-        assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+    assert [forest.list_trees for forest in forests] == [list(map(len, b)) for b in batches]
+    scores = [s for forest in forests for s in forest_scores(p, forest)]
+    assert np.array_equal(np.concatenate(scores),
+                          np.concatenate([forward_list(p, f)[0] for f in forests]))
+    alone = [one_list_plan(p, kb) for kb in lists]
+    for kb, got, plan in zip(lists, scores, alone):
+        assert got.tobytes() == forward_list(p, plan)[0].tobytes()
         rows = [tuple(row) for row in kb.heads.tolist()]
         for i, row in enumerate(rows):  # duplicate rows, bit for bit
             assert got[i] == got[rows.index(row)]
-        at += len(kb)
+    # the reason: a forest makes one product per (height, list, slot), as alone
+    products = lambda plan: sum(len(groups) for _, _, groups, *_ in plan.levels)
+    assert sum(map(products, forests)) == sum(map(products, alone))
     return [len(batch) for batch in batches]
 
 
@@ -615,11 +631,14 @@ def test_score_lists_scores_each_batch_before_it_builds_the_next(monkeypatch):
     monkeypatch.setattr(rcnn, "forward_list", lambda *a: calls.append("score") or forward(*a))
     scores = score_lists(p, iter(lists))
     batches = plan_batches(lists)
-    assert len(batches) > 2
-    assert calls == [c for batch in batches for c in ["build"] + ["score"] * len(batch)]
-    assert len(scores) == len(lists)
-    for kb, got in zip(lists, scores):  # each list's plan is scored alone, bit for bit
-        assert np.array_equal(got, forward(p, one_list_plan(p, kb))[0])
+    assert len(batches) > 2 and max(map(len, batches)) > 1
+    assert calls == ["build", "score"] * len(batches)  # one forest per batch
+    monkeypatch.setattr(rcnn, "forward_list", forward)
+    want = [s for forest in build_forests(p, lists) for s in forest_scores(p, forest)]
+    assert len(scores) == len(want) == len(lists)
+    for kb, got, expected in zip(lists, scores, want):  # and what it scores alone
+        assert got.tobytes() == expected.tobytes()
+        assert got.tobytes() == forward(p, one_list_plan(p, kb))[0].tobytes()
 
 
 @pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])

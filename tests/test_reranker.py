@@ -357,8 +357,11 @@ def test_uas_curve_rows_match_truncated_corpus_evaluation():
 
 @pytest.mark.parametrize("include_oracle", [False, True])
 def test_corpus_scores_in_batches_equal_list_by_list_scores(monkeypatch, include_oracle):
-    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 100)  # several batches
+    # a list's scores in its batch's forest are its scores alone, bit for bit,
+    # so the `rerank` report does not depend on the batching
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 100)  # several forests of several lists
     corpus = synth_corpus(seed=17, sentences=20, k=5, length_range=(1, 14))
+    assert max(map(len, rcnn.plan_batches(corpus))) > 1
     if not include_oracle:  # an empty list scores nothing
         corpus.insert(3, KBestList(corpus[0].gold, []))
     p = tiny_params(m=4, m_d=4, seed=6)

@@ -482,10 +482,10 @@ def test_training_on_batched_plans_matches_one_sentence_plans(monkeypatch):
     golds = [kb.gold for kb in train_kbs]
     build_batch, sizes = rcnn._build_batch, []
 
-    def counted(params, batch, create_pairs, forest=False):
-        if not forest:  # the training lists' plans, not the dev forests
+    def counted(params, batch, create_pairs):
+        if create_pairs:  # the training lists' plans, not the dev forests
             sizes.append(len(batch))
-        return build_batch(params, batch, create_pairs, forest)
+        return build_batch(params, batch, create_pairs)
 
     def run():
         params = init_random(Hyperparams(m=5, m_d=4, k=6), build_word_vocab(golds),
@@ -496,7 +496,8 @@ def test_training_on_batched_plans_matches_one_sentence_plans(monkeypatch):
     monkeypatch.setattr(rcnn, "_build_batch", counted)
     batched = run()
     assert len(sizes) > 3 and max(sizes) > 1
-    monkeypatch.setattr(trainer, "build_list_plans", one_sentence_plans)
+    monkeypatch.setattr(trainer, "build_list_plans",
+                        lambda params, lists: one_sentence_plans(params, lists, create_pairs=True))
     assert run() == batched
 
 
