@@ -3,7 +3,7 @@
 
 Rows: a training step's `forward_list`, its `backward_list` for the
 loss-augmented pick and gold, and its `adagrad_step` on those gradients; the
-training plans' build, `build_list_plans` batched over all the lists; and the
+training items' build, `_SentenceItem.build_all` over all the lists; and the
 scoring path that `rcnn.score_lists` and `train()`'s dev selection share:
 `build_forests` one list per call (the build that scoring one list at a time
 makes) and batched, and `forward_list` of each batched forest. Rows are
@@ -18,36 +18,34 @@ import argparse
 import numpy as np
 
 from deprerank.params import Hyperparams, init_random
-from deprerank.rcnn import backward_list, build_forests, build_list_plans, forward_list
+from deprerank.rcnn import backward_list, build_forests, forward_list
 from deprerank.synth import DEFAULT_TAGS, random_tree, synth_kbest
-from deprerank.trainer import AdaGradState, adagrad_step
-from deprerank.treebank import KBestList
+from deprerank.trainer import AdaGradState, _pick, _SentenceItem, adagrad_step
 from layer_rows import print_rows
 
 
 def rows(params, kbests):
-    """Each row's call over all the lists. A training item is a list plan
-    with gold in row 0 (`train()`'s `_SentenceItem`); its step takes the
-    loss-augmented pick and gold, and updates a copy of the parameters."""
-    lists = [KBestList.from_arrays(kb.gold, np.concatenate([[kb.gold.heads], kb.heads]),
-                                   np.zeros(len(kb) + 1)) for kb in kbests]
-    items = []
-    for kb, plan in zip(lists, build_list_plans(params, lists)):
-        scores, acts = forward_list(params, plan)
-        wrong = (kb.heads[1:] != kb.heads[0]).sum(axis=1)
-        pick = int(np.argmax(scores[1:] + params.hyper.kappa * wrong)) + 1
-        items.append((plan, acts, kb.heads, (pick, 0)))
-    grads = [backward_list(params, *item, (1.0, -1.0)) for item in items]
+    """Each row's call over all the lists. The training items and their
+    loss-augmented picks are `train()`'s (`_SentenceItem.build_all`,
+    `_pick`); a step takes the pick and gold, and updates a copy of the
+    parameters."""
+    kappa = params.hyper.kappa
+    items = _SentenceItem.build_all(params, kbests, kappa)
+    steps = []
+    for item in items:
+        idx, _, acts = _pick(params, item)
+        steps.append((item.plan, acts, item.heads, (idx + 1, 0)))
+    grads = [backward_list(params, *step, (1.0, -1.0)) for step in steps]
     updated = params.copy()
     state = AdaGradState.from_params(updated)
     forests = build_forests(params, kbests)
     return {
-        "forward_list (train item)": lambda: [forward_list(params, item[0]) for item in items],
+        "forward_list (train item)": lambda: [forward_list(params, item.plan) for item in items],
         "backward_list (pick + gold)":
-            lambda: [backward_list(params, *item, (1.0, -1.0)) for item in items],
+            lambda: [backward_list(params, *step, (1.0, -1.0)) for step in steps],
         "adagrad_step (pick + gold)":
             lambda: [adagrad_step(updated, state, g, params.hyper.lam) for g in grads],
-        "build_list_plans (batched)": lambda: build_list_plans(params, kbests),
+        "_SentenceItem.build_all": lambda: _SentenceItem.build_all(params, kbests, kappa),
         "build_forests (one list per call)":
             lambda: [build_forests(params, [kb]) for kb in kbests],
         "build_forests": lambda: build_forests(params, kbests),

@@ -32,7 +32,7 @@ def read_config(path) -> dict:
     """Flat 'key = value' file ('#' comments) of `TRAIN_SETTINGS` keys, each
     given once and parsed at its line."""
     out, line_of = {}, {}
-    for lineno, raw in enumerate(treebank.read_text(path, lambda f: f.readlines()), start=1):
+    for lineno, raw in enumerate(treebank.read_text(path, list), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -73,9 +73,10 @@ def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
 def _check_paths(outputs=(), inputs=()) -> None:
     """Raise before any work the OSError that writing an output (a directory,
     or in a missing one) or reading an input would raise after it, and a
-    DataError for two outputs that name one file, where the second write
-    would replace the first. None is skipped; no file is created or changed."""
-    outputs = [path for path in outputs if path]
+    DataError for an output that names the file of another output or of an
+    input, which the write would replace. None is skipped; no file is
+    created or changed."""
+    outputs, inputs = [path for path in outputs if path], [path for path in inputs if path]
     for path in outputs:
         if os.path.isdir(path):
             code = errno.EISDIR
@@ -85,16 +86,25 @@ def _check_paths(outputs=(), inputs=()) -> None:
             continue
         raise OSError(code, os.strerror(code), path)
     for first, second in itertools.combinations(outputs, 2):
-        if os.path.realpath(first) == os.path.realpath(second) or (
-                os.path.exists(first) and os.path.exists(second)
-                and os.path.samefile(first, second)):
+        if _same_file(first, second):
             raise DataError(f"two outputs name one file: {first} and {second}")
-    for path in filter(None, inputs):
+    for output, source in itertools.product(outputs, inputs):
+        if _same_file(output, source):
+            raise DataError(f"an output names an input file: {output} and {source}")
+    for path in inputs:
         open(path, "rb").close()
 
 
+def _same_file(first, second) -> bool:
+    """Whether two paths name one file: the same real path, or two links to
+    one file that exists."""
+    return os.path.realpath(first) == os.path.realpath(second) or (
+        os.path.exists(first) and os.path.exists(second) and os.path.samefile(first, second))
+
+
 def cmd_train(args) -> int:
-    _check_paths([args.model_out], [args.pretrained])
+    _check_paths([args.model_out], [args.config, args.train_gold, args.train_kbest,
+                                    args.dev_gold, args.dev_kbest, args.pretrained])
     hyper, cfg = _resolve_settings(args)
     train_kbs = treebank.read_kbest_files(args.train_gold, args.train_kbest,
                                           args.allow_multiple_roots)
@@ -127,7 +137,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_rerank(args) -> int:
-    _check_paths([args.output, args.report])
+    _check_paths([args.output, args.report], [args.gold, args.kbest, args.model])
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
@@ -179,7 +189,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_curve(args) -> int:
-    _check_paths([args.output])
+    _check_paths([args.output], [args.gold, args.kbest, args.model])
     model = P.load(args.model)
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
     rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, args.punct_set)

@@ -4,10 +4,11 @@ A `DependencyTree` is columns: forms, POS tags and heads, and the CoNLL line
 each token was read from. `_rooted` alone decides whether heads form a rooted
 tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
 one pass; a `KBestList` checks its rows where it is made, and only there.
-Both readers take a string or a text file a block of lines at a time and
-parse what they can at once, where that reads the same values as reading
-line by line; everything else is read line by line, which raises the error
-of the first bad line.
+One rule routes every source of both readers (`_in_blocks`): a string or a
+text file is taken a block of lines at a time, and what can be parsed at
+once is, where that reads the same values as reading line by line; any
+other source, such as a list or an iterator of lines, is read line by line,
+which raises the error of the first bad line.
 """
 
 from __future__ import annotations
@@ -300,26 +301,24 @@ def _iter_lines(source: Iterable[str] | str) -> Iterator[str]:
     return iter(source)
 
 
+def _in_blocks(source: Iterable[str] | str) -> bool:
+    """Whether the readers take `source` a block of lines at a time: only a
+    string or a text file, whose lines are whole, each ending at its only
+    newline (but perhaps the last), as `open` splits them by default. Any
+    other source is read line by line: its items may end anywhere."""
+    return isinstance(source, (str, io.TextIOBase))
+
+
 # Trees are validated in batches of about this many tokens, one pass each:
 # per tree costs a numpy call per check, and one pass over a whole file
 # misses the cache more than it saves.
 _CHECK_TOKENS = 8192
 
-# The readers take at most this many lines at once beyond what they are
-# reading: a block of sentences, or a sentence's 2k CAND/HEAD lines. A larger
-# (absurd) k, or a sentence that fills a block, is read line by line instead.
+# From a string or a text file, the readers take at most this many lines at
+# once beyond what they are reading: a block of sentences, or a sentence's 2k
+# CAND/HEAD lines. A larger (absurd) k, or a sentence that fills a block, is
+# read line by line instead, as every other source is.
 _BLOCK_LINES = 65536
-
-
-def _take(lines: Iterator[str], count: int) -> list[str]:
-    """Up to `count` lines of `lines`. At a line that cannot be decoded
-    (`_TextLines`), the lines before it; reading on raises its error."""
-    taken: list[str] = []
-    try:
-        taken.extend(itertools.islice(lines, count))  # keeps what it took before an error
-    except EncodingError:
-        pass
-    return taken
 
 
 class _Trees:
@@ -355,34 +354,29 @@ def parse_conll(source: Iterable[str] | str,
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
     HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. A string is
     read as a text file is (`_iter_lines`); the lines of a file or any other
-    source are as given. They are read a block at a time (`_parse_blocks`).
-    Trees are checked a batch at a time (`_Trees`); a batch is checked before
-    any error is raised, so the first error in file order is the one raised.
+    source are as given. A string or a text file is read a block at a time
+    (`_parse_blocks`), any other source line by line (`_parse_lines`). Trees
+    are checked a batch at a time (`_Trees`); a batch is checked before any
+    error is raised, so the first error in file order is the one raised.
     """
-    return _parse(_line_blocks(_iter_lines(source)), allow_multiple_roots)
-
-
-def _line_blocks(source: Iterable[str]) -> Iterator[list[str]]:
-    """The lines of `source` without their newlines, up to `_BLOCK_LINES`
-    at a time; then the error of a line that could not be decoded, if one
-    ended them."""
-    lines = iter(source)
-    while block := _take(lines, _BLOCK_LINES):
-        yield [line.rstrip("\n") for line in block]
-    next(lines, None)
-
-
-def _parse(blocks: Iterable[list[str]], allow_multiple_roots: bool) -> list[DependencyTree]:
-    """The trees of blocks of lines; the unchecked ones are checked before
-    any error is raised."""
+    lines = _iter_lines(source)
     trees = _Trees(allow_multiple_roots)
     try:
-        _parse_blocks(blocks, trees)
+        if _in_blocks(source):
+            _parse_blocks(_line_blocks(lines), trees)
+        else:
+            _parse_lines((line.rstrip("\n") for line in lines), 1, trees)
     except DataError:
         trees.check()
         raise
     trees.check()
     return trees.trees
+
+
+def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
+    """The lines without their newlines, up to `_BLOCK_LINES` at a time."""
+    while block := [line.rstrip("\n") for line in itertools.islice(lines, _BLOCK_LINES)]:
+        yield block
 
 
 def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
@@ -421,47 +415,33 @@ def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
         texts.append(line)
 
 
-def _parse_blocks(blocks: Iterable[list[str]], trees: _Trees) -> None:
+def _parse_blocks(blocks: Iterator[list[str]], trees: _Trees) -> None:
     """The sentences of blocks of lines, without their newlines.
 
     Each block is parsed up to its last blank line (`_parse_block`), and the
     sentence that it cuts is carried over to the next; the last is parsed
     whole. A sentence that fills `_BLOCK_LINES` lines is read line by line,
-    with all the lines after it. When a line cannot be decoded, the sentence
-    before it is read line by line, then its error is raised.
+    with all the lines after it.
     """
-    blocks = iter(blocks)
     lineno, held = 1, []  # the lines of the sentence cut by the last block
-    try:
-        for block in blocks:
-            end = _sentences_end(block)
-            if end:
-                held += block[:end]
-                _parse_block(held, lineno, trees)
-                lineno, held = lineno + len(held), block[end:]
-            else:
-                held += block
-            if len(held) >= _BLOCK_LINES:
-                break
-        else:
+    for block in blocks:
+        end = _sentences_end(block)
+        if end:
+            held += block[:end]
             _parse_block(held, lineno, trees)
+            lineno, held = lineno + len(held), block[end:]
+        else:
+            held += block
+        if len(held) >= _BLOCK_LINES:
+            _parse_lines(itertools.chain(held, itertools.chain.from_iterable(blocks)),
+                         lineno, trees)
             return
-    except EncodingError as err:
-        rest = _raising(err)
-    else:  # outside the `try`: a decode error in `rest` is raised as it is
-        rest = itertools.chain.from_iterable(blocks)
-    _parse_lines(itertools.chain(held, rest), lineno, trees)
+    _parse_block(held, lineno, trees)
 
 
 def _sentences_end(lines: list[str]) -> int:
     """Where `lines` end after their last blank line, or 0."""
     return next((i + 1 for i in range(len(lines) - 1, -1, -1) if not lines[i].strip()), 0)
-
-
-def _raising(error: Exception) -> Iterator[str]:
-    """An iterator that raises `error` when read."""
-    raise error
-    yield
 
 
 def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
@@ -474,17 +454,19 @@ def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
     columns, at least 8, and whose heads are 1-18 ASCII digits, none equal to
     the line's place in its sentence, and read those heads (`_digits`). Such
     a sentence is split by one `split`, which gives its IDs, forms and tags
-    as strided slices; if its IDs are 1..n, it is a tree. Any other sentence,
-    or any block with a line that holds a newline, is read by `_parse_lines`,
-    which raises the error of the first bad line.
+    as strided slices; if its IDs are 1..n, it is a tree. Any other sentence
+    is read by `_parse_lines`, which raises the error of the first bad line.
+    The lines are a string's or a text file's (`_in_blocks`), so none holds
+    a newline unless the file was opened with newline="\r"; such a block is
+    read by `_parse_lines` too.
     """
     text = "\n".join(lines)
-    if text.count("\n") != len(lines) - 1:
-        _parse_lines(lines, lineno, trees)
-        return
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     seps = np.flatnonzero((data == 9) | (data == 10))  # the tabs and newlines
     ends = np.flatnonzero(data[seps] == 10)  # where in `seps` each line ends, but the last
+    if len(ends) != len(lines) - 1:  # a line holds a newline
+        _parse_lines(lines, lineno, trees)
+        return
     first = np.append(0, ends + 1)  # where in `seps` each line's first tab would be
     width = np.diff(first, append=len(seps) + 1)  # the columns of each line
     filled = np.append(0, seps[ends] + 1) < np.append(seps[ends], len(data))
@@ -570,9 +552,12 @@ def read_text(path, read):
     read, not before, so a reader that checks what it has read before it
     raises (both treebank readers) reports the first error in file order.
 
-    The file is decoded a block of bytes ahead of `read`, so a decode error
-    stops `read` early; `read` is then run again on `_TextLines`. Every
-    reader here can be run again: none changes anything before it returns.
+    `f` is the open file, decoded a block of bytes ahead of `read`, so a
+    decode error stops `read` early; `read` is then run again with `f` a
+    generator of the file's lines (`_utf8_lines`), which the treebank
+    readers read line by line, as they read any source that is not a string
+    or a text file. Every reader here can be run again: none changes
+    anything before it returns.
     """
     try:
         with open(path, encoding="utf-8") as f:
@@ -580,31 +565,19 @@ def read_text(path, read):
     except UnicodeDecodeError:
         pass
     with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        return read(_TextLines(f, path))
+        return read(_utf8_lines(f, path))
 
 
-class _TextLines(io.TextIOBase):
-    """The lines of a text file that is not all UTF-8, opened with
-    errors="surrogateescape", which reads a byte that is not UTF-8 as a lone
-    surrogate. The line that holds one raises `EncodingError`, naming the
-    file, and so does every read after it."""
-
-    def __init__(self, f: io.TextIOBase, path):
-        super().__init__()
-        self._lines, self._path, self._error = f, path, None
-
-    def __iter__(self) -> Iterator[str]:
-        return self
-
-    def __next__(self) -> str:
-        if self._error is None:
-            line = next(self._lines)
-            try:
-                line.encode("utf-8", "surrogateescape").decode("utf-8")
-                return line
-            except UnicodeDecodeError as err:
-                self._error = f"{self._path}: not UTF-8 text ({err.reason})"
-        raise EncodingError(self._error)
+def _utf8_lines(f: io.TextIOBase, path) -> Iterator[str]:
+    """The lines of a text file opened with errors="surrogateescape", which
+    reads a byte that is not UTF-8 as a lone surrogate, up to the first line
+    that holds one: that line raises `EncodingError`, naming the file."""
+    for line in f:
+        try:
+            line.encode("utf-8", "surrogateescape").decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise EncodingError(f"{path}: not UTF-8 text ({err.reason})") from None
+        yield line
 
 
 def load_conll(path, allow_multiple_roots: bool = False) -> list[DependencyTree]:
@@ -786,13 +759,13 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
     """Pair gold trees with their k-best candidate head assignments.
 
     The candidate source is read one sentence at a time. When the source is
-    a string or a text file, a sentence's 2k CAND/HEAD lines (at most
-    `_BLOCK_LINES`) are taken at once and parsed as one block if they are in
-    `write_kbest`'s form (`_read_block`); otherwise they are read line by line
-    (`_read_candidates`), which checks the list's trees itself. The trees of
-    block-read lists are checked a batch at a time (`_check_lists`), and a
-    batch is checked before any error is raised, so the first error in file
-    order is the one raised.
+    a string or a text file (`_in_blocks`), a sentence's 2k CAND/HEAD lines
+    (at most `_BLOCK_LINES`) are taken at once and parsed as one block if
+    they are in `write_kbest`'s form (`_read_block`); otherwise, and for any
+    other source, they are read line by line (`_read_candidates`), which
+    checks the list's trees itself. The trees of block-read lists are
+    checked a batch at a time (`_check_lists`), and a batch is checked before
+    any error is raised, so the first error in file order is the one raised.
     """
     return _pair_kbest(parse_conll(gold_source, allow_multiple_roots), cand_source,
                        allow_multiple_roots)
@@ -802,9 +775,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                 allow_multiple_roots: bool) -> list[KBestList]:
     """`read_kbest` of gold trees already parsed."""
     raw = _iter_lines(cand_source)
-    # Lines of a string or a text file are whole: each ends in its only
-    # newline, but for perhaps the file's last. Other sources' may not be.
-    whole = isinstance(cand_source, (str, io.TextIOBase))
+    block_lines = _BLOCK_LINES if _in_blocks(cand_source) else 0
     lists: list[KBestList] = []
     pending: list[tuple[int, KBestList, str]] = []
     lineno = pending_tokens = 0
@@ -829,8 +800,8 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                 raise AlignmentError(f"sentence {sent_idx}: SENT header carries index {file_idx}")
             if k < 1:
                 raise ParseError(f"sentence {sent_idx}: k must be >= 1, got {k}", lineno)
-            taken = _take(raw, 2 * k) if 2 * k <= _BLOCK_LINES else []
-            block = _read_block(taken, k, len(gold)) if whole else None
+            taken = list(itertools.islice(raw, 2 * k)) if 2 * k <= block_lines else []
+            block = _read_block(taken, k, len(gold)) if taken else None
             if block:
                 scores, heads, text = block
                 lineno += 2 * k

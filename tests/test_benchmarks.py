@@ -15,6 +15,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     ("bench_kernels.py", ["--sentences", "3", "--length", "6", "--k", "4", "--m", "3",
                           "--m-d", "3", "--repeats", "1"]),
     ("bench_reader.py", ["--sentences", "3", "--repeats", "1"]),
+    ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64"]),
 ])
 def test_benchmark_script_runs(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

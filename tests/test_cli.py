@@ -376,14 +376,19 @@ def test_rerank_with_bad_model_exits_2(tmp_path, corpus_files, capsys, case):
     assert message in err
 
 
-@pytest.mark.parametrize("case", ["train --model-out", "train --pretrained", "rerank --output",
-                                  "rerank --report", "rerank --report, the --output file",
-                                  "rerank --report, a hard link to --output", "curve --output"])
+@pytest.mark.parametrize("case", [
+    "train --model-out", "train --pretrained", "rerank --output", "rerank --report",
+    "rerank --report, the --output file", "rerank --report, a hard link to --output",
+    "curve --output", "train --model-out, the --dev-gold file",
+    "train --model-out, the --config file", "train --model-out, the --pretrained file",
+    "rerank --output, the --gold file", "rerank --output, a hard link to --kbest",
+    "rerank --report, the --model file", "curve --output, the --kbest file"])
 def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monkeypatch, case):
     """An output path that is a directory, a --pretrained file that is
-    missing, or two output paths that name one file, end the command before
-    it reads a k-best list: exit 2, one line on stderr, nothing on stdout,
-    and no file created or changed."""
+    missing, two output paths that name one file, or an output path that
+    names an input file, end the command before it reads a k-best list:
+    exit 2, one line on stderr, nothing on stdout, and no file created or
+    changed."""
     paths, _ = corpus_files
     folder = tmp_path / "folder"
     folder.mkdir()
@@ -394,6 +399,11 @@ def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monk
     model = tmp_path / "model.bin"
     P.save(tiny_params(), model)
     dg, dk = paths["dev"]
+    linked_kbest = tmp_path / "linked.kbest"
+    os.link(dk, linked_kbest)
+    config, vectors = tmp_path / "train.cfg", tmp_path / "vectors.txt"
+    config.write_text("m = 4\n", encoding="utf-8")
+    vectors.write_text("1 4\nw1 0.5 0.5 0.5 0.5\n", encoding="utf-8")
     scoring = ["--model", str(model), "--gold", str(dg), "--kbest", str(dk)]
     argv = {
         "train --model-out": _train_args(paths, folder),
@@ -408,16 +418,32 @@ def test_a_bad_path_exits_2_before_any_work(tmp_path, corpus_files, capsys, monk
         "rerank --report, a hard link to --output": [
             "rerank", *scoring, "--alpha", "0.5", "--output", str(kept), "--report", str(linked)],
         "curve --output": ["curve", *scoring, "--ks", "1,2", "--output", str(folder)],
+        "train --model-out, the --dev-gold file": _train_args(paths, dg),
+        "train --model-out, the --config file": _train_args(paths, config, "--config",
+                                                            str(config)),
+        "train --model-out, the --pretrained file": _train_args(paths, vectors, "--pretrained",
+                                                                str(vectors)),
+        "rerank --output, the --gold file": ["rerank", *scoring, "--alpha", "0.5",
+                                             "--output", str(dg)],
+        "rerank --output, a hard link to --kbest": ["rerank", *scoring, "--alpha", "0.5",
+                                                    "--output", str(linked_kbest)],
+        "rerank --report, the --model file": ["rerank", *scoring, "--alpha", "0.5",
+                                              "--report", str(model)],
+        "curve --output, the --kbest file": ["curve", *scoring, "--ks", "1,2",
+                                             "--output", str(tmp_path / ".." / tmp_path.name
+                                                             / dk.name)],
     }[case]
     reads, read = [], treebank.read_kbest_files
     monkeypatch.setattr(treebank, "read_kbest_files", lambda *a: reads.append(a) or read(*a))
     files = sorted(tmp_path.rglob("*"))
+    contents = [path.read_bytes() for path in files if path.is_file()]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("deprerank: error: ") and err.count("\n") == 1
     assert reads == []
     assert sorted(tmp_path.rglob("*")) == files
+    assert [path.read_bytes() for path in files if path.is_file()] == contents
     assert kept.read_text(encoding="utf-8") == "old\n"
     assert kept.read_text(encoding="utf-8") == "old\n"
 

@@ -405,6 +405,64 @@ def _chain(n):
     return make_tree(list(range(n)))
 
 
+ROUTED_KBEST = ("SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0\nCAND 2 -2.0\nHEAD 2 3 0\n"
+                "SENT 1 1\nCAND 1 -1.5\nHEAD 3 1 0\n")
+# how each source is made from its text, and whether it takes the block route
+ROUTED_SOURCES = {
+    "a string": (lambda text: text, True),
+    "a text file": (io.StringIO, True),
+    "a list of lines": (lambda text: text.splitlines(keepends=True), False),
+    "an iterator of lines": (lambda text: iter(text.splitlines(keepends=True)), False),
+    "a file that is not all UTF-8": (None, False),
+}
+
+
+@pytest.mark.parametrize("source", sorted(ROUTED_SOURCES))
+@pytest.mark.parametrize("reader", ["parse_conll", "read_kbest"])
+def test_only_a_string_or_a_text_file_takes_the_block_route(tmp_path, monkeypatch, reader,
+                                                             source):
+    """`_parse_block` or `_read_block` runs exactly when the source is a
+    string or a text file; any other source, the lines of a file that is not
+    all UTF-8 among them, is read line by line. Either route reads the
+    reference reader's trees, or raises the error of the bad byte."""
+    make, in_blocks = ROUTED_SOURCES[source]
+    gold_text = BIKE_BLOCK + "\n" + BIKE_BLOCK
+    spied = "_parse_block" if reader == "parse_conll" else "_read_block"
+    calls, real = [], getattr(treebank, spied)
+    monkeypatch.setattr(treebank, spied, lambda *args: calls.append(args) or real(*args))
+    if make is None:  # a small file, whose first read fails: only the line route runs
+        gold, bad = tmp_path / "gold.conll", tmp_path / "bad"
+        gold.write_text(gold_text, encoding="utf-8")
+        if reader == "parse_conll":
+            bad.write_bytes(gold_text.encode() + b"\n" + NOT_UTF8)
+        else:
+            bad.write_bytes(ROUTED_KBEST.encode().replace(b"HEAD 3 1 0", b"HEAD\xff 3 1 0"))
+        with pytest.raises(EncodingError,
+                           match=f"^{re.escape(str(bad))}: not UTF-8 text \\(invalid start byte"):
+            load_conll(bad) if reader == "parse_conll" else read_kbest_files(gold, bad)
+    elif reader == "parse_conll":
+        assert parse_conll(make(gold_text)) == reference_parse_conll(gold_text)
+    else:
+        lists = read_kbest(gold_text, make(ROUTED_KBEST))
+        assert [(kb.gold, list(kb.candidates)) for kb in lists] == reference_read_kbest(
+            gold_text, ROUTED_KBEST)
+    assert bool(calls) == in_blocks
+
+
+def test_a_text_file_whose_lines_hold_a_newline_reads_as_its_lines(tmp_path):
+    """A file opened with newline="\\r" ends its lines at \\r only, so a line
+    may hold a \\n: the block route reads such lines as the line route does."""
+    path = tmp_path / "cr.conll"
+    path.write_bytes(b"1\ta\t_\tDT\tDT\t_\t2\tx\ny\r2\tb\t_\tNN\tNN\t_\t0\t_\r\r"
+                     b"1\tc\t_\tNN\tNN\t_\t0\t_\r")
+    with open(path, encoding="utf-8", newline="\r") as f:
+        lines = f.readlines()
+        f.seek(0)
+        trees = parse_conll(f)
+    assert trees == reference_parse_conll(lines) == [make_tree([2, 0], ["a", "b"], ["DT", "NN"]),
+                                                     make_tree([0], ["c"], ["NN"])]
+
+
 def test_conll_errors_come_in_file_order_across_batches():
     cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
     # the first sentence alone fills a batch, so the cycle opens the second
