@@ -21,13 +21,21 @@ named relative to the directory, so two checkouts that write the same bytes
 print the same lines. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/digest_outputs.py --seed 7 101
+
+With `--against PATH` (another checkout, such as the parent commit's), the
+same lines are then made with the library in PATH's `src`, in a subprocess
+that runs this script on the same inputs; they are printed after a `# PATH`
+line, and if any line differs the script lists the differing lines and
+exits 1.
 """
 
 import argparse
 import contextlib
 import hashlib
 import io
+import itertools
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -110,11 +118,36 @@ def main():
     ap.add_argument("--workload", nargs="+", choices=sorted(W.WORKLOADS),
                     default=list(W.WORKLOADS))
     ap.add_argument("--seed", nargs="+", type=int, default=[7])
+    ap.add_argument("--against", metavar="PATH",
+                    help="a checkout whose src/ library to compare with, line by line")
     args = ap.parse_args()
+    lines = []
     for name in args.workload:
         for seed in args.seed:
             for digest, what in digests(W.WORKLOADS[name], seed):
-                print(f"{digest}  {name} seed {seed} {what}", flush=True)
+                lines.append(f"{digest}  {name} seed {seed} {what}")
+                print(lines[-1], flush=True)
+    if args.against is None:
+        return
+    src = os.path.join(os.path.abspath(args.against), "src")
+    if not os.path.isdir(os.path.join(src, "deprerank")):
+        raise SystemExit(f"--against: no deprerank package in {src}")
+    argv = [sys.executable, os.path.abspath(__file__), "--workload", *args.workload,
+            "--seed", *map(str, args.seed)]
+    run = subprocess.run(argv, env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                         text=True)
+    if run.returncode != 0:
+        raise SystemExit(f"--against {args.against} failed:\n{run.stderr}")
+    theirs = run.stdout.splitlines()
+    print(f"# {args.against}")
+    print("\n".join(theirs))
+    differ = [(ours, other) for ours, other in itertools.zip_longest(lines, theirs)
+              if ours != other]
+    for ours, other in differ:
+        print(f"differs: {ours}\n   from: {other}")
+    if differ:
+        raise SystemExit(1)
+    print(f"# all {len(lines)} lines equal")
 
 
 if __name__ == "__main__":

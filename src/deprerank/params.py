@@ -102,6 +102,7 @@ class PosPairStore:
         self.index = {pair: slot for slot, pair in enumerate(pairs, start=1)}
         self._W, self._v = W, v
         self.count = len(pairs) + 1
+        self._table = None  # (tag ids, slot table) for `slots`, made on first use
 
     @property
     def W(self) -> np.ndarray:
@@ -127,6 +128,18 @@ class PosPairStore:
             return self.FALLBACK_SLOT
         return self._create(head_pos, child_pos)
 
+    def slots(self, tags: Sequence[str]) -> np.ndarray:
+        """(len(tags), len(tags)) array: [i, j] is the slot of the pair (head
+        tags[i], child tags[j]), or the fallback slot if it is not stored."""
+        if self._table is None:  # tag -> row; the last row and column: a tag in no pair
+            ids = {tag: i for i, tag in enumerate(dict.fromkeys(t for p in self.index for t in p))}
+            self._table = ids, np.zeros((len(ids) + 1, len(ids) + 1), dtype=np.int64)
+            for (head, child), slot in self.index.items():
+                self._table[1][ids[head], ids[child]] = slot
+        ids, table = self._table
+        rows = np.array([ids.get(tag, -1) for tag in tags], dtype=np.int64)
+        return table[rows[:, None], rows]
+
     def _create(self, head_pos: str, child_pos: str) -> int:
         if self.count == len(self._W):
             self._W = np.concatenate([self._W, np.zeros_like(self._W)])
@@ -138,6 +151,7 @@ class PosPairStore:
         self._v[slot] = _uniform_init(rng, (self.m,))
         self.index[(head_pos, child_pos)] = slot
         self.count += 1
+        self._table = None
         return slot
 
     def get(self, slot: int) -> tuple[np.ndarray, np.ndarray]:

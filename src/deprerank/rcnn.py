@@ -8,15 +8,15 @@ participates like any other head.
 
 A k-best list is scored as a whole: an arc's hidden vector depends only on
 its head node and the child's subtree, so every unique arc of the list is
-computed once. Lists are built in batches (`plan_batches`), one pass over
-their trees. Scoring keeps a batch whole, one forest (`build_forests`) that
-`forward_list` walks once and `forest_scores` splits per list, as
-`score_lists` and `train()`'s dev selection do; training splits it into the
-lists' own plans (`build_list_plans`). `forward_list` also returns the arcs'
-activations, and `backward_list` backpropagates a weighted sum of some of a
-list's tree scores through them (a training step's hinge). The builders take
-`KBestList`s, whose constructors have checked every head row; nothing here
-checks heads again.
+computed once, and a root, no arc's child, is never pooled. Lists are built
+in batches (`plan_batches`), one pass over their trees. Scoring keeps a batch
+whole, one forest (`build_forests`) that `forward_list` walks once and
+`forest_scores` splits per list, as `score_lists` and `train()`'s dev
+selection do; training splits it into the lists' own plans
+(`build_list_plans`). `forward_list` also returns the arcs' activations, and
+`backward_list` backpropagates a weighted sum of some of a list's tree scores
+through them (a training step's hinge). The builders take `KBestList`s, whose
+constructors have checked every head row; nothing here checks heads again.
 
 A forest's matrix products are its lists' own, one per (height, list,
 POS-pair slot): a row of a product can come back with other last bits when
@@ -40,8 +40,8 @@ the np.* function would pass, so the bits are the same: ndarray methods
 `nonzero()[0]`) for `np.dot`, `np.argsort`, ..., `np.flatnonzero`; ufunc
 reductions (`np.add/maximum/minimum/logical_or.reduce`) for
 `sum/max/min/any`; `_full` for `np.full`; `concatenate`, slicing or integer
-arithmetic for `np.append`, `np.diff`, `np.tile` and `np.clip`; and
-`_unique_inverse` for `np.unique(return_inverse=True)`. `einsum` stays: its
+arithmetic for `np.append`, `np.diff`, `np.tile` and `np.clip`; and one
+`argsort` for `np.unique(return_inverse=True)`. `einsum` stays: its
 products are not those of a `dot`. The training step and the rerank path
 (`trainer`, `reranker`, `KBestList.attachment_counts`) keep the same rule;
 `tests/test_hot_paths.py` fails if one of these wrappers is entered.
@@ -156,10 +156,11 @@ class ListPlan:
     A subtree signature is (node, child signatures): equal signatures have
     equal phrase vectors, since pooling ignores child order. Signatures 0..n
     are the nodes as leaves; the others are numbered by height, so each height
-    is one contiguous range. An arc is (head node, child signature); arcs are
-    numbered by their child's height, then (in a forest) by sentence and then
-    by POS-pair slot, so each height, and each group of one sentence and slot
-    within it, is one contiguous range too.
+    is one contiguous range. Roots are no arc's child, so they have no
+    signature. An arc is (head node, child signature); arcs are numbered by
+    their child's height, then (in a forest) by sentence, then by POS-pair
+    slot, child signature and head node, so each height, and each group of
+    one sentence and slot within it, is one contiguous range too.
     """
 
     node_word: np.ndarray    # (n + 1,) word row per node
@@ -171,7 +172,9 @@ class ListPlan:
     # (g0, g1, slot) runs of one sentence and POS-pair slot; then the
     # signatures [s0, s1) of height h + 1 and their members, a (width, s1 -
     # s0) array: column j holds the arcs of signature s0 + j, padded with
-    # len(arc_child), and width is the most arcs any of them has
+    # len(arc_child), and width is the most arcs any of them has. The last
+    # level's arcs go into roots alone: it pools nothing, s0 == s1 and its
+    # members are a (1, 0) array
     levels: list[tuple[int, int, list[tuple[int, int, int]], int, int, np.ndarray]]
     tree_arcs: np.ndarray    # (n, num_trees) arc ids, one column per tree; a
     #                          forest's shorter sentences pad with num_arcs
@@ -219,22 +222,23 @@ def build_list_plans(params: ParamSet, lists: Iterable[KBestList]) -> list[ListP
     hash-consed into unique subtrees and arcs, one plan per list.
 
     Lookups follow `build_plan`: OOV words use `<unk>`, distances are
-    clipped, and unseen POS pairs get fresh parameters, created in the order
-    `build_plan` would meet them list by list and tree by tree. The lists of
-    a batch (`plan_batches`) are built as one forest and split into one plan
-    per list. Lists share no node, so each plan is the one its list gets
-    alone, numbering included."""
+    clipped, and POS pairs are read from one table (`PosPairStore.slots`);
+    unseen pairs get fresh parameters, created in the order `build_plan`
+    would meet them list by list and tree by tree. The lists of a batch
+    (`plan_batches`) are built as one forest and split into one plan per
+    list. Lists share no node, so each plan is the one its list gets alone,
+    numbering included."""
     return [plan for batch in plan_batches(lists) for plan in _build_batch(params, batch, True)]
 
 
 def build_forests(params: ParamSet, lists: Iterable[KBestList]) -> list[ListPlan]:
     """The scoring plans: the forest of each batch of k-best lists, built as
-    `build_list_plans` builds but not split, with unseen POS pairs mapped to
-    the fallback slot. A forest is one plan over all the trees of its batch,
-    in list order, its arcs numbered by height across the lists. `tree_arcs`
-    has a row per token of the batch's longest sentence; the rows past a
-    shorter sentence's length hold `num_arcs`, which scores 0. A forest of
-    one list is that list's plan."""
+    `build_list_plans` builds but not split, with unseen POS pairs read as
+    the fallback slot from the same table and none created. A forest is one
+    plan over all the trees of its batch, in list order, its arcs numbered by
+    height across the lists. `tree_arcs` has a row per token of the batch's
+    longest sentence; the rows past a shorter sentence's length hold
+    `num_arcs`, which scores 0. A forest of one list is that list's plan."""
     return [_build_batch(params, batch, False)[0] for batch in plan_batches(lists)]
 
 
@@ -245,23 +249,12 @@ def _full(shape, value: int) -> np.ndarray:
     return out
 
 
-def _unique_inverse(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique(keys, return_inverse=True) of a non-empty 1-D int64 array,
-    by the same sort."""
-    order = keys.argsort()
-    ordered = keys[order]
-    new = np.concatenate(([True], ordered[1:] != ordered[:-1]))
-    inverse = np.empty(len(keys), dtype=np.int64)
-    inverse[order] = new.cumsum() - 1
-    return ordered[new], inverse
-
-
 def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -> list[ListPlan]:
     """With create_pairs (training), the plans of a batch's lists, in order;
     otherwise the batch's forest alone."""
     # Node instance i is node u of tree t of sentence s, in that order, and
     # node[i] is its node in the forest (the nodes of earlier sentences, + u);
-    # `end` pads rows of `kids`. With one sentence, forest ids are its own.
+    # column i of `kids` holds i's children, padded with `end`.
     nodes, children, parents = [], [], []
     end = num_nodes = 0
     for kb in batch:
@@ -273,81 +266,84 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
         end, num_nodes = end + k * width, num_nodes + width
     node, child, parent = (a[0] if len(a) == 1 else np.concatenate(a)
                            for a in (nodes, children, parents))
-    parent_of = _full(end, end)  # a root's parent is `end`
+    parent_of = np.arange(end)  # a root is its own parent
     parent_of[child] = parent
     by_head = parent.argsort(kind="stable")  # build_plan's arc order, tree by tree
+    parent_sorted = parent[by_head]
     nkids = np.bincount(parent, minlength=end)
     first = nkids.cumsum() - nkids
-    kids = _full((end, np.maximum.reduce(nkids)), end)
-    kids[parent[by_head], np.arange(len(child)) - first[parent[by_head]]] = child[by_head]
+    kids = _full((np.maximum.reduce(nkids), end), end)
+    kids[np.arange(len(child)) - first[parent_sorted], parent_sorted] = child[by_head]
 
-    # Signatures, one height at a time: a node's row is its node and its
-    # children's signatures (-1 pads), and equal rows get one id. Heights h
-    # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id, in
-    # sentence order.
+    # Signatures, one height at a time: a node's column is its node and its
+    # children's signatures (-1 pads), and equal columns get one id. A hashed
+    # node leaves the loop; a root, no arc's child, counts itself as a child
+    # and is never ready. Heights h hold ids bounds[h]:bounds[h + 1]; reps[h - 1]
+    # has one node per id, in sentence order; the last height, of roots, none.
     sig = np.concatenate((node, [-1]))
-    bounds = [0, num_nodes]
-    reps = []
-    pending = nkids.copy()
+    bounds, reps = [0, num_nodes], []
+    pending = np.bincount(parent_of, minlength=end)
     ready = (nkids == 0).nonzero()[0]
     while True:
-        done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
-        pending -= done
-        ready = ((pending == 0) & (done > 0)).nonzero()[0]
+        pending[ready] = -1
+        pending -= np.bincount(parent_of[ready], minlength=end)
+        ready = (pending == 0).nonzero()[0]
         if not len(ready):
             break
-        rows = sig[kids[ready]]
-        rows[:, 0] += node[ready] * (end + num_nodes)
-        order = np.lexsort(rows.T[::-1])
-        rows = rows[order]
-        new = np.empty(len(order), dtype=bool)
-        new[0] = True
-        np.logical_or.reduce(rows[1:] != rows[:-1], axis=1, out=new[1:])
+        cols = sig[kids.take(ready, axis=1)]
+        cols[0] += node[ready] * (end + num_nodes)
+        order = np.lexsort(cols[::-1])
+        cols = cols[:, order]
+        new = np.concatenate(([True], np.logical_or.reduce(cols[:, 1:] != cols[:, :-1], axis=0)))
         ids = new.cumsum()
         sig[ready[order]] = ids + (bounds[-1] - 1)
         reps.append(ready[order[new]])
         bounds.append(bounds[-1] + int(ids[-1]))
-    sig_node = np.concatenate([np.arange(num_nodes)] + [node[r] for r in reps])
+    reps.append(ready)
+    bounds.append(bounds[-1])
 
-    # POS pairs by first occurrence in build_plan's arc order
+    # POS-pair slots from one table; create_pairs adds the pairs it lacks in build_plan's order
     tag_ids: dict[str, int] = {}
     tag_of = np.array([tag_ids.setdefault(t, len(tag_ids))
                        for kb in batch for t in (ROOT_POS, *kb.gold.pos_tags)])
     names, ntags = list(tag_ids), len(tag_ids)
-    codes = tag_of[node[parent[by_head]]] * ntags + tag_of[node[child[by_head]]]
-    seen = _full(ntags * ntags, len(codes))
-    np.minimum.at(seen, codes, np.arange(len(codes)))
-    present = (seen < len(codes)).nonzero()[0]
-    slot_of = np.zeros(ntags * ntags, dtype=np.int64)
-    for code in present[seen[present].argsort()].tolist():
-        slot_of[code] = params.pos_pairs.slot(names[code // ntags], names[code % ntags],
-                                              create=create_pairs)
+    head, child_node = node[parent], node[child]
+    code = tag_of[head] * ntags + tag_of[child_node]
+    slot_of = params.pos_pairs.slots(names).ravel()
+    if create_pairs:
+        codes = code[by_head]
+        for c in dict.fromkeys(codes[slot_of[codes] == 0].tolist()):
+            slot_of[c] = params.pos_pairs.slot(names[c // ntags], names[c % ntags], create=True)
 
-    # unique arcs, numbered by level, then by slot; a level holds sentence s's
-    # arcs whose child has height h, so no product mixes sentences: level
-    # h * num_sents + s in a forest, s * stride + h when split
-    arc_key, arc_of_child = _unique_inverse(sig[child] * num_nodes + node[parent])
-    arc_child, arc_head = np.divmod(arc_key, num_nodes)
-    child_node = sig_node[arc_child]
-    arc_slot = slot_of[tag_of[arc_head] * ntags + tag_of[child_node]]
-    level = np.array(bounds).searchsorted(arc_child, side="right") - 1
+    # unique arcs, sorted once by (level, slot, child signature, head node); a
+    # level holds sentence s's arcs whose child has height h, so no product
+    # mixes sentences: level h * num_sents + s in a forest, s * stride + h split
     num_sents, stride = len(batch), len(reps) + 1
     widths = np.array([len(kb.gold) + 1 for kb in batch])
     split = num_sents > 1 and create_pairs
+    sig_child = sig[child]
+    level = np.array(bounds[1:-2]).searchsorted(sig_child, side="right")
     if num_sents > 1:
         sent_of_node = np.arange(num_sents).repeat(widths)
-        sent = sent_of_node[arc_head]
-        level = sent * stride + level if split else level * num_sents + sent
-    order = np.lexsort((arc_slot, level))
-    num_arcs = len(order)
-    renumber = np.empty(num_arcs, dtype=np.int64)
-    renumber[order] = np.arange(num_arcs)
-    arc_child, arc_head, child_node, arc_slot, level = (
-        a[order] for a in (arc_child, arc_head, child_node, arc_slot, level))
+        level = (sent_of_node[head] * stride + level if split
+                 else level * num_sents + sent_of_node[head])
+    num_slots, num_sigs = len(params.pos_pairs), bounds[-1]
+    assert num_sents * stride * num_slots * num_sigs * num_nodes < 1 << 63  # keys fit int64
+    key = ((level * num_slots + slot_of[code]) * num_sigs + sig_child) * num_nodes + head
+    order = key.argsort()
+    key = key[order]
+    new = np.concatenate(([True], key[1:] != key[:-1]))
+    tree_arcs = np.empty(len(key), dtype=np.int64)
+    tree_arcs[order] = new.cumsum() - 1
+    group, arc_head = np.divmod(key[new], num_nodes)
+    group, arc_child = np.divmod(group, num_sigs)
+    level, arc_slot = np.divmod(group, num_slots)
+    child_node = child_node[order[new]]
+    num_arcs = len(arc_head)
     arc_of = _full(end + 1, num_arcs)
-    arc_of[child] = renumber[arc_of_child]
+    arc_of[child] = tree_arcs
 
-    cuts = ((arc_slot[1:] != arc_slot[:-1]) | (level[1:] != level[:-1])).nonzero()[0] + 1
+    cuts = (group[1:] != group[:-1]).nonzero()[0] + 1
     starts, stops = np.concatenate(([0], cuts)), np.concatenate((cuts, [num_arcs]))
     group_slots = arc_slot[starts].tolist()
     arc_bounds = level.searchsorted(np.arange(0, num_sents * stride, 1 if split else num_sents))
@@ -357,14 +353,13 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
     arc_dist = dist_rows[np.minimum(np.maximum(child_node - arc_head, -clip), clip) + clip]
     node_word = np.array([params.word_row(f)
                           for kb in batch for f in (ROOT_FORM, *kb.gold.forms)])
-    tree_arcs = arc_of[child]
 
     if not split:  # the forest: a sentence alone, or the whole batch
         groups = list(zip(starts.tolist(), stops.tolist(), group_slots))
         arc_at, group_at = arc_bounds.tolist(), group_bounds.tolist()
         levels = [(arc_at[h], arc_at[h + 1], groups[group_at[h]:group_at[h + 1]],
                    bounds[h + 1], bounds[h + 2],
-                   np.ascontiguousarray(arc_of[kids[r, :np.maximum.reduce(nkids[r])]].T))
+                   arc_of[kids[:np.maximum.reduce(nkids[r], initial=1)].take(r, axis=1)])
                   for h, r in enumerate(reps)]
         columns = _full((np.maximum.reduce(widths) - 1, sum(map(len, batch))), num_arcs)
         col = at = 0
@@ -377,28 +372,28 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
 
     # per sentence and height: the arcs of each new signature's children, one
     # column each, padded with the sentence's arc count and cut to its widest
-    # column; forest ids -> each sentence's own ids, which keep their order
+    # column, then no members; forest ids -> the sentences' own, in order
     arc_bounds = arc_bounds.reshape(-1, stride)
     arc0, arc1 = arc_bounds[:, 0], arc_bounds[:, -1]
     members = [[] for _ in batch]
-    counts = np.empty((len(reps), num_sents), dtype=np.int64)
-    for h, r in enumerate(reps):
+    counts = np.zeros((len(reps), num_sents), dtype=np.int64)
+    for h, r in enumerate(reps[:-1]):
         sent = sent_of_node[node[r]]
         counts[h] = np.bincount(sent, minlength=num_sents)
         present = counts[h].nonzero()[0]
         firsts = (counts[h].cumsum() - counts[h])[present]
         widest = np.maximum.reduceat(nkids[r], firsts)
-        rows = (np.minimum(arc_of[kids[r, :np.maximum.reduce(widest)]], arc1[sent, None])
-                - arc0[sent, None])
+        cols = (np.minimum(arc_of[kids[:np.maximum.reduce(widest)].take(r, axis=1)], arc1[sent])
+                - arc0[sent])
         for s, i, j, w in zip(present.tolist(), firsts.tolist(),
                               firsts[1:].tolist() + [len(r)], widest.tolist()):
-            members[s].append(np.ascontiguousarray(rows[i:j, :w].T))
+            members[s].append(np.ascontiguousarray(cols[:w, i:j]))
     sig_bounds = np.concatenate((np.zeros((1, num_sents), dtype=np.int64), widths[None],
                                  counts)).cumsum(axis=0)
     forest_start = np.array(bounds[1:-1])[:, None] + counts.cumsum(axis=1) - counts
     local_node = np.arange(num_nodes) - (widths.cumsum() - widths).repeat(widths)
     local_sig = np.concatenate([
-        local_node, np.arange(num_nodes, bounds[-1])
+        local_node, np.arange(num_nodes, num_sigs)
         + (sig_bounds[1:-1] - forest_start).ravel().repeat(counts.ravel())])
     arc_child, arc_head = local_sig[arc_child], local_node[arc_head]
     shift = arc0[level[starts] // stride]
@@ -414,7 +409,8 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
             arc0.tolist(), arc1.tolist()):
         k, n = kb.heads.shape
         levels = [(arc_at[h], arc_at[h + 1], groups[group_at[h]:group_at[h + 1]],
-                   sig_at[h + 1], sig_at[h + 2], rows_of[h]) for h in range(len(rows_of))]
+                   sig_at[h + 1], sig_at[h + 2], rows)
+                  for h, rows in enumerate(rows_of + [np.empty((1, 0), dtype=np.int64)])]
         plans.append(ListPlan(
             node_word[node_at:node_at + n + 1], arc_child[a0:a1], arc_head[a0:a1],
             arc_dist[a0:a1], arc_slot[a0:a1], levels,

@@ -46,7 +46,7 @@ class _SentenceItem:
         lists = [KBestList._unchecked(kb.gold, np.vstack([kb.gold.heads, kb.heads]),
                                       np.zeros(len(kb) + 1)) for kb in kbests]
         plans = build_list_plans(params, lists)
-        return [cls(kb.heads, plan, kappa * (kb.heads[1:] != kb.heads[0]).sum(axis=1))
+        return [cls(kb.heads, plan, kappa * np.add.reduce(kb.heads[1:] != kb.heads[0], axis=1))
                 for kb, plan in zip(lists, plans)]
 
 

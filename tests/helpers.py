@@ -296,7 +296,9 @@ def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> Li
     field by field.
 
     The list's trees are its (k, n) head matrix, one row of 1-based heads
-    (0 = root) per tree over the gold tree's n forms and POS tags. Lookups
+    (0 = root) per tree over the gold tree's n forms and POS tags. A root is
+    no arc's child, so it gets no signature, and the last level, whose arcs
+    go into roots alone, pools nothing: its members are a (1, 0) array. Lookups
     follow `build_plan`: OOV words use `<unk>`, distances are clipped, and
     unseen POS pairs map to the fallback slot or, with create_pairs, get
     fresh parameters, created in the order `build_plan` would meet them tree
@@ -320,8 +322,9 @@ def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> Li
     kids[parent[by_head], np.arange(k * n) - first[parent[by_head]]] = child[by_head]
 
     # Signatures, one height at a time: a node's row is its head node and its
-    # children's signatures (-1 pads), and equal rows get one id. Heights h
-    # hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one node per id.
+    # children's signatures (-1 pads), and equal rows get one id; roots get
+    # none. Heights h hold ids bounds[h]:bounds[h + 1]; reps[h - 1] has one
+    # node per id, and the last height, of roots alone, none.
     sig = np.append(node, -1)
     bounds = [0, width]
     reps = []
@@ -330,8 +333,10 @@ def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> Li
     while True:
         done = np.bincount(parent_of[ready], minlength=end + 1)[:end]
         pending -= done
-        ready = np.flatnonzero((pending == 0) & (done > 0))
+        ready = np.flatnonzero((pending == 0) & (done > 0) & (parent_of < end))
         if not len(ready):
+            reps.append(ready)
+            bounds.append(bounds[-1])
             break
         rows = sig[kids[ready]]
         rows[:, 0] += node[ready] * (end + width)
@@ -380,7 +385,7 @@ def reference_list_plan(params, kb: KBestList, create_pairs: bool = False) -> Li
         levels.append((int(arc_bounds[h]), int(arc_bounds[h + 1]),
                        groups[group_bounds[h]:group_bounds[h + 1]],
                        bounds[h + 1], bounds[h + 2],
-                       np.ascontiguousarray(arc_of[kids[r, :nkids[r].max()]].T)))
+                       np.ascontiguousarray(arc_of[kids[r, :nkids[r].max(initial=1)]].T)))
 
     clip = params.hyper.dist_clip
     dist_rows = np.array([params.distances.rows[d] for d in range(-clip, clip + 1)])

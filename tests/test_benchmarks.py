@@ -16,6 +16,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
                           "--m-d", "3", "--repeats", "1"]),
     ("bench_reader.py", ["--sentences", "3", "--repeats", "1"]),
     ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64"]),
+    # this checkout against itself: a subprocess on the same inputs, every line equal
+    ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64", "--against", ROOT]),
 ])
 def test_benchmark_script_runs(tmp_path, script, args):
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))

@@ -7,6 +7,7 @@ import numpy as np
 
 from deprerank import synth
 from deprerank.params import Hyperparams, init_random
+from deprerank.rcnn import build_forests, plan_batches
 from deprerank.reranker import RerankConfig, candidate_model_scores, rerank_corpus
 from deprerank.trainer import AdaGradState, _SentenceItem, _subgradient, adagrad_step
 
@@ -82,3 +83,21 @@ def test_a_training_step_enters_no_numpy_wrapper():
 
     assert wrappers_entered(step) == []
     assert any(hinge > 0.0 for hinge in hinges)
+
+
+def test_a_second_build_of_training_items_enters_no_numpy_wrapper():
+    # the first build creates the pairs (parameter init is no hot path); the
+    # second finds them all stored, as a build for a model that has its pairs
+    params, lists = _model_and_lists()
+    count = params.pos_pairs.count
+    _SentenceItem.build_all(params, lists, kappa=2.0)
+    assert params.pos_pairs.count > count
+    count = params.pos_pairs.count
+    assert wrappers_entered(lambda: _SentenceItem.build_all(params, lists, kappa=2.0)) == []
+    assert params.pos_pairs.count == count
+
+
+def test_a_forest_build_enters_no_numpy_wrapper():
+    params, lists = _model_and_lists()
+    assert len(plan_batches(lists)) == 1 and len(lists) > 1
+    assert wrappers_entered(lambda: build_forests(params, lists)) == []

@@ -296,3 +296,30 @@ def test_load_of_a_huge_distance_table_fails_as_truncated():
     header["hyper"]["dist_clip"] = 10 ** 12
     with pytest.raises(ModelIOError, match="truncated"):
         load(io.BytesIO(model_bytes(header, payload)))
+
+
+def test_the_pair_table_agrees_with_the_index(tmp_path):
+    # `slots` reads a table made from `index`: it must follow every pair
+    # created, a copy, and a saved and loaded model; a tag no pair has ("XX")
+    # reads the fallback slot
+    p = tiny_params(seed=2)
+    tags = ["ROOT", "NN", "DT", "VB", "XX"]
+
+    def assert_agrees(store):
+        want = [[store.index.get((head, child), 0) for child in tags] for head in tags]
+        got = store.slots(tags)
+        assert got.dtype == np.int64 and got.tolist() == want
+
+    assert_agrees(p.pos_pairs)  # no pair yet
+    for head, child in (("NN", "DT"), ("ROOT", "VB"), ("VB", "NN"), ("NN", "NN")):
+        p.pos_pairs.slot(head, child, create=True)
+        assert_agrees(p.pos_pairs)
+    copy = p.copy().pos_pairs
+    assert_agrees(copy)
+    copy._create("DT", "VB")
+    assert_agrees(copy)
+    assert p.pos_pairs.slots(tags)[2, 3] == 0  # the original did not change
+    save(p, tmp_path / "model.bin")
+    loaded = load(tmp_path / "model.bin").pos_pairs
+    assert loaded.index == p.pos_pairs.index
+    assert_agrees(loaded)

@@ -7,7 +7,7 @@ import pytest
 
 from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
-from deprerank.params import ROOT_FORM
+from deprerank.params import ROOT_FORM, ROOT_POS, PosPairStore
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
     forest_scores, forward_list, plan_batches, score_lists, score_plan, score_tree,
@@ -509,10 +509,13 @@ def _assert_members_layout(plan):
     """Each level's members: a C-contiguous (width, signatures) int64 array,
     every column its signature's arcs, all with one head and one of them from
     the height below, then padding with num_arcs; width is the most arcs any
-    signature has."""
-    for a0, a1, _, s0, s1, members in plan.levels:
+    signature has. The last level's arcs go into roots alone, which have no
+    signature: it pools nothing, and its members are a (1, 0) array."""
+    *pooling, (_, _, _, s0, s1, members) = plan.levels
+    assert s0 == s1 == plan.num_signatures and members.shape == (1, 0)
+    for a0, a1, _, s0, s1, members in pooling:
         assert members.dtype == np.int64 and members.flags.c_contiguous
-        assert members.ndim == 2 and members.shape[1] == s1 - s0
+        assert members.ndim == 2 and members.shape[1] == s1 - s0 > 0
         real = members < plan.num_arcs
         assert np.all(members[~real] == plan.num_arcs)
         assert np.all(real[:-1] >= real[1:])  # padding only after a column's arcs
@@ -580,6 +583,135 @@ def test_a_forest_of_one_sentence_is_its_list_plan():
         assert_same_plan(forest, reference_list_plan(p, kb))
         [plan] = build_list_plans(p, [kb])
         assert_same_plan(build_forests(p, [kb])[0], plan)
+
+
+def _subtree_counts(kb):
+    """(signatures above the leaves, arcs) of a list's plan, counted one tree
+    at a time: a subtree is its node and its children's subtrees in sentence
+    order, an arc is (head node, child subtree), and only a subtree that is
+    some arc's child, so not a root's, is a signature."""
+    subtrees, arcs = set(), set()
+    for heads in kb.heads.tolist():
+        kids = [[] for _ in range(len(heads) + 1)]
+        for child, head in enumerate(heads, start=1):
+            kids[head].append(child)
+
+        def subtree(node):
+            below = tuple(subtree(child) for child in kids[node])
+            arcs.update((node, s) for s in below)
+            if below and node:
+                subtrees.add((node, below))
+            return node, below
+
+        subtree(0)
+    return len(subtrees), len(arcs)
+
+
+def test_every_signature_above_the_leaves_is_an_arc_child_and_roots_have_none(monkeypatch):
+    # one-list forests, forests of several lists and training plans, over
+    # single-root and multi-root lists and a one-token sentence
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 200)
+    rng = np.random.default_rng(71)
+    p = tiny_params(m=3, m_d=3, seed=2, dist_clip=2)
+    lists = _random_lists(rng, 20)
+    lists.insert(5, heads_list(make_tree([0]), [[0], [0]]))
+    assert any((kb.heads == 0).sum(axis=1).max() > 1 for kb in lists)  # multi-root rows
+    batches = plan_batches(lists)
+    assert max(map(len, batches)) > 1
+    for plans, groups in (([one_list_plan(p, kb) for kb in lists], [[kb] for kb in lists]),
+                          (build_forests(p, lists), batches),
+                          (build_list_plans(p, lists), [[kb] for kb in lists])):
+        assert len(plans) == len(groups)
+        for plan, group in zip(plans, groups):
+            leaves = len(plan.node_word)
+            above = plan.arc_child[plan.arc_child >= leaves]
+            assert np.array_equal(np.unique(above), np.arange(leaves, plan.num_signatures))
+            counts = [_subtree_counts(kb) for kb in group]
+            assert plan.num_signatures - leaves == sum(c[0] for c in counts)
+            assert plan.num_arcs == sum(c[1] for c in counts)
+
+
+@pytest.mark.parametrize("create_pairs", [False, True])
+def test_a_chain_and_a_star_score_as_the_references(create_pairs):
+    # a 40-token chain has 40 levels of one arc per tree; the stars hang every
+    # token from the root (one level) or from token 1 (two levels); the last
+    # level of each plan pools nothing
+    n = 40
+    p = tiny_params(m=4, m_d=3, seed=5, dist_clip=2,
+                    vocab=tuple(f"w{i}" for i in range(1, n + 1)))
+    chain = make_tree(list(range(n)))
+    stars = [[0] * n, [0] + [1] * (n - 1)]
+    rng = np.random.default_rng(74)
+    for heads, num_levels in (([chain.heads], n), ([stars[0]], 1), ([stars[1]], 2),
+                              ([chain.heads, *stars, chain.heads], n)):
+        kb = heads_list(chain, heads)
+        plan = one_list_plan(p, kb, create_pairs)
+        assert len(plan.levels) == num_levels
+        scores, acts = forward_list(p, plan)
+        want_scores, want = reference_forward_list(p, plan)
+        for got, expected in ((scores, want_scores), (acts.p, want.p), (acts.z, want.z)):
+            assert_same_bytes(got, expected)
+        for row, score in zip(heads, scores):
+            expected = score_tree(p, chain.with_heads(row, allow_multiple_roots=True)).total_score
+            assert abs(score - expected) <= 1e-12 * max(1.0, abs(expected))
+        chosen = rng.integers(len(heads), size=2)
+        upstream = rng.uniform(-2.0, 2.0, 2)
+        assert_same_bytes(backward_list(p, plan, acts, kb.heads, chosen, upstream),
+                          reference_backward_list(p, plan, acts, kb.heads, chosen, upstream))
+
+
+def test_build_forests_reads_pairs_from_one_table_and_creates_none(monkeypatch):
+    # some pairs are stored and others not; _random_lists' tag "XX" is in no
+    # stored pair, and every pair that is not stored reads slot 0
+    rng = np.random.default_rng(72)
+    p = tiny_params(m=3, m_d=3, seed=3, dist_clip=2)
+    build_plan(p, random_tree(rng, 6), create_pairs=True)
+    index = dict(p.pos_pairs.index)
+    assert not any("XX" in pair for pair in index)
+    lists = _random_lists(rng, 12)
+    calls = []
+    for name in ("slot", "_create"):
+        method = getattr(PosPairStore, name)
+        monkeypatch.setattr(PosPairStore, name, lambda self, *a, _name=name, _method=method,
+                            **kw: calls.append(_name) or _method(self, *a, **kw))
+    forests = build_forests(p, lists)
+    assert calls == [] and p.pos_pairs.index == index
+    unseen = set()
+    for forest, batch in zip(forests, plan_batches(lists)):
+        tags = [t for kb in batch for t in (ROOT_POS, *kb.gold.pos_tags)]
+        want, at = set(), 0
+        for kb in batch:
+            for row in kb.heads.tolist():
+                for child, head in enumerate(row, start=1):
+                    pair = (tags[at + head], tags[at + child])
+                    want.add((pair[0], index.get(pair, 0)))
+                    unseen.update([pair] if pair not in index else [])
+            at += len(kb.gold) + 1
+        got = {(tags[head], slot) for head, slot in zip(forest.arc_head.tolist(),
+                                                         forest.arc_slot.tolist())}
+        assert got == want
+    assert any("XX" in pair for pair in unseen) and any("XX" not in pair for pair in unseen)
+
+
+def test_a_batch_creates_its_second_lists_pairs_after_the_first_lists():
+    # the batched twin of test_list_plan_creates_pairs_in_build_plan_order:
+    # the second list's tags bring pairs the first list has not
+    rng = np.random.default_rng(73)
+    golds = [random_tree(rng, 8, tags=TAGS[:2]), random_tree(rng, 8, tags=TAGS[2:])]
+    lists = [heads_list(gold, [gold.heads] + [random_heads(rng, 8) for _ in range(4)])
+             for gold in golds]
+    assert len(plan_batches(lists)) == 1
+    one_by_one, batched = tiny_params(seed=1), tiny_params(seed=1)
+    for kb in lists:
+        for row in kb.heads.tolist():
+            build_plan(one_by_one, kb.gold.with_heads(row), create_pairs=True)
+    build_list_plans(batched, lists)
+    pairs = list(one_by_one.pos_pairs.index)
+    second = [any(t in TAGS[2:] for t in pair) for pair in pairs]
+    assert any(second) and second == sorted(second)  # the second list's, last
+    assert list(batched.pos_pairs.index.items()) == list(one_by_one.pos_pairs.index.items())
+    assert batched.pos_pairs.W.tobytes() == one_by_one.pos_pairs.W.tobytes()
+    assert batched.pos_pairs.v.tobytes() == one_by_one.pos_pairs.v.tobytes()
 
 
 def _assert_forest_scores_match(p, lists):
