@@ -175,7 +175,7 @@ def _alpha_sweep(grid: np.ndarray, columns) -> tuple[np.ndarray, int]:
 
 def _best_alpha(grid: np.ndarray, correct: np.ndarray, scored: int) -> tuple[float, EvalResult]:
     """The alpha with the highest corpus UAS (ties -> smallest alpha)."""
-    best = int(np.argmax(correct / scored)) if scored else 0
+    best = int((correct / scored).argmax()) if scored else 0
     return float(grid[best]), EvalResult(int(correct[best]), scored)
 
 
@@ -245,8 +245,8 @@ def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
         cut = [(kb, model[:k], base[:k], correct[:k], scored)
                for kb, model, base, correct, scored in full]
         by_alpha, scored = _alpha_sweep(grid, cut)
-        best = EvalResult(sum(int(c.max()) for *_, c, _ in cut), scored)
-        worst = EvalResult(sum(int(c.min()) for *_, c, _ in cut), scored)
+        best = EvalResult(sum(int(np.maximum.reduce(c)) for *_, c, _ in cut), scored)
+        worst = EvalResult(sum(int(np.minimum.reduce(c)) for *_, c, _ in cut), scored)
         alpha, reranked = _best_alpha(grid, by_alpha, scored)
         rows.append(CurveRow(k, best.uas, worst.uas,
                              EvalResult(int(by_alpha[-1]), scored).uas, reranked.uas, alpha,

@@ -12,9 +12,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 @pytest.mark.parametrize("script, args", [
-    ("bench_kernels.py", ["--sentences", "3", "--length", "6", "--k", "4", "--m", "3",
-                          "--m-d", "3", "--repeats", "1"]),
-    ("bench_reader.py", ["--sentences", "3", "--repeats", "1"]),
+    ("layer_rows.py", ["--workload", "train-k64", "--repeats", "1"]),
     ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64"]),
     # this checkout against itself: a subprocess on the same inputs, every line equal
     ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64", "--against", ROOT]),

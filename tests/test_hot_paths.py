@@ -4,11 +4,14 @@ Python functions in front of them (the rule in the `rcnn` module docstring)."""
 import sys
 
 import numpy as np
+import pytest
 
 from deprerank import synth
 from deprerank.params import Hyperparams, init_random
 from deprerank.rcnn import build_forests, plan_batches
-from deprerank.reranker import RerankConfig, candidate_model_scores, rerank_corpus
+from deprerank.reranker import (
+    RerankConfig, candidate_model_scores, rerank_corpus, search_alpha, uas_curve,
+)
 from deprerank.trainer import AdaGradState, _SentenceItem, _subgradient, adagrad_step
 
 # (module, function) of each numpy Python wrapper the hot paths avoid
@@ -66,6 +69,18 @@ def test_scoring_enters_no_numpy_wrapper():
     assert wrappers_entered(lambda: candidate_model_scores(params, lists[0])) == []
     assert wrappers_entered(lambda: rerank_corpus(
         params, lists, RerankConfig(alpha=0.5, include_oracle=True), {"DT"})) == []
+
+
+@pytest.mark.parametrize("normalize", [False, True])
+def test_the_alpha_search_enters_no_numpy_wrapper(normalize):
+    params, lists = _model_and_lists()
+    assert wrappers_entered(lambda: search_alpha(params, lists, 0.05, {"DT"},
+                                                 normalize=normalize)) == []
+
+
+def test_the_curve_enters_no_numpy_wrapper():
+    params, lists = _model_and_lists()
+    assert wrappers_entered(lambda: uas_curve(params, lists, [1, 2, 8], 0.05, {"DT"})) == []
 
 
 def test_a_training_step_enters_no_numpy_wrapper():
