@@ -13,6 +13,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 @pytest.mark.parametrize("script, args", [
     ("layer_rows.py", ["--workload", "train-k64", "--repeats", "1"]),
+    # the rerank role alone, on 5-60-token lists with wrong heads at k = 8
+    ("layer_rows.py", ["--workload", "rerank-k8-long", "--repeats", "1"]),
     ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64"]),
     # this checkout against itself: a subprocess on the same inputs, every line equal
     ("digest_outputs.py", ["--seed", "7", "--workload", "train-k64", "--against", ROOT]),
