@@ -29,8 +29,10 @@ files' lines given as lists. Dev selection is `train()`'s per epoch
 (`forest_scores` of the dev forests, `rerank_corpus` at alpha 1); the pick is
 `rerank --search-alpha`'s, model scores given. The model is the one that
 `deprerank train` makes with the workload's flags before its first epoch.
-Rows run in the order above, reversed on odd repeats; each call is rescaled
-to a reference speed by `speed.Laps`, and each row prints its list count and
+Rows run in the order above, reversed on odd repeats. A repeat is one lap of
+`speed.Laps`, rescaled to a reference speed, that calls its row again until
+MIN_LAP_S have passed, so that a short call is not timed alone. Each row
+prints its list count, its calls per lap, and its median time per call and
 its median and IQR per list, in calibrated microseconds. Run from a checkout:
 
     PYTHONPATH=src python3 benchmarks/layer_rows.py --workload train-k64 rerank-k64
@@ -57,6 +59,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
 
 import speed  # noqa: E402
 import workloads as W  # noqa: E402
+
+MIN_LAP_S = 0.02  # raw seconds: shorter laps spread by up to 23% between processes
 
 
 def check_batches(kbests):
@@ -97,7 +101,7 @@ def rows(wl, inputs, directory):
     kappa, punct = params.hyper.kappa, PUNCT_SETS[W.PUNCT_SET]
     items = _SentenceItem.build_all(params, train, kappa)  # every pair exists from here on
     picks = [_pick(params, item) for item in items]
-    steps = [(it.plan, acts, it.heads, (idx + 1, 0)) for it, (idx, _, acts) in zip(items, picks)]
+    steps = [(it.plan, acts, (idx + 1, 0)) for it, (idx, _, acts) in zip(items, picks)]
     grads = [backward_list(params, *step, (1.0, -1.0)) for step in steps]
     updated = params.copy()
     state = AdaGradState.from_params(updated)
@@ -139,21 +143,29 @@ def rows(wl, inputs, directory):
 
 
 def print_rows(lists, rows, repeats):
-    """Time the rows, and print each one's list count, and its median and
-    interquartile range per list in calibrated microseconds."""
+    """Time the rows, and print each one's list count, calls per lap, median
+    per call, and median and interquartile range per list in calibrated
+    microseconds."""
     names = list(rows)
-    seconds = {name: [] for name in names}
+    seconds, calls = {name: [] for name in names}, {name: [] for name in names}
     laps = speed.Laps(sampling=True)
     for r in range(repeats):
         for name in names if r % 2 == 0 else names[::-1]:
+            call, count = rows[name][1], 0
             with laps.sampled():
-                rows[name][1]()
-            seconds[name].append(laps.lap()[1])
-    print(f"  {'':<36}{'lists':>12}{'median':>10}{'IQR':>9}  (calibrated us/list, "
-          f"{repeats} repeats)")
+                start = speed.clock()
+                while not count or speed.clock() - start < MIN_LAP_S:
+                    call()
+                    count += 1
+            seconds[name].append(laps.lap()[1] / count)
+            calls[name].append(count)
+    print(f"  {'':<36}{'lists':>12}{'calls':>7}{'per call':>10}{'median':>10}{'IQR':>9}  "
+          f"(calibrated us per call and per list, {repeats} repeats)")
     for name, (role, _) in rows.items():
-        q1, median, q3 = np.percentile(seconds[name], [25, 50, 75]) * 1e6 / lists[role]
-        print(f"  {name:<36}{role:>7}{lists[role]:>5}{median:>10.1f}{q3 - q1:>9.1f}")
+        q1, median, q3 = np.percentile(seconds[name], [25, 50, 75]) * 1e6
+        n = lists[role]
+        print(f"  {name:<36}{role:>7}{n:>5}{int(np.median(calls[name])):>7}{median:>10.0f}"
+              f"{median / n:>10.1f}{(q3 - q1) / n:>9.1f}")
 
 
 def main():

@@ -11,6 +11,8 @@ import os
 import sys
 import time
 
+import numpy as np
+
 from . import params as P, reranker, trainer, treebank
 from .errors import ConfigError, DataError
 
@@ -208,9 +210,7 @@ def cmd_curve(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     start = time.perf_counter()
-    suite = trainer.run_grad_check_suite(
-        seed=args.seed, instances=args.instances, max_len=args.max_len,
-        m=args.m, m_d=args.m_d, k=args.k, epsilon=args.epsilon)
+    suite = trainer.run_grad_check_suite(seed=args.seed, instances=args.instances)
     elapsed = time.perf_counter() - start
     print(f"seed={suite.seed} instances={suite.instances} active={suite.active} "
           f"checked={suite.checked} skipped={suite.skipped} "
@@ -232,22 +232,17 @@ def _ks_list(text: str) -> list[int]:
     return ks
 
 
-def _unit_interval(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha must lie in [0, 1], got {text}")
-    return value
-
-
-def _alpha_step(text: str) -> float:
-    value = float(text)
-    if not 0.0 < value <= 1.0:
-        raise argparse.ArgumentTypeError(f"alpha step must lie in (0, 1], got {text}")
-    if value < reranker.MIN_ALPHA_STEP:
-        raise argparse.ArgumentTypeError(
-            f"alpha step must be >= {reranker.MIN_ALPHA_STEP:g} (at most 10,001 alphas), "
-            f"got {text}")
-    return value
+def _checked_by(check):
+    """argparse type: a float that `check` accepts; the ValueError of the
+    conversion or of `check` becomes the usage error."""
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+            check(value)
+        except ValueError as err:
+            raise argparse.ArgumentTypeError(str(err)) from None
+        return value
+    return parse
 
 
 def _number(convert, low, allow_low: bool = True):
@@ -319,10 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--gold", required=True)
     r.add_argument("--kbest", required=True)
     which = r.add_mutually_exclusive_group(required=True)
-    which.add_argument("--alpha", type=_unit_interval)
+    which.add_argument("--alpha", type=_checked_by(reranker.RerankConfig))
     which.add_argument("--search-alpha", action="store_true",
                        help="grid-search the mixture weight on this input")
-    r.add_argument("--alpha-step", type=_alpha_step, default=0.005)
+    r.add_argument("--alpha-step", type=_checked_by(reranker.alpha_grid), default=0.005)
     r.add_argument("--with-oracle", action="store_true",
                    help="add the gold tree to every candidate list")
     r.add_argument("--normalize", action="store_true",
@@ -359,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--kbest", required=True)
     c.add_argument("--ks", type=_ks_list, required=True,
                    help="comma-separated list, e.g. 1,2,4,8,16,32,64")
-    c.add_argument("--alpha-step", type=_alpha_step, default=0.005)
+    c.add_argument("--alpha-step", type=_checked_by(reranker.alpha_grid), default=0.005)
     c.add_argument("--output", help="write the TSV here instead of stdout")
     _add_common(c, model=True)
     c.set_defaults(func=cmd_curve)
@@ -367,11 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = subs.add_parser("gradcheck", help="finite-difference check of the subgradients")
     g.add_argument("--seed", type=_NON_NEGATIVE_INT, default=2024)
     g.add_argument("--instances", type=_POSITIVE_INT, default=50)
-    g.add_argument("--max-len", dest="max_len", type=_number(int, 2), default=6)
-    g.add_argument("--m", type=_POSITIVE_INT, default=3)
-    g.add_argument("--m-d", dest="m_d", type=_POSITIVE_INT, default=3)
-    g.add_argument("--k", type=_POSITIVE_INT, default=3)
-    g.add_argument("--epsilon", type=_POSITIVE, default=1e-5)
     g.add_argument("--tolerance", type=_POSITIVE, default=1e-4)
     g.set_defaults(func=cmd_gradcheck)
 
@@ -382,7 +372,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with np.errstate(all="ignore"):  # no numpy warning: non-finite scores raise ScoreError
+            return args.func(args)
     except (DataError, OSError) as err:
         print(f"deprerank: error: {err}", file=sys.stderr)
         return EXIT_DATA

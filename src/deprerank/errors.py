@@ -37,3 +37,7 @@ class ConfigError(DataError):
 
 class ModelIOError(DataError):
     """A model file is truncated, corrupt, or has the wrong version."""
+
+
+class ScoreError(DataError, ValueError):
+    """A model score is not finite: the model's numbers overflow."""

@@ -543,17 +543,21 @@ def backward_tree(params: ParamSet, trace: TreeForwardTrace, upstream: float = 1
                      Rows(plan.pair_slots, d_W), Rows(plan.pair_slots, d_v))
 
 
-def _tree_rows(plan: ListPlan, heads, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _tree_rows(plan: ListPlan, trees) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row i * n + u is token u + 1 of tree trees[i]: its arc, its head node
-    and its sibling group (tree and head)."""
+    (the arc's) and its sibling group (tree and head). A forest of several
+    lists has no such rows: a shorter sentence's rows are padding."""
+    if len(plan.list_trees) > 1:
+        raise ValueError("need the plan of one list, not a forest of several")
     n = plan.tree_arcs.shape[0]
     trees = np.asarray(trees, dtype=np.int64)
     if (trees.ndim != 1 or np.minimum.reduce(trees, initial=0) < 0
             or np.maximum.reduce(trees, initial=0) >= plan.num_trees):
         raise ValueError(f"tree indices must lie in [0, {plan.num_trees})")
-    head = np.asarray(heads, dtype=np.int64)[trees].ravel()
+    arcs = plan.tree_arcs[:, trees].T.ravel()
+    head = plan.arc_head[arcs]
     group = (np.arange(len(trees)) * (n + 1)).repeat(n) + head
-    return plan.tree_arcs[:, trees].T.ravel(), head, group
+    return arcs, head, group
 
 
 def _run_starts(keys: np.ndarray) -> np.ndarray:
@@ -576,13 +580,12 @@ def _first_max(z: np.ndarray, group: np.ndarray) -> np.ndarray:
     return win
 
 
-def pool_winners(plan: ListPlan, acts: ListActivations, heads, trees) -> np.ndarray:
+def pool_winners(plan: ListPlan, acts: ListActivations, trees) -> np.ndarray:
     """(len(trees) * n, m) mask: row i * n + u is True in column j when token
     u + 1 of tree trees[i] wins column j of its head's max pooling, the first
     child in sentence order that holds the maximum (as in the per-tree
-    kernels). `heads` is the (num_trees, n) head matrix the plan was built from.
-    """
-    arcs, _, group = _tree_rows(plan, heads, trees)
+    kernels). `plan` is one list's, not a forest of several."""
+    arcs, _, group = _tree_rows(plan, trees)
     return _first_max(acts.z[arcs], group)
 
 
@@ -594,12 +597,12 @@ def _sum_by(keys: np.ndarray, values: np.ndarray) -> Rows:
     return Rows(keys[starts], np.add.reduceat(values[order], starts, axis=0))
 
 
-def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads,
+def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations,
                   trees, upstream) -> Gradients:
     """Gradient of sum_i upstream[i] * score(trees[i]) from a list's activations.
 
-    `acts` must come from `forward_list` on the current parameters and `heads`
-    is the (num_trees, n) head matrix the plan was built from. Rows are the
+    `plan` is one list's, not a forest of several, and `acts` must come from
+    `forward_list` on the current parameters. Rows are the
     (tree, token) pairs of the chosen trees, each reading its arc's p and z;
     they are walked top-down by the height of the arc's child, so a row's
     pooled gradient is a gather of its head row's input gradient, and it goes
@@ -612,7 +615,7 @@ def backward_list(params: ParamSet, plan: ListPlan, acts: ListActivations, heads
     upstream = np.asarray(upstream, dtype=float)
     if upstream.shape != (len(trees),):
         raise ValueError("need one upstream value per tree")
-    arcs, head, group = _tree_rows(plan, heads, trees)
+    arcs, head, group = _tree_rows(plan, trees)
     z = acts.z[arcs]
     win = _first_max(z, group)
 

@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AlignmentError
+from .errors import AlignmentError, ScoreError
 from .params import ParamSet
 from .rcnn import score_lists
 from .treebank import DependencyTree, EvalResult, KBestList
@@ -21,20 +21,12 @@ from .treebank import uas  # noqa: F401
 MIN_ALPHA_STEP = 1e-4
 
 
-def _check_alpha_step(alpha_step: float) -> None:
-    if not 0.0 < alpha_step <= 1.0:
-        raise ValueError(f"alpha_step must lie in (0, 1], got {alpha_step}")
-    if alpha_step < MIN_ALPHA_STEP:
-        raise ValueError(f"alpha_step must be >= {MIN_ALPHA_STEP:g} "
-                         f"(at most 10,001 alphas), got {alpha_step}")
-
-
 @dataclass
 class RerankConfig:
     """How candidates are mixed and selected."""
 
     alpha: float
-    # checked, never read: only perfbench/worker.py still passes it, and
+    # never read, not checked: only perfbench/worker.py still passes it, and
     # ROADMAP item 2 deletes it
     alpha_step: float = 0.005
     include_oracle: bool = False
@@ -42,8 +34,7 @@ class RerankConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.alpha <= 1.0:
-            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        _check_alpha_step(self.alpha_step)
+            raise ValueError(f"alpha must lie in [0, 1], got {self.alpha:g}")
 
 
 def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
@@ -92,7 +83,7 @@ def _columns(kbests: Sequence[KBestList], model_scores: Sequence[Sequence[float]
             raise ValueError(f"list {i}: expected {len(cands)} model scores, got {model.shape}")
         bad = model[~np.isfinite(model)]
         if bad.size:
-            raise ValueError(f"list {i}: model score {bad[0]} is not finite")
+            raise ScoreError(f"list {i}: model score {bad[0]} is not finite")
         base = cands.scores
         if normalize:
             model, base = _znorm(model), _znorm(base)
@@ -157,7 +148,11 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
 
 def alpha_grid(alpha_step: float) -> np.ndarray:
     """The grid {0, step, 2 step, ..., 1}; step 0.005 gives 201 points."""
-    _check_alpha_step(alpha_step)
+    if not 0.0 < alpha_step <= 1.0:
+        raise ValueError(f"alpha step must lie in (0, 1], got {alpha_step:g}")
+    if alpha_step < MIN_ALPHA_STEP:
+        raise ValueError(f"alpha step must be >= {MIN_ALPHA_STEP:g} "
+                         f"(at most 10,001 alphas), got {alpha_step:g}")
     steps = int(round(1.0 / alpha_step))
     return np.linspace(0.0, 1.0, steps + 1)
 
@@ -236,12 +231,12 @@ def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
     truncation reuses their prefixes. The model-only pick is the sweep's
     alpha = 1 point.
     """
+    if min(ks, default=1) < 1:
+        raise ValueError(f"k must be >= 1, got {min(ks)}")
     grid = alpha_grid(alpha_step)
     full = list(_columns(kbests, corpus_model_scores(params, kbests), punct_tags=punct_tags))
     rows = []
     for k in ks:
-        if k < 1:
-            raise ValueError(f"k must be >= 1, got {k}")
         cut = [(kb, model[:k], base[:k], correct[:k], scored)
                for kb, model, base, correct, scored in full]
         by_alpha, scored = _alpha_sweep(grid, cut)

@@ -28,11 +28,10 @@ from .treebank import PUNCT_SETS, KBestList
 
 @dataclass
 class _SentenceItem:
-    """Per-sentence training state: one list plan over its head matrix (gold
-    in row 0, then the candidates) and the margin terms, kappa times each
+    """Per-sentence training state: one list plan over its trees (gold as
+    tree 0, then the candidates) and the margin terms, kappa times each
     candidate's number of wrong heads (punctuation included)."""
 
-    heads: np.ndarray
     plan: ListPlan
     deltas: np.ndarray
 
@@ -46,7 +45,7 @@ class _SentenceItem:
         lists = [KBestList._unchecked(kb.gold, np.vstack([kb.gold.heads, kb.heads]),
                                       np.zeros(len(kb) + 1)) for kb in kbests]
         plans = build_list_plans(params, lists)
-        return [cls(kb.heads, plan, kappa * np.add.reduce(kb.heads[1:] != kb.heads[0], axis=1))
+        return [cls(plan, kappa * np.add.reduce(kb.heads[1:] != kb.heads[0], axis=1))
                 for kb, plan in zip(lists, plans)]
 
 
@@ -65,7 +64,7 @@ def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, floa
     if hinge <= 0.0:
         return Gradients(), hinge
     # the hinge is score(picked) - score(gold) + margin; gold is plan row 0
-    return backward_list(params, item.plan, acts, item.heads, (idx + 1, 0), (1.0, -1.0)), hinge
+    return backward_list(params, item.plan, acts, (idx + 1, 0), (1.0, -1.0)), hinge
 
 
 @dataclass
@@ -266,14 +265,14 @@ def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5) -> GradCh
     if hinge0 <= 0.0:
         return GradCheckReport(active=False)
     trees = (idx0 + 1, 0)
-    winners0 = pool_winners(item.plan, acts, item.heads, trees)
-    grads = backward_list(params, item.plan, acts, item.heads, trees, (1.0, -1.0))
+    winners0 = pool_winners(item.plan, acts, trees)
+    grads = backward_list(params, item.plan, acts, trees, (1.0, -1.0))
     report = GradCheckReport(active=True)
 
     def probe():
         idx, hinge, acts = _pick(params, item)
         same = (idx == idx0 and hinge > 0.0
-                and np.array_equal(pool_winners(item.plan, acts, item.heads, trees), winners0))
+                and np.array_equal(pool_winners(item.plan, acts, trees), winners0))
         return hinge, same
 
     for label, analytic, arr, index in _grad_entries(params, grads):

@@ -439,7 +439,7 @@ def reference_forward_list(params, plan: ListPlan):
     return arc_scores[plan.tree_arcs].sum(axis=0), ListActivations(p, z)
 
 
-def reference_backward_list(params, plan: ListPlan, acts: ListActivations, heads,
+def reference_backward_list(params, plan: ListPlan, acts: ListActivations,
                             trees, upstream) -> Gradients:
     """`backward_list` with an `np.matmul` and an `np.sum` per POS-pair slot:
     the kernel's reference, which it must match in bytes."""
@@ -447,7 +447,7 @@ def reference_backward_list(params, plan: ListPlan, acts: ListActivations, heads
     W, v = params.pos_pairs.W, params.pos_pairs.v
     n = plan.tree_arcs.shape[0]
     upstream = np.asarray(upstream, dtype=float)
-    arcs, head, group = _tree_rows(plan, heads, trees)
+    arcs, head, group = _tree_rows(plan, trees)
     z = acts.z[arcs]
     win = _first_max(z, group)
 

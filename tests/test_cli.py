@@ -1,6 +1,7 @@
 """End-to-end CLI workflows over small synthetic fixtures."""
 
 import os
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -249,21 +250,69 @@ def test_usage_errors_exit_1(capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag, value", [
+_REFUSED_FLAGS = [("train", flag, value, "must be a finite number") for flag, value in [
     ("--m", "0"), ("--m-d", "-2"), ("--rho", "-1"), ("--rho", "nan"), ("--kappa", "0"),
     ("--lambda", "-1e-4"), ("--k", "0"), ("--dist-clip", "0"), ("--max-epochs", "0"),
     ("--seed", "-1"), ("--patience", "0"), ("--patience", "-4"), ("--min-freq", "0"),
     ("--min-freq", "-4"),
-])
-def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, flag, value):
+]] + [
+    ("rerank", "--alpha", "1.5", "alpha must lie in [0, 1], got 1.5"),
+    ("rerank", "--alpha", "nan", "alpha must lie in [0, 1], got nan"),
+    ("rerank", "--alpha", "high", "could not convert string to float: 'high'"),
+    ("rerank", "--alpha-step", "0", "alpha step must lie in (0, 1], got 0"),
+    ("curve", "--alpha-step", "1e-5", "alpha step must be >= 0.0001"),
+    ("curve", "--ks", "1,0", "every k must be a positive integer"),
+    ("gradcheck", "--seed", "-1", "must be a finite number >= 0, got -1"),
+    ("gradcheck", "--instances", "0", "must be a finite number >= 1, got 0"),
+    ("gradcheck", "--tolerance", "nan", "must be a finite number > 0, got nan"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, message", [
+    pytest.param(command, flag, value, message,  # train's ids name the flag alone
+                 id=f"{flag}-{value}" if command == "train" else f"{command}{flag}-{value}")
+    for command, flag, value, message in _REFUSED_FLAGS])
+def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, command, flag, value,
+                                          message):
+    # every command's refused flag value: exit 1 and argparse's usage line
     paths, _ = corpus_files
+    argv = {"train": _train_args(paths, tmp_path / "m.bin"),
+            "rerank": ["rerank", "--gold", "g", "--kbest", "k", "--model", "m"],
+            "curve": ["curve", "--gold", "g", "--kbest", "k", "--model", "m", "--ks", "1"],
+            "gradcheck": ["gradcheck"]}[command]
     with pytest.raises(SystemExit) as exc:
-        main(_train_args(paths, tmp_path / "m.bin", f"{flag}={value}"))
+        main(argv + [f"{flag}={value}"])
     assert exc.value.code == 1
     err = capsys.readouterr().err
-    assert f"error: argument {flag}: must be a finite number" in err.splitlines()[-1]
+    assert err.splitlines()[-1].startswith(f"deprerank {command}: error: argument {flag}: {message}")
     assert "Traceback" not in err
     assert not (tmp_path / "m.bin").exists()
+
+
+@pytest.mark.parametrize("case", ["--rho=1e150", "--lambda=1e200", "rerank"])
+def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, capsys, case):
+    # train to nan parameters, train through an overflow that stays finite,
+    # and rerank with a finite model whose scores are inf; under pytest,
+    # numpy's warnings are recorded, not printed
+    paths, _ = corpus_files
+    if case != "rerank":
+        argv = _train_args(paths, tmp_path / "m.bin", case)
+    else:
+        model = P.load(_trained_model(tmp_path, paths))
+        for table in (model.words.vectors, model.distances.vectors, model.pos_pairs.W):
+            table[:] = 1.0  # every hidden unit near 1
+        model.pos_pairs.v[:] = 1e308
+        P.save(model, tmp_path / "inf.bin")
+        dg, dk = paths["dev"]
+        argv = ["rerank", "--model", str(tmp_path / "inf.bin"), "--gold", str(dg),
+                "--kbest", str(dk), "--search-alpha"]
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code in (0, 2) and err.count("\n") <= 1
+    assert "Traceback" not in err and "Warning" not in err and not caught
 
 
 def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
@@ -322,7 +371,7 @@ def test_alpha_step_below_the_floor_exits_1(capsys, step):
         assert exc.value.code == 1
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.endswith("argument --alpha-step: alpha step must be >= 0.0001 "
-                             f"(at most 10,001 alphas), got {step}")
+                             f"(at most 10,001 alphas), got {float(step):g}")
 
 
 def _trained_model(tmp_path, paths):

@@ -10,7 +10,7 @@ from deprerank.errors import AlignmentError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, PosPairStore
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
-    forest_scores, forward_list, plan_batches, score_lists, score_plan, score_tree,
+    forest_scores, forward_list, plan_batches, pool_winners, score_lists, score_plan, score_tree,
 )
 from deprerank.treebank import KBestList
 
@@ -340,7 +340,7 @@ def test_backward_list_matches_backward_tree():
         for i, up in zip(chosen, upstream):
             grads = backward_tree(p, score_tree(p, trees[i]), upstream=float(up))
             want = grads if want is None else accumulate(want, grads)
-        assert_same_gradients(backward_list(p, plan, acts, heads, chosen, upstream), want)
+        assert_same_gradients(backward_list(p, plan, acts, chosen, upstream), want)
 
 
 def test_backward_list_routes_ties_to_the_first_child():
@@ -355,19 +355,26 @@ def test_backward_list_routes_ties_to_the_first_child():
     _, acts = forward_list(p, plan)
     want = accumulate(backward_tree(p, score_tree(p, trees[2]), upstream=1.0),
                       backward_tree(p, score_tree(p, trees[0]), upstream=-1.0))
-    assert_same_gradients(backward_list(p, plan, acts, heads, [2, 0], [1.0, -1.0]), want)
+    assert_same_gradients(backward_list(p, plan, acts, [2, 0], [1.0, -1.0]), want)
 
 
 def test_backward_list_rejects_bad_tree_selection():
     p = tiny_params()
     trees = [make_tree([0, 1, 1]), make_tree([2, 0, 2])]
-    heads = [tree.heads for tree in trees]
     plan = list_plan(p, trees, create_pairs=True)
     _, acts = forward_list(p, plan)
     with pytest.raises(ValueError, match="tree indices"):
-        backward_list(p, plan, acts, heads, [2], [1.0])
+        backward_list(p, plan, acts, [2], [1.0])
     with pytest.raises(ValueError, match="upstream"):
-        backward_list(p, plan, acts, heads, [0, 1], [1.0])
+        backward_list(p, plan, acts, [0, 1], [1.0])
+    # a forest's rows past a shorter sentence's length are padding, not tokens
+    forest = build_forests(p, [heads_list(trees[0], [trees[0].heads]),
+                               heads_list(make_tree([0, 1]), [[0, 1]])])[0]
+    _, acts = forward_list(p, forest)
+    with pytest.raises(ValueError, match="forest"):
+        backward_list(p, forest, acts, [0], [1.0])
+    with pytest.raises(ValueError, match="forest"):
+        pool_winners(forest, acts, [0])
 
 
 def test_list_plan_shares_repeated_subtrees():
@@ -559,12 +566,11 @@ def test_list_kernels_match_the_matmul_reference_in_bytes(m, m_d):
                 assert_same_bytes(got, expected)
             rows += [g1 - g0 for _, _, groups, *_ in plan.levels for g0, g1, _ in groups]
         for kb, plan in zip(lists, plans):
-            heads = kb.heads
             _, acts = forward_list(p, plan)
-            chosen = rng.integers(len(heads), size=int(rng.integers(1, 4)))
+            chosen = rng.integers(len(kb), size=int(rng.integers(1, 4)))
             upstream = rng.uniform(-2.0, 2.0, len(chosen))
-            assert_same_bytes(backward_list(p, plan, acts, heads, chosen, upstream),
-                              reference_backward_list(p, plan, acts, heads, chosen, upstream))
+            assert_same_bytes(backward_list(p, plan, acts, chosen, upstream),
+                              reference_backward_list(p, plan, acts, chosen, upstream))
     assert 1 in rows and max(rows) > 1
 
 
@@ -656,8 +662,8 @@ def test_a_chain_and_a_star_score_as_the_references(create_pairs):
             assert abs(score - expected) <= 1e-12 * max(1.0, abs(expected))
         chosen = rng.integers(len(heads), size=2)
         upstream = rng.uniform(-2.0, 2.0, 2)
-        assert_same_bytes(backward_list(p, plan, acts, kb.heads, chosen, upstream),
-                          reference_backward_list(p, plan, acts, kb.heads, chosen, upstream))
+        assert_same_bytes(backward_list(p, plan, acts, chosen, upstream),
+                          reference_backward_list(p, plan, acts, chosen, upstream))
 
 
 def test_build_forests_reads_pairs_from_one_table_and_creates_none(monkeypatch):

@@ -51,17 +51,20 @@ def test_mixture_score_arithmetic():
 def test_rerank_config_validation():
     with pytest.raises(ValueError):
         RerankConfig(alpha=1.2)
-    with pytest.raises(ValueError):
-        RerankConfig(alpha=0.5, alpha_step=0.0)
 
 
 @pytest.mark.parametrize("step", [1e-12, 5e-5, 0.99e-4])
 def test_alpha_steps_below_the_floor_are_refused(step):
     # the check comes before any grid is allocated: 1e-12 would ask for 7 TiB
-    for make in (alpha_grid, lambda s: RerankConfig(alpha=0.5, alpha_step=s)):
-        with pytest.raises(ValueError, match="alpha_step must be >= 0.0001"):
-            make(step)
+    with pytest.raises(ValueError, match="alpha step must be >= 0.0001"):
+        alpha_grid(step)
     assert len(alpha_grid(1e-4)) == 10_001
+
+
+def test_uas_curve_checks_ks_before_scoring():
+    kb = kbest_of(make_tree([0, 1]), [([0, 1], 0.0)])
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+        uas_curve(None, [kb], ks=[0])
 
 
 def test_rerank_alpha_zero_is_base_parser():
