@@ -10,13 +10,15 @@ epochs and punctuation set:
     rerank --search-alpha     of its rerank set, with --output and --report
     rerank --search-alpha --normalize, the same
     oracle --best
-    oracle --worst --with-oracle
+    oracle --worst
     curve                     at k = 1, 2, 4, ... up to the workload's k
     eval --per-pos            of the reranked output against its gold file
 
 and prints one digest per input file, per output file and per command's
 stdout, and one of each rerank report's `chosen_rank` column: the picks,
-which stay when a change moves only the report's last digits. Files are
+which stay when a change moves only the report's last digits. Then, once
+per seed, it prints the digest of `gradcheck --seed SEED --instances 5`'s
+stdout without its `elapsed=` field. Files are
 named relative to the directory, so two checkouts that write the same bytes
 print the same lines. Run from a checkout:
 
@@ -35,6 +37,7 @@ import hashlib
 import io
 import itertools
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -67,7 +70,7 @@ def commands(wl):
                               "--output", "norm.conll", "--report", "norm.tsv"],
          ["norm.conll", "norm.tsv"]),
         ("oracle-best", ["oracle", *data, "--best"], []),
-        ("oracle-worst", ["oracle", *data, "--worst", "--with-oracle"], []),
+        ("oracle-worst", ["oracle", *data, "--worst"], []),
         ("curve", ["curve", *data, "--model", "model.bin", "--ks", ks,
                    "--alpha-step", str(W.ALPHA_STEP), "--output", "curve.tsv"],
          ["curve.tsv"]),
@@ -95,12 +98,8 @@ def digests(wl, seed: int) -> list[tuple[str, str]]:
         os.chdir(directory)
         try:
             for name, argv, files in commands(wl):
-                stdout = io.StringIO()
-                with contextlib.redirect_stdout(stdout):
-                    code = cli.main(argv)
-                if code != cli.EXIT_OK:
-                    raise SystemExit(f"{wl.name} seed {seed}: {name} exited {code}")
-                out.append((sha256(stdout.getvalue().encode("utf-8")), f"{name}: stdout"))
+                stdout = run(argv, f"{wl.name} seed {seed}: {name}")
+                out.append((sha256(stdout.encode("utf-8")), f"{name}: stdout"))
                 for path in files:
                     with open(path, "rb") as f:
                         data = f.read()
@@ -111,6 +110,22 @@ def digests(wl, seed: int) -> list[tuple[str, str]]:
         finally:
             os.chdir(cwd)
     return out
+
+
+def run(argv: list[str], what: str) -> str:
+    """The stdout of `cli.main(argv)`, which must exit 0 (else `what` is named)."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"{what} exited {code}")
+    return stdout.getvalue()
+
+
+def gradcheck_digest(seed: int) -> str:
+    """Digest of the gradient check's stdout, its run time cut."""
+    out = run(["gradcheck", "--seed", str(seed), "--instances", "5"], f"gradcheck seed {seed}")
+    return sha256(re.sub(r" elapsed=\S+", "", out).encode("utf-8"))
 
 
 def main():
@@ -127,6 +142,9 @@ def main():
             for digest, what in digests(W.WORKLOADS[name], seed):
                 lines.append(f"{digest}  {name} seed {seed} {what}")
                 print(lines[-1], flush=True)
+    for seed in args.seed:
+        lines.append(f"{gradcheck_digest(seed)}  gradcheck seed {seed} stdout")
+        print(lines[-1], flush=True)
     if args.against is None:
         return
     src = os.path.join(os.path.abspath(args.against), "src")

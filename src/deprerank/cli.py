@@ -14,7 +14,7 @@ import time
 import numpy as np
 
 from . import params as P, reranker, trainer, treebank
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, ScoreError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -181,8 +181,6 @@ def cmd_eval(args) -> int:
 
 def cmd_oracle(args) -> int:
     kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
-    if args.with_oracle:
-        kbs = [reranker.augmented(kb, include_oracle=True) for kb in kbs]
     res = treebank.corpus_oracle(kbs, args.punct_set, worst=args.worst)
     which = "worst" if args.worst else "best"
     print(f"oracle={which} uas={res.uas:.6f} correct={res.correct_heads} "
@@ -210,9 +208,9 @@ def cmd_curve(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     start = time.perf_counter()
-    suite = trainer.run_grad_check_suite(seed=args.seed, instances=args.instances)
+    suite = trainer.run_grad_check_suite(args.seed, args.instances)
     elapsed = time.perf_counter() - start
-    print(f"seed={suite.seed} instances={suite.instances} active={suite.active} "
+    print(f"seed={args.seed} instances={args.instances} active={suite.active} "
           f"checked={suite.checked} skipped={suite.skipped} "
           f"max_rel_error={suite.max_rel_error:.3e} tolerance={args.tolerance:.1e} "
           f"elapsed={elapsed:.2f}s")
@@ -341,8 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     pickside = o.add_mutually_exclusive_group()
     pickside.add_argument("--best", dest="worst", action="store_false")
     pickside.add_argument("--worst", dest="worst", action="store_true")
-    o.add_argument("--with-oracle", action="store_true",
-                   help="add the gold tree to every candidate list first")
     o.set_defaults(worst=False)
     _add_common(o)
     o.set_defaults(func=cmd_oracle)
@@ -375,7 +371,9 @@ def main(argv=None) -> int:
         with np.errstate(all="ignore"):  # no numpy warning: non-finite scores raise ScoreError
             return args.func(args)
     except (DataError, OSError) as err:
-        print(f"deprerank: error: {err}", file=sys.stderr)
+        # a non-finite score in rerank or curve comes from the model's numbers
+        blame = f"{args.model}: " if isinstance(err, ScoreError) and "model" in args else ""
+        print(f"deprerank: error: {blame}{err}", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -40,4 +40,4 @@ class ModelIOError(DataError):
 
 
 class ScoreError(DataError, ValueError):
-    """A model score is not finite: the model's numbers overflow."""
+    """A model score or a trained parameter is not finite: the model's numbers overflow."""

@@ -68,9 +68,8 @@ def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 class EmbeddingTable:
     """Dense lookup table: key i of `keys` owns row i of `vectors`."""
 
-    def __init__(self, dim: int, keys: Sequence, vectors: np.ndarray):
-        assert vectors.shape == (len(keys), dim)
-        self.dim = dim
+    def __init__(self, keys: Sequence, vectors: np.ndarray):
+        assert vectors.ndim == 2 and len(vectors) == len(keys)
         self.keys = list(keys)
         self.rows = {k: i for i, k in enumerate(self.keys)}
         assert len(self.rows) == len(self.keys), "duplicate embedding keys"
@@ -80,7 +79,7 @@ class EmbeddingTable:
         return len(self.keys)
 
     def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.dim, self.keys, self.vectors.copy())
+        return EmbeddingTable(self.keys, self.vectors.copy())
 
 
 class PosPairStore:
@@ -93,32 +92,21 @@ class PosPairStore:
 
     FALLBACK_SLOT = 0
 
-    def __init__(self, m: int, n: int, seed: int, W: np.ndarray, v: np.ndarray,
+    def __init__(self, seed: int, W: np.ndarray, v: np.ndarray,
                  pairs: Sequence[tuple[str, str]] = ()):
-        """A store over a (count, m, n) `W` and a (count, m) `v`, taken as they
+        """A store over a (slots, m, n) `W` and a (slots, m) `v`, taken as they
         are: slot 0 is the fallback and slot i the i-th of `pairs`."""
-        assert W.shape == (len(pairs) + 1, m, n) and v.shape == (len(pairs) + 1, m)
-        self.m, self.n, self.seed = m, n, seed
+        assert len(W) == len(v) == len(pairs) + 1 and W.shape[1] == v.shape[1]
+        self.seed, self.W, self.v = seed, W, v
         self.index = {pair: slot for slot, pair in enumerate(pairs, start=1)}
-        self._W, self._v = W, v
-        self.count = len(pairs) + 1
         self._table = None  # (tag ids, slot table) for `slots`, made on first use
 
-    @property
-    def W(self) -> np.ndarray:
-        """(count, m, n) view; invalidated by the next pair creation."""
-        return self._W[:self.count]
-
-    @property
-    def v(self) -> np.ndarray:
-        return self._v[:self.count]
-
     def __len__(self) -> int:
-        return self.count
+        return len(self.v)
 
     def pairs(self) -> list[tuple[str, str]]:
         """Stored POS pairs in slot order (fallback excluded)."""
-        return sorted(self.index, key=self.index.get)
+        return list(self.index)
 
     def slot(self, head_pos: str, child_pos: str, create: bool = False) -> int:
         s = self.index.get((head_pos, child_pos))
@@ -126,7 +114,7 @@ class PosPairStore:
             return s
         if not create:
             return self.FALLBACK_SLOT
-        return self._create(head_pos, child_pos)
+        return self.add([(head_pos, child_pos)])[0]
 
     def slots(self, tags: Sequence[str]) -> np.ndarray:
         """(len(tags), len(tags)) array: [i, j] is the slot of the pair (head
@@ -140,34 +128,37 @@ class PosPairStore:
         rows = np.array([ids.get(tag, -1) for tag in tags], dtype=np.int64)
         return table[rows[:, None], rows]
 
-    def _create(self, head_pos: str, child_pos: str) -> int:
-        if self.count == len(self._W):
-            self._W = np.concatenate([self._W, np.zeros_like(self._W)])
-            self._v = np.concatenate([self._v, np.zeros_like(self._v)])
-        rng = np.random.default_rng(
-            (self.seed, 0x70A1, _stable_hash(head_pos), _stable_hash(child_pos)))
-        slot = self.count
-        self._W[slot] = _uniform_init(rng, (self.m, self.n))
-        self._v[slot] = _uniform_init(rng, (self.m,))
-        self.index[(head_pos, child_pos)] = slot
-        self.count += 1
+    def add(self, pairs: Sequence[tuple[str, str]]) -> range:
+        """Store new `pairs` (each once) in new slots, returned; each draws its W,
+        then its v, from a generator seeded by the store's seed and the pair."""
+        start = len(self)
+        if not pairs:
+            return range(start, start)
+        W, v = [], []
+        for head, child in pairs:
+            rng = np.random.default_rng(
+                (self.seed, 0x70A1, _stable_hash(head), _stable_hash(child)))
+            W.append(_uniform_init(rng, self.W.shape[1:]))
+            v.append(_uniform_init(rng, self.v.shape[1:]))
+        self.W, self.v = np.concatenate([self.W, W]), np.concatenate([self.v, v])
+        self.index.update(zip(pairs, range(start, len(self))))
         self._table = None
-        return slot
+        return range(start, len(self))
 
     def get(self, slot: int) -> tuple[np.ndarray, np.ndarray]:
-        return self._W[slot], self._v[slot]
+        return self.W[slot], self.v[slot]
 
     def finalize_fallback(self) -> None:
         """Derive the fallback: slot 0 becomes the mean of the learned pairs,
         or stays as it is while there are none. `train()` calls this before
         every dev evaluation, so the model it selects, saves and reloads
         scores unseen pairs with the fallback it was selected with."""
-        if self.count > 1:
-            self._W[0] = self._W[1:self.count].mean(axis=0)
-            self._v[0] = self._v[1:self.count].mean(axis=0)
+        if len(self) > 1:
+            self.W[0] = self.W[1:].mean(axis=0)
+            self.v[0] = self.v[1:].mean(axis=0)
 
     def copy(self) -> "PosPairStore":
-        return PosPairStore(self.m, self.n, self.seed, self.W.copy(), self.v.copy(), self.pairs())
+        return PosPairStore(self.seed, self.W.copy(), self.v.copy(), self.pairs())
 
 
 @dataclass
@@ -214,11 +205,10 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
     rng = np.random.default_rng(seed)
     forms = [UNK_FORM, ROOT_FORM]
     forms.extend(w for w in word_vocab if w not in (UNK_FORM, ROOT_FORM))
-    words = EmbeddingTable(hyper.m, forms, _uniform_init(rng, (len(forms), hyper.m)))
+    words = EmbeddingTable(forms, _uniform_init(rng, (len(forms), hyper.m)))
     deltas = list(range(-hyper.dist_clip, hyper.dist_clip + 1))
-    distances = EmbeddingTable(hyper.m_d, deltas, _uniform_init(rng, (len(deltas), hyper.m_d)))
-    pairs = PosPairStore(hyper.m, hyper.n, seed,
-                         _uniform_init(rng, (hyper.m, hyper.n))[None],
+    distances = EmbeddingTable(deltas, _uniform_init(rng, (len(deltas), hyper.m_d)))
+    pairs = PosPairStore(seed, _uniform_init(rng, (hyper.m, hyper.n))[None],
                          _uniform_init(rng, (hyper.m,))[None])
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
 
@@ -402,14 +392,14 @@ def _read_model(f: IO[bytes]) -> ParamSet:
             raise ModelIOError(f"non-finite values in {what}")
         return arr
 
-    words = EmbeddingTable(hyper.m, forms, read_array((len(forms), hyper.m), "word vectors"))
+    words = EmbeddingTable(forms, read_array((len(forms), hyper.m), "word vectors"))
     clip = hyper.dist_clip
     dist_vectors = read_array((2 * clip + 1, hyper.m_d), "distance vectors")
-    distances = EmbeddingTable(hyper.m_d, range(-clip, clip + 1), dist_vectors)
+    distances = EmbeddingTable(range(-clip, clip + 1), dist_vectors)
     count = len(pair_keys) + 1
     W = read_array((count, hyper.m, hyper.n), "composition matrices")
     v = read_array((count, hyper.m), "score vectors")
     if f.read(1):
         raise ModelIOError("trailing bytes after model payload")
-    pairs = PosPairStore(hyper.m, hyper.n, seed, W, v, pair_keys)
+    pairs = PosPairStore(seed, W, v, pair_keys)
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))

@@ -312,8 +312,9 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
     slot_of = params.pos_pairs.slots(names).ravel()
     if create_pairs:
         codes = code[by_head]
-        for c in dict.fromkeys(codes[slot_of[codes] == 0].tolist()):
-            slot_of[c] = params.pos_pairs.slot(names[c // ntags], names[c % ntags], create=True)
+        missing = list(dict.fromkeys(codes[slot_of[codes] == 0].tolist()))
+        slot_of[missing] = params.pos_pairs.add(
+            [(names[c // ntags], names[c % ntags]) for c in missing])
 
     # unique arcs, sorted once by (level, slot, child signature, head node); a
     # level holds sentence s's arcs whose child has height h, so no product

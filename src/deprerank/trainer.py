@@ -15,6 +15,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import synth
+from .errors import ScoreError
 from .params import Hyperparams, ParamSet, init_random
 from .rcnn import (
     Gradients, ListActivations, ListPlan, backward_list, build_forests, build_list_plans,
@@ -71,7 +72,6 @@ def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, floa
 class AdaGradState:
     """Per-coordinate squared-gradient sums."""
 
-    rho: float
     acc_words: np.ndarray
     acc_dists: np.ndarray
     acc_W: np.ndarray
@@ -82,11 +82,8 @@ class AdaGradState:
         """Zero sums for every parameter; make the state after the last POS
         pair is created (`train()` builds every training item first)."""
         pp = params.pos_pairs
-        return cls(params.hyper.rho,
-                   np.zeros_like(params.words.vectors),
-                   np.zeros_like(params.distances.vectors),
-                   np.zeros((pp.count, pp.m, pp.n)),
-                   np.zeros((pp.count, pp.m)))
+        return cls(*map(np.zeros_like, (params.words.vectors, params.distances.vectors,
+                                         pp.W, pp.v)))
 
 
 def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: float,
@@ -115,7 +112,7 @@ def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
     consecutive slots at a time: W blocks are large, and gathering and
     scattering them costs more element passes than the calls it saves.
     """
-    pp, args = params.pos_pairs, (lam, state.rho)
+    pp, args = params.pos_pairs, (lam, params.hyper.rho)
     for table, acc, (rows, grad) in ((params.words.vectors, state.acc_words, grads.words),
                                      (params.distances.vectors, state.acc_dists, grads.dists),
                                      (pp.v, state.acc_v, grads.pair_v)):
@@ -181,6 +178,8 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     once and scored every epoch by `forest_scores`, as `rcnn.score_lists`
     scores a corpus, so the saved model reranks dev (k <= hyper.k) with the
     selected UAS, bit for bit; picks are counted (no tree is built).
+    After each epoch's steps, a parameter table or dev score that is not
+    finite raises `ScoreError`, naming the epoch.
     Identical seeds, data, and config reproduce the exact report sequence;
     sentences are ordered by content digest before shuffling, so the result
     does not depend on the order sentences appear in the input files.
@@ -209,8 +208,15 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
             if hinge > 0.0:
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
-        params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
+        pp = params.pos_pairs
+        pp.finalize_fallback()  # dev's unseen pairs read slot 0
         dev_scores = [s for forest in dev_forests for s in forest_scores(params, forest)]
+        for what, values in (("word vectors", params.words.vectors),
+                             ("distance vectors", params.distances.vectors),
+                             ("composition matrices", pp.W), ("score vectors", pp.v),
+                             ("dev scores", np.concatenate(dev_scores))):
+            if not np.logical_and.reduce(np.isfinite(values), axis=None):
+                raise ScoreError(f"epoch {epoch}: the {what} are not finite")
         dev_res = rerank_corpus(params, dev, RerankConfig(alpha=1.0), config.punct_tags,
                                 model_scores=dev_scores)
         report = TrainReport(epoch, total_hinge / len(items), violations,
@@ -232,13 +238,16 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
 
 @dataclass
 class GradCheckReport:
-    """Worst analytic-vs-numeric disagreement over one sentence's hinge term."""
+    """Worst analytic-vs-numeric disagreement over one or more sentences' hinge terms."""
 
-    active: bool                 # hinge > 0 at the unperturbed point
+    active: int = 0              # sentences whose hinge > 0 at the unperturbed point
     checked: int = 0
     skipped: int = 0             # parameters near a pooling tie or hinge kink
     max_rel_error: float = 0.0
     worst: str = ""
+
+    def passed(self, tolerance: float) -> bool:
+        return self.max_rel_error < tolerance
 
 
 def _grad_entries(params: ParamSet, grads: Gradients) -> Iterator[tuple[str, float, np.ndarray, tuple]]:
@@ -252,22 +261,25 @@ def _grad_entries(params: ParamSet, grads: Gradients) -> Iterator[tuple[str, flo
                 yield f"{name}[{label}]", float(grad[j]), table, (row, *j)
 
 
-def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5) -> GradCheckReport:
-    """Central differences of the hinge vs the analytic subgradient.
+def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5,
+               report: GradCheckReport | None = None) -> GradCheckReport:
+    """Central differences of the hinge vs the analytic subgradient, added to
+    `report` (a new one if None), which is returned.
 
     A parameter is skipped (not failed) when perturbing it by epsilon flips the
     loss-augmented pick, deactivates the hinge, or moves a pooling argmax:
     the subgradient is only required to match away from those kinks.
     Differences of at most 1e-9 count as exact.
     """
+    report = GradCheckReport() if report is None else report
     [item] = _SentenceItem.build_all(params, [kb], params.hyper.kappa)
     idx0, hinge0, acts = _pick(params, item)
     if hinge0 <= 0.0:
-        return GradCheckReport(active=False)
+        return report
     trees = (idx0 + 1, 0)
     winners0 = pool_winners(item.plan, acts, trees)
     grads = backward_list(params, item.plan, acts, trees, (1.0, -1.0))
-    report = GradCheckReport(active=True)
+    report.active += 1
 
     def probe():
         idx, hinge, acts = _pick(params, item)
@@ -297,40 +309,15 @@ def grad_check(params: ParamSet, kb: KBestList, epsilon: float = 1e-5) -> GradCh
     return report
 
 
-@dataclass
-class GradCheckSuite:
-    seed: int
-    instances: int
-    active: int
-    checked: int
-    skipped: int
-    max_rel_error: float
-    worst: str = ""
-
-    def passed(self, tolerance: float) -> bool:
-        return self.max_rel_error < tolerance
-
-
-def run_grad_check_suite(seed: int, instances: int = 50, max_len: int = 6,
-                         m: int = 3, m_d: int = 3, k: int = 3,
-                         epsilon: float = 1e-5) -> GradCheckSuite:
-    """Gradient-check many random sentences with fresh random parameters each."""
+def run_grad_check_suite(seed: int, instances: int = 50) -> GradCheckReport:
+    """Gradient-check random sentences of 2-6 tokens, each with fresh random
+    parameters (m = m_d = k = 3), at epsilon 1e-5, into one report."""
     rng = np.random.default_rng(seed)
     vocab = [f"word{i:02d}" for i in range(12)]
-    suite = GradCheckSuite(seed, instances, 0, 0, 0, 0.0)
+    report = GradCheckReport()
     for _ in range(instances):
-        hyper = Hyperparams(m=m, m_d=m_d, k=k)
-        par = init_random(hyper, vocab, list(synth.DEFAULT_TAGS),
+        par = init_random(Hyperparams(m=3, m_d=3, k=3), vocab, list(synth.DEFAULT_TAGS),
                           seed=int(rng.integers(2 ** 31)))
-        length = int(rng.integers(2, max_len + 1))
-        gold = synth.random_tree(rng, length, vocab)
-        kb = synth.synth_kbest(rng, gold, k)
-        rep = grad_check(par, kb, epsilon)
-        if rep.active:
-            suite.active += 1
-        suite.checked += rep.checked
-        suite.skipped += rep.skipped
-        if rep.max_rel_error > suite.max_rel_error:
-            suite.max_rel_error = rep.max_rel_error
-            suite.worst = rep.worst
-    return suite
+        gold = synth.random_tree(rng, int(rng.integers(2, 7)), vocab)
+        grad_check(par, synth.synth_kbest(rng, gold, 3), report=report)
+    return report

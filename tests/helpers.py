@@ -671,14 +671,15 @@ def apply_update(theta, acc, grad, lam, rho):
 def reference_adagrad_step(params, state, grads, lam):
     """`trainer.adagrad_step`, one `apply_update` per touched row and slot."""
     words, dists, pair_W, pair_v = grad_dicts(grads)
+    rho = params.hyper.rho
     for row, g in words.items():
-        apply_update(params.words.vectors[row], state.acc_words[row], g, lam, state.rho)
+        apply_update(params.words.vectors[row], state.acc_words[row], g, lam, rho)
     for row, g in dists.items():
-        apply_update(params.distances.vectors[row], state.acc_dists[row], g, lam, state.rho)
+        apply_update(params.distances.vectors[row], state.acc_dists[row], g, lam, rho)
     for slot, g in pair_W.items():
-        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g, lam, state.rho)
+        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g, lam, rho)
     for slot, g in pair_v.items():
-        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g, lam, state.rho)
+        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g, lam, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -37,8 +37,7 @@ def _report(number, name, conditions):
 def test_criterion_1_gradient_correctness():
     seed = 20240
     start = time.perf_counter()
-    suite = run_grad_check_suite(seed=seed, instances=50, max_len=6,
-                                 m=3, m_d=3, k=3, epsilon=1e-5)
+    suite = run_grad_check_suite(seed=seed, instances=50)
     elapsed = time.perf_counter() - start
     print(f"\n  seed={seed} active={suite.active} checked={suite.checked} "
           f"skipped={suite.skipped} max_rel_error={suite.max_rel_error:.3e} "

@@ -313,6 +313,10 @@ def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, ca
     err = capsys.readouterr().err
     assert code in (0, 2) and err.count("\n") <= 1
     assert "Traceback" not in err and "Warning" not in err and not caught
+    # the error names the epoch, or the model file whose scores overflow
+    begins = {"--rho=1e150": "deprerank: error: epoch ", "--lambda=1e200": "",
+              "rerank": f"deprerank: error: {tmp_path / 'inf.bin'}: list 0: model score "}
+    assert err.startswith(begins[case]) and code == (2 if begins[case] else 0)
 
 
 def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
@@ -562,10 +566,6 @@ def test_oracle_command(tmp_path, corpus_files, capsys):
                  "--punct-set", "none"]) == 0
     worst = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
     assert float(worst["uas"]) <= float(best["uas"])
-    assert main(["oracle", "--gold", str(dg), "--kbest", str(dk), "--with-oracle",
-                 "--punct-set", "none"]) == 0
-    augmented = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
-    assert float(augmented["uas"]) == 1.0
 
 
 def test_curve_command_shape(tmp_path, corpus_files, capsys):

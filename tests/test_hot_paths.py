@@ -104,12 +104,12 @@ def test_a_second_build_of_training_items_enters_no_numpy_wrapper():
     # the first build creates the pairs (parameter init is no hot path); the
     # second finds them all stored, as a build for a model that has its pairs
     params, lists = _model_and_lists()
-    count = params.pos_pairs.count
+    count = len(params.pos_pairs)
     _SentenceItem.build_all(params, lists, kappa=2.0)
-    assert params.pos_pairs.count > count
-    count = params.pos_pairs.count
+    assert len(params.pos_pairs) > count
+    count = len(params.pos_pairs)
     assert wrappers_entered(lambda: _SentenceItem.build_all(params, lists, kappa=2.0)) == []
-    assert params.pos_pairs.count == count
+    assert len(params.pos_pairs) == count
 
 
 def test_a_forest_build_enters_no_numpy_wrapper():

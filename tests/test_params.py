@@ -316,7 +316,7 @@ def test_the_pair_table_agrees_with_the_index(tmp_path):
         assert_agrees(p.pos_pairs)
     copy = p.copy().pos_pairs
     assert_agrees(copy)
-    copy._create("DT", "VB")
+    copy.add([("DT", "VB")])
     assert_agrees(copy)
     assert p.pos_pairs.slots(tags)[2, 3] == 0  # the original did not change
     save(p, tmp_path / "model.bin")

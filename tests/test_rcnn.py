@@ -7,7 +7,7 @@ import pytest
 
 from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
-from deprerank.params import ROOT_FORM, ROOT_POS, PosPairStore
+from deprerank.params import ROOT_FORM, ROOT_POS, PosPairStore, _stable_hash, _uniform_init
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
     forest_scores, forward_list, plan_batches, pool_winners, score_lists, score_plan, score_tree,
@@ -490,7 +490,7 @@ def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, bud
     p = tiny_params()
     with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
         build_list_plans(p, good[:2] + [empty] + good[2:])
-    assert p.pos_pairs.count == tiny_params().pos_pairs.count  # no pair created
+    assert len(p.pos_pairs) == len(tiny_params().pos_pairs)  # no pair created
 
 
 def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
@@ -583,9 +583,9 @@ def test_a_forest_of_one_sentence_is_its_list_plan():
         if case % 2:  # some pairs seen before, others not
             build_plan(p, random_tree(rng, 6, tags=TAGS + ("XX",)), create_pairs=True)
         [kb] = _random_lists(rng, 1)
-        count = p.pos_pairs.count
+        count = len(p.pos_pairs)
         [forest] = build_forests(p, [kb])
-        assert p.pos_pairs.count == count  # no pair created
+        assert len(p.pos_pairs) == count  # no pair created
         assert_same_plan(forest, reference_list_plan(p, kb))
         [plan] = build_list_plans(p, [kb])
         assert_same_plan(build_forests(p, [kb])[0], plan)
@@ -676,7 +676,7 @@ def test_build_forests_reads_pairs_from_one_table_and_creates_none(monkeypatch):
     assert not any("XX" in pair for pair in index)
     lists = _random_lists(rng, 12)
     calls = []
-    for name in ("slot", "_create"):
+    for name in ("slot", "add"):
         method = getattr(PosPairStore, name)
         monkeypatch.setattr(PosPairStore, name, lambda self, *a, _name=name, _method=method,
                             **kw: calls.append(_name) or _method(self, *a, **kw))
@@ -718,6 +718,36 @@ def test_a_batch_creates_its_second_lists_pairs_after_the_first_lists():
     assert list(batched.pos_pairs.index.items()) == list(one_by_one.pos_pairs.index.items())
     assert batched.pos_pairs.W.tobytes() == one_by_one.pos_pairs.W.tobytes()
     assert batched.pos_pairs.v.tobytes() == one_by_one.pos_pairs.v.tobytes()
+
+
+def test_a_batch_adds_its_pairs_as_slot_creates_them_one_by_one(monkeypatch):
+    # build_list_plans adds each batch's missing pairs with one `add`; `slot`
+    # creating them one at a time in build_plan's order (list by list, row by
+    # row, arcs by head then child) stores the same pairs in the same slots,
+    # with the same bits; an empty `add` changes nothing
+    monkeypatch.setattr(rcnn, "PLAN_BUDGET", 60)
+    lists = _random_lists(np.random.default_rng(74), 12)
+    batched, one_by_one = tiny_params(seed=6), tiny_params(seed=6)
+    adds, add = [], PosPairStore.add
+    monkeypatch.setattr(PosPairStore, "add",
+                        lambda self, pairs: adds.append(len(pairs)) or add(self, pairs))
+    build_list_plans(batched, lists)
+    assert len(adds) == len(plan_batches(lists)) > 1 and max(adds) > 1
+    for kb in lists:
+        tags = [ROOT_POS, *kb.gold.pos_tags]
+        for row in kb.heads.tolist():
+            for head, child in sorted((head, child) for child, head in enumerate(row, start=1)):
+                one_by_one.pos_pairs.slot(tags[head], tags[child], create=True)
+    store, want = batched.pos_pairs, one_by_one.pos_pairs
+    assert store.pairs() == want.pairs() and store.index == want.index
+    assert store.W.tobytes() == want.W.tobytes() and store.v.tobytes() == want.v.tobytes()
+    for (head, child), slot in store.index.items():  # W, then v, from the pair's generator
+        rng = np.random.default_rng((6, 0x70A1, _stable_hash(head), _stable_hash(child)))
+        assert store.W[slot].tobytes() == _uniform_init(rng, store.W.shape[1:]).tobytes()
+        assert store.v[slot].tobytes() == _uniform_init(rng, store.v.shape[1:]).tobytes()
+    W, v, index = store.W, store.v, dict(store.index)
+    assert store.add([]) == range(len(store), len(store))
+    assert store.W is W and store.v is v and store.index == index
 
 
 def _assert_forest_scores_match(p, lists):

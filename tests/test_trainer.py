@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from deprerank import rcnn, trainer
-from deprerank.errors import AlignmentError
+from deprerank.errors import AlignmentError, ScoreError
 from deprerank.params import (
     Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
 )
@@ -319,13 +319,13 @@ def test_adagrad_step_matches_the_per_row_reference(lam):
     for _ in range(8):
         grads = Gradients(_random_rows(rng, len(p.words), (m,)),
                           _random_rows(rng, len(p.distances), (p.hyper.m_d,)),
-                          _random_rows(rng, p.pos_pairs.count, (m, n)),
-                          _random_rows(rng, p.pos_pairs.count, (m,)))
+                          _random_rows(rng, len(p.pos_pairs), (m, n)),
+                          _random_rows(rng, len(p.pos_pairs), (m,)))
         adagrad_step(p, state, grads, lam)
         reference_adagrad_step(ref, ref_state, grads, lam)
         assert _state_bytes(p, state) == _state_bytes(ref, ref_state)
         zero_sums |= bool((state.acc_words[grads.words.rows] == 0.0).any())
-    assert len(state.acc_W) == p.pos_pairs.count == 5
+    assert len(state.acc_W) == len(p.pos_pairs) == 5
     assert zero_sums  # a touched coordinate divided 0 by sqrt(0)
 
 
@@ -392,6 +392,22 @@ def test_repeated_steps_separate_single_sentence():
             break
         adagrad_step(p, state, grads, lam=0.0)
     assert hinge == 0.0
+
+
+@pytest.mark.parametrize("rho, epoch, what", [(1e120, 2, "word vectors"),
+                                             (1e150, 1, "composition matrices"),
+                                             (1e200, 1, "dev scores")])
+def test_train_names_the_epoch_whose_numbers_are_not_finite(rho, epoch, what):
+    # the parameters overflow within an epoch, or stay finite while the dev
+    # scores do not; either way the epoch ends in one error, with no report
+    corpus = synth_corpus(seed=17, sentences=12, k=5, length_range=(3, 6))
+    p = init_random(Hyperparams(m=4, m_d=4, k=5, rho=rho), [f"word{i:02d}" for i in range(30)],
+                    ["NN"], seed=1)
+    reports = []
+    with np.errstate(all="ignore"), pytest.raises(
+            ScoreError, match=f"^epoch {epoch}: the {what} are not finite$"):
+        train(p, corpus[:8], corpus[8:], TrainConfig(max_epochs=3, seed=1), reports.append)
+    assert len(reports) == epoch - 1
 
 
 def test_train_requires_data():
