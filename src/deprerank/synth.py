@@ -20,7 +20,7 @@ def random_tree(rng: np.random.Generator, length: int,
         attached.append(idx)
     forms, pos_tags = zip(*[(vocab[int(rng.integers(len(vocab)))],
                              tags[int(rng.integers(len(tags)))]) for _ in range(length)])
-    return DependencyTree.from_columns(forms, pos_tags, heads, (None,) * length)
+    return DependencyTree(forms, pos_tags, heads, (None,) * length)
 
 
 def keeps_tree(heads: list[int], i: int, new_head: int) -> bool:
@@ -114,7 +114,7 @@ def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
                 order.append(child)
                 tag[child] = int(rng.choice(n_tags, p=tag_table[tag[node]]))
                 form[child] = int(rng.choice(n_forms, p=form_table[form[node]]))
-        gold = DependencyTree.from_columns([f"{tags[t]}_{j}" for t, j in zip(tag[1:], form[1:])],
-                                           [tags[t] for t in tag[1:]], heads, (None,) * n)
+        gold = DependencyTree([f"{tags[t]}_{j}" for t, j in zip(tag[1:], form[1:])],
+                              [tags[t] for t in tag[1:]], heads, (None,) * n)
         out.append(synth_kbest(rng, gold, 8, 0.8))
     return out

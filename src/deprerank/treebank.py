@@ -52,14 +52,6 @@ class Token:
     # Original CoNLL columns, kept so unrelated fields survive a round trip.
     cols: tuple[str, ...] | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.index < 1:
-            raise StructureError(f"token index must be >= 1, got {self.index}")
-        if self.head < 0:
-            raise StructureError(f"head must be >= 0, got {self.head}")
-        if self.head == self.index:
-            raise StructureError(f"token {self.index} ({self.form!r}) is its own head")
-
 
 def is_rooted_tree(heads: Sequence[int], allow_multiple_roots: bool = False) -> bool:
     """True iff the 1-based head vector forms a tree hanging off the artificial
@@ -74,27 +66,10 @@ class DependencyTree:
 
     __slots__ = ("_forms", "_tags", "_heads", "_lines")
 
-    def __init__(self, tokens: Iterable[Token]):
-        """The tree of `tokens`, whose indices must be 1..n in order. A
-        token's columns are kept as their line, joined by tabs, so they must
-        be at least one and hold no tab."""
-        tokens = tuple(tokens)
-        for position, t in enumerate(tokens, start=1):
-            if t.index != position:
-                raise StructureError(f"token {position} carries index {t.index}")
-            if t.cols is not None and (not t.cols or any("\t" in c for c in t.cols)):
-                raise StructureError(f"token {position} has no CoNLL columns or a tab in one")
-        self._forms, self._tags, self._heads = (
-            tuple(getattr(t, name) for t in tokens) for name in ("form", "pos", "head"))
-        self._lines = tuple(None if t.cols is None else "\t".join(t.cols) for t in tokens)
-
-    @classmethod
-    def from_columns(cls, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
-                     lines: Sequence[str | None]) -> "DependencyTree":
-        """A tree over the given columns and CoNLL lines, taken as they are: no checks."""
-        tree = cls.__new__(cls)
-        tree._forms, tree._tags, tree._heads, tree._lines = map(tuple, (forms, tags, heads, lines))
-        return tree
+    def __init__(self, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
+                 lines: Sequence[str | None]):
+        """The tree over these columns and CoNLL lines, taken as given: no checks."""
+        self._forms, self._tags, self._heads, self._lines = map(tuple, (forms, tags, heads, lines))
 
     def __len__(self) -> int:
         return len(self._heads)
@@ -136,10 +111,11 @@ class DependencyTree:
         if not is_rooted_tree(self._heads, allow_multiple_roots):
             raise StructureError(f"{label}: head indices do not form a rooted tree: {self.heads}")
 
-    def with_heads(self, heads: Sequence[int], validate: bool = True,
+    def with_heads(self, heads: Sequence[int],
                    allow_multiple_roots: bool = False) -> "DependencyTree":
         """Copy of this tree with head indices replaced (forms, POS tags and
-        lines shared). A negative head or a self-head raises what a `Token` raises."""
+        lines shared), checked: a negative head, a self-head or heads that do
+        not form a rooted tree raise `StructureError`."""
         if len(heads) != len(self._heads):
             raise AlignmentError(f"expected {len(self._heads)} heads, got {len(heads)}")
         heads = tuple(map(int, heads))
@@ -148,9 +124,8 @@ class DependencyTree:
                 raise StructureError(f"head must be >= 0, got {head}")
             if head == index:
                 raise StructureError(f"token {index} ({self._forms[index - 1]!r}) is its own head")
-        tree = DependencyTree.from_columns(self._forms, self._tags, heads, self._lines)
-        if validate:
-            tree.validate(allow_multiple_roots)
+        tree = DependencyTree(self._forms, self._tags, heads, self._lines)
+        tree.validate(allow_multiple_roots)
         return tree
 
 
@@ -267,9 +242,9 @@ class Candidates(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        kb = self._kb
-        return (kb.gold.with_heads(kb.heads[index].tolist(), validate=False),
-                float(kb.scores[index]))
+        gold = self._kb.gold  # the row is a forest: its list checked it
+        return (DependencyTree(gold._forms, gold._tags, self._kb.heads[index].tolist(),
+                               gold._lines), float(self._kb.scores[index]))
 
 
 @dataclass(frozen=True)
@@ -333,7 +308,7 @@ class _Trees:
 
     def add(self, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
             lines: Sequence[str]) -> None:
-        self.trees.append(DependencyTree.from_columns(forms, tags, heads, lines))
+        self.trees.append(DependencyTree(forms, tags, heads, lines))
         self.heads += heads
         if len(self.heads) >= _CHECK_TOKENS:
             self.check()
@@ -547,10 +522,12 @@ def write_conll(trees: Iterable[DependencyTree]) -> str:
 
 
 def read_text(path, read):
-    """`read(f)` of the UTF-8 text file at `path`. A byte that is not UTF-8
-    raises `EncodingError` naming the file when the line that holds it is
-    read, not before, so a reader that checks what it has read before it
-    raises (both treebank readers) reports the first error in file order.
+    """`read(f)` of the UTF-8 text file at `path`. A `DataError` that it
+    raises gets the path in front of its message, and keeps its class and a
+    `ParseError`'s `line`. A byte that is not UTF-8 raises `EncodingError`
+    when the line that holds it is read, not before, so a reader that checks
+    what it has read before it raises (both treebank readers) reports the
+    first error in file order.
 
     `f` is the open file, decoded a block of bytes ahead of `read`, so a
     decode error stops `read` early; `read` is then run again with `f` a
@@ -560,23 +537,27 @@ def read_text(path, read):
     anything before it returns.
     """
     try:
-        with open(path, encoding="utf-8") as f:
-            return read(f)
-    except UnicodeDecodeError:
-        pass
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        return read(_utf8_lines(f, path))
+        try:
+            with open(path, encoding="utf-8") as f:
+                return read(f)
+        except UnicodeDecodeError:
+            pass
+        with open(path, encoding="utf-8", errors="surrogateescape") as f:
+            return read(_utf8_lines(f))
+    except DataError as err:
+        err.args = (f"{path}: {err}",)
+        raise
 
 
-def _utf8_lines(f: io.TextIOBase, path) -> Iterator[str]:
+def _utf8_lines(f: io.TextIOBase) -> Iterator[str]:
     """The lines of a text file opened with errors="surrogateescape", which
     reads a byte that is not UTF-8 as a lone surrogate, up to the first line
-    that holds one: that line raises `EncodingError`, naming the file."""
+    that holds one: that line raises `EncodingError`."""
     for line in f:
         try:
             line.encode("utf-8", "surrogateescape").decode("utf-8")
         except UnicodeDecodeError as err:
-            raise EncodingError(f"{path}: not UTF-8 text ({err.reason})") from None
+            raise EncodingError(f"not UTF-8 text ({err.reason})") from None
         yield line
 
 
@@ -637,18 +618,17 @@ def _ranks(k: int) -> list[str]:
     return [str(rank) for rank in range(1, k + 1)]
 
 
-def _read_block(taken: list[str], k: int, n: int
-                ) -> tuple[list[float], np.ndarray, str] | None:
-    """Scores, (k, n) head matrix and HEAD lines of the 2k lines after a SENT
-    header, if they are whole lines in `write_kbest`'s form; else None.
+def _read_block(taken: list[str], k: int, n: int) -> tuple[list[float], np.ndarray] | None:
+    """Scores and (k, n) head matrix of the 2k lines after a SENT header, if
+    they are whole lines in `write_kbest`'s form; else None.
 
     The lines are matched a block at a time, not one by one, and taken only
     where the exact path (`_read_candidates`) reads the same values from
     them: ranks 1..k written as `str(rank)`, scores that `float()` reads as
     finite numbers, and HEAD lines of single spaces and digits, all read by
     one `np.fromstring` with each HEAD as a -1 that must start each row of
-    n + 1. A head too large for int64 reads as the int64 maximum, which fails
-    the tree check; its error is then read from the line (`_check_lists`).
+    n + 1, and no head above n. A head too large for int64 reads as the int64
+    maximum, so every head taken is the one `int()` reads from its line.
     """
     if len(taken) != 2 * k:
         return None
@@ -667,9 +647,9 @@ def _read_block(taken: list[str], k: int, n: int
     if not _HEAD_LINES.fullmatch(text) or "  " in text or text.count("HEAD") != k:
         return None
     heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
-    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any():
+    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any() or heads.max() > n:
         return None
-    return scores, heads.reshape(k, n + 1)[:, 1:].copy(), text
+    return scores, heads.reshape(k, n + 1)[:, 1:].copy()
 
 
 def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank: int,
@@ -736,22 +716,21 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
     return scores, np.array(rows, dtype=np.int64), lineno
 
 
-def _check_lists(pending: list[tuple[int, KBestList, str]], allow_multiple_roots: bool) -> None:
-    """Check the candidate trees of (sentence index, list, HEAD lines) items
-    in one pass: the first tree in file order that is not a rooted tree
-    raises what the exact path raises for it, read from its line."""
+def _check_lists(pending: list[tuple[int, KBestList]], allow_multiple_roots: bool) -> None:
+    """Check the candidate trees of (sentence index, list) items in one
+    pass: the first tree in file order that is not a rooted tree raises what
+    the exact path raises for it."""
     if not pending:
         return
-    ok = rooted_rows([kb.heads for _, kb, _ in pending], allow_multiple_roots)
+    ok = rooted_rows([kb.heads for _, kb in pending], allow_multiple_roots)
     if ok.all():
         return
     row = int(ok.argmin())
-    for sent_idx, kb, text in pending:
+    for sent_idx, kb in pending:
         if row < len(kb):
             break
         row -= len(kb)
-    heads = [int(h) for h in text.split("\n")[row].split()[1:]]
-    _check_candidate(kb.gold, heads, sent_idx, row + 1, allow_multiple_roots)
+    _check_candidate(kb.gold, kb.heads[row].tolist(), sent_idx, row + 1, allow_multiple_roots)
 
 
 def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | str,
@@ -777,7 +756,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
     raw = _iter_lines(cand_source)
     block_lines = _BLOCK_LINES if _in_blocks(cand_source) else 0
     lists: list[KBestList] = []
-    pending: list[tuple[int, KBestList, str]] = []
+    pending: list[tuple[int, KBestList]] = []
     lineno = pending_tokens = 0
     try:
         for sent_idx, gold in enumerate(golds):
@@ -803,7 +782,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
             taken = list(itertools.islice(raw, 2 * k)) if 2 * k <= block_lines else []
             block = _read_block(taken, k, len(gold)) if taken else None
             if block:
-                scores, heads, text = block
+                scores, heads = block
                 lineno += 2 * k
             else:  # the exact path, from the first taken line on
                 lines = ((number, line.rstrip("\n"))
@@ -814,7 +793,7 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
             kb = KBestList._unchecked(gold, heads, np.array(scores, dtype=np.float64))
             lists.append(kb)
             if block:  # else `_read_candidates` has checked its trees
-                pending.append((sent_idx, kb, text))
+                pending.append((sent_idx, kb))
                 pending_tokens += heads.size
                 if pending_tokens >= _CHECK_TOKENS:
                     _check_lists(pending, allow_multiple_roots)

@@ -24,7 +24,7 @@ from deprerank.rcnn import (
     backward_tree, build_forests, build_list_plans, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
-from deprerank.treebank import DependencyTree, KBestList, Token
+from deprerank.treebank import DependencyTree, KBestList
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -34,8 +34,13 @@ def make_tree(heads, forms=None, tags=None):
     n = len(heads)
     forms = list(forms) if forms else [f"w{i}" for i in range(1, n + 1)]
     tags = list(tags) if tags else [TAGS[i % len(TAGS)] for i in range(n)]
-    return DependencyTree(tuple(
-        Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
+    return DependencyTree(forms, tags, heads, [None] * n)
+
+
+def with_any_heads(tree, heads):
+    """`tree` with its heads replaced and not checked: its forms, tags and
+    CoNLL lines kept."""
+    return DependencyTree(tree.forms, tree.pos_tags, heads, tree._lines)
 
 
 def rooted_by_bfs(heads, allow_multiple_roots=False):
@@ -86,8 +91,7 @@ def all_trees_up_to(max_len):
     for n in range(1, max_len + 1):
         for heads in itertools.product(range(n + 1), repeat=n):
             if rooted_by_bfs(heads):
-                yield DependencyTree(tuple(
-                    Token(i + 1, forms[i], tags[i], heads[i]) for i in range(n)))
+                yield DependencyTree(forms[:n], tags[:n], heads, [None] * n)
 
 
 def kbest_of(gold, cand_heads_scores):
@@ -801,14 +805,14 @@ def reference_parse_conll(source, allow_multiple_roots=False):
     """`parse_conll` one line and one tree at a time: each tree is checked
     as soon as its blank line (or the end of the input) is read."""
     lines = text_lines(source) if isinstance(source, str) else source
-    trees, tokens = [], []
+    trees, tokens = [], []  # tokens: (form, tag, head, line) of the tree being read
 
     def finish():
-        problem = tree_problem([t.form for t in tokens], [t.head for t in tokens],
-                               allow_multiple_roots, label=f"sentence {len(trees)}")
+        forms, tags, heads, texts = zip(*tokens)
+        problem = tree_problem(forms, heads, allow_multiple_roots, label=f"sentence {len(trees)}")
         if problem:
             raise StructureError(problem)
-        trees.append(DependencyTree(tuple(tokens)))
+        trees.append(DependencyTree(forms, tags, heads, texts))
 
     for lineno, raw in enumerate(lines, start=1):
         line = raw.rstrip("\n")
@@ -830,7 +834,7 @@ def reference_parse_conll(source, allow_multiple_roots=False):
             raise ParseError(f"token {index} is its own head", lineno)
         if head < 0:
             raise ParseError(f"negative HEAD {head}", lineno)
-        tokens.append(Token(index, cols[1], cols[4], head, cols))
+        tokens.append((cols[1], cols[4], head, line))
     if tokens:
         finish()
     return trees
@@ -926,7 +930,7 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
             problem = tree_problem(gold.forms, heads, allow_multiple_roots)
             if problem:
                 raise StructureError(f"sentence {sent_idx}, candidate {rank}: {problem}")
-            cands.append((gold.with_heads(heads, validate=False), score))
+            cands.append((gold.with_heads(heads, allow_multiple_roots), score))
         lists.append((gold, cands))
     if next_line() is not None:
         raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")

@@ -20,7 +20,7 @@ from deprerank.reranker import (
 from deprerank.synth import planted_corpus, random_tree, synth_corpus
 from deprerank.trainer import TrainConfig, run_grad_check_suite, train
 from deprerank.treebank import (
-    DependencyTree, Token, corpus_oracle, write_conll, write_kbest,
+    DependencyTree, corpus_oracle, write_conll, write_kbest,
 )
 
 from helpers import all_trees_up_to, trace_nodes
@@ -201,8 +201,7 @@ def test_criterion_6_determinism_and_persistence():
     after = [score_tree(reloaded, tree).total_score for tree in trees]
     exact = sum(1 for a, b in zip(before, after) if a == b)
     # a tree with an unseen POS pair exercises the fallback slot
-    odd = DependencyTree((Token(1, "word00", "ZZZ", 0),
-                          Token(2, "word01", "QQQ", 1)))
+    odd = DependencyTree(["word00", "word01"], ["ZZZ", "QQQ"], [0, 1], [None, None])
     fallback_match = (score_tree(params, odd).total_score
                       == score_tree(reloaded, odd).total_score)
     _report(6, "determinism and persistence", [

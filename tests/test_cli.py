@@ -90,6 +90,28 @@ def test_train_missing_kbest_file_exits_2(tmp_path, corpus_files, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, text, message", [
+    ("--dev-gold", "1\ta\t_\tDT\tDT\t_\t0\t_\n2\tb\tNN\t1\n",
+     "line 2: expected >= 8 tab-separated columns, got 4"),
+    ("--train-gold", "1\ta\tDT\t0\n", "line 1: expected >= 8 tab-separated columns, got 4"),
+    ("--dev-kbest", "SENT zero\n", "line 1: expected 'SENT <index> <k>', got 'SENT zero'"),
+    ("--train-kbest", "SENT 0 1\nCAND 1 -1.0\nHEAD 0 x\n",
+     "line 3: non-integer head in 'HEAD 0 x'"),
+    ("--pretrained", "1 4\nw1 0.5\n", "line 2: expected a form and 4 values, got 2 fields"),
+], ids=["dev-gold", "train-gold", "dev-kbest", "train-kbest", "pretrained"])
+def test_a_malformed_data_file_exits_2_naming_it(tmp_path, corpus_files, capsys, flag, text,
+                                                 message):
+    paths, _ = corpus_files
+    bad = tmp_path / "bad.txt"
+    bad.write_text(text, encoding="utf-8")
+    args = _train_args(paths, tmp_path / "m.bin", "--pretrained", str(tmp_path / "v.txt"))
+    (tmp_path / "v.txt").write_text("1 4\nw1 0.5 0.5 0.5 0.5\n", encoding="utf-8")
+    args[args.index(flag) + 1] = str(bad)
+    assert main(args) == 2
+    assert capsys.readouterr().err.splitlines() == [f"deprerank: error: {bad}: {message}"]
+    assert not (tmp_path / "m.bin").exists()
+
+
 @pytest.mark.parametrize("role", ["train", "dev"])
 def test_train_on_an_empty_corpus_exits_2(tmp_path, corpus_files, capsys, role):
     paths, _ = corpus_files

@@ -25,7 +25,7 @@ from deprerank.treebank import (
 from helpers import (
     TAGS, assert_same_plan, make_tree, model_bytes, model_parts, one_list_plan,
     reference_list_plan, reference_parse_conll, reference_read_kbest, reference_write_conll,
-    rooted_by_bfs, text_lines, tiny_params,
+    rooted_by_bfs, text_lines, tiny_params, with_any_heads,
 )
 
 FUZZ = settings(max_examples=150, deadline=None,
@@ -102,7 +102,7 @@ def test_the_tree_check_matches_the_bfs(heads, multi):
     if heads and all(abs(h) < 2 ** 62 for h in heads):
         assert rooted_rows([np.array([heads])], multi).tolist() == [rooted]
     n = len(heads)
-    tree = DependencyTree.from_columns(["w"] * n, ["NN"] * n, heads, [None] * n)
+    tree = DependencyTree(["w"] * n, ["NN"] * n, heads, [None] * n)
     if rooted:
         tree.validate(multi)
         return
@@ -339,6 +339,10 @@ def _parsed_file(text, multi):
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
         ours = _parsed(lambda _, **kw: load_conll(path, **kw), text, multi)
+        if ours[0] == "error":  # the file's error names the file, once
+            kind, cls, message, line = ours
+            assert message.startswith(f"{path}: ") and path not in message[len(path):]
+            ours = (kind, cls, message[len(path) + 2:], line)
         with open(path, encoding="utf-8") as f:  # newline translation, as load_conll reads
             return ours, _parsed(reference_parse_conll, f, multi)
 
@@ -364,7 +368,7 @@ def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
     if ours[0] == "ok":  # written back as the line parser's trees are, with any heads
         trees = parse_conll(text, allow_multiple_roots=multi)
         for heads in (lambda t: t.heads, lambda t: [0] * len(t)):
-            moved = [tree.with_heads(heads(tree), validate=False) for tree in trees]
+            moved = [with_any_heads(tree, heads(tree)) for tree in trees]
             assert write_conll(moved) == reference_write_conll(moved)
 
 
@@ -408,7 +412,7 @@ def test_kbest_constructors_accept_exactly_forests(case):
     # parameter tag, so its arcs read the fallback slot
     forms = [f"w{i % 4}" for i in range(n + 1)]
     tags = [(TAGS + ("XX",))[i % 6] for i in range(n + 1)]
-    gold = DependencyTree.from_columns(forms[:n], tags[:n], gold_heads, [None] * n)
+    gold = DependencyTree(forms[:n], tags[:n], gold_heads, [None] * n)
     k, width = len(rows), len(rows[0]) if rows else n
     heads = np.array(rows, dtype=float if as_float or fault else np.int64).reshape(k, width)
     scores = np.arange(k, dtype=float)
@@ -419,9 +423,9 @@ def test_kbest_constructors_accept_exactly_forests(case):
             target.flat[at % target.size] = value
         else:
             fault = None
-    trees = [(DependencyTree.from_columns(forms[:width], tags[:width], row, [None] * width),
-              score) for row, score in zip(heads.tolist() if as_float or fault else rows,
-                                           scores.tolist())]
+    trees = [(DependencyTree(forms[:width], tags[:width], row, [None] * width), score)
+             for row, score in zip(heads.tolist() if as_float or fault else rows,
+                                   scores.tolist())]
     builds = (lambda: KBestList(gold, trees), lambda: KBestList.from_arrays(gold, heads, scores))
     if width != n:
         for build in builds:

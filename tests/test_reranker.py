@@ -219,7 +219,7 @@ def test_rerank_corpus_counts_heads_without_building_trees(monkeypatch, include_
     config = RerankConfig(alpha=0.5, include_oracle=include_oracle)
     with monkeypatch.context() as patch:
         patch.setattr(R, "uas", lambda *a, **kw: pytest.fail("uas called"))
-        patch.setattr(DependencyTree, "with_heads", lambda *a, **kw: pytest.fail("tree built"))
+        patch.setattr(DependencyTree, "__init__", lambda *a, **kw: pytest.fail("tree built"))
         result = rerank_corpus(tiny_params(), corpus, config, punct, model_scores=scores)
     # the trees, built when read, are the chosen candidates, and uas counts them alike
     want = [R.augmented(kb, include_oracle).candidates[i][0]

@@ -217,6 +217,23 @@ def test_grad_check_suite_acceptance_shape():
     assert suite.passed(1e-4), suite.worst
 
 
+@pytest.mark.parametrize("seed", [7, 2024, 20240])
+def test_grad_check_sees_a_wrong_gradient_below_1e_9(monkeypatch, seed):
+    # at the initial weights most gradients are about 1e-7, so a check that
+    # took every difference below 1e-9 as exact would pass this one unseen
+    right = trainer.backward_list
+
+    def wrong(*args):
+        g = right(*args)
+        return Gradients(*(Rows(rows, np.where(np.abs(values) < 1e-9, 1.5 * values, values))
+                           for rows, values in (g.words, g.dists, g.pair_W, g.pair_v)))
+
+    monkeypatch.setattr(trainer, "backward_list", wrong)
+    suite = run_grad_check_suite(seed=seed, instances=20)
+    assert suite.max_rel_error == pytest.approx(1 / 3, rel=1e-4), suite.worst
+    assert not suite.passed(1e-4)
+
+
 def _word_grad(row, values):
     """Gradients touching one word row."""
     return Gradients(words=Rows(np.array([row]), np.array([values])))
