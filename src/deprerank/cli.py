@@ -375,6 +375,10 @@ def main(argv=None) -> int:
         blame = f"{args.model}: " if isinstance(err, ScoreError) and "model" in args else ""
         print(f"deprerank: error: {blame}{err}", file=sys.stderr)
         return EXIT_DATA
+    except MemoryError as err:  # such as tables too large to allocate (--m, --m-d, --dist-clip)
+        print("deprerank: error: out of memory" + (f": {err}" if str(err) else ""),
+              file=sys.stderr)
+        return EXIT_DATA
 
 
 if __name__ == "__main__":

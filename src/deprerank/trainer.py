@@ -117,7 +117,7 @@ def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
                                      (params.distances.vectors, state.acc_dists, grads.dists),
                                      (pp.v, state.acc_v, grads.pair_v)):
         if len(rows):
-            theta, sums = table[rows], acc[rows]
+            theta, sums = table.take(rows, axis=0), acc.take(rows, axis=0)
             _apply_update(theta, sums, grad, *args, *np.empty((2,) + grad.shape))
             table[rows], acc[rows] = theta, sums
     slots, grad = grads.pair_W

@@ -311,11 +311,15 @@ def test_train_bad_hyperparameter_exits_1(tmp_path, corpus_files, capsys, comman
     assert not (tmp_path / "m.bin").exists()
 
 
-@pytest.mark.parametrize("case", ["--rho=1e150", "--lambda=1e200", "rerank"])
+_TOO_LARGE = ["--m=1000000000000", "--m-d=1000000000000", "--dist-clip=1000000000000"]
+
+
+@pytest.mark.parametrize("case", ["--rho=1e150", "--lambda=1e200", "rerank", *_TOO_LARGE])
 def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, capsys, case):
     # train to nan parameters, train through an overflow that stays finite,
-    # and rerank with a finite model whose scores are inf; under pytest,
-    # numpy's warnings are recorded, not printed
+    # rerank with a finite model whose scores are inf, and train with tables
+    # too large to allocate (each fails at its allocation, so none allocates
+    # anything); under pytest, numpy's warnings are recorded, not printed
     paths, _ = corpus_files
     if case != "rerank":
         argv = _train_args(paths, tmp_path / "m.bin", case)
@@ -337,7 +341,8 @@ def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, ca
     assert "Traceback" not in err and "Warning" not in err and not caught
     # the error names the epoch, or the model file whose scores overflow
     begins = {"--rho=1e150": "deprerank: error: epoch ", "--lambda=1e200": "",
-              "rerank": f"deprerank: error: {tmp_path / 'inf.bin'}: list 0: model score "}
+              "rerank": f"deprerank: error: {tmp_path / 'inf.bin'}: list 0: model score ",
+              **dict.fromkeys(_TOO_LARGE, "deprerank: error: out of memory")}
     assert err.startswith(begins[case]) and code == (2 if begins[case] else 0)
 
 

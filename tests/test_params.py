@@ -56,6 +56,17 @@ def test_distance_clipping():
     assert not np.array_equal(dist_vec(p, -2), dist_vec(p, 2))
 
 
+def test_both_constructors_put_delta_d_at_row_d_plus_clip():
+    # the plan builders compute a distance row as the clipped delta + dist_clip
+    p = tiny_params(dist_clip=4)
+    buf = io.BytesIO()
+    save(p, buf)
+    buf.seek(0)
+    for params in (p, load(buf)):
+        assert [params.distance_row(d) for d in range(-6, 7)] == [0, 0, *range(9), 8, 8]
+        assert params.distances.keys == list(range(-4, 5))
+
+
 def test_get_pair_idempotent_and_distinct():
     p = tiny_params()
     W1, v1 = get_pair(p, "NN", "DT", create=True)
