@@ -32,7 +32,7 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config(path) -> dict:
     """Flat 'key = value' file ('#' comments) of `TRAIN_SETTINGS` keys, each
-    given once and parsed at its line."""
+    given once and read at its line by its flag's type."""
     out, line_of = {}, {}
     for lineno, raw in enumerate(treebank.read_text(path, list), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -51,6 +51,8 @@ def read_config(path) -> dict:
         line_of[key] = lineno
         try:
             out[key] = TRAIN_SETTINGS[key][1](value)
+        except argparse.ArgumentTypeError as err:
+            raise ConfigError(f"{path}:{lineno}: config key {key!r}: {err}") from None
         except ValueError:
             raise ConfigError(f"{path}:{lineno}: config key {key!r}: "
                               f"cannot parse {value!r}") from None
@@ -59,17 +61,13 @@ def read_config(path) -> dict:
 
 def _resolve_settings(args) -> tuple[P.Hyperparams, trainer.TrainConfig]:
     """The config file's settings with the given flags on top; the rest keep
-    their defaults. Flags are range-checked by argparse, so a value rejected
-    here came from the config file."""
+    their defaults. Every value has passed its flag's type, so it is in range."""
     given = read_config(args.config) if args.config else {}
     given.update((k, v) for k, v in vars(args).items() if k in TRAIN_SETTINGS and v is not None)
     fields = {TRAIN_SETTINGS[key][0]: value for key, value in given.items()}
     hyper_fields = {f.name for f in dataclasses.fields(P.Hyperparams)}
-    try:
-        return (P.Hyperparams(**{f: v for f, v in fields.items() if f in hyper_fields}),
-                trainer.TrainConfig(**{f: v for f, v in fields.items() if f not in hyper_fields}))
-    except ValueError as err:
-        raise ConfigError(f"{args.config}: {err}") from None
+    return (P.Hyperparams(**{f: v for f, v in fields.items() if f in hyper_fields}),
+            trainer.TrainConfig(**{f: v for f, v in fields.items() if f not in hyper_fields}))
 
 
 def _check_paths(outputs=(), inputs=()) -> None:
@@ -262,19 +260,19 @@ _NON_NEGATIVE = _number(float, 0)
 
 
 # Every `train` setting: config key -> (its Hyperparams or TrainConfig field, the
-# converter of a config value, the argparse type that range-checks `--<key>`).
+# argparse type that reads and range-checks `--<key>` and the key's config value).
 TRAIN_SETTINGS = {
-    "m": ("m", int, _POSITIVE_INT),
-    "m_d": ("m_d", int, _POSITIVE_INT),
-    "rho": ("rho", float, _POSITIVE),
-    "kappa": ("kappa", float, _POSITIVE),
-    "lambda": ("lam", float, _NON_NEGATIVE),
-    "k": ("k", int, _POSITIVE_INT),
-    "dist_clip": ("dist_clip", int, _POSITIVE_INT),
-    "seed": ("seed", int, _NON_NEGATIVE_INT),
-    "max_epochs": ("max_epochs", int, _POSITIVE_INT),
-    "patience": ("patience", int, _POSITIVE_INT),
-    "punct_set": ("punct_tags", treebank.resolve_punct_set, treebank.resolve_punct_set),
+    "m": ("m", _POSITIVE_INT),
+    "m_d": ("m_d", _POSITIVE_INT),
+    "rho": ("rho", _POSITIVE),
+    "kappa": ("kappa", _POSITIVE),
+    "lambda": ("lam", _NON_NEGATIVE),
+    "k": ("k", _POSITIVE_INT),
+    "dist_clip": ("dist_clip", _POSITIVE_INT),
+    "seed": ("seed", _NON_NEGATIVE_INT),
+    "max_epochs": ("max_epochs", _POSITIVE_INT),
+    "patience": ("patience", _POSITIVE_INT),
+    "punct_set": ("punct_tags", treebank.resolve_punct_set),
 }
 
 
@@ -301,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--model-out", required=True)
     t.add_argument("--pretrained", help="word2vec text-format vectors")
     t.add_argument("--config", help="flat key = value settings file")
-    for key, (_, _, flag_type) in TRAIN_SETTINGS.items():
+    for key, (_, flag_type) in TRAIN_SETTINGS.items():
         t.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type)
     t.add_argument("--min-freq", type=_POSITIVE_INT, default=2,
                    help="forms rarer than this train the unknown-word row")

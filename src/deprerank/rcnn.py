@@ -214,13 +214,9 @@ PLAN_BUDGET = 8192
 
 def plan_batches(lists: Iterable[KBestList]) -> list[list[KBestList]]:
     """Runs of consecutive k-best lists whose node instances, k * (n + 1) per
-    list, add up to at most PLAN_BUDGET; a larger list is a batch of its own.
-    All batches are made before any is built, so a list with no candidates
-    raises ValueError before any plan is."""
+    list, add up to at most PLAN_BUDGET; a larger list is a batch of its own."""
     batches, size = [], 0
     for kb in lists:
-        if not len(kb):
-            raise ValueError("no trees to score")
         cost = len(kb) * (len(kb.gold) + 1)
         if not batches or size + cost > PLAN_BUDGET:
             batches.append([])

@@ -44,8 +44,6 @@ def augmented(kb: KBestList, include_oracle: bool) -> KBestList:
     """
     if not include_oracle:
         return kb
-    if not len(kb):
-        raise ValueError("cannot add the oracle to a k-best list with no candidates")
     return KBestList._unchecked(kb.gold, np.concatenate((kb.heads, [kb.gold.heads])),
                                 np.concatenate((kb.scores, [np.maximum.reduce(kb.scores)])))
 
@@ -119,9 +117,8 @@ class RerankResult:
 def corpus_model_scores(params: ParamSet, kbests: Sequence[KBestList],
                         include_oracle: bool = False) -> list[list[float]]:
     """Model score per candidate (oracle last) per list (`rcnn.score_lists`)."""
-    lists = [augmented(kb, include_oracle) for kb in kbests]
-    scores = iter(score_lists(params, [kb for kb in lists if len(kb)]))
-    return [next(scores).tolist() if len(kb) else [] for kb in lists]
+    return [scores.tolist() for scores in
+            score_lists(params, [augmented(kb, include_oracle) for kb in kbests])]
 
 
 def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankConfig,
@@ -147,13 +144,16 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
 
 
 def alpha_grid(alpha_step: float) -> np.ndarray:
-    """The grid {0, step, 2 step, ..., 1}; step 0.005 gives 201 points."""
+    """The grid {0, step, 2 step, ..., 1} of a step that divides 1; step
+    0.005 gives 201 points."""
     if not 0.0 < alpha_step <= 1.0:
         raise ValueError(f"alpha step must lie in (0, 1], got {alpha_step:g}")
     if alpha_step < MIN_ALPHA_STEP:
         raise ValueError(f"alpha step must be >= {MIN_ALPHA_STEP:g} "
                          f"(at most 10,001 alphas), got {alpha_step:g}")
-    steps = int(round(1.0 / alpha_step))
+    steps = round(1.0 / alpha_step)
+    if abs(1.0 / alpha_step - steps) > 1e-9 / alpha_step:
+        raise ValueError(f"alpha step must divide 1, got {alpha_step:g}")
     return np.linspace(0.0, 1.0, steps + 1)
 
 

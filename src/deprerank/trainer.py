@@ -40,8 +40,6 @@ class _SentenceItem:
     def build_all(cls, params: ParamSet, kbests: Sequence[KBestList],
                   kappa: float) -> list["_SentenceItem"]:
         """One item per list, their plans built in batches (`build_list_plans`)."""
-        if not all(len(kb) for kb in kbests):
-            raise ValueError("candidate list must be non-empty")
         # gold, then the candidates: rows the lists have checked; scores unread
         lists = [KBestList._unchecked(kb.gold, np.vstack([kb.gold.heads, kb.heads]),
                                       np.zeros(len(kb) + 1)) for kb in kbests]

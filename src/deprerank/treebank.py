@@ -136,15 +136,14 @@ class KBestList:
     heads, so they are held as a read-only (k, n) int64 head matrix `heads`
     and a (k,) float64 vector `scores` of base scores. `candidates` shows
     them as (tree, score) pairs; a tree is built only when its item is read.
-    Each row, and the gold tree's heads, is a forest over the n >= 1 tokens:
-    both constructors check it (`_check_rows`); the readers check as they
-    read and build lists with `_unchecked`.
+    There are k >= 1 rows, and each, like the gold tree's heads, is a forest
+    over the n >= 1 tokens: both constructors check it (`_check_rows`); the
+    readers check as they read and build lists with `_unchecked`.
     """
 
     __slots__ = ("gold", "heads", "scores")
 
-    def __init__(self, gold: DependencyTree,
-                 candidates: Iterable[tuple[DependencyTree, float]] = ()):
+    def __init__(self, gold: DependencyTree, candidates: Iterable[tuple[DependencyTree, float]]):
         pairs = tuple(candidates)
         for rank, (tree, _) in enumerate(pairs, start=1):
             if tree._forms != gold._forms or tree._tags != gold._tags or len(tree) != len(gold):
@@ -181,7 +180,9 @@ class KBestList:
         return Candidates(self)
 
     def truncated(self, k: int) -> "KBestList":
-        """Keep only the top-ranked k candidates."""
+        """Keep only the top-ranked k >= 1 candidates."""
+        if k < 1:
+            raise ValueError(f"k must be >= 1, got {k}")
         return KBestList._unchecked(self.gold, self.heads[:k], self.scores[:k])
 
     def attachment_counts(self, punct_tags: frozenset[str] | set[str] = frozenset()
@@ -198,7 +199,7 @@ class KBestList:
 
 def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:
     """`heads` and `scores` as int64 and float64 arrays, if they are a (k, n)
-    head matrix over the gold tree's n >= 1 tokens and k finite scores, and
+    head matrix over the gold tree's n >= 1 tokens and k >= 1 finite scores, and
     every row and the gold heads is a forest (integer heads in [0, n], no
     cycle). Heads given as integral floats are taken as integers."""
     n, heads, scores = len(gold), np.asarray(heads), np.asarray(scores, dtype=np.float64)
@@ -207,6 +208,8 @@ def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.nda
                              f"k scores, got shapes {heads.shape} and {scores.shape}")
     if not n:
         raise StructureError("a k-best list needs a sentence of at least one token")
+    if not len(heads):
+        raise StructureError("a k-best list needs at least one candidate")
     sentence = f"of the sentence {' '.join(gold._forms)!r}"
     finite = np.isfinite(scores)
     if not finite.all():
@@ -852,8 +855,6 @@ def corpus_oracle(kbests: Sequence[KBestList], punct_tags: frozenset[str] | set[
     each list, summed over the lists (not averaged UAS)."""
     total = EvalResult(0, 0)
     for kb in kbests:
-        if not len(kb):
-            raise ValueError("oracle over an empty candidate list")
         correct, scored = kb.attachment_counts(punct_tags)
         total = total + EvalResult(int(correct.min() if worst else correct.max()), scored)
     return total

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from deprerank import cli, params as P, rcnn, treebank
 from deprerank.cli import main
@@ -234,14 +235,39 @@ def test_unparsable_config_value_exits_2_at_its_line(tmp_path, corpus_files, cap
     # parsed where it is read, so a flag that overrides it does not hide it
     paths, _ = corpus_files
     cfg = tmp_path / "train.cfg"
-    cfg.write_text("m = four\nm_d = 4\n", encoding="utf-8")
     (tg, tk), (dg, dk) = paths["train"], paths["dev"]
+    cfg.write_text("m = four\nm_d = 4\n", encoding="utf-8")
     code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
                  "--dev-gold", str(dg), "--dev-kbest", str(dk),
                  "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg), *flags])
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         f"deprerank: error: {cfg}:1: config key 'm': cannot parse 'four'"]
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
+    # _train_args also sets the key by its flag, which does not hide the bad line
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("m_d = 4\nmax_epochs = 0\n", encoding="utf-8")
+    code = main(_train_args(paths, tmp_path / "m.bin", "--config", str(cfg)))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"deprerank: error: {cfg}:2: config key 'max_epochs': "
+        "must be a finite number >= 1, got 0"]
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_negative_config_seed_exits_2(tmp_path, corpus_files, capsys):
+    # _train_args also sets the key by its flag, which does not hide the bad line
+    paths, _ = corpus_files
+    cfg = tmp_path / "train.cfg"
+    cfg.write_text("seed = -1\n", encoding="utf-8")
+    code = main(_train_args(paths, tmp_path / "m.bin", "--config", str(cfg)))
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"deprerank: error: {cfg}:1: config key 'seed': must be a finite number >= 0, got -1"]
     assert not (tmp_path / "m.bin").exists()
 
 
@@ -283,6 +309,8 @@ _REFUSED_FLAGS = [("train", flag, value, "must be a finite number") for flag, va
     ("rerank", "--alpha", "high", "could not convert string to float: 'high'"),
     ("rerank", "--alpha-step", "0", "alpha step must lie in (0, 1], got 0"),
     ("curve", "--alpha-step", "1e-5", "alpha step must be >= 0.0001"),
+    *((command, "--alpha-step", step, f"alpha step must divide 1, got {step}")
+      for command in ("rerank", "curve") for step in ("0.3", "0.4", "0.7", "0.0049")),
     ("curve", "--ks", "1,0", "every k must be a positive integer"),
     ("gradcheck", "--seed", "-1", "must be a finite number >= 0, got -1"),
     ("gradcheck", "--instances", "0", "must be a finite number >= 1, got 0"),
@@ -346,31 +374,33 @@ def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, ca
     assert err.startswith(begins[case]) and code == (2 if begins[case] else 0)
 
 
-def test_bad_config_value_exits_2(tmp_path, corpus_files, capsys):
-    paths, _ = corpus_files
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("max_epochs = 0\n", encoding="utf-8")
-    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
-    code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
-                 "--dev-gold", str(dg), "--dev-kbest", str(dk),
-                 "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "max_epochs must be >= 1" in err
+# a huge size is 10**12 alone, which fails at its table's first allocation; a
+# mid-size one such as --dist-clip 100000000 really allocates gigabytes
+_SIZE = st.sampled_from((1, 2, 3, 4, 10 ** 12))
+_SCALE = st.floats(1e-300, 1e300)
 
 
-def test_negative_config_seed_exits_2(tmp_path, corpus_files, capsys):
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rho=_SCALE, kappa=_SCALE, lam=st.just(0.0) | _SCALE, m=_SIZE, m_d=_SIZE,
+       dist_clip=_SIZE, k=st.integers(1, 8) | st.just(10 ** 18), epochs=st.integers(1, 2))
+@example(rho=1e150, kappa=2.0, lam=1e-4, m=4, m_d=4, dist_clip=10, k=5, epochs=3)
+@example(rho=0.1, kappa=2.0, lam=1e200, m=4, m_d=4, dist_clip=10, k=5, epochs=3)
+@example(rho=0.1, kappa=2.0, lam=1e-4, m=10 ** 12, m_d=4, dist_clip=10, k=5, epochs=3)
+@example(rho=0.1, kappa=2.0, lam=1e-4, m=4, m_d=10 ** 12, dist_clip=10, k=5, epochs=3)
+@example(rho=0.1, kappa=2.0, lam=1e-4, m=4, m_d=4, dist_clip=10 ** 12, k=5, epochs=3)
+def test_every_accepted_train_setting_trains_or_ends_in_one_line(
+        tmp_path, corpus_files, capsys, rho, kappa, lam, m, m_d, dist_clip, k, epochs):
     paths, _ = corpus_files
-    cfg = tmp_path / "train.cfg"
-    cfg.write_text("seed = -1\n", encoding="utf-8")
-    (tg, tk), (dg, dk) = paths["train"], paths["dev"]
-    code = main(["train", "--train-gold", str(tg), "--train-kbest", str(tk),
-                 "--dev-gold", str(dg), "--dev-kbest", str(dk),
-                 "--model-out", str(tmp_path / "m.bin"), "--config", str(cfg)])
-    assert code == 2
+    model_path = tmp_path / "m.bin"
+    model_path.unlink(missing_ok=True)
+    capsys.readouterr()
+    code = main(_train_args(paths, model_path, f"--rho={rho!r}", f"--kappa={kappa!r}",
+                            f"--lambda={lam!r}", f"--m={m}", f"--m-d={m_d}",
+                            f"--dist-clip={dist_clip}", f"--k={k}", f"--max-epochs={epochs}"))
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "seed must be >= 0, got -1" in err
-    assert not (tmp_path / "m.bin").exists()
+    assert code in (0, 2) and err.count("\n") <= 1 and "Traceback" not in err
+    assert code == 0 or not model_path.exists()
 
 
 def test_gradcheck_negative_seed_exits_1(capsys):

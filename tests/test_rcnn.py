@@ -1,7 +1,5 @@
 """Tree scoring: convolution, pooling, recursion, and analytic gradients."""
 
-import re
-
 import numpy as np
 import pytest
 
@@ -401,8 +399,7 @@ def test_list_plan_creates_pairs_in_build_plan_order():
 
 def test_list_plan_rejects_bad_input():
     # a plan is built from a KBestList, which refuses rows that do not match
-    # its gold tree's tokens; the one list a builder refuses has no candidates
-    p = tiny_params()
+    # its gold tree's tokens
     gold = make_tree([0, 1, 1])
     with pytest.raises(AlignmentError):
         KBestList(gold, [(make_tree([0, 1, 1], forms=["w1", "w2", "w9"]), 0.0)])
@@ -418,8 +415,6 @@ def test_list_plan_rejects_bad_input():
         KBestList.from_arrays(gold, [[0, 1, 1], [0, 1, 4]], [0.0, 0.0])
     with pytest.raises(StructureError):
         KBestList.from_arrays(gold, [[0, 1, -1]], [0.0])
-    with pytest.raises(ValueError, match="no trees"):
-        one_list_plan(p, KBestList(gold))
 
 
 def test_list_plan_rejects_cycles():
@@ -475,22 +470,6 @@ def test_batched_plans_equal_one_sentence_plans():
             assert list(p.pos_pairs.index.items()) == list(oracle.pos_pairs.index.items())
             assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
             assert p.pos_pairs.v.tobytes() == oracle.pos_pairs.v.tobytes()
-
-
-@pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
-def test_a_malformed_sentence_fails_its_batch_as_it_fails_alone(monkeypatch, budget):
-    # a list's rows are checked where it is made (test_treebank), so the one
-    # list a builder refuses has no candidates; with budget 20 it comes in a
-    # later batch than others, and still no pair is created
-    monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
-    empty = KBestList(make_tree([0, 1, 1]))
-    good = _random_lists(np.random.default_rng(63), 4)
-    with pytest.raises(ValueError) as alone:
-        one_list_plan(tiny_params(), empty, create_pairs=True)
-    p = tiny_params()
-    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-        build_list_plans(p, good[:2] + [empty] + good[2:])
-    assert len(p.pos_pairs) == len(tiny_params().pos_pairs)  # no pair created
 
 
 def test_plan_batches_keep_the_budget_and_the_input_order(monkeypatch):
@@ -807,15 +786,3 @@ def test_score_lists_scores_each_batch_before_it_builds_the_next(monkeypatch):
     for kb, got, expected in zip(lists, scores, want):  # and what it scores alone
         assert got.tobytes() == expected.tobytes()
         assert got.tobytes() == forward(p, one_list_plan(p, kb))[0].tobytes()
-
-
-@pytest.mark.parametrize("budget", [rcnn.PLAN_BUDGET, 20])
-def test_a_malformed_sentence_fails_its_forest_as_it_fails_alone(monkeypatch, budget):
-    # as for batches: the one list a forest refuses has no candidates
-    monkeypatch.setattr(rcnn, "PLAN_BUDGET", budget)
-    empty = KBestList(make_tree([0, 1, 1]))
-    good = _random_lists(np.random.default_rng(67), 4)
-    with pytest.raises(ValueError) as alone:
-        build_forests(tiny_params(), [empty])
-    with pytest.raises(ValueError, match=f"^{re.escape(str(alone.value))}$"):
-        build_forests(tiny_params(), good[:2] + [empty] + good[2:])

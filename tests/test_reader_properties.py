@@ -19,7 +19,7 @@ from deprerank.errors import AlignmentError, DataError, StructureError
 from deprerank.params import load
 from deprerank.treebank import (
     DependencyTree, KBestList, is_rooted_tree, load_conll, parse_conll, read_kbest, rooted_rows,
-    write_conll,
+    write_conll, write_kbest,
 )
 
 from helpers import (
@@ -432,6 +432,11 @@ def test_kbest_constructors_accept_exactly_forests(case):
             with pytest.raises(AlignmentError):
                 build()
         return
+    if not k:
+        for build in builds:
+            with pytest.raises(StructureError, match="needs at least one candidate$"):
+                build()
+        return
     if fault and fault[0] == "score":
         for build in builds:
             with pytest.raises(AlignmentError, match=f"base score {value} is not finite$"):
@@ -454,11 +459,42 @@ def test_kbest_constructors_accept_exactly_forests(case):
         kb = build()
         assert kb.heads.dtype == np.int64 and kb.scores.dtype == np.float64
         assert kb.heads.tolist() == rows and kb.scores.tolist() == list(range(k))
-    if k:  # the plan of an accepted list is the oracle's, field by field
-        p, oracle = tiny_params(m=2, m_d=2, seed=k), tiny_params(m=2, m_d=2, seed=k)
-        assert_same_plan(one_list_plan(p, kb, create_pairs=True),
-                         reference_list_plan(oracle, kb, create_pairs=True))
-        assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
+    # the plan of an accepted list is the oracle's, field by field
+    p, oracle = tiny_params(m=2, m_d=2, seed=k), tiny_params(m=2, m_d=2, seed=k)
+    assert_same_plan(one_list_plan(p, kb, create_pairs=True),
+                     reference_list_plan(oracle, kb, create_pairs=True))
+    assert p.pos_pairs.W.tobytes() == oracle.pos_pairs.W.tobytes()
+
+
+WORD = st.text("abcdefghijklmnopqrstuvwxyz", min_size=1, max_size=4)
+
+
+@FUZZ
+@given(gold_and_rows(), st.lists(WORD, min_size=7, max_size=7),
+       st.lists(WORD, min_size=7, max_size=7), st.lists(st.floats(), min_size=4, max_size=4))
+@example((2, [0, 1], [], False, None), ["a"] * 7, ["t"] * 7, [0.0] * 4)
+def test_a_list_the_constructors_accept_reads_back_as_written(case, forms, tags, all_scores):
+    """Both constructors refuse the list, or `write_kbest` of it reads back
+    with its gold tree, heads and scores. A list with no candidates would be
+    written with a `SENT i 0` header, which the reader refuses."""
+    n, gold_heads, rows, _, _ = case
+    k, width = len(rows), len(rows[0]) if rows else n
+    gold = DependencyTree(forms[:n], tags[:n], gold_heads, [None] * n)
+    heads, scores = np.array(rows, dtype=np.int64).reshape(k, width), all_scores[:k]
+    trees = [(DependencyTree(forms[:width], tags[:width], row, [None] * width), score)
+             for row, score in zip(rows, scores)]
+    built = []
+    for build in (lambda: KBestList(gold, trees),
+                  lambda: KBestList.from_arrays(gold, heads, scores)):
+        try:
+            built.append(build())
+        except (AlignmentError, StructureError):
+            pass
+    assert len(built) in (0, 2)
+    for kb in built:
+        [back] = read_kbest(write_conll([gold]), write_kbest([kb]), allow_multiple_roots=True)
+        assert back.gold == gold and back.heads.tolist() == rows
+        assert back.scores.tobytes() == np.array(scores, dtype=np.float64).tobytes()
 
 
 @given(st.integers(1, 9).flatmap(lambda n: st.tuples(rooted_heads(n, False),

@@ -12,7 +12,7 @@ from deprerank.reranker import (
     rerank_corpus, search_alpha, uas_curve,
 )
 from deprerank.synth import synth_corpus
-from deprerank.treebank import DependencyTree, EvalResult, KBestList, corpus_oracle, uas
+from deprerank.treebank import DependencyTree, EvalResult, corpus_oracle, uas
 
 from helpers import kbest_of, make_tree, margin_delta, tiny_params
 
@@ -59,6 +59,13 @@ def test_alpha_steps_below_the_floor_are_refused(step):
     with pytest.raises(ValueError, match="alpha step must be >= 0.0001"):
         alpha_grid(step)
     assert len(alpha_grid(1e-4)) == 10_001
+
+
+@pytest.mark.parametrize("step", [0.3, 0.4, 0.7, 0.0049])
+def test_alpha_steps_that_do_not_divide_1_are_refused(step):
+    # rounding 1 / step would search another grid, {0, 0.5, 1} for 0.4
+    with pytest.raises(ValueError, match=f"^alpha step must divide 1, got {step:g}$"):
+        alpha_grid(step)
 
 
 def test_uas_curve_checks_ks_before_scoring():
@@ -131,6 +138,10 @@ def test_alpha_grid_has_201_points_at_default_step():
     assert len(grid) == 201
     assert grid[0] == 0.0 and grid[-1] == 1.0
     assert len(alpha_grid(0.25)) == 5
+    for step in (0.0001, 0.001, 0.005, 0.01, 0.02, 0.05, 0.1, 0.125, 0.2, 0.25, 0.5, 1.0):
+        grid = alpha_grid(step)  # a step that divides 1: the grid of its multiples
+        assert grid[0] == 0.0 and grid[-1] == 1.0
+        assert np.allclose(np.diff(grid), step, rtol=1e-9, atol=0.0)
 
 
 def test_search_alpha_prefers_smallest_on_ties():
@@ -365,20 +376,6 @@ def test_corpus_scores_in_batches_equal_list_by_list_scores(monkeypatch, include
     monkeypatch.setattr(rcnn, "PLAN_BUDGET", 100)  # several forests of several lists
     corpus = synth_corpus(seed=17, sentences=20, k=5, length_range=(1, 14))
     assert max(map(len, rcnn.plan_batches(corpus))) > 1
-    if not include_oracle:  # an empty list scores nothing
-        corpus.insert(3, KBestList(corpus[0].gold, []))
     p = tiny_params(m=4, m_d=4, seed=6)
     want = [candidate_model_scores(p, kb, include_oracle) for kb in corpus]
     assert corpus_model_scores(p, corpus, include_oracle) == want
-
-
-def test_the_oracle_of_an_empty_list_is_refused():
-    p = tiny_params(m=4, m_d=4, seed=6)
-    corpus = synth_corpus(seed=18, sentences=3, k=4)
-    empty = KBestList(corpus[0].gold, [])
-    message = "^cannot add the oracle to a k-best list with no candidates$"
-    assert candidate_model_scores(p, empty) == []
-    with pytest.raises(ValueError, match=message):
-        candidate_model_scores(p, empty, include_oracle=True)
-    with pytest.raises(ValueError, match=message):
-        corpus_model_scores(p, corpus[:2] + [empty] + corpus[2:], include_oracle=True)

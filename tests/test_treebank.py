@@ -281,13 +281,6 @@ def test_oracle_singleton_and_ties():
     assert corpus_oracle([tie]) == EvalResult(0, 2) == corpus_oracle([tie], worst=True)
 
 
-def test_oracle_empty_candidates():
-    gold = make_tree([0])
-    for worst in (False, True):
-        with pytest.raises(ValueError, match="oracle over an empty candidate list"):
-            corpus_oracle([KBestList(gold, ())], worst=worst)
-
-
 def test_corpus_oracle_aggregates_counts():
     g1 = make_tree([0, 1])
     g2 = make_tree([2, 0, 2])
@@ -597,9 +590,19 @@ def test_kbest_constructors_reject_rows_that_are_not_forests():
             with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
                 build()
     with pytest.raises(StructureError, match="at least one token"):
-        KBestList(DependencyTree((), (), (), ()))
+        KBestList(DependencyTree((), (), (), ()), [])
     with pytest.raises(StructureError, match="at least one token"):
         KBestList.from_arrays(DependencyTree((), (), (), ()), np.zeros((1, 0)), [0.0])
+    # and at least one candidate, also after truncation, so nothing that
+    # scores, reranks or writes a list checks its length again
+    for build in (lambda: KBestList(gold, []),
+                  lambda: KBestList.from_arrays(gold, np.empty((0, 3)), [])):
+        with pytest.raises(StructureError, match="^a k-best list needs at least one candidate$"):
+            build()
+    three = KBestList.from_arrays(gold, [[0, 1, 1]] * 3, [0.0, 1.0, 2.0])
+    for k in (0, -1):
+        with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
+            three.truncated(k)
     # several roots make a forest, which a list holds
     assert KBestList.from_arrays(gold, [[0, 0, 0], [0, 1, 0]], [0.0, 0.0]).heads.tolist() == [
         [0, 0, 0], [0, 1, 0]]
