@@ -21,6 +21,10 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CHECK = 3
 
+# this host's physical memory: `train` ends with "out of memory", before it
+# allocates a table, when its sizes need more (`trainer.train_bytes`)
+MEMORY_LIMIT = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on bad usage; this artifact reserves 2 for data errors."""
@@ -117,6 +121,11 @@ def cmd_train(args) -> int:
     golds = [kb.gold for kb in train_kbs]
     vocab = P.build_word_vocab(golds, min_freq=args.min_freq)
     pos_vocab = P.build_pos_vocab(golds)
+    need = trainer.train_bytes(hyper, len(vocab), train_kbs)
+    if need > MEMORY_LIMIT:
+        raise MemoryError(f"m = {hyper.m}, m_d = {hyper.m_d} and dist_clip = {hyper.dist_clip} "
+                          f"need about {need / 2 ** 30:.3g} GiB of tables and batch arrays, "
+                          f"above this host's {MEMORY_LIMIT / 2 ** 30:.3g} GiB of memory")
     model = P.init_random(hyper, vocab, pos_vocab, cfg.seed)
     print(f"sentences={len(train_kbs)} dev_sentences={len(dev_kbs)} "
           f"vocab={len(model.words)} seed={cfg.seed}")
@@ -125,7 +134,9 @@ def cmd_train(args) -> int:
         print(f"pretrained_loaded={loaded}")
 
     def report_line(r: trainer.TrainReport) -> None:
-        print(f"epoch={r.epoch} mean_hinge={r.mean_hinge:.6f} "
+        # a huge hinge prints the shortest text that reads back as it, not 300 digits
+        hinge = f"{r.mean_hinge:.6f}" if r.mean_hinge < 1e6 else repr(float(r.mean_hinge))
+        print(f"epoch={r.epoch} mean_hinge={hinge} "
               f"violations={r.violations} dev_uas={r.dev_uas:.6f}", flush=True)
 
     best, reports = trainer.train(model, train_kbs, dev_kbs, cfg, on_epoch=report_line)
@@ -373,7 +384,7 @@ def main(argv=None) -> int:
         blame = f"{args.model}: " if isinstance(err, ScoreError) and "model" in args else ""
         print(f"deprerank: error: {blame}{err}", file=sys.stderr)
         return EXIT_DATA
-    except MemoryError as err:  # such as tables too large to allocate (--m, --m-d, --dist-clip)
+    except MemoryError as err:  # such as sizes above MEMORY_LIMIT (--m, --m-d, --dist-clip)
         print("deprerank: error: out of memory" + (f": {err}" if str(err) else ""),
               file=sys.stderr)
         return EXIT_DATA

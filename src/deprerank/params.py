@@ -213,6 +213,15 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
 
 
+def table_bytes(hyper: Hyperparams, words: int, pairs: int) -> int:
+    """About the bytes of the parameters `init_random` makes over `words`
+    vocabulary forms, once `pairs` POS pairs are stored: the float64 tables,
+    and about 100 bytes of keys per word and distance row."""
+    rows, deltas = words + 2, 2 * hyper.dist_clip + 1
+    floats = rows * hyper.m + deltas * hyper.m_d + (pairs + 1) * hyper.m * (hyper.n + 1)
+    return 8 * floats + 100 * (rows + deltas)
+
+
 def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:
     """Overwrite word rows from word2vec text format; returns rows loaded.
 

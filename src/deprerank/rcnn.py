@@ -69,7 +69,7 @@ from typing import Iterable, NamedTuple
 import numpy as np
 
 from . import kernels
-from .params import ParamSet, ROOT_FORM, ROOT_POS
+from .params import Hyperparams, ParamSet, ROOT_FORM, ROOT_POS
 from .treebank import DependencyTree, KBestList
 
 ROOT_NODE = 0
@@ -98,14 +98,6 @@ class TreePlan:
     dist_rows: np.ndarray
     ploc: np.ndarray         # arc -> compact pair slot
     pair_slots: np.ndarray
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self.order)
-
-    @property
-    def num_arcs(self) -> int:
-        return len(self.arc_child)
 
 
 def build_plan(params: ParamSet, tree: DependencyTree, create_pairs: bool = False) -> TreePlan:
@@ -210,6 +202,12 @@ class ListPlan:
 # batched plan build holds. A batch's fixed cost per subtree height is shared
 # by all its sentences; the cap keeps its arrays, and so peak memory, small.
 PLAN_BUDGET = 8192
+
+
+def batch_bytes(hyper: Hyperparams) -> int:
+    """About the most bytes one batch of PLAN_BUDGET nodes holds: its inputs,
+    activations and their gradients."""
+    return 16 * PLAN_BUDGET * (hyper.n + 3 * hyper.m)
 
 
 def plan_batches(lists: Iterable[KBestList]) -> list[list[KBestList]]:

@@ -78,19 +78,6 @@ def synth_kbest(rng: np.random.Generator, gold: DependencyTree, k: int,
     return KBestList(gold, tuple(scored))
 
 
-def synth_corpus(seed: int, sentences: int, vocab_size: int = 30,
-                 length_range: tuple[int, int] = (5, 8), k: int = 8,
-                 tags=DEFAULT_TAGS, noise: float = 0.8) -> list[KBestList]:
-    rng = np.random.default_rng(seed)
-    vocab = [f"word{i:02d}" for i in range(vocab_size)]
-    lo, hi = length_range
-    out = []
-    for _ in range(sentences):
-        gold = random_tree(rng, int(rng.integers(lo, hi + 1)), vocab, tags)
-        out.append(synth_kbest(rng, gold, k, noise))
-    return out
-
-
 def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
     """8-best lists (`synth_kbest`, noise 0.8) over gold trees of 5-15 tokens
     of a grammar planted from `seed`. Trees have `random_tree`'s shapes; each
@@ -98,7 +85,7 @@ def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
     form `<tag>_<j>`, j < 4, with j drawn given its head's j, from fixed
     peaked tables (Dirichlet(0.15) rows, one more row for the artificial
     root). So gold arcs carry a signal that holds on lists not trained on,
-    unlike `synth_corpus`'s independent draws."""
+    unlike the independent draws of `random_tree` alone."""
     rng = np.random.default_rng(seed)
     tags, n_tags, n_forms = DEFAULT_TAGS, len(DEFAULT_TAGS), 4
     tag_table = rng.dirichlet([0.15] * n_tags, size=n_tags + 1)

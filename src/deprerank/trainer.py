@@ -16,10 +16,10 @@ import numpy as np
 
 from . import synth
 from .errors import ScoreError
-from .params import Hyperparams, ParamSet, init_random
+from .params import ROOT_POS, Hyperparams, ParamSet, init_random, table_bytes
 from .rcnn import (
-    Gradients, ListActivations, ListPlan, backward_list, build_forests, build_list_plans,
-    forest_scores, forward_list, pool_winners,
+    Gradients, ListActivations, ListPlan, backward_list, batch_bytes, build_forests,
+    build_list_plans, forest_scores, forward_list, pool_winners,
 )
 # no longer used here; perfbench's tracer self-test still checks this binding
 from .rcnn import build_plan  # noqa: F401
@@ -162,6 +162,18 @@ class TrainReport:
     mean_hinge: float
     violations: int
     dev_uas: float
+
+
+def train_bytes(hyper: Hyperparams, words: int, train_kbest: Sequence[KBestList]) -> int:
+    """About the most bytes `train` holds: one batch, and four copies (the parameters,
+    their AdaGrad sums, the best model and its replacement) of tables over `words`
+    forms and the POS pairs of `train_kbest`'s gold trees and first k candidates."""
+    ids, pairs = {}, set()
+    for kb in train_kbest:
+        tags = np.array([ids.setdefault(t, len(ids)) for t in (ROOT_POS, *kb.gold.pos_tags)])
+        heads = tags[np.vstack([kb.gold.heads, kb.heads[:hyper.k]])]
+        pairs.update(np.unique(heads << 32 | tags[1:]).tolist())
+    return 4 * table_bytes(hyper, words, len(pairs)) + batch_bytes(hyper)
 
 
 def train(params: ParamSet, train_kbest: Sequence[KBestList],

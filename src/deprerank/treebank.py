@@ -137,7 +137,7 @@ class KBestList:
     and a (k,) float64 vector `scores` of base scores. `candidates` shows
     them as (tree, score) pairs; a tree is built only when its item is read.
     There are k >= 1 rows, and each, like the gold tree's heads, is a forest
-    over the n >= 1 tokens: both constructors check it (`_check_rows`); the
+    over the n >= 1 tokens: the constructor checks it (`_check_rows`); the
     readers check as they read and build lists with `_unchecked`.
     """
 
@@ -151,12 +151,6 @@ class KBestList:
                     f"candidate {rank} does not have the forms and POS tags of the gold tree")
         heads = [tree.heads for tree, _ in pairs] or np.empty((0, len(gold)))
         self._set(gold, *_check_rows(gold, heads, [score for _, score in pairs]))
-
-    @classmethod
-    def from_arrays(cls, gold: DependencyTree, heads, scores) -> "KBestList":
-        """A list over a (k, n) head matrix and k base scores, checked as the
-        constructor checks them; int64 and float64 arrays are not copied."""
-        return cls._unchecked(gold, *_check_rows(gold, heads, scores))
 
     @classmethod
     def _unchecked(cls, gold: DependencyTree, heads: np.ndarray,

@@ -17,6 +17,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from deprerank import synth
 from deprerank.errors import AlignmentError, ParseError, StructureError
 from deprerank.params import ROOT_FORM, ROOT_POS, UNK_FORM, Hyperparams, init_random, save
 from deprerank.rcnn import (
@@ -24,7 +25,7 @@ from deprerank.rcnn import (
     backward_tree, build_forests, build_list_plans, build_plan, score_plan,
 )
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
-from deprerank.treebank import DependencyTree, KBestList
+from deprerank.treebank import DependencyTree, KBestList, _check_rows
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -97,6 +98,27 @@ def all_trees_up_to(max_len):
 def kbest_of(gold, cand_heads_scores):
     return KBestList(gold, tuple(
         (gold.with_heads(h), float(s)) for h, s in cand_heads_scores))
+
+
+def from_arrays(gold, heads, scores):
+    """A k-best list over a (k, n) head matrix and k base scores, checked as
+    `KBestList(gold, candidates)` checks them; int64 and float64 arrays are
+    not copied."""
+    return KBestList._unchecked(gold, *_check_rows(gold, heads, scores))
+
+
+def synth_corpus(seed, sentences, vocab_size=30, length_range=(5, 8), k=8,
+                 tags=synth.DEFAULT_TAGS, noise=0.8):
+    """k-best lists (`synth.synth_kbest`) over `synth.random_tree` gold trees,
+    whose forms, tags and heads are independent draws."""
+    rng = np.random.default_rng(seed)
+    vocab = [f"word{i:02d}" for i in range(vocab_size)]
+    lo, hi = length_range
+    out = []
+    for _ in range(sentences):
+        gold = synth.random_tree(rng, int(rng.integers(lo, hi + 1)), vocab, tags)
+        out.append(synth.synth_kbest(rng, gold, k, noise))
+    return out
 
 
 def random_multi_root_heads(rng, n):
@@ -277,8 +299,8 @@ def margin_delta(gold, cand, kappa):
 
 def heads_list(gold, heads):
     """The k-best list of the gold tree over the given head rows, base scores 0."""
-    return KBestList.from_arrays(gold, np.array(heads, dtype=np.int64).reshape(-1, len(gold)),
-                                 np.zeros(len(heads)))
+    return from_arrays(gold, np.array(heads, dtype=np.int64).reshape(-1, len(gold)),
+                       np.zeros(len(heads)))
 
 
 def one_list_plan(params, kb, create_pairs=False):

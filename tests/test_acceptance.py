@@ -17,13 +17,13 @@ from deprerank.rcnn import build_plan, score_plan, score_tree
 from deprerank.reranker import (
     RerankConfig, alpha_grid, corpus_model_scores, rerank_corpus, search_alpha,
 )
-from deprerank.synth import planted_corpus, random_tree, synth_corpus
+from deprerank.synth import planted_corpus, random_tree
 from deprerank.trainer import TrainConfig, run_grad_check_suite, train
 from deprerank.treebank import (
     DependencyTree, corpus_oracle, write_conll, write_kbest,
 )
 
-from helpers import all_trees_up_to, trace_nodes
+from helpers import all_trees_up_to, synth_corpus, trace_nodes
 
 
 def _report(number, name, conditions):

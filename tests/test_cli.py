@@ -1,6 +1,7 @@
 """End-to-end CLI workflows over small synthetic fixtures."""
 
 import os
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -8,12 +9,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from deprerank import cli, params as P, rcnn, treebank
+from deprerank import cli, params as P, rcnn, trainer, treebank
 from deprerank.cli import main
-from deprerank.synth import synth_corpus
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
 
-from helpers import BAD_MODELS, make_tree, tiny_params
+from helpers import BAD_MODELS, make_tree, synth_corpus, tiny_params
 
 
 @pytest.fixture()
@@ -346,8 +346,8 @@ _TOO_LARGE = ["--m=1000000000000", "--m-d=1000000000000", "--dist-clip=100000000
 def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, capsys, case):
     # train to nan parameters, train through an overflow that stays finite,
     # rerank with a finite model whose scores are inf, and train with tables
-    # too large to allocate (each fails at its allocation, so none allocates
-    # anything); under pytest, numpy's warnings are recorded, not printed
+    # too large to allocate (each is refused by its estimate, so none
+    # allocates anything); under pytest, numpy's warnings are recorded, not printed
     paths, _ = corpus_files
     if case != "rerank":
         argv = _train_args(paths, tmp_path / "m.bin", case)
@@ -374,8 +374,8 @@ def test_overflowing_settings_end_in_at_most_one_line(tmp_path, corpus_files, ca
     assert err.startswith(begins[case]) and code == (2 if begins[case] else 0)
 
 
-# a huge size is 10**12 alone, which fails at its table's first allocation; a
-# mid-size one such as --dist-clip 100000000 really allocates gigabytes
+# a huge size is 10**12 alone, which its estimate refuses; a mid-size one
+# just under MEMORY_LIMIT would really allocate gigabytes
 _SIZE = st.sampled_from((1, 2, 3, 4, 10 ** 12))
 _SCALE = st.floats(1e-300, 1e300)
 
@@ -401,6 +401,69 @@ def test_every_accepted_train_setting_trains_or_ends_in_one_line(
     err = capsys.readouterr().err
     assert code in (0, 2) and err.count("\n") <= 1 and "Traceback" not in err
     assert code == 0 or not model_path.exists()
+
+
+def test_a_huge_mean_hinge_prints_a_short_number_that_reads_back(tmp_path, corpus_files,
+                                                                 capsys, monkeypatch):
+    # :.6f would print every digit of a 1e300 hinge
+    paths, _ = corpus_files
+    reports, train = [], trainer.train
+
+    def recorded(*args, **kwargs):
+        best, got = train(*args, **kwargs)
+        reports.extend(got)
+        return best, got
+
+    monkeypatch.setattr(trainer, "train", recorded)
+    assert main(_train_args(paths, tmp_path / "m.bin", "--kappa=1e300")) == 0
+    lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("epoch=")]
+    assert len(lines) == len(reports) == 3
+    for line, report in zip(lines, reports):
+        assert len(line) < 80
+        fields = dict(part.split("=", 1) for part in line.split())
+        assert report.mean_hinge > 1e6 and float(fields["mean_hinge"]) == report.mean_hinge
+
+
+@pytest.mark.parametrize("key, value", [("dist_clip", "100000000"), ("m", "10000")])
+@pytest.mark.parametrize("route", ["flag", "config"])
+def test_sizes_above_the_memory_limit_exit_2_before_allocating(tmp_path, corpus_files, capsys,
+                                                                monkeypatch, key, value, route):
+    # such a size must never be allocated here: a run past the check fails the test
+    monkeypatch.setattr(P, "init_random", lambda *a: pytest.fail("init_random was called"))
+    monkeypatch.setattr(cli, "MEMORY_LIMIT", 4 << 30)  # the same on any host
+    paths, _ = corpus_files
+    config = tmp_path / "train.cfg"
+    config.write_text(f"{key} = {value}\n", encoding="utf-8")
+    argv = _train_args(paths, tmp_path / "m.bin")
+    if key == "m":
+        del argv[argv.index("--m"):argv.index("--m") + 2]
+    argv += ["--" + key.replace("_", "-"), value] if route == "flag" else ["--config", str(config)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    m, dist_clip = (value, 10) if key == "m" else (4, value)
+    assert out == "" and err.count("\n") == 1
+    assert err.startswith(f"deprerank: error: out of memory: m = {m}, m_d = 4 and "
+                          f"dist_clip = {dist_clip} need about ")
+    assert err.endswith(" GiB of tables and batch arrays, above this host's 4 GiB of memory\n")
+    assert not (tmp_path / "m.bin").exists()
+
+
+def test_the_memory_estimate_bounds_what_a_run_allocates(tmp_path, corpus_files, capsys):
+    # measured with tracemalloc on sizes far below the limit, each of which
+    # makes one table large: the distances with their keys, W, or a batch
+    paths, split = corpus_files
+    words = len(P.build_word_vocab(kb.gold for kb in split["train"]))
+    for flags in (["--dist-clip", "20000"], ["--m", "60"], ["--m-d", "300"]):
+        args = cli.build_parser().parse_args(_train_args(paths, tmp_path / "m.bin", *flags))
+        estimate = trainer.train_bytes(cli._resolve_settings(args)[0], words, split["train"])
+        tracemalloc.start()
+        try:
+            assert main(_train_args(paths, tmp_path / "m.bin", *flags)) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < estimate < cli.MEMORY_LIMIT
+    capsys.readouterr()
 
 
 def test_gradcheck_negative_seed_exits_1(capsys):

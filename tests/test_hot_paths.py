@@ -14,6 +14,8 @@ from deprerank.reranker import (
 )
 from deprerank.trainer import AdaGradState, _SentenceItem, _subgradient, adagrad_step
 
+from helpers import synth_corpus
+
 # (module, function) of each numpy Python wrapper the hot paths avoid
 WRAPPERS = {
     ("numpy._core._methods", "_sum"), ("numpy._core._methods", "_amax"),
@@ -55,7 +57,7 @@ def test_each_wrapper_is_seen_when_called():
 
 
 def _model_and_lists():
-    lists = synth.synth_corpus(seed=3, sentences=4, k=8, length_range=(6, 12))
+    lists = synth_corpus(seed=3, sentences=4, k=8, length_range=(6, 12))
     golds = [kb.gold for kb in lists]
     params = init_random(Hyperparams(m=4, m_d=3, k=8), sorted({f for g in golds for f in g.forms}),
                          list(synth.DEFAULT_TAGS), seed=1)

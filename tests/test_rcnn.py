@@ -14,8 +14,8 @@ from deprerank.treebank import KBestList
 
 from helpers import (
     TAGS, accumulate, all_trees_up_to, assert_same_bytes, assert_same_gradients,
-    assert_same_plan, compose_pair, dist_vec, fd_entries, forward_unit, get_pair, grad_dicts,
-    heads_list, list_plan, make_tree, max_abs, max_rel_error, node_trace, one_list_plan,
+    assert_same_plan, compose_pair, dist_vec, fd_entries, forward_unit, from_arrays, get_pair,
+    grad_dicts, heads_list, list_plan, make_tree, max_abs, max_rel_error, node_trace, one_list_plan,
     one_sentence_plans, random_heads, random_multi_root_heads, random_tree,
     reference_backward_list, reference_forward_list, reference_list_plan, tiny_params,
     trace_nodes, word_vec,
@@ -408,13 +408,13 @@ def test_list_plan_rejects_bad_input():
     with pytest.raises(AlignmentError):
         KBestList(gold, [(make_tree([0, 1]), 0.0)])
     with pytest.raises(AlignmentError):
-        KBestList.from_arrays(gold, [[0, 1, 1, 1]], [0.0])
+        from_arrays(gold, [[0, 1, 1, 1]], [0.0])
     with pytest.raises(AlignmentError):
-        KBestList.from_arrays(gold, [0, 1, 1], [0.0] * 3)
+        from_arrays(gold, [0, 1, 1], [0.0] * 3)
     with pytest.raises(StructureError):
-        KBestList.from_arrays(gold, [[0, 1, 1], [0, 1, 4]], [0.0, 0.0])
+        from_arrays(gold, [[0, 1, 1], [0, 1, 4]], [0.0, 0.0])
     with pytest.raises(StructureError):
-        KBestList.from_arrays(gold, [[0, 1, -1]], [0.0])
+        from_arrays(gold, [[0, 1, -1]], [0.0])
 
 
 def test_list_plan_rejects_cycles():
@@ -423,13 +423,13 @@ def test_list_plan_rejects_cycles():
     forest = "head indices do not form a forest"
     with pytest.raises(StructureError, match=rf"^candidate 1 of the sentence 'w1 w2 w3': "
                                              rf"{forest}: \[2, 1, 0\]$"):
-        KBestList.from_arrays(make_tree([0, 1, 1]), [[2, 1, 0]], [0.0])
+        from_arrays(make_tree([0, 1, 1]), [[2, 1, 0]], [0.0])
     # row 2: tokens 3 and 4 head each other, 2 and 5 hang below them, and 1
     # hangs below the root
     with pytest.raises(StructureError, match=rf"^candidate 2 .*{forest}: \[0, 3, 4, 3, 2\]$"):
-        KBestList.from_arrays(gold, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]], [0.0, 0.0])
+        from_arrays(gold, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]], [0.0, 0.0])
     with pytest.raises(StructureError, match=rf"^candidate 1 .*{forest}: \[1\]$"):
-        KBestList.from_arrays(make_tree([0]), [[1]], [0.0])
+        from_arrays(make_tree([0]), [[1]], [0.0])
 
 
 def _random_lists(rng, count):

@@ -23,7 +23,7 @@ from deprerank.treebank import (
 )
 
 from helpers import (
-    TAGS, assert_same_plan, make_tree, model_bytes, model_parts, one_list_plan,
+    TAGS, assert_same_plan, from_arrays, make_tree, model_bytes, model_parts, one_list_plan,
     reference_list_plan, reference_parse_conll, reference_read_kbest, reference_write_conll,
     rooted_by_bfs, text_lines, tiny_params, with_any_heads,
 )
@@ -426,7 +426,7 @@ def test_kbest_constructors_accept_exactly_forests(case):
     trees = [(DependencyTree(forms[:width], tags[:width], row, [None] * width), score)
              for row, score in zip(heads.tolist() if as_float or fault else rows,
                                    scores.tolist())]
-    builds = (lambda: KBestList(gold, trees), lambda: KBestList.from_arrays(gold, heads, scores))
+    builds = (lambda: KBestList(gold, trees), lambda: from_arrays(gold, heads, scores))
     if width != n:
         for build in builds:
             with pytest.raises(AlignmentError):
@@ -485,7 +485,7 @@ def test_a_list_the_constructors_accept_reads_back_as_written(case, forms, tags,
              for row, score in zip(rows, scores)]
     built = []
     for build in (lambda: KBestList(gold, trees),
-                  lambda: KBestList.from_arrays(gold, heads, scores)):
+                  lambda: from_arrays(gold, heads, scores)):
         try:
             built.append(build())
         except (AlignmentError, StructureError):

@@ -11,10 +11,9 @@ from deprerank.reranker import (
     RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, per_pos_accuracy,
     rerank_corpus, search_alpha, uas_curve,
 )
-from deprerank.synth import synth_corpus
 from deprerank.treebank import DependencyTree, EvalResult, corpus_oracle, uas
 
-from helpers import kbest_of, make_tree, margin_delta, tiny_params
+from helpers import kbest_of, make_tree, margin_delta, synth_corpus, tiny_params
 
 
 def _pick(params, kb, config, model_scores=None):

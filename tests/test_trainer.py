@@ -9,11 +9,11 @@ import pytest
 from deprerank import rcnn, trainer
 from deprerank.errors import AlignmentError, ScoreError
 from deprerank.params import (
-    Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
+    Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save, table_bytes,
 )
 from deprerank.rcnn import Gradients, Rows, backward_tree, build_plan, score_tree
 from deprerank.reranker import RerankConfig, rerank_corpus
-from deprerank.synth import DEFAULT_TAGS, synth_corpus
+from deprerank.synth import DEFAULT_TAGS
 from deprerank.trainer import (
     AdaGradState, TrainConfig, _kbest_digest, adagrad_step, grad_check,
     run_grad_check_suite, train,
@@ -24,7 +24,7 @@ from helpers import (
     TAGS, accumulate, assert_same_gradients, get_pair, kbest_of, loss_augmented_pick, make_tree,
     margin_delta, max_abs, model_parts, one_sentence_plans, per_tree_pick, per_tree_subgradient,
     random_heads, random_multi_root_heads, random_tree, reference_adagrad_step, same_params,
-    sentence_item, sentence_subgradient, tiny_params,
+    sentence_item, sentence_subgradient, synth_corpus, tiny_params,
 )
 
 
@@ -425,6 +425,21 @@ def test_train_names_the_epoch_whose_numbers_are_not_finite(rho, epoch, what):
             ScoreError, match=f"^epoch {epoch}: the {what} are not finite$"):
         train(p, corpus[:8], corpus[8:], TrainConfig(max_epochs=3, seed=1), reports.append)
     assert len(reports) == epoch - 1
+
+
+def test_the_byte_estimate_counts_the_pairs_training_stores():
+    # of 46 tags, as many as the Penn Treebank's with the root, a small corpus
+    # holds far fewer than the 46 * 45 + 1 possible pairs; k = 3 drops some
+    corpus = synth_corpus(seed=5, sentences=10, k=6, tags=[f"T{i}" for i in range(45)])
+    hyper = Hyperparams(m=4, m_d=4, k=3)
+    p = init_random(hyper, [], build_pos_vocab(kb.gold for kb in corpus), seed=1)
+    train(p, corpus, corpus[:2], TrainConfig(max_epochs=1, seed=1))
+    pairs = len(p.pos_pairs) - 1
+    assert 0 < pairs < 46 * 45 + 1
+    assert trainer.train_bytes(hyper, 7, corpus) == (
+        4 * table_bytes(hyper, 7, pairs) + rcnn.batch_bytes(hyper))
+    assert trainer.train_bytes(hyper, 7, [kb.truncated(3) for kb in corpus]) == (
+        trainer.train_bytes(hyper, 7, corpus))
 
 
 def test_train_requires_data():

@@ -19,7 +19,7 @@ from deprerank.treebank import (
 )
 
 from helpers import (
-    kbest_of, make_tree, reference_parse_conll, reference_read_kbest, rooted_by_bfs,
+    from_arrays, kbest_of, make_tree, reference_parse_conll, reference_read_kbest, rooted_by_bfs,
     with_any_heads,
 )
 
@@ -570,7 +570,7 @@ def test_kbest_constructors_reject_rows_that_are_not_forests():
     for heads, scores in (([[0, 1, 1, 1]], [0.0]), ([0, 1, 1], [0.0] * 3),
                           (np.zeros((0, 2)), []), ([[0, 1, 1]], [0.0, 1.0]), ([[0, 1, 1]], 0.0)):
         with pytest.raises(AlignmentError, match=r"needs a \(k, 3\) head matrix and k scores"):
-            KBestList.from_arrays(gold, heads, scores)
+            from_arrays(gold, heads, scores)
     sentence = "of the sentence 'w1 w2 w3': head indices do not form a forest:"
     for tree, rows, message in (
             (gold, [[0, 1, 1], [0, 1, 4]], f"candidate 2 {sentence} [0, 1, 4]"),
@@ -586,25 +586,25 @@ def test_kbest_constructors_reject_rows_that_are_not_forests():
              f"the gold tree {sentence} [0, {2 ** 64}, 1]")):
         candidates = [(_unchecked_tree(tree, row), 0.0) for row in rows]
         for build in (lambda: KBestList(tree, candidates),
-                      lambda: KBestList.from_arrays(tree, rows, [0.0] * len(rows))):
+                      lambda: from_arrays(tree, rows, [0.0] * len(rows))):
             with pytest.raises(StructureError, match=f"^{re.escape(message)}$"):
                 build()
     with pytest.raises(StructureError, match="at least one token"):
         KBestList(DependencyTree((), (), (), ()), [])
     with pytest.raises(StructureError, match="at least one token"):
-        KBestList.from_arrays(DependencyTree((), (), (), ()), np.zeros((1, 0)), [0.0])
+        from_arrays(DependencyTree((), (), (), ()), np.zeros((1, 0)), [0.0])
     # and at least one candidate, also after truncation, so nothing that
     # scores, reranks or writes a list checks its length again
     for build in (lambda: KBestList(gold, []),
-                  lambda: KBestList.from_arrays(gold, np.empty((0, 3)), [])):
+                  lambda: from_arrays(gold, np.empty((0, 3)), [])):
         with pytest.raises(StructureError, match="^a k-best list needs at least one candidate$"):
             build()
-    three = KBestList.from_arrays(gold, [[0, 1, 1]] * 3, [0.0, 1.0, 2.0])
+    three = from_arrays(gold, [[0, 1, 1]] * 3, [0.0, 1.0, 2.0])
     for k in (0, -1):
         with pytest.raises(ValueError, match=f"^k must be >= 1, got {k}$"):
             three.truncated(k)
     # several roots make a forest, which a list holds
-    assert KBestList.from_arrays(gold, [[0, 0, 0], [0, 1, 0]], [0.0, 0.0]).heads.tolist() == [
+    assert from_arrays(gold, [[0, 0, 0], [0, 1, 0]], [0.0, 0.0]).heads.tolist() == [
         [0, 0, 0], [0, 1, 0]]
     multi = gold.with_heads([0, 0, 2], allow_multiple_roots=True)
     assert KBestList(multi, [(multi, 1.5)]).heads.tolist() == [[0, 0, 2]]
@@ -617,16 +617,16 @@ def test_a_cycle_is_refused_where_its_list_is_made():
 
     gold = make_tree([0, 1, 1, 1])
     with pytest.raises(StructureError, match=r"^candidate 1 .* forest: \[2, 1, 0, 3\]$"):
-        rerank_corpus(None, [KBestList.from_arrays(gold, [[2, 1, 0, 3]], [0.0])],
+        rerank_corpus(None, [from_arrays(gold, [[2, 1, 0, 3]], [0.0])],
                       RerankConfig(alpha=0.5), model_scores=[[0.0]])
 
 
 def test_from_arrays_holds_int64_and_float64_arrays_without_copying():
     gold = make_tree([0, 1, 1])
     heads, scores = np.array([[0, 1, 1], [0, 1, 2]]), np.array([-1.0, -2.0])
-    kb = KBestList.from_arrays(gold, heads, scores)
+    kb = from_arrays(gold, heads, scores)
     assert kb.heads is heads and kb.scores is scores and not heads.flags.writeable
-    kb = KBestList.from_arrays(gold, [[0, 1, 2]], [-1])
+    kb = from_arrays(gold, [[0, 1, 2]], [-1])
     assert (kb.heads.dtype, kb.scores.dtype) == (np.int64, np.float64)
     assert kb.heads.tolist() == [[0, 1, 2]] and kb.scores.tolist() == [-1.0]
 
