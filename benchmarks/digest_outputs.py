@@ -9,6 +9,7 @@ epochs and punctuation set:
     train                     on the workload's train set, against its dev set
     rerank --search-alpha     of its rerank set, with --output and --report
     rerank --search-alpha --normalize, the same
+    rerank --search-alpha --with-oracle, the same
     oracle --best
     oracle --worst
     curve                     at k = 1, 2, 4, ... up to the workload's k
@@ -69,6 +70,10 @@ def commands(wl):
                               "--alpha-step", str(W.ALPHA_STEP), "--normalize",
                               "--output", "norm.conll", "--report", "norm.tsv"],
          ["norm.conll", "norm.tsv"]),
+        ("rerank-oracle", ["rerank", *data, "--model", "model.bin", "--search-alpha",
+                           "--alpha-step", str(W.ALPHA_STEP), "--with-oracle",
+                           "--output", "oracle.conll", "--report", "oracle.tsv"],
+         ["oracle.conll", "oracle.tsv"]),
         ("oracle-best", ["oracle", *data, "--best"], []),
         ("oracle-worst", ["oracle", *data, "--worst"], []),
         ("curve", ["curve", *data, "--model", "model.bin", "--ks", ks,

@@ -22,12 +22,17 @@ and times each row over the lists of one role: those the workload trains on
     alpha search   search_alpha (scores given)         rerank
     mixture pick   rerank_corpus (scores given)        rerank
     output         write_conll                         rerank
+    the three      rerank tail                         rerank
 
 `+ heads` reads the gold file with each sentence's first head written +h,
 which sends every sentence to the per-line path; `line by line` reads both
 files' lines given as lists. Dev selection is `train()`'s per epoch
 (`forest_scores` of the dev forests, `rerank_corpus` at alpha 1); the pick is
-`rerank --search-alpha`'s, model scores given. The model is the one that
+`rerank --search-alpha`'s, model scores given, and `rerank tail` is its alpha
+search, pick and `write_conll` of the chosen trees, as `cmd_rerank` runs them.
+`search_alpha`, `rerank_corpus` and `rerank tail` are each called on new
+copies of the lists, made before the lap, which hold no attachment counts
+yet, as a command's lists do (a list keeps its counts once computed). The model is the one that
 `deprerank train` makes with the workload's flags before its first epoch.
 Rows run in the order above, reversed on odd repeats. A repeat is one lap of
 `speed.Laps`, rescaled to a reference speed, that calls its row again until
@@ -39,6 +44,8 @@ its median and IQR per list, in calibrated microseconds. Run from a checkout:
 """
 
 import argparse
+import itertools
+import math
 import os
 import re
 import sys
@@ -51,7 +58,7 @@ from deprerank.rcnn import backward_list, build_forests, forest_scores, forward_
 from deprerank.reranker import RerankConfig, corpus_model_scores, rerank_corpus, search_alpha
 from deprerank.trainer import (AdaGradState, TrainConfig, _kbest_digest, _pick, _SentenceItem,
                                adagrad_step)
-from deprerank.treebank import (_CHECK_TOKENS, PUNCT_SETS, load_conll, read_kbest,
+from deprerank.treebank import (_CHECK_TOKENS, PUNCT_SETS, KBestList, load_conll, read_kbest,
                                 read_kbest_files, rooted_rows, write_conll)
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -71,6 +78,11 @@ def check_batches(kbests):
             batches.append([])
         batches[-1].append(kb.heads)
     return batches
+
+
+def uncounted(kbests):
+    """New copies of the lists, sharing their arrays, with no attachment counts kept."""
+    return [KBestList._unchecked(kb.gold, kb.heads, kb.scores) for kb in kbests]
 
 
 def same_lists(read, written):
@@ -115,6 +127,14 @@ def rows(wl, inputs, directory):
         dev_scores = [s for forest in dev_forests for s in forest_scores(params, forest)]
         return rerank_corpus(params, dev, RerankConfig(alpha=1.0), punct, model_scores=dev_scores)
 
+    def tail(kbests):
+        best, _ = search_alpha(params, kbests, W.ALPHA_STEP, punct, model_scores=scores)
+        result = rerank_corpus(params, kbests, RerankConfig(alpha=best), punct, model_scores=scores)
+        return write_conll(result.trees)
+
+    def fresh():
+        return uncounted(target)
+
     lists = {"train": len(train), "dev": len(dev), "rerank": len(target)}
     return lists, {
         "load_conll (gold)": ("rerank", lambda: load_conll(gold_path)),
@@ -134,34 +154,48 @@ def rows(wl, inputs, directory):
         "adagrad_step (pick + gold)":
             ("train", lambda: [adagrad_step(updated, state, g, params.hyper.lam) for g in grads]),
         "dev selection (one epoch)": ("dev", dev_selection),
-        "search_alpha (scores given)": ("rerank", lambda: search_alpha(
-            params, target, W.ALPHA_STEP, punct, model_scores=scores)),
-        "rerank_corpus (scores given)": ("rerank", lambda: rerank_corpus(
-            params, target, RerankConfig(alpha=alpha), punct, model_scores=scores)),
+        "search_alpha (scores given)": ("rerank", lambda kbests: search_alpha(
+            params, kbests, W.ALPHA_STEP, punct, model_scores=scores), fresh),
+        "rerank_corpus (scores given)": ("rerank", lambda kbests: rerank_corpus(
+            params, kbests, RerankConfig(alpha=alpha), punct, model_scores=scores), fresh),
         "write_conll": ("rerank", lambda: write_conll(chosen)),
+        "rerank tail": ("rerank", tail, fresh),
     }
 
 
 def print_rows(lists, rows, repeats):
     """Time the rows, and print each one's list count, calls per lap, median
     per call, and median and interquartile range per list in calibrated
-    microseconds."""
+    microseconds. A row (role, call, fresh) is called as `call(fresh())`,
+    each time on a new `fresh()`; a lap's are made before it, twice as many
+    as MIN_LAP_S needs at the speed of one untimed call, and a lap that uses
+    them all ends there."""
     names = list(rows)
     seconds, calls = {name: [] for name in names}, {name: [] for name in names}
+    stocks = {}
+    for name, (_, call, *fresh) in rows.items():
+        if fresh:
+            start = speed.clock()
+            call(fresh[0]())
+            stocks[name] = fresh[0], 2 * math.ceil(MIN_LAP_S / (speed.clock() - start))
     laps = speed.Laps(sampling=True)
     for r in range(repeats):
         for name in names if r % 2 == 0 else names[::-1]:
             call, count = rows[name][1], 0
+            fresh, size = stocks.get(name, (None, 0))
+            stock = [(fresh(),) for _ in range(size)] if fresh else itertools.repeat(())
             with laps.sampled():
                 start = speed.clock()
-                while not count or speed.clock() - start < MIN_LAP_S:
-                    call()
+                for args in stock:
+                    call(*args)
                     count += 1
+                    if speed.clock() - start >= MIN_LAP_S:
+                        break
             seconds[name].append(laps.lap()[1] / count)
             calls[name].append(count)
     print(f"  {'':<36}{'lists':>12}{'calls':>7}{'per call':>10}{'median':>10}{'IQR':>9}  "
           f"(calibrated us per call and per list, {repeats} repeats)")
-    for name, (role, _) in rows.items():
+    for name, (role, *_) in rows.items():
         q1, median, q3 = np.percentile(seconds[name], [25, 50, 75]) * 1e6
         n = lists[role]
         print(f"  {name:<36}{role:>7}{n:>5}{int(np.median(calls[name])):>7}{median:>10.0f}"

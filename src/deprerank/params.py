@@ -66,13 +66,18 @@ def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 class EmbeddingTable:
-    """Dense lookup table: key i of `keys` owns row i of `vectors`."""
+    """Dense lookup table: key i of `keys` owns row i of `vectors`, and
+    `rows[key]` is i. Keys given as a `range` (the distances) stay one, and
+    their rows are computed, so that no Python object is held per row."""
 
     def __init__(self, keys: Sequence, vectors: np.ndarray):
         assert vectors.ndim == 2 and len(vectors) == len(keys)
-        self.keys = list(keys)
-        self.rows = {k: i for i, k in enumerate(self.keys)}
-        assert len(self.rows) == len(self.keys), "duplicate embedding keys"
+        if isinstance(keys, range):
+            self.keys, self.rows = keys, _RangeRows(keys)
+        else:
+            self.keys = list(keys)
+            self.rows = {k: i for i, k in enumerate(self.keys)}
+            assert len(self.rows) == len(self.keys), "duplicate embedding keys"
         self.vectors = np.ascontiguousarray(vectors, dtype=np.float64)
 
     def __len__(self) -> int:
@@ -80,6 +85,18 @@ class EmbeddingTable:
 
     def copy(self) -> "EmbeddingTable":
         return EmbeddingTable(self.keys, self.vectors.copy())
+
+
+class _RangeRows:
+    """The rows of a range of keys: a key's row is its index in the range."""
+
+    def __init__(self, keys: range):
+        self.keys = keys
+
+    def __getitem__(self, key: int) -> int:
+        if key not in self.keys:
+            raise KeyError(key)
+        return self.keys.index(key)
 
 
 class PosPairStore:
@@ -206,7 +223,7 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
     forms = [UNK_FORM, ROOT_FORM]
     forms.extend(w for w in word_vocab if w not in (UNK_FORM, ROOT_FORM))
     words = EmbeddingTable(forms, _uniform_init(rng, (len(forms), hyper.m)))
-    deltas = list(range(-hyper.dist_clip, hyper.dist_clip + 1))
+    deltas = range(-hyper.dist_clip, hyper.dist_clip + 1)
     distances = EmbeddingTable(deltas, _uniform_init(rng, (len(deltas), hyper.m_d)))
     pairs = PosPairStore(seed, _uniform_init(rng, (hyper.m, hyper.n))[None],
                          _uniform_init(rng, (hyper.m,))[None])
@@ -216,10 +233,10 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
 def table_bytes(hyper: Hyperparams, words: int, pairs: int) -> int:
     """About the bytes of the parameters `init_random` makes over `words`
     vocabulary forms, once `pairs` POS pairs are stored: the float64 tables,
-    and about 100 bytes of keys per word and distance row."""
+    and about 100 bytes of keys per word row (distance rows hold no key)."""
     rows, deltas = words + 2, 2 * hyper.dist_clip + 1
     floats = rows * hyper.m + deltas * hyper.m_d + (pairs + 1) * hyper.m * (hyper.n + 1)
-    return 8 * floats + 100 * (rows + deltas)
+    return 8 * floats + 100 * rows
 
 
 def load_pretrained(params: ParamSet, stream: Iterable[str]) -> int:

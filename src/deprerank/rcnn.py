@@ -356,8 +356,8 @@ def _build_batch(params: ParamSet, batch: list[KBestList], create_pairs: bool) -
     group_slots = arc_slot[starts].tolist()
     arc_bounds = level.searchsorted(np.arange(0, num_sents * stride, 1 if split else num_sents))
     group_bounds = starts.searchsorted(arc_bounds)
-    clip = params.hyper.dist_clip  # both constructors put delta d at row d + clip
-    arc_dist = np.minimum(np.maximum(child_node - arc_head, -clip), clip) + clip
+    clip = params.hyper.dist_clip  # delta d's row: d clipped, plus the row of 0
+    arc_dist = np.minimum(np.maximum(child_node - arc_head, -clip), clip) + params.distances.rows[0]
     node_word = np.array([params.word_row(f)
                           for kb in batch for f in (ROOT_FORM, *kb.gold.forms)])
 

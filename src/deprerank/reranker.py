@@ -16,9 +16,10 @@ from .rcnn import score_tree  # noqa: F401
 from .treebank import uas  # noqa: F401
 
 
-# The finest alpha grid step: at most 10,001 alphas, so that one 64-best
-# list's sweep over the grid takes about 15 MB.
+# The finest alpha grid step: at most 10,001 alphas, swept in chunks of at
+# most _SWEEP_CELLS padded mixtures (512 KB, which stays in cache).
 MIN_ALPHA_STEP = 1e-4
+_SWEEP_CELLS = 1 << 16
 
 
 @dataclass
@@ -67,34 +68,35 @@ def _znorm(scores: np.ndarray) -> np.ndarray:
 
 def _columns(kbests: Sequence[KBestList], model_scores: Sequence[Sequence[float]],
              include_oracle: bool = False, normalize: bool = False,
-             punct_tags: frozenset[str] | set[str] = frozenset()):
-    """Per list: the list picked from (its oracle appended if asked), the
-    model and base columns that the mixture mixes (z-normalized if asked),
-    each candidate's correct heads and the tokens scored. The one place that
-    checks callers' model scores: one finite score per candidate, oracle last."""
+             punct_tags: frozenset[str] | set[str] = frozenset()) -> tuple:
+    """The candidates of all lists (each list's oracle last, if asked), one
+    row per list padded to the longest: the lists, the model and base columns
+    that the mixture mixes (z-normalized per list if asked), the correct
+    heads, the mask of real (not padding) cells and the tokens scored. The one
+    place that checks callers' model scores: one finite score per candidate,
+    oracle last."""
     if len(model_scores) != len(kbests):
         raise ValueError(f"expected model scores for {len(kbests)} lists, got {len(model_scores)}")
-    for i, (kb, scores) in enumerate(zip(kbests, model_scores)):
-        cands = augmented(kb, include_oracle)
+    lists = [augmented(kb, include_oracle) for kb in kbests]
+    pieces, scored = [], 0
+    for i, (kb, cands, scores) in enumerate(zip(kbests, lists, model_scores)):
         model = np.asarray(scores, dtype=np.float64)
         if model.shape != (len(cands),):
             raise ValueError(f"list {i}: expected {len(cands)} model scores, got {model.shape}")
-        bad = model[~np.isfinite(model)]
-        if bad.size:
-            raise ScoreError(f"list {i}: model score {bad[0]} is not finite")
+        if not np.logical_and.reduce(np.isfinite(model)):
+            raise ScoreError(f"list {i}: model score {model[~np.isfinite(model)][0]} is not finite")
         base = cands.scores
         if normalize:
             model, base = _znorm(model), _znorm(base)
-        yield (cands, model, base) + cands.attachment_counts(punct_tags)
-
-
-def _mixture_argmax(alphas: np.ndarray, model: np.ndarray, base: np.ndarray
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argmax (ties -> lowest index), and the mixture alpha * model
-    + (1 - alpha) * base of each candidate, one row per alpha."""
-    alphas = alphas[:, None]
-    mix = alphas * model + (1.0 - alphas) * base
-    return mix.argmax(axis=1), mix
+        right, tokens = kb.attachment_counts(punct_tags)  # an oracle's heads are all right
+        pieces.append((model, base, np.concatenate((right, [tokens])) if include_oracle else right))
+        scored += tokens
+    lengths = np.array([len(cands) for cands in lists], dtype=np.intp)
+    real = np.arange(np.maximum.reduce(lengths, initial=1)) < lengths[:, None]
+    columns = [np.zeros(real.shape, dtype) for dtype in (np.float64, np.float64, np.int64)]
+    for column, parts in zip(columns, zip(*pieces)):
+        column[real] = np.concatenate(parts)
+    return lists, *columns, real, scored
 
 
 @dataclass
@@ -128,19 +130,16 @@ def rerank_corpus(params: ParamSet, kbests: Sequence[KBestList], config: RerankC
     `KBestList.attachment_counts`: no tree is built until `trees` is read."""
     if model_scores is None:
         model_scores = corpus_model_scores(params, kbests, config.include_oracle)
-    alpha = np.array([config.alpha])
-    chosen, lists, rows = [], [], []
-    total = EvalResult(0, 0)
-    for i, (cands, model, base, right, tokens) in enumerate(
-            _columns(kbests, model_scores, config.include_oracle, config.normalize, punct_tags)):
-        picks, mix = _mixture_argmax(alpha, model, base)
-        idx = int(picks[0])
-        chosen.append(idx)
-        lists.append(cands)
-        rows.append((i, idx + 1, float(model_scores[i][idx]), float(cands.scores[idx]),
-                     float(mix[0, idx])))
-        total = total + EvalResult(int(right[idx]), tokens)
-    return RerankResult(chosen, total, rows, lists)
+    lists, model, base, right, real, scored = _columns(
+        kbests, model_scores, config.include_oracle, config.normalize, punct_tags)
+    mix = config.alpha * model + (1.0 - config.alpha) * base
+    mix[~real] = -np.inf
+    chosen = mix.argmax(axis=1)
+    picked = np.arange(len(chosen)), chosen
+    rows = [(i, idx + 1, float(model_scores[i][idx]), float(kb.scores[idx]), top)
+            for i, (kb, idx, top) in enumerate(zip(lists, chosen.tolist(), mix[picked].tolist()))]
+    total = EvalResult(int(np.add.reduce(right[picked])), scored)
+    return RerankResult(chosen.tolist(), total, rows, lists)
 
 
 def alpha_grid(alpha_step: float) -> np.ndarray:
@@ -157,15 +156,34 @@ def alpha_grid(alpha_step: float) -> np.ndarray:
     return np.linspace(0.0, 1.0, steps + 1)
 
 
-def _alpha_sweep(grid: np.ndarray, columns) -> tuple[np.ndarray, int]:
-    """Corpus correct heads at every alpha of the grid, and tokens scored,
-    from each list's `_columns`."""
-    correct = np.zeros(len(grid), dtype=np.int64)
-    scored = 0
-    for _, model, base, right, tokens in columns:
-        correct += right[_mixture_argmax(grid, model, base)[0]]
-        scored += tokens
-    return correct, scored
+def _alpha_sweep(grid: np.ndarray, model: np.ndarray, base: np.ndarray, right: np.ndarray,
+                 real: np.ndarray) -> np.ndarray:
+    """Corpus correct heads at every alpha of the grid. Only the candidates
+    that no earlier candidate of their list dominates are swept: none has a
+    model column >= and a base column >= theirs (tested against the running
+    model maximum and base minimum, in linear time). Rounding is monotone,
+    alpha, 1 - alpha >= 0 and a mix of finite numbers is never NaN, so a
+    dominated candidate's mix never exceeds its earlier dominator's: it is
+    never the first maximum. Each list's first maximum is taken from an
+    (alphas, lists, width) view of the kept candidates, padded with -inf, a
+    chunk of the grid at a time."""
+    keep = real.copy()
+    keep[:, 1:] &= ((np.maximum.accumulate(model, axis=1)[:, :-1] < model[:, 1:])
+                    | (np.minimum.accumulate(base, axis=1)[:, :-1] < base[:, 1:]))
+    counts = np.add.reduce(keep, axis=1)
+    width = int(np.maximum.reduce(counts, initial=1))
+    at = ((np.arange(len(keep)) * width)[:, None] + keep.cumsum(axis=1) - 1)[keep]
+    model, base, right, starts = model[keep], base[keep], right[keep], counts.cumsum() - counts
+    step = max(1, _SWEEP_CELLS // (len(keep) * width or 1))
+    correct = []
+    for lo in range(0, len(grid), step):
+        alphas = grid[lo:lo + step, None]
+        view = np.empty((len(alphas), len(keep) * width))
+        view.fill(-np.inf)
+        view[:, at] = alphas * model + (1.0 - alphas) * base
+        picks = view.reshape(len(alphas), len(keep), width).argmax(axis=2) + starts
+        correct.append(np.add.reduce(right.take(picks), axis=1))
+    return np.concatenate(correct)
 
 
 def _best_alpha(grid: np.ndarray, correct: np.ndarray, scored: int) -> tuple[float, EvalResult]:
@@ -188,8 +206,9 @@ def search_alpha(params: ParamSet, dev_kbest: Sequence[KBestList],
     if model_scores is None:
         model_scores = corpus_model_scores(params, dev_kbest, include_oracle)
     grid = alpha_grid(alpha_step)
-    columns = _columns(dev_kbest, model_scores, include_oracle, normalize, punct_tags)
-    return _best_alpha(grid, *_alpha_sweep(grid, columns))
+    _, model, base, right, real, scored = _columns(
+        dev_kbest, model_scores, include_oracle, normalize, punct_tags)
+    return _best_alpha(grid, _alpha_sweep(grid, model, base, right, real), scored)
 
 
 def per_pos_accuracy(pred_trees: Sequence[DependencyTree],
@@ -234,14 +253,14 @@ def uas_curve(params: ParamSet, kbests: Sequence[KBestList], ks: Sequence[int],
     if min(ks, default=1) < 1:
         raise ValueError(f"k must be >= 1, got {min(ks)}")
     grid = alpha_grid(alpha_step)
-    full = list(_columns(kbests, corpus_model_scores(params, kbests), punct_tags=punct_tags))
+    _, model, base, right, real, scored = _columns(
+        kbests, corpus_model_scores(params, kbests), punct_tags=punct_tags)
     rows = []
     for k in ks:
-        cut = [(kb, model[:k], base[:k], correct[:k], scored)
-               for kb, model, base, correct, scored in full]
-        by_alpha, scored = _alpha_sweep(grid, cut)
-        best = EvalResult(sum(int(np.maximum.reduce(c)) for *_, c, _ in cut), scored)
-        worst = EvalResult(sum(int(np.minimum.reduce(c)) for *_, c, _ in cut), scored)
+        by_alpha = _alpha_sweep(grid, model, base, right, real & (np.arange(real.shape[1]) < k))
+        best, worst = (EvalResult(int(np.add.reduce(extreme.reduce(
+            right[:, :k], axis=1, where=real[:, :k], initial=start))), scored)
+            for extreme, start in ((np.maximum, 0), (np.minimum, scored)))
         alpha, reranked = _best_alpha(grid, by_alpha, scored)
         rows.append(CurveRow(k, best.uas, worst.uas,
                              EvalResult(int(by_alpha[-1]), scored).uas, reranked.uas, alpha,

@@ -78,14 +78,18 @@ def synth_kbest(rng: np.random.Generator, gold: DependencyTree, k: int,
     return KBestList(gold, tuple(scored))
 
 
-def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
+def planted_corpus(seed: int, sentences: int, order: int = 1) -> list[KBestList]:
     """8-best lists (`synth_kbest`, noise 0.8) over gold trees of 5-15 tokens
     of a grammar planted from `seed`. Trees have `random_tree`'s shapes; each
-    token's tag (of `DEFAULT_TAGS`) is drawn given its head's tag, and its
-    form `<tag>_<j>`, j < 4, with j drawn given its head's j, from fixed
-    peaked tables (Dirichlet(0.15) rows, one more row for the artificial
+    token's tag (of `DEFAULT_TAGS`) is drawn given its head's tag (order 1) or
+    its grandparent's (order 2; tokens at depth 1 and 2 read the root's row),
+    and its form `<tag>_<j>`, j < 4, with j drawn given its head's j, from
+    fixed peaked tables (Dirichlet(0.15) rows, one more row for the artificial
     root). So gold arcs carry a signal that holds on lists not trained on,
-    unlike the independent draws of `random_tree` alone."""
+    unlike the independent draws of `random_tree` alone; at order 2 an arc's
+    tag pair alone does not carry it, the child's subtree does."""
+    if order not in (1, 2):
+        raise ValueError(f"order must be 1 or 2, got {order}")
     rng = np.random.default_rng(seed)
     tags, n_tags, n_forms = DEFAULT_TAGS, len(DEFAULT_TAGS), 4
     tag_table = rng.dirichlet([0.15] * n_tags, size=n_tags + 1)
@@ -95,11 +99,12 @@ def planted_corpus(seed: int, sentences: int) -> list[KBestList]:
         shape = random_tree(rng, int(rng.integers(5, 16)), list(tags))
         n, heads = len(shape), shape.heads
         tag, form = [n_tags] + [0] * n, [n_forms] + [0] * n  # node 0: the root's rows
-        order = [0]
-        for node in order:  # heads before their dependents
+        queue = [0]
+        for node in queue:  # heads before their dependents
+            row = tag[node] if order == 1 else tag[heads[node - 1] if node else 0]
             for child in shape.children(node):
-                order.append(child)
-                tag[child] = int(rng.choice(n_tags, p=tag_table[tag[node]]))
+                queue.append(child)
+                tag[child] = int(rng.choice(n_tags, p=tag_table[row]))
                 form[child] = int(rng.choice(n_forms, p=form_table[form[node]]))
         gold = DependencyTree([f"{tags[t]}_{j}" for t, j in zip(tag[1:], form[1:])],
                               [tags[t] for t in tag[1:]], heads, (None,) * n)

@@ -141,7 +141,7 @@ class KBestList:
     readers check as they read and build lists with `_unchecked`.
     """
 
-    __slots__ = ("gold", "heads", "scores")
+    __slots__ = ("gold", "heads", "scores", "_counts")
 
     def __init__(self, gold: DependencyTree, candidates: Iterable[tuple[DependencyTree, float]]):
         pairs = tuple(candidates)
@@ -165,6 +165,7 @@ class KBestList:
         heads.setflags(write=False)
         scores.setflags(write=False)
         self.gold, self.heads, self.scores = gold, heads, scores
+        self._counts = {}  # punctuation set -> `attachment_counts`
 
     def __len__(self) -> int:
         return len(self.scores)
@@ -184,11 +185,17 @@ class KBestList:
         """Per candidate, the tokens attached as in gold; and the tokens scored.
 
         Punctuation tokens are never counted, so `uas(tree, gold)` of candidate
-        i is EvalResult(correct[i], scored).
+        i is EvalResult(correct[i], scored). Computed once per punctuation set
+        and kept, read-only, as the list does not change.
         """
-        scored = np.array([pos not in punct_tags for pos in self.gold._tags], dtype=bool)
-        correct = np.add.reduce((self.heads == np.array(self.gold._heads)) & scored, axis=1)
-        return correct, int(np.add.reduce(scored))
+        punct_tags = frozenset(punct_tags)
+        if punct_tags not in self._counts:  # a punctuation token's head -1 matches no head
+            gold = [-1 if pos in punct_tags else head
+                    for head, pos in zip(self.gold._heads, self.gold._tags)]
+            correct = np.add.reduce(self.heads == np.array(gold), axis=1)
+            correct.setflags(write=False)
+            self._counts[punct_tags] = correct, len(gold) - gold.count(-1)
+        return self._counts[punct_tags]
 
 
 def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:
@@ -506,13 +513,15 @@ def write_conll(trees: Iterable[DependencyTree]) -> str:
     blocks = []
     for tree in trees:
         lines = []
-        for index, (form, pos, head, line) in enumerate(
-                zip(tree._forms, tree._tags, tree._heads, tree._lines), start=1):
+        for form, pos, head, line in zip(tree._forms, tree._tags, tree._heads, tree._lines):
             if line is None:
-                cols = [str(index), form, "_", pos, pos, "_", str(head), "_", "_", "_"]
+                cols = [str(len(lines) + 1), form, "_", pos, pos, "_", str(head), "_", "_", "_"]
             else:  # HEAD replaces column 7, or follows a line of fewer columns
                 cols = line.split("\t", 7)
-                cols[6:7] = [str(head)]
+                try:
+                    cols[6] = str(head)
+                except IndexError:
+                    cols.append(str(head))
             lines.append("\t".join(cols))
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks) + "\n" if blocks else ""

@@ -24,8 +24,9 @@ from deprerank.rcnn import (
     Gradients, ListActivations, ListPlan, Rows, _first_max, _run_starts, _sum_by, _tree_rows,
     backward_tree, build_forests, build_list_plans, build_plan, score_plan,
 )
+from deprerank.reranker import CurveRow, RerankResult, _znorm, alpha_grid, augmented
 from deprerank.trainer import _SentenceItem, _pick, _subgradient
-from deprerank.treebank import DependencyTree, KBestList, _check_rows
+from deprerank.treebank import DependencyTree, EvalResult, KBestList, _check_rows
 
 TAGS = ("DT", "JJ", "NN", "VB", "IN")
 VOCAB = tuple(f"w{i}" for i in range(1, 9))
@@ -957,3 +958,85 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
     if next_line() is not None:
         raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")
     return lists
+
+
+# ---------------------------------------------------------------------------
+# the mixture pick and the alpha sweep, one list at a time
+
+def reference_columns(kbests, model_scores, include_oracle=False, normalize=False,
+                      punct_tags=frozenset()):
+    """Per list: the list picked from (its oracle appended if asked), the
+    model and base columns that the mixture mixes (z-normalized if asked),
+    each candidate's correct heads and the tokens scored. Scores are not
+    checked."""
+    for kb, scores in zip(kbests, model_scores):
+        cands = augmented(kb, include_oracle)
+        model, base = np.asarray(scores, dtype=np.float64), cands.scores
+        if normalize:
+            model, base = _znorm(model), _znorm(base)
+        yield (cands, model, base) + cands.attachment_counts(punct_tags)
+
+
+def reference_mixture_argmax(alphas, model, base):
+    """Each alpha's first argmax of one list's mixture, and the mixture, one
+    row per alpha."""
+    alphas = alphas[:, None]
+    mix = alphas * model + (1.0 - alphas) * base
+    return mix.argmax(axis=1), mix
+
+
+def reference_rerank_corpus(kbests, config, punct_tags, model_scores):
+    """`rerank_corpus` with model scores given, one list at a time."""
+    alpha = np.array([config.alpha])
+    chosen, lists, rows, total = [], [], [], EvalResult(0, 0)
+    for i, (cands, model, base, right, tokens) in enumerate(reference_columns(
+            kbests, model_scores, config.include_oracle, config.normalize, punct_tags)):
+        picks, mix = reference_mixture_argmax(alpha, model, base)
+        idx = int(picks[0])
+        chosen.append(idx)
+        lists.append(cands)
+        rows.append((i, idx + 1, float(model_scores[i][idx]), float(cands.scores[idx]),
+                     float(mix[0, idx])))
+        total = total + EvalResult(int(right[idx]), tokens)
+    return RerankResult(chosen, total, rows, lists)
+
+
+def reference_alpha_sweep(grid, columns):
+    """Corpus correct heads at every alpha of the grid, and tokens scored,
+    every candidate of every list swept."""
+    correct = np.zeros(len(grid), dtype=np.int64)
+    scored = 0
+    for _, model, base, right, tokens in columns:
+        correct += right[reference_mixture_argmax(grid, model, base)[0]]
+        scored += tokens
+    return correct, scored
+
+
+def reference_best_alpha(grid, correct, scored):
+    best = int((correct / scored).argmax()) if scored else 0
+    return float(grid[best]), EvalResult(int(correct[best]), scored)
+
+
+def reference_search_alpha(kbests, alpha_step, punct_tags, include_oracle, normalize,
+                           model_scores):
+    """`search_alpha` with model scores given, one list at a time."""
+    grid = alpha_grid(alpha_step)
+    return reference_best_alpha(grid, *reference_alpha_sweep(grid, reference_columns(
+        kbests, model_scores, include_oracle, normalize, punct_tags)))
+
+
+def reference_uas_curve(kbests, ks, alpha_step, punct_tags, model_scores):
+    """`uas_curve` with model scores given, each truncation swept in full."""
+    grid = alpha_grid(alpha_step)
+    full = list(reference_columns(kbests, model_scores, punct_tags=punct_tags))
+    rows = []
+    for k in ks:
+        cut = [(kb, model[:k], base[:k], right[:k], scored)
+               for kb, model, base, right, scored in full]
+        by_alpha, scored = reference_alpha_sweep(grid, cut)
+        best = EvalResult(sum(int(np.maximum.reduce(c)) for *_, c, _ in cut), scored)
+        worst = EvalResult(sum(int(np.minimum.reduce(c)) for *_, c, _ in cut), scored)
+        alpha, reranked = reference_best_alpha(grid, by_alpha, scored)
+        rows.append(CurveRow(k, best.uas, worst.uas, EvalResult(int(by_alpha[-1]), scored).uas,
+                             reranked.uas, alpha, sum(1 for kb in kbests if len(kb) < k)))
+    return rows

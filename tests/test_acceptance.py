@@ -3,12 +3,14 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion lines.
 """
 
+import functools
 import io
 import time
 
 import numpy as np
 import pytest
 
+from deprerank import trainer
 from deprerank.cli import main
 from deprerank.params import (
     Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save,
@@ -247,6 +249,41 @@ def _held_out(corpus, seed):
     return uas[1.0], uniform, uas[0.0], uas[alpha]
 
 
+def _child_blind(patch):
+    """The control of criterion 9: each composition matrix's child block
+    `W[:, :, m:2 m]` held at 0 after the training items are built and after
+    every AdaGrad step, so that an arc scores from the head word, the
+    distance and the POS-pair slot, and not from the child's subtree."""
+    build_all, step = trainer._SentenceItem.build_all, trainer.adagrad_step
+
+    def blind(params):
+        m = params.hyper.m
+        params.pos_pairs.W[:, :, m:2 * m] = 0.0
+
+    def built(params, *args):
+        items = build_all(params, *args)
+        blind(params)
+        return items
+
+    def stepped(params, *args):
+        step(params, *args)
+        blind(params)
+
+    patch.setattr(trainer._SentenceItem, "build_all", staticmethod(built))
+    patch.setattr(trainer, "adagrad_step", stepped)
+
+
+@functools.cache
+def _planted_held_out(order, seed, child_blind=False):
+    """`_held_out` on `planted_corpus(seed, 600, order)`, with the child-blind
+    control if asked; criteria 8 and 9 share the runs."""
+    corpus = planted_corpus(seed, 600, order=order)
+    with pytest.MonkeyPatch.context() as patch:
+        if child_blind:
+            _child_blind(patch)
+        return _held_out(corpus, seed)
+
+
 def test_criterion_8_held_out_learning():
     """On a planted grammar (`planted_corpus`), the model alone picks better
     trees than a uniform pick on lists it was not trained on, and the
@@ -254,7 +291,7 @@ def test_criterion_8_held_out_learning():
     start = time.perf_counter()
     conditions = []
     for seed in HELD_OUT_SEEDS:
-        model, uniform, base, mixed = _held_out(planted_corpus(seed, 600), seed)
+        model, uniform, base, mixed = _planted_held_out(1, seed)
         print(f"\n  seed={seed} model_only={model:.4f} uniform={uniform:.4f} "
               f"base={base:.4f} mixture={mixed:.4f}")
         conditions += [
@@ -278,3 +315,28 @@ def test_criterion_8_negative_control():
         conditions.append((model <= uniform + 0.01,
                            f"seed {seed}: model-only UAS {model:.4f} > uniform {uniform:.4f} + 0.01"))
     _report(8, "held-out negative control", conditions)
+
+
+def test_criterion_9_the_recursion_pays():
+    """On the order-2 planted grammar, where a tag is drawn given the
+    grandparent's, the child's subtree carries what an arc's tag pair does
+    not. There the full model's held-out model-only UAS is at least 1 point
+    above the child-blind control's and 2 points above a uniform pick. The
+    same gap on order 1 (criterion 8's grammar) is printed, not bounded."""
+    start = time.perf_counter()
+    conditions = []
+    for order in (2, 1):
+        for seed in HELD_OUT_SEEDS:
+            full, uniform, _, _ = _planted_held_out(order, seed)
+            blind = _planted_held_out(order, seed, child_blind=True)[0]
+            print(f"\n  order={order} seed={seed} model_only={full:.4f} "
+                  f"child_blind={blind:.4f} uniform={uniform:.4f} gap={full - blind:+.4f}")
+            if order == 2:
+                conditions += [
+                    (full >= blind + 0.01, f"seed {seed}: held-out model-only UAS {full:.4f} "
+                                           f"< child-blind {blind:.4f} + 0.01"),
+                    (full >= uniform + 0.02, f"seed {seed}: held-out model-only UAS {full:.4f} "
+                                             f"< uniform {uniform:.4f} + 0.02"),
+                ]
+    print(f"  elapsed={time.perf_counter() - start:.1f}s")
+    _report(9, "the recursion pays", conditions)

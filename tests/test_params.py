@@ -1,6 +1,7 @@
 """Parameter tables: init, lookups, pretrained vectors, persistence."""
 
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 from deprerank.errors import FormatError, ModelIOError, ParseError
 from deprerank.params import (
     Hyperparams, ParamSet, ROOT_FORM, UNK_FORM, build_pos_vocab, build_word_vocab,
-    init_random, load, load_pretrained, save,
+    init_random, load, load_pretrained, save, table_bytes,
 )
 
 from helpers import (
@@ -64,7 +65,28 @@ def test_both_constructors_put_delta_d_at_row_d_plus_clip():
     buf.seek(0)
     for params in (p, load(buf)):
         assert [params.distance_row(d) for d in range(-6, 7)] == [0, 0, *range(9), 8, 8]
-        assert params.distances.keys == list(range(-4, 5))
+        assert params.distances.keys == range(-4, 5)
+
+
+def test_the_distance_table_holds_no_object_per_row():
+    # 400,001 distance rows: a table and its copy allocate about their float64
+    # rows, where a list and a dict of the keys took about 90 MB more
+    hyper = Hyperparams(m=4, m_d=4, dist_clip=200_000)
+    tracemalloc.start()
+    try:
+        params = init_random(hyper, ["w1"], ["NN"], seed=1)
+        copy = params.copy()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = params.distances.vectors.nbytes + copy.distances.vectors.nbytes
+    assert floats == 2 * 400_001 * 4 * 8
+    assert peak < 1.5 * floats
+    assert table_bytes(hyper, 1, 0) < 1.01 * params.distances.vectors.nbytes
+    for table in (params.distances, copy.distances):
+        assert [table.rows[d] for d in (-200_000, -1, 0, 200_000)] == [0, 199_999, 200_000, 400_000]
+        with pytest.raises(KeyError):
+            table.rows[200_001]
 
 
 def test_get_pair_idempotent_and_distinct():

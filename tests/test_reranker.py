@@ -1,11 +1,13 @@
 """Mixture re-ranking, alpha search, per-POS accuracy, oracle bounds."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from deprerank import rcnn
+from deprerank import rcnn, reranker
 from deprerank.params import Hyperparams, init_random
 from deprerank.reranker import (
     RerankConfig, alpha_grid, candidate_model_scores, corpus_model_scores, per_pos_accuracy,
@@ -13,7 +15,10 @@ from deprerank.reranker import (
 )
 from deprerank.treebank import DependencyTree, EvalResult, corpus_oracle, uas
 
-from helpers import kbest_of, make_tree, margin_delta, synth_corpus, tiny_params
+from helpers import (
+    all_trees_up_to, from_arrays, kbest_of, make_tree, margin_delta, reference_rerank_corpus,
+    reference_search_alpha, reference_uas_curve, synth_corpus, tiny_params,
+)
 
 
 def _pick(params, kb, config, model_scores=None):
@@ -378,3 +383,55 @@ def test_corpus_scores_in_batches_equal_list_by_list_scores(monkeypatch, include
     p = tiny_params(m=4, m_d=4, seed=6)
     want = [candidate_model_scores(p, kb, include_oracle) for kb in corpus]
     assert corpus_model_scores(p, corpus, include_oracle) == want
+
+
+# Scores that tie, repeat and mix to +-inf: a list's model and base scores
+# are drawn from a few of these, so equal (model, base) pairs are common.
+EXTREMES = [-1.7976931348623157e308, -1e308, -5e307, -1.0, -0.0, 0.0, 0.5, 1.0, 2.0,
+            5e307, 1e308, 1.7976931348623157e308]
+TREES = {n: [t.heads for t in all_trees_up_to(n) if len(t) == n] for n in (1, 2, 3)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), ks=st.lists(st.integers(1, 70), min_size=1, max_size=4),
+       pool=st.integers(1, 8), step=st.sampled_from([1.0, 0.5, 0.25, 0.1, 0.02]),
+       include_oracle=st.booleans(), normalize=st.booleans())
+def test_the_pruned_sweep_and_the_picks_equal_the_per_list_reference(
+        seed, ks, pool, step, include_oracle, normalize):
+    """`search_alpha`, `rerank_corpus` and `uas_curve` sweep only candidates
+    that no earlier one dominates and pick every list at once; the reference
+    sweeps every candidate of one list at a time. They must agree exactly. A
+    mutant that prunes a candidate because a later one dominates it fails."""
+    rng = np.random.default_rng(seed)
+    values = np.concatenate((rng.choice(EXTREMES, size=pool), rng.normal(size=2).round(1)))
+    lists, scores = [], []
+    for k in ks:
+        n = int(rng.integers(1, 4))
+        trees = TREES[n]
+        gold = make_tree(trees[rng.integers(len(trees))],
+                         tags=rng.choice(["NN", "."], size=n).tolist())
+        lists.append(from_arrays(gold, [trees[i] for i in rng.integers(len(trees), size=k)],
+                                 rng.choice(values, size=k)))
+        scores.append(rng.choice(values, size=k + include_oracle).tolist())
+    punct = {"."}
+    with np.errstate(over="ignore"):  # mixes of +-1e308 overflow to +-inf
+        searched = search_alpha(None, lists, step, punct, include_oracle, normalize, scores)
+        assert searched == reference_search_alpha(lists, step, punct, include_oracle, normalize,
+                                                  scores)
+        # the grid in chunks of one alpha or more
+        with mock.patch.object(reranker, "_SWEEP_CELLS", int(rng.integers(1, 300))):
+            assert search_alpha(None, lists, step, punct, include_oracle, normalize,
+                                scores) == searched
+        for alpha in (0.0, 1.0, float(rng.random()), searched[0]):
+            config = RerankConfig(alpha, include_oracle=include_oracle, normalize=normalize)
+            got = rerank_corpus(None, lists, config, punct, scores)
+            want = reference_rerank_corpus(lists, config, punct, scores)
+            assert (got.chosen, got.score, repr(got.rows)) == (want.chosen, want.score,
+                                                               repr(want.rows))
+            assert [kb.heads.tolist() for kb in got.lists] == [kb.heads.tolist()
+                                                               for kb in want.lists]
+        given_scores = [row[:len(kb)] for row, kb in zip(scores, lists)]
+        cuts = sorted({1, 71, *rng.integers(1, 72, size=3).tolist()})
+        with mock.patch.object(reranker, "corpus_model_scores", lambda *_: given_scores):
+            curve = uas_curve(None, lists, cuts, step, punct)
+        assert repr(curve) == repr(reference_uas_curve(lists, cuts, step, punct, given_scores))
