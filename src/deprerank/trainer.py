@@ -205,8 +205,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
     dev_forests = build_forests(params, dev)
     state = AdaGradState.from_params(params)
-    best = params.copy()
-    best_uas = -1.0
+    best_uas = -1.0  # below any UAS, so epoch 1 sets `best`
     best_epoch = 0
     reports: list[TrainReport] = []
     for epoch in range(1, config.max_epochs + 1):

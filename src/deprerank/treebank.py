@@ -5,10 +5,10 @@ each token was read from. `_rooted` alone decides whether heads form a rooted
 tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
 one pass; a `KBestList` checks its rows where it is made, and only there.
 One rule routes every source of both readers (`_in_blocks`): a string or a
-text file is taken a block of lines at a time, and what can be parsed at
-once is, where that reads the same values as reading line by line; any
-other source, such as a list or an iterator of lines, is read line by line,
-which raises the error of the first bad line.
+text file is taken a block of whole sentences at a time, and what can be
+parsed at once is, where that reads the same values as reading line by
+line; any other source, such as a list or an iterator of lines, is read line
+by line, which raises the error of the first bad line.
 """
 
 from __future__ import annotations
@@ -293,10 +293,10 @@ def _in_blocks(source: Iterable[str] | str) -> bool:
 # misses the cache more than it saves.
 _CHECK_TOKENS = 8192
 
-# From a string or a text file, the readers take at most this many lines at
-# once beyond what they are reading: a block of sentences, or a sentence's 2k
-# CAND/HEAD lines. A larger (absurd) k, or a sentence that fills a block, is
-# read line by line instead, as every other source is.
+# From a string or a text file, the readers hold at most this many lines at
+# once: a block of whole gold sentences, or a sentence's 2k CAND/HEAD lines. A
+# larger (absurd) k, or a gold sentence that a block cannot finish, is read
+# line by line instead, as every other source is.
 _BLOCK_LINES = 65536
 
 
@@ -333,16 +333,17 @@ def parse_conll(source: Iterable[str] | str,
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
     HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. A string is
     read as a text file is (`_iter_lines`); the lines of a file or any other
-    source are as given. A string or a text file is read a block at a time
-    (`_parse_blocks`), any other source line by line (`_parse_lines`). Trees
-    are checked a batch at a time (`_Trees`); a batch is checked before any
-    error is raised, so the first error in file order is the one raised.
+    source are as given. A string or a text file is read in blocks of whole
+    sentences (`_parse_blocks`), any other source line by line
+    (`_parse_lines`). Trees are checked a batch at a time (`_Trees`); a batch
+    is checked before any error is raised, so the first error in file order
+    is the one raised.
     """
     lines = _iter_lines(source)
     trees = _Trees(allow_multiple_roots)
     try:
         if _in_blocks(source):
-            _parse_blocks(_line_blocks(lines), trees)
+            _parse_blocks(lines, trees)
         else:
             _parse_lines((line.rstrip("\n") for line in lines), 1, trees)
     except DataError:
@@ -350,12 +351,6 @@ def parse_conll(source: Iterable[str] | str,
         raise
     trees.check()
     return trees.trees
-
-
-def _line_blocks(lines: Iterator[str]) -> Iterator[list[str]]:
-    """The lines without their newlines, up to `_BLOCK_LINES` at a time."""
-    while block := [line.rstrip("\n") for line in itertools.islice(lines, _BLOCK_LINES)]:
-        yield block
 
 
 def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
@@ -394,33 +389,26 @@ def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
         texts.append(line)
 
 
-def _parse_blocks(blocks: Iterator[list[str]], trees: _Trees) -> None:
-    """The sentences of blocks of lines, without their newlines.
-
-    Each block is parsed up to its last blank line (`_parse_block`), and the
-    sentence that it cuts is carried over to the next; the last is parsed
-    whole. A sentence that fills `_BLOCK_LINES` lines is read line by line,
-    with all the lines after it.
+def _parse_blocks(lines: Iterator[str], trees: _Trees) -> None:
+    """The sentences of a string's or a text file's lines, in blocks of half
+    of `_BLOCK_LINES` lines, then the lines up to the end of the sentence that
+    cut falls in (a blank line, or the end of the input): whole sentences, at
+    most `_BLOCK_LINES` lines, each parsed by `_parse_block`. A sentence that
+    a block cannot finish is read line by line, with all the lines after it.
     """
-    lineno, held = 1, []  # the lines of the sentence cut by the last block
-    for block in blocks:
-        end = _sentences_end(block)
-        if end:
-            held += block[:end]
-            _parse_block(held, lineno, trees)
-            lineno, held = lineno + len(held), block[end:]
-        else:
-            held += block
-        if len(held) >= _BLOCK_LINES:
-            _parse_lines(itertools.chain(held, itertools.chain.from_iterable(blocks)),
+    lineno = 1
+    while block := [line.rstrip("\n")
+                    for line in itertools.islice(lines, (_BLOCK_LINES + 1) // 2)]:
+        for line in itertools.islice(lines, _BLOCK_LINES - len(block) if block[-1].strip() else 0):
+            block.append(line.rstrip("\n"))  # on to the end of the sentence the cut falls in
+            if not line.strip():
+                break
+        if block[-1].strip() and len(block) == _BLOCK_LINES:
+            _parse_lines(itertools.chain(block, (line.rstrip("\n") for line in lines)),
                          lineno, trees)
             return
-    _parse_block(held, lineno, trees)
-
-
-def _sentences_end(lines: list[str]) -> int:
-    """Where `lines` end after their last blank line, or 0."""
-    return next((i + 1 for i in range(len(lines) - 1, -1, -1) if not lines[i].strip()), 0)
+        _parse_block(block, lineno, trees)
+        lineno += len(block)
 
 
 def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:

@@ -353,11 +353,11 @@ RAGGED = "1\t1\t1\tT\tT\t1\t0\t1\t1\n2\tw\t1\tT\tT\t1\t1\t1\n3\t3\t1\tT\tT\t1\t1
 
 
 @settings(FUZZ, max_examples=300)
-@given(conll_texts(), st.booleans(), st.sampled_from((1, 7, treebank._BLOCK_LINES)),
+@given(conll_texts(), st.booleans(), st.sampled_from((1, 2, 7, treebank._BLOCK_LINES)),
        st.sampled_from((1, 7, treebank._CHECK_TOKENS)))
 @example(RAGGED, False, treebank._BLOCK_LINES, treebank._CHECK_TOKENS)
 def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
-    """String and text-file sources, read in blocks of 1 or 7 lines or whole,
+    """String and text-file sources, read in blocks of 1, 2 or 7 lines or whole,
     and list sources, read line by line."""
     with mock.patch.multiple(treebank, _BLOCK_LINES=block, _CHECK_TOKENS=batch):
         for source in (lambda: io.StringIO(text), lambda: _paired_lines(text), lambda: text):

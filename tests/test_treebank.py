@@ -19,8 +19,8 @@ from deprerank.treebank import (
 )
 
 from helpers import (
-    from_arrays, kbest_of, make_tree, reference_parse_conll, reference_read_kbest, rooted_by_bfs,
-    with_any_heads,
+    from_arrays, kbest_of, make_tree, random_tree, reference_parse_conll, reference_read_kbest,
+    rooted_by_bfs, with_any_heads,
 )
 
 BIKE_BLOCK = (
@@ -82,6 +82,8 @@ def test_parse_errors_carry_line_numbers():
         parse_conll("x\ta\t_\tDT\tDT\t_\t2\t_\n")
     with pytest.raises(ParseError, match="line 1"):
         parse_conll("1\ta\t_\tDT\tDT\t_\tzzz\t_\n")
+    with pytest.raises(ParseError, match="^line 2: token 2 is its own head$"):
+        parse_conll("1\ta\t_\tDT\tDT\t_\t0\t_\n2\tb\t_\tNN\tNN\t_\t2\t_\n")
 
 
 # breaks that `str.splitlines` splits at and a text file does not
@@ -195,7 +197,7 @@ def test_kbest_token_mismatch_names_sentence():
         read_kbest(BIKE_BLOCK, cands)
 
 
-@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity"])
+@pytest.mark.parametrize("score", ["nan", "inf", "-inf", "NaN", "Infinity", "1e999", "-1e999"])
 def test_kbest_rejects_non_finite_base_scores(score):
     cands = f"SENT 0 2\nCAND 1 -1.0\nHEAD 3 3 0\nCAND 2 {score}\nHEAD 2 3 0\n"
     with pytest.raises(ParseError, match="line 4: non-finite base score"):
@@ -378,6 +380,27 @@ def test_a_sentence_with_no_blank_lines_takes_a_bounded_block():
     text = write_conll([_chain(10), _chain(3), _chain(12), _chain(2)])
     with mock.patch.object(treebank, "_BLOCK_LINES", 4):
         assert parse_conll(io.StringIO(text)) == reference_parse_conll(text)
+
+
+def test_each_block_is_whole_sentences_of_at_most_block_lines(monkeypatch):
+    rng = np.random.default_rng(3)
+    text = write_conll([random_tree(rng, int(rng.integers(1, 4))) for _ in range(200)])
+    last = text.splitlines()[-1]
+    blocks, real = [], treebank._parse_block
+    monkeypatch.setattr(treebank, "_BLOCK_LINES", 8)
+    monkeypatch.setattr(treebank, "_parse_block",
+                        lambda lines, *rest: blocks.append(list(lines)) or real(lines, *rest))
+    assert parse_conll(text) == reference_parse_conll(text)
+    assert blocks and max(map(len, blocks)) <= 8
+    assert all(not block[-1].strip() for block in blocks[:-1]) and blocks[-1][-1] == last
+    assert sum(map(len, blocks)) == len(text.splitlines())
+    # a bad line after all those blocks keeps its own line number
+    bad = text + "1\tx\n"
+    with pytest.raises(ParseError) as ours:
+        parse_conll(bad)
+    with pytest.raises(ParseError) as theirs:
+        reference_parse_conll(bad)
+    assert (str(ours.value), ours.value.line) == (str(theirs.value), theirs.value.line)
 
 
 def _chain(n):
