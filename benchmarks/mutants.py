@@ -46,6 +46,8 @@ class Mutant(NamedTuple):
 
 TREEBANK = "src/deprerank/treebank.py"
 TEST_TREEBANK = "tests/test_treebank.py"
+TRAINER = "src/deprerank/trainer.py"
+TEST_TRAINER = "tests/test_trainer.py"
 
 
 def _reader(name: str, text: str, replacement: str, *expected: str) -> Mutant:
@@ -92,16 +94,13 @@ MUTANTS = (
     _reader("rooted-one-round-fewer", "for _ in range(int(width.max()).bit_length()):",
             "for _ in range(int(width.max()).bit_length() - 1):",
             "test_rooted_rows_matches_is_rooted_tree"),
-    _reader("rooted-no-root-count",
-            "    ok &= (roots >= 1) if allow_multiple_roots else (roots == 1)\n", "",
-            "test_multiple_roots_strict_and_lenient", "test_rooted_rows_matches_is_rooted_tree"),
     _reader("unrooted-no-overflow-fallback", "except OverflowError:", "except ZeroDivisionError:",
             "test_conll_head_beyond_int64_is_a_structure_error"),
     # the trees read so far are checked before an error is raised
     _reader("conll-no-tree-check-before-error", "        trees.check()\n        raise\n",
             "        raise\n", "test_conll_errors_come_in_file_order_across_batches"),
     _reader("kbest-no-tree-check-before-error",
-            "        _check_lists(pending, allow_multiple_roots)\n        raise\n",
+            "        _check_lists(pending)\n        raise\n",
             "        raise\n", "test_kbest_errors_come_in_file_order_across_batches"),
     _reader("read-candidates-no-tree-check-before-error",
             "    finally:  # the rows before a bad line are checked before its error is raised\n",
@@ -115,7 +114,7 @@ MUTANTS = (
             "test_kbest_line_format_is_exact"),
     _reader("read-block-no-rank-check", "if fields[1::3] != _ranks(k):", "if False:",
             "test_kbest_line_format_is_exact"),
-    _reader("read-block-no-isfinite", "if not all(map(math.isfinite, scores)):", "if False:",
+    _reader("read-block-no-isfinite", "not all(map(math.isfinite, scores)) or ", "",
             "test_kbest_rejects_non_finite_base_scores[1e999]"),
     _reader("read-block-no-row-start-check", " or (heads[::n + 1] != -1).any()", "",
             "test_kbest_errors_come_in_file_order"),
@@ -131,12 +130,27 @@ MUTANTS = (
             "test_a_byte_that_is_not_utf8_is_an_error_at_its_line"),
     _reader("read-text-no-path-prefix", 'err.args = (f"{path}: {err}",)', "pass",
             "test_a_byte_that_is_not_utf8_is_an_error_at_its_line"),
-    # training: every epoch's dev scores must be finite
-    Mutant("train-no-dev-score-check", "src/deprerank/trainer.py",
+    # training: every epoch's dev scores must be finite, the margin raises
+    # wrong candidates, and training stops `patience` epochs after the best
+    Mutant("train-no-dev-score-check", TRAINER,
            ',\n                             ("dev scores", np.concatenate(dev_scores))):', "):",
            ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite",),
            ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite"
             "[1e+200-1-dev scores]",)),
+    Mutant("train-margin-sign-flipped", TRAINER,
+           "aug = scores[1:] + item.deltas", "aug = scores[1:] - item.deltas",
+           (TEST_TRAINER,), (f"{TEST_TRAINER}::test_loss_augmented_pick_with_zero_scorer",
+                             f"{TEST_TRAINER}::test_loss_augmented_pick_matches_per_tree_pick")),
+    Mutant("train-patience-stops-an-epoch-late", TRAINER,
+           "elif epoch - best_epoch >= config.patience:",
+           "elif epoch - best_epoch > config.patience:", (TEST_TRAINER,),
+           (f"{TEST_TRAINER}::test_training_stops_patience_epochs_after_the_best_dev_uas",)),
+    # the list kernels: a pooling tie goes to the first child, as per tree
+    Mutant("first-max-ties-to-the-last-child", "src/deprerank/rcnn.py",
+           "first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)",
+           "first = np.maximum.reduceat(np.where(zs == top, pos, -1), starts, axis=0)",
+           ("tests/test_rcnn.py",),
+           ("tests/test_rcnn.py::test_list_pooling_ties_go_to_the_first_child",)),
 )
 
 

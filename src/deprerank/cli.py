@@ -110,10 +110,8 @@ def cmd_train(args) -> int:
     _check_paths([args.model_out], [args.config, args.train_gold, args.train_kbest,
                                     args.dev_gold, args.dev_kbest, args.pretrained])
     hyper, cfg = _resolve_settings(args)
-    train_kbs = treebank.read_kbest_files(args.train_gold, args.train_kbest,
-                                          args.allow_multiple_roots)
-    dev_kbs = treebank.read_kbest_files(args.dev_gold, args.dev_kbest,
-                                        args.allow_multiple_roots)
+    train_kbs = treebank.read_kbest_files(args.train_gold, args.train_kbest)
+    dev_kbs = treebank.read_kbest_files(args.dev_gold, args.dev_kbest)
     for kbs, role, path in ((train_kbs, "training", args.train_gold),
                             (dev_kbs, "dev", args.dev_gold)):
         if not kbs:
@@ -150,7 +148,7 @@ def cmd_train(args) -> int:
 def cmd_rerank(args) -> int:
     _check_paths([args.output, args.report], [args.gold, args.kbest, args.model])
     model = P.load(args.model)
-    kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
+    kbs = treebank.read_kbest_files(args.gold, args.kbest)
     scores = reranker.corpus_model_scores(model, kbs, args.with_oracle)
     if args.search_alpha:
         alpha, dev = reranker.search_alpha(
@@ -175,8 +173,8 @@ def cmd_rerank(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = treebank.load_conll(args.pred, args.allow_multiple_roots)
-    gold = treebank.load_conll(args.gold, args.allow_multiple_roots)
+    pred = treebank.load_conll(args.pred)
+    gold = treebank.load_conll(args.gold)
     res = treebank.corpus_uas(pred, gold, args.punct_set)
     print(f"uas={res.uas:.6f} correct={res.correct_heads} scored={res.scored_tokens}")
     if args.per_pos:
@@ -189,7 +187,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
+    kbs = treebank.read_kbest_files(args.gold, args.kbest)
     res = treebank.corpus_oracle(kbs, args.punct_set, worst=args.worst)
     which = "worst" if args.worst else "best"
     print(f"oracle={which} uas={res.uas:.6f} correct={res.correct_heads} "
@@ -200,7 +198,7 @@ def cmd_oracle(args) -> int:
 def cmd_curve(args) -> int:
     _check_paths([args.output], [args.gold, args.kbest, args.model])
     model = P.load(args.model)
-    kbs = treebank.read_kbest_files(args.gold, args.kbest, args.allow_multiple_roots)
+    kbs = treebank.read_kbest_files(args.gold, args.kbest)
     rows = reranker.uas_curve(model, kbs, args.ks, args.alpha_step, args.punct_set)
     sink = open(args.output, "w", encoding="utf-8") if args.output else sys.stdout
     try:
@@ -290,8 +288,6 @@ TRAIN_SETTINGS = {
 def _add_common(sub, model=False):
     sub.add_argument("--punct-set", default="ptb", type=treebank.resolve_punct_set,
                      help="ptb, ctb, none, or a comma-separated tag list")
-    sub.add_argument("--allow-multiple-roots", action="store_true",
-                     help="accept sentences with several tokens attached to root")
     if model:
         sub.add_argument("--model", required=True, help="trained model file")
 
@@ -314,7 +310,6 @@ def build_parser() -> argparse.ArgumentParser:
         t.add_argument("--" + key.replace("_", "-"), dest=key, type=flag_type)
     t.add_argument("--min-freq", type=_POSITIVE_INT, default=2,
                    help="forms rarer than this train the unknown-word row")
-    t.add_argument("--allow-multiple-roots", action="store_true")
     t.set_defaults(func=cmd_train)
 
     r = subs.add_parser("rerank", help="select trees by mixing model and base scores")

@@ -26,8 +26,8 @@ def random_tree(rng: np.random.Generator, length: int,
 def keeps_tree(heads: list[int], i: int, new_head: int) -> bool:
     """Whether setting token i + 1's head to `new_head`, neither its own
     index nor its head, leaves `heads`, a rooted tree with one root, a rooted
-    tree: it must not add a root or move the root, and `new_head` must not
-    lie below the token."""
+    tree with one root: it must not add a root or move the root, and
+    `new_head` must not lie below the token."""
     if new_head == 0 or heads[i] == 0:
         return False
     node = new_head

@@ -53,10 +53,11 @@ class Token:
     cols: tuple[str, ...] | None = field(default=None, compare=False)
 
 
-def is_rooted_tree(heads: Sequence[int], allow_multiple_roots: bool = False) -> bool:
+def is_rooted_tree(heads: Sequence[int]) -> bool:
     """True iff the 1-based head vector forms a tree hanging off the artificial
-    root 0. `_rooted` decides it, as it does for every tree the library checks."""
-    return len(heads) > 0 and not _unrooted(heads, [len(heads)], allow_multiple_roots)
+    root 0, which several tokens may have as their head, as CoNLL-X allows.
+    `_rooted` decides it, as it does for every tree the library checks."""
+    return len(heads) > 0 and not _unrooted(heads, [len(heads)])
 
 
 class DependencyTree:
@@ -107,12 +108,11 @@ class DependencyTree:
         """1-based indices of the tokens headed by `index` (0 = root), in sentence order."""
         return [i for i, h in enumerate(self._heads, start=1) if h == index]
 
-    def validate(self, allow_multiple_roots: bool = False, label: str = "sentence") -> None:
-        if not is_rooted_tree(self._heads, allow_multiple_roots):
+    def validate(self, label: str = "sentence") -> None:
+        if not is_rooted_tree(self._heads):
             raise StructureError(f"{label}: head indices do not form a rooted tree: {self.heads}")
 
-    def with_heads(self, heads: Sequence[int],
-                   allow_multiple_roots: bool = False) -> "DependencyTree":
+    def with_heads(self, heads: Sequence[int]) -> "DependencyTree":
         """Copy of this tree with head indices replaced (forms, POS tags and
         lines shared), checked: a negative head, a self-head or heads that do
         not form a rooted tree raise `StructureError`."""
@@ -125,7 +125,7 @@ class DependencyTree:
             if head == index:
                 raise StructureError(f"token {index} ({self._forms[index - 1]!r}) is its own head")
         tree = DependencyTree(self._forms, self._tags, heads, self._lines)
-        tree.validate(allow_multiple_roots)
+        tree.validate()
         return tree
 
 
@@ -224,8 +224,8 @@ def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.nda
                        for h in row):
                 raise StructureError(f"candidate {rank} {sentence}: head indices are not "
                                      f"integers: {row}")
-    for row in _unrooted([h for row in rows for h in row], [n] * len(rows), True):
-        if not is_rooted_tree(rows[row], True):  # a head past int64 fails every row
+    for row in _unrooted([h for row in rows for h in row], [n] * len(rows)):
+        if not is_rooted_tree(rows[row]):  # a head past int64 fails every row
             name = "the gold tree" if row == 0 else f"candidate {row}"
             raise StructureError(f"{name} {sentence}: head indices do not form a forest: "
                                  f"{rows[row]}")
@@ -304,8 +304,7 @@ class _Trees:
     """The trees read so far. Their heads are checked by `_rooted` a batch
     of about `_CHECK_TOKENS` tokens at a time."""
 
-    def __init__(self, allow_multiple_roots: bool):
-        self.allow_multiple_roots = allow_multiple_roots
+    def __init__(self):
         self.trees: list[DependencyTree] = []
         self.heads: list[int] = []  # of the unchecked trees trees[checked:], end to end
         self.checked = 0
@@ -321,13 +320,12 @@ class _Trees:
         """Check the unchecked trees in one pass: the first that is not a
         rooted tree raises what its `validate` raises."""
         todo = self.trees[self.checked:]
-        for i in _unrooted(self.heads, [len(t) for t in todo], self.allow_multiple_roots):
-            todo[i].validate(self.allow_multiple_roots, label=f"sentence {self.checked + i}")
+        for i in _unrooted(self.heads, [len(t) for t in todo]):
+            todo[i].validate(label=f"sentence {self.checked + i}")
         self.checked, self.heads = len(self.trees), []
 
 
-def parse_conll(source: Iterable[str] | str,
-                allow_multiple_roots: bool = False) -> list[DependencyTree]:
+def parse_conll(source: Iterable[str] | str) -> list[DependencyTree]:
     """Parse blank-line-separated CoNLL-X blocks into dependency trees.
 
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
@@ -340,7 +338,7 @@ def parse_conll(source: Iterable[str] | str,
     is the one raised.
     """
     lines = _iter_lines(source)
-    trees = _Trees(allow_multiple_roots)
+    trees = _Trees()
     try:
         if _in_blocks(source):
             _parse_blocks(lines, trees)
@@ -482,14 +480,14 @@ def _digits(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     return value, ok
 
 
-def _unrooted(heads: Sequence[int], width: list[int], allow_multiple_roots: bool) -> list[int]:
+def _unrooted(heads: Sequence[int], width: list[int]) -> list[int]:
     """The rows that `_rooted` finds are not rooted trees, of rows of heads
     laid end to end, row r holding width[r] heads. Every row, if a head lies
     beyond int64: then only each row's own check can tell which it is."""
     if not width:
         return []
     try:
-        ok = _rooted(np.array(heads, dtype=np.int64), np.array(width), allow_multiple_roots)
+        ok = _rooted(np.array(heads, dtype=np.int64), np.array(width))
     except OverflowError:
         return list(range(len(width)))
     return np.flatnonzero(~ok).tolist()
@@ -555,9 +553,9 @@ def _utf8_lines(f: io.TextIOBase) -> Iterator[str]:
         yield line
 
 
-def load_conll(path, allow_multiple_roots: bool = False) -> list[DependencyTree]:
+def load_conll(path) -> list[DependencyTree]:
     """`parse_conll` of the UTF-8 text file at `path` (`read_text`)."""
-    return read_text(path, lambda f: parse_conll(f, allow_multiple_roots))
+    return read_text(path, parse_conll)
 
 
 def dump_conll(trees: Iterable[DependencyTree], path) -> None:
@@ -575,22 +573,22 @@ def dump_conll(trees: Iterable[DependencyTree], path) -> None:
 #   HEAD <h1> <h2> ... <hn>
 # with 0 denoting the root. Sentence order must match the gold file.
 
-def rooted_rows(heads: Sequence[np.ndarray], allow_multiple_roots: bool = False) -> np.ndarray:
+def rooted_rows(heads: Sequence[np.ndarray]) -> np.ndarray:
     """`is_rooted_tree` of every row of a list of (k, n) head matrices of any
     widths n >= 1, as one bool array over their rows in order."""
     width = np.repeat([h.shape[1] for h in heads], [len(h) for h in heads])
-    return _rooted(np.concatenate([h.ravel() for h in heads]), width, allow_multiple_roots)
+    return _rooted(np.concatenate([h.ravel() for h in heads]), width)
 
 
-def _rooted(heads: np.ndarray, width: np.ndarray, allow_multiple_roots: bool) -> np.ndarray:
+def _rooted(heads: np.ndarray, width: np.ndarray) -> np.ndarray:
     """`is_rooted_tree` of each row of `heads`, rows laid end to end, row r
-    holding width[r] heads. A self-head is a cycle of one token. Token i
-    points at its head's token, or at the root len(heads), which points at
-    itself; after j rounds of pointer jumping it points 2^j steps up."""
+    holding width[r] heads: each in [0, n], and every token reaching the root
+    (a row with no token on HEAD 0 has a cycle, and a self-head is a cycle of
+    one token). Token i points at its head's token, or at the root
+    len(heads), which points at itself; after j rounds of pointer jumping it
+    points 2^j steps up."""
     start = np.cumsum(width) - width
     ok = ~np.logical_or.reduceat((heads < 0) | (heads > np.repeat(width, width)), start)
-    roots = np.add.reduceat(heads == 0, start)
-    ok &= (roots >= 1) if allow_multiple_roots else (roots == 1)
     if not ok.all():  # a pointer needs a head within its row
         heads = np.where(np.repeat(ok, width), heads, 0)
     end = len(heads)
@@ -600,8 +598,9 @@ def _rooted(heads: np.ndarray, width: np.ndarray, allow_multiple_roots: bool) ->
     return ok & np.logical_and.reduceat(up[:end] == end, start)
 
 
-# A block's CAND and HEAD lines as `write_kbest` writes them: single spaces,
-# a finite score's digits, sign, point and exponent, heads of digits only.
+# A block's CAND and HEAD lines as `write_kbest` writes them: single spaces in
+# CAND lines, a finite score's digits, sign, point and exponent, and heads of
+# digits only, which runs of spaces may part.
 _CAND_LINES = re.compile(r"(?:CAND [0-9]+ [0-9eE.+-]+\n)+")
 _HEAD_LINES = re.compile(r"(?:HEAD [ 0-9]*[0-9]\n)+")
 
@@ -619,10 +618,11 @@ def _read_block(taken: list[str], k: int, n: int) -> tuple[list[float], np.ndarr
     The lines are matched a block at a time, not one by one, and taken only
     where the exact path (`_read_candidates`) reads the same values from
     them: ranks 1..k written as `str(rank)`, scores that `float()` reads as
-    finite numbers, and HEAD lines of single spaces and digits, all read by
-    one `np.fromstring` with each HEAD as a -1 that must start each row of
-    n + 1, and no head above n. A head too large for int64 reads as the int64
-    maximum, so every head taken is the one `int()` reads from its line.
+    finite numbers, and HEAD lines of spaces and digits, all read by one
+    `np.fromstring`, which parts fields at a run of spaces as `split()`
+    does, with each HEAD as a -1 that must start each row of n + 1, and no
+    head above n. A head too large for int64 reads as the int64 maximum, so
+    every head taken is the one `int()` reads from its line.
     """
     if len(taken) != 2 * k:
         return None
@@ -636,9 +636,7 @@ def _read_block(taken: list[str], k: int, n: int) -> tuple[list[float], np.ndarr
         scores = [float(score) for score in fields[2::3]]
     except ValueError:
         return None
-    if not all(map(math.isfinite, scores)):
-        return None
-    if not _HEAD_LINES.fullmatch(text) or "  " in text or text.count("HEAD") != k:
+    if not all(map(math.isfinite, scores)) or not _HEAD_LINES.fullmatch(text):
         return None
     heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
     if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any() or heads.max() > n:
@@ -646,17 +644,15 @@ def _read_block(taken: list[str], k: int, n: int) -> tuple[list[float], np.ndarr
     return scores, heads.reshape(k, n + 1)[:, 1:].copy()
 
 
-def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank: int,
-                     allow_multiple_roots: bool) -> None:
+def _check_candidate(gold: DependencyTree, heads: list[int], sent_idx: int, rank: int) -> None:
     try:
-        gold.with_heads(heads, allow_multiple_roots=allow_multiple_roots)
+        gold.with_heads(heads)
     except StructureError as e:
         raise StructureError(f"sentence {sent_idx}, candidate {rank}: {e}") from None
 
 
 def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sent_idx: int,
-                     k: int, lineno: int, allow_multiple_roots: bool
-                     ) -> tuple[list[float], np.ndarray, int]:
+                     k: int, lineno: int) -> tuple[list[float], np.ndarray, int]:
     """The k CAND/HEAD blocks after a SENT header on line `lineno`, read line
     by line: the exact path, for lines `_read_block` does not take. Each
     line is checked as it is read, a HEAD line's heads read by `int()`; the
@@ -704,19 +700,18 @@ def _read_candidates(lines: Iterator[tuple[int, str]], gold: DependencyTree, sen
             scores.append(score)
             rows.append(heads)
     finally:  # the rows before a bad line are checked before its error is raised
-        for row in _unrooted([h for heads in rows for h in heads], [len(gold)] * len(rows),
-                             allow_multiple_roots):
-            _check_candidate(gold, rows[row], sent_idx, row + 1, allow_multiple_roots)
+        for row in _unrooted([h for heads in rows for h in heads], [len(gold)] * len(rows)):
+            _check_candidate(gold, rows[row], sent_idx, row + 1)
     return scores, np.array(rows, dtype=np.int64), lineno
 
 
-def _check_lists(pending: list[tuple[int, KBestList]], allow_multiple_roots: bool) -> None:
+def _check_lists(pending: list[tuple[int, KBestList]]) -> None:
     """Check the candidate trees of (sentence index, list) items in one
     pass: the first tree in file order that is not a rooted tree raises what
     the exact path raises for it."""
     if not pending:
         return
-    ok = rooted_rows([kb.heads for _, kb in pending], allow_multiple_roots)
+    ok = rooted_rows([kb.heads for _, kb in pending])
     if ok.all():
         return
     row = int(ok.argmin())
@@ -724,11 +719,11 @@ def _check_lists(pending: list[tuple[int, KBestList]], allow_multiple_roots: boo
         if row < len(kb):
             break
         row -= len(kb)
-    _check_candidate(kb.gold, kb.heads[row].tolist(), sent_idx, row + 1, allow_multiple_roots)
+    _check_candidate(kb.gold, kb.heads[row].tolist(), sent_idx, row + 1)
 
 
-def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | str,
-               allow_multiple_roots: bool = False) -> list[KBestList]:
+def read_kbest(gold_source: Iterable[str] | str,
+               cand_source: Iterable[str] | str) -> list[KBestList]:
     """Pair gold trees with their k-best candidate head assignments.
 
     The candidate source is read one sentence at a time. When the source is
@@ -740,12 +735,10 @@ def read_kbest(gold_source: Iterable[str] | str, cand_source: Iterable[str] | st
     checked a batch at a time (`_check_lists`), and a batch is checked before
     any error is raised, so the first error in file order is the one raised.
     """
-    return _pair_kbest(parse_conll(gold_source, allow_multiple_roots), cand_source,
-                       allow_multiple_roots)
+    return _pair_kbest(parse_conll(gold_source), cand_source)
 
 
-def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
-                allow_multiple_roots: bool) -> list[KBestList]:
+def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str) -> list[KBestList]:
     """`read_kbest` of gold trees already parsed."""
     raw = _iter_lines(cand_source)
     block_lines = _BLOCK_LINES if _in_blocks(cand_source) else 0
@@ -782,23 +775,22 @@ def _pair_kbest(golds: list[DependencyTree], cand_source: Iterable[str] | str,
                 lines = ((number, line.rstrip("\n"))
                          for number, line in enumerate(itertools.chain(taken, raw), lineno + 1)
                          if line.strip())
-                scores, heads, lineno = _read_candidates(lines, gold, sent_idx, k, lineno,
-                                                         allow_multiple_roots)
+                scores, heads, lineno = _read_candidates(lines, gold, sent_idx, k, lineno)
             kb = KBestList._unchecked(gold, heads, np.array(scores, dtype=np.float64))
             lists.append(kb)
             if block:  # else `_read_candidates` has checked its trees
                 pending.append((sent_idx, kb))
                 pending_tokens += heads.size
                 if pending_tokens >= _CHECK_TOKENS:
-                    _check_lists(pending, allow_multiple_roots)
+                    _check_lists(pending)
                     pending, pending_tokens = [], 0
         if any(line.strip() for line in raw):
             raise AlignmentError(
                 f"candidate file has more sentences than the {len(golds)} gold ones")
     except DataError:
-        _check_lists(pending, allow_multiple_roots)
+        _check_lists(pending)
         raise
-    _check_lists(pending, allow_multiple_roots)
+    _check_lists(pending)
     return lists
 
 
@@ -814,9 +806,9 @@ def write_kbest(kbests: Iterable[KBestList]) -> str:
     return "\n".join(out) + "\n" if out else ""
 
 
-def read_kbest_files(gold_path, cand_path, allow_multiple_roots: bool = False) -> list[KBestList]:
-    golds = load_conll(gold_path, allow_multiple_roots)
-    return read_text(cand_path, lambda c: _pair_kbest(golds, c, allow_multiple_roots))
+def read_kbest_files(gold_path, cand_path) -> list[KBestList]:
+    golds = load_conll(gold_path)
+    return read_text(cand_path, lambda c: _pair_kbest(golds, c))
 
 
 # ---------------------------------------------------------------------------

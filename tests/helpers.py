@@ -45,17 +45,15 @@ def with_any_heads(tree, heads):
     return DependencyTree(tree.forms, tree.pos_tags, heads, tree._lines)
 
 
-def rooted_by_bfs(heads, allow_multiple_roots=False):
+def rooted_by_bfs(heads):
     """True iff the 1-based head vector forms a tree hanging off the root 0,
-    decided by a breadth-first walk down from the root: the oracle of
-    `is_rooted_tree`, which follows each token's chain up by pointer jumping."""
+    one token or several on HEAD 0, decided by a breadth-first walk down from
+    the root: the oracle of `is_rooted_tree`, which follows each token's
+    chain up by pointer jumping."""
     n = len(heads)
-    if any(h < 0 or h > n for h in heads):
+    if not n or any(h < 0 or h > n for h in heads):
         return False
     if any(h == i + 1 for i, h in enumerate(heads)):
-        return False
-    roots = sum(1 for h in heads if h == 0)
-    if roots == 0 or (roots > 1 and not allow_multiple_roots):
         return False
     children = [[] for _ in range(n + 1)]
     for i, h in enumerate(heads):
@@ -92,7 +90,7 @@ def all_trees_up_to(max_len):
     tags = ["DT", "NN", "VB", "JJ"]
     for n in range(1, max_len + 1):
         for heads in itertools.product(range(n + 1), repeat=n):
-            if rooted_by_bfs(heads):
+            if rooted_by_bfs(heads) and heads.count(0) == 1:
                 yield DependencyTree(forms[:n], tags[:n], heads, [None] * n)
 
 
@@ -804,7 +802,7 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
 # ---------------------------------------------------------------------------
 # a reference k-best reader: one tree checked by `rooted_by_bfs` per candidate
 
-def tree_problem(forms, heads, allow_multiple_roots=False, label="sentence"):
+def tree_problem(forms, heads, label="sentence"):
     """The message of the `StructureError` that a tree of these forms and
     heads raises when it is built by `with_heads` and validated, or None."""
     for index, head in enumerate(heads, start=1):
@@ -812,7 +810,7 @@ def tree_problem(forms, heads, allow_multiple_roots=False, label="sentence"):
             return f"head must be >= 0, got {head}"
         if head == index:
             return f"token {index} ({forms[index - 1]!r}) is its own head"
-    if not rooted_by_bfs(heads, allow_multiple_roots):
+    if not rooted_by_bfs(heads):
         return f"{label}: head indices do not form a rooted tree: {list(heads)}"
     return None
 
@@ -824,7 +822,7 @@ def text_lines(text):
     return [line + "\n" for line in lines[:-1]] + ([lines[-1]] if lines[-1] else [])
 
 
-def reference_parse_conll(source, allow_multiple_roots=False):
+def reference_parse_conll(source):
     """`parse_conll` one line and one tree at a time: each tree is checked
     as soon as its blank line (or the end of the input) is read."""
     lines = text_lines(source) if isinstance(source, str) else source
@@ -832,7 +830,7 @@ def reference_parse_conll(source, allow_multiple_roots=False):
 
     def finish():
         forms, tags, heads, texts = zip(*tokens)
-        problem = tree_problem(forms, heads, allow_multiple_roots, label=f"sentence {len(trees)}")
+        problem = tree_problem(forms, heads, label=f"sentence {len(trees)}")
         if problem:
             raise StructureError(problem)
         trees.append(DependencyTree(forms, tags, heads, texts))
@@ -878,13 +876,13 @@ def reference_write_conll(trees):
     return "\n\n".join(blocks) + "\n" if blocks else ""
 
 
-def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
+def reference_read_kbest(gold_source, cand_source):
     """Pair gold trees with their candidates, one line and one checked tree
     at a time, so the first error in file order is raised.
 
     Returns [(gold, [(tree, score), ...]), ...].
     """
-    golds = reference_parse_conll(gold_source, allow_multiple_roots)
+    golds = reference_parse_conll(gold_source)
     if isinstance(cand_source, str):
         cand_source = text_lines(cand_source)
     lines = [l.rstrip("\n") for l in cand_source]
@@ -950,10 +948,10 @@ def reference_read_kbest(gold_source, cand_source, allow_multiple_roots=False):
                 raise AlignmentError(
                     f"sentence {sent_idx}: candidate {rank} has {len(heads)} heads, "
                     f"gold has {len(gold)} tokens")
-            problem = tree_problem(gold.forms, heads, allow_multiple_roots)
+            problem = tree_problem(gold.forms, heads)
             if problem:
                 raise StructureError(f"sentence {sent_idx}, candidate {rank}: {problem}")
-            cands.append((gold.with_heads(heads, allow_multiple_roots), score))
+            cands.append((gold.with_heads(heads), score))
         lists.append((gold, cands))
     if next_line() is not None:
         raise AlignmentError(f"candidate file has more sentences than the {len(golds)} gold ones")

@@ -13,7 +13,9 @@ from deprerank import cli, params as P, rcnn, trainer, treebank
 from deprerank.cli import main
 from deprerank.treebank import corpus_uas, load_conll, write_conll, write_kbest
 
-from helpers import BAD_MODELS, make_tree, synth_corpus, tiny_params
+from helpers import (
+    BAD_MODELS, TAGS, from_arrays, make_tree, synth_corpus, tiny_params, with_any_heads,
+)
 
 
 @pytest.fixture()
@@ -715,6 +717,93 @@ def test_curve_command_shape(tmp_path, corpus_files, capsys):
         assert float(r["reranker"]) >= float(r["oracle_worst"])
     assert int(rows[-1]["short_sentences"]) > 0   # k=9 exceeds the stored 5-best
     assert int(rows[0]["short_sentences"]) == 0
+
+
+def _forest(rng, n):
+    """Heads of n >= 2 tokens, two or more of them on HEAD 0, every token reaching it."""
+    order = rng.permutation(n) + 1
+    heads = [0] * n
+    for i, node in enumerate(order[2:], start=2):
+        heads[node - 1] = int(rng.choice([0, *order[:i]]))
+    return heads
+
+
+@pytest.fixture()
+def forest_files(tmp_path):
+    """Train and dev files, CoNLL-X and k-best, in which every gold and
+    candidate tree has two or more tokens on HEAD 0, as CoNLL-X allows. Dev
+    sentence 0 is "w1 w2 w3" with gold heads [0, 1, 0] and three candidates."""
+    rng = np.random.default_rng(23)
+    paths = {}
+    for name, count in (("train", 8), ("dev", 4)):
+        kbs = []
+        for _ in range(count):
+            n = int(rng.integers(3, 7))
+            forms = [f"w{i}" for i in rng.integers(1, 6, n)]
+            gold = make_tree(_forest(rng, n), forms, [TAGS[i] for i in rng.integers(0, 4, n)])
+            rows = [gold.heads] + [_forest(rng, n) for _ in range(4)]
+            kbs.append(from_arrays(gold, rows, -np.arange(5.0)))
+        if name == "dev":
+            gold = make_tree([0, 1, 0], ["w1", "w2", "w3"])
+            kbs[0] = from_arrays(gold, [[0, 1, 0], [0, 0, 0], [2, 0, 0]], [-1.0, -2.0, -3.0])
+        gold, kbest = tmp_path / f"{name}.conll", tmp_path / f"{name}.kbest"
+        gold.write_text(write_conll([kb.gold for kb in kbs]), encoding="utf-8")
+        kbest.write_text(write_kbest(kbs), encoding="utf-8")
+        paths[name] = (gold, kbest)
+    return paths
+
+
+def test_every_command_reads_trees_with_several_roots(tmp_path, forest_files, capsys):
+    model, pred = tmp_path / "model.bin", tmp_path / "pred.conll"
+    assert main(_train_args(forest_files, model)) == 0
+    dg, dk = forest_files["dev"]
+    for args in (["rerank", "--model", model, "--search-alpha", "--output", pred],
+                 ["oracle"], ["curve", "--model", model, "--ks", "1,3,5"]):
+        assert main([str(a) for a in args] + ["--gold", str(dg), "--kbest", str(dk)]) == 0
+    assert all(tree.heads.count(0) >= 2 for tree in load_conll(pred))
+    assert main(["eval", "--pred", str(pred), "--gold", str(dg), "--per-pos"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("where, heads, message", [
+    ("gold", [0, 1, 9], "sentence 0: head indices do not form a rooted tree: [0, 1, 9]"),
+    ("gold", [0, 2, 0], "line 2: token 2 is its own head"),
+    ("gold", [2, 1, 0], "sentence 0: head indices do not form a rooted tree: [2, 1, 0]"),
+    ("kbest", [0, 0, 9], "sentence 0, candidate 2: sentence: head indices do not form a "
+                         "rooted tree: [0, 0, 9]"),
+    ("kbest", [0, 2, 0], "sentence 0, candidate 2: token 2 ('w2') is its own head"),
+    ("kbest", [2, 1, 0], "sentence 0, candidate 2: sentence: head indices do not form a "
+                         "rooted tree: [2, 1, 0]"),
+], ids=["gold-range", "gold-self-head", "gold-cycle", "kbest-range", "kbest-self-head",
+        "kbest-cycle"])
+def test_a_bad_tree_beside_several_roots_exits_2_naming_it(tmp_path, forest_files, capsys,
+                                                           where, heads, message):
+    """Dev sentence 0, or its candidate 2, made a tree that breaks the rule:
+    every command that reads the file ends in one line naming it."""
+    dg, dk = forest_files["dev"]
+    bad = tmp_path / f"bad.{where}"
+    if where == "gold":
+        golds = load_conll(dg)
+        bad.write_text(write_conll([with_any_heads(golds[0], heads)] + golds[1:]),
+                       encoding="utf-8")
+        gold, kbest = bad, dk
+    else:
+        lines = dk.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[4] = "HEAD " + " ".join(map(str, heads)) + "\n"  # sentence 0, candidate 2
+        bad.write_text("".join(lines), encoding="utf-8")
+        gold, kbest = dg, bad
+    model = tmp_path / "model.bin"
+    P.save(tiny_params(m=4, m_d=4), model)
+    runs = [_train_args(dict(forest_files, dev=(gold, kbest)), tmp_path / "m.bin"),
+            ["rerank", "--model", model, "--search-alpha", "--gold", gold, "--kbest", kbest],
+            ["oracle", "--gold", gold, "--kbest", kbest],
+            ["curve", "--model", model, "--ks", "1,2", "--gold", gold, "--kbest", kbest]]
+    if where == "gold":
+        runs.append(["eval", "--pred", dg, "--gold", gold])
+    for args in runs:
+        assert main([str(a) for a in args]) == 2
+        assert capsys.readouterr().err == f"deprerank: error: {bad}: {message}\n"
+    assert not (tmp_path / "m.bin").exists()
 
 
 def test_gradcheck_command(capsys):

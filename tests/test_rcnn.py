@@ -289,7 +289,7 @@ def test_score_list_matches_score_tree_on_random_lists():
             build_plan(p, gold, create_pairs=True)  # some pairs seen, others not
         heads = [random_heads(rng, n) for _ in range(5)]
         heads += [random_multi_root_heads(rng, n) for _ in range(3)]
-        trees = [gold.with_heads(h, allow_multiple_roots=True) for h in heads]
+        trees = [gold.with_heads(h) for h in heads]
         trees += [trees[0], gold, trees[3]]  # duplicates
         scores = _assert_list_matches_trees(p, trees)
         assert scores[-3] == scores[0] and scores[-1] == scores[3]
@@ -329,7 +329,7 @@ def test_backward_list_matches_backward_tree():
                            tags=TAGS + ("XX",))
         heads = [gold.heads] + [random_heads(rng, n) for _ in range(4)]
         heads += [random_multi_root_heads(rng, n) for _ in range(2)] + [heads[1]]
-        trees = [gold.with_heads(h, allow_multiple_roots=True) for h in heads]
+        trees = [gold.with_heads(h) for h in heads]
         plan = list_plan(p, trees, create_pairs=case % 2 == 0)  # odd: fallback slot
         _, acts = forward_list(p, plan)
         chosen = [int(i) for i in rng.integers(len(trees), size=int(rng.integers(1, 4)))]
@@ -354,6 +354,22 @@ def test_backward_list_routes_ties_to_the_first_child():
     want = accumulate(backward_tree(p, score_tree(p, trees[2]), upstream=1.0),
                       backward_tree(p, score_tree(p, trees[0]), upstream=-1.0))
     assert_same_gradients(backward_list(p, plan, acts, [2, 0], [1.0, -1.0]), want)
+
+
+def test_list_pooling_ties_go_to_the_first_child():
+    # the children of test_pooling_tie_routes_gradient_to_lowest_child tie in
+    # every pooling column; the list kernels route the pooled gradient to the
+    # first of them in sentence order, as the per-tree kernels do
+    p = tiny_params(m=3, m_d=3, seed=4)
+    p.distances.vectors[:] = 0.0
+    p.words.vectors[p.word_row("w2")] = p.words.vectors[p.word_row("w3")]
+    tree = make_tree([0, 1, 1], forms=["w1", "w2", "w3"], tags=["VB", "NN", "NN"])
+    plan = list_plan(p, [tree], create_pairs=True)
+    _, acts = forward_list(p, plan)
+    win = pool_winners(plan, acts, [0])
+    assert win[1].all() and not win[2].any()
+    assert_same_gradients(backward_list(p, plan, acts, [0], [1.0]),
+                          backward_tree(p, score_tree(p, tree), upstream=1.0))
 
 
 def test_backward_list_rejects_bad_tree_selection():
@@ -637,7 +653,7 @@ def test_a_chain_and_a_star_score_as_the_references(create_pairs):
         for got, expected in ((scores, want_scores), (acts.p, want.p), (acts.z, want.z)):
             assert_same_bytes(got, expected)
         for row, score in zip(heads, scores):
-            expected = score_tree(p, chain.with_heads(row, allow_multiple_roots=True)).total_score
+            expected = score_tree(p, chain.with_heads(row)).total_score
             assert abs(score - expected) <= 1e-12 * max(1.0, abs(expected))
         chosen = rng.integers(len(heads), size=2)
         upstream = rng.uniform(-2.0, 2.0, 2)

@@ -45,27 +45,28 @@ conll_text = st.lists(
 
 
 @FUZZ
-@given(st.one_of(st.text(max_size=120), conll_text), st.booleans())
-def test_parse_conll_parses_or_raises_a_data_error(text, multi):
+@given(st.one_of(st.text(max_size=120), conll_text))
+def test_parse_conll_parses_or_raises_a_data_error(text):
     try:
-        parse_conll(text, allow_multiple_roots=multi)
+        parse_conll(text)
     except DataError:
         pass
 
 
 @FUZZ
-@given(st.one_of(st.text(max_size=120), kbest_text), st.booleans())
-def test_read_kbest_parses_or_raises_a_data_error(text, multi):
+@given(st.one_of(st.text(max_size=120), kbest_text))
+def test_read_kbest_parses_or_raises_a_data_error(text):
     for source in (text, io.StringIO(text)):
         try:
-            read_kbest(GOLD_TEXT, source, allow_multiple_roots=multi)
+            read_kbest(GOLD_TEXT, source)
         except DataError:
             pass
 
 
 @st.composite
 def rooted_heads(draw, n, multi):
-    """A head vector that forms a tree (a forest under the root with multi)."""
+    """A head vector that forms a tree: with one token on HEAD 0, or with
+    multi, perhaps several."""
     order = draw(st.permutations(range(1, n + 1)))
     heads = [0] * n
     for i, node in enumerate(order[1:], start=1):
@@ -89,53 +90,59 @@ def head_vectors(draw):
 
 
 @FUZZ
-@given(head_vectors(), st.booleans())
-@example([], False)
-@example([], True)
-@example([2, 0, 10 ** 30], False)
-@example([0, 1, 0], False)
-@example([0, 1, 0], True)
-@example([0, 2], True)
-def test_the_tree_check_matches_the_bfs(heads, multi):
-    rooted = rooted_by_bfs(heads, multi)
-    assert is_rooted_tree(heads, multi) == rooted
+@given(head_vectors())
+@example([])
+@example([2, 0, 10 ** 30])
+@example([0, 1, 0])
+@example([0, 2])
+@example([2, 1])
+def test_the_tree_check_matches_the_bfs(heads):
+    rooted = rooted_by_bfs(heads)
+    assert is_rooted_tree(heads) == rooted
     if heads and all(abs(h) < 2 ** 62 for h in heads):
-        assert rooted_rows([np.array([heads])], multi).tolist() == [rooted]
+        assert rooted_rows([np.array([heads])]).tolist() == [rooted]
     n = len(heads)
     tree = DependencyTree(["w"] * n, ["NN"] * n, heads, [None] * n)
     if rooted:
-        tree.validate(multi)
+        tree.validate()
         return
     with pytest.raises(StructureError) as err:
-        tree.validate(multi, label="sentence 3")
+        tree.validate(label="sentence 3")
     assert str(err.value) == f"sentence 3: head indices do not form a rooted tree: {heads}"
 
 
 @st.composite
 def kbest_files(draw):
-    """(gold text, candidate lines, the end of the last line,
-    allow_multiple_roots, valid) of a k-best file.
+    """(gold text, candidate lines, the end of the last line, valid) of a
+    k-best file, whose trees have one token on HEAD 0 or, in some files,
+    several.
 
     Lines are usually as `write_kbest` writes them. Sometimes a CAND or HEAD
-    line is spaced with tabs, runs of spaces or a trailing blank, a head has
-    leading zeros, a score is written as 1_0, 1e5 or -0.0, a blank line falls
-    inside a block, or the file ends without a newline: the format allows all
-    of these, and the reader must take them past its block parse. A CAND rank
-    with a leading zero, which the format rejects, makes the file not valid.
+    line is spaced with runs of one to three spaces (which the block parse
+    takes in a HEAD line), tabs or a trailing blank, a head has leading
+    zeros, a score is written as 1_0, 1e5 or -0.0, a blank line falls inside
+    a block, or the file ends without a newline: the format allows all of
+    these, and the reader must read them as the line-by-line path does. A
+    CAND rank with a leading zero, which the format rejects, makes the file
+    not valid.
     """
     multi = draw(st.booleans())
     golds, lines = [], []
     valid = True
 
     def spaced(fields):
-        if draw(st.integers(0, 3)):
+        how = draw(st.integers(0, 5))
+        if how > 1:
             return " ".join(fields)
+        if how:
+            runs = st.sampled_from((" ", "  ", "   "))
+            return "".join(field + draw(runs) for field in fields[:-1]) + fields[-1]
         sep = draw(st.sampled_from(("  ", "\t", " \t ")))
         return sep.join(fields) + draw(st.sampled_from(("", " ", "\t")))
 
     for idx in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 7))
-        gold = make_tree(draw(rooted_heads(n, False)))
+        gold = make_tree(draw(rooted_heads(n, multi)))
         golds.append(gold)
         k = draw(st.integers(1, 4))
         lines.append(f"SENT {idx} {k}")
@@ -154,13 +161,13 @@ def kbest_files(draw):
             if not draw(st.integers(0, 7)):
                 lines.append(draw(st.sampled_from(("", " ", "\t"))))
     end = draw(st.sampled_from(("\n", "\n", "")))
-    return write_conll(golds), lines, end, multi, valid
+    return write_conll(golds), lines, end, valid
 
 
-def _outcome(reader, gold_text, cand_text, multi):
+def _outcome(reader, gold_text, cand_text):
     """('ok', heads, score bits) per list, or ('error', class, message, line)."""
     try:
-        lists = reader(gold_text, cand_text, allow_multiple_roots=multi)
+        lists = reader(gold_text, cand_text)
     except DataError as e:
         return ("error", type(e), str(e), getattr(e, "line", None))
     if reader is read_kbest:
@@ -170,15 +177,15 @@ def _outcome(reader, gold_text, cand_text, multi):
                    for _, cands in lists])
 
 
-def _read(gold_text, text, multi, batch):
+def _read(gold_text, text, batch):
     """`read_kbest`'s outcome, checking trees `batch` tokens at a time, on the
     text as a string, as a file, and as a list and an iterator of its lines
     (which are read line by line); all must agree."""
     lines = text_lines(text)
     with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
-        outcome = _outcome(read_kbest, gold_text, text, multi)
+        outcome = _outcome(read_kbest, gold_text, text)
         for source in (io.StringIO(text), lines, iter(lines)):
-            assert _outcome(read_kbest, gold_text, source, multi) == outcome
+            assert _outcome(read_kbest, gold_text, source) == outcome
     return outcome
 
 
@@ -188,11 +195,11 @@ BATCHES = st.sampled_from((1, 7, 8192))
 @FUZZ
 @given(kbest_files(), BATCHES)
 def test_read_kbest_matches_the_per_candidate_reader(files, batch):
-    gold_text, lines, end, multi, valid = files
+    gold_text, lines, end, valid = files
     text = "\n".join(lines) + end
-    new = _read(gold_text, text, multi, batch)
+    new = _read(gold_text, text, batch)
     assert new[0] == ("ok" if valid else "error")
-    assert new == _outcome(reference_read_kbest, gold_text, text, multi)
+    assert new == _outcome(reference_read_kbest, gold_text, text)
 
 
 def _mutate(lines, data, after=0):
@@ -225,13 +232,12 @@ def test_read_kbest_fails_like_the_per_candidate_reader(files, batch, data):
     """One mutation, or two where the second comes later in the file: then
     the error reported must be the first in file order, as the
     per-candidate reader reports it."""
-    gold_text, lines, end, multi, _ = files
+    gold_text, lines, end, _ = files
     lines, at = _mutate(lines, data)
     if data.draw(st.booleans()):
         lines, _ = _mutate(lines, data, after=at + 1)
     text = "\n".join(lines) + end
-    assert (_read(gold_text, text, multi, batch)
-            == _outcome(reference_read_kbest, gold_text, text, multi))
+    assert _read(gold_text, text, batch) == _outcome(reference_read_kbest, gold_text, text)
 
 
 # lines the parser rejects as it reads them
@@ -241,9 +247,9 @@ BAD_CONLL_LINES = ("x\tw\t_\tNN\tNN\t_\t0\t_", "1\tw\t_\tNN", "9\tw\t_\tNN\tNN\t
 
 @st.composite
 def conll_files(draw):
-    """(text, allow_multiple_roots) of CoNLL sentences whose heads may not
-    form a tree (cycles, no root or many, heads past the end, a head beyond
-    int64), with perhaps one line the parser rejects somewhere after them."""
+    """CoNLL sentences whose heads may not form a tree (cycles, no root or
+    many, heads past the end, a head beyond int64), with perhaps one line the
+    parser rejects somewhere after them."""
     blocks = []
     for _ in range(draw(st.integers(1, 5))):
         n = draw(st.integers(1, 6))
@@ -257,13 +263,13 @@ def conll_files(draw):
     if draw(st.booleans()):
         block = draw(st.sampled_from(blocks))
         block.insert(draw(st.integers(0, len(block))), draw(st.sampled_from(BAD_CONLL_LINES)))
-    return "\n\n".join("\n".join(block) for block in blocks) + "\n", draw(st.booleans())
+    return "\n\n".join("\n".join(block) for block in blocks) + "\n"
 
 
-def _parsed(parser, text, multi):
+def _parsed(parser, text):
     """('ok', heads, forms, tags, columns) per tree, or ('error', class, message, line)."""
     try:
-        trees = parser(text, allow_multiple_roots=multi)
+        trees = parser(text)
     except DataError as e:
         return ("error", type(e), str(e), getattr(e, "line", None))
     return ("ok", [[(t.head, t.form, t.pos, t.cols) for t in tree.tokens] for tree in trees])
@@ -271,14 +277,13 @@ def _parsed(parser, text, multi):
 
 @settings(FUZZ, max_examples=300)
 @given(conll_files(), BATCHES)
-def test_parse_conll_fails_like_the_sequential_parser(files, batch):
+def test_parse_conll_fails_like_the_sequential_parser(text, batch):
     """Trees are checked a batch at a time, yet the error raised is the first
     in file order, as the parser that checks each tree at once raises it."""
-    text, multi = files
     with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
-        ours = _parsed(parse_conll, text, multi)
-        assert _parsed(parse_conll, io.StringIO(text), multi) == ours
-    assert ours == _parsed(reference_parse_conll, text, multi)
+        ours = _parsed(parse_conll, text)
+        assert _parsed(parse_conll, io.StringIO(text)) == ours
+    assert ours == _parsed(reference_parse_conll, text)
 
 
 # ways to write a number that int() reads: signed, zero-padded, with an
@@ -332,19 +337,19 @@ def _paired_lines(text):
     return ["".join(lines[i:i + 2]) for i in range(0, len(lines), 2)]
 
 
-def _parsed_file(text, multi):
+def _parsed_file(text):
     """`_parsed` of `load_conll` on the text written to a file as it is."""
     with tempfile.TemporaryDirectory() as directory:
         path = os.path.join(directory, "gold.conll")
         with open(path, "w", encoding="utf-8", newline="") as f:
             f.write(text)
-        ours = _parsed(lambda _, **kw: load_conll(path, **kw), text, multi)
+        ours = _parsed(lambda _: load_conll(path), text)
         if ours[0] == "error":  # the file's error names the file, once
             kind, cls, message, line = ours
             assert message.startswith(f"{path}: ") and path not in message[len(path):]
             ours = (kind, cls, message[len(path) + 2:], line)
         with open(path, encoding="utf-8") as f:  # newline translation, as load_conll reads
-            return ours, _parsed(reference_parse_conll, f, multi)
+            return ours, _parsed(reference_parse_conll, f)
 
 
 # 9, 8 and 8 columns: split as if all had 9, the third line's form would
@@ -353,20 +358,20 @@ RAGGED = "1\t1\t1\tT\tT\t1\t0\t1\t1\n2\tw\t1\tT\tT\t1\t1\t1\n3\t3\t1\tT\tT\t1\t1
 
 
 @settings(FUZZ, max_examples=300)
-@given(conll_texts(), st.booleans(), st.sampled_from((1, 2, 7, treebank._BLOCK_LINES)),
+@given(conll_texts(), st.sampled_from((1, 2, 7, treebank._BLOCK_LINES)),
        st.sampled_from((1, 7, treebank._CHECK_TOKENS)))
-@example(RAGGED, False, treebank._BLOCK_LINES, treebank._CHECK_TOKENS)
-def test_parse_conll_matches_the_line_parser(text, multi, block, batch):
+@example(RAGGED, treebank._BLOCK_LINES, treebank._CHECK_TOKENS)
+def test_parse_conll_matches_the_line_parser(text, block, batch):
     """String and text-file sources, read in blocks of 1, 2 or 7 lines or whole,
     and list sources, read line by line."""
     with mock.patch.multiple(treebank, _BLOCK_LINES=block, _CHECK_TOKENS=batch):
         for source in (lambda: io.StringIO(text), lambda: _paired_lines(text), lambda: text):
-            ours = _parsed(parse_conll, source(), multi)
-            assert ours == _parsed(reference_parse_conll, source(), multi)
-        in_file, by_line = _parsed_file(text, multi)
+            ours = _parsed(parse_conll, source())
+            assert ours == _parsed(reference_parse_conll, source())
+        in_file, by_line = _parsed_file(text)
         assert in_file == by_line == ours  # a string reads as its file does
     if ours[0] == "ok":  # written back as the line parser's trees are, with any heads
-        trees = parse_conll(text, allow_multiple_roots=multi)
+        trees = parse_conll(text)
         for heads in (lambda t: t.heads, lambda t: [0] * len(t)):
             moved = [with_any_heads(tree, heads(tree)) for tree in trees]
             assert write_conll(moved) == reference_write_conll(moved)
@@ -447,7 +452,7 @@ def test_kbest_constructors_accept_exactly_forests(case):
             with pytest.raises(StructureError, match="head indices are not integers: "):
                 build()
         return
-    ok = treebank._rooted(np.array([gold_heads] + rows).ravel(), np.full(k + 1, n), True)
+    ok = treebank._rooted(np.array([gold_heads] + rows).ravel(), np.full(k + 1, n))
     if not ok.all():  # the first row that is not a forest, gold first, is named
         bad = int(ok.argmin())
         name = "the gold tree" if bad == 0 else f"candidate {bad}"
@@ -492,7 +497,7 @@ def test_a_list_the_constructors_accept_reads_back_as_written(case, forms, tags,
             pass
     assert len(built) in (0, 2)
     for kb in built:
-        [back] = read_kbest(write_conll([gold]), write_kbest([kb]), allow_multiple_roots=True)
+        [back] = read_kbest(write_conll([gold]), write_kbest([kb]))
         assert back.gold == gold and back.heads.tolist() == rows
         assert back.scores.tobytes() == np.array(scores, dtype=np.float64).tobytes()
 
@@ -505,7 +510,9 @@ def test_a_local_edit_check_agrees_with_the_tree_check(case):
     if new_head in (i + 1, heads[i]):  # not an edit `corrupt_heads` tries
         return
     edited = heads[:i] + [new_head] + heads[i + 1:]
-    assert synth.keeps_tree(heads, i, new_head) == is_rooted_tree(edited)
+    # `keeps_tree` keeps one token on HEAD 0, which the tree check does not ask
+    assert synth.keeps_tree(heads, i, new_head) == (is_rooted_tree(edited)
+                                                    and edited.count(0) == 1)
 
 
 json_values = st.recursive(

@@ -147,7 +147,7 @@ def test_list_subgradient_matches_per_tree_subgradient():
             heads += [random_multi_root_heads(rng, n) for _ in range(2)]
             heads += [_near(rng, gold.heads), gold.heads]
         heads += [heads[0], heads[-1]]  # duplicates
-        kb = KBestList(gold, [(gold.with_heads(h, allow_multiple_roots=True), -float(i))
+        kb = KBestList(gold, [(gold.with_heads(h), -float(i))
                               for i, h in enumerate(heads)])
         if case % 3 == 2:  # W = 0: every pooling column ties
             sentence_item(p, kb, kappa=1.5)  # creates the list's pairs
@@ -390,6 +390,26 @@ def test_train_loss_decreases_on_synthetic_corpus():
     p = init_random(hyper, [f"word{i:02d}" for i in range(30)], ["NN"], seed=11)
     _, reports = train(p, corpus, corpus, TrainConfig(max_epochs=5, seed=0, patience=50))
     assert reports[-1].mean_hinge < reports[0].mean_hinge
+
+
+@pytest.mark.parametrize("patience", [1, 2, 3])
+def test_training_stops_patience_epochs_after_the_best_dev_uas(patience):
+    """Dev lists whose only candidate is the gold tree score the same UAS in
+    every epoch, so epoch 1 stays the best: training stops `patience` epochs
+    after it and returns epoch 1's parameters."""
+    corpus = synth_corpus(seed=13, sentences=5, k=3, length_range=(3, 5))
+    dev = [kbest_of(kb.gold, [(kb.gold.heads, 0.0)]) for kb in corpus]
+
+    def run(max_epochs):
+        p = init_random(Hyperparams(m=3, m_d=3, k=3), [f"word{i:02d}" for i in range(30)],
+                        ["NN"], seed=2)
+        return train(p, corpus, dev, TrainConfig(max_epochs=max_epochs, patience=patience))
+
+    best, reports = run(6)
+    assert [r.epoch for r in reports] == list(range(1, patience + 2))
+    assert len({r.dev_uas for r in reports}) == 1
+    assert sum(r.violations for r in reports[1:]) > 0  # the parameters moved after epoch 1
+    assert same_params(best, run(1)[0])
 
 
 def test_repeated_steps_separate_single_sentence():

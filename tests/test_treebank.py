@@ -110,13 +110,17 @@ def test_a_string_splits_lines_as_its_file_does(tmp_path, brk):
         assert [kb.scores.tolist() for kb in kbs] == [[-1.0, -2.0]]
 
 
-def test_multiple_roots_strict_and_lenient():
-    block = ("1\ta\t_\tDT\tDT\t_\t0\t_\n"
-             "2\tb\t_\tNN\tNN\t_\t0\t_\n")
-    with pytest.raises(StructureError):
-        parse_conll(block)
-    trees = parse_conll(block, allow_multiple_roots=True)
-    assert trees[0].heads == [0, 0]
+def test_several_tokens_may_hang_off_the_root():
+    """CoNLL-X allows several tokens on HEAD 0; every token must still reach it."""
+    line = "{}\tw\t_\tNN\tNN\t_\t{}\t_\n"
+    heads = [0, 0, 2, 0]
+    block = "".join(line.format(i, h) for i, h in enumerate(heads, start=1))
+    assert parse_conll(block)[0].heads == heads
+    assert read_kbest(block, "SENT 0 1\nCAND 1 -1.0\nHEAD 0 0 0 0\n")[0].heads.tolist() == [
+        [0, 0, 0, 0]]
+    cycle = "".join(line.format(i, h) for i, h in enumerate([0, 3, 2, 0], start=1))
+    with pytest.raises(StructureError, match=r"^sentence 0: .* rooted tree: \[0, 3, 2, 0\]$"):
+        parse_conll(cycle)
 
 
 def test_roundtrip_is_byte_exact():
@@ -139,8 +143,7 @@ def test_validation_matches_bruteforce_enumeration():
     # every head vector of length <= 5, against the BFS oracle
     for n in range(1, 6):
         for heads in itertools.product(range(n + 1), repeat=n):
-            for multi in (False, True):
-                assert is_rooted_tree(heads, multi) == rooted_by_bfs(heads, multi), heads
+            assert is_rooted_tree(heads) == rooted_by_bfs(heads), heads
 
 
 def test_trees_compare_and_hash_by_forms_tags_and_heads_only():
@@ -171,8 +174,8 @@ def test_validate_prints_the_heads_as_a_list():
     with pytest.raises(StructureError) as err:
         tree.validate(label="sentence 4")
     assert str(err.value) == "sentence 4: head indices do not form a rooted tree: [2, 3, 1]"
-    with pytest.raises(StructureError, match=re.escape("tree: [3, 3, 0, 0]")):
-        make_tree([3, 3, 0, 0]).validate()
+    with pytest.raises(StructureError, match=re.escape("tree: [3, 3, 4, 3]")):
+        make_tree([3, 3, 4, 3]).validate()
 
 
 def test_kbest_reading_and_scores():
@@ -522,14 +525,12 @@ def test_kbest_bad_head_matches_reference(head):
 def test_rooted_rows_matches_is_rooted_tree():
     mats = [np.array(list(itertools.product(range(-1, n + 2), repeat=n))) for n in range(1, 6)]
     mats += [np.array([[2, 0, 2, 3 + 2 ** 62]]), np.array([[0]]), np.array([[2, 1]])]
-    for multi in (False, True):
-        expected = [rooted_by_bfs(row, multi) for m in mats for row in m.tolist()]
-        assert rooted_rows(mats, multi).tolist() == expected  # widths mixed in one pass
-        for m in mats:
-            rows = m.tolist()
-            assert rooted_rows([m], multi).tolist() == [rooted_by_bfs(r, multi) for r in rows]
-            assert [is_rooted_tree(r, multi) for r in rows] == [
-                rooted_by_bfs(r, multi) for r in rows]
+    expected = [rooted_by_bfs(row) for m in mats for row in m.tolist()]
+    assert rooted_rows(mats).tolist() == expected  # widths mixed in one pass
+    for m in mats:
+        rows = m.tolist()
+        assert rooted_rows([m]).tolist() == [rooted_by_bfs(r) for r in rows]
+        assert [is_rooted_tree(r) for r in rows] == [rooted_by_bfs(r) for r in rows]
 
 
 def test_candidates_are_built_on_demand(monkeypatch):
@@ -629,7 +630,7 @@ def test_kbest_constructors_reject_rows_that_are_not_forests():
     # several roots make a forest, which a list holds
     assert from_arrays(gold, [[0, 0, 0], [0, 1, 0]], [0.0, 0.0]).heads.tolist() == [
         [0, 0, 0], [0, 1, 0]]
-    multi = gold.with_heads([0, 0, 2], allow_multiple_roots=True)
+    multi = gold.with_heads([0, 0, 2])
     assert KBestList(multi, [(multi, 1.5)]).heads.tolist() == [[0, 0, 2]]
 
 
@@ -655,22 +656,26 @@ def test_from_arrays_holds_int64_and_float64_arrays_without_copying():
 
 
 def test_a_list_read_line_by_line_is_checked_once(monkeypatch):
-    """A list whose HEAD lines are not in `write_kbest`'s form has its trees
-    checked where they are read, and not again in the reader's batch."""
-    rows = []
-    rooted = treebank._rooted
+    """A list whose HEAD lines the block reader does not take has its trees
+    checked where they are read, and not again in the reader's batch. Runs
+    of spaces in a HEAD line are taken; a tab is not."""
+    rows, exact = [], []
+    rooted, read_candidates = treebank._rooted, treebank._read_candidates
 
-    def counted(heads, width, allow_multiple_roots):
+    def counted(heads, width):
         rows.append(len(width))
-        return rooted(heads, width, allow_multiple_roots)
+        return rooted(heads, width)
 
     monkeypatch.setattr(treebank, "_rooted", counted)
-    for spacing in ("HEAD", "HEAD "):  # write_kbest's form, then one with a double space
-        rows.clear()
-        lists = read_kbest(BIKE_BLOCK, f"SENT 0 2\nCAND 1 -1.0\n{spacing} 3 3 0\n"
-                                       f"CAND 2 -2.0\n{spacing} 2 3 0\n")
+    monkeypatch.setattr(treebank, "_read_candidates",
+                        lambda *args: exact.append(1) or read_candidates(*args))
+    for spacing, by_line in (("HEAD", 0), ("HEAD ", 0), ("HEAD\t", 1)):
+        rows.clear(), exact.clear()
+        lists = read_kbest(BIKE_BLOCK, f"SENT 0 2\nCAND 1 -1.0\n{spacing} 3  3 0\n"
+                                       f"CAND 2 -2.0\n{spacing} 2 3   0\n")
         assert lists[0].heads.tolist() == [[3, 3, 0], [2, 3, 0]]
         assert sum(rows) == 1 + 2  # the gold tree, then each candidate once
+        assert len(exact) == by_line
 
 
 CYCLE = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
