@@ -48,6 +48,8 @@ TREEBANK = "src/deprerank/treebank.py"
 TEST_TREEBANK = "tests/test_treebank.py"
 TRAINER = "src/deprerank/trainer.py"
 TEST_TRAINER = "tests/test_trainer.py"
+PARAMS = "src/deprerank/params.py"
+TEST_PARAMS = "tests/test_params.py"
 
 
 def _reader(name: str, text: str, replacement: str, *expected: str) -> Mutant:
@@ -145,6 +147,21 @@ MUTANTS = (
            "elif epoch - best_epoch >= config.patience:",
            "elif epoch - best_epoch > config.patience:", (TEST_TRAINER,),
            (f"{TEST_TRAINER}::test_training_stops_patience_epochs_after_the_best_dev_uas",)),
+    # keyed draws: a pair's stream is keyed by both tags, an epoch's order by
+    # its number, and v continues the pair's stream after W
+    Mutant("pair-key-ignores-the-child-tag", PARAMS,
+           "stream_keys(self.seed, 0x70A1, heads, children)",
+           "stream_keys(self.seed, 0x70A1, heads)", (TEST_PARAMS, "tests/test_rcnn.py"),
+           (f"{TEST_PARAMS}::test_a_pair_draws_the_same_bytes_alone_in_a_batch_or_reversed",
+            "tests/test_rcnn.py::test_a_batch_adds_its_pairs_as_slot_creates_them_one_by_one")),
+    Mutant("epoch-key-ignores-the-epoch", TRAINER,
+           "stream_keys(config.seed, epoch)", "stream_keys(config.seed)", (TEST_TRAINER,),
+           (f"{TEST_TRAINER}::test_each_epoch_visits_every_sentence_once_in_its_keyed_order",)),
+    Mutant("v-reuses-the-counters-of-w", PARAMS,
+           "self.v = np.concatenate([self.v, draws[:, m * n:]])",
+           "self.v = np.concatenate([self.v, draws[:, :m]])", (TEST_PARAMS, "tests/test_rcnn.py"),
+           (f"{TEST_PARAMS}::test_a_pair_draws_the_same_bytes_alone_in_a_batch_or_reversed",
+            "tests/test_rcnn.py::test_a_batch_adds_its_pairs_as_slot_creates_them_one_by_one")),
     # the list kernels: a pooling tie goes to the first child, as per tree
     Mutant("first-max-ties-to-the-last-child", "src/deprerank/rcnn.py",
            "first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)",

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -11,6 +10,7 @@ from dataclasses import dataclass, field
 from typing import IO, Iterable, Sequence
 
 import numpy as np
+from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 
 from .errors import FormatError, ModelIOError, ParseError
 from .treebank import DependencyTree, read_text
@@ -23,6 +23,9 @@ _INIT_SCALE = 0.01
 _MODEL_MAGIC = b"DPRK"
 _MODEL_VERSION = 1
 _READ_CHUNK = 1 << 20
+_MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step, 2^64 over the golden ratio
+_DRAW_BLOCK = 1 << 15  # draws made at a time: the working arrays stay this small
 
 
 @dataclass
@@ -52,17 +55,59 @@ class Hyperparams:
 
 
 def _stable_hash(s: str) -> int:
-    return int.from_bytes(hashlib.blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
+    return int.from_bytes(blake2b(s.encode("utf-8"), digest_size=8).digest(), "little")
 
 
-def _uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
-    """Sample uniformly from the open interval (-0.01, 0.01)."""
-    x = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=shape)
-    while True:
-        boundary = np.abs(x) >= _INIT_SCALE
-        if not boundary.any():
-            return x
-        x[boundary] = rng.uniform(-_INIT_SCALE, _INIT_SCALE, size=int(boundary.sum()))
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """SplitMix64's finalizer of each element of the uint64 array `z`, in
+    place, in wrapping arithmetic; returns `z`."""
+    tmp = np.empty_like(z)
+    for shift, multiplier in ((30, 0xBF58476D1CE4E5B9), (27, 0x94D049BB133111EB)):
+        np.right_shift(z, shift, out=tmp)
+        z ^= tmp
+        z *= multiplier
+    np.right_shift(z, 31, out=tmp)
+    z ^= tmp
+    return z
+
+
+def stream_keys(*parts) -> np.ndarray:
+    """The uint64 keys of tuples of integers, one per row of the parts (ints,
+    taken mod 2^64, or 1-D uint64 arrays, broadcast): each part in turn is
+    xored into the key, which then steps by gamma and is finalized."""
+    key = np.zeros(1, dtype=np.uint64)
+    for part in parts:
+        key = key ^ (part & _MASK)
+        key += _GAMMA
+        _finalize(key)
+    return key
+
+
+def uniform_draws(keys: np.ndarray, count: int) -> np.ndarray:
+    """(len(keys), count) draws from the open interval (-0.01, 0.01), one row per key.
+
+    Draw j of key k is SplitMix64's finalizer of k + (j + 1) * gamma (mod
+    2^64), a counter-based stream: a key's draws do not depend on the other
+    keys or on the order of the calls. The top 52 bits t of a draw give
+    ((2t + 1) / 2^52 - 1) * 0.01, exactly up to the last product, which
+    never reaches 0.01, so no draw needs redrawing.
+    """
+    keys = np.asarray(keys, dtype=np.uint64)
+    out = np.empty((len(keys), count))
+    cols = max(1, min(count, _DRAW_BLOCK))
+    rows = max(1, _DRAW_BLOCK // cols)
+    for c0 in range(0, count, cols):
+        steps = np.arange(c0 + 1, min(count, c0 + cols) + 1, dtype=np.uint64)
+        steps *= _GAMMA
+        for r0 in range(0, len(keys), rows):
+            bits = _finalize(np.add.outer(keys[r0:r0 + rows], steps))
+            bits >>= 12
+            block = out[r0:r0 + rows, c0:c0 + cols]
+            np.copyto(block, bits, casting="unsafe")  # exact: below 2^52
+            block *= 2.0 ** -51
+            block += 2.0 ** -52 - 1.0
+            block *= _INIT_SCALE
+    return out
 
 
 class EmbeddingTable:
@@ -147,17 +192,16 @@ class PosPairStore:
 
     def add(self, pairs: Sequence[tuple[str, str]]) -> range:
         """Store new `pairs` (each once) in new slots, returned; each draws its W,
-        then its v, from a generator seeded by the store's seed and the pair."""
+        then its v, from the stream keyed by the store's seed and the pair."""
         start = len(self)
         if not pairs:
             return range(start, start)
-        W, v = [], []
-        for head, child in pairs:
-            rng = np.random.default_rng(
-                (self.seed, 0x70A1, _stable_hash(head), _stable_hash(child)))
-            W.append(_uniform_init(rng, self.W.shape[1:]))
-            v.append(_uniform_init(rng, self.v.shape[1:]))
-        self.W, self.v = np.concatenate([self.W, W]), np.concatenate([self.v, v])
+        heads, children = np.array([[_stable_hash(head), _stable_hash(child)]
+                                    for head, child in pairs], dtype=np.uint64).T
+        m, n = self.W.shape[1:]
+        draws = uniform_draws(stream_keys(self.seed, 0x70A1, heads, children), m * n + m)
+        self.W = np.concatenate([self.W, draws[:, :m * n].reshape(-1, m, n)])
+        self.v = np.concatenate([self.v, draws[:, m * n:]])
         self.index.update(zip(pairs, range(start, len(self))))
         self._table = None
         return range(start, len(self))
@@ -218,15 +262,22 @@ def build_pos_vocab(trees: Iterable[DependencyTree]) -> list[str]:
 
 def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequence[str],
                 seed: int) -> ParamSet:
-    """Fresh randomly initialized parameters; POS pairs are created lazily later."""
-    rng = np.random.default_rng(seed)
+    """Fresh randomly initialized parameters; POS pairs are created lazily later.
+    The word, distance and fallback tables each draw, row by row, from the
+    stream keyed by the seed and the table's name."""
     forms = [UNK_FORM, ROOT_FORM]
     forms.extend(w for w in word_vocab if w not in (UNK_FORM, ROOT_FORM))
-    words = EmbeddingTable(forms, _uniform_init(rng, (len(forms), hyper.m)))
     deltas = range(-hyper.dist_clip, hyper.dist_clip + 1)
-    distances = EmbeddingTable(deltas, _uniform_init(rng, (len(deltas), hyper.m_d)))
-    pairs = PosPairStore(seed, _uniform_init(rng, (hyper.m, hyper.n))[None],
-                         _uniform_init(rng, (hyper.m,))[None])
+    m, n = hyper.m, hyper.n
+
+    def draws(table: str, rows: int, cols: int) -> np.ndarray:
+        key = stream_keys(seed, _stable_hash(table))
+        return uniform_draws(key, rows * cols).reshape(rows, cols)
+
+    words = EmbeddingTable(forms, draws("words", len(forms), m))
+    distances = EmbeddingTable(deltas, draws("distances", len(deltas), hyper.m_d))
+    fallback = draws("fallback", 1, m * n + m)  # W, then v, as a pair draws them
+    pairs = PosPairStore(seed, fallback[:, :m * n].reshape(1, m, n), fallback[:, m * n:])
     return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
 
 

@@ -8,15 +8,17 @@ the parameters a sentence touches.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 
 from . import synth
 from .errors import ScoreError
-from .params import ROOT_POS, Hyperparams, ParamSet, init_random, table_bytes
+from .params import (
+    ROOT_POS, Hyperparams, ParamSet, init_random, stream_keys, table_bytes, uniform_draws,
+)
 from .rcnn import (
     Gradients, ListActivations, ListPlan, backward_list, batch_bytes, build_forests,
     build_list_plans, forest_scores, forward_list, pool_winners,
@@ -137,7 +139,7 @@ def _kbest_digest(kb: KBestList) -> bytes:
     lines = [f"{f}\t{p}\t{h}\n" for f, p, h in zip(gold.forms, gold.pos_tags, gold.heads)]
     lines += ["C " + " ".join([names[h] for h in heads]) + f" {score!r}\n"
               for heads, score in zip(kb.heads.tolist(), kb.scores.tolist())]
-    return hashlib.blake2b("".join(lines).encode("utf-8"), digest_size=16).digest()
+    return blake2b("".join(lines).encode("utf-8"), digest_size=16).digest()
 
 
 @dataclass
@@ -191,15 +193,16 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     After each epoch's steps, a parameter table or dev score that is not
     finite raises `ScoreError`, naming the epoch.
     Identical seeds, data, and config reproduce the exact report sequence;
-    sentences are ordered by content digest before shuffling, so the result
-    does not depend on the order sentences appear in the input files.
+    sentences are ordered by content digest, then epoch e visits them in the
+    stable order of the draws keyed by (seed, e) (`params.uniform_draws`),
+    so the result does not depend on the order sentences appear in the
+    input files.
     """
     if not train_kbest:
         raise ValueError("training set is empty")
     if not dev_kbest:
         raise ValueError("dev set is empty (used to select the returned parameters)")
     hyper = params.hyper
-    rng = np.random.default_rng(config.seed)
     ordered = sorted((kb.truncated(hyper.k) for kb in train_kbest), key=_kbest_digest)
     items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
@@ -211,7 +214,8 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     for epoch in range(1, config.max_epochs + 1):
         total_hinge = 0.0
         violations = 0
-        for idx in rng.permutation(len(items)):
+        draws = uniform_draws(stream_keys(config.seed, epoch), len(items))[0]
+        for idx in draws.argsort(kind="stable").tolist():
             grads, hinge = _subgradient(params, items[idx])
             total_hinge += hinge
             if hinge > 0.0:

@@ -109,8 +109,11 @@ class DependencyTree:
         return [i for i, h in enumerate(self._heads, start=1) if h == index]
 
     def validate(self, label: str = "sentence") -> None:
+        """Raise `StructureError` if the heads do not form a rooted tree; the
+        message starts with `label`, unless it is empty."""
         if not is_rooted_tree(self._heads):
-            raise StructureError(f"{label}: head indices do not form a rooted tree: {self.heads}")
+            prefix = f"{label}: " if label else ""
+            raise StructureError(f"{prefix}head indices do not form a rooted tree: {self.heads}")
 
     def with_heads(self, heads: Sequence[int]) -> "DependencyTree":
         """Copy of this tree with head indices replaced (forms, POS tags and
@@ -125,7 +128,7 @@ class DependencyTree:
             if head == index:
                 raise StructureError(f"token {index} ({self._forms[index - 1]!r}) is its own head")
         tree = DependencyTree(self._forms, self._tags, heads, self._lines)
-        tree.validate()
+        tree.validate(label="")  # the caller names the tree, as for the checks above
         return tree
 
 

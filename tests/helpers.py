@@ -802,16 +802,18 @@ def forward_unit(params, tree, node: int, child_phrase_vecs: Mapping[int, np.nda
 # ---------------------------------------------------------------------------
 # a reference k-best reader: one tree checked by `rooted_by_bfs` per candidate
 
-def tree_problem(forms, heads, label="sentence"):
+def tree_problem(forms, heads, label=""):
     """The message of the `StructureError` that a tree of these forms and
-    heads raises when it is built by `with_heads` and validated, or None."""
+    heads raises when it is built by `with_heads` (no label) or validated
+    under `label`, or None."""
     for index, head in enumerate(heads, start=1):
         if head < 0:
             return f"head must be >= 0, got {head}"
         if head == index:
             return f"token {index} ({forms[index - 1]!r}) is its own head"
     if not rooted_by_bfs(heads):
-        return f"{label}: head indices do not form a rooted tree: {list(heads)}"
+        prefix = f"{label}: " if label else ""
+        return f"{prefix}head indices do not form a rooted tree: {list(heads)}"
     return None
 
 

@@ -8,8 +8,9 @@ import pytest
 
 from deprerank.errors import FormatError, ModelIOError, ParseError
 from deprerank.params import (
-    Hyperparams, ParamSet, ROOT_FORM, UNK_FORM, build_pos_vocab, build_word_vocab,
-    init_random, load, load_pretrained, save, table_bytes,
+    Hyperparams, ParamSet, ROOT_FORM, UNK_FORM, _stable_hash, build_pos_vocab,
+    build_word_vocab, init_random, load, load_pretrained, save, stream_keys, table_bytes,
+    uniform_draws,
 )
 
 from helpers import (
@@ -32,6 +33,84 @@ def test_init_entries_inside_open_interval():
     get_pair(p, "NN", "DT", create=True)
     for arr in (p.words.vectors, p.distances.vectors, p.pos_pairs.W, p.pos_pairs.v):
         assert np.all(np.abs(arr) < 0.01)
+
+
+_M64 = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+
+
+def splitmix64_finalizer(z):
+    """SplitMix64's finalizer (Steele, Lea & Flood 2014), in Python integers."""
+    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9 & _M64
+    z = (z ^ (z >> 27)) * 0x94D049BB133111EB & _M64
+    return z ^ (z >> 31)
+
+
+def inside_the_interval(t):
+    """A 52-bit integer t mapped to ((2t + 1) / 2^52 - 1) * 0.01."""
+    return ((2 * t + 1) * 2.0 ** -52 - 1.0) * 0.01
+
+
+def reference_draw(key, j):
+    """Draw j of `key`, one Python integer at a time: the top 52 bits of the
+    finalizer of key + (j + 1) * gamma, mapped inside the interval."""
+    return inside_the_interval(splitmix64_finalizer((key + (j + 1) * _GAMMA) & _M64) >> 12)
+
+
+def test_draws_are_splitmix64_outputs_mapped_inside_the_open_interval():
+    # SplitMix64 seeded with 1234567 first gives these three outputs
+    assert [splitmix64_finalizer((1234567 + j * _GAMMA) & _M64) for j in (1, 2, 3)] == [
+        6457827717110365317, 3203168211198807973, 9817491932198370423]
+    assert uniform_draws([1234567], 3).tolist() == [[reference_draw(1234567, j)
+                                                     for j in range(3)]]
+    # 40 keys of 1,000 draws take two blocks of rows; one key of 65,541 three of columns
+    keys = stream_keys(7, np.arange(40, dtype=np.uint64))
+    assert uniform_draws(keys, 1000).tolist() == [[reference_draw(key, j) for j in range(1000)]
+                                                  for key in keys.tolist()]
+    [long] = uniform_draws([_M64], 2 * 32768 + 5)
+    for j in (0, 32767, 32768, 65535, 65536, 65540):
+        assert long[j] == reference_draw(_M64, j)
+    # the extreme values of t stay inside the bounds, and the draws fill them
+    assert -0.01 < inside_the_interval(0) < inside_the_interval(2 ** 52 - 1) < 0.01
+    draws = uniform_draws(stream_keys(3, np.arange(200, dtype=np.uint64)), 5000)
+    assert np.abs(draws).max() < 0.01
+    assert draws.min() < -0.00999 and draws.max() > 0.00999 and abs(draws.mean()) < 1e-4
+    assert uniform_draws(keys, 0).shape == (40, 0) and uniform_draws([], 4).shape == (0, 4)
+
+
+def test_each_table_draws_from_the_stream_of_the_seed_and_its_name():
+    p = tiny_params(m=3, m_d=2, seed=8, dist_clip=4)
+    m, n = 3, p.hyper.n
+    for table, values in (("words", p.words.vectors), ("distances", p.distances.vectors),
+                          ("fallback", np.concatenate([p.pos_pairs.W.reshape(-1),
+                                                       p.pos_pairs.v.reshape(-1)]))):
+        [want] = uniform_draws(stream_keys(8, _stable_hash(table)), values.size)
+        assert values.tobytes() == want.tobytes()
+    assert p.pos_pairs.W.shape == (1, m, n) and p.pos_pairs.v.shape == (1, m)
+
+
+def test_a_pair_draws_the_same_bytes_alone_in_a_batch_or_reversed():
+    # pairs that share a head, or a child, still draw their own W and v, and
+    # v continues the pair's stream after W
+    pairs = [("NN", "DT"), ("NN", "JJ"), ("DT", "NN"), ("VB", "NN"), ("ROOT", "VB")]
+    stores = [tiny_params(seed=9).pos_pairs for _ in range(3)]
+    for pair in pairs:
+        stores[0].add([pair])
+    stores[1].add(pairs)
+    stores[2].add(pairs[::-1])
+    m, n = stores[0].W.shape[1:]
+    seen = set()
+    for head, child in pairs:
+        W, v = stores[0].get(stores[0].slot(head, child))
+        for store in stores[1:]:
+            other_W, other_v = store.get(store.slot(head, child))
+            assert other_W.tobytes() == W.tobytes() and other_v.tobytes() == v.tobytes()
+        [draws] = uniform_draws(stream_keys(9, 0x70A1, _stable_hash(head), _stable_hash(child)),
+                                m * n + m)
+        assert W.tobytes() == draws[:m * n].tobytes() and v.tobytes() == draws[m * n:].tobytes()
+        seen.add(W.tobytes())
+    assert len(seen) == len(pairs)
+    assert stores[2].pairs() == pairs[::-1]
 
 
 def test_default_composition_shape():

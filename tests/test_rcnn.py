@@ -5,7 +5,9 @@ import pytest
 
 from deprerank import rcnn
 from deprerank.errors import AlignmentError, StructureError
-from deprerank.params import ROOT_FORM, ROOT_POS, PosPairStore, _stable_hash, _uniform_init
+from deprerank.params import (
+    ROOT_FORM, ROOT_POS, PosPairStore, _stable_hash, stream_keys, uniform_draws,
+)
 from deprerank.rcnn import (
     backward_list, backward_tree, build_forests, build_list_plans, build_plan,
     forest_scores, forward_list, plan_batches, pool_winners, score_lists, score_plan, score_tree,
@@ -736,10 +738,12 @@ def test_a_batch_adds_its_pairs_as_slot_creates_them_one_by_one(monkeypatch):
     store, want = batched.pos_pairs, one_by_one.pos_pairs
     assert store.pairs() == want.pairs() and store.index == want.index
     assert store.W.tobytes() == want.W.tobytes() and store.v.tobytes() == want.v.tobytes()
-    for (head, child), slot in store.index.items():  # W, then v, from the pair's generator
-        rng = np.random.default_rng((6, 0x70A1, _stable_hash(head), _stable_hash(child)))
-        assert store.W[slot].tobytes() == _uniform_init(rng, store.W.shape[1:]).tobytes()
-        assert store.v[slot].tobytes() == _uniform_init(rng, store.v.shape[1:]).tobytes()
+    m, n = store.W.shape[1:]
+    for (head, child), slot in store.index.items():  # W, then v, from the pair's stream
+        key = stream_keys(6, 0x70A1, _stable_hash(head), _stable_hash(child))
+        [draws] = uniform_draws(key, m * n + m)
+        assert store.W[slot].tobytes() == draws[:m * n].reshape(m, n).tobytes()
+        assert store.v[slot].tobytes() == draws[m * n:].tobytes()
     W, v, index = store.W, store.v, dict(store.index)
     assert store.add([]) == range(len(store), len(store))
     assert store.W is W and store.v is v and store.index == index

@@ -9,7 +9,8 @@ import pytest
 from deprerank import rcnn, trainer
 from deprerank.errors import AlignmentError, ScoreError
 from deprerank.params import (
-    Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save, table_bytes,
+    Hyperparams, build_pos_vocab, build_word_vocab, init_random, load, save, stream_keys,
+    table_bytes, uniform_draws,
 )
 from deprerank.rcnn import Gradients, Rows, backward_tree, build_plan, score_tree
 from deprerank.reranker import RerankConfig, rerank_corpus
@@ -431,8 +432,29 @@ def test_repeated_steps_separate_single_sentence():
     assert hinge == 0.0
 
 
-@pytest.mark.parametrize("rho, epoch, what", [(1e120, 2, "word vectors"),
-                                             (1e150, 1, "composition matrices"),
+def test_each_epoch_visits_every_sentence_once_in_its_keyed_order(monkeypatch):
+    # epoch e visits the digest-ordered items in the stable order of the
+    # draws keyed by (seed, e): a permutation, and another one each epoch
+    corpus = synth_corpus(seed=3, sentences=9, k=4, length_range=(3, 5))
+    built, visits = [], []
+    build_all, subgradient = trainer._SentenceItem.build_all, trainer._subgradient
+    monkeypatch.setattr(trainer._SentenceItem, "build_all",
+                        classmethod(lambda cls, *args: built.extend(build_all(*args)) or built))
+    monkeypatch.setattr(trainer, "_subgradient",
+                        lambda params, item: visits.append(item) or subgradient(params, item))
+    train(tiny_params(), corpus, corpus[:2], TrainConfig(max_epochs=3, patience=3, seed=4))
+    rows = {id(item): row for row, item in enumerate(built)}
+    orders = [[rows[id(item)] for item in visits[e * 9:(e + 1) * 9]] for e in range(3)]
+    assert len(visits) == 27 and len(built) == 9
+    for epoch, order in enumerate(orders, start=1):
+        assert sorted(order) == list(range(9))
+        want = uniform_draws(stream_keys(4, epoch), 9)[0].argsort(kind="stable")
+        assert order == want.tolist()
+    assert len({tuple(order) for order in orders}) == 3
+
+
+@pytest.mark.parametrize("rho, epoch, what", [(1e121, 2, "word vectors"),
+                                             (1e130, 2, "composition matrices"),
                                              (1e200, 1, "dev scores")])
 def test_train_names_the_epoch_whose_numbers_are_not_finite(rho, epoch, what):
     # the parameters overflow within an epoch, or stay finite while the dev
