@@ -56,8 +56,7 @@ import numpy as np
 from deprerank.params import Hyperparams, build_pos_vocab, build_word_vocab, init_random
 from deprerank.rcnn import backward_list, build_forests, forest_scores, forward_list
 from deprerank.reranker import RerankConfig, corpus_model_scores, rerank_corpus, search_alpha
-from deprerank.trainer import (AdaGradState, TrainConfig, _kbest_digest, _pick, _SentenceItem,
-                               adagrad_step)
+from deprerank.trainer import TrainConfig, _kbest_digest, _pick, _SentenceItem, adagrad_step
 from deprerank.treebank import (_CHECK_TOKENS, PUNCT_SETS, KBestList, load_conll, read_kbest,
                                 read_kbest_files, rooted_rows, write_conll)
 
@@ -116,7 +115,7 @@ def rows(wl, inputs, directory):
     steps = [(it.plan, acts, (idx + 1, 0)) for it, (idx, _, acts) in zip(items, picks)]
     grads = [backward_list(params, *step, (1.0, -1.0)) for step in steps]
     updated = params.copy()
-    state = AdaGradState.from_params(updated)
+    state = [np.zeros_like(table) for table in updated.tables()]  # as train() makes it
     forests, dev_forests = build_forests(params, target), build_forests(params, dev)
     scores = corpus_model_scores(params, target)
     alpha, _ = search_alpha(params, target, W.ALPHA_STEP, punct, model_scores=scores)

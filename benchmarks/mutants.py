@@ -50,6 +50,8 @@ TRAINER = "src/deprerank/trainer.py"
 TEST_TRAINER = "tests/test_trainer.py"
 PARAMS = "src/deprerank/params.py"
 TEST_PARAMS = "tests/test_params.py"
+SWEEP_TEST = ("tests/test_reranker.py::"
+              "test_the_pruned_sweep_and_the_picks_equal_the_per_list_reference")
 
 
 def _reader(name: str, text: str, replacement: str, *expected: str) -> Mutant:
@@ -135,7 +137,7 @@ MUTANTS = (
     # training: every epoch's dev scores must be finite, the margin raises
     # wrong candidates, and training stops `patience` epochs after the best
     Mutant("train-no-dev-score-check", TRAINER,
-           ',\n                             ("dev scores", np.concatenate(dev_scores))):', "):",
+           ',\n                             ("dev scores", np.concatenate(dev_scores))):', ",):",
            ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite",),
            ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite"
             "[1e+200-1-dev scores]",)),
@@ -162,6 +164,26 @@ MUTANTS = (
            "self.v = np.concatenate([self.v, draws[:, :m]])", (TEST_PARAMS, "tests/test_rcnn.py"),
            (f"{TEST_PARAMS}::test_a_pair_draws_the_same_bytes_alone_in_a_batch_or_reversed",
             "tests/test_rcnn.py::test_a_batch_adds_its_pairs_as_slot_creates_them_one_by_one")),
+    # the four tables: the model file writes them in `tables()` order,
+    # train() checks each one, and AdaGrad updates W a run of slots at a time
+    Mutant("model-file-swaps-two-tables", PARAMS, "    for table in params.tables():\n",
+           "    for table in (lambda w, d, W, v: (d, w, W, v))(*params.tables()):\n",
+           (TEST_PARAMS,),
+           (f"{TEST_PARAMS}::test_the_model_file_holds_the_tables_in_their_order",)),
+    Mutant("train-skips-the-distance-check", TRAINER, "*zip(TABLES, params.tables()),",
+           '*[c for c in zip(TABLES, params.tables()) if c[0] != "distance vectors"],',
+           ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite",),
+           ("tests/test_trainer.py::test_train_names_the_epoch_whose_numbers_are_not_finite"
+            "[0.1-1-distance vectors]",)),
+    Mutant("adagrad-cuts-w-runs-one-slot-early", TRAINER,
+           "!= 1).nonzero()[0] + 1).tolist()", "!= 1).nonzero()[0]).tolist()",
+           (f"{TEST_TRAINER}::test_adagrad_step_matches_the_per_row_reference",),
+           (f"{TEST_TRAINER}::test_adagrad_step_matches_the_per_row_reference",)),
+    # the alpha sweep prunes a candidate only if an earlier one dominates it
+    # in both columns: the model maximum and the base minimum
+    Mutant("sweep-dominance-ignores-the-base-score", "src/deprerank/reranker.py",
+           "\n                    | (np.minimum.accumulate(base, axis=1)[:, :-1] < base[:, 1:]))",
+           ")", (SWEEP_TEST,), (SWEEP_TEST,)),
     # the list kernels: a pooling tie goes to the first child, as per tree
     Mutant("first-max-ties-to-the-last-child", "src/deprerank/rcnn.py",
            "first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)",

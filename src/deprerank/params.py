@@ -26,6 +26,9 @@ _READ_CHUNK = 1 << 20
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15  # SplitMix64's counter step, 2^64 over the golden ratio
 _DRAW_BLOCK = 1 << 15  # draws made at a time: the working arrays stay this small
+# the tables the scorer learns, in `ParamSet.tables()` order: the order of the
+# model file, the AdaGrad sums and `rcnn.Gradients`
+TABLES = ("word vectors", "distance vectors", "composition matrices", "score vectors")
 
 
 @dataclass
@@ -230,8 +233,17 @@ class ParamSet:
     distances: EmbeddingTable
     pos_pairs: PosPairStore
     hyper: Hyperparams
-    seed: int
     pos_vocab: tuple[str, ...] = field(default_factory=tuple)
+
+    @property
+    def seed(self) -> int:
+        """The seed of the keyed draws, held once: by the pair store, which draws from it."""
+        return self.pos_pairs.seed
+
+    def tables(self) -> tuple[np.ndarray, ...]:
+        """The learned arrays, in `TABLES` order; read anew on each call, as
+        `PosPairStore.add` replaces W and v."""
+        return self.words.vectors, self.distances.vectors, self.pos_pairs.W, self.pos_pairs.v
 
     def word_row(self, form: str) -> int:
         """The word's row; an unknown form reads the `<unk>` row."""
@@ -245,7 +257,7 @@ class ParamSet:
 
     def copy(self) -> "ParamSet":
         return ParamSet(self.words.copy(), self.distances.copy(), self.pos_pairs.copy(),
-                        self.hyper, self.seed, self.pos_vocab)
+                        self.hyper, self.pos_vocab)
 
 
 def build_word_vocab(trees: Iterable[DependencyTree], min_freq: int = 2) -> list[str]:
@@ -278,7 +290,7 @@ def init_random(hyper: Hyperparams, word_vocab: Sequence[str], pos_vocab: Sequen
     distances = EmbeddingTable(deltas, draws("distances", len(deltas), hyper.m_d))
     fallback = draws("fallback", 1, m * n + m)  # W, then v, as a pair draws them
     pairs = PosPairStore(seed, fallback[:, :m * n].reshape(1, m, n), fallback[:, m * n:])
-    return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
+    return ParamSet(words, distances, pairs, hyper, tuple(pos_vocab))
 
 
 def table_bytes(hyper: Hyperparams, words: int, pairs: int) -> int:
@@ -377,9 +389,8 @@ def _write_model(params: ParamSet, f: IO[bytes]) -> None:
     f.write(struct.pack("<I", _MODEL_VERSION))
     f.write(struct.pack("<Q", len(header)))
     f.write(header)
-    for arr in (params.words.vectors, params.distances.vectors,
-                params.pos_pairs.W, params.pos_pairs.v):
-        f.write(np.ascontiguousarray(arr, dtype=np.float64).tobytes())
+    for table in params.tables():
+        f.write(np.ascontiguousarray(table, dtype=np.float64).tobytes())
 
 
 def load(source) -> ParamSet:
@@ -462,21 +473,16 @@ def _read_model(f: IO[bytes]) -> ParamSet:
     (hlen,) = struct.unpack("<Q", _read_exact(f, 8, "header length"))
     hyper, seed, forms, pair_keys, pos_vocab = _parse_header(_read_exact(f, hlen, "header"))
 
-    def read_array(shape, what):
-        nbytes = math.prod(shape) * 8
-        arr = np.frombuffer(_read_exact(f, nbytes, what), dtype=np.float64).reshape(shape).copy()
-        if not np.isfinite(arr).all():
+    clip, count = hyper.dist_clip, len(pair_keys) + 1
+    tables = []
+    for shape, what in zip(((len(forms), hyper.m), (2 * clip + 1, hyper.m_d),
+                            (count, hyper.m, hyper.n), (count, hyper.m)), TABLES):
+        raw = _read_exact(f, math.prod(shape) * 8, what)
+        tables.append(np.frombuffer(raw, dtype=np.float64).reshape(shape).copy())
+        if not np.isfinite(tables[-1]).all():
             raise ModelIOError(f"non-finite values in {what}")
-        return arr
-
-    words = EmbeddingTable(forms, read_array((len(forms), hyper.m), "word vectors"))
-    clip = hyper.dist_clip
-    dist_vectors = read_array((2 * clip + 1, hyper.m_d), "distance vectors")
-    distances = EmbeddingTable(range(-clip, clip + 1), dist_vectors)
-    count = len(pair_keys) + 1
-    W = read_array((count, hyper.m, hyper.n), "composition matrices")
-    v = read_array((count, hyper.m), "score vectors")
     if f.read(1):
         raise ModelIOError("trailing bytes after model payload")
-    pairs = PosPairStore(seed, W, v, pair_keys)
-    return ParamSet(words, distances, pairs, hyper, seed, tuple(pos_vocab))
+    words, dists, W, v = tables
+    return ParamSet(EmbeddingTable(forms, words), EmbeddingTable(range(-clip, clip + 1), dists),
+                    PosPairStore(seed, W, v, pair_keys), hyper, tuple(pos_vocab))

@@ -508,10 +508,10 @@ class Rows(NamedTuple):
 _NO_ROWS = Rows(np.empty(0, dtype=np.int64), np.empty(0))
 
 
-@dataclass
-class Gradients:
-    """Sparse gradients, one `Rows` per table: word rows, distance rows, and
-    the W ((S, m, n) values) and v ((S, m) values) of S POS-pair slots."""
+class Gradients(NamedTuple):
+    """Sparse gradients, one `Rows` per table in `ParamSet.tables()` order:
+    word rows, distance rows, and the W ((S, m, n) values) and v ((S, m)
+    values) of S POS-pair slots."""
 
     words: Rows = _NO_ROWS
     dists: Rows = _NO_ROWS
@@ -522,8 +522,7 @@ class Gradients:
 def score_plan(params: ParamSet, plan: TreePlan) -> TreeForwardTrace:
     x, p, a, z, amax, unit, total = kernels.tree_forward(
         plan.order, plan.arc_start, plan.arc_child, plan.node_word, plan.arc_dist,
-        plan.arc_pair, params.words.vectors, params.distances.vectors,
-        params.pos_pairs.W, params.pos_pairs.v)
+        plan.arc_pair, *params.tables())
     return TreeForwardTrace(plan, x, p, a, z, amax, unit, float(total))
 
 

@@ -17,7 +17,7 @@ from _blake2 import blake2b  # hashlib's blake2b, without loading OpenSSL
 from . import synth
 from .errors import ScoreError
 from .params import (
-    ROOT_POS, Hyperparams, ParamSet, init_random, stream_keys, table_bytes, uniform_draws,
+    ROOT_POS, TABLES, Hyperparams, ParamSet, init_random, stream_keys, table_bytes, uniform_draws,
 )
 from .rcnn import (
     Gradients, ListActivations, ListPlan, backward_list, batch_bytes, build_forests,
@@ -68,24 +68,6 @@ def _subgradient(params: ParamSet, item: _SentenceItem) -> tuple[Gradients, floa
     return backward_list(params, item.plan, acts, (idx + 1, 0), (1.0, -1.0)), hinge
 
 
-@dataclass
-class AdaGradState:
-    """Per-coordinate squared-gradient sums."""
-
-    acc_words: np.ndarray
-    acc_dists: np.ndarray
-    acc_W: np.ndarray
-    acc_v: np.ndarray
-
-    @classmethod
-    def from_params(cls, params: ParamSet) -> "AdaGradState":
-        """Zero sums for every parameter; make the state after the last POS
-        pair is created (`train()` builds every training item first)."""
-        pp = params.pos_pairs
-        return cls(*map(np.zeros_like, (params.words.vectors, params.distances.vectors,
-                                         pp.W, pp.v)))
-
-
 def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: float,
                   rho: float, eff: np.ndarray, tmp: np.ndarray) -> None:
     """In place, element by element: eff = grad + lam * theta, acc += eff * eff,
@@ -103,32 +85,32 @@ def _apply_update(theta: np.ndarray, acc: np.ndarray, grad: np.ndarray, lam: flo
     np.subtract(theta, eff, out=theta, where=where)
 
 
-def adagrad_step(params: ParamSet, state: AdaGradState, grads: Gradients,
+def adagrad_step(params: ParamSet, state: Sequence[np.ndarray], grads: Gradients,
                  lam: float) -> None:
-    """One diagonal-AdaGrad update over exactly the touched parameters.
+    """One diagonal-AdaGrad update over exactly the touched parameters;
+    `state` holds the squared-gradient sums of each table, in
+    `params.tables()` order, as `grads` does.
 
     Word rows, distance rows and v slots are gathered per table, updated as
     one block and scattered back. W slots are updated in place, one run of
     consecutive slots at a time: W blocks are large, and gathering and
     scattering them costs more element passes than the calls it saves.
     """
-    pp, args = params.pos_pairs, (lam, params.hyper.rho)
-    for table, acc, (rows, grad) in ((params.words.vectors, state.acc_words, grads.words),
-                                     (params.distances.vectors, state.acc_dists, grads.dists),
-                                     (pp.v, state.acc_v, grads.pair_v)):
-        if len(rows):
+    args = (lam, params.hyper.rho)
+    for table, acc, (rows, grad) in zip(params.tables(), state, grads):
+        if not len(rows):
+            continue
+        eff, tmp = np.empty((2,) + grad.shape)
+        if table is not params.pos_pairs.W:
             theta, sums = table.take(rows, axis=0), acc.take(rows, axis=0)
-            _apply_update(theta, sums, grad, *args, *np.empty((2,) + grad.shape))
+            _apply_update(theta, sums, grad, *args, eff, tmp)
             table[rows], acc[rows] = theta, sums
-    slots, grad = grads.pair_W
-    if not len(slots):
-        return
-    W, (eff, tmp) = pp.W, np.empty((2,) + grad.shape)
-    cuts = (((slots[1:] - slots[:-1]) != 1).nonzero()[0] + 1).tolist()
-    for i0, i1 in zip([0] + cuts, cuts + [len(slots)]):  # runs of consecutive slots
-        s0, s1 = int(slots[i0]), int(slots[i0]) + i1 - i0
-        _apply_update(W[s0:s1], state.acc_W[s0:s1], grad[i0:i1], *args,
-                      eff[:i1 - i0], tmp[:i1 - i0])
+            continue
+        cuts = (((rows[1:] - rows[:-1]) != 1).nonzero()[0] + 1).tolist()
+        for i0, i1 in zip([0] + cuts, cuts + [len(rows)]):  # runs of consecutive slots
+            s0, s1 = int(rows[i0]), int(rows[i0]) + i1 - i0
+            _apply_update(table[s0:s1], acc[s0:s1], grad[i0:i1], *args,
+                          eff[:i1 - i0], tmp[:i1 - i0])
 
 
 def _kbest_digest(kb: KBestList) -> bytes:
@@ -207,7 +189,7 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
     items = _SentenceItem.build_all(params, ordered, hyper.kappa)
     dev = [kb.truncated(hyper.k) for kb in dev_kbest]
     dev_forests = build_forests(params, dev)
-    state = AdaGradState.from_params(params)
+    state = [np.zeros_like(table) for table in params.tables()]  # now that every pair exists
     best_uas = -1.0  # below any UAS, so epoch 1 sets `best`
     best_epoch = 0
     reports: list[TrainReport] = []
@@ -221,12 +203,9 @@ def train(params: ParamSet, train_kbest: Sequence[KBestList],
             if hinge > 0.0:
                 violations += 1
                 adagrad_step(params, state, grads, hyper.lam)
-        pp = params.pos_pairs
-        pp.finalize_fallback()  # dev's unseen pairs read slot 0
+        params.pos_pairs.finalize_fallback()  # dev's unseen pairs read slot 0
         dev_scores = [s for forest in dev_forests for s in forest_scores(params, forest)]
-        for what, values in (("word vectors", params.words.vectors),
-                             ("distance vectors", params.distances.vectors),
-                             ("composition matrices", pp.W), ("score vectors", pp.v),
+        for what, values in (*zip(TABLES, params.tables()),
                              ("dev scores", np.concatenate(dev_scores))):
             if not np.logical_and.reduce(np.isfinite(values), axis=None):
                 raise ScoreError(f"epoch {epoch}: the {what} are not finite")
@@ -264,10 +243,7 @@ class GradCheckReport:
 
 
 def _grad_entries(params: ParamSet, grads: Gradients) -> Iterator[tuple[str, float, np.ndarray, tuple]]:
-    pp = params.pos_pairs
-    for name, table, (rows, values) in (("word", params.words.vectors, grads.words),
-                                        ("dist", params.distances.vectors, grads.dists),
-                                        ("W", pp.W, grads.pair_W), ("v", pp.v, grads.pair_v)):
+    for name, table, (rows, values) in zip(("word", "dist", "W", "v"), params.tables(), grads):
         for row, grad in zip(rows.tolist(), values):
             for j in np.ndindex(grad.shape):
                 label = ",".join(map(str, (row, *j)))

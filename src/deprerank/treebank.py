@@ -139,8 +139,8 @@ class KBestList:
     heads, so they are held as a read-only (k, n) int64 head matrix `heads`
     and a (k,) float64 vector `scores` of base scores. `candidates` shows
     them as (tree, score) pairs; a tree is built only when its item is read.
-    There are k >= 1 rows, and each, like the gold tree's heads, is a forest
-    over the n >= 1 tokens: the constructor checks it (`_check_rows`); the
+    There are k >= 1 rows, and each, like the gold tree's heads, is a rooted
+    tree over the n >= 1 tokens: the constructor checks it (`_check_rows`); the
     readers check as they read and build lists with `_unchecked`.
     """
 
@@ -159,7 +159,7 @@ class KBestList:
     def _unchecked(cls, gold: DependencyTree, heads: np.ndarray,
                    scores: np.ndarray) -> "KBestList":
         """A list over given arrays, taken as they are: no copy, no checks.
-        Only for rows known to be forests over the gold tree's tokens."""
+        Only for rows known to be rooted trees over the gold tree's tokens."""
         kb = cls.__new__(cls)
         kb._set(gold, heads, scores)
         return kb
@@ -204,8 +204,8 @@ class KBestList:
 def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.ndarray]:
     """`heads` and `scores` as int64 and float64 arrays, if they are a (k, n)
     head matrix over the gold tree's n >= 1 tokens and k >= 1 finite scores, and
-    every row and the gold heads is a forest (integer heads in [0, n], no
-    cycle). Heads given as integral floats are taken as integers."""
+    every row and the gold heads is a rooted tree (`_rooted`: integer heads in
+    [0, n], no cycle). Heads given as integral floats are taken as integers."""
     n, heads, scores = len(gold), np.asarray(heads), np.asarray(scores, dtype=np.float64)
     if heads.ndim != 2 or heads.shape[1] != n or scores.shape != (len(heads),):
         raise AlignmentError(f"a list of {n}-token trees needs a (k, {n}) head matrix and "
@@ -230,7 +230,7 @@ def _check_rows(gold: DependencyTree, heads, scores) -> tuple[np.ndarray, np.nda
     for row in _unrooted([h for row in rows for h in row], [n] * len(rows)):
         if not is_rooted_tree(rows[row]):  # a head past int64 fails every row
             name = "the gold tree" if row == 0 else f"candidate {row}"
-            raise StructureError(f"{name} {sentence}: head indices do not form a forest: "
+            raise StructureError(f"{name} {sentence}: head indices do not form a rooted tree: "
                                  f"{rows[row]}")
     return heads.astype(np.int64, copy=False), scores
 
@@ -249,7 +249,7 @@ class Candidates(Sequence):
     def __getitem__(self, index):
         if isinstance(index, slice):
             return tuple(self[i] for i in range(*index.indices(len(self))))
-        gold = self._kb.gold  # the row is a forest: its list checked it
+        gold = self._kb.gold  # the row is a rooted tree: its list checked it
         return (DependencyTree(gold._forms, gold._tags, self._kb.heads[index].tolist(),
                                gold._lines), float(self._kb.scores[index]))
 

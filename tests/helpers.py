@@ -157,9 +157,7 @@ def same_params(a, b):
     return (a.hyper == b.hyper and a.seed == b.seed and a.pos_vocab == b.pos_vocab
             and a.words.keys == b.words.keys and a.distances.keys == b.distances.keys
             and a.pos_pairs.index == b.pos_pairs.index
-            and all(np.array_equal(x, y) for x, y in (
-                (a.words.vectors, b.words.vectors), (a.distances.vectors, b.distances.vectors),
-                (a.pos_pairs.W, b.pos_pairs.W), (a.pos_pairs.v, b.pos_pairs.v))))
+            and all(map(np.array_equal, a.tables(), b.tables())))
 
 
 def model_parts(params):
@@ -523,8 +521,8 @@ def reference_backward_list(params, plan: ListPlan, acts: ListActivations,
 def assert_same_bytes(got, want):
     """Arrays, or `Gradients`' tables, equal in dtype, shape and bytes."""
     if isinstance(want, Gradients):
-        for name in ("words", "dists", "pair_W", "pair_v"):
-            for a, b in zip(getattr(got, name), getattr(want, name)):
+        for name, got_rows, want_rows in zip(Gradients._fields, got, want):
+            for a, b in zip(got_rows, want_rows):
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), name
     else:
         assert (got.dtype, got.shape, got.tobytes()) == (want.dtype, want.shape, want.tobytes())
@@ -650,7 +648,7 @@ def grad_dicts(grads):
     """The four gradient tables as {row or slot: values} dicts; checks that
     each table names a row once and holds one value block per row."""
     tables = []
-    for rows, values in (grads.words, grads.dists, grads.pair_W, grads.pair_v):
+    for rows, values in grads:
         assert len(set(rows.tolist())) == len(rows) == len(values)
         tables.append(dict(zip(rows.tolist(), values)))
     return tuple(tables)
@@ -679,8 +677,7 @@ def assert_same_gradients(got, want, rel=1e-12):
 
 def max_abs(grads):
     """Largest absolute entry over every gradient block (0 when empty)."""
-    return max((float(np.abs(values).max()) for _, values in
-                (grads.words, grads.dists, grads.pair_W, grads.pair_v) if values.size),
+    return max((float(np.abs(values).max()) for _, values in grads if values.size),
                default=0.0)
 
 
@@ -693,18 +690,16 @@ def apply_update(theta, acc, grad, lam, rho):
     theta -= rho * update
 
 
+def adagrad_sums(params):
+    """Zero AdaGrad sums, one array per table in `tables()` order, as `train()` makes them."""
+    return [np.zeros_like(table) for table in params.tables()]
+
+
 def reference_adagrad_step(params, state, grads, lam):
     """`trainer.adagrad_step`, one `apply_update` per touched row and slot."""
-    words, dists, pair_W, pair_v = grad_dicts(grads)
-    rho = params.hyper.rho
-    for row, g in words.items():
-        apply_update(params.words.vectors[row], state.acc_words[row], g, lam, rho)
-    for row, g in dists.items():
-        apply_update(params.distances.vectors[row], state.acc_dists[row], g, lam, rho)
-    for slot, g in pair_W.items():
-        apply_update(params.pos_pairs.get(slot)[0], state.acc_W[slot], g, lam, rho)
-    for slot, g in pair_v.items():
-        apply_update(params.pos_pairs.get(slot)[1], state.acc_v[slot], g, lam, rho)
+    for table, sums, rows in zip(params.tables(), state, grad_dicts(grads), strict=True):
+        for row, g in rows.items():
+            apply_update(table[row], sums[row], g, lam, params.hyper.rho)
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,9 @@ from deprerank.rcnn import build_forests, plan_batches
 from deprerank.reranker import (
     RerankConfig, candidate_model_scores, rerank_corpus, search_alpha, uas_curve,
 )
-from deprerank.trainer import AdaGradState, _SentenceItem, _subgradient, adagrad_step
+from deprerank.trainer import _SentenceItem, _subgradient, adagrad_step
 
-from helpers import synth_corpus
+from helpers import adagrad_sums, synth_corpus
 
 # (module, function) of each numpy Python wrapper the hot paths avoid
 WRAPPERS = {
@@ -88,7 +88,7 @@ def test_the_curve_enters_no_numpy_wrapper():
 def test_a_training_step_enters_no_numpy_wrapper():
     params, lists = _model_and_lists()
     items = _SentenceItem.build_all(params, lists, kappa=2.0)
-    state = AdaGradState.from_params(params)
+    state = adagrad_sums(params)
     hinges = []
 
     def step():

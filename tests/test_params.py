@@ -8,7 +8,7 @@ import pytest
 
 from deprerank.errors import FormatError, ModelIOError, ParseError
 from deprerank.params import (
-    Hyperparams, ParamSet, ROOT_FORM, UNK_FORM, _stable_hash, build_pos_vocab,
+    TABLES, Hyperparams, ParamSet, ROOT_FORM, UNK_FORM, _stable_hash, build_pos_vocab,
     build_word_vocab, init_random, load, load_pretrained, save, stream_keys, table_bytes,
     uniform_draws,
 )
@@ -315,6 +315,22 @@ def test_loaded_and_copied_pairs_grow_like_the_original():
     assert same_params(loaded, p) and same_params(copied, p)
     copied.pos_pairs.W[1] += 1.0
     assert not same_params(copied, p) and same_params(loaded, p)
+
+
+def test_the_model_file_holds_the_tables_in_their_order():
+    p = tiny_params(m=4, m_d=3, seed=9, dist_clip=5)
+    get_pair(p, "NN", "DT", create=True)
+    tables = p.tables()
+    assert len(tables) == len(TABLES) == 4
+    assert all(a is b for a, b in zip(tables, (p.words.vectors, p.distances.vectors,
+                                               p.pos_pairs.W, p.pos_pairs.v)))
+    assert [t.shape for t in tables] == [(len(p.words), 4), (11, 3), (2, 4, 11), (2, 4)]
+    assert model_parts(p)[1] == b"".join(t.tobytes() for t in tables)
+    # `add` replaces W and v, and `tables()` reads the new ones
+    get_pair(p, "VB", "IN", create=True)
+    assert p.tables()[2] is p.pos_pairs.W and p.tables()[3] is p.pos_pairs.v
+    assert [len(t) for t in p.tables()[2:]] == [3, 3]
+    assert model_parts(p)[1] == b"".join(t.tobytes() for t in p.tables())
 
 
 def test_save_is_byte_deterministic():

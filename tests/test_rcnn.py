@@ -374,6 +374,20 @@ def test_list_pooling_ties_go_to_the_first_child():
                           backward_tree(p, score_tree(p, tree), upstream=1.0))
 
 
+def test_each_gradient_field_holds_rows_of_its_table():
+    # `Gradients` follows `ParamSet.tables()`: field i holds rows of table i
+    p = tiny_params(m=3, m_d=2, seed=3)
+    trees = [make_tree([2, 0, 2, 3]), make_tree([0, 1, 2, 1])]
+    plan = list_plan(p, trees, create_pairs=True)
+    _, acts = forward_list(p, plan)
+    grads = backward_list(p, plan, acts, [1, 0], [1.0, -1.0])
+    assert rcnn.Gradients._fields == ("words", "dists", "pair_W", "pair_v")
+    for (rows, values), table in zip(grads, p.tables(), strict=True):
+        assert len(rows) and values.shape == (len(rows),) + table.shape[1:]
+        assert 0 <= rows.min() and rows.max() < len(table)
+    assert [values.ndim for _, values in grads] == [2, 2, 3, 2]
+
+
 def test_backward_list_rejects_bad_tree_selection():
     p = tiny_params()
     trees = [make_tree([0, 1, 1]), make_tree([2, 0, 2])]
@@ -438,15 +452,15 @@ def test_list_plan_rejects_bad_input():
 def test_list_plan_rejects_cycles():
     # a cyclic row cannot reach a plan build: its list cannot be made
     gold = make_tree([0, 1, 2, 3, 4])
-    forest = "head indices do not form a forest"
+    tree = "head indices do not form a rooted tree"
     with pytest.raises(StructureError, match=rf"^candidate 1 of the sentence 'w1 w2 w3': "
-                                             rf"{forest}: \[2, 1, 0\]$"):
+                                             rf"{tree}: \[2, 1, 0\]$"):
         from_arrays(make_tree([0, 1, 1]), [[2, 1, 0]], [0.0])
     # row 2: tokens 3 and 4 head each other, 2 and 5 hang below them, and 1
     # hangs below the root
-    with pytest.raises(StructureError, match=rf"^candidate 2 .*{forest}: \[0, 3, 4, 3, 2\]$"):
+    with pytest.raises(StructureError, match=rf"^candidate 2 .*{tree}: \[0, 3, 4, 3, 2\]$"):
         from_arrays(gold, [[0, 1, 2, 3, 4], [0, 3, 4, 3, 2]], [0.0, 0.0])
-    with pytest.raises(StructureError, match=rf"^candidate 1 .*{forest}: \[1\]$"):
+    with pytest.raises(StructureError, match=rf"^candidate 1 .*{tree}: \[1\]$"):
         from_arrays(make_tree([0]), [[1]], [0.0])
 
 

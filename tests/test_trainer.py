@@ -16,16 +16,16 @@ from deprerank.rcnn import Gradients, Rows, backward_tree, build_plan, score_tre
 from deprerank.reranker import RerankConfig, rerank_corpus
 from deprerank.synth import DEFAULT_TAGS
 from deprerank.trainer import (
-    AdaGradState, TrainConfig, _kbest_digest, adagrad_step, grad_check,
-    run_grad_check_suite, train,
+    TrainConfig, _kbest_digest, adagrad_step, grad_check, run_grad_check_suite, train,
 )
 from deprerank.treebank import PUNCT_SETS, KBestList
 
 from helpers import (
-    TAGS, accumulate, assert_same_gradients, get_pair, kbest_of, loss_augmented_pick, make_tree,
-    margin_delta, max_abs, model_parts, one_sentence_plans, per_tree_pick, per_tree_subgradient,
-    random_heads, random_multi_root_heads, random_tree, reference_adagrad_step, same_params,
-    sentence_item, sentence_subgradient, synth_corpus, tiny_params,
+    TAGS, accumulate, adagrad_sums, assert_same_gradients, get_pair, kbest_of,
+    loss_augmented_pick, make_tree, margin_delta, max_abs, model_parts, one_sentence_plans,
+    per_tree_pick, per_tree_subgradient, random_heads, random_multi_root_heads, random_tree,
+    reference_adagrad_step, same_params, sentence_item, sentence_subgradient, synth_corpus,
+    tiny_params,
 )
 
 
@@ -227,7 +227,7 @@ def test_grad_check_sees_a_wrong_gradient_below_1e_9(monkeypatch, seed):
     def wrong(*args):
         g = right(*args)
         return Gradients(*(Rows(rows, np.where(np.abs(values) < 1e-9, 1.5 * values, values))
-                           for rows, values in (g.words, g.dists, g.pair_W, g.pair_v)))
+                           for rows, values in g))
 
     monkeypatch.setattr(trainer, "backward_list", wrong)
     suite = run_grad_check_suite(seed=seed, instances=20)
@@ -242,47 +242,47 @@ def _word_grad(row, values):
 
 def test_adagrad_first_step_is_rho_signed():
     p = tiny_params(m=3, m_d=3)
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     row = p.word_row("w1")
     p.words.vectors[row] = 0.0
     g = np.array([0.25, -3.0, 0.0])
     adagrad_step(p, state, _word_grad(row, g), lam=0.5)
     # theta was 0, so lambda does not bite; each nonzero coord moves by rho*sign(g)
     assert np.allclose(p.words.vectors[row], [-0.1, 0.1, 0.0])
-    assert np.allclose(state.acc_words[row], g * g)
+    assert np.allclose(state[0][row], g * g)
 
 
 def test_adagrad_zero_gradient_is_fixed_point():
     p = tiny_params()
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     row = p.word_row("w2")
     p.words.vectors[row] = 0.0
-    before_acc = state.acc_words[row].copy()
+    before_acc = state[0][row].copy()
     adagrad_step(p, state, _word_grad(row, np.zeros(3)), lam=0.0)
     assert np.array_equal(p.words.vectors[row], np.zeros(3))
-    assert np.array_equal(state.acc_words[row], before_acc)
+    assert np.array_equal(state[0][row], before_acc)
 
 
 def test_adagrad_accumulator_monotone_and_steps_shrink():
     p = tiny_params(m=2, m_d=2)
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     row = p.word_row("w3")
-    prev_acc = state.acc_words[row].copy()
+    prev_acc = state[0][row].copy()
     prev_step = None
     for _ in range(5):
         before = p.words.vectors[row].copy()
         adagrad_step(p, state, _word_grad(row, np.ones(2)), lam=0.0)
-        assert np.all(state.acc_words[row] >= prev_acc)
+        assert np.all(state[0][row] >= prev_acc)
         step = np.abs(p.words.vectors[row] - before)
         if prev_step is not None:
             assert np.all(step <= prev_step + 1e-15)
-        prev_acc = state.acc_words[row].copy()
+        prev_acc = state[0][row].copy()
         prev_step = step
 
 
 def test_adagrad_step_descends_along_subgradient():
     p = tiny_params(m=3, m_d=3, seed=6)
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     row = p.word_row("w1")
     g = np.array([0.5, -0.2, 0.0])
     before = p.words.vectors[row].copy()
@@ -293,7 +293,7 @@ def test_adagrad_step_descends_along_subgradient():
 
 def test_adagrad_leaves_untouched_parameters_alone():
     p = tiny_params()
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     row0, row1 = p.word_row("w1"), p.word_row("w2")
     before = p.words.vectors[row1].copy()
     adagrad_step(p, state, _word_grad(row0, np.ones(3)), lam=1.0)
@@ -313,9 +313,7 @@ def _random_rows(rng, count, shape):
 
 
 def _state_bytes(params, state):
-    return [a.tobytes() for a in (params.words.vectors, params.distances.vectors,
-                                  params.pos_pairs.W, params.pos_pairs.v, state.acc_words,
-                                  state.acc_dists, state.acc_W, state.acc_v)]
+    return [a.tobytes() for a in (*params.tables(), *state)]
 
 
 @pytest.mark.parametrize("lam", [1e-4, 0.0, 0.5])
@@ -330,7 +328,7 @@ def test_adagrad_step_matches_the_per_row_reference(lam):
     p.pos_pairs.W[1, 0] = -0.0
     for pair in (("VB", "NN"), ("JJ", "NN"), ("IN", "DT")):
         get_pair(p, *pair, create=True)
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     ref, ref_state = p.copy(), copy.deepcopy(state)
     m, n = p.hyper.m, p.hyper.n
     zero_sums = False
@@ -342,8 +340,8 @@ def test_adagrad_step_matches_the_per_row_reference(lam):
         adagrad_step(p, state, grads, lam)
         reference_adagrad_step(ref, ref_state, grads, lam)
         assert _state_bytes(p, state) == _state_bytes(ref, ref_state)
-        zero_sums |= bool((state.acc_words[grads.words.rows] == 0.0).any())
-    assert len(state.acc_W) == len(p.pos_pairs) == 5
+        zero_sums |= bool((state[0][grads.words.rows] == 0.0).any())
+    assert len(state[2]) == len(p.pos_pairs) == 5
     assert zero_sums  # a touched coordinate divided 0 by sqrt(0)
 
 
@@ -422,7 +420,7 @@ def test_repeated_steps_separate_single_sentence():
     ])
     p = tiny_params(m=3, m_d=3, seed=21)
     sentence_item(p, kb, kappa=2.0)  # creates the list's POS pairs before the state, as train()
-    state = AdaGradState.from_params(p)
+    state = adagrad_sums(p)
     hinge = None
     for _ in range(300):
         grads, hinge = sentence_subgradient(p, kb, kappa=2.0)
@@ -454,6 +452,7 @@ def test_each_epoch_visits_every_sentence_once_in_its_keyed_order(monkeypatch):
 
 
 @pytest.mark.parametrize("rho, epoch, what", [(1e121, 2, "word vectors"),
+                                             (0.1, 1, "distance vectors"),
                                              (1e130, 2, "composition matrices"),
                                              (1e200, 1, "dev scores")])
 def test_train_names_the_epoch_whose_numbers_are_not_finite(rho, epoch, what):
@@ -462,11 +461,30 @@ def test_train_names_the_epoch_whose_numbers_are_not_finite(rho, epoch, what):
     corpus = synth_corpus(seed=17, sentences=12, k=5, length_range=(3, 6))
     p = init_random(Hyperparams(m=4, m_d=4, k=5, rho=rho), [f"word{i:02d}" for i in range(30)],
                     ["NN"], seed=1)
+    if what == "distance vectors":  # a row that no arc of 3-6 tokens reads
+        p.distances.vectors[p.distance_row(-10)] = np.nan
     reports = []
     with np.errstate(all="ignore"), pytest.raises(
             ScoreError, match=f"^epoch {epoch}: the {what} are not finite$"):
         train(p, corpus[:8], corpus[8:], TrainConfig(max_epochs=3, seed=1), reports.append)
     assert len(reports) == epoch - 1
+
+
+def test_train_keeps_one_adagrad_sum_per_coordinate_of_each_table(monkeypatch):
+    seen, step = [], trainer.adagrad_step
+
+    def spy(params, state, grads, lam):
+        seen.append((state, [(a.shape, a.dtype) for a in state],
+                     [(t.shape, t.dtype) for t in params.tables()]))
+        step(params, state, grads, lam)
+
+    monkeypatch.setattr(trainer, "adagrad_step", spy)
+    corpus = synth_corpus(seed=5, sentences=8, k=4, length_range=(3, 6))
+    train(tiny_params(m=3, m_d=2), corpus, corpus[:2], TrainConfig(max_epochs=2, seed=1))
+    assert seen and all(state is seen[0][0] for state, _, _ in seen)
+    for _, sums, tables in seen:
+        assert len(sums) == 4 and sums == tables
+    assert all(np.all(a >= 0.0) and a.any() for a in seen[0][0])
 
 
 def test_the_byte_estimate_counts_the_pairs_training_stores():

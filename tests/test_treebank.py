@@ -595,7 +595,7 @@ def test_kbest_constructors_reject_rows_that_are_not_forests():
                           (np.zeros((0, 2)), []), ([[0, 1, 1]], [0.0, 1.0]), ([[0, 1, 1]], 0.0)):
         with pytest.raises(AlignmentError, match=r"needs a \(k, 3\) head matrix and k scores"):
             from_arrays(gold, heads, scores)
-    sentence = "of the sentence 'w1 w2 w3': head indices do not form a forest:"
+    sentence = "of the sentence 'w1 w2 w3': head indices do not form a rooted tree:"
     for tree, rows, message in (
             (gold, [[0, 1, 1], [0, 1, 4]], f"candidate 2 {sentence} [0, 1, 4]"),
             (gold, [[0, 1, -1]], f"candidate 1 {sentence} [0, 1, -1]"),
@@ -640,7 +640,7 @@ def test_a_cycle_is_refused_where_its_list_is_made():
     from deprerank.reranker import RerankConfig, rerank_corpus
 
     gold = make_tree([0, 1, 1, 1])
-    with pytest.raises(StructureError, match=r"^candidate 1 .* forest: \[2, 1, 0, 3\]$"):
+    with pytest.raises(StructureError, match=r"^candidate 1 .* rooted tree: \[2, 1, 0, 3\]$"):
         rerank_corpus(None, [from_arrays(gold, [[2, 1, 0, 3]], [0.0])],
                       RerankConfig(alpha=0.5), model_scores=[[0.0]])
 
