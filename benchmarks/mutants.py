@@ -86,23 +86,37 @@ MUTANTS = (
     _reader("parse-lines-no-id-check", "if index != len(heads) + 1:", "if False:",
             "test_a_sentence_with_no_blank_lines_takes_a_bounded_block"),
     _reader("parse-lines-no-self-head-check",
-            "        if head == index:\n"
-            "            raise ParseError(f\"token {index} is its own head\", lineno)\n", "",
+            "            if head == index:\n"
+            "                raise ParseError(f\"token {index} is its own head\", lineno)\n", "",
             "test_parse_errors_carry_line_numbers"),
     _reader("parse-block-no-newline-check", "if len(ends) != len(lines) - 1:", "if False:",
             "test_a_text_file_whose_lines_hold_a_newline_reads_as_its_lines"),
     # the tree check
     _reader("rooted-no-pointer-jumping",
-            "for _ in range(int(width.max()).bit_length()):", "for _ in range(0):",
-            "test_a_cycle_is_refused_where_its_list_is_made"),
-    _reader("rooted-one-round-fewer", "for _ in range(int(width.max()).bit_length()):",
-            "for _ in range(int(width.max()).bit_length() - 1):",
+            "for _ in range(int(np.maximum.reduce(width, initial=0)).bit_length()):",
+            "for _ in range(0):", "test_a_cycle_is_refused_where_its_list_is_made"),
+    _reader("rooted-one-round-fewer",
+            "for _ in range(int(np.maximum.reduce(width, initial=0)).bit_length()):",
+            "for _ in range(int(np.maximum.reduce(width, initial=0)).bit_length() - 1):",
             "test_rooted_rows_matches_is_rooted_tree"),
     _reader("unrooted-no-overflow-fallback", "except OverflowError:", "except ZeroDivisionError:",
             "test_conll_head_beyond_int64_is_a_structure_error"),
-    # the trees read so far are checked before an error is raised
-    _reader("conll-no-tree-check-before-error", "        trees.check()\n        raise\n",
-            "        raise\n", "test_conll_errors_come_in_file_order_across_batches"),
+    # each gold tree is checked where it is parsed, before a later error is raised
+    _reader("conll-no-tree-check-before-error",
+            "    finally:  # the trees before a bad line are checked before its error is raised\n",
+            "    except ZeroDivisionError:\n        pass\n    if True:\n",
+            "test_conll_head_beyond_int64_is_a_structure_error"),
+    _reader("conll-block-no-tree-check", "        if not good:\n", "        if False:\n",
+            "test_parse_two_cycle_rejected"),
+    # the block's bad tree, under its own label, before the line-by-line run ahead of it
+    _reader("conll-block-tree-error-before-line-run",
+            "        if exact is not None:\n            _parse_lines(lines[exact:a],",
+            "        if not good:\n"
+            "            run = (begin >= (a if exact is None else exact)) & (begin < a)\n"
+            "            DependencyTree([], [], heads[a:a + n], []).validate(\n"
+            "                label=f\"sentence {len(trees) + int(run.sum())}\")\n"
+            "        if exact is not None:\n            _parse_lines(lines[exact:a],",
+            "test_a_line_error_before_a_bad_tree_in_its_block_comes_first"),
     _reader("kbest-no-tree-check-before-error",
             "        _check_lists(pending)\n        raise\n",
             "        raise\n", "test_kbest_errors_come_in_file_order_across_batches"),

@@ -3,7 +3,8 @@
 A `DependencyTree` is columns: forms, POS tags and heads, and the CoNLL line
 each token was read from. `_rooted` alone decides whether heads form a rooted
 tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
-one pass; a `KBestList` checks its rows where it is made, and only there.
+one pass; a `KBestList` checks its rows where it is made, and only there,
+and `parse_conll` checks each gold tree where it parses it.
 One rule routes every source of both readers (`_in_blocks`): a string or a
 text file is taken a block of whole sentences at a time, and what can be
 parsed at once is, where that reads the same values as reading line by
@@ -291,9 +292,10 @@ def _in_blocks(source: Iterable[str] | str) -> bool:
     return isinstance(source, (str, io.TextIOBase))
 
 
-# Trees are validated in batches of about this many tokens, one pass each:
-# per tree costs a numpy call per check, and one pass over a whole file
-# misses the cache more than it saves.
+# The trees of block-read k-best lists are validated in batches of about
+# this many tokens, one pass each: per list costs a numpy call per check, and
+# one pass over a whole file misses the cache more than it saves. Gold trees
+# are checked where they are parsed (`_parse_lines`, `_parse_block`).
 _CHECK_TOKENS = 8192
 
 # From a string or a text file, the readers hold at most this many lines at
@@ -301,31 +303,6 @@ _CHECK_TOKENS = 8192
 # larger (absurd) k, or a gold sentence that a block cannot finish, is read
 # line by line instead, as every other source is.
 _BLOCK_LINES = 65536
-
-
-class _Trees:
-    """The trees read so far. Their heads are checked by `_rooted` a batch
-    of about `_CHECK_TOKENS` tokens at a time."""
-
-    def __init__(self):
-        self.trees: list[DependencyTree] = []
-        self.heads: list[int] = []  # of the unchecked trees trees[checked:], end to end
-        self.checked = 0
-
-    def add(self, forms: Sequence[str], tags: Sequence[str], heads: Sequence[int],
-            lines: Sequence[str]) -> None:
-        self.trees.append(DependencyTree(forms, tags, heads, lines))
-        self.heads += heads
-        if len(self.heads) >= _CHECK_TOKENS:
-            self.check()
-
-    def check(self) -> None:
-        """Check the unchecked trees in one pass: the first that is not a
-        rooted tree raises what its `validate` raises."""
-        todo = self.trees[self.checked:]
-        for i in _unrooted(self.heads, [len(t) for t in todo]):
-            todo[i].validate(label=f"sentence {self.checked + i}")
-        self.checked, self.heads = len(self.trees), []
 
 
 def parse_conll(source: Iterable[str] | str) -> list[DependencyTree]:
@@ -336,61 +313,63 @@ def parse_conll(source: Iterable[str] | str) -> list[DependencyTree]:
     read as a text file is (`_iter_lines`); the lines of a file or any other
     source are as given. A string or a text file is read in blocks of whole
     sentences (`_parse_blocks`), any other source line by line
-    (`_parse_lines`). Trees are checked a batch at a time (`_Trees`); a batch
-    is checked before any error is raised, so the first error in file order
-    is the one raised.
+    (`_parse_lines`). Each route checks the trees it parses, and checks them
+    before it raises the error of a bad line, so the first error in file
+    order is the one raised.
     """
     lines = _iter_lines(source)
-    trees = _Trees()
-    try:
-        if _in_blocks(source):
-            _parse_blocks(lines, trees)
-        else:
-            _parse_lines((line.rstrip("\n") for line in lines), 1, trees)
-    except DataError:
-        trees.check()
-        raise
-    trees.check()
-    return trees.trees
+    trees: list[DependencyTree] = []
+    if _in_blocks(source):
+        _parse_blocks(lines, trees)
+    else:
+        _parse_lines((line.rstrip("\n") for line in lines), 1, trees)
+    return trees
 
 
-def _parse_lines(lines: Iterable[str], lineno: int, trees: _Trees) -> None:
+def _parse_lines(lines: Iterable[str], lineno: int, trees: list[DependencyTree]) -> None:
     """The exact path: `lines`, without their newlines, from line number
-    `lineno` on, read one at a time. A tree ends at each blank line and at
-    the end of `lines`; a line is checked as it is read, and the first bad
-    one raises its error."""
+    `lineno` on, read one at a time, their trees appended to `trees`. A tree
+    ends at each blank line and at the end of `lines`; a line is checked as
+    it is read, and the trees in one call at the end, or before the error of
+    the first bad line is raised."""
+    start = len(trees)
     forms: list[str] = []  # of the tree being read
     tags: list[str] = []
     heads: list[int] = []
     texts: list[str] = []
-    for lineno, line in enumerate(itertools.chain(lines, [""]), start=lineno):
-        if not line.strip():
-            if heads:
-                trees.add(forms, tags, heads, texts)
-                forms, tags, heads, texts = [], [], [], []
-            continue
-        cols = line.split("\t", 7)  # the columns up to HEAD, DEPREL and the rest
-        if len(cols) < 8:
-            raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
-        try:
-            index = int(cols[0])
-            head = int(cols[6])
-        except ValueError:
-            raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
-        if index != len(heads) + 1:
-            raise ParseError(f"token ID {index} out of order (expected {len(heads) + 1})",
-                             lineno)
-        if head == index:
-            raise ParseError(f"token {index} is its own head", lineno)
-        if head < 0:
-            raise ParseError(f"negative HEAD {head}", lineno)
-        forms.append(cols[1])
-        tags.append(cols[4])
-        heads.append(head)
-        texts.append(line)
+    try:
+        for lineno, line in enumerate(itertools.chain(lines, [""]), start=lineno):
+            if not line.strip():
+                if heads:
+                    trees.append(DependencyTree(forms, tags, heads, texts))
+                    forms, tags, heads, texts = [], [], [], []
+                continue
+            cols = line.split("\t", 7)  # the columns up to HEAD, DEPREL and the rest
+            if len(cols) < 8:
+                raise ParseError(f"expected >= 8 tab-separated columns, got {len(cols)}", lineno)
+            try:
+                index = int(cols[0])
+                head = int(cols[6])
+            except ValueError:
+                raise ParseError(f"non-integer ID or HEAD in {line!r}", lineno) from None
+            if index != len(heads) + 1:
+                raise ParseError(f"token ID {index} out of order (expected {len(heads) + 1})",
+                                 lineno)
+            if head == index:
+                raise ParseError(f"token {index} is its own head", lineno)
+            if head < 0:
+                raise ParseError(f"negative HEAD {head}", lineno)
+            forms.append(cols[1])
+            tags.append(cols[4])
+            heads.append(head)
+            texts.append(line)
+    finally:  # the trees before a bad line are checked before its error is raised
+        read = trees[start:]
+        for i in _unrooted([h for tree in read for h in tree._heads], [len(t) for t in read]):
+            read[i].validate(label=f"sentence {start + i}")
 
 
-def _parse_blocks(lines: Iterator[str], trees: _Trees) -> None:
+def _parse_blocks(lines: Iterator[str], trees: list[DependencyTree]) -> None:
     """The sentences of a string's or a text file's lines, in blocks of half
     of `_BLOCK_LINES` lines, then the lines up to the end of the sentence that
     cut falls in (a blank line, or the end of the input): whole sentences, at
@@ -412,7 +391,7 @@ def _parse_blocks(lines: Iterator[str], trees: _Trees) -> None:
         lineno += len(block)
 
 
-def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
+def _parse_block(lines: list[str], lineno: int, trees: list[DependencyTree]) -> None:
     """The sentences of `lines`, without their newlines, from line number
     `lineno` on, each split at once where that reads what reading it line by
     line reads.
@@ -422,8 +401,10 @@ def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
     columns, at least 8, and whose heads are 1-18 ASCII digits, none equal to
     the line's place in its sentence, and read those heads (`_digits`). Such
     a sentence is split by one `split`, which gives its IDs, forms and tags
-    as strided slices; if its IDs are 1..n, it is a tree. Any other sentence
-    is read by `_parse_lines`, which raises the error of the first bad line.
+    as strided slices; if its IDs are 1..n, it is a tree, checked with the
+    others in one `_rooted` call. Any other sentence is read by
+    `_parse_lines`, which raises the error of the first bad line; a run of
+    them is read before the error of a tree split after it is raised.
     The lines are a string's or a text file's (`_in_blocks`), so none holds
     a newline unless the file was opened with newline="\r"; such a block is
     read by `_parse_lines` too.
@@ -450,10 +431,12 @@ def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
            & (heads != np.arange(len(lines)) - begin[which] + 1))  # no self-head
     fast = np.logical_and.reduceat(ok | ~filled, begin)
     sizes = np.add.reduceat(filled, begin)
+    rooted = ~fast  # each sentence that can be split is checked here, the others line by line
+    rooted[fast] = _rooted(heads.compress(fast[which] & filled), sizes.compress(fast))
     heads = heads.tolist()
     exact = None  # the first line of the sentences to read line by line
-    for a, n, w, split in zip(begin.tolist(), sizes.tolist(), width[begin].tolist(),
-                              fast.tolist()):
+    for a, n, w, split, good in zip(begin.tolist(), sizes.tolist(), width[begin].tolist(),
+                                    fast.tolist(), rooted.tolist()):
         if split:
             sentence = lines[a:a + n]
             fields = "\t".join(sentence).split("\t")
@@ -464,7 +447,9 @@ def _parse_block(lines: list[str], lineno: int, trees: _Trees) -> None:
         if exact is not None:
             _parse_lines(lines[exact:a], lineno + exact, trees)
             exact = None
-        trees.add(fields[1::w], fields[4::w], heads[a:a + n], sentence)
+        trees.append(DependencyTree(fields[1::w], fields[4::w], heads[a:a + n], sentence))
+        if not good:
+            trees[-1].validate(label=f"sentence {len(trees) - 1}")
     if exact is not None:
         _parse_lines(lines[exact:], lineno + exact, trees)
 
@@ -487,10 +472,8 @@ def _unrooted(heads: Sequence[int], width: list[int]) -> list[int]:
     """The rows that `_rooted` finds are not rooted trees, of rows of heads
     laid end to end, row r holding width[r] heads. Every row, if a head lies
     beyond int64: then only each row's own check can tell which it is."""
-    if not width:
-        return []
     try:
-        ok = _rooted(np.array(heads, dtype=np.int64), np.array(width))
+        ok = _rooted(np.array(heads, dtype=np.int64), np.array(width, dtype=np.int64))
     except OverflowError:
         return list(range(len(width)))
     return np.flatnonzero(~ok).tolist()
@@ -578,9 +561,11 @@ def dump_conll(trees: Iterable[DependencyTree], path) -> None:
 
 def rooted_rows(heads: Sequence[np.ndarray]) -> np.ndarray:
     """`is_rooted_tree` of every row of a list of (k, n) head matrices of any
-    widths n >= 1, as one bool array over their rows in order."""
-    width = np.repeat([h.shape[1] for h in heads], [len(h) for h in heads])
-    return _rooted(np.concatenate([h.ravel() for h in heads]), width)
+    widths n >= 1, as one bool array over their rows in order; an empty list
+    has no rows."""
+    width = np.repeat(np.array([h.shape[1] for h in heads], dtype=np.int64),
+                      [len(h) for h in heads])
+    return _rooted(np.concatenate([np.empty(0, np.int64), *(h.ravel() for h in heads)]), width)
 
 
 def _rooted(heads: np.ndarray, width: np.ndarray) -> np.ndarray:
@@ -596,7 +581,7 @@ def _rooted(heads: np.ndarray, width: np.ndarray) -> np.ndarray:
         heads = np.where(np.repeat(ok, width), heads, 0)
     end = len(heads)
     up = np.append(np.where(heads > 0, np.repeat(start, width) + heads - 1, end), end)
-    for _ in range(int(width.max()).bit_length()):
+    for _ in range(int(np.maximum.reduce(width, initial=0)).bit_length()):
         up = up[up]
     return ok & np.logical_and.reduceat(up[:end] == end, start)
 
@@ -712,8 +697,6 @@ def _check_lists(pending: list[tuple[int, KBestList]]) -> None:
     """Check the candidate trees of (sentence index, list) items in one
     pass: the first tree in file order that is not a rooted tree raises what
     the exact path raises for it."""
-    if not pending:
-        return
     ok = rooted_rows([kb.heads for _, kb in pending])
     if ok.all():
         return

@@ -276,13 +276,13 @@ def _parsed(parser, text):
 
 
 @settings(FUZZ, max_examples=300)
-@given(conll_files(), BATCHES)
-def test_parse_conll_fails_like_the_sequential_parser(text, batch):
-    """Trees are checked a batch at a time, yet the error raised is the first
-    in file order, as the parser that checks each tree at once raises it."""
-    with mock.patch.object(treebank, "_CHECK_TOKENS", batch):
-        ours = _parsed(parse_conll, text)
-        assert _parsed(parse_conll, io.StringIO(text)) == ours
+@given(conll_files())
+def test_parse_conll_fails_like_the_sequential_parser(text):
+    """Trees are checked a block or a run of lines at a time, yet the error
+    raised is the first in file order, as the parser that checks each tree at
+    once raises it."""
+    ours = _parsed(parse_conll, text)
+    assert _parsed(parse_conll, io.StringIO(text)) == ours
     assert ours == _parsed(reference_parse_conll, text)
 
 
@@ -358,13 +358,12 @@ RAGGED = "1\t1\t1\tT\tT\t1\t0\t1\t1\n2\tw\t1\tT\tT\t1\t1\t1\n3\t3\t1\tT\tT\t1\t1
 
 
 @settings(FUZZ, max_examples=300)
-@given(conll_texts(), st.sampled_from((1, 2, 7, treebank._BLOCK_LINES)),
-       st.sampled_from((1, 7, treebank._CHECK_TOKENS)))
-@example(RAGGED, treebank._BLOCK_LINES, treebank._CHECK_TOKENS)
-def test_parse_conll_matches_the_line_parser(text, block, batch):
+@given(conll_texts(), st.sampled_from((1, 2, 7, treebank._BLOCK_LINES)))
+@example(RAGGED, treebank._BLOCK_LINES)
+def test_parse_conll_matches_the_line_parser(text, block):
     """String and text-file sources, read in blocks of 1, 2 or 7 lines or whole,
     and list sources, read line by line."""
-    with mock.patch.multiple(treebank, _BLOCK_LINES=block, _CHECK_TOKENS=batch):
+    with mock.patch.object(treebank, "_BLOCK_LINES", block):
         for source in (lambda: io.StringIO(text), lambda: _paired_lines(text), lambda: text):
             ours = _parsed(parse_conll, source())
             assert ours == _parsed(reference_parse_conll, source())

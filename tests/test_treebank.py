@@ -471,7 +471,7 @@ def test_a_text_file_whose_lines_hold_a_newline_reads_as_its_lines(tmp_path):
 
 def test_conll_errors_come_in_file_order_across_batches():
     cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
-    # the first sentence alone fills a batch, so the cycle opens the second
+    # a first sentence of 8,192 lines, so the cycle opens the second far into the block
     first = write_conll([_chain(8192)])
     for text, label in ((BIKE_BLOCK + "\n" + cycle, "sentence 1"),
                         (first + "\n" + cycle, "sentence 1"),
@@ -483,6 +483,23 @@ def test_conll_errors_come_in_file_order_across_batches():
                 reference_parse_conll(text + tail)
             assert str(ours.value) == str(theirs.value)
             assert str(ours.value).startswith(f"{label}: head indices do not form a rooted tree")
+
+
+def test_a_line_error_before_a_bad_tree_in_its_block_comes_first():
+    """Sentences read line by line, then a cyclic sentence split at once, in
+    one block: the run is read, and its first error raised, before the
+    cycle's; with no error in the run, the cycle's label counts its trees."""
+    cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
+    signed = BIKE_BLOCK.replace("\t0\troot", "\t+0\troot")  # read line by line
+    for run, error, start in (
+            (BIKE_BLOCK.replace("\t3\tdet", "\tx\tdet"), ParseError, "line 1: non-integer"),
+            (signed.replace("+0", str(10 ** 30)), StructureError, "sentence 0: "),
+            (signed + "\n" + signed, StructureError, "sentence 2: ")):
+        with pytest.raises(error) as ours:
+            parse_conll(run + "\n" + cycle)
+        with pytest.raises(error) as theirs:
+            reference_parse_conll(run + "\n" + cycle)
+        assert str(ours.value) == str(theirs.value) and str(ours.value).startswith(start)
 
 
 def test_conll_head_beyond_int64_is_a_structure_error():
