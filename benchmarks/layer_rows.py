@@ -8,6 +8,8 @@ and times each row over the lists of one role: those the workload trains on
 
     reading        load_conll (gold)                   rerank
                    load_conll, + heads                 rerank
+                   load_conll, every other + head      rerank
+                   load_conll, first + head            rerank
                    read_kbest_files                    rerank
                    read_kbest, line by line            rerank
                    rooted_rows, batched                rerank
@@ -25,7 +27,11 @@ and times each row over the lists of one role: those the workload trains on
     the three      rerank tail                         rerank
 
 `+ heads` reads the gold file with each sentence's first head written +h,
-which sends every sentence to the per-line path; `line by line` reads both
+which sends every sentence to the per-line path; `every other + head` writes
+it so in the second, fourth, ... sentence, and `first + head` in the first
+only. A block is split up to its first such sentence and read line by line
+from there, so these two read all but at most one sentence of a file of
+one block line by line, as `+ heads` does. `line by line` reads both
 files' lines given as lists. Dev selection is `train()`'s per epoch
 (`forest_scores` of the dev forests, `rerank_corpus` at alpha 1); the pick is
 `rerank --search-alpha`'s, model scores given, and `rerank tail` is its alpha
@@ -95,16 +101,25 @@ def rows(wl, inputs, directory):
     train = sorted(inputs[wl.train_role][0], key=_kbest_digest)  # the order that numbers pairs
     dev = inputs["dev"][0]
     target, gold_path, kbest_path = inputs[wl.rerank_role]
-    signed_path = os.path.join(directory, "signed.conll")
     with open(gold_path, encoding="utf-8") as gold, open(kbest_path, encoding="utf-8") as kbest:
         gold_lines, kbest_lines = gold.readlines(), kbest.readlines()
-    signed, signs = re.subn(r"(^|\n\n)((?:[^\t\n]*\t){6})", r"\1\2+", "".join(gold_lines))
-    with open(signed_path, "w", encoding="utf-8") as f:
-        f.write(signed)
+
+    def signed(name, which):
+        """A copy of the gold file with the first head of sentence i written +h where which(i)."""
+        path, sentences = os.path.join(directory, f"{name}.conll"), itertools.count()
+        text = re.sub(r"(^|\n\n)((?:[^\t\n]*\t){6})",
+                      lambda head: head[0] + "+" * which(next(sentences)), "".join(gold_lines))
+        with open(path, "w", encoding="utf-8") as f:
+            f.write(text)
+        assert next(sentences) == len(target) and load_conll(path) == [kb.gold for kb in target]
+        return path
+
     # no row times other data than the lists written
-    assert signs == len(target) and same_lists(read_kbest_files(gold_path, kbest_path), target)
+    signed_path, alternate_path, first_path = (signed("signed", lambda i: True),
+                                               signed("alternate", lambda i: i % 2),
+                                               signed("first", lambda i: i == 0))
+    assert same_lists(read_kbest_files(gold_path, kbest_path), target)
     assert same_lists(read_kbest(gold_lines, kbest_lines), target)
-    assert load_conll(signed_path) == [kb.gold for kb in target]
 
     golds = [kb.gold for kb in train]
     params = init_random(Hyperparams(m=W.M, m_d=W.M_D, k=wl.k), build_word_vocab(golds),
@@ -138,6 +153,8 @@ def rows(wl, inputs, directory):
     return lists, {
         "load_conll (gold)": ("rerank", lambda: load_conll(gold_path)),
         "load_conll, + heads": ("rerank", lambda: load_conll(signed_path)),
+        "load_conll, every other + head": ("rerank", lambda: load_conll(alternate_path)),
+        "load_conll, first + head": ("rerank", lambda: load_conll(first_path)),
         "read_kbest_files": ("rerank", lambda: read_kbest_files(gold_path, kbest_path)),
         "read_kbest, line by line": ("rerank", lambda: read_kbest(gold_lines, kbest_lines)),
         "rooted_rows, batched": ("rerank", lambda: [rooted_rows(b) for b in batches]),

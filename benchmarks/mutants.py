@@ -50,6 +50,9 @@ TRAINER = "src/deprerank/trainer.py"
 TEST_TRAINER = "tests/test_trainer.py"
 PARAMS = "src/deprerank/params.py"
 TEST_PARAMS = "tests/test_params.py"
+RCNN = "src/deprerank/rcnn.py"
+TEST_RCNN = "tests/test_rcnn.py"
+BAD_PATH = "tests/test_cli.py::test_a_bad_path_exits_2_before_any_work"
 SWEEP_TEST = ("tests/test_reranker.py::"
               "test_the_pruned_sweep_and_the_picks_equal_the_per_list_reference")
 
@@ -89,7 +92,7 @@ MUTANTS = (
             "            if head == index:\n"
             "                raise ParseError(f\"token {index} is its own head\", lineno)\n", "",
             "test_parse_errors_carry_line_numbers"),
-    _reader("parse-block-no-newline-check", "if len(ends) != len(lines) - 1:", "if False:",
+    _reader("parse-block-no-newline-check", "len(ends) == len(lines) - 1 and ", "",
             "test_a_text_file_whose_lines_hold_a_newline_reads_as_its_lines"),
     # the tree check
     _reader("rooted-no-pointer-jumping",
@@ -106,17 +109,13 @@ MUTANTS = (
             "    finally:  # the trees before a bad line are checked before its error is raised\n",
             "    except ZeroDivisionError:\n        pass\n    if True:\n",
             "test_conll_head_beyond_int64_is_a_structure_error"),
-    _reader("conll-block-no-tree-check", "        if not good:\n", "        if False:\n",
-            "test_parse_two_cycle_rejected"),
-    # the block's bad tree, under its own label, before the line-by-line run ahead of it
-    _reader("conll-block-tree-error-before-line-run",
-            "        if exact is not None:\n            _parse_lines(lines[exact:a],",
-            "        if not good:\n"
-            "            run = (begin >= (a if exact is None else exact)) & (begin < a)\n"
-            "            DependencyTree([], [], heads[a:a + n], []).validate(\n"
-            "                label=f\"sentence {len(trees) + int(run.sum())}\")\n"
-            "        if exact is not None:\n            _parse_lines(lines[exact:a],",
-            "test_a_line_error_before_a_bad_tree_in_its_block_comes_first"),
+    _reader("conll-block-no-tree-check", "            if not good:\n",
+            "            if False:\n", "test_parse_two_cycle_rejected"),
+    # the line-by-line read starts at the first sentence the block cannot split
+    _reader("conll-block-line-read-one-sentence-late",
+            "            if not split:\n                break\n",
+            "            if not split:\n                a += n\n                break\n",
+            "test_from_the_first_sentence_a_block_cannot_split_the_rest_is_read_line_by_line"),
     _reader("kbest-no-tree-check-before-error",
             "        _check_lists(pending)\n        raise\n",
             "        raise\n", "test_kbest_errors_come_in_file_order_across_batches"),
@@ -134,9 +133,9 @@ MUTANTS = (
             "test_kbest_line_format_is_exact"),
     _reader("read-block-no-isfinite", "not all(map(math.isfinite, scores)) or ", "",
             "test_kbest_rejects_non_finite_base_scores[1e999]"),
-    _reader("read-block-no-row-start-check", " or (heads[::n + 1] != -1).any()", "",
+    _reader("read-block-no-row-start-check", " or np.logical_or.reduce(heads[::n + 1] != -1)", "",
             "test_kbest_errors_come_in_file_order"),
-    _reader("read-block-keeps-heads-above-n", " or heads.max() > n", "",
+    _reader("read-block-keeps-heads-above-n", "or np.maximum.reduce(heads) > n", "or False",
             "test_kbest_bad_head_matches_reference[9999999999999999999999999]"),
     _reader("kbest-no-look-ahead-bound", "if 2 * k <= block_lines else []",
             "if block_lines else []", "test_a_huge_k_takes_a_bounded_block[1000000000]"),
@@ -199,11 +198,33 @@ MUTANTS = (
            "\n                    | (np.minimum.accumulate(base, axis=1)[:, :-1] < base[:, 1:]))",
            ")", (SWEEP_TEST,), (SWEEP_TEST,)),
     # the list kernels: a pooling tie goes to the first child, as per tree
-    Mutant("first-max-ties-to-the-last-child", "src/deprerank/rcnn.py",
+    Mutant("first-max-ties-to-the-last-child", RCNN,
            "first = np.minimum.reduceat(np.where(zs == top, pos, len(order)), starts, axis=0)",
            "first = np.maximum.reduceat(np.where(zs == top, pos, -1), starts, axis=0)",
-           ("tests/test_rcnn.py",),
-           ("tests/test_rcnn.py::test_list_pooling_ties_go_to_the_first_child",)),
+           (TEST_RCNN,), (f"{TEST_RCNN}::test_list_pooling_ties_go_to_the_first_child",)),
+    # pooling reads the -inf row past the last arc where a node has fewer
+    # children than the widest of its level
+    Mutant("pooling-pads-with-arc-0", RCNN, "arc_of = _full(end + 1, num_arcs)",
+           "arc_of = _full(end + 1, 0)", (TEST_RCNN,),
+           (f"{TEST_RCNN}::test_score_list_matches_score_tree_on_random_lists",)),
+    # the backward walk is top-down, so a row reads its head row's finished
+    # input gradient, and each slot's dv adds its rows in row order
+    Mutant("backward-walks-bottom-up", RCNN, "order = (-height).argsort(kind=\"stable\")",
+           "order = height.argsort(kind=\"stable\")", (TEST_RCNN,),
+           (f"{TEST_RCNN}::test_backward_list_matches_backward_tree",)),
+    Mutant("backward-dv-sums-rows-in-reverse", RCNN,
+           "np.add.reduce(up_z[g0:g1], axis=0, out=d_v[i])",
+           "np.add.reduce(up_z[g0:g1][::-1], axis=0, out=d_v[i])", (TEST_RCNN,),
+           (f"{TEST_RCNN}::test_list_kernels_match_the_matmul_reference_in_bytes",)),
+    # train() returns the model of its best dev epoch, not of its last
+    Mutant("train-returns-the-last-epoch", TRAINER, "    return best, reports\n",
+           "    return params, reports\n", (TEST_TRAINER,),
+           (f"{TEST_TRAINER}::test_reloaded_model_reproduces_the_selected_dev_uas",)),
+    # the CLI refuses two outputs that name one file before any work
+    Mutant("cli-two-outputs-may-name-one-file", "src/deprerank/cli.py",
+           "        if _same_file(first, second):\n", "        if False:\n", (BAD_PATH,),
+           (f"{BAD_PATH}[rerank --report, the --output file]",
+            f"{BAD_PATH}[rerank --report, a hard link to --output]")),
 )
 
 

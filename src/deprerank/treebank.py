@@ -6,10 +6,10 @@ tree, for one tree (`is_rooted_tree`, `validate`) or for a batch of rows in
 one pass; a `KBestList` checks its rows where it is made, and only there,
 and `parse_conll` checks each gold tree where it parses it.
 One rule routes every source of both readers (`_in_blocks`): a string or a
-text file is taken a block of whole sentences at a time, and what can be
-parsed at once is, where that reads the same values as reading line by
-line; any other source, such as a list or an iterator of lines, is read line
-by line, which raises the error of the first bad line.
+text file is taken a block of whole sentences at a time, and parsed at once
+where that reads what reading line by line reads (a gold block is read line
+by line from the first sentence it cannot split); any other source, such as
+a list or an iterator of lines, is read line by line.
 """
 
 from __future__ import annotations
@@ -311,11 +311,12 @@ def parse_conll(source: Iterable[str] | str) -> list[DependencyTree]:
     Lines need at least 8 tab-separated columns (ID FORM LEMMA CPOS POS FEATS
     HEAD DEPREL); FORM is column 2, POS column 5, HEAD column 7. A string is
     read as a text file is (`_iter_lines`); the lines of a file or any other
-    source are as given. A string or a text file is read in blocks of whole
-    sentences (`_parse_blocks`), any other source line by line
-    (`_parse_lines`). Each route checks the trees it parses, and checks them
-    before it raises the error of a bad line, so the first error in file
-    order is the one raised.
+    source are as given. A string or a text file is split a block of whole
+    sentences at a time (`_parse_blocks`); from the first sentence a block
+    cannot split, the rest of that block is read line by line
+    (`_parse_lines`), as any other source is. Each route checks the trees it
+    parses before it raises the error of a bad line, so the first error in
+    file order is the one raised.
     """
     lines = _iter_lines(source)
     trees: list[DependencyTree] = []
@@ -393,8 +394,9 @@ def _parse_blocks(lines: Iterator[str], trees: list[DependencyTree]) -> None:
 
 def _parse_block(lines: list[str], lineno: int, trees: list[DependencyTree]) -> None:
     """The sentences of `lines`, without their newlines, from line number
-    `lineno` on, each split at once where that reads what reading it line by
-    line reads.
+    `lineno` on, split at once up to the first that cannot be (see below):
+    that one and every line after it are read by one `_parse_lines` call, so
+    the first error in file order is the one raised.
 
     Sentences are runs of non-empty lines. A few passes over the bytes of the
     whole block find the sentences whose lines all have the same number of
@@ -402,56 +404,45 @@ def _parse_block(lines: list[str], lineno: int, trees: list[DependencyTree]) -> 
     the line's place in its sentence, and read those heads (`_digits`). Such
     a sentence is split by one `split`, which gives its IDs, forms and tags
     as strided slices; if its IDs are 1..n, it is a tree, checked with the
-    others in one `_rooted` call. Any other sentence is read by
-    `_parse_lines`, which raises the error of the first bad line; a run of
-    them is read before the error of a tree split after it is raised.
-    The lines are a string's or a text file's (`_in_blocks`), so none holds
-    a newline unless the file was opened with newline="\r"; such a block is
-    read by `_parse_lines` too.
+    others in one `_rooted` call. The lines are a string's or a text file's
+    (`_in_blocks`): none holds a newline unless the file was opened with
+    newline="\r". Such a block, or one with no tab, is read line by line.
     """
     text = "\n".join(lines)
     data = np.frombuffer(text.encode("utf-8", "surrogatepass"), dtype=np.uint8)
     seps = np.flatnonzero((data == 9) | (data == 10))  # the tabs and newlines
     ends = np.flatnonzero(data[seps] == 10)  # where in `seps` each line ends, but the last
-    if len(ends) != len(lines) - 1:  # a line holds a newline
-        _parse_lines(lines, lineno, trees)
-        return
-    first = np.append(0, ends + 1)  # where in `seps` each line's first tab would be
-    width = np.diff(first, append=len(seps) + 1)  # the columns of each line
-    filled = np.append(0, seps[ends] + 1) < np.append(seps[ends], len(data))
-    opens = filled & np.append(True, ~filled[:-1])  # the lines that begin a sentence
-    begin = np.flatnonzero(opens)
-    if not len(begin) or len(seps) == len(ends):  # no sentence, or no line of 8 columns
-        _parse_lines(lines, lineno, trees)
-        return
-    which = np.cumsum(opens) - 1  # the sentence of each line, -1 before the first
-    heads, ok = _digits(data, seps[np.minimum(first + 5, len(seps) - 1)] + 1,
-                        seps[np.minimum(first + 6, len(seps) - 1)])
-    ok &= ((width >= 8) & (width == width[begin][which])
-           & (heads != np.arange(len(lines)) - begin[which] + 1))  # no self-head
-    fast = np.logical_and.reduceat(ok | ~filled, begin)
-    sizes = np.add.reduceat(filled, begin)
-    rooted = ~fast  # each sentence that can be split is checked here, the others line by line
-    rooted[fast] = _rooted(heads.compress(fast[which] & filled), sizes.compress(fast))
-    heads = heads.tolist()
-    exact = None  # the first line of the sentences to read line by line
-    for a, n, w, split, good in zip(begin.tolist(), sizes.tolist(), width[begin].tolist(),
-                                    fast.tolist(), rooted.tolist()):
-        if split:
-            sentence = lines[a:a + n]
-            fields = "\t".join(sentence).split("\t")
-            split = fields[::w] == _ranks(n)
-        if not split:
-            exact = a if exact is None else exact
-            continue
-        if exact is not None:
-            _parse_lines(lines[exact:a], lineno + exact, trees)
-            exact = None
-        trees.append(DependencyTree(fields[1::w], fields[4::w], heads[a:a + n], sentence))
-        if not good:
-            trees[-1].validate(label=f"sentence {len(trees) - 1}")
-    if exact is not None:
-        _parse_lines(lines[exact:], lineno + exact, trees)
+    a = 0  # the first line read line by line
+    if len(ends) == len(lines) - 1 and len(seps) > len(ends):  # no newline in a line; a tab
+        first = np.append(0, ends + 1)  # where in `seps` each line's first tab would be
+        width = np.diff(first, append=len(seps) + 1)  # the columns of each line
+        filled = np.append(0, seps[ends] + 1) < np.append(seps[ends], len(data))
+        opens = filled & np.append(True, ~filled[:-1])  # the lines that begin a sentence
+        begin = np.flatnonzero(opens)
+        which = np.cumsum(opens) - 1  # the sentence of each line, -1 before the first
+        heads, ok = _digits(data, seps[np.minimum(first + 5, len(seps) - 1)] + 1,
+                            seps[np.minimum(first + 6, len(seps) - 1)])
+        ok &= ((width >= 8) & (width == width[begin][which])
+               & (heads != np.arange(len(lines)) - begin[which] + 1))  # no self-head
+        fast = np.logical_and.reduceat(ok | ~filled, begin)
+        sizes = np.add.reduceat(filled, begin)
+        rooted = ~fast  # each sentence that can be split is checked here
+        rooted[fast] = _rooted(heads.compress(fast[which] & filled), sizes.compress(fast))
+        heads = heads.tolist()
+        for a, n, w, split, good in zip(begin.tolist(), sizes.tolist(), width[begin].tolist(),
+                                        fast.tolist(), rooted.tolist()):
+            if split:
+                sentence = lines[a:a + n]
+                fields = "\t".join(sentence).split("\t")
+                split = fields[::w] == _ranks(n)
+            if not split:
+                break
+            trees.append(DependencyTree(fields[1::w], fields[4::w], heads[a:a + n], sentence))
+            if not good:
+                trees[-1].validate(label=f"sentence {len(trees) - 1}")
+        else:
+            return
+    _parse_lines(lines[a:], lineno + a, trees)
 
 
 def _digits(data: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -627,7 +618,8 @@ def _read_block(taken: list[str], k: int, n: int) -> tuple[list[float], np.ndarr
     if not all(map(math.isfinite, scores)) or not _HEAD_LINES.fullmatch(text):
         return None
     heads = np.fromstring(text.replace("HEAD", "-1"), dtype=np.int64, sep=" ")
-    if len(heads) != k * (n + 1) or (heads[::n + 1] != -1).any() or heads.max() > n:
+    if (len(heads) != k * (n + 1) or np.logical_or.reduce(heads[::n + 1] != -1)
+            or np.maximum.reduce(heads) > n):
         return None
     return scores, heads.reshape(k, n + 1)[:, 1:].copy()
 

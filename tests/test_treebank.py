@@ -486,9 +486,9 @@ def test_conll_errors_come_in_file_order_across_batches():
 
 
 def test_a_line_error_before_a_bad_tree_in_its_block_comes_first():
-    """Sentences read line by line, then a cyclic sentence split at once, in
-    one block: the run is read, and its first error raised, before the
-    cycle's; with no error in the run, the cycle's label counts its trees."""
+    """Sentences read line by line, then a cyclic sentence, in one block: the
+    first error in file order is raised, a bad line's or an earlier tree's;
+    with none before it, the cycle's label counts the trees."""
     cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
     signed = BIKE_BLOCK.replace("\t0\troot", "\t+0\troot")  # read line by line
     for run, error, start in (
@@ -500,6 +500,25 @@ def test_a_line_error_before_a_bad_tree_in_its_block_comes_first():
         with pytest.raises(error) as theirs:
             reference_parse_conll(run + "\n" + cycle)
         assert str(ours.value) == str(theirs.value) and str(ours.value).startswith(start)
+
+
+@pytest.mark.parametrize("block", [_BLOCK_LINES, 8])
+def test_from_the_first_sentence_a_block_cannot_split_the_rest_is_read_line_by_line(block):
+    """A +-signed head that the byte passes reject, mid-block or opening one
+    (a block of 8 lines starts at each 3-token sentence here), then a cyclic
+    sentence, then a bad line: the same trees and the same first error as
+    reading the text line by line."""
+    signed = BIKE_BLOCK.replace("\t0\troot", "\t+0\troot")
+    cycle = "1\ta\t_\tDT\tDT\t_\t2\t_\n2\tb\t_\tNN\tNN\t_\t1\t_\n"
+    clean, bad = (f"{BIKE_BLOCK}\n{signed}\n{tail}" for tail in (BIKE_BLOCK, cycle + "\nx\n"))
+    with mock.patch.object(treebank, "_BLOCK_LINES", block):
+        trees = parse_conll(clean)
+        with pytest.raises(StructureError) as ours:
+            parse_conll(bad)
+    assert trees == reference_parse_conll(clean) and len(trees) == 3
+    with pytest.raises(StructureError) as theirs:
+        reference_parse_conll(bad)
+    assert str(ours.value) == str(theirs.value) and str(ours.value).startswith("sentence 2: ")
 
 
 def test_conll_head_beyond_int64_is_a_structure_error():
